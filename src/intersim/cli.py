@@ -111,6 +111,13 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _check_keys(cfg: dict, config_cls, what: str) -> None:
+    known = {f.name for f in fields(config_cls)}
+    bad = [k for k in cfg if k not in known]
+    if bad:
+        raise ConfigError(f"unknown {what} in config: {', '.join(sorted(bad))}")
+
+
 def _spec_from_args(args, overrides: dict) -> EvalSpec:
     spec = EvalSpec(
         scene=args.scene,
@@ -121,10 +128,7 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
         policy_file=args.policy_file,
         rc_m=args.rc,
     )
-    known = {f.name for f in fields(EvalSpec)}
-    bad = [k for k in overrides if k not in known]
-    if bad:
-        raise ConfigError(f"unknown spec keys in config: {', '.join(sorted(bad))}")
+    _check_keys(overrides, EvalSpec, "spec keys")
     if overrides:
         spec = replace(spec, **overrides)
     if spec.engine == "distilled" and spec.policy_file is None:
@@ -204,11 +208,13 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"unknown train variant {variant!r}")
     train_over = cfg.pop("train", {})
     dcfg = DaggerConfig()
-    known = {f.name for f in fields(DaggerConfig)}
-    bad = [k for k in cfg if k not in known]
-    if bad:
-        raise ConfigError(f"unknown training keys in config: {', '.join(sorted(bad))}")
+    _check_keys(cfg, DaggerConfig, "training keys")
+    if not isinstance(train_over, dict):
+        raise ConfigError("train must be a JSON object of classifier settings")
+    _check_keys(train_over, TrainConfig, "train keys")
     if "scenes" in cfg:
+        if not isinstance(cfg["scenes"], list):
+            raise ConfigError("scenes must be a JSON list of intersection kinds")
         cfg["scenes"] = tuple(cfg["scenes"])
     dcfg = replace(dcfg, **cfg)
     if train_over:

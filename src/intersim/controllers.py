@@ -32,6 +32,7 @@ from .planner import (
     best_response,
     level0_plan,
     levelk_plan,
+    near_indices,
 )
 from .scene import AVController
 
@@ -120,19 +121,6 @@ def estimate_levels(beliefs: BeliefState) -> Dict[int, int]:
 # adaptive planning
 
 
-def _near_indices(
-    states: Sequence[Optional[VehicleState]], i: int, cfg: PlannerConfig
-) -> List[int]:
-    ex, ey = states[i].pose.x, states[i].pose.y
-    out = []
-    for j, st in enumerate(states):
-        if j == i or st is None:
-            continue
-        if math.hypot(st.pose.x - ex, st.pose.y - ey) <= cfg.interaction_radius_m:
-            out.append(j)
-    return out
-
-
 def predictor_rollout(
     states: Sequence[Optional[VehicleState]],
     i: int,
@@ -191,7 +179,7 @@ def adaptive_plan(
     supplied explicit policy. The first action of the result is the
     control to apply.
     """
-    near = _near_indices(states, i, cfg)
+    near = near_indices(states, i, cfg)
     estimates = {j: estimate_level(beliefs.vec(j), beliefs.model_set) for j in near}
     if not near:
         return level0_plan(list(states), i, network, cfg)
@@ -260,7 +248,7 @@ class AdaptiveController(AVController):
     ) -> None:
         if self._ego is None or prev_states[self._ego] is None:
             return
-        near = set(_near_indices(prev_states, self._ego, self.planner))
+        near = set(near_indices(prev_states, self._ego, self.planner))
         cache: Dict[Tuple[int, int], PlanResult] = {}
         snapshot = list(prev_states)
         for j, a_idx in actions.items():
@@ -322,7 +310,7 @@ class DistilledAdaptiveController(AdaptiveController):
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
     ) -> int:
         self._ego = i
-        near = _near_indices(states, i, self.planner)
+        near = near_indices(states, i, self.planner)
         estimates = {
             j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
         }
@@ -522,12 +510,7 @@ def estimate_path(
     best available guess for vehicles already mid-junction or off-lane.
     """
     st = states[j]
-    lay, _ = network.resolve(st.goal_ref)
-    refs = [st.goal_ref] + list(st.target_lane_seq)
-    local = [r for r in refs if network.resolve(r)[0] is lay]
-    exit_ref = next(
-        (r for r in local if network.resolve(r)[1].kind == "out"), None
-    )
+    lay, local, exit_ref = _route_exit(st, network)
     if exit_ref is not None:
         entrance = _entrance_lane(lay, st.pose.x, st.pose.y)
         if entrance is not None:
@@ -552,6 +535,16 @@ def estimate_path(
             )
         )
     return _dedup(np.array(pts, dtype=float))
+
+
+def _route_exit(st: VehicleState, network: RoadNetwork):
+    """(layout st is headed through, its route refs inside that layout with
+    the goal ref first, the first of those that is an exit lane or None)."""
+    lay, _ = network.resolve(st.goal_ref)
+    refs = [st.goal_ref] + list(st.target_lane_seq)
+    local = [r for r in refs if network.resolve(r)[0] is lay]
+    exit_ref = next((r for r in local if network.resolve(r)[1].kind == "out"), None)
+    return lay, local, exit_ref
 
 
 def _entrance_lane(lay: RoadLayout, x: float, y: float) -> Optional[str]:
@@ -658,13 +651,10 @@ class RuleBasedController(AVController):
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
     ) -> None:
         st = states[i]
-        lay, _ = network.resolve(st.goal_ref)
+        lay, _, exit_ref = _route_exit(st, network)
         entrance = _entrance_lane(lay, st.pose.x, st.pose.y)
         if entrance is None:
             raise ValueError("rule-based vehicle must start on an entrance lane")
-        refs = [st.goal_ref] + list(st.target_lane_seq)
-        local = [r for r in refs if network.resolve(r)[0] is lay]
-        exit_ref = next((r for r in local if network.resolve(r)[1].kind == "out"), None)
         if exit_ref is None:
             raise ValueError("rule-based vehicle has no exit lane in its route")
         self._pts = reference_path(lay, entrance, network.resolve(exit_ref)[1].id)

@@ -72,15 +72,13 @@ class VehicleState:
 
     goal_ref is the lane reference currently steered toward
     ("<intersection>:<lane>"), target_lane_seq the remaining ones after it.
-    layout_label tags the intersection kind currently governing the vehicle
-    (1 fourway, 2 tshape, 3 roundabout). phase tracks core crossing progress
-    and gates the wrong-lane reward term.
+    phase tracks core crossing progress and gates the wrong-lane reward
+    term.
     """
 
     pose: Pose2
     speed: float
     goal_ref: Optional[str] = None
-    layout_label: int = 1
     target_lane_seq: List[str] = field(default_factory=list)
     phase: str = PHASE_APPROACH
 
@@ -89,7 +87,6 @@ class VehicleState:
             pose=Pose2(self.pose.x, self.pose.y, self.pose.theta),
             speed=self.speed,
             goal_ref=self.goal_ref,
-            layout_label=self.layout_label,
             target_lane_seq=list(self.target_lane_seq),
             phase=self.phase,
         )
@@ -164,8 +161,6 @@ def update_goal(
     nxt = state.target_lane_seq.pop(0)
     prev_lay = state.goal_ref.split(":")[0]
     state.goal_ref = nxt
-    new_lay, _ = network.resolve(nxt)
-    state.layout_label = new_lay.label
     if nxt.split(":")[0] != prev_lay:
         state.phase = PHASE_APPROACH
     return "advanced"

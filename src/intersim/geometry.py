@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,9 +50,6 @@ class Pose2:
     y: float
     theta: float
 
-    def position(self) -> Tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass
 class OrientedRect:
@@ -63,10 +60,6 @@ class OrientedRect:
     length: float
     width: float
     theta: float
-
-    @classmethod
-    def from_pose(cls, pose: Pose2, length: float, width: float) -> "OrientedRect":
-        return cls(pose.x, pose.y, length, width, pose.theta)
 
     def corners(self) -> np.ndarray:
         """Corner coordinates, shape (4, 2), counterclockwise."""
@@ -132,14 +125,6 @@ def segment_intersects_rect(p: Sequence[float], q: Sequence[float], rect: Orient
         if t0 > t1:
             return False
     return True
-
-
-def polyline_intersects_rect(points: np.ndarray, rect: OrientedRect) -> bool:
-    pts = np.asarray(points, dtype=float)
-    for i in range(len(pts) - 1):
-        if segment_intersects_rect(pts[i], pts[i + 1], rect):
-            return True
-    return False
 
 
 def segments_intersect(p1, p2, q1, q2, tol: float = 0.0) -> bool:
@@ -231,30 +216,6 @@ def polylines_min_dist(a_segs: np.ndarray, b_segs: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # batched kernels, used by the planner and the per-step fail checks
-
-
-def rect_corners_many(cx, cy, theta, length: float, width: float, cth=None, sth=None) -> np.ndarray:
-    """Corners for a batch of equally sized rectangles, shape (B, 4, 2).
-
-    cth/sth are optional precomputed cos(theta), sin(theta); the planner
-    evaluates several zone sizes per batch and shares the trig.
-    """
-    cx = np.asarray(cx, dtype=float)
-    c = np.cos(theta) if cth is None else cth
-    s = np.sin(theta) if sth is None else sth
-    hl, hw = 0.5 * length, 0.5 * width
-    ux, uy = c * hl, s * hl
-    wx, wy = -s * hw, c * hw
-    out = np.empty(cx.shape + (4, 2))
-    out[..., 0, 0] = cx + ux + wx
-    out[..., 0, 1] = cy + uy + wy
-    out[..., 1, 0] = cx - ux + wx
-    out[..., 1, 1] = cy - uy + wy
-    out[..., 2, 0] = cx - ux - wx
-    out[..., 2, 1] = cy - uy - wy
-    out[..., 3, 0] = cx + ux - wx
-    out[..., 3, 1] = cy + uy - wy
-    return out
 
 
 def overlap_rects_one_many(
@@ -357,10 +318,6 @@ def segments_hit_rects_matrix(
     return ~sep
 
 
-def points_in_box_many(px, py, cx: float, cy: float, half: float) -> np.ndarray:
-    return (np.abs(px - cx) <= half) & (np.abs(py - cy) <= half)
-
-
 # ---------------------------------------------------------------------------
 # layout model
 
@@ -457,12 +414,6 @@ class RoadLayout:
         return [(lid, ln.rect) for lid, ln in self.lanes.items() if ln.rect is not None]
 
     # -- queries ------------------------------------------------------------
-
-    def lane(self, lane_id: str) -> Lane:
-        return self.lanes[lane_id]
-
-    def ref_point(self, lane_id: str) -> Tuple[float, float]:
-        return self.lanes[lane_id].ref_point
 
     def in_core(self, x: float, y: float) -> bool:
         if self.core["type"] == "box":
@@ -888,10 +839,6 @@ class RoadNetwork:
         name, lane_id = ref.split(":")
         lay = self.layouts[name]
         return lay, lay.lanes[lane_id]
-
-    def ref_point(self, ref: str) -> Tuple[float, float]:
-        lay, lane = self.resolve(ref)
-        return lane.ref_point
 
     def neighbor(self, name: str, arm: str) -> Optional[Tuple[str, str]]:
         for a, arm_a, b, arm_b in self.connectors:

@@ -18,8 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .controllers import (
     AdaptiveController,
     DistilledAdaptiveController,
@@ -34,7 +32,6 @@ from .imitation import (
     encode_state_adaptive,
     wilson_interval,
 )
-from .planner import DEFAULT_PLANNER
 from .scene import (
     AVController,
     ExpertTraffic,
@@ -342,10 +339,7 @@ def monte_carlo(
         raise ValueError("n_episodes must be at least 1")
     rows: List[Tuple[int, EpisodeOutcome, List[str]]] = []
     if workers <= 1:
-        built = _Built(spec)
-        for idx in range(n_episodes):
-            outcome, log, _ = run_one(spec, (master_seed, idx), built, collect_logs)
-            rows.append((idx, outcome, log))
+        rows = _chunk_task((spec, master_seed, list(range(n_episodes)), collect_logs))
     else:
         chunks = [
             (spec, master_seed, list(range(lo, n_episodes, workers)), collect_logs)

@@ -29,7 +29,7 @@ from .dynamics import (
     step,
     update_goal,
 )
-from .geometry import RoadNetwork, single_network
+from .geometry import BUILDERS, RoadNetwork, single_network
 from .planner import DEFAULT_PLANNER, PlannerConfig, expert_policy
 from .scene import TrafficPolicy, detect_fail, detect_success, spawn_vehicle
 
@@ -500,8 +500,7 @@ def behavioral_clone_train(
         seed=seed,
     )
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    steps = min(train.final_max_steps, max(train.min_steps, int(train.final_epochs * len(dataset) / train.batch_size)))
-    approx.fit(X, y, train, rng, steps=steps)
+    approx.fit(X, y, train, rng, steps=_final_steps(train, len(dataset)))
     return approx
 
 
@@ -525,6 +524,13 @@ class DaggerConfig:
     stop_disagreement_below: Optional[float] = None  # optional early stop
     stop_patience: int = 5
 
+    def __post_init__(self):
+        for name in ("n_max", "t_max", "n_vehicles", "k_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.scenes or not set(self.scenes) <= set(BUILDERS):
+            raise ValueError(f"scenes must be among {sorted(BUILDERS)}, got {list(self.scenes)}")
+
 
 @dataclass
 class DaggerResult:
@@ -533,12 +539,61 @@ class DaggerResult:
     history: List[dict]  # per episode: dataset size, disagreement rate, loss
 
 
-def _respawn_terminal(states, net, rng, min_sep):
+def _episodes(cfg: DaggerConfig, rng: np.random.Generator, n_episodes: int):
+    """Yields (episode number, network, initial states) per episode: a
+    layout drawn from cfg.scenes and cfg.n_vehicles spawned in slot order.
+    The networks are built once, before the first draw."""
+    networks = {kind: single_network(kind) for kind in cfg.scenes}
+    for n in range(1, n_episodes + 1):
+        net = networks[cfg.scenes[rng.integers(len(cfg.scenes))]]
+        states: List[Optional[VehicleState]] = []
+        for _ in range(cfg.n_vehicles):
+            states.append(spawn_vehicle(net, states, rng, cfg.min_sep_m))
+        yield n, net, states
+
+
+def _respawn_terminal(states, net, rng, min_sep) -> List[int]:
+    """Respawn every empty, failed or finished slot in place and return
+    the respawned slots.
+
+    Slot i is checked after the earlier slots have respawned, the same
+    order as scene.sim_step, so the later partner of a collision can miss
+    the wreck; ROADMAP item 2(a) is the pending fix for both.
+    """
+    respawned = []
     for i, st in enumerate(states):
-        if st is None:
+        if st is None or detect_fail(states, i, net) or detect_success(st, net):
             states[i] = spawn_vehicle(net, states, rng, min_sep)
-        elif detect_fail(states, i, net) or detect_success(st, net):
-            states[i] = spawn_vehicle(net, states, rng, min_sep)
+            respawned.append(i)
+    return respawned
+
+
+def _advance(states, actions: Dict[int, int], net: RoadNetwork) -> None:
+    """Synchronous move: each chosen action index applies to its vehicle."""
+    for i, a_idx in actions.items():
+        st = states[i]
+        st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[a_idx])
+        update_goal(st, net)
+
+
+def _final_steps(train: TrainConfig, n_rows: int) -> int:
+    """Step count of the deeper last fit on the aggregate dataset."""
+    steps = int(train.final_epochs * n_rows / train.batch_size)
+    return min(train.final_max_steps, max(train.min_steps, steps))
+
+
+def _refit(policy, dataset, cfg, stream, n) -> Tuple[PolicyApproximator, float]:
+    """Fit on the full dataset after episode n: from fresh weights unless
+    cfg.warm_start, seeded by (cfg.seed, stream, n), deeper on the last."""
+    if not len(dataset):
+        return policy, float("nan")
+    X, y = dataset.arrays()
+    fit_seed = np.random.SeedSequence((cfg.seed, stream, n))
+    if not cfg.warm_start:
+        seed = int(fit_seed.generate_state(1)[0])
+        policy = PolicyApproximator(policy.sizes, policy.encoding, seed=seed)
+    steps = _final_steps(cfg.train, len(dataset)) if n == cfg.n_max else None
+    return policy, policy.fit(X, y, cfg.train, np.random.default_rng(fit_seed), steps=steps)
 
 
 def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
@@ -553,19 +608,14 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     root = np.random.SeedSequence(cfg.seed)
     rng = np.random.default_rng(root.spawn(1)[0])
     enc = default_encoding("levelk", cfg.m_near)
-    dim = EGO_BLOCK + SLOT_WIDTH * cfg.m_near + N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS)
-    policy = PolicyApproximator(_layer_sizes(dim, cfg.train.hidden), enc, seed=cfg.seed)
-    dataset = DemoDataset(dim, levelk_feature_names(cfg.m_near))
-    networks = {kind: single_network(kind) for kind in cfg.scenes}
+    names = levelk_feature_names(cfg.m_near)
+    policy = PolicyApproximator(_layer_sizes(len(names), cfg.train.hidden), enc, seed=cfg.seed)
+    dataset = DemoDataset(len(names), names)
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     history: List[dict] = []
     calm_streak = 0
 
-    for n in range(1, cfg.n_max + 1):
-        net = networks[cfg.scenes[rng.integers(len(cfg.scenes))]]
-        states: List[Optional[VehicleState]] = []
-        for _ in range(cfg.n_vehicles):
-            states.append(spawn_vehicle(net, states, rng, cfg.min_sep_m))
+    for n, net, states in _episodes(cfg, rng, cfg.n_max):
         disagreements = 0
         queries = 0
         for _t in range(cfg.t_max):
@@ -591,31 +641,9 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                 chosen = {}
                 for i in active:
                     k_t = levels[rng.integers(len(levels))]
-                    chosen[i] = int(
-                        guesses[keys.index((i, k_t))]
-                    )
-                for i in active:
-                    st = states[i]
-                    st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[chosen[i]])
-                    update_goal(st, net)
-        loss = float("nan")
-        if len(dataset):
-            X, y = dataset.arrays()
-            fit_seed = np.random.SeedSequence((cfg.seed, 2, n))
-            if not cfg.warm_start:
-                policy = PolicyApproximator(
-                    _layer_sizes(dim, cfg.train.hidden),
-                    enc,
-                    seed=int(fit_seed.generate_state(1)[0]),
-                )
-            steps = None
-            if n == cfg.n_max:
-                steps = min(
-                    cfg.train.final_max_steps,
-                    max(cfg.train.min_steps,
-                        int(cfg.train.final_epochs * len(dataset) / cfg.train.batch_size)),
-                )
-            loss = policy.fit(X, y, cfg.train, np.random.default_rng(fit_seed), steps=steps)
+                    chosen[i] = int(guesses[keys.index((i, k_t))])
+                _advance(states, chosen, net)
+        policy, loss = _refit(policy, dataset, cfg, 2, n)
         rate = disagreements / queries if queries else 0.0
         history.append({"episode": n, "dataset": len(dataset), "disagreement": rate, "loss": loss})
         if cfg.stop_disagreement_below is not None:
@@ -641,29 +669,19 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     root = np.random.SeedSequence((cfg.seed, 5))
     rng = np.random.default_rng(root.spawn(1)[0])
     enc = default_encoding("adaptive", cfg.m_near)
-    dim = EGO_BLOCK + (SLOT_WIDTH + 1) * cfg.m_near + N_LAYOUT_KINDS
-    policy = PolicyApproximator(_layer_sizes(dim, cfg.train.hidden), enc, seed=cfg.seed)
-    dataset = DemoDataset(dim, adaptive_feature_names(cfg.m_near))
-    networks = {kind: single_network(kind) for kind in cfg.scenes}
+    names = adaptive_feature_names(cfg.m_near)
+    policy = PolicyApproximator(_layer_sizes(len(names), cfg.train.hidden), enc, seed=cfg.seed)
+    dataset = DemoDataset(len(names), names)
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     history: List[dict] = []
 
-    for n in range(1, cfg.n_max + 1):
-        net = networks[cfg.scenes[rng.integers(len(cfg.scenes))]]
-        states: List[Optional[VehicleState]] = []
-        for _ in range(cfg.n_vehicles):
-            states.append(spawn_vehicle(net, states, rng, cfg.min_sep_m))
+    for n, net, states in _episodes(cfg, rng, cfg.n_max):
         bg_levels = {j: levels[rng.integers(len(levels))] for j in range(1, cfg.n_vehicles)}
         beliefs = BeliefState()
         disagreements = 0
         queries = 0
         for _t in range(cfg.t_max):
-            for i, st in enumerate(states):
-                if st is not None and not (
-                    detect_fail(states, i, net) or detect_success(st, net)
-                ):
-                    continue
-                states[i] = spawn_vehicle(net, states, rng, cfg.min_sep_m)
+            for i in _respawn_terminal(states, net, rng, cfg.min_sep_m):
                 if i == 0:
                     beliefs = BeliefState(beta=beliefs.beta)
                 else:
@@ -702,28 +720,8 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                     preds[k] = (a.accel, a.omega)
                 obs = cfg.planner.actions[chosen[j]]
                 beliefs = update_beliefs(beliefs, j, (obs.accel, obs.omega), preds)
-            for i, a_idx in chosen.items():
-                st = states[i]
-                st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[a_idx])
-                update_goal(st, net)
-        loss = float("nan")
-        if len(dataset):
-            X, y = dataset.arrays()
-            fit_seed = np.random.SeedSequence((cfg.seed, 6, n))
-            if not cfg.warm_start:
-                policy = PolicyApproximator(
-                    _layer_sizes(dim, cfg.train.hidden),
-                    enc,
-                    seed=int(fit_seed.generate_state(1)[0]),
-                )
-            steps = None
-            if n == cfg.n_max:
-                steps = min(
-                    cfg.train.final_max_steps,
-                    max(cfg.train.min_steps,
-                        int(cfg.train.final_epochs * len(dataset) / cfg.train.batch_size)),
-                )
-            loss = policy.fit(X, y, cfg.train, np.random.default_rng(fit_seed), steps=steps)
+            _advance(states, chosen, net)
+        policy, loss = _refit(policy, dataset, cfg, 6, n)
         rate = disagreements / queries if queries else 0.0
         history.append({"episode": n, "dataset": len(dataset), "disagreement": rate, "loss": loss})
     return DaggerResult(policy, dataset, history)
@@ -737,15 +735,10 @@ def collect_expert_rollouts(
     """Expert-driven rollouts labeled at every visited state, for training
     the cloning baseline on the expert's own distribution."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    dim = EGO_BLOCK + SLOT_WIDTH * cfg.m_near + N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS)
-    dataset = DemoDataset(dim, levelk_feature_names(cfg.m_near))
-    networks = {kind: single_network(kind) for kind in cfg.scenes}
+    names = levelk_feature_names(cfg.m_near)
+    dataset = DemoDataset(len(names), names)
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
-    for _n in range(n_episodes):
-        net = networks[cfg.scenes[rng.integers(len(cfg.scenes))]]
-        states: List[Optional[VehicleState]] = []
-        for _ in range(cfg.n_vehicles):
-            states.append(spawn_vehicle(net, states, rng, cfg.min_sep_m))
+    for _n, net, states in _episodes(cfg, rng, n_episodes):
         for _t in range(cfg.t_max):
             _respawn_terminal(states, net, rng, cfg.min_sep_m)
             active = [i for i, s in enumerate(states) if s is not None]
@@ -758,10 +751,7 @@ def collect_expert_rollouts(
                     dataset.append(enc, idx)
                 k_t = levels[rng.integers(len(levels))]
                 chosen[i] = expert_policy(states, i, k_t, net, cfg.planner, cache).action_sequence[0]
-            for i in active:
-                st = states[i]
-                st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[chosen[i]])
-                update_goal(st, net)
+            _advance(states, chosen, net)
     return dataset
 
 
@@ -776,17 +766,13 @@ def collect_probes(
     seed: int = 7,
 ) -> List[Tuple[List[Optional[VehicleState]], int, int, RoadNetwork]]:
     """Probe states sampled under the trained policy's own rollouts, the
-    distribution that matters at deployment. Returns (states, i, k,
-    network) tuples; consecutive probes share the same frozen snapshot."""
+    distribution that matters at deployment. All vehicles decide from one
+    snapshot per tick, then move together. Returns (states, i, k, network)
+    tuples; consecutive probes share the same frozen snapshot."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 4)))
-    networks = {kind: single_network(kind) for kind in cfg.scenes}
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     probes = []
-    for _n in range(n_episodes):
-        net = networks[cfg.scenes[rng.integers(len(cfg.scenes))]]
-        states: List[Optional[VehicleState]] = []
-        for _ in range(cfg.n_vehicles):
-            states.append(spawn_vehicle(net, states, rng, cfg.min_sep_m))
+    for _n, net, states in _episodes(cfg, rng, n_episodes):
         for _t in range(cfg.t_max):
             _respawn_terminal(states, net, rng, cfg.min_sep_m)
             active = [i for i, s in enumerate(states) if s is not None]
@@ -794,12 +780,11 @@ def collect_probes(
             for i in active:
                 for k in levels:
                     probes.append((snapshot, i, k, net))
+            chosen = {}
             for i in active:
                 k_t = levels[rng.integers(len(levels))]
-                a = policy.act(states, i, k_t, net)
-                st = states[i]
-                st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[a])
-                update_goal(st, net)
+                chosen[i] = policy.act(states, i, k_t, net)
+            _advance(states, chosen, net)
     return probes
 
 

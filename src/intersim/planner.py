@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, Action, ActionSet, VehicleState, rollout
-from .dynamics import PHASE_APPROACH
-from .geometry import Pose2, RoadNetwork, point_segment_dist, wrap_angle_many
+from .dynamics import PHASE_APPROACH, hold_trajectory
+from .geometry import RoadNetwork, point_segment_dist, wrap_angle_many
 from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, RewardWeights, ZoneSpec, features_many
 
 
@@ -44,12 +44,6 @@ DEFAULT_PLANNER = PlannerConfig()
 
 
 @dataclass
-class PlanRequest:
-    vehicle: int
-    level: int
-
-
-@dataclass
 class PlanResult:
     action_sequence: List[int]
     first_action: Action
@@ -65,13 +59,8 @@ def level0_plan(
     cfg: PlannerConfig = DEFAULT_PLANNER,
 ) -> PlanResult:
     """Best response against opponents frozen at their current poses."""
-    near = _near_indices(states, i, cfg)
-    n = cfg.horizon_n
-    opp = {}
-    for j in near:
-        tr = np.empty((n + 1, 4))
-        tr[:] = (states[j].pose.x, states[j].pose.y, states[j].pose.theta, 0.0)
-        opp[j] = tr
+    near = near_indices(states, i, cfg)
+    opp = {j: hold_trajectory(states[j].pose, cfg.horizon_n) for j in near}
     return _best_response(states[i], opp, network, cfg)
 
 
@@ -90,7 +79,7 @@ def levelk_plan(
     if k == 0:
         res = level0_plan(states, i, network, cfg)
     else:
-        near = _near_indices(states, i, cfg)
+        near = near_indices(states, i, cfg)
         opp = {}
         for j in near:
             sub = levelk_plan(states, j, k - 1, network, cfg, cache)
@@ -127,7 +116,8 @@ def expert_policy(
     return levelk_plan(states, i, k, network, cfg, cache)
 
 
-def _near_indices(states: List[VehicleState], i: int, cfg: PlannerConfig) -> List[int]:
+def near_indices(states: Sequence[Optional[VehicleState]], i: int, cfg: PlannerConfig) -> List[int]:
+    """Other live vehicles within the interaction radius of vehicle i."""
     ex, ey = states[i].pose.x, states[i].pose.y
     out = []
     for j, st in enumerate(states):

@@ -94,7 +94,7 @@ def spawn_vehicle(
     entries = [entry] if entry is not None else network.entry_lanes()
     for _ in range(max_tries):
         ref = entries[rng.integers(len(entries))]
-        lay, lane = network.resolve(ref)
+        _, lane = network.resolve(ref)
         t = rng.uniform(0.05, 0.95)
         x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
         y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
@@ -110,7 +110,6 @@ def spawn_vehicle(
             Pose2(x, y, lane.heading),
             float(rng.uniform(0.0, V_MAX)),
             goal_ref=refs[0],
-            layout_label=lay.label,
             target_lane_seq=refs[1:],
             phase=PHASE_APPROACH,
         )
@@ -463,12 +462,6 @@ def run_episode(
     }
 
 
-def write_ndjson(lines: Sequence[str], path: str) -> None:
-    with open(path, "w") as f:
-        for line in lines:
-            f.write(line + "\n")
-
-
 # ---------------------------------------------------------------------------
 # deterministic conflict scenes for qualitative studies
 
@@ -506,25 +499,8 @@ def conflict_scene(
                 Pose2(x, y, heading),
                 v,
                 goal_ref=refs[0],
-                layout_label=lay.label,
                 target_lane_seq=refs[1:],
                 phase=PHASE_APPROACH,
             )
         )
     return states
-
-
-def episode_from_states(
-    cfg: SceneConfig, states: List[VehicleState], seed, collect_log: bool = False
-) -> EpisodeState:
-    """Wraps externally constructed initial states into an episode."""
-    rng = np.random.default_rng(seed)
-    levels = draw_levels(len(states), cfg.traffic_model, rng)
-    return EpisodeState(
-        states=[s.copy() for s in states],
-        levels=levels,
-        tags=[f"l{l}" for l in levels],
-        rng=rng,
-        av_index=None,
-        collect_log=collect_log,
-    )

@@ -111,7 +111,6 @@ def random_plan_scene(rng, n_vehicles=None):
                 Pose2(x, y, heading),
                 float(rng.uniform(0.0, 5.0)),
                 goal_ref=goal,
-                layout_label=lay.label,
                 target_lane_seq=rest,
                 phase=phase,
             )

@@ -262,8 +262,25 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
     assert "variant" in capsys.readouterr().err
 
 
-def test_train_policy_rejects_unknown_keys(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config, extra, needle",
+    [
+        ({"variant": "levelk", "n_epoch": 3}, [], "n_epoch"),
+        ({"train": {"bogus": 1}}, [], "bogus"),
+        ({"train": 3}, [], "train"),
+        ({"scenes": ["bogus"]}, [], "scenes"),
+        ({"scenes": "fourway"}, [], "scenes"),
+        ({"k_max": 0}, [], "k_max"),
+        ({}, ["--episodes", "0"], "n_max"),
+        ({}, ["--vehicles", "0"], "n_vehicles"),
+    ],
+    ids=["unknown-key", "unknown-train-key", "train-not-object", "unknown-scene",
+         "scenes-not-list", "k_max-0", "episodes-0", "vehicles-0"],
+)
+def test_train_policy_rejects_unknown_keys(tmp_path, capsys, config, extra, needle):
     cfg = tmp_path / "bad2.json"
-    cfg.write_text(json.dumps({"variant": "levelk", "n_epoch": 3}))
-    assert main(["train-policy", "--config", str(cfg)]) == 1
-    assert "n_epoch" in capsys.readouterr().err
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["train-policy", "--config", str(cfg), "--out", str(out)] + extra) == 1
+    assert needle in capsys.readouterr().err
+    assert not out.exists()

@@ -115,7 +115,6 @@ def test_update_goal_chains_targets(fourway_net):
     assert st.goal_ref == "T1:E.out"
     assert st.target_lane_seq == []
     assert st.phase == PHASE_APPROACH
-    assert st.layout_label == 2
 
 
 def test_update_goal_roundabout_arc_chain():

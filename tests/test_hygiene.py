@@ -1,0 +1,67 @@
+"""Guards against dead code and unused dependencies growing back."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "intersim"
+SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "benchmarks"]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib arrived in Python 3.11")
+def test_every_dependency_is_imported_by_the_package():
+    import tomllib
+
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    imported = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                imported.add(node.module.split(".")[0])
+    names = [re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in deps]
+    assert [n for n in names if n.replace("-", "_") not in imported] == []
+
+
+def _references(tree):
+    """(name, line) of every identifier use: loads, attributes, imported
+    names, and identifier-like strings (the benchmark patches by name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def test_every_public_definition_is_referenced():
+    refs = {}  # name -> [(path, line)]
+    for root in SEARCHED:
+        for path in root.rglob("*.py"):
+            for name, line in _references(_parse(path)):
+                refs.setdefault(name, []).append((path, line))
+    orphans = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            users = [r for r in refs.get(node.name, []) if not (r[0] == path and r[1] in own)]
+            if not users:
+                orphans.append(f"{path.name}:{node.name}")
+    assert orphans == []

@@ -384,6 +384,25 @@ def test_adaptive_dagger_smoke_run():
 # held-out evaluation and the traffic adapter
 
 
+def test_probe_rollouts_move_all_vehicles_from_one_snapshot():
+    # every vehicle of a tick must decide on that tick's snapshot, not on
+    # the poses of vehicles that already moved
+    def shown(states):
+        return [(s.pose.x, s.pose.y, s.speed) for s in states if s is not None]
+
+    seen = []
+
+    class Recorder:
+        def act(self, states, i, k, network):
+            seen.append(shown(states))
+            return 1  # accelerate, so every move changes the poses
+
+    probes = collect_probes(Recorder(), 1, DaggerConfig(n_vehicles=3, t_max=3), seed=7)
+    # one act call per active vehicle, one probe per vehicle and level
+    assert len(seen) > 3
+    assert seen == [shown(snap) for snap, _, k, _ in probes if k == 1]
+
+
 def test_probe_match_pipeline_on_a_tiny_policy():
     cfg = DaggerConfig(n_vehicles=2, t_max=2)
     ds = collect_expert_rollouts(1, cfg, seed=3)
