@@ -10,11 +10,12 @@ reports and charts, render turns a log back into SVG frames. Exit codes:
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import json
 import os
 import sys
 from dataclasses import fields, replace
-from typing import List, Optional
+from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 from .harness import (
     AV_POLICIES,
@@ -118,6 +119,38 @@ def _check_keys(cfg: dict, config_cls, what: str) -> None:
         raise ConfigError(f"unknown {what} in config: {', '.join(sorted(bad))}")
 
 
+def _json_fits(value, tp) -> bool:
+    """Whether a decoded JSON value can fill a dataclass field of type tp.
+    Lists stand in for tuples and sequences; ints are valid floats, but
+    booleans are not numbers."""
+    origin = get_origin(tp)
+    if origin is Union:
+        return any(_json_fits(value, t) for t in get_args(tp))
+    if origin in (tuple, collections.abc.Sequence):
+        item = get_args(tp)[0]
+        return isinstance(value, list) and all(_json_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
+
+
+def _type_name(tp) -> str:
+    return tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+
+
+def _check_types(cfg: dict, config_cls, what: str) -> None:
+    hints = get_type_hints(config_cls)
+    bad = [
+        f"{k} (expected {_type_name(hints[k])}, got {type(v).__name__})"
+        for k, v in cfg.items()
+        if not _json_fits(v, hints[k])
+    ]
+    if bad:
+        raise ConfigError(f"wrongly typed {what} in config: {', '.join(bad)}")
+
+
 def _spec_from_args(args, overrides: dict) -> EvalSpec:
     spec = EvalSpec(
         scene=args.scene,
@@ -209,12 +242,12 @@ def _cmd_train(args) -> int:
     train_over = cfg.pop("train", {})
     dcfg = DaggerConfig()
     _check_keys(cfg, DaggerConfig, "training keys")
+    _check_types(cfg, DaggerConfig, "training keys")
     if not isinstance(train_over, dict):
         raise ConfigError("train must be a JSON object of classifier settings")
     _check_keys(train_over, TrainConfig, "train keys")
+    _check_types(train_over, TrainConfig, "train keys")
     if "scenes" in cfg:
-        if not isinstance(cfg["scenes"], list):
-            raise ConfigError("scenes must be a JSON list of intersection kinds")
         cfg["scenes"] = tuple(cfg["scenes"])
     dcfg = replace(dcfg, **cfg)
     if train_over:

@@ -29,6 +29,7 @@ from .planner import (
     DEFAULT_PLANNER,
     PlannerConfig,
     PlanResult,
+    PlanTable,
     best_response,
     level0_plan,
     levelk_plan,
@@ -177,15 +178,14 @@ def adaptive_plan(
     tie-break. In expert mode the predictions come from the game-tree
     search; in distilled mode from a joint closed-loop rollout under the
     supplied explicit policy. The first action of the result is the
-    control to apply.
+    control to apply. cache, when given, is a levelk_plan cache of these
+    states; the expert-mode predictions read and add plans there.
     """
     near = near_indices(states, i, cfg)
     estimates = {j: estimate_level(beliefs.vec(j), beliefs.model_set) for j in near}
     if not near:
         return level0_plan(list(states), i, network, cfg)
     if mode == "expert":
-        if cache is None:
-            cache = {}
         opp = {
             j: levelk_plan(list(states), j, estimates[j], network, cfg, cache).trajectory
             for j in near
@@ -232,11 +232,12 @@ class AdaptiveController(AVController):
         self.resolved: List[Tuple[int, np.ndarray]] = []
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
     ) -> int:
         self._ego = i
         res = adaptive_plan(
-            states, i, self.beliefs, network, self.planner, self.mode, self.predictor
+            states, i, self.beliefs, network, self.planner, self.mode, self.predictor,
+            plans.setdefault(self.planner, {}),
         )
         return res.action_sequence[0]
 
@@ -245,11 +246,12 @@ class AdaptiveController(AVController):
         prev_states: Sequence[Optional[VehicleState]],
         actions: Dict[int, int],
         network: RoadNetwork,
+        plans: PlanTable,
     ) -> None:
         if self._ego is None or prev_states[self._ego] is None:
             return
         near = set(near_indices(prev_states, self._ego, self.planner))
-        cache: Dict[Tuple[int, int], PlanResult] = {}
+        cache = plans.setdefault(self.planner, {})
         snapshot = list(prev_states)
         for j, a_idx in actions.items():
             if j == self._ego or j not in near:
@@ -307,7 +309,7 @@ class DistilledAdaptiveController(AdaptiveController):
         self.actor = actor
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
     ) -> int:
         self._ego = i
         near = near_indices(states, i, self.planner)
@@ -334,11 +336,12 @@ class FixedLevelController(AVController):
         self.predictor = predictor
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
     ) -> int:
         if self.predictor is not None:
             return self.predictor(states, i, self.level, network)
-        return levelk_plan(list(states), i, self.level, network, self.planner, {}).action_sequence[0]
+        cache = plans.setdefault(self.planner, {})
+        return levelk_plan(list(states), i, self.level, network, self.planner, cache).action_sequence[0]
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +665,7 @@ class RuleBasedController(AVController):
         self._s = project_arclength(self._pts, self._cum, st.pose.x, st.pose.y)
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
     ) -> int:
         if self._pts is None:
             self._bind(states, i, network)

@@ -817,13 +817,14 @@ def evaluate_match(
 
 class DistilledTraffic(TrafficPolicy):
     """Background traffic driven by the distilled classifier: one encode
-    per vehicle and a single batched forward pass per tick."""
+    per vehicle and a single batched forward pass per tick. It does not
+    search, so it leaves the tick's plan table alone."""
 
     def __init__(self, policy: PolicyApproximator):
         self.policy = policy
         self.m_near = policy.encoding["m_near"]
 
-    def select(self, states, levels, indices, network):
+    def select(self, states, levels, indices, network, plans):
         if not indices:
             return {}
         X = np.stack(

@@ -52,6 +52,14 @@ class PlanResult:
     opp_trajectories: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
+# Finished plans of one joint state, by planner config and then by
+# (vehicle, level). A plan is a pure function of (states, vehicle, level,
+# network, config), so every caller that plans from the same states may
+# share one table; the config key keeps differently configured planners
+# apart. Callers take their levelk_plan cache as plans.setdefault(cfg, {}).
+PlanTable = Dict[PlannerConfig, Dict[Tuple[int, int], PlanResult]]
+
+
 def level0_plan(
     states: List[VehicleState],
     i: int,

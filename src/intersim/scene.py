@@ -6,6 +6,12 @@ same-tick decision. Background vehicles that fail or succeed are
 re-initialized at a fresh entrance (the training-loop semantics, kept
 during evaluation so traffic density stays constant); the vehicle under
 test terminates the episode instead.
+
+Each tick owns one plan table (planner.PlanTable). The traffic policy,
+the AV's decision and the AV's belief observation all plan from s_t, so
+a level-k best response searched by one of them is reused by the others
+instead of searched again. The table holds plans of s_t only and is
+dropped when the tick ends.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .geometry import (
     segments_hit_rects,
     turn_targets,
 )
-from .planner import DEFAULT_PLANNER, PlannerConfig, expert_policy
+from .planner import DEFAULT_PLANNER, PlannerConfig, PlanTable, expert_policy
 from .reward import DEFAULT_ZONES
 
 MIN_SEPARATION_M = 10.0
@@ -221,19 +227,25 @@ class TrafficPolicy:
         levels: Sequence[int],
         indices: Sequence[int],
         network: RoadNetwork,
+        plans: PlanTable,
     ) -> Dict[int, int]:
+        """Action index per vehicle in indices. plans is the tick's plan
+        table: it holds plans of these states only, and a policy that
+        searches reads and adds its plans there."""
         raise NotImplementedError
 
 
 class ExpertTraffic(TrafficPolicy):
     """Runs the full game-tree search every tick. Exact but slow; the
-    distilled approximators are the production path."""
+    distilled approximators are the production path. Its plans go into
+    the tick's plan table under its config, where an AV planning with the
+    same config finds them."""
 
     def __init__(self, cfg: PlannerConfig = DEFAULT_PLANNER):
         self.cfg = cfg
 
-    def select(self, states, levels, indices, network):
-        cache: dict = {}
+    def select(self, states, levels, indices, network, plans):
+        cache = plans.setdefault(self.cfg, {})
         return {
             i: expert_policy(states, i, levels[i], network, self.cfg, cache).action_sequence[0]
             for i in indices
@@ -245,8 +257,11 @@ class AVController:
     override decide; observe and reset_belief default to no-ops."""
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
     ) -> int:
+        """Action index for vehicle i. plans is the tick's plan table,
+        holding plans of these states only (see TrafficPolicy.select);
+        controllers that do not search ignore it."""
         raise NotImplementedError
 
     def observe(
@@ -254,7 +269,11 @@ class AVController:
         prev_states: Sequence[Optional[VehicleState]],
         actions: Dict[int, int],
         network: RoadNetwork,
+        plans: PlanTable,
     ) -> None:
+        """Sees the actions every vehicle took from prev_states, the
+        states before the move. plans is the same tick's table as in
+        decide, so it holds plans of prev_states."""
         pass
 
     def reset_belief(self, i: int) -> None:
@@ -368,7 +387,11 @@ def sim_step(
 ) -> EpisodeState:
     """One synchronous tick: deferred spawns, action selection from s_t,
     simultaneous state advance, goal updates, fail/success handling,
-    belief observation."""
+    belief observation.
+
+    The tick's plan table is made after the spawns and passed to select,
+    decide and observe, which all plan from s_t: observe gets the copy
+    of the states taken before the move."""
     if ep.done:
         return ep
     net = cfg.network
@@ -380,9 +403,10 @@ def sim_step(
 
     active = [i for i, s in enumerate(ep.states) if s is not None]
     bg = [i for i in active if i != ep.av_index]
-    actions = traffic.select(ep.states, ep.levels, bg, net)
+    plans: PlanTable = {}
+    actions = traffic.select(ep.states, ep.levels, bg, net, plans)
     if av is not None and ep.av_index in active:
-        actions[ep.av_index] = av.decide(ep.states, ep.av_index, net)
+        actions[ep.av_index] = av.decide(ep.states, ep.av_index, net, plans)
 
     if ep.collect_log:
         for i in active:
@@ -428,7 +452,7 @@ def sim_step(
                     ep.done, ep.outcome = True, OUTCOME_COLLISION
 
     if av is not None:
-        av.observe(prev, actions, net)
+        av.observe(prev, actions, net, plans)
 
     ep.tick += 1
     if not ep.done:

@@ -273,9 +273,15 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
         ({"k_max": 0}, [], "k_max"),
         ({}, ["--episodes", "0"], "n_max"),
         ({}, ["--vehicles", "0"], "n_vehicles"),
+        ({"n_max": "3"}, [], "n_max"),
+        ({"min_sep_m": "a"}, [], "min_sep_m"),
+        ({"warm_start": 1}, [], "warm_start"),
+        ({"scenes": ["fourway", 3]}, [], "scenes"),
+        ({"train": {"lr": "fast"}}, [], "lr"),
     ],
     ids=["unknown-key", "unknown-train-key", "train-not-object", "unknown-scene",
-         "scenes-not-list", "k_max-0", "episodes-0", "vehicles-0"],
+         "scenes-not-list", "k_max-0", "episodes-0", "vehicles-0", "n_max-str",
+         "min_sep_m-str", "warm_start-int", "scenes-item-not-str", "train-lr-str"],
 )
 def test_train_policy_rejects_unknown_keys(tmp_path, capsys, config, extra, needle):
     cfg = tmp_path / "bad2.json"

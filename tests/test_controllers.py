@@ -211,11 +211,11 @@ def test_adaptive_yields_to_aggressive_and_pushes_past_cautious():
 def test_adaptive_controller_updates_and_archives_peaks():
     states, net = _crossing_scene()
     av = AdaptiveController()
-    a = av.decide(states, 0, net)
+    a = av.decide(states, 0, net, {})
     assert 0 <= a < len(DEFAULT_ACTIONS)
     opp_l1 = levelk_plan(states, 1, 1, net).action_sequence[0]
     opp_l2 = levelk_plan(states, 1, 2, net).action_sequence[0]
-    av.observe(states, {1: opp_l2}, net)
+    av.observe(states, {1: opp_l2}, net, {})
     assert 1 in av.peak
     if opp_l1 != opp_l2:
         # the observation matched the level-2 prediction
@@ -231,7 +231,7 @@ def test_fixed_level_controller_matches_expert_plan():
     states, net = _crossing_scene()
     for k in (1, 2):
         av = FixedLevelController(k)
-        assert av.decide(states, 0, net) == levelk_plan(states, 0, k, net).action_sequence[0]
+        assert av.decide(states, 0, net, {}) == levelk_plan(states, 0, k, net).action_sequence[0]
     with pytest.raises(ValueError):
         FixedLevelController(0)
 
@@ -422,7 +422,7 @@ def test_rule_based_controller_tracks_its_reference_path():
     ]
     av = RuleBasedController()
     for _ in range(40):
-        a = av.decide(states, 0, net)
+        a = av.decide(states, 0, net, {})
         assert 0 <= a < len(DEFAULT_ACTIONS)
         moved = av.advance(states, 0, net, 0.25)
         assert moved is not None

@@ -1,9 +1,7 @@
 """Monte Carlo evaluation machinery: outcomes, reports, calibration, SVG."""
 
 import json
-import math
 
-import numpy as np
 import pytest
 
 from intersim.harness import (
@@ -15,7 +13,6 @@ from intersim.harness import (
     KIND_COLLISION,
     KIND_DEADLOCK,
     KIND_SUCCESS,
-    MetricsReport,
     REPORT_COLUMNS,
     TRAFFIC_MODELS,
     build_network,
@@ -32,7 +29,6 @@ from intersim.harness import (
     write_csv,
     write_report_csv,
 )
-from intersim.geometry import single_network
 from intersim.imitation import LEVELK_DIM, PolicyApproximator, default_encoding
 
 

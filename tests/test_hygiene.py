@@ -65,3 +65,27 @@ def test_every_public_definition_is_referenced():
             if not users:
                 orphans.append(f"{path.name}:{node.name}")
     assert orphans == []
+
+
+def _unused_imports(tree):
+    """Names bound by an import statement and never read in the module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in bound.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for root in (PACKAGE, ROOT / "tests")
+        for path in sorted(root.rglob("*.py"))
+        for name, line in _unused_imports(_parse(path))
+    ]
+    assert unused == []

@@ -423,6 +423,6 @@ def test_distilled_traffic_matches_per_vehicle_queries():
     pol = PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=2)
     traffic = DistilledTraffic(pol)
     levels = {0: 1, 1: 2, 2: 1}
-    out = traffic.select(states, levels, [0, 1, 2], net)
+    out = traffic.select(states, levels, [0, 1, 2], net, {})
     assert out == {i: pol.act(states, i, levels[i], net) for i in range(3)}
-    assert traffic.select(states, levels, [], net) == {}
+    assert traffic.select(states, levels, [], net, {}) == {}

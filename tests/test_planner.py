@@ -16,7 +16,6 @@ from intersim.dynamics import (
 from intersim.geometry import single_network
 from intersim.planner import (
     DEFAULT_PLANNER,
-    PlannerConfig,
     expert_policy,
     level0_plan,
     levelk_plan,

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from intersim.dynamics import PHASE_APPROACH, Pose2, VehicleState
+from intersim import planner
+from intersim.controllers import AdaptiveController, adaptive_plan
+from intersim.dynamics import DT_S, PHASE_APPROACH, Pose2, VehicleState
 from intersim.geometry import euclidean_dist, single_network
+from intersim.planner import DEFAULT_PLANNER, PlannerConfig
 from intersim.scene import (
     AVController,
     ExpertTraffic,
@@ -32,7 +35,7 @@ from intersim.scene import (
 class HoldTraffic(TrafficPolicy):
     """Everything coasts: action 0 for every vehicle."""
 
-    def select(self, states, levels, indices, network):
+    def select(self, states, levels, indices, network, plans):
         return {i: 0 for i in indices}
 
 
@@ -41,10 +44,10 @@ class ScriptedAV(AVController):
         self.action = action
         self.observed = 0
 
-    def decide(self, states, i, network):
+    def decide(self, states, i, network, plans):
         return self.action
 
-    def observe(self, prev_states, actions, network):
+    def observe(self, prev_states, actions, network, plans):
         self.observed += 1
 
 
@@ -163,7 +166,7 @@ def test_sim_step_is_synchronous():
     seen = {}
 
     class Recorder(TrafficPolicy):
-        def select(self, states, levels, indices, network):
+        def select(self, states, levels, indices, network, plans):
             for i in indices:
                 seen[i] = (states[i].pose.x, states[i].pose.y)
             return {i: 1 for i in indices}
@@ -267,3 +270,91 @@ def test_expert_traffic_drives_toward_goals():
             net.resolve(ep.states[0].goal_ref)[1].ref_point,
         )
         assert end_goal_d < start_goal_d
+
+
+# ---------------------------------------------------------------------------
+# the tick's shared plan table
+
+
+class PrivateTableTraffic(ExpertTraffic):
+    """Expert traffic that searches into a fresh table on every call."""
+
+    def select(self, states, levels, indices, network, plans):
+        return super().select(states, levels, indices, network, {})
+
+
+class PrivateTableAV(AdaptiveController):
+    """Adaptive AV whose decide and observe each search into a fresh table."""
+
+    def decide(self, states, i, network, plans):
+        return super().decide(states, i, network, {})
+
+    def observe(self, prev_states, actions, network, plans):
+        super().observe(prev_states, actions, network, {})
+
+
+def _adaptive_expert_scene(ticks=15):
+    net = single_network("fourway")
+    return SceneConfig(network=net, n_vehicles=3, av_policy="adaptive", t_limit_s=ticks * DT_S)
+
+
+def test_shared_plan_table_matches_private_tables():
+    cfg = _adaptive_expert_scene()
+    shared_av, private_av = AdaptiveController(), PrivateTableAV()
+    shared = run_episode(cfg, ExpertTraffic(), shared_av, seed=(1, 0), collect_log=True)
+    private = run_episode(cfg, PrivateTableTraffic(), private_av, seed=(1, 0), collect_log=True)
+    assert shared["ticks"] == 15
+    assert shared == private
+    assert shared_av.beliefs.table.keys() == private_av.beliefs.table.keys()
+    for j, p in shared_av.beliefs.table.items():
+        assert np.array_equal(p, private_av.beliefs.table[j])
+    # the observations moved some belief, so observe really planned
+    assert any(not np.array_equal(p, [0.5, 0.5]) for p in shared_av.beliefs.table.values())
+
+
+def test_each_tick_searches_each_plan_once(monkeypatch):
+    calls = []
+    search = planner._best_response
+
+    def counting(*args):
+        calls[-1] += 1
+        return search(*args)
+
+    tables = []
+
+    class TableSpy(ExpertTraffic):
+        def select(self, states, levels, indices, network, plans):
+            tables.append(plans)
+            return super().select(states, levels, indices, network, plans)
+
+    monkeypatch.setattr(planner, "_best_response", counting)
+    cfg = _adaptive_expert_scene()
+    ep = init_episode(cfg, seed=(1, 0))
+    av = AdaptiveController()
+    while not ep.done:
+        calls.append(0)
+        sim_step(ep, cfg, TableSpy(), av)
+    assert len(calls) == len(tables) == 15
+    for n, plans in zip(calls, tables):
+        # every (slot, level) plan once, plus the AV's own best response
+        assert set(plans) == {DEFAULT_PLANNER}
+        assert n <= len(plans[DEFAULT_PLANNER]) + 1
+
+
+def test_av_with_its_own_planner_config_never_reads_traffic_plans():
+    short = PlannerConfig(horizon_n=3)
+    checked = []
+
+    class CheckedAV(AdaptiveController):
+        def decide(self, states, i, network, plans):
+            alone = adaptive_plan(states, i, self.beliefs, network, self.planner)
+            got = super().decide(states, i, network, plans)
+            checked.append((got, alone.action_sequence[0], set(plans)))
+            return got
+
+    cfg = _adaptive_expert_scene(ticks=8)
+    run_episode(cfg, ExpertTraffic(), CheckedAV(planner=short), seed=(1, 0))
+    assert len(checked) == 8
+    for got, alone, configs in checked:
+        assert got == alone
+        assert configs == {DEFAULT_PLANNER, short}
