@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -47,6 +48,19 @@ class ActionSet:
         acc = np.array([a.accel for a in self.actions])
         om = np.array([a.omega for a in self.actions])
         return acc, om
+
+    @cached_property
+    def omega_groups(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct turn rates in first-appearance order, and each
+        action's index into them. Actions that share a turn rate take one
+        state to one pose and differ only in speed. Rates are told apart by
+        bit pattern, so 0.0 and -0.0 stay apart."""
+        keys = [float(a.omega).hex() for a in self.actions]
+        firsts = list(dict.fromkeys(keys))
+        distinct = np.array([float.fromhex(k) for k in firsts])
+        group = np.array([firsts.index(k) for k in keys], dtype=np.intp)
+        distinct.flags.writeable = group.flags.writeable = False
+        return distinct, group
 
 
 def default_action_set() -> ActionSet:

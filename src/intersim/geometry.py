@@ -127,52 +127,6 @@ def segment_intersects_rect(p: Sequence[float], q: Sequence[float], rect: Orient
     return True
 
 
-def segments_intersect(p1, p2, q1, q2, tol: float = 0.0) -> bool:
-    """Closed-set segment intersection, optionally fattened by tol meters."""
-    if tol > 0.0:
-        return segment_segment_dist(p1, p2, q1, q2) <= tol
-    d1 = _cross(q2, q1, p1)
-    d2 = _cross(q2, q1, p2)
-    d3 = _cross(p2, p1, q1)
-    d4 = _cross(p2, p1, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-    for d, a, b, pt in ((d1, q1, q2, p1), (d2, q1, q2, p2), (d3, p1, p2, q1), (d4, p1, p2, q2)):
-        if d == 0 and _on_segment(a, b, pt):
-            return True
-    return False
-
-
-def _cross(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _on_segment(a, b, pt) -> bool:
-    return min(a[0], b[0]) <= pt[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= pt[1] <= max(a[1], b[1])
-
-
-def segment_segment_dist(p1, p2, q1, q2) -> float:
-    """Minimum distance between two segments."""
-    if segments_intersect(p1, p2, q1, q2):
-        return 0.0
-    return min(
-        point_segment_dist(p1, q1, q2),
-        point_segment_dist(p2, q1, q2),
-        point_segment_dist(q1, p1, p2),
-        point_segment_dist(q2, p1, p2),
-    )
-
-
-def point_segment_dist(pt, a, b) -> float:
-    ax, ay = b[0] - a[0], b[1] - a[1]
-    px, py = pt[0] - a[0], pt[1] - a[1]
-    denom = ax * ax + ay * ay
-    if denom < 1e-15:
-        return math.hypot(px, py)
-    t = max(0.0, min(1.0, (px * ax + py * ay) / denom))
-    return math.hypot(px - t * ax, py - t * ay)
-
-
 def polyline_segments(points: np.ndarray) -> np.ndarray:
     """(M, 2) vertex array to (M-1, 4) rows of x1, y1, x2, y2."""
     pts = np.asarray(points, dtype=float)
@@ -250,26 +204,30 @@ def overlap_rects_group(
 ) -> np.ndarray:
     """Closed-set overlap of B rectangles against any of a group of m.
 
-    others holds pose rows (x, y, theta), shape (m, 3), sharing one size.
-    Returns (B,) bool, true where the batch rectangle touches any member.
+    others holds pose rows (x, y, theta) sharing one size, in one of two
+    shapes: (m, 3), the same m rectangles for every batch row, or
+    (m, B, 3), where others[:, b] are the m rectangles batch row b faces.
+    The member axis comes first in both, so len(others) is m. Returns (B,)
+    bool, true where the batch rectangle touches any member.
     """
     m = len(others)
     if m == 0:
         return np.zeros(np.shape(x)[0], dtype=bool)
-    c = (np.cos(theta) if cth is None else cth)[:, None]
-    s = (np.sin(theta) if sth is None else sth)[:, None]
+    o = others if others.ndim == 3 else others[:, None, :]
+    c = np.cos(theta) if cth is None else cth
+    s = np.sin(theta) if sth is None else sth
     hl, hw = 0.5 * length, 0.5 * width
-    co, so = np.cos(others[:, 2])[None, :], np.sin(others[:, 2])[None, :]
+    co, so = np.cos(o[..., 2]), np.sin(o[..., 2])
     ohl, ohw = 0.5 * o_length, 0.5 * o_width
-    dx = others[None, :, 0] - np.asarray(x)[:, None]
-    dy = others[None, :, 1] - np.asarray(y)[:, None]
+    dx = o[..., 0] - np.asarray(x)
+    dy = o[..., 1] - np.asarray(y)
     C = np.abs(co * c + so * s)
     S = np.abs(so * c - co * s)
     sep = np.abs(dx * c + dy * s) > hl + ohl * C + ohw * S
     sep |= np.abs(dy * c - dx * s) > hw + ohl * S + ohw * C
     sep |= np.abs(dx * co + dy * so) > ohl + hl * C + hw * S
     sep |= np.abs(dy * co - dx * so) > ohw + hl * S + hw * C
-    return (~sep).any(axis=1)
+    return (~sep).any(axis=0)
 
 
 def segments_hit_rects(

@@ -306,12 +306,26 @@ class TrainConfig:
     final_epochs: float = 300.0  # the last aggregate fit gets a deeper pass
     final_max_steps: int = 400000
 
+    def __post_init__(self):
+        hs = [self.hidden] if isinstance(self.hidden, int) else list(self.hidden)
+        if not hs or any(h <= 0 for h in hs):
+            raise ValueError(f"hidden layer widths must be positive, got {self.hidden!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0 < self.lr_floor_frac <= 1:
+            raise ValueError(f"lr_floor_frac must be in (0, 1], got {self.lr_floor_frac}")
+        for name in ("epochs_per_fit", "min_steps", "max_steps", "final_epochs", "final_max_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+
 
 def _layer_sizes(n_features: int, hidden: Union[int, Sequence[int]]) -> List[int]:
     """Full width list [input, hidden..., n_actions] from a TrainConfig.hidden."""
     hs = [hidden] if isinstance(hidden, int) else [int(h) for h in hidden]
-    if not hs or any(h <= 0 for h in hs):
-        raise ValueError(f"hidden layer widths must be positive, got {hidden!r}")
     return [n_features, *hs, len(DEFAULT_ACTIONS)]
 
 

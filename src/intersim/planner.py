@@ -3,9 +3,14 @@
 A level-0 vehicle treats everyone else as fixed obstacles. A level-k
 vehicle commits every nearby opponent to the open-loop sequence a
 level-(k-1) planner would choose for them, then picks its own best
-N-step sequence by full enumeration of the 6^N tree, evaluated depth by
-depth as numpy batches. Only the first action of the winner is executed,
-the rest is replanned next tick.
+N-step sequence by full enumeration of the 6^N tree. Only the first
+action of the winner is executed, the rest is replanned next tick.
+
+The whole tree is expanded before any node is scored. A child's pose
+depends only on its parent's state and its own turn rate, so each depth
+keeps one pose row per (parent, distinct omega) and one features_many
+call scores all depths. Each node takes its pose's features and its own
+speed; the discounted values are summed depth by depth.
 
 Leaf ordering is node major, so np.argmax (first maximum) selects the
 lexicographically smallest tied sequence, with "maintain" first in the
@@ -23,7 +28,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, Action, ActionSet, VehicleState, rollout
 from .dynamics import PHASE_APPROACH, hold_trajectory
-from .geometry import RoadNetwork, point_segment_dist, wrap_angle_many
+from .geometry import RoadNetwork, wrap_angle_many
 from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, RewardWeights, ZoneSpec, features_many
 
 
@@ -137,12 +142,15 @@ def near_indices(states: Sequence[Optional[VehicleState]], i: int, cfg: PlannerC
 
 
 def _nearby_segments(segs: np.ndarray, x: float, y: float, radius: float) -> np.ndarray:
-    if not len(segs):
-        return segs
-    keep = [s for s in segs if point_segment_dist((x, y), s[:2], s[2:]) <= radius]
-    if not keep:
-        return np.zeros((0, 4))
-    return np.array(keep)
+    """The rows of segs (x0, y0, x1, y1) within radius of the point, in order."""
+    a, d = segs[:, :2], segs[:, 2:] - segs[:, :2]
+    px, py = x - a[:, 0], y - a[:, 1]
+    denom = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    # a zero-length segment is its start point
+    long = denom >= 1e-15
+    t = np.where(long, np.clip((px * d[:, 0] + py * d[:, 1]) / np.where(long, denom, 1.0), 0.0, 1.0), 0.0)
+    keep = np.hypot(px - t * d[:, 0], py - t * d[:, 1]) <= radius
+    return segs[keep] if keep.any() else np.zeros((0, 4))
 
 
 def _best_response(
@@ -154,59 +162,62 @@ def _best_response(
     if ego.goal_ref is None:
         raise ValueError("vehicle has no goal lane")
     lay, lane = network.resolve(ego.goal_ref)
-    ref = lane.ref_point
     n = cfg.horizon_n
     dt = cfg.dt_s
-    acc, om = cfg.actions.arrays()
-    n_act = len(acc)
+    acc, _ = cfg.actions.arrays()
+    om, om_group = cfg.actions.omega_groups
+    n_act, n_om = len(acc), len(om)
 
     # geometry the horizon can possibly touch
     reach = n * cfg.v_max * dt + max(cfg.zones.s_length, cfg.zones.s_width)
     bsegs = _nearby_segments(lay.boundary_segments(), ego.pose.x, ego.pose.y, reach)
     msegs = _nearby_segments(lay.marking_segments(), ego.pose.x, ego.pose.y, reach)
-    lane_rects = lay.straight_lane_rects()
-    may_exit = ego.phase != PHASE_APPROACH
 
-    opp = list(opp_trajectories.values())
-    opp_arr = np.stack([t[:, :3] for t in opp]) if opp else np.zeros((0, n + 1, 3))
-    w_arr = cfg.weights.as_array()
-
+    # Expand every depth first. Node p*n_act + a is child a of node p, so
+    # its pose is row p*n_om + om_group[a] of that depth's pose rows.
     X = np.array([ego.pose.x])
     Y = np.array([ego.pose.y])
     TH = np.array([ego.pose.theta])
     V = np.array([ego.speed])
-    value = np.zeros(1)
-    disc = 1.0
-    for tau in range(n):
-        B = X.shape[0]
-        X = np.repeat(X, n_act)
-        Y = np.repeat(Y, n_act)
-        TH = np.repeat(TH, n_act)
-        V = np.repeat(V, n_act)
-        value = np.repeat(value, n_act)
-        a = np.tile(acc, B)
-        w = np.tile(om, B)
+    poses, node_rows, node_speeds = [], [], []
+    n_rows = 0
+    for _ in range(n):
+        P = X.shape[0]
         X = X + V * np.cos(TH) * dt
         Y = Y + V * np.sin(TH) * dt
-        V = np.clip(V + a * dt, 0.0, cfg.v_max)
-        TH = wrap_angle_many(TH + w * dt)
-        if may_exit:
-            exiting = ~_in_core_many(lay, X, Y)
-        else:
-            exiting = np.zeros(X.shape[0], dtype=bool)
-        fv = features_many(
-            X, Y, TH, V, opp_arr[:, tau + 1, :], bsegs, msegs, lane_rects, lane.id, exiting, ref, cfg.zones
-        )
-        value = value + disc * (fv @ w_arr)
+        th = wrap_angle_many((TH[:, None] + om * dt).ravel())
+        rows = (np.arange(P)[:, None] * n_om + om_group).ravel()
+        V = np.clip((V[:, None] + acc * dt).ravel(), 0.0, cfg.v_max)
+        poses.append((np.repeat(X, n_om), np.repeat(Y, n_om), th))
+        node_rows.append(n_rows + rows)
+        node_speeds.append(V)
+        n_rows += P * n_om
+        X = np.repeat(X, n_act)
+        Y = np.repeat(Y, n_act)
+        TH = th[rows]
+
+    PX, PY, PTH = (np.concatenate(c) for c in zip(*poses))
+    opp = list(opp_trajectories.values())
+    opp_arr = np.stack([t[:, :3] for t in opp]) if opp else np.zeros((0, n + 1, 3))
+    # the pose rows of depth tau face the opponents at instant tau + 1
+    opp_rows = np.repeat(opp_arr[:, 1:], [len(p[2]) for p in poses], axis=1)
+    exiting = (ego.phase != PHASE_APPROACH) & ~_in_core_many(lay, PX, PY)
+    F = features_many(
+        PX, PY, PTH, np.zeros(n_rows), opp_rows, bsegs, msegs, lay.straight_lane_rects(), lane.id,
+        exiting, lane.ref_point, cfg.zones,
+    )
+
+    w_arr = cfg.weights.as_array()
+    value = np.zeros(1)
+    disc = 1.0
+    for rows, speeds in zip(node_rows, node_speeds):
+        fv = F[rows]
+        fv[:, 5] = speeds
+        value = np.repeat(value, n_act) + disc * (fv @ w_arr)
         disc *= cfg.lam
 
     best = int(np.argmax(value))
-    seq = []
-    idx = best
-    for _ in range(n):
-        seq.append(idx % n_act)
-        idx //= n_act
-    seq.reverse()
+    seq = [int(a) for a in np.unravel_index(best, (n_act,) * n)]
     actions = [cfg.actions[i] for i in seq]
     traj = rollout(ego.pose, ego.speed, actions, dt=dt, v_max=cfg.v_max)
     return PlanResult(

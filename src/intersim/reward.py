@@ -151,7 +151,7 @@ def discounted_return(rewards: Sequence[float], lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation, one call per tree depth in the planner
+# batched evaluation, one call per best response in the planner
 
 
 def features_many(
@@ -168,10 +168,11 @@ def features_many(
     ref_point: Tuple[float, float],
     zones: ZoneSpec = DEFAULT_ZONES,
 ) -> np.ndarray:
-    """Feature matrix (B, 6) for B candidate ego states at one time instant.
+    """Feature matrix (B, 6) for B candidate ego states.
 
-    opp_states holds opponent rows (x, y, theta) for that instant, already
-    filtered to the interaction radius; shape (m, 3) with m possibly 0.
+    opp_states holds opponent rows (x, y, theta) within the interaction
+    radius, m possibly 0: (m, 3) when all rows share one time instant, or
+    (m, B, 3) when row b faces its own opponents opp_states[:, b].
     """
     B = x.shape[0]
     out = np.zeros((B, 6))

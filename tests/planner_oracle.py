@@ -5,6 +5,9 @@ scalar kinematics and scores them with the scalar feature path. Shares no
 code with the planner's batched expansion, so agreement between the two is
 a real check. Iteration order is lexicographic and ties keep the first
 maximum, mirroring the planner's argmax convention.
+
+The scalar segment predicates at the end are the reference for the
+batched segment paths of the library.
 """
 
 import itertools
@@ -116,3 +119,53 @@ def random_plan_scene(rng, n_vehicles=None):
             )
         )
     return states, net
+
+
+# ---------------------------------------------------------------------------
+# scalar segment predicates: the reference for the batched segment paths
+
+
+def segments_intersect(p1, p2, q1, q2, tol: float = 0.0) -> bool:
+    """Closed-set segment intersection, optionally fattened by tol meters."""
+    if tol > 0.0:
+        return segment_segment_dist(p1, p2, q1, q2) <= tol
+    d1 = _cross(q2, q1, p1)
+    d2 = _cross(q2, q1, p2)
+    d3 = _cross(p2, p1, q1)
+    d4 = _cross(p2, p1, q2)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
+        return True
+    for d, a, b, pt in ((d1, q1, q2, p1), (d2, q1, q2, p2), (d3, p1, p2, q1), (d4, p1, p2, q2)):
+        if d == 0 and _on_segment(a, b, pt):
+            return True
+    return False
+
+
+def _cross(a, b, c) -> float:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_segment(a, b, pt) -> bool:
+    return min(a[0], b[0]) <= pt[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= pt[1] <= max(a[1], b[1])
+
+
+def segment_segment_dist(p1, p2, q1, q2) -> float:
+    """Minimum distance between two segments."""
+    if segments_intersect(p1, p2, q1, q2):
+        return 0.0
+    return min(
+        point_segment_dist(p1, q1, q2),
+        point_segment_dist(p2, q1, q2),
+        point_segment_dist(q1, p1, p2),
+        point_segment_dist(q2, p1, p2),
+    )
+
+
+def point_segment_dist(pt, a, b) -> float:
+    ax, ay = b[0] - a[0], b[1] - a[1]
+    px, py = pt[0] - a[0], pt[1] - a[1]
+    denom = ax * ax + ay * ay
+    if denom < 1e-15:
+        return math.hypot(px, py)
+    t = max(0.0, min(1.0, (px * ax + py * ay) / denom))
+    return math.hypot(px - t * ax, py - t * ay)

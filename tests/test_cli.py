@@ -278,10 +278,13 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
         ({"warm_start": 1}, [], "warm_start"),
         ({"scenes": ["fourway", 3]}, [], "scenes"),
         ({"train": {"lr": "fast"}}, [], "lr"),
+        ({"train": {"batch_size": 0}}, [], "batch_size"),
+        ({"train": {"hidden": 0}}, [], "hidden"),
     ],
     ids=["unknown-key", "unknown-train-key", "train-not-object", "unknown-scene",
          "scenes-not-list", "k_max-0", "episodes-0", "vehicles-0", "n_max-str",
-         "min_sep_m-str", "warm_start-int", "scenes-item-not-str", "train-lr-str"],
+         "min_sep_m-str", "warm_start-int", "scenes-item-not-str", "train-lr-str",
+         "train-batch_size-0", "train-hidden-0"],
 )
 def test_train_policy_rejects_unknown_keys(tmp_path, capsys, config, extra, needle):
     cfg = tmp_path / "bad2.json"

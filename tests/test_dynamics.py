@@ -12,6 +12,7 @@ from intersim.dynamics import (
     PHASE_EXIT,
     PHASE_INSIDE,
     Action,
+    ActionSet,
     Pose2,
     VehicleState,
     hold_trajectory,
@@ -27,6 +28,18 @@ def test_action_table_order():
     assert np.allclose(om, [0.0, 0.0, 0.0, 0.0, math.pi / 4, -math.pi / 4])
     assert DEFAULT_ACTIONS.labels[0] == "maintain"
     assert DEFAULT_ACTIONS.labels[3] == "hard_brake"
+
+
+def test_omega_groups_in_first_appearance_order():
+    distinct, group = DEFAULT_ACTIONS.omega_groups
+    assert distinct.tolist() == [0.0, math.pi / 4, -math.pi / 4]
+    assert group.tolist() == [0, 0, 0, 0, 1, 2]
+    assert DEFAULT_ACTIONS.omega_groups is DEFAULT_ACTIONS.omega_groups
+    # told apart by bit pattern: -0.0 is its own group
+    signed = ActionSet((Action(0.0, 0.0), Action(1.0, -0.0), Action(2.0, 0.0)), ("a", "b", "c"))
+    distinct, group = signed.omega_groups
+    assert [math.copysign(1.0, w) for w in distinct] == [1.0, -1.0]
+    assert group.tolist() == [0, 1, 0]
 
 
 def test_step_uses_pre_update_speed_and_heading():

@@ -14,6 +14,8 @@ import pytest
 
 from intersim import geometry as geo
 
+from planner_oracle import segment_segment_dist, segments_intersect
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -69,7 +71,7 @@ def segment_rect_oracle(p, q, rect):
         return True
     corners = rect.corners()
     for i in range(4):
-        if geo.segments_intersect(p, q, tuple(corners[i]), tuple(corners[(i + 1) % 4])):
+        if segments_intersect(p, q, tuple(corners[i]), tuple(corners[(i + 1) % 4])):
             return True
     return False
 
@@ -137,10 +139,10 @@ def test_segment_rect_cases():
 
 
 def test_segment_segment_dist():
-    assert geo.segment_segment_dist((0, 0), (1, 0), (0, 1), (1, 1)) == pytest.approx(1.0)
-    assert geo.segment_segment_dist((0, 0), (2, 2), (0, 2), (2, 0)) == 0.0
-    assert geo.segments_intersect((0, 0), (1, 0), (0.5, 0.5), (0.5, 2), tol=0.6)
-    assert not geo.segments_intersect((0, 0), (1, 0), (0.5, 0.5), (0.5, 2), tol=0.4)
+    assert segment_segment_dist((0, 0), (1, 0), (0, 1), (1, 1)) == pytest.approx(1.0)
+    assert segment_segment_dist((0, 0), (2, 2), (0, 2), (2, 0)) == 0.0
+    assert segments_intersect((0, 0), (1, 0), (0.5, 0.5), (0.5, 2), tol=0.6)
+    assert not segments_intersect((0, 0), (1, 0), (0.5, 0.5), (0.5, 2), tol=0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,32 @@ def test_overlap_group_matches_scalar():
         ]
     )
     assert np.array_equal(got, want)
+
+
+def test_overlap_group_per_row_opponents_match_single_rows():
+    rng = np.random.default_rng(17)
+    m, B = 3, 150
+    cx = rng.uniform(-10, 10, B)
+    cy = rng.uniform(-10, 10, B)
+    th = rng.uniform(-math.pi, math.pi, B)
+    others = np.stack(
+        [rng.uniform(-10, 10, (m, B)), rng.uniform(-10, 10, (m, B)), rng.uniform(-math.pi, math.pi, (m, B))],
+        axis=-1,
+    )
+    got = geo.overlap_rects_group(cx, cy, th, 5.0, 2.0, others, 8.0, 2.4)
+    want = np.array(
+        [geo.overlap_rects_group(cx[b : b + 1], cy[b : b + 1], th[b : b + 1], 5.0, 2.0, others[:, b], 8.0, 2.4)[0]
+         for b in range(B)]
+    )
+    assert got.any() and not got.all()
+    assert np.array_equal(got, want)
+
+
+def test_overlap_group_empty_is_all_false():
+    xs = np.zeros(4)
+    for others in (np.zeros((0, 3)), np.zeros((0, 4, 3))):
+        out = geo.overlap_rects_group(xs, xs, xs, 5.0, 2.0, others, 5.0, 2.0)
+        assert out.shape == (4,) and not out.any()
 
 
 def test_segments_hit_rects_matches_scalar():

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from intersim import planner
 from intersim.dynamics import (
     DEFAULT_ACTIONS,
     PHASE_APPROACH,
+    Action,
+    ActionSet,
     Pose2,
     VehicleState,
     rollout,
@@ -22,7 +25,7 @@ from intersim.planner import (
 )
 from intersim.reward import RewardWeights
 
-from planner_oracle import exhaustive_plan, random_plan_scene
+from planner_oracle import exhaustive_plan, point_segment_dist, random_plan_scene
 
 
 def _check_against_oracle(states, net, i, k, cfg):
@@ -50,6 +53,64 @@ def test_matches_exhaustive_search_full_horizon():
         i = int(rng.integers(len(states)))
         k = int(rng.integers(3))
         _check_against_oracle(states, net, i, k, DEFAULT_PLANNER)
+
+
+# every turn rate distinct (no two children share a pose), and every turn
+# rate zero (all children share one)
+_DISTINCT_OMEGAS = ActionSet(
+    (Action(0.0, 0.0), Action(2.5, 0.3), Action(-2.5, -0.3), Action(0.0, math.pi / 4), Action(0.0, -math.pi / 4)),
+    ("maintain", "a", "b", "c", "d"),
+)
+_STRAIGHT_ONLY = ActionSet(
+    (Action(0.0, 0.0), Action(2.5, 0.0), Action(-2.5, 0.0), Action(-5.0, 0.0)),
+    ("maintain", "accelerate", "decelerate", "hard_brake"),
+)
+
+
+@pytest.mark.parametrize("actions", [_DISTINCT_OMEGAS, _STRAIGHT_ONLY], ids=["distinct", "straight"])
+def test_matches_exhaustive_search_with_other_action_sets(actions):
+    rng = np.random.default_rng(7)
+    for trial in range(18):
+        cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=1 + trial % 3, actions=actions)
+        states, net = random_plan_scene(rng)
+        i = int(rng.integers(len(states)))
+        _check_against_oracle(states, net, i, trial % 3, cfg)
+
+
+def test_one_features_call_per_best_response(monkeypatch):
+    searches, rows = [], []
+    real_br, real_fm = planner._best_response, planner.features_many
+
+    def best_response(*args):
+        searches.append(len(rows))
+        return real_br(*args)
+
+    def features_many(x, *args):
+        rows.append(len(x))
+        return real_fm(x, *args)
+
+    monkeypatch.setattr(planner, "_best_response", best_response)
+    monkeypatch.setattr(planner, "features_many", features_many)
+    states, net = _crossing_scene()
+    levelk_plan(states, 0, 2, net)
+    n = DEFAULT_PLANNER.horizon_n
+    assert len(searches) == 3
+    # one call per search, over one row per (parent, distinct omega)
+    assert searches == [0, 1, 2]
+    assert rows == [3 * (6**n - 1) // 5] * 3
+
+
+def test_nearby_segments_match_scalar_distance():
+    rng = np.random.default_rng(11)
+    segs = rng.uniform(-20, 20, (40, 4))
+    segs[5, 2:] = segs[5, :2]  # a zero-length segment
+    for _ in range(20):
+        x, y, r = rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0, 15)
+        want = [s for s in segs if point_segment_dist((x, y), s[:2], s[2:]) <= r]
+        got = planner._nearby_segments(segs, x, y, r)
+        assert np.array_equal(got, np.array(want).reshape(-1, 4))
+    assert planner._nearby_segments(segs, 100.0, 100.0, 1.0).shape == (0, 4)
+    assert planner._nearby_segments(np.zeros((0, 4)), 0.0, 0.0, 1.0).shape == (0, 4)
 
 
 def _crossing_scene():

@@ -146,3 +146,29 @@ def test_features_many_no_opponents(fourway):
     )
     assert got.shape == (1, 6)
     assert got[0, 0] == 0.0 and got[0, 3] == 0.0
+
+
+def test_features_many_one_call_equals_one_call_per_instant(fourway):
+    # the planner scores several instants at once, each row facing the
+    # opponents of its own instant
+    rng = np.random.default_rng(31)
+    ref = fourway.lanes["E.out"].ref_point
+    road = (fourway.boundary_segments(), fourway.marking_segments(), fourway.straight_lane_rects(), "E.out")
+    sizes = (3, 18, 108)
+    opp = np.stack(
+        [rng.uniform(-8, 8, (2, 3)), rng.uniform(-8, 8, (2, 3)), rng.uniform(-math.pi, math.pi, (2, 3))],
+        axis=-1,
+    )
+    batches = [
+        (rng.uniform(-16, 16, n), rng.uniform(-16, 16, n), rng.uniform(-math.pi, math.pi, n),
+         rng.uniform(0, 5, n), rng.random(n) < 0.5)
+        for n in sizes
+    ]
+    per_instant = [
+        rw.features_many(x, y, th, v, opp[:, t], *road, ex, ref)
+        for t, (x, y, th, v, ex) in enumerate(batches)
+    ]
+    x, y, th, v, ex = (np.concatenate(c) for c in zip(*batches))
+    one = rw.features_many(x, y, th, v, np.repeat(opp, sizes, axis=1), *road, ex, ref)
+    assert np.array_equal(one, np.concatenate(per_instant))
+    assert (one[:, 0] == -1.0).any() and (one[:, 2] == -1.0).any()
