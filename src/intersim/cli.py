@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import collections.abc
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -172,6 +173,8 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
             raise ConfigError(f"{key.replace('_', '-')} not found: {path}")
     if spec.n_vehicles < 0:
         raise ConfigError("--vehicles must be nonnegative")
+    if not (math.isfinite(spec.rc_m) and spec.rc_m >= 0):
+        raise ConfigError(f"--rc must be finite and nonnegative, got {spec.rc_m}")
     return spec
 
 
@@ -180,6 +183,8 @@ def _parse_grid(text: str) -> List[float]:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise ConfigError(f"--rc-grid expects min:max:step, got {text!r}")
+    if not all(map(math.isfinite, (lo, hi, step))) or lo < 0:
+        raise ConfigError(f"--rc-grid needs finite bounds and step and min >= 0, got {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("--rc-grid needs step > 0 and max >= min")
     grid, v = [], lo

@@ -561,6 +561,11 @@ def _entrance_lane(lay: RoadLayout, x: float, y: float) -> Optional[str]:
     return None
 
 
+def _beyond_rc(ego: VehicleState, st: VehicleState, cfg: RuleBasedConfig) -> bool:
+    """The proximity condition of conflict_set fails: centers farther apart than rc_m."""
+    return math.hypot(st.pose.x - ego.pose.x, st.pose.y - ego.pose.y) > cfg.rc_m
+
+
 def conflict_set(
     states: Sequence[Optional[VehicleState]],
     i: int,
@@ -578,7 +583,7 @@ def conflict_set(
         if j == i or states[j] is None:
             continue
         st = states[j]
-        if math.hypot(st.pose.x - ego.pose.x, st.pose.y - ego.pose.y) > cfg.rc_m:
+        if _beyond_rc(ego, st, cfg):
             continue
         if polylines_min_dist(ego_segs, polyline_segments(pts)) <= cfg.path_tol_m:
             out.append(j)
@@ -667,12 +672,14 @@ class RuleBasedController(AVController):
     def decide(
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
     ) -> int:
+        """rule_based_action as an action index; only opponents within rc_m,
+        the ones conflict_set reads, get an estimated path."""
         if self._pts is None:
             self._bind(states, i, network)
         opp_paths = {
             j: estimate_path(states, j, network)
             for j, st in enumerate(states)
-            if j != i and st is not None
+            if j != i and st is not None and not _beyond_rc(states[i], st, self.config)
         }
         self._accel = rule_based_action(
             states, i, self._pts, opp_paths, self.config, self.dt, self._s

@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .geometry import BUILDERS, RoadNetwork, single_network
 from .planner import DEFAULT_PLANNER, PlannerConfig, expert_policy
-from .scene import TrafficPolicy, detect_fail, detect_success, spawn_vehicle
+from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
 M_NEAR = 6
 POS_SCALE_M = 40.0  # interaction radius; positions land roughly in [-1, 1]
@@ -570,13 +570,15 @@ def _respawn_terminal(states, net, rng, min_sep) -> List[int]:
     """Respawn every empty, failed or finished slot in place and return
     the respawned slots.
 
-    Slot i is checked after the earlier slots have respawned, the same
-    order as scene.sim_step, so the later partner of a collision can miss
-    the wreck; ROADMAP item 2(a) is the pending fix for both.
+    Road edges are checked once for all vehicles before any respawn;
+    slot i's vehicle check runs after the earlier slots have respawned,
+    the same order as scene.sim_step, so the later partner of a collision
+    can miss the wreck; ROADMAP item 2(a) is the pending fix for both.
     """
+    edges = road_edge_hits(states, [i for i, st in enumerate(states) if st is not None], net)
     respawned = []
     for i, st in enumerate(states):
-        if st is None or detect_fail(states, i, net) or detect_success(st, net):
+        if st is None or detect_fail(states, i, net, edge_hits=edges) or detect_success(st, net):
             states[i] = spawn_vehicle(net, states, rng, min_sep)
             respawned.append(i)
     return respawned

@@ -126,28 +126,7 @@ def spawn_vehicle(
 # lifecycle predicates
 
 
-def _zone_hits_road_edges(state: VehicleState, lay, zones=DEFAULT_ZONES) -> bool:
-    cz = zones.c_zone(state.pose)
-    x = np.array([cz.cx])
-    y = np.array([cz.cy])
-    th = np.array([cz.theta])
-    bounds = lay.boundary_segments()
-    if bounds.shape[0] and segments_hit_rects(bounds, x, y, th, cz.length, cz.width)[0]:
-        return True
-    marks = lay.marking_segments()
-    if marks.shape[0] and segments_hit_rects(marks, x, y, th, cz.length, cz.width)[0]:
-        return True
-    return False
-
-
-def detect_fail(
-    states: Sequence[Optional[VehicleState]],
-    i: int,
-    network: RoadNetwork,
-    zones=DEFAULT_ZONES,
-) -> bool:
-    """A vehicle fails on c-zone overlap with another vehicle, on touching
-    a road boundary, or on crossing an opposing-traffic marking."""
+def _hits_other_vehicle(states, i: int, zones=DEFAULT_ZONES) -> bool:
     st = states[i]
     cz = zones.c_zone(st.pose)
     reach = zones.c_length + 1.0
@@ -158,13 +137,45 @@ def detect_fail(
             continue
         if rects_overlap(cz, zones.c_zone(other.pose)):
             return True
-    name, _, _ = assign_local_context(states, i, network)
-    if _zone_hits_road_edges(st, network.layouts[name], zones):
-        return True
-    goal_name = st.goal_ref.split(":")[0]
-    if goal_name != name and _zone_hits_road_edges(st, network.layouts[goal_name], zones):
-        return True
     return False
+
+
+def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork, zones=DEFAULT_ZONES) -> Dict[int, bool]:
+    """Whether each vehicle in indices touches a road boundary or crosses
+    a marking of its context layout or, where that differs, of its goal
+    layout: one segments_hit_rects call per layout, over its boundary and
+    marking segments together."""
+    groups: Dict[str, List[int]] = {}
+    for i in indices:
+        name, goal_name = context_layout(states[i], network), states[i].goal_ref.split(":")[0]
+        groups.setdefault(name, []).append(i)
+        if goal_name != name:
+            groups.setdefault(goal_name, []).append(i)
+    hits = dict.fromkeys(indices, False)
+    for name, members in groups.items():
+        lay = network.layouts[name]
+        segs = np.vstack([lay.boundary_segments(), lay.marking_segments()])
+        czs = [zones.c_zone(states[i].pose) for i in members]
+        x, y, th = np.array([(cz.cx, cz.cy, cz.theta) for cz in czs]).T.copy()
+        for i, hit in zip(members, segments_hit_rects(segs, x, y, th, zones.c_length, zones.c_width)):
+            hits[i] = hits[i] or bool(hit)
+    return hits
+
+
+def detect_fail(states, i: int, network: RoadNetwork, zones=DEFAULT_ZONES, edge_hits=None) -> bool:
+    """A vehicle fails on c-zone overlap with another vehicle, on touching
+    a road boundary, or on crossing an opposing-traffic marking.
+
+    The road-edge part depends on vehicle i alone: edge_hits is the
+    road_edge_hits of a batch holding i in its current state, or None to
+    check i by itself. sim_step and the training loops take it for all
+    vehicles on the post-move snapshot, then run the vehicle part in slot
+    order between respawns (ROADMAP item 2(a) is pending)."""
+    if _hits_other_vehicle(states, i, zones):
+        return True
+    if edge_hits is None:
+        edge_hits = road_edge_hits(states, [i], network, zones)
+    return edge_hits[i]
 
 
 def detect_success(state: VehicleState, network: RoadNetwork, zones=DEFAULT_ZONES) -> bool:
@@ -178,22 +189,16 @@ def detect_success(state: VehicleState, network: RoadNetwork, zones=DEFAULT_ZONE
     return _zone_in_lane(state, lay, lane, zones.c_length, zones.c_width)
 
 
-def assign_local_context(
-    states: Sequence[Optional[VehicleState]],
-    i: int,
-    network: RoadNetwork,
-    radius: float = 40.0,
-) -> Tuple[str, Tuple[float, float], List[int]]:
-    """Active intersection for vehicle i plus its interaction neighbors.
+def context_layout(state: VehicleState, network: RoadNetwork) -> str:
+    """Name of the intersection vehicle state is in.
 
     Nearest center by Euclidean distance, ties to listing order; a vehicle
     in a shared arm corridor is assigned to the side its route heads for,
     so handoff happens mid-connector rather than at the far mouth.
     """
-    st = states[i]
-    x, y = st.pose.x, st.pose.y
+    x, y = state.pose.x, state.pose.y
     name = network.nearest_layout(x, y)
-    goal_name = st.goal_ref.split(":")[0]
+    goal_name = state.goal_ref.split(":")[0]
     if goal_name != name:
         lay = network.layouts[name]
         for arm in lay.arms.values():
@@ -202,16 +207,8 @@ def assign_local_context(
                 continue
             u, w = lay.arm_frame(arm.id, x, y)
             if u >= arm.u_start and abs(w) <= lay.params["lane_width"]:
-                name = goal_name
-                break
-    neighbors = [
-        j
-        for j, s in enumerate(states)
-        if j != i
-        and s is not None
-        and euclidean_dist((x, y), (s.pose.x, s.pose.y)) <= radius
-    ]
-    return name, network.layouts[name].center, neighbors
+                return goal_name
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +388,12 @@ def sim_step(
 
     The tick's plan table is made after the spawns and passed to select,
     decide and observe, which all plan from s_t: observe gets the copy
-    of the states taken before the move."""
+    of the states taken before the move.
+
+    Road edges are checked for all active vehicles at once on the post-move
+    snapshot; the vehicle-vehicle check then runs in slot order after the
+    earlier slots have respawned, so the later partner of a collision can
+    miss the wreck (ROADMAP item 2(a) is pending)."""
     if ep.done:
         return ep
     net = cfg.network
@@ -427,8 +429,9 @@ def sim_step(
         ep.av_speed_sum += ep.states[ep.av_index].speed
         ep.av_ticks += 1
 
+    edges = road_edge_hits(ep.states, active, net)
     for i in active:
-        failed = detect_fail(ep.states, i, net)
+        failed = detect_fail(ep.states, i, net, edge_hits=edges)
         succeeded = not failed and (
             goal_results[i] == "done" or detect_success(ep.states[i], net)
         )

@@ -158,14 +158,32 @@ def test_calibrate_grid_and_outputs(tmp_path, policy_file, capsys):
     assert len(body) == 3  # header plus one row per grid point
 
 
-@pytest.mark.parametrize("grid", ["5", "5:10:0", "10:5:1", "a:b:c"])
+@pytest.mark.parametrize(
+    "grid",
+    ["5", "5:10:0", "10:5:1", "a:b:c", "-4:0:2", "0:inf:1", "-inf:5:1", "nan:5:1", "0:5:nan", "0:5:inf"],
+)
 def test_bad_rc_grid_exits_one(tmp_path, policy_file, grid, capsys):
+    out = tmp_path / "out"
     code = main(
         ["calibrate", *_fast(policy_file, tmp_path), "--episodes", "1",
-         "--rc-grid", grid]
+         f"--rc-grid={grid}", "--out", str(out)]
     )
     assert code == 1
-    capsys.readouterr()
+    assert "error: --rc-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])
+@pytest.mark.parametrize("rc", ["nan", "inf", "-1"])
+def test_bad_rc_exits_one(tmp_path, policy_file, command, rc, capsys):
+    out = tmp_path / "out"
+    code = main(
+        [command, *_fast(policy_file, tmp_path), "--episodes", "1", "--av", "rule-based",
+         f"--rc={rc}", "--out", str(out)]
+    )
+    assert code == 1
+    assert "--rc must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from planner_oracle import exhaustive_plan
 
+from intersim import controllers
 from intersim import dynamics as dyn
 from intersim import reward as rw
 from intersim.controllers import (
@@ -30,8 +31,9 @@ from intersim.controllers import (
     update_beliefs,
 )
 from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState
-from intersim.geometry import single_network
+from intersim.geometry import make_city, single_network
 from intersim.planner import DEFAULT_PLANNER, level0_plan, levelk_plan
+from intersim.scene import SceneConfig, TrafficPolicy, init_episode, sim_step
 
 
 # ---------------------------------------------------------------------------
@@ -445,3 +447,112 @@ def test_estimate_path_prefers_reference_curve_on_entrance():
     x_end, y_end, _ = point_along(pts, cum, cum[-1])
     lane = net.resolve("I0:N.out")[1]
     assert math.hypot(x_end - lane.p1[0], y_end - lane.p1[1]) < 1e-6
+
+
+class _RandomTraffic(TrafficPolicy):
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def select(self, states, levels, indices, network, plans):
+        return {i: int(self.rng.integers(len(DEFAULT_ACTIONS))) for i in indices}
+
+
+class _CheckedRuleAV(RuleBasedController):
+    """Rule-based AV that also records, on every decide, the opponents it
+    estimated paths for, the opponents within rc_m, and its acceleration
+    beside that of an eager reference estimating every opponent."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.estimated = []
+        self.records = []
+
+    def decide(self, states, i, network, plans):
+        self.estimated.clear()
+        a = super().decide(states, i, network, plans)
+        ego = states[i]
+        within = [
+            j for j, st in enumerate(states)
+            if j != i and st is not None
+            and math.hypot(st.pose.x - ego.pose.x, st.pose.y - ego.pose.y) <= self.config.rc_m
+        ]
+        every = {
+            j: estimate_path(states, j, network)
+            for j, st in enumerate(states)
+            if j != i and st is not None
+        }
+        eager = rule_based_action(states, i, self._pts, every, self.config, self.dt, self._s)
+        self.records.append((a, self._accel, eager, list(self.estimated), within))
+        return a
+
+
+def _city_decisions(monkeypatch, rc_values, min_states):
+    """Records of _CheckedRuleAV over seeded city episodes with 20 randomly
+    driven vehicles, cycling through rc_values, until min_states."""
+    real = controllers.estimate_path
+
+    def counting(states, j, network):
+        av.estimated.append(j)
+        return real(states, j, network)
+
+    monkeypatch.setattr(controllers, "estimate_path", counting)
+    net = make_city()
+    cfg = SceneConfig(network=net, n_vehicles=20, av_policy="rule-based", t_limit_s=10.0)
+    records = []
+    seed = 0
+    while len(records) < min_states:
+        av = _CheckedRuleAV(RuleBasedConfig(rc_m=rc_values[seed % len(rc_values)]))
+        ep = init_episode(cfg, seed=(17, seed))
+        traffic = _RandomTraffic(seed)
+        while not ep.done:
+            sim_step(ep, cfg, traffic, av)
+        records += av.records
+        seed += 1
+    return records
+
+
+def test_decide_matches_an_eager_reference_on_city_states(monkeypatch):
+    records = _city_decisions(monkeypatch, (14.0, 30.0), 200)
+    conflicted = 0
+    for a, accel, eager, _, _ in records:
+        assert accel == eager
+        assert DEFAULT_ACTIONS[a].accel == eager and DEFAULT_ACTIONS[a].omega == 0.0
+        conflicted += eager != max(DEFAULT_RULE.accel_set)
+    assert conflicted >= 10  # the sample exercises the conflict branch
+
+
+@pytest.mark.parametrize("rc", [0.0, 14.0, 1e6])
+def test_decide_estimates_paths_only_within_rc(monkeypatch, rc):
+    records = _city_decisions(monkeypatch, (rc,), 60)
+    for _, _, _, estimated, within in records:
+        assert estimated == within
+    n_within = sum(len(w) for *_, w in records)
+    if rc == 0.0:
+        assert n_within == 0
+    else:
+        assert n_within > 0
+    if rc == 1e6:
+        assert all(len(w) >= 10 for *_, w in records)
+
+
+def test_opponent_exactly_at_rc_is_estimated(monkeypatch):
+    # centers 5 m apart exactly (a 3-4-5 offset): inside a radius of 5,
+    # outside the next float below it
+    net = single_network("fourway")
+    states = [
+        VehicleState(Pose2(-20.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out", phase=PHASE_APPROACH),
+        VehicleState(Pose2(-17.0, 2.0, -math.pi / 2), 3.0, goal_ref="I0:S.out", phase=PHASE_APPROACH),
+    ]
+    assert math.hypot(3.0, 4.0) == 5.0
+    calls = []
+    real = controllers.estimate_path
+    monkeypatch.setattr(
+        controllers, "estimate_path", lambda st, j, network: calls.append(j) or real(st, j, network)
+    )
+    for rc, expected in ((5.0, [1]), (math.nextafter(5.0, 0.0), [])):
+        calls.clear()
+        av = RuleBasedController(RuleBasedConfig(rc_m=rc))
+        av.decide(states, 0, net, {})
+        assert calls == expected
+        every = {1: real(states, 1, net)}
+        assert av._accel == rule_based_action(states, 0, av._pts, every, av.config, av.dt, av._s)

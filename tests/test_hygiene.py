@@ -89,3 +89,19 @@ def test_no_module_imports_a_name_it_never_uses():
         for name, line in _unused_imports(_parse(path))
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("dagger", [False, True])
+def test_every_benchmark_patch_point_exists(monkeypatch, dagger):
+    """A refactor that renames or drops a name the benchmark tracer patches
+    would make that layer read zero calls instead of failing."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    from layers import instrument
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        instrument(tracer, dagger)
+        assert tracer.missing == []
+    finally:
+        tracer.restore()

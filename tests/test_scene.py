@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from intersim import planner
+from intersim import planner, scene
 from intersim.controllers import AdaptiveController, adaptive_plan
 from intersim.dynamics import DT_S, PHASE_APPROACH, Pose2, VehicleState
-from intersim.geometry import euclidean_dist, single_network
+from intersim.geometry import euclidean_dist, make_city, segment_intersects_rect, single_network
 from intersim.planner import DEFAULT_PLANNER, PlannerConfig
+from intersim.reward import DEFAULT_ZONES
 from intersim.scene import (
     AVController,
     ExpertTraffic,
@@ -21,10 +22,12 @@ from intersim.scene import (
     SceneConfig,
     TrafficPolicy,
     conflict_scene,
+    context_layout,
     detect_fail,
     detect_success,
     draw_levels,
     init_episode,
+    road_edge_hits,
     route_from_entry,
     run_episode,
     sim_step,
@@ -119,6 +122,124 @@ def test_detect_fail_on_overlap_and_boundary():
     # straddling the road edge trips the boundary check
     off = VehicleState(Pose2(-12.0, -4.2, 0.0), 2.0, goal_ref="I0:E.out")
     assert detect_fail([off], 0, net)
+
+
+def _network(kind):
+    return make_city() if kind == "city" else single_network(kind)
+
+
+def _random_lane_ref(net, rng, name):
+    lanes = list(net.layouts[name].lanes)
+    return f"{name}:{lanes[rng.integers(len(lanes))]}"
+
+
+def _random_edge_states(net, rng, n):
+    """Vehicles at random poses on and beside the roads, with random goal
+    lanes. With connectors, every third one sits in or beside a shared
+    connector, within 10 m of its mid-port, with its goal in the far
+    layout; returns the slots on the road with the layout they must be
+    assigned to."""
+    states, handoffs = [], {}
+    for k in range(n):
+        if net.connectors and k % 3 == 0:
+            a, arm_id, b, _ = net.connectors[rng.integers(len(net.connectors))]
+            lay = net.layouts[a]
+            arm = lay.arms[arm_id]
+            lw = lay.params["lane_width"]
+            u = rng.uniform(arm.u_end - 10.0, arm.u_end + 10.0)
+            w = rng.uniform(-1.5 * lw, 1.5 * lw)
+            (ux, uy), (wx, wy) = arm.unit_u(), arm.unit_w()
+            x = lay.center[0] + u * ux + w * wx
+            y = lay.center[1] + u * uy + w * wy
+            goal = _random_lane_ref(net, rng, b)
+            if abs(w) <= lw:
+                handoffs[k] = b
+        else:
+            lay = net.layouts[net.names[rng.integers(len(net.names))]]
+            x, y = np.asarray(lay.center) + rng.uniform(-40.0, 40.0, 2)
+            goal = _random_lane_ref(net, rng, net.names[rng.integers(len(net.names))])
+        pose = Pose2(float(x), float(y), float(rng.uniform(-math.pi, math.pi)))
+        states.append(VehicleState(pose, 2.0, goal_ref=goal))
+    return states, handoffs
+
+
+def _edge_oracle(st, net):
+    """Scalar road-edge check of one vehicle against its context and goal
+    layouts, one segment at a time."""
+    cz = DEFAULT_ZONES.c_zone(st.pose)
+    for name in {context_layout(st, net), st.goal_ref.split(":")[0]}:
+        lay = net.layouts[name]
+        for seg in np.vstack([lay.boundary_segments(), lay.marking_segments()]):
+            if segment_intersects_rect(seg[:2], seg[2:], cz):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["city", "fourway", "roundabout", "tshape"])
+def test_batched_road_edge_hits_match_scalar_oracle(kind):
+    net = _network(kind)
+    rng = np.random.default_rng(31)
+    states, handoffs = _random_edge_states(net, rng, 120)
+    states[5] = None
+    active = [i for i, st in enumerate(states) if st is not None]
+    hits = road_edge_hits(states, active, net)
+    expected = {i: _edge_oracle(states[i], net) for i in active}
+    assert hits == expected
+    assert 10 < sum(expected.values()) < len(active) - 10
+    for i in active:
+        assert detect_fail(states, i, net) == detect_fail(states, i, net, edge_hits=hits)
+    if kind == "city":
+        moved = [i for i, b in handoffs.items() if states[i] is not None]
+        assert all(context_layout(states[i], net) == handoffs[i] for i in moved)
+        off_nearest = [i for i in moved if net.nearest_layout(states[i].pose.x, states[i].pose.y) != handoffs[i]]
+        assert len(off_nearest) >= 5
+
+
+def test_road_edge_hits_check_the_goal_layout_past_a_port():
+    # make_city: F's north arm ends at y = 34, where R's south arm begins,
+    # and F stays the nearest center up to y = 38. Off the lane the vehicle
+    # keeps F as its context, but it straddles R's road edge at x = 4.
+    net = make_city()
+    st = VehicleState(Pose2(4.5, 37.0, math.pi / 2), 2.0, goal_ref="R:S.in")
+    assert context_layout(st, net) == "F"
+    assert road_edge_hits([st], [0], net) == {0: True}
+    st.goal_ref = "F:N.out"
+    assert road_edge_hits([st], [0], net) == {0: False}
+
+
+@pytest.mark.parametrize("kind", ["fourway", "city"])
+def test_sim_step_checks_road_edges_once_per_layout(monkeypatch, kind):
+    kernel_rows = []
+    kernel = scene.segments_hit_rects
+
+    def counting_kernel(segs, cx, *args):
+        kernel_rows.append(len(cx))
+        return kernel(segs, cx, *args)
+
+    edge_calls = []
+    edges = scene.road_edge_hits
+
+    def spying_edges(states, indices, network, zones=DEFAULT_ZONES):
+        pairs = {(context_layout(states[i], network), i) for i in indices}
+        pairs |= {(states[i].goal_ref.split(":")[0], i) for i in indices}
+        edge_calls.append((len({name for name, _ in pairs}), len(pairs)))
+        return edges(states, indices, network, zones)
+
+    monkeypatch.setattr(scene, "segments_hit_rects", counting_kernel)
+    monkeypatch.setattr(scene, "road_edge_hits", spying_edges)
+    cfg = SceneConfig(network=_network(kind), n_vehicles=12, t_limit_s=40 * DT_S)
+    ep = init_episode(cfg, seed=(8, 0))
+    while not ep.done:
+        kernel_rows.clear()
+        edge_calls.clear()
+        sim_step(ep, cfg, HoldTraffic())
+        assert len(edge_calls) == 1
+        n_layouts, n_pairs = edge_calls[0]
+        assert len(kernel_rows) == n_layouts
+        assert sum(kernel_rows) == n_pairs
+    assert ep.tick == 40
+    # vehicles failed, and their slots respawned inside the vehicle loop
+    assert any('"status":"failed"' in line for line in ep.log)
 
 
 def test_detect_success_requires_exhausted_route_and_exit_lane():
