@@ -20,6 +20,7 @@ from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 from .harness import (
     AV_POLICIES,
+    DEFAULT_WEIGHTS,
     EvalSpec,
     TRAFFIC_MODELS,
     build_network,
@@ -122,11 +123,13 @@ def _check_keys(cfg: dict, config_cls, what: str) -> None:
 
 def _json_fits(value, tp) -> bool:
     """Whether a decoded JSON value can fill a dataclass field of type tp.
-    Lists stand in for tuples and sequences; ints are valid floats, but
-    booleans are not numbers."""
+    Lists stand in for tuples and sequences, objects for dicts; ints are
+    valid floats, but booleans are not numbers."""
     origin = get_origin(tp)
     if origin is Union:
         return any(_json_fits(value, t) for t in get_args(tp))
+    if origin is dict:
+        return isinstance(value, dict) and all(_json_fits(v, get_args(tp)[1]) for v in value.values())
     if origin in (tuple, collections.abc.Sequence):
         item = get_args(tp)[0]
         return isinstance(value, list) and all(_json_fits(v, item) for v in value)
@@ -163,6 +166,7 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
         rc_m=args.rc,
     )
     _check_keys(overrides, EvalSpec, "spec keys")
+    _check_types(overrides, EvalSpec, "spec keys")
     if overrides:
         spec = replace(spec, **overrides)
     if spec.engine == "distilled" and spec.policy_file is None:
@@ -175,6 +179,13 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
         raise ConfigError("--vehicles must be nonnegative")
     if not (math.isfinite(spec.rc_m) and spec.rc_m >= 0):
         raise ConfigError(f"--rc must be finite and nonnegative, got {spec.rc_m}")
+    if not (math.isfinite(spec.t_limit_s) and spec.t_limit_s > 0):
+        raise ConfigError(f"t_limit_s must be finite and positive, got {spec.t_limit_s}")
+    if not 0 < spec.beta <= 1:
+        raise ConfigError(f"beta must be in (0, 1], got {spec.beta}")
+    w = spec.weights or {}
+    if not (set(w) <= set(DEFAULT_WEIGHTS) and all(map(math.isfinite, w.values()))):
+        raise ConfigError(f"weights must map some of {', '.join(DEFAULT_WEIGHTS)} to finite values, got {w}")
     return spec
 
 

@@ -29,6 +29,7 @@ from .planner import (
     DEFAULT_PLANNER,
     PlannerConfig,
     PlanResult,
+    PlanCache,
     PlanTable,
     best_response,
     level0_plan,
@@ -168,7 +169,7 @@ def adaptive_plan(
     cfg: PlannerConfig = DEFAULT_PLANNER,
     mode: str = "expert",
     predictor: Optional[Predictor] = None,
-    cache: Optional[Dict[Tuple[int, int], PlanResult]] = None,
+    cache: Optional[PlanCache] = None,
 ) -> PlanResult:
     """Best response to opponents committed at their estimated levels.
 
@@ -178,13 +179,14 @@ def adaptive_plan(
     tie-break. In expert mode the predictions come from the game-tree
     search; in distilled mode from a joint closed-loop rollout under the
     supplied explicit policy. The first action of the result is the
-    control to apply. cache, when given, is a levelk_plan cache of these
-    states; the expert-mode predictions read and add plans there.
+    control to apply. cache, when given, is the PlanCache of these states;
+    the expert-mode predictions and the ego's own search read and add
+    plans and ego trees there.
     """
     near = near_indices(states, i, cfg)
     estimates = {j: estimate_level(beliefs.vec(j), beliefs.model_set) for j in near}
     if not near:
-        return level0_plan(list(states), i, network, cfg)
+        return level0_plan(list(states), i, network, cfg, cache)
     if mode == "expert":
         opp = {
             j: levelk_plan(list(states), j, estimates[j], network, cfg, cache).trajectory
@@ -196,7 +198,7 @@ def adaptive_plan(
         opp = predictor_rollout(states, i, near, estimates, network, cfg, predictor)
     else:
         raise ValueError(f"unknown adaptive mode {mode!r}")
-    return best_response(states[i], opp, network, cfg)
+    return best_response(states[i], opp, network, cfg, cache)
 
 
 class AdaptiveController(AVController):
@@ -237,7 +239,7 @@ class AdaptiveController(AVController):
         self._ego = i
         res = adaptive_plan(
             states, i, self.beliefs, network, self.planner, self.mode, self.predictor,
-            plans.setdefault(self.planner, {}),
+            plans.setdefault(self.planner, PlanCache()),
         )
         return res.action_sequence[0]
 
@@ -251,7 +253,7 @@ class AdaptiveController(AVController):
         if self._ego is None or prev_states[self._ego] is None:
             return
         near = set(near_indices(prev_states, self._ego, self.planner))
-        cache = plans.setdefault(self.planner, {})
+        cache = plans.setdefault(self.planner, PlanCache())
         snapshot = list(prev_states)
         for j, a_idx in actions.items():
             if j == self._ego or j not in near:
@@ -340,7 +342,7 @@ class FixedLevelController(AVController):
     ) -> int:
         if self.predictor is not None:
             return self.predictor(states, i, self.level, network)
-        cache = plans.setdefault(self.planner, {})
+        cache = plans.setdefault(self.planner, PlanCache())
         return levelk_plan(list(states), i, self.level, network, self.planner, cache).action_sequence[0]
 
 

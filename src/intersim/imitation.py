@@ -30,7 +30,7 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import BUILDERS, RoadNetwork, single_network
-from .planner import DEFAULT_PLANNER, PlannerConfig, expert_policy
+from .planner import DEFAULT_PLANNER, PlanCache, PlannerConfig, expert_policy
 from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
 M_NEAR = 6
@@ -637,7 +637,7 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
         for _t in range(cfg.t_max):
             _respawn_terminal(states, net, rng, cfg.min_sep_m)
             active = [i for i, s in enumerate(states) if s is not None]
-            cache: dict = {}
+            cache = PlanCache()
             encs: Dict[Tuple[int, int], np.ndarray] = {}
             expert_idx: Dict[Tuple[int, int], int] = {}
             for i in active:
@@ -702,7 +702,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                     beliefs = BeliefState(beta=beliefs.beta)
                 else:
                     beliefs.reset(i)
-            cache: dict = {}
+            cache = PlanCache()
             opp_active = [
                 j for j in range(1, cfg.n_vehicles) if states[j] is not None
             ]
@@ -758,7 +758,7 @@ def collect_expert_rollouts(
         for _t in range(cfg.t_max):
             _respawn_terminal(states, net, rng, cfg.min_sep_m)
             active = [i for i, s in enumerate(states) if s is not None]
-            cache: dict = {}
+            cache = PlanCache()
             chosen = {}
             for i in active:
                 for k in levels:
@@ -814,11 +814,11 @@ def evaluate_match(
     if not probes:
         raise ValueError("empty probe set")
     hits = 0
-    cache: dict = {}
+    cache = PlanCache()
     cache_key: Optional[int] = None
     for states, i, k, net in probes:
         if id(states) != cache_key:
-            cache = {}
+            cache = PlanCache()
             cache_key = id(states)
         expert = expert_policy(states, i, k, net, planner_cfg, cache).action_sequence[0]
         if policy.act(states, i, k, net) == expert:

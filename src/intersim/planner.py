@@ -8,9 +8,12 @@ action of the winner is executed, the rest is replanned next tick.
 
 The whole tree is expanded before any node is scored. A child's pose
 depends only on its parent's state and its own turn rate, so each depth
-keeps one pose row per (parent, distinct omega) and one features_many
-call scores all depths. Each node takes its pose's features and its own
-speed; the discounted values are summed depth by depth.
+keeps one pose row per (parent, distinct omega). The expansion and the
+opponent-free features, from one features_many call, form the ego tree,
+a function of the ego input (x, y, theta, speed, phase, goal_ref). A
+search fills the two overlap columns of a copy and sums the node values,
+each with its pose's features and its own speed, depth by depth.
+Searches that share a PlanCache share its trees and finished searches.
 
 Leaf ordering is node major, so np.argmax (first maximum) selects the
 lexicographically smallest tied sequence, with "maintain" first in the
@@ -29,7 +32,7 @@ import numpy as np
 from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, Action, ActionSet, VehicleState, rollout
 from .dynamics import PHASE_APPROACH, hold_trajectory
 from .geometry import RoadNetwork, wrap_angle_many
-from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, RewardWeights, ZoneSpec, features_many
+from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, RewardWeights, ZoneSpec, features_many, opponent_features
 
 
 @dataclass(frozen=True)
@@ -57,12 +60,45 @@ class PlanResult:
     opp_trajectories: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
-# Finished plans of one joint state, by planner config and then by
-# (vehicle, level). A plan is a pure function of (states, vehicle, level,
-# network, config), so every caller that plans from the same states may
-# share one table; the config key keeps differently configured planners
-# apart. Callers take their levelk_plan cache as plans.setdefault(cfg, {}).
-PlanTable = Dict[PlannerConfig, Dict[Tuple[int, int], PlanResult]]
+@dataclass
+class _EgoTree:
+    """What a best response computes from the ego input alone: the pose
+    rows (x, y, theta, cos theta, sin theta), pose rows per depth, node
+    rows and speeds, and the features with both overlap columns 0. searched
+    holds the finished searches by opponent trajectories ((j, bytes), ...)."""
+
+    poses: Tuple[np.ndarray, ...]
+    depth_rows: List[int]
+    node_rows: List[np.ndarray]
+    node_speeds: List[np.ndarray]
+    features: np.ndarray
+    searched: Dict[tuple, PlanResult] = field(default_factory=dict)
+
+
+class PlanCache(dict):
+    """Finished plans of one joint state under one config, by (vehicle,
+    level), and in trees the ego trees of its searches, by ego input
+    (x, y, theta, speed, phase, goal_ref) rather than by slot."""
+
+    def __init__(self):
+        super().__init__()
+        self.trees: Dict[tuple, _EgoTree] = {}
+
+    def tree(self, ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _EgoTree:
+        p = ego.pose
+        key = (p.x, p.y, p.theta, ego.speed, ego.phase, ego.goal_ref)
+        if key not in self.trees:
+            self.trees[key] = _ego_tree(ego, network, cfg)
+        return self.trees[key]
+
+
+# Plans of one joint state, by planner config. A plan is a pure function
+# of (states, vehicle, level, network, config), and an ego tree of (ego
+# input, network, config), so every caller that plans from the same
+# states may share one table; the config key keeps differently configured
+# planners, and their trees, apart. Callers take their cache as
+# plans.setdefault(cfg, PlanCache()).
+PlanTable = Dict[PlannerConfig, PlanCache]
 
 
 def level0_plan(
@@ -70,11 +106,12 @@ def level0_plan(
     i: int,
     network: RoadNetwork,
     cfg: PlannerConfig = DEFAULT_PLANNER,
+    cache: Optional[PlanCache] = None,
 ) -> PlanResult:
     """Best response against opponents frozen at their current poses."""
     near = near_indices(states, i, cfg)
     opp = {j: hold_trajectory(states[j].pose, cfg.horizon_n) for j in near}
-    return _best_response(states[i], opp, network, cfg)
+    return _best_response(states[i], opp, network, cfg, cache)
 
 
 def levelk_plan(
@@ -83,21 +120,21 @@ def levelk_plan(
     k: int,
     network: RoadNetwork,
     cfg: PlannerConfig = DEFAULT_PLANNER,
-    cache: Optional[Dict[Tuple[int, int], PlanResult]] = None,
+    cache: Optional[PlanCache] = None,
 ) -> PlanResult:
-    """Level-k best response. cache maps (vehicle, level) to finished plans
-    and is shared across vehicles within one decision tick."""
+    """Level-k best response. cache holds the finished plans and ego trees
+    of these states and is shared across vehicles within one decision tick."""
     if cache is not None and (i, k) in cache:
         return cache[(i, k)]
     if k == 0:
-        res = level0_plan(states, i, network, cfg)
+        res = level0_plan(states, i, network, cfg, cache)
     else:
         near = near_indices(states, i, cfg)
         opp = {}
         for j in near:
             sub = levelk_plan(states, j, k - 1, network, cfg, cache)
             opp[j] = sub.trajectory
-        res = _best_response(states[i], opp, network, cfg)
+        res = _best_response(states[i], opp, network, cfg, cache)
     if cache is not None:
         cache[(i, k)] = res
     return res
@@ -108,11 +145,13 @@ def best_response(
     opp_trajectories: Dict[int, np.ndarray],
     network: RoadNetwork,
     cfg: PlannerConfig = DEFAULT_PLANNER,
+    cache: Optional[PlanCache] = None,
 ) -> PlanResult:
     """Single-agent receding-horizon search against externally committed
     opponent trajectories, each (N+1, 4). The adaptive controller supplies
-    per-opponent predictions here instead of the level recursion."""
-    return _best_response(ego, opp_trajectories, network, cfg)
+    per-opponent predictions here instead of the level recursion; with the
+    tick's cache, it reads the ego tree its levelk searches built."""
+    return _best_response(ego, opp_trajectories, network, cfg, cache)
 
 
 def expert_policy(
@@ -121,7 +160,7 @@ def expert_policy(
     k: int,
     network: RoadNetwork,
     cfg: PlannerConfig = DEFAULT_PLANNER,
-    cache: Optional[Dict[Tuple[int, int], PlanResult]] = None,
+    cache: Optional[PlanCache] = None,
 ) -> PlanResult:
     """The game-tree teacher queried during imitation and evaluation."""
     if not 0 <= k <= cfg.k_max:
@@ -158,7 +197,45 @@ def _best_response(
     opp_trajectories: Dict[int, np.ndarray],
     network: RoadNetwork,
     cfg: PlannerConfig,
+    cache: Optional[PlanCache] = None,
 ) -> PlanResult:
+    tree = _ego_tree(ego, network, cfg) if cache is None else cache.tree(ego, network, cfg)
+    key = tuple((j, t.tobytes()) for j, t in opp_trajectories.items())
+    if key in tree.searched:
+        return tree.searched[key]
+    n = cfg.horizon_n
+    n_act = len(cfg.actions)
+    opp = list(opp_trajectories.values())
+    opp_arr = np.stack([t[:, :3] for t in opp]) if opp else np.zeros((0, n + 1, 3))
+    # the pose rows of depth tau face the opponents at instant tau + 1
+    opp_rows = np.repeat(opp_arr[:, 1:], tree.depth_rows, axis=1)
+    F = tree.features.copy()
+    opponent_features(F, *tree.poses, opp_rows, cfg.zones)
+
+    w_arr = cfg.weights.as_array()
+    value = np.zeros(1)
+    disc = 1.0
+    for rows, speeds in zip(tree.node_rows, tree.node_speeds):
+        fv = F[rows]
+        fv[:, 5] = speeds
+        value = np.repeat(value, n_act) + disc * (fv @ w_arr)
+        disc *= cfg.lam
+
+    best = int(np.argmax(value))
+    seq = [int(a) for a in np.unravel_index(best, (n_act,) * n)]
+    actions = [cfg.actions[i] for i in seq]
+    traj = rollout(ego.pose, ego.speed, actions, dt=cfg.dt_s, v_max=cfg.v_max)
+    res = tree.searched[key] = PlanResult(
+        action_sequence=seq,
+        first_action=actions[0],
+        value=float(value[best]),
+        trajectory=traj,
+        opp_trajectories=opp_trajectories,
+    )
+    return res
+
+
+def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _EgoTree:
     if ego.goal_ref is None:
         raise ValueError("vehicle has no goal lane")
     lay, lane = network.resolve(ego.goal_ref)
@@ -197,36 +274,13 @@ def _best_response(
         TH = th[rows]
 
     PX, PY, PTH = (np.concatenate(c) for c in zip(*poses))
-    opp = list(opp_trajectories.values())
-    opp_arr = np.stack([t[:, :3] for t in opp]) if opp else np.zeros((0, n + 1, 3))
-    # the pose rows of depth tau face the opponents at instant tau + 1
-    opp_rows = np.repeat(opp_arr[:, 1:], [len(p[2]) for p in poses], axis=1)
+    cth, sth = np.cos(PTH), np.sin(PTH)
     exiting = (ego.phase != PHASE_APPROACH) & ~_in_core_many(lay, PX, PY)
     F = features_many(
-        PX, PY, PTH, np.zeros(n_rows), opp_rows, bsegs, msegs, lay.straight_lane_rects(), lane.id,
-        exiting, lane.ref_point, cfg.zones,
+        PX, PY, PTH, np.zeros(n_rows), np.zeros((0, 3)), bsegs, msegs, lay.straight_lane_rects(), lane.id,
+        exiting, lane.ref_point, cfg.zones, cth, sth,
     )
-
-    w_arr = cfg.weights.as_array()
-    value = np.zeros(1)
-    disc = 1.0
-    for rows, speeds in zip(node_rows, node_speeds):
-        fv = F[rows]
-        fv[:, 5] = speeds
-        value = np.repeat(value, n_act) + disc * (fv @ w_arr)
-        disc *= cfg.lam
-
-    best = int(np.argmax(value))
-    seq = [int(a) for a in np.unravel_index(best, (n_act,) * n)]
-    actions = [cfg.actions[i] for i in seq]
-    traj = rollout(ego.pose, ego.speed, actions, dt=dt, v_max=cfg.v_max)
-    return PlanResult(
-        action_sequence=seq,
-        first_action=actions[0],
-        value=float(value[best]),
-        trajectory=traj,
-        opp_trajectories=opp_trajectories,
-    )
+    return _EgoTree((PX, PY, PTH, cth, sth), [len(p[2]) for p in poses], node_rows, node_speeds, F)
 
 
 def _in_core_many(lay, x: np.ndarray, y: np.ndarray) -> np.ndarray:

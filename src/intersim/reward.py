@@ -136,22 +136,8 @@ def _any_segment_hits(segs: np.ndarray, rect: OrientedRect) -> bool:
     return False
 
 
-def reward(fv: FeatureVector, weights: RewardWeights = DEFAULT_WEIGHTS) -> float:
-    return float(np.dot(fv.as_array(), weights.as_array()))
-
-
-def discounted_return(rewards: Sequence[float], lam: float) -> float:
-    """Sum of lam**t * rewards[t]."""
-    total = 0.0
-    f = 1.0
-    for r in rewards:
-        total += f * r
-        f *= lam
-    return total
-
-
 # ---------------------------------------------------------------------------
-# batched evaluation, one call per best response in the planner
+# batched evaluation, one features_many call per ego tree in the planner
 
 
 def features_many(
@@ -167,26 +153,21 @@ def features_many(
     exiting_mask: np.ndarray,
     ref_point: Tuple[float, float],
     zones: ZoneSpec = DEFAULT_ZONES,
+    cth: Optional[np.ndarray] = None,
+    sth: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Feature matrix (B, 6) for B candidate ego states.
 
     opp_states holds opponent rows (x, y, theta) within the interaction
     radius, m possibly 0: (m, 3) when all rows share one time instant, or
-    (m, B, 3) when row b faces its own opponents opp_states[:, b].
+    (m, B, 3) when row b faces its own opponents opp_states[:, b]. cth and
+    sth, when given, are cos and sin of theta.
     """
     B = x.shape[0]
     out = np.zeros((B, 6))
-    cth, sth = np.cos(theta), np.sin(theta)
-
-    if len(opp_states):
-        hit_c = overlap_rects_group(
-            x, y, theta, zones.c_length, zones.c_width, opp_states, zones.c_length, zones.c_width, cth, sth
-        )
-        hit_s = overlap_rects_group(
-            x, y, theta, zones.s_length, zones.s_width, opp_states, zones.s_length, zones.s_width, cth, sth
-        )
-        out[:, 0] = np.where(hit_c, -1.0, 0.0)
-        out[:, 3] = np.where(hit_s, -1.0, 0.0)
+    if cth is None:
+        cth, sth = np.cos(theta), np.sin(theta)
+    opponent_features(out, x, y, theta, cth, sth, opp_states, zones)
 
     # one clip pass over boundaries and markings together
     nb = len(boundary_segs)
@@ -218,3 +199,20 @@ def features_many(
     out[:, 4] = -(np.abs(ref_point[0] - x) + np.abs(ref_point[1] - y))
     out[:, 5] = v
     return out
+
+
+def opponent_features(out, x, y, theta, cth, sth, opp_states: np.ndarray, zones: ZoneSpec) -> None:
+    """Fills the overlap columns 0 (collision zones) and 3 (safe zones) of
+    the feature matrix out for the rows (x, y, theta) with cos and sin
+    cth, sth; opp_states as in features_many. Without opponents the
+    columns keep their values."""
+    if not len(opp_states):
+        return
+    hit_c = overlap_rects_group(
+        x, y, theta, zones.c_length, zones.c_width, opp_states, zones.c_length, zones.c_width, cth, sth
+    )
+    hit_s = overlap_rects_group(
+        x, y, theta, zones.s_length, zones.s_width, opp_states, zones.s_length, zones.s_width, cth, sth
+    )
+    out[:, 0] = np.where(hit_c, -1.0, 0.0)
+    out[:, 3] = np.where(hit_s, -1.0, 0.0)

@@ -10,8 +10,11 @@ test terminates the episode instead.
 Each tick owns one plan table (planner.PlanTable). The traffic policy,
 the AV's decision and the AV's belief observation all plan from s_t, so
 a level-k best response searched by one of them is reused by the others
-instead of searched again. The table holds plans of s_t only and is
-dropped when the tick ends.
+instead of searched again. Each config's PlanCache also holds the tick's
+ego trees, keyed by ego input (x, y, theta, speed, phase, goal_ref), so
+every search from one vehicle's state, the AV's own best response
+included, expands and scores the ego side once. The table holds plans of
+s_t only and is dropped when the tick ends.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .geometry import (
     segments_hit_rects,
     turn_targets,
 )
-from .planner import DEFAULT_PLANNER, PlannerConfig, PlanTable, expert_policy
+from .planner import DEFAULT_PLANNER, PlanCache, PlannerConfig, PlanTable, expert_policy
 from .reward import DEFAULT_ZONES
 
 MIN_SEPARATION_M = 10.0
@@ -242,7 +245,7 @@ class ExpertTraffic(TrafficPolicy):
         self.cfg = cfg
 
     def select(self, states, levels, indices, network, plans):
-        cache = plans.setdefault(self.cfg, {})
+        cache = plans.setdefault(self.cfg, PlanCache())
         return {
             i: expert_policy(states, i, levels[i], network, self.cfg, cache).action_sequence[0]
             for i in indices

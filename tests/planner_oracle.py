@@ -6,8 +6,9 @@ code with the planner's batched expansion, so agreement between the two is
 a real check. Iteration order is lexicographic and ties keep the first
 maximum, mirroring the planner's argmax convention.
 
-The scalar segment predicates at the end are the reference for the
-batched segment paths of the library.
+The scalar stage reward and discounted return, and the scalar segment
+predicates at the end, are the references for the batched paths of the
+library.
 """
 
 import itertools
@@ -62,12 +63,27 @@ def exhaustive_plan(states, i, k, network, cfg, cache=None):
             fv = rw.features(
                 p, v, others, lay, ref, exiting=exiting, target_lane=lane.id, zones=cfg.zones
             )
-            total += f * rw.reward(fv, cfg.weights)
+            total += f * reward(fv, cfg.weights)
             f *= cfg.lam
         if total > best_val:
             best_seq, best_val = list(seq), total
     cache[(i, k)] = (best_seq, best_val)
     return best_seq, best_val
+
+
+def reward(fv, weights=rw.DEFAULT_WEIGHTS) -> float:
+    """Stage reward: the weighted sum of one FeatureVector."""
+    return float(fv.as_array() @ weights.as_array())
+
+
+def discounted_return(rewards, lam: float) -> float:
+    """Sum of lam**t * rewards[t]."""
+    total = 0.0
+    f = 1.0
+    for r in rewards:
+        total += f * r
+        f *= lam
+    return total
 
 
 _KINDS = ("fourway", "tshape", "roundabout")

@@ -186,6 +186,48 @@ def test_bad_rc_exits_one(tmp_path, policy_file, command, rc, capsys):
     assert not out.exists()
 
 
+_BAD_OVERRIDES = {
+    "n_vehicles-str": ({"n_vehicles": "3"}, "n_vehicles (expected int, got str)"),
+    "t_limit_s-negative": ({"t_limit_s": -1}, "t_limit_s must be finite and positive"),
+    "t_limit_s-zero": ({"t_limit_s": 0}, "t_limit_s must be finite and positive"),
+    "t_limit_s-inf": ({"t_limit_s": float("inf")}, "t_limit_s must be finite and positive"),
+    "beta-7": ({"beta": 7}, "beta must be in (0, 1]"),
+    "beta-0": ({"beta": 0.0}, "beta must be in (0, 1]"),
+    "beta-nan": ({"beta": float("nan")}, "beta must be in (0, 1]"),
+    "weights-unknown-key": ({"weights": {"foo": 1}}, "weights must map some of w_c, w_d, w_v, eps"),
+    "weights-nan": ({"weights": {"w_c": float("nan")}}, "to finite values, got {'w_c': nan}"),
+    "weights-str-value": ({"weights": {"w_c": "1"}}, "weights (expected"),
+    "weights-list": ({"weights": [1, 2]}, "weights (expected"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])
+@pytest.mark.parametrize("case", list(_BAD_OVERRIDES))
+def test_bad_spec_override_exits_one(tmp_path, policy_file, command, case, capsys):
+    override, message = _BAD_OVERRIDES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_limit_s": 5.0, **override}))
+    out = tmp_path / "out"
+    code = main(
+        [command, "--scene", "fourway", "--vehicles", "2", "--episodes", "1", "--av", "rule-based",
+         "--policy-file", policy_file, "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_good_spec_overrides_are_accepted(tmp_path, policy_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_limit_s": 2, "beta": 1, "weights": {"w_c": 20, "eps": 0.5}}))
+    code = main(
+        ["evaluate", "--scene", "fourway", "--vehicles", "2", "--episodes", "1", "--av", "rule-based",
+         "--policy-file", policy_file, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # render
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from planner_oracle import exhaustive_plan
+from planner_oracle import exhaustive_plan, reward
 
 from intersim import controllers
 from intersim import dynamics as dyn
@@ -193,7 +193,7 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
                 p, v, others, lay, lane.ref_point,
                 exiting=False, target_lane=lane.id, zones=cfg.zones,
             )
-            total += f * rw.reward(fv, cfg.weights)
+            total += f * reward(fv, cfg.weights)
             f *= cfg.lam
         if total > best_val:
             best_seq, best_val = list(seq), total

@@ -105,3 +105,34 @@ def test_every_benchmark_patch_point_exists(monkeypatch, dagger):
         assert tracer.missing == []
     finally:
         tracer.restore()
+
+
+def test_benchmark_hooks_read_the_right_arguments(monkeypatch):
+    """The tracer's hooks read the wrapped calls' positional arguments: a
+    signature change that shifted them would count the wrong thing. One
+    fourway expert tick under the tracer must give 777 feature rows per
+    features_many call at the default horizon, and no more distinct
+    searches than searches."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    from layers import instrument, per_layer
+    from tracer import Tracer
+
+    from intersim import scene
+    from intersim.controllers import AdaptiveController
+    from intersim.geometry import single_network
+    from intersim.planner import DEFAULT_PLANNER
+
+    cfg = scene.SceneConfig(network=single_network("fourway"), n_vehicles=3, av_policy="adaptive")
+    ep = scene.init_episode(cfg, seed=(1, 0))
+    tracer = Tracer()
+    try:
+        instrument(tracer, False)
+        scene.sim_step(ep, cfg, scene.ExpertTraffic(), AdaptiveController())
+    finally:
+        tracer.restore()
+    m = per_layer(tracer)
+    assert DEFAULT_PLANNER.horizon_n == 4
+    assert m["scene.sim_step.calls"] == 1
+    assert m["reward.features_many.calls"] > 0
+    assert m["reward.features_many.rows"] == 777 * m["reward.features_many.calls"]
+    assert 0 < m["planner.best_response.distinct"] <= m["planner.best_response.calls"]

