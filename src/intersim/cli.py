@@ -181,6 +181,8 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
         raise ConfigError(f"--rc must be finite and nonnegative, got {spec.rc_m}")
     if not (math.isfinite(spec.t_limit_s) and spec.t_limit_s > 0):
         raise ConfigError(f"t_limit_s must be finite and positive, got {spec.t_limit_s}")
+    if spec.arm_length_m is not None and not (math.isfinite(spec.arm_length_m) and spec.arm_length_m > 0):
+        raise ConfigError(f"arm_length_m must be finite and positive, got {spec.arm_length_m}")
     if not 0 < spec.beta <= 1:
         raise ConfigError(f"beta must be in (0, 1], got {spec.beta}")
     w = spec.weights or {}

@@ -40,9 +40,13 @@ from .scene import AVController
 
 BEHAVIORAL_MODELS: Tuple[int, ...] = (1, 2)
 
-# predictor(states, i, k, network) -> action index; supplied by the
-# distilled policy so this module never imports the learner.
-Predictor = Callable[[Sequence[Optional[VehicleState]], int, int, RoadNetwork], int]
+# predictor(states, indices, levels, network) -> one action index per row,
+# for vehicle indices[r] at level levels[r], all read from the same states;
+# supplied by the distilled policy (PolicyApproximator.act) so this module
+# never imports the learner.
+Predictor = Callable[
+    [Sequence[Optional[VehicleState]], Sequence[int], Sequence[int], RoadNetwork], np.ndarray
+]
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +138,11 @@ def predictor_rollout(
 ) -> Dict[int, np.ndarray]:
     """Joint N-step opponent prediction under an explicit policy.
 
-    Opponents advance together under predictor at their estimated levels
-    while the ego stays frozen at its current pose, mirroring how the
-    expert's committed trajectories treat the planning vehicle. Goal refs
-    are not advanced during the rollout, matching the search's frozen
-    route assumption.
+    Opponents advance together under predictor at their estimated levels,
+    one predictor call for all of them per horizon step, while the ego
+    stays frozen at its current pose, mirroring how the expert's committed
+    trajectories treat the planning vehicle. Goal refs are not advanced
+    during the rollout, matching the search's frozen route assumption.
     """
     cur: List[Optional[VehicleState]] = [
         s.copy() if s is not None else None for s in states
@@ -150,12 +154,13 @@ def predictor_rollout(
         st = cur[j]
         tr[0] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
         trajs[j] = tr
+    levels = [estimates[j] for j in opponents]
     for tau in range(1, n + 1):
-        picked = {j: predictor(cur, j, estimates[j], network) for j in opponents}
-        for j in opponents:
+        picked = predictor(cur, opponents, levels, network)
+        for j, a_idx in zip(opponents, picked):
             st = cur[j]
             st.pose, st.speed = step(
-                st.pose, st.speed, cfg.actions[picked[j]], dt=cfg.dt_s, v_max=cfg.v_max
+                st.pose, st.speed, cfg.actions[a_idx], dt=cfg.dt_s, v_max=cfg.v_max
             )
             trajs[j][tau] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
     return trajs
@@ -167,7 +172,6 @@ def adaptive_plan(
     beliefs: BeliefState,
     network: RoadNetwork,
     cfg: PlannerConfig = DEFAULT_PLANNER,
-    mode: str = "expert",
     predictor: Optional[Predictor] = None,
     cache: Optional[PlanCache] = None,
 ) -> PlanResult:
@@ -176,38 +180,35 @@ def adaptive_plan(
     Each interacting opponent is predicted over the horizon as its
     level-k-tilde plan, those trajectories are committed, and the ego
     maximizes its own discounted return against them with the planner's
-    tie-break. In expert mode the predictions come from the game-tree
-    search; in distilled mode from a joint closed-loop rollout under the
-    supplied explicit policy. The first action of the result is the
+    tie-break. Without a predictor the predictions come from the game-tree
+    search; with one, from a joint closed-loop rollout under that explicit
+    policy (predictor_rollout). The first action of the result is the
     control to apply. cache, when given, is the PlanCache of these states;
-    the expert-mode predictions and the ego's own search read and add
-    plans and ego trees there.
+    the searched predictions and the ego's own search read and add plans
+    and ego trees there.
     """
     near = near_indices(states, i, cfg)
     estimates = {j: estimate_level(beliefs.vec(j), beliefs.model_set) for j in near}
     if not near:
         return level0_plan(list(states), i, network, cfg, cache)
-    if mode == "expert":
+    if predictor is not None:
+        opp = predictor_rollout(states, i, near, estimates, network, cfg, predictor)
+    else:
         opp = {
             j: levelk_plan(list(states), j, estimates[j], network, cfg, cache).trajectory
             for j in near
         }
-    elif mode == "distilled":
-        if predictor is None:
-            raise ValueError("distilled mode needs a predictor")
-        opp = predictor_rollout(states, i, near, estimates, network, cfg, predictor)
-    else:
-        raise ValueError(f"unknown adaptive mode {mode!r}")
     return best_response(states[i], opp, network, cfg, cache)
 
 
 class AdaptiveController(AVController):
     """Level-estimating AV: observe, re-estimate, best-respond.
 
-    predictor, when given, supplies the per-level action predictions used
-    in the belief update (the distilled estimator); without it the
-    game-tree expert is queried. mode selects how opponent trajectories
-    are generated for planning.
+    predictor, when given, is the distilled policy: it rolls the
+    opponents out for planning (adaptive_plan) and supplies the per-level
+    action predictions of the belief update, one call for all
+    (opponent, level) rows of a tick. Without it the game-tree expert
+    does both.
     """
 
     def __init__(
@@ -215,16 +216,10 @@ class AdaptiveController(AVController):
         model_set: Tuple[int, ...] = BEHAVIORAL_MODELS,
         beta: float = 0.6,
         planner: PlannerConfig = DEFAULT_PLANNER,
-        mode: str = "expert",
         predictor: Optional[Predictor] = None,
     ):
-        if mode not in ("expert", "distilled"):
-            raise ValueError(f"unknown adaptive mode {mode!r}")
-        if mode == "distilled" and predictor is None:
-            raise ValueError("distilled mode needs a predictor")
         self.beliefs = BeliefState(model_set=model_set, beta=beta)
         self.planner = planner
-        self.mode = mode
         self.predictor = predictor
         self._ego: Optional[int] = None
         # running per-opponent max of each model probability, for
@@ -238,7 +233,7 @@ class AdaptiveController(AVController):
     ) -> int:
         self._ego = i
         res = adaptive_plan(
-            states, i, self.beliefs, network, self.planner, self.mode, self.predictor,
+            states, i, self.beliefs, network, self.planner, self.predictor,
             plans.setdefault(self.planner, PlanCache()),
         )
         return res.action_sequence[0]
@@ -253,22 +248,27 @@ class AdaptiveController(AVController):
         if self._ego is None or prev_states[self._ego] is None:
             return
         near = set(near_indices(prev_states, self._ego, self.planner))
-        cache = plans.setdefault(self.planner, PlanCache())
         snapshot = list(prev_states)
-        for j, a_idx in actions.items():
-            if j == self._ego or j not in near:
-                continue
+        opps = [j for j in actions if j != self._ego and j in near]
+        if not opps:
+            return
+        ks = self.beliefs.model_set
+        rows = [(j, k) for j in opps for k in ks]
+        if self.predictor is not None:
+            picked = self.predictor(snapshot, [j for j, _ in rows], [k for _, k in rows], network)
+        else:
+            cache = plans.setdefault(self.planner, PlanCache())
+            picked = [
+                levelk_plan(snapshot, j, k, network, self.planner, cache).action_sequence[0]
+                for j, k in rows
+            ]
+        pred_idx = dict(zip(rows, picked))
+        for j in opps:
             preds: Dict[int, Tuple[float, float]] = {}
-            for k in self.beliefs.model_set:
-                if self.predictor is not None:
-                    p_idx = self.predictor(snapshot, j, k, network)
-                else:
-                    p_idx = levelk_plan(
-                        snapshot, j, k, network, self.planner, cache
-                    ).action_sequence[0]
-                act = self.planner.actions[p_idx]
+            for k in ks:
+                act = self.planner.actions[pred_idx[(j, k)]]
                 preds[k] = (act.accel, act.omega)
-            obs_act = self.planner.actions[a_idx]
+            obs_act = self.planner.actions[actions[j]]
             self.beliefs = update_beliefs(
                 self.beliefs, j, (obs_act.accel, obs_act.omega), preds
             )
@@ -294,7 +294,7 @@ class DistilledAdaptiveController(AdaptiveController):
 
     actor(states, i, estimates, network) -> action index replaces the
     online best-response search; beliefs still update every tick through
-    the supplied per-level predictor.
+    the supplied batched predictor, as in AdaptiveController.observe.
     """
 
     def __init__(
@@ -307,7 +307,7 @@ class DistilledAdaptiveController(AdaptiveController):
         beta: float = 0.6,
         planner: PlannerConfig = DEFAULT_PLANNER,
     ):
-        super().__init__(model_set, beta, planner, mode="distilled", predictor=predictor)
+        super().__init__(model_set, beta, planner, predictor)
         self.actor = actor
 
     def decide(
@@ -323,7 +323,7 @@ class DistilledAdaptiveController(AdaptiveController):
 
 class FixedLevelController(AVController):
     """Ego that plays a fixed behavioral level, as the expert tree search
-    or through a distilled predictor."""
+    or through a distilled predictor queried with its one row."""
 
     def __init__(
         self,
@@ -341,7 +341,7 @@ class FixedLevelController(AVController):
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
     ) -> int:
         if self.predictor is not None:
-            return self.predictor(states, i, self.level, network)
+            return int(self.predictor(states, [i], [self.level], network)[0])
         cache = plans.setdefault(self.planner, PlanCache())
         return levelk_plan(list(states), i, self.level, network, self.planner, cache).action_sequence[0]
 

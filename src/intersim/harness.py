@@ -279,13 +279,11 @@ def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
             m_near = apol.encoding["m_near"]
 
             def actor(states, i, estimates, network):
-                return apol.predict_one(
-                    encode_state_adaptive(states, i, estimates, network, m_near)
-                )
+                x = encode_state_adaptive(states, i, estimates, network, m_near)
+                return int(apol.predict(x)[0])
 
             return DistilledAdaptiveController(actor, predictor, beta=spec.beta)
-        mode = "distilled" if predictor is not None else "expert"
-        return AdaptiveController(beta=spec.beta, mode=mode, predictor=predictor)
+        return AdaptiveController(beta=spec.beta, predictor=predictor)
     raise ValueError(f"unknown av policy {spec.av!r}")
 
 

@@ -13,6 +13,7 @@ gradient descent on a softmax cross-entropy loss.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -367,12 +368,15 @@ class PolicyApproximator:
         X = np.atleast_2d(X)
         return np.argmax(self.logits(X), axis=1)
 
-    def predict_one(self, enc: np.ndarray) -> int:
-        return int(self.predict(enc)[0])
-
-    def act(self, states, i, k, network) -> int:
-        """Action index for vehicle i behaving at level k."""
-        return self.predict_one(encode_state(states, i, k, network, self.encoding["m_near"]))
+    def act(self, states, indices, levels, network) -> np.ndarray:
+        """Action index per row: vehicle indices[r] of states behaving at
+        level levels[r]. One encode per row, one predict for all rows."""
+        if not len(indices):
+            return np.zeros(0, dtype=int)
+        m_near = self.encoding["m_near"]
+        return self.predict(
+            np.stack([encode_state(states, i, k, network, m_near) for i, k in zip(indices, levels)])
+        )
 
     # -- training -----------------------------------------------------------
 
@@ -693,13 +697,13 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
 
     for n, net, states in _episodes(cfg, rng, cfg.n_max):
         bg_levels = {j: levels[rng.integers(len(levels))] for j in range(1, cfg.n_vehicles)}
-        beliefs = BeliefState()
+        beliefs = BeliefState(model_set=tuple(levels))
         disagreements = 0
         queries = 0
         for _t in range(cfg.t_max):
             for i in _respawn_terminal(states, net, rng, cfg.min_sep_m):
                 if i == 0:
-                    beliefs = BeliefState(beta=beliefs.beta)
+                    beliefs = BeliefState(model_set=beliefs.model_set, beta=beliefs.beta)
                 else:
                     beliefs.reset(i)
             cache = PlanCache()
@@ -717,9 +721,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                     for j in opp_active
                 }
                 x = encode_state_adaptive(states, 0, estimates, net, cfg.m_near)
-                expert = adaptive_plan(
-                    states, 0, beliefs, net, cfg.planner, "expert", cache=cache
-                ).action_sequence[0]
+                expert = adaptive_plan(states, 0, beliefs, net, cfg.planner, cache=cache).action_sequence[0]
                 guess = int(policy.predict(x[None, :])[0])
                 queries += 1
                 if guess != expert:
@@ -782,9 +784,11 @@ def collect_probes(
     seed: int = 7,
 ) -> List[Tuple[List[Optional[VehicleState]], int, int, RoadNetwork]]:
     """Probe states sampled under the trained policy's own rollouts, the
-    distribution that matters at deployment. All vehicles decide from one
-    snapshot per tick, then move together. Returns (states, i, k, network)
-    tuples; consecutive probes share the same frozen snapshot."""
+    distribution that matters at deployment. Each tick draws every active
+    vehicle's level in slot order, then one act call decides all of them
+    from that tick's snapshot, and they move together. Returns
+    (states, i, k, network) tuples; consecutive probes share the same
+    frozen snapshot."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 4)))
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     probes = []
@@ -796,11 +800,9 @@ def collect_probes(
             for i in active:
                 for k in levels:
                     probes.append((snapshot, i, k, net))
-            chosen = {}
-            for i in active:
-                k_t = levels[rng.integers(len(levels))]
-                chosen[i] = policy.act(states, i, k_t, net)
-            _advance(states, chosen, net)
+            k_t = [levels[rng.integers(len(levels))] for _ in active]
+            chosen = policy.act(states, active, k_t, net)
+            _advance(states, {i: int(a) for i, a in zip(active, chosen)}, net)
     return probes
 
 
@@ -814,15 +816,14 @@ def evaluate_match(
     if not probes:
         raise ValueError("empty probe set")
     hits = 0
-    cache = PlanCache()
-    cache_key: Optional[int] = None
-    for states, i, k, net in probes:
-        if id(states) != cache_key:
-            cache = PlanCache()
-            cache_key = id(states)
-        expert = expert_policy(states, i, k, net, planner_cfg, cache).action_sequence[0]
-        if policy.act(states, i, k, net) == expert:
-            hits += 1
+    for _, tick in itertools.groupby(probes, key=lambda p: id(p[0])):
+        tick = list(tick)
+        states, net = tick[0][0], tick[0][3]
+        cache = PlanCache()
+        guesses = policy.act(states, [p[1] for p in tick], [p[2] for p in tick], net)
+        for (_, i, k, _), guess in zip(tick, guesses):
+            expert = expert_policy(states, i, k, net, planner_cfg, cache).action_sequence[0]
+            hits += int(guess) == expert
     lo, hi = wilson_interval(hits, len(probes))
     return {"match": hits / len(probes), "n": len(probes), "ci_low": lo, "ci_high": hi}
 
@@ -832,19 +833,13 @@ def evaluate_match(
 
 
 class DistilledTraffic(TrafficPolicy):
-    """Background traffic driven by the distilled classifier: one encode
-    per vehicle and a single batched forward pass per tick. It does not
+    """Background traffic driven by the distilled classifier: one act call
+    per tick for all background vehicles at their levels. It does not
     search, so it leaves the tick's plan table alone."""
 
     def __init__(self, policy: PolicyApproximator):
         self.policy = policy
-        self.m_near = policy.encoding["m_near"]
 
     def select(self, states, levels, indices, network, plans):
-        if not indices:
-            return {}
-        X = np.stack(
-            [encode_state(states, i, levels[i], network, self.m_near) for i in indices]
-        )
-        out = self.policy.predict(X)
+        out = self.policy.act(states, indices, [levels[i] for i in indices], network)
         return {i: int(a) for i, a in zip(indices, out)}

@@ -191,6 +191,9 @@ _BAD_OVERRIDES = {
     "t_limit_s-negative": ({"t_limit_s": -1}, "t_limit_s must be finite and positive"),
     "t_limit_s-zero": ({"t_limit_s": 0}, "t_limit_s must be finite and positive"),
     "t_limit_s-inf": ({"t_limit_s": float("inf")}, "t_limit_s must be finite and positive"),
+    "arm_length_m-zero": ({"arm_length_m": 0}, "arm_length_m must be finite and positive"),
+    "arm_length_m-negative": ({"arm_length_m": -5}, "arm_length_m must be finite and positive"),
+    "arm_length_m-inf": ({"arm_length_m": float("inf")}, "arm_length_m must be finite and positive"),
     "beta-7": ({"beta": 7}, "beta must be in (0, 1]"),
     "beta-0": ({"beta": 0.0}, "beta must be in (0, 1]"),
     "beta-nan": ({"beta": float("nan")}, "beta must be in (0, 1]"),
@@ -275,7 +278,7 @@ def test_render_bad_ticks_exit_one(tmp_path, policy_file, capsys):
 # train-policy
 
 
-def _tiny_train_cfg(tmp_path, variant):
+def _tiny_train_cfg(tmp_path, variant, **over):
     cfg = {
         "variant": variant,
         "n_max": 1,
@@ -285,6 +288,7 @@ def _tiny_train_cfg(tmp_path, variant):
             "hidden": 4, "min_steps": 5, "max_steps": 10,
             "final_epochs": 1.0, "final_max_steps": 10,
         },
+        **over,
     }
     path = tmp_path / f"train_{variant}.json"
     path.write_text(json.dumps(cfg))
@@ -310,6 +314,14 @@ def test_train_policy_adaptive_writes_artifacts(tmp_path, capsys):
         ["train-policy", "--config", _tiny_train_cfg(tmp_path, "adaptive"),
          "--out", str(tmp_path)]
     )
+    assert code == 0
+    capsys.readouterr()
+    assert (tmp_path / "policy_adaptive.json").exists()
+
+
+def test_train_policy_adaptive_at_one_level_exits_zero(tmp_path, capsys):
+    cfg = _tiny_train_cfg(tmp_path, "adaptive", k_max=1, t_max=4, n_vehicles=3)
+    code = main(["train-policy", "--config", cfg, "--out", str(tmp_path)])
     assert code == 0
     capsys.readouterr()
     assert (tmp_path / "policy_adaptive.json").exists()

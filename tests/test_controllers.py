@@ -6,6 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from adaptive_oracle import (
+    PerRowAdaptive,
+    PerRowDistilledAdaptive,
+    PerRowFixedLevel,
+    batched,
+    rollout_per_row,
+)
 from planner_oracle import exhaustive_plan, reward
 
 from intersim import controllers
@@ -15,6 +22,7 @@ from intersim.controllers import (
     AdaptiveController,
     BeliefState,
     DEFAULT_RULE,
+    DistilledAdaptiveController,
     FixedLevelController,
     RuleBasedConfig,
     RuleBasedController,
@@ -32,7 +40,7 @@ from intersim.controllers import (
 )
 from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState
 from intersim.geometry import make_city, single_network
-from intersim.planner import DEFAULT_PLANNER, level0_plan, levelk_plan
+from intersim.planner import DEFAULT_PLANNER, level0_plan, levelk_plan, near_indices
 from intersim.scene import SceneConfig, TrafficPolicy, init_episode, sim_step
 
 
@@ -236,6 +244,137 @@ def test_fixed_level_controller_matches_expert_plan():
         assert av.decide(states, 0, net, {}) == levelk_plan(states, 0, k, net).action_sequence[0]
     with pytest.raises(ValueError):
         FixedLevelController(0)
+
+
+# ---------------------------------------------------------------------------
+# distilled paths: the batched predictor against one query per row
+
+
+def _toy_row(states, i, k, network):
+    """Maintain, accelerate or decelerate, by vehicle i's position, its
+    slot and the level k. Levels 1 and 2 always differ, so a row paired
+    with the wrong vehicle or level changes the answer."""
+    st = states[i]
+    return (int(abs(st.pose.x) + abs(st.pose.y)) + k + i) % 3
+
+
+def _toy_actor(states, i, estimates, network):
+    return (int(abs(states[i].pose.x)) + sum(j * k for j, k in estimates.items())) % 3
+
+
+class _ToyTraffic(TrafficPolicy):
+    """Background vehicles play _toy_row at their true level, so the
+    AV's beliefs have a level to find."""
+
+    def select(self, states, levels, indices, network, plans):
+        return {i: _toy_row(states, i, levels[i], network) for i in indices}
+
+
+_FOURWAY = single_network("fourway")
+
+
+def _toy_episode(av, seed):
+    cfg = SceneConfig(network=_FOURWAY, n_vehicles=4, av_policy="adaptive", t_limit_s=12.0)
+    ep = init_episode(cfg, seed=(23, seed), collect_log=True)
+    while not ep.done:
+        sim_step(ep, cfg, _ToyTraffic(), av)
+    return ep
+
+
+def _same_run(av, ref, seed):
+    """Runs one seeded episode under each controller and compares the
+    ndjson logs and, for adaptive ones, the belief tables and peaks."""
+    got, want = _toy_episode(av, seed), _toy_episode(ref, seed)
+    assert got.log == want.log
+    assert (got.outcome, got.tick) == (want.outcome, want.tick)
+    if isinstance(ref, AdaptiveController):
+        assert av.beliefs.table.keys() == ref.beliefs.table.keys()
+        for j, p in ref.beliefs.table.items():
+            assert np.array_equal(av.beliefs.table[j], p)
+        got_peaks, want_peaks = av.peak_by_slot(), ref.peak_by_slot()
+        assert got_peaks.keys() == want_peaks.keys()
+        for j, p in want_peaks.items():
+            assert np.array_equal(got_peaks[j], p)
+
+
+def test_distilled_adaptive_paths_match_per_row_queries():
+    predictor = batched(_toy_row)
+    refs = []
+    for seed in range(4):
+        refs.append(PerRowAdaptive(_toy_row))
+        _same_run(AdaptiveController(predictor=predictor), refs[-1], seed)
+        refs.append(PerRowDistilledAdaptive(_toy_actor, _toy_row))
+        _same_run(DistilledAdaptiveController(_toy_actor, predictor), refs[-1], seed)
+    # the comparison is only as sharp as the beliefs it compares: every
+    # tracked vehicle leans to a level, and respawns reset some of them
+    peaks = [p for ref in refs for p in ref.peak_by_slot().values()]
+    assert len(peaks) >= 20 and all(p.max() > 0.9 for p in peaks)
+    assert sum(len(ref.resolved) for ref in refs) >= 4
+
+
+def test_fixed_level_distilled_ego_matches_per_row_queries():
+    predictor = batched(_toy_row)
+    for k in (1, 2):
+        for seed in range(3):
+            _same_run(FixedLevelController(k, predictor=predictor), PerRowFixedLevel(k, _toy_row), seed)
+
+
+def test_predictor_rollout_matches_per_row_rollout():
+    snaps = []
+
+    class Recording(PerRowAdaptive):
+        def decide(self, states, i, network, plans):
+            snaps.append([s.copy() if s is not None else None for s in states])
+            return super().decide(states, i, network, plans)
+
+    for seed in range(2):
+        _toy_episode(Recording(_toy_row), seed)
+    rng = np.random.default_rng(8)
+    cfg = DEFAULT_PLANNER
+    seen = 0
+    for states in snaps:
+        for i in (i for i, st in enumerate(states) if st is not None):
+            near = near_indices(states, i, cfg)
+            if len(near) < 2:
+                continue
+            est = {j: int(rng.integers(1, 3)) for j in near}
+            got = controllers.predictor_rollout(states, i, near, est, _FOURWAY, cfg, batched(_toy_row))
+            want = rollout_per_row(states, near, est, _FOURWAY, cfg, _toy_row)
+            assert got.keys() == want.keys()
+            for j in near:
+                assert np.array_equal(got[j], want[j])
+            seen += len(set(est.values())) > 1
+    assert seen >= 20
+
+
+def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
+    calls = []
+
+    def counting(states, indices, levels, network):
+        calls.append(len(indices))
+        return batched(_toy_row)(states, indices, levels, network)
+
+    class Counted(AdaptiveController):
+        def decide(self, states, i, network, plans):
+            n0 = len(calls)
+            a = super().decide(states, i, network, plans)
+            n_near = len(near_indices(states, i, self.planner))
+            assert calls[n0:] == ([n_near] * self.planner.horizon_n if n_near else [])
+            stats["rollouts"] += n_near > 0
+            return a
+
+        def observe(self, prev_states, actions, network, plans):
+            n0 = len(calls)
+            super().observe(prev_states, actions, network, plans)
+            near = near_indices(prev_states, self._ego, self.planner)
+            n_opp = sum(j != self._ego and j in near for j in actions)
+            assert calls[n0:] == ([n_opp * len(self.beliefs.model_set)] if n_opp else [])
+            stats["observes"] += n_opp > 0
+
+    stats = {"rollouts": 0, "observes": 0}
+    for seed in range(2):
+        _toy_episode(Counted(predictor=counting), seed)
+    assert stats["rollouts"] >= 10 and stats["observes"] >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def _unused_imports(tree):
 def test_no_module_imports_a_name_it_never_uses():
     unused = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
-        for root in (PACKAGE, ROOT / "tests")
+        for root in (PACKAGE, ROOT / "tests", ROOT / "benchmarks")
         for path in sorted(root.rglob("*.py"))
         for name, line in _unused_imports(_parse(path))
     ]

@@ -33,6 +33,7 @@ from intersim.imitation import (
     levelk_feature_names,
     wilson_interval,
 )
+from intersim.planner import expert_policy
 
 POS_SCALE = 40.0
 
@@ -347,7 +348,9 @@ def test_dagger_smoke_run_produces_consistent_history():
         assert 0.0 <= h["disagreement"] <= 1.0
     assert res.policy.sizes == [LEVELK_DIM, 8, 6]
     states, net = _scene()
-    assert 0 <= res.policy.act(states, 0, 1, net) < 6
+    acts = res.policy.act(states, [0, 1, 2], [1, 2, 1], net)
+    assert acts.shape == (3,)
+    assert np.all((0 <= acts) & (acts < 6))
 
 
 def test_dagger_early_stop_by_calm_streak():
@@ -377,7 +380,25 @@ def test_adaptive_dagger_smoke_run():
     assert res.policy.encoding["variant"] == "adaptive"
     states, net = _scene()
     x = encode_state_adaptive(states, 0, {1: 1, 2: 2}, net)
-    assert 0 <= res.policy.predict_one(x) < 6
+    acts = res.policy.predict(x)
+    assert acts.shape == (1,)
+    assert 0 <= acts[0] < 6
+
+
+def test_adaptive_dagger_at_one_level():
+    # beliefs span the trained levels only, also after the ego respawns
+    # (at the second tick under this seed)
+    cfg = DaggerConfig(
+        n_max=1,
+        t_max=4,
+        n_vehicles=3,
+        k_max=1,
+        seed=5,
+        train=TrainConfig(hidden=4, min_steps=5, max_steps=10, final_epochs=1.0, final_max_steps=10),
+    )
+    res = dagger_train_adaptive(cfg)
+    assert [h["episode"] for h in res.history] == [1]
+    assert res.history[0]["dataset"] == len(res.dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +414,19 @@ def test_probe_rollouts_move_all_vehicles_from_one_snapshot():
     seen = []
 
     class Recorder:
-        def act(self, states, i, k, network):
-            seen.append(shown(states))
-            return 1  # accelerate, so every move changes the poses
+        def act(self, states, indices, levels, network):
+            seen.append((shown(states), list(indices)))
+            assert set(levels) <= {1, 2}
+            return np.ones(len(indices), dtype=int)  # accelerate, so every move changes the poses
 
     probes = collect_probes(Recorder(), 1, DaggerConfig(n_vehicles=3, t_max=3), seed=7)
-    # one act call per active vehicle, one probe per vehicle and level
-    assert len(seen) > 3
-    assert seen == [shown(snap) for snap, _, k, _ in probes if k == 1]
+    # one act call per tick for all its vehicles, one probe per vehicle and level
+    snaps = list({id(snap): snap for snap, _, _, _ in probes}.values())
+    assert len(snaps) == 3
+    assert seen == [
+        (shown(snap), [i for s, i, k, _ in probes if s is snap and k == 1]) for snap in snaps
+    ]
+    assert all(len(indices) == 3 for _, indices in seen)
 
 
 def test_probe_match_pipeline_on_a_tiny_policy():
@@ -413,6 +439,12 @@ def test_probe_match_pipeline_on_a_tiny_policy():
     assert len(probes) == 2 * 2 * 2
     out = evaluate_match(pol, probes)
     assert out["n"] == len(probes)
+    hits = sum(
+        int(pol.predict(encode_state(s, i, k, net))[0])
+        == expert_policy(s, i, k, net).action_sequence[0]
+        for s, i, k, net in probes
+    )
+    assert out["match"] == hits / len(probes)
     assert 0.0 <= out["ci_low"] <= out["match"] <= out["ci_high"] <= 1.0
     with pytest.raises(ValueError):
         evaluate_match(pol, [])
@@ -424,5 +456,6 @@ def test_distilled_traffic_matches_per_vehicle_queries():
     traffic = DistilledTraffic(pol)
     levels = {0: 1, 1: 2, 2: 1}
     out = traffic.select(states, levels, [0, 1, 2], net, {})
-    assert out == {i: pol.act(states, i, levels[i], net) for i in range(3)}
+    assert out == {i: int(pol.predict(encode_state(states, i, levels[i], net))[0]) for i in range(3)}
     assert traffic.select(states, levels, [], net, {}) == {}
+    assert pol.act(states, [], [], net).shape == (0,)

@@ -149,7 +149,7 @@ def _plan(states, net, cfg, query, beliefs, cache):
     kind, i, k = query
     if kind == "levelk":
         return levelk_plan(states, i, k, net, cfg, cache)
-    return adaptive_plan(states, i, beliefs, net, cfg, "expert", cache=cache)
+    return adaptive_plan(states, i, beliefs, net, cfg, cache=cache)
 
 
 _ACTION_SETS = (DEFAULT_ACTIONS, _DISTINCT_OMEGAS, _STRAIGHT_ONLY)
