@@ -30,6 +30,7 @@ from .harness import (
     run_one,
     write_report_csv,
 )
+from .imitation import DaggerConfig, PolicyApproximator, TrainConfig, dagger_train, dagger_train_adaptive
 
 
 class ConfigError(Exception):
@@ -173,8 +174,11 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
         raise ConfigError("distilled engine needs --policy-file")
     for key in ("policy_file", "adaptive_policy_file"):
         path = getattr(spec, key)
-        if path is not None and not os.path.exists(path):
+        if path is None:
+            continue
+        if not os.path.exists(path):
             raise ConfigError(f"{key.replace('_', '-')} not found: {path}")
+        PolicyApproximator.load(path)  # a malformed file raises ValueError naming it
     if spec.n_vehicles < 0:
         raise ConfigError("--vehicles must be nonnegative")
     if not (math.isfinite(spec.rc_m) and spec.rc_m >= 0):
@@ -189,6 +193,13 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
     if not (set(w) <= set(DEFAULT_WEIGHTS) and all(map(math.isfinite, w.values()))):
         raise ConfigError(f"weights must map some of {', '.join(DEFAULT_WEIGHTS)} to finite values, got {w}")
     return spec
+
+
+def _pop_workers(cfg: dict) -> int:
+    workers = cfg.pop("workers", 1)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+    return workers
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -250,9 +261,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    # imported here so the light subcommands do not pay for it
-    from .imitation import DaggerConfig, TrainConfig, dagger_train, dagger_train_adaptive
-
     cfg = _load_config(args.config)
     variant = cfg.pop("variant", "levelk")
     if variant not in ("levelk", "adaptive"):
@@ -295,7 +303,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
-    workers = int(cfg.pop("workers", 1))
+    workers = _pop_workers(cfg)
     spec = _spec_from_args(args, cfg)
     build_network(spec)
     n = args.episodes if args.episodes is not None else 200
@@ -319,8 +327,12 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
-    workers = int(cfg.pop("workers", 1))
-    models = cfg.pop("traffic_models", None) or list(TRAFFIC_MODELS)
+    workers = _pop_workers(cfg)
+    models = cfg.pop("traffic_models", list(TRAFFIC_MODELS))
+    if not (isinstance(models, list) and models and all(m in TRAFFIC_MODELS for m in models)):
+        raise ConfigError(
+            f"traffic_models must be a non-empty list of {', '.join(TRAFFIC_MODELS)}, got {models!r}"
+        )
     spec = _spec_from_args(args, cfg)
     build_network(spec)
     grid = _parse_grid(args.rc_grid)

@@ -118,9 +118,10 @@ def estimate_level(p: np.ndarray, model_set: Tuple[int, ...] = BEHAVIORAL_MODELS
     return model_set[best]
 
 
-def estimate_levels(beliefs: BeliefState) -> Dict[int, int]:
-    """Maximum-likelihood level per tracked opponent."""
-    return {j: estimate_level(p, beliefs.model_set) for j, p in beliefs.table.items()}
+def estimate_levels(beliefs: BeliefState, opponents: Sequence[int]) -> Dict[int, int]:
+    """Maximum-likelihood level per opponent; one not tracked yet starts
+    with a uniform belief."""
+    return {j: estimate_level(beliefs.vec(j), beliefs.model_set) for j in opponents}
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +188,8 @@ def adaptive_plan(
     the searched predictions and the ego's own search read and add plans
     and ego trees there.
     """
-    near = near_indices(states, i, cfg)
-    estimates = {j: estimate_level(beliefs.vec(j), beliefs.model_set) for j in near}
+    near = near_indices(states, i, cfg.interaction_radius_m)
+    estimates = estimate_levels(beliefs, near)
     if not near:
         return level0_plan(list(states), i, network, cfg, cache)
     if predictor is not None:
@@ -247,7 +248,7 @@ class AdaptiveController(AVController):
     ) -> None:
         if self._ego is None or prev_states[self._ego] is None:
             return
-        near = set(near_indices(prev_states, self._ego, self.planner))
+        near = set(near_indices(prev_states, self._ego, self.planner.interaction_radius_m))
         snapshot = list(prev_states)
         opps = [j for j in actions if j != self._ego and j in near]
         if not opps:
@@ -314,10 +315,8 @@ class DistilledAdaptiveController(AdaptiveController):
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
     ) -> int:
         self._ego = i
-        near = near_indices(states, i, self.planner)
-        estimates = {
-            j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
-        }
+        near = near_indices(states, i, self.planner.interaction_radius_m)
+        estimates = estimate_levels(self.beliefs, near)
         return self.actor(states, i, estimates, network)
 
 
@@ -349,6 +348,8 @@ class FixedLevelController(AVController):
 # ---------------------------------------------------------------------------
 # reference paths
 
+ARC_STEP_DEG = 5.0
+
 
 def _lane_dir(lane) -> Tuple[float, float]:
     dx = lane.p1[0] - lane.p0[0]
@@ -358,7 +359,7 @@ def _lane_dir(lane) -> Tuple[float, float]:
 
 
 def reference_path(
-    layout: RoadLayout, entrance: str, exit: str, arc_step_deg: float = 5.0
+    layout: RoadLayout, entrance: str, exit: str
 ) -> np.ndarray:
     """Polyline from the entrance centerline to the exit centerline.
 
@@ -366,7 +367,8 @@ def reference_path(
     tangent to both (straight-through pairs collapse to one segment);
     U-turns there are illegal. Roundabouts run the entrance centerline to
     the circulating-lane circle, follow it counterclockwise to the exit
-    radial, then leave along the exit centerline. Returns (M, 2) vertices.
+    radial, then leave along the exit centerline. Arcs get a vertex every
+    ARC_STEP_DEG or closer. Returns (M, 2) vertices.
     """
     lane_in = layout.lanes[entrance]
     lane_out = layout.lanes[exit]
@@ -398,7 +400,7 @@ def reference_path(
         sweep = (a2 - a1) % (2 * math.pi)
         if not left:
             sweep = sweep - 2 * math.pi
-        n_arc = max(2, int(abs(sweep) / math.radians(arc_step_deg)) + 1)
+        n_arc = max(2, int(abs(sweep) / math.radians(ARC_STEP_DEG)) + 1)
         ang = a1 + sweep * np.linspace(0.0, 1.0, n_arc)
         arc = np.column_stack([center[0] + r * np.cos(ang), center[1] + r * np.sin(ang)])
         pts = np.vstack([[lane_in.p0], arc, [lane_out.p1]])
@@ -418,7 +420,7 @@ def reference_path(
         sweep = (a2 - a1) % (2 * math.pi)
         if sweep < 1e-9:
             sweep = 2 * math.pi
-        n_arc = max(2, int(sweep / math.radians(arc_step_deg)) + 1)
+        n_arc = max(2, int(sweep / math.radians(ARC_STEP_DEG)) + 1)
         ang = a1 + sweep * np.linspace(0.0, 1.0, n_arc)
         arc = np.column_stack([cx + r_ring * np.cos(ang), cy + r_ring * np.sin(ang)])
         pts = np.vstack([[lane_in.p0], [lane_in.p1], arc, [lane_out.p0], [lane_out.p1]])
@@ -563,11 +565,6 @@ def _entrance_lane(lay: RoadLayout, x: float, y: float) -> Optional[str]:
     return None
 
 
-def _beyond_rc(ego: VehicleState, st: VehicleState, cfg: RuleBasedConfig) -> bool:
-    """The proximity condition of conflict_set fails: centers farther apart than rc_m."""
-    return math.hypot(st.pose.x - ego.pose.x, st.pose.y - ego.pose.y) > cfg.rc_m
-
-
 def conflict_set(
     states: Sequence[Optional[VehicleState]],
     i: int,
@@ -578,14 +575,11 @@ def conflict_set(
     conflict radius: both the path condition (minimum polyline distance
     at most the lateral tolerance) and the proximity condition (centers
     within rc_m) must hold."""
-    ego = states[i]
+    near = set(near_indices(states, i, cfg.rc_m))
     ego_segs = polyline_segments(paths[i])
     out = []
     for j, pts in paths.items():
-        if j == i or states[j] is None:
-            continue
-        st = states[j]
-        if _beyond_rc(ego, st, cfg):
+        if j not in near:
             continue
         if polylines_min_dist(ego_segs, polyline_segments(pts)) <= cfg.path_tol_m:
             out.append(j)
@@ -598,13 +592,12 @@ def rule_based_action(
     ego_path: np.ndarray,
     opp_paths: Dict[int, np.ndarray],
     cfg: RuleBasedConfig = DEFAULT_RULE,
-    dt: float = DT_S,
     ego_s: Optional[float] = None,
 ) -> float:
     """One acceleration from the configured set.
 
     With no conflicting vehicle the largest acceleration is taken.
-    Otherwise each candidate advances the ego one step along its
+    Otherwise each candidate advances the ego one DT_S step along its
     reference path at the post-acceleration speed while every
     conflicting opponent advances along its current heading at its
     current speed; the candidate maximizing the minimum predicted
@@ -623,15 +616,15 @@ def rule_based_action(
         st = states[j]
         opp_next.append(
             (
-                st.pose.x + st.speed * math.cos(st.pose.theta) * dt,
-                st.pose.y + st.speed * math.sin(st.pose.theta) * dt,
+                st.pose.x + st.speed * math.cos(st.pose.theta) * DT_S,
+                st.pose.y + st.speed * math.sin(st.pose.theta) * DT_S,
             )
         )
     best_a = None
     best_d = -math.inf
     for a in sorted(cfg.accel_set):
-        v1 = min(max(ego.speed + a * dt, 0.0), V_MAX)
-        px, py, _ = point_along(ego_path, cum, ego_s + v1 * dt)
+        v1 = min(max(ego.speed + a * DT_S, 0.0), V_MAX)
+        px, py, _ = point_along(ego_path, cum, ego_s + v1 * DT_S)
         dmin = min(math.hypot(px - ox, py - oy) for ox, oy in opp_next)
         if dmin > best_d + 1e-12:
             best_d = dmin
@@ -649,9 +642,8 @@ class RuleBasedController(AVController):
     tick from their moving positions.
     """
 
-    def __init__(self, config: RuleBasedConfig = DEFAULT_RULE, dt: float = DT_S):
+    def __init__(self, config: RuleBasedConfig = DEFAULT_RULE):
         self.config = config
-        self.dt = dt
         self._pts: Optional[np.ndarray] = None
         self._cum: Optional[np.ndarray] = None
         self._s = 0.0
@@ -678,13 +670,10 @@ class RuleBasedController(AVController):
         the ones conflict_set reads, get an estimated path."""
         if self._pts is None:
             self._bind(states, i, network)
-        opp_paths = {
-            j: estimate_path(states, j, network)
-            for j, st in enumerate(states)
-            if j != i and st is not None and not _beyond_rc(states[i], st, self.config)
-        }
+        near = near_indices(states, i, self.config.rc_m)
+        opp_paths = {j: estimate_path(states, j, network) for j in near}
         self._accel = rule_based_action(
-            states, i, self._pts, opp_paths, self.config, self.dt, self._s
+            states, i, self._pts, opp_paths, self.config, self._s
         )
         return _ACCEL_ACTION[self._accel]
 
@@ -693,12 +682,11 @@ class RuleBasedController(AVController):
         states: Sequence[Optional[VehicleState]],
         i: int,
         network: RoadNetwork,
-        dt: float,
     ) -> Optional[Tuple[Pose2, float]]:
         if self._pts is None:
             return None
         st = states[i]
-        v1 = min(max(st.speed + self._accel * dt, 0.0), V_MAX)
-        self._s += v1 * dt
+        v1 = min(max(st.speed + self._accel * DT_S, 0.0), V_MAX)
+        self._s += v1 * DT_S
         x, y, theta = point_along(self._pts, self._cum, self._s)
         return Pose2(x, y, theta), v1

@@ -15,6 +15,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import Pose2, RoadNetwork, arc_reached, wrap_angle
+from .reward import DEFAULT_ZONES
 
 DT_S = 0.25
 V_MIN = 0.0
@@ -141,8 +142,6 @@ def hold_trajectory(pose: Pose2, n: int) -> np.ndarray:
 def update_goal(
     state: VehicleState,
     network: RoadNetwork,
-    zone_length: float = 5.0,
-    zone_width: float = 2.0,
 ) -> Optional[str]:
     """Advance phase and pop the goal lane when it is reached.
 
@@ -166,7 +165,7 @@ def update_goal(
     if lane.kind == "arc":
         reached = in_core and arc_reached(lay, lane.id, x, y)
     else:
-        reached = _zone_in_lane(state, lay, lane, zone_length, zone_width)
+        reached = _zone_in_lane(state, lay, lane)
 
     if not reached:
         return None
@@ -180,11 +179,12 @@ def update_goal(
     return "advanced"
 
 
-def _zone_in_lane(state, lay, lane, zone_length, zone_width) -> bool:
+def _zone_in_lane(state, lay, lane) -> bool:
+    """Whether the collision zone lies in lane's arm strip, center in lane's half."""
     arm = lay.arms[lane.arm]
     lw = lay.params["lane_width"]
     c, s = math.cos(state.pose.theta), math.sin(state.pose.theta)
-    hl, hw = 0.5 * zone_length, 0.5 * zone_width
+    hl, hw = 0.5 * DEFAULT_ZONES.c_length, 0.5 * DEFAULT_ZONES.c_width
     x, y = state.pose.x, state.pose.y
     for dx, dy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         px = x + dx * c * hl - dy * s * hw

@@ -844,8 +844,12 @@ class RoadNetwork:
 
     @classmethod
     def load(cls, path: str) -> "RoadNetwork":
+        """Raises ValueError naming path when the file is not a network."""
         with open(path) as f:
-            return cls.from_json(json.load(f))
+            try:
+                return cls.from_json(json.load(f))
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"network file {path} is malformed: {type(e).__name__}: {e}") from None
 
 
 def single_network(kind: str, **kwargs) -> RoadNetwork:

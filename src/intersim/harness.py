@@ -131,7 +131,6 @@ class MetricsReport:
     ci_low: float
     ci_high: float
     outcomes: List[EpisodeOutcome] = field(default_factory=list, repr=False)
-    logs: List[List[str]] = field(default_factory=list, repr=False)
     breakdown: Dict[str, "MetricsReport"] = field(default_factory=dict, repr=False)
 
     @property
@@ -221,8 +220,7 @@ def build_network(spec: EvalSpec) -> RoadNetwork:
     if spec.scene == "city":
         return make_city()
     if os.path.exists(spec.scene):
-        with open(spec.scene) as f:
-            return RoadNetwork.from_json(json.load(f))
+        return RoadNetwork.load(spec.scene)
     raise ValueError(
         f"unknown scene {spec.scene!r}: expected one of {sorted(BUILDERS)}, "
         "'city', or a path to a network JSON"
@@ -246,7 +244,6 @@ class _Built:
             traffic_model=spec.traffic_model,
             av_policy=spec.av,
             t_limit_s=spec.t_limit_s,
-            name=spec.scene,
         )
         self.policy: Optional[PolicyApproximator] = None
         self.adaptive_policy: Optional[PolicyApproximator] = None
@@ -310,13 +307,13 @@ def run_one(
     return outcome, res["log"], av
 
 
-def _chunk_task(args) -> List[Tuple[int, EpisodeOutcome, List[str]]]:
-    spec, master_seed, indices, collect_logs = args
+def _chunk_task(args) -> List[Tuple[int, EpisodeOutcome]]:
+    spec, master_seed, indices = args
     built = _Built(spec)
     out = []
     for idx in indices:
-        outcome, log, _ = run_one(spec, (master_seed, idx), built, collect_logs)
-        out.append((idx, outcome, log))
+        outcome, _, _ = run_one(spec, (master_seed, idx), built)
+        out.append((idx, outcome))
     return out
 
 
@@ -325,7 +322,6 @@ def monte_carlo(
     n_episodes: int,
     master_seed: int = 0,
     workers: int = 1,
-    collect_logs: bool = False,
 ) -> MetricsReport:
     """Independent seeded episodes aggregated into a MetricsReport.
 
@@ -335,12 +331,12 @@ def monte_carlo(
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
-    rows: List[Tuple[int, EpisodeOutcome, List[str]]] = []
+    rows: List[Tuple[int, EpisodeOutcome]] = []
     if workers <= 1:
-        rows = _chunk_task((spec, master_seed, list(range(n_episodes)), collect_logs))
+        rows = _chunk_task((spec, master_seed, list(range(n_episodes))))
     else:
         chunks = [
-            (spec, master_seed, list(range(lo, n_episodes, workers)), collect_logs)
+            (spec, master_seed, list(range(lo, n_episodes, workers)))
             for lo in range(min(workers, n_episodes))
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -348,12 +344,9 @@ def monte_carlo(
                 rows.extend(part)
     rows.sort(key=lambda r: r[0])
     outcomes = [r[1] for r in rows]
-    report = summarize(
+    return summarize(
         outcomes, spec.scene, spec.traffic_model, spec.av or "none", spec.weights
     )
-    if collect_logs:
-        report.logs = [r[2] for r in rows]
-    return report
 
 
 def evaluate_models(

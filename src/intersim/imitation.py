@@ -31,7 +31,7 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import BUILDERS, RoadNetwork, single_network
-from .planner import DEFAULT_PLANNER, PlanCache, PlannerConfig, expert_policy
+from .planner import DEFAULT_PLANNER, PlanCache, PlannerConfig, expert_policy, near_indices
 from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
 M_NEAR = 6
@@ -487,8 +487,12 @@ class PolicyApproximator:
 
     @classmethod
     def load(cls, path: str) -> "PolicyApproximator":
+        """Raises ValueError naming path when the file is not a policy."""
         with open(path) as f:
-            return cls.from_json(json.load(f))
+            try:
+                return cls.from_json(json.load(f))
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"policy file {path} is malformed: {type(e).__name__}: {e}") from None
 
 
 def default_encoding(variant: str = "levelk", m_near: int = M_NEAR) -> dict:
@@ -577,7 +581,7 @@ def _respawn_terminal(states, net, rng, min_sep) -> List[int]:
     Road edges are checked once for all vehicles before any respawn;
     slot i's vehicle check runs after the earlier slots have respawned,
     the same order as scene.sim_step, so the later partner of a collision
-    can miss the wreck; ROADMAP item 2(a) is the pending fix for both.
+    can miss the wreck; ROADMAP item 1(a) is the pending fix for both.
     """
     edges = road_edge_hits(states, [i for i, st in enumerate(states) if st is not None], net)
     respawned = []
@@ -676,15 +680,17 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
 def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     """Dataset aggregation against the level-estimating controller.
 
-    One ego per episode holds beliefs over its opponents, updated each
-    tick from their actions against the per-level expert predictions. The
-    search-based adaptive policy labels the visited states under the
-    current estimates, the ego advances under the classifier, and the
-    opponents play their true levels through the expert. The output
-    approximates the map (own state, opponents, estimated levels) to
-    action with the estimate channels baked into the encoding.
+    The ego in slot 0 is driven by an AdaptiveController, as in
+    deployment: its decide labels the visited states, its observe refreshes
+    the beliefs from the actions taken, and a respawned opponent's belief
+    resets (a respawned ego gets a fresh controller). The head's estimate
+    channels cover the opponents within the interaction radius, the ones
+    DistilledAdaptiveController estimates. The ego advances under the
+    classifier, and the opponents play their true levels through the
+    expert. The output approximates the map (own state, opponents,
+    estimated levels) to action.
     """
-    from .controllers import BeliefState, adaptive_plan, estimate_level, update_beliefs
+    from .controllers import AdaptiveController, estimate_levels
 
     root = np.random.SeedSequence((cfg.seed, 5))
     rng = np.random.default_rng(root.spawn(1)[0])
@@ -695,18 +701,22 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     history: List[dict] = []
 
+    def controller():
+        return AdaptiveController(model_set=tuple(levels), planner=cfg.planner)
+
     for n, net, states in _episodes(cfg, rng, cfg.n_max):
         bg_levels = {j: levels[rng.integers(len(levels))] for j in range(1, cfg.n_vehicles)}
-        beliefs = BeliefState(model_set=tuple(levels))
+        ego = controller()
         disagreements = 0
         queries = 0
         for _t in range(cfg.t_max):
             for i in _respawn_terminal(states, net, rng, cfg.min_sep_m):
                 if i == 0:
-                    beliefs = BeliefState(model_set=beliefs.model_set, beta=beliefs.beta)
+                    ego = controller()
                 else:
-                    beliefs.reset(i)
+                    ego.reset_belief(i)
             cache = PlanCache()
+            plans = {cfg.planner: cache}
             opp_active = [
                 j for j in range(1, cfg.n_vehicles) if states[j] is not None
             ]
@@ -716,12 +726,9 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                     states, j, bg_levels[j], net, cfg.planner, cache
                 ).action_sequence[0]
             if states[0] is not None:
-                estimates = {
-                    j: estimate_level(beliefs.vec(j), beliefs.model_set)
-                    for j in opp_active
-                }
-                x = encode_state_adaptive(states, 0, estimates, net, cfg.m_near)
-                expert = adaptive_plan(states, 0, beliefs, net, cfg.planner, cache=cache).action_sequence[0]
+                near = near_indices(states, 0, cfg.planner.interaction_radius_m)
+                x = encode_state_adaptive(states, 0, estimate_levels(ego.beliefs, near), net, cfg.m_near)
+                expert = ego.decide(states, 0, net, plans)
                 guess = int(policy.predict(x[None, :])[0])
                 queries += 1
                 if guess != expert:
@@ -729,15 +736,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                     disagreements += 1
                 chosen[0] = guess
             # belief refresh from the actions just chosen at this state
-            for j in opp_active:
-                preds = {}
-                for k in levels:
-                    a = cfg.planner.actions[
-                        expert_policy(states, j, k, net, cfg.planner, cache).action_sequence[0]
-                    ]
-                    preds[k] = (a.accel, a.omega)
-                obs = cfg.planner.actions[chosen[j]]
-                beliefs = update_beliefs(beliefs, j, (obs.accel, obs.omega), preds)
+            ego.observe(states, chosen, net, plans)
             _advance(states, chosen, net)
         policy, loss = _refit(policy, dataset, cfg, 6, n)
         rate = disagreements / queries if queries else 0.0

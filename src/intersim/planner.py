@@ -109,7 +109,7 @@ def level0_plan(
     cache: Optional[PlanCache] = None,
 ) -> PlanResult:
     """Best response against opponents frozen at their current poses."""
-    near = near_indices(states, i, cfg)
+    near = near_indices(states, i, cfg.interaction_radius_m)
     opp = {j: hold_trajectory(states[j].pose, cfg.horizon_n) for j in near}
     return _best_response(states[i], opp, network, cfg, cache)
 
@@ -129,7 +129,7 @@ def levelk_plan(
     if k == 0:
         res = level0_plan(states, i, network, cfg, cache)
     else:
-        near = near_indices(states, i, cfg)
+        near = near_indices(states, i, cfg.interaction_radius_m)
         opp = {}
         for j in near:
             sub = levelk_plan(states, j, k - 1, network, cfg, cache)
@@ -168,14 +168,16 @@ def expert_policy(
     return levelk_plan(states, i, k, network, cfg, cache)
 
 
-def near_indices(states: Sequence[Optional[VehicleState]], i: int, cfg: PlannerConfig) -> List[int]:
-    """Other live vehicles within the interaction radius of vehicle i."""
+def near_indices(states: Sequence[Optional[VehicleState]], i: int, radius: float) -> List[int]:
+    """Other live vehicles whose centers lie within radius of vehicle i's,
+    in slot order. The library's one neighbour query: the planner, the
+    AVs and the contact check all call it."""
     ex, ey = states[i].pose.x, states[i].pose.y
     out = []
     for j, st in enumerate(states):
         if j == i or st is None:
             continue
-        if math.hypot(st.pose.x - ex, st.pose.y - ey) <= cfg.interaction_radius_m:
+        if math.hypot(st.pose.x - ex, st.pose.y - ey) <= radius:
             out.append(j)
     return out
 

@@ -20,7 +20,6 @@ s_t only and is dropped when the tick ends.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,10 +43,12 @@ from .geometry import (
     segments_hit_rects,
     turn_targets,
 )
-from .planner import DEFAULT_PLANNER, PlanCache, PlannerConfig, PlanTable, expert_policy
+from .planner import DEFAULT_PLANNER, PlanCache, PlannerConfig, PlanTable, expert_policy, near_indices
 from .reward import DEFAULT_ZONES
 
 MIN_SEPARATION_M = 10.0
+SPAWN_TRIES = 30  # random placements before a spawn defers to the next tick
+MAX_ROUTE_HOPS = 8  # intersections a route crosses before it steers out
 T_LIMIT_S = 300.0
 
 STATUS_ACTIVE = "active"
@@ -64,18 +65,18 @@ OUTCOME_SUCCESS = "success"
 
 
 def route_from_entry(
-    network: RoadNetwork, name: str, arm_id: str, rng: np.random.Generator, max_hops: int = 8
+    network: RoadNetwork, name: str, arm_id: str, rng: np.random.Generator
 ) -> List[str]:
     """Random legal target-lane sequence from an entrance arm until the
     route leaves the network. U-turns are legal only at roundabouts."""
     refs: List[str] = []
     cur_name, cur_arm = name, arm_id
-    for hop in range(max_hops + 1):
+    for hop in range(MAX_ROUTE_HOPS + 1):
         lay = network.layouts[cur_name]
         arms = list(lay.arms)
         if lay.kind != "roundabout":
             arms = [a for a in arms if a != cur_arm]
-        if hop >= max_hops:
+        if hop >= MAX_ROUTE_HOPS:
             # steer long walks out of the network
             open_here = [a for a in arms if network.neighbor(cur_name, a) is None]
             if open_here:
@@ -94,14 +95,14 @@ def spawn_vehicle(
     states: Sequence[Optional[VehicleState]],
     rng: np.random.Generator,
     min_sep: float = MIN_SEPARATION_M,
-    entry: Optional[str] = None,
-    max_tries: int = 30,
 ) -> Optional[VehicleState]:
-    """Place a vehicle on an entrance lane with lane-aligned heading and a
-    random legal route. Returns None when no placement clears min_sep
-    (spawn deferred to a later tick)."""
-    entries = [entry] if entry is not None else network.entry_lanes()
-    for _ in range(max_tries):
+    """Place a vehicle at a random point of a random entrance lane, with
+    lane-aligned heading, a speed drawn from [0, V_MAX) and a random legal
+    route. Each of SPAWN_TRIES draws is kept when its center lies at least
+    min_sep from every live vehicle; None when no draw does (the spawn
+    defers to a later tick)."""
+    entries = network.entry_lanes()
+    for _ in range(SPAWN_TRIES):
         ref = entries[rng.integers(len(entries))]
         _, lane = network.resolve(ref)
         t = rng.uniform(0.05, 0.95)
@@ -129,21 +130,16 @@ def spawn_vehicle(
 # lifecycle predicates
 
 
-def _hits_other_vehicle(states, i: int, zones=DEFAULT_ZONES) -> bool:
-    st = states[i]
-    cz = zones.c_zone(st.pose)
-    reach = zones.c_length + 1.0
-    for j, other in enumerate(states):
-        if j == i or other is None:
-            continue
-        if euclidean_dist((st.pose.x, st.pose.y), (other.pose.x, other.pose.y)) > reach:
-            continue
-        if rects_overlap(cz, zones.c_zone(other.pose)):
+def _hits_other_vehicle(states, i: int) -> bool:
+    cz = DEFAULT_ZONES.c_zone(states[i].pose)
+    # centers farther apart than a zone length and a margin cannot touch
+    for j in near_indices(states, i, DEFAULT_ZONES.c_length + 1.0):
+        if rects_overlap(cz, DEFAULT_ZONES.c_zone(states[j].pose)):
             return True
     return False
 
 
-def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork, zones=DEFAULT_ZONES) -> Dict[int, bool]:
+def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork) -> Dict[int, bool]:
     """Whether each vehicle in indices touches a road boundary or crosses
     a marking of its context layout or, where that differs, of its goal
     layout: one segments_hit_rects call per layout, over its boundary and
@@ -158,14 +154,15 @@ def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork, zones=D
     for name, members in groups.items():
         lay = network.layouts[name]
         segs = np.vstack([lay.boundary_segments(), lay.marking_segments()])
-        czs = [zones.c_zone(states[i].pose) for i in members]
+        czs = [DEFAULT_ZONES.c_zone(states[i].pose) for i in members]
         x, y, th = np.array([(cz.cx, cz.cy, cz.theta) for cz in czs]).T.copy()
-        for i, hit in zip(members, segments_hit_rects(segs, x, y, th, zones.c_length, zones.c_width)):
+        hit_rows = segments_hit_rects(segs, x, y, th, DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width)
+        for i, hit in zip(members, hit_rows):
             hits[i] = hits[i] or bool(hit)
     return hits
 
 
-def detect_fail(states, i: int, network: RoadNetwork, zones=DEFAULT_ZONES, edge_hits=None) -> bool:
+def detect_fail(states, i: int, network: RoadNetwork, edge_hits=None) -> bool:
     """A vehicle fails on c-zone overlap with another vehicle, on touching
     a road boundary, or on crossing an opposing-traffic marking.
 
@@ -173,15 +170,15 @@ def detect_fail(states, i: int, network: RoadNetwork, zones=DEFAULT_ZONES, edge_
     road_edge_hits of a batch holding i in its current state, or None to
     check i by itself. sim_step and the training loops take it for all
     vehicles on the post-move snapshot, then run the vehicle part in slot
-    order between respawns (ROADMAP item 2(a) is pending)."""
-    if _hits_other_vehicle(states, i, zones):
+    order between respawns (ROADMAP item 1(a) is pending)."""
+    if _hits_other_vehicle(states, i):
         return True
     if edge_hits is None:
-        edge_hits = road_edge_hits(states, [i], network, zones)
+        edge_hits = road_edge_hits(states, [i], network)
     return edge_hits[i]
 
 
-def detect_success(state: VehicleState, network: RoadNetwork, zones=DEFAULT_ZONES) -> bool:
+def detect_success(state: VehicleState, network: RoadNetwork) -> bool:
     """True once the target sequence is exhausted and the vehicle sits
     fully inside its final exit lane."""
     if state.target_lane_seq:
@@ -189,7 +186,7 @@ def detect_success(state: VehicleState, network: RoadNetwork, zones=DEFAULT_ZONE
     lay, lane = network.resolve(state.goal_ref)
     if lane.kind != "out":
         return False
-    return _zone_in_lane(state, lay, lane, zones.c_length, zones.c_width)
+    return _zone_in_lane(state, lay, lane)
 
 
 def context_layout(state: VehicleState, network: RoadNetwork) -> str:
@@ -284,11 +281,10 @@ class AVController:
         states: Sequence[Optional[VehicleState]],
         i: int,
         network: RoadNetwork,
-        dt: float,
     ) -> Optional[Tuple[Pose2, float]]:
         """Optional kinematic override applied after decide. Return the
-        next (pose, speed) to replace the unicycle step, or None to keep
-        it. Path-following controllers use this to stay on their
+        (pose, speed) one DT_S tick later to replace the unicycle step, or
+        None to keep it. Path-following controllers use this to stay on their
         reference curve, which the quantized heading-rate actions cannot
         track."""
         return None
@@ -300,15 +296,17 @@ class AVController:
 
 @dataclass
 class SceneConfig:
+    """One scene: n_vehicles background vehicles at levels drawn by
+    traffic_model, plus the vehicle under test in slot 0 when av_policy is
+    set. Ticks are DT_S long, and the episode ends as a deadlock after
+    t_limit_s. Background vehicles that fail or succeed respawn at a
+    fresh entrance, so traffic density stays constant."""
+
     network: RoadNetwork
     n_vehicles: int
     traffic_model: str = "mixed"  # l1 | l2 | mixed
     av_policy: Optional[str] = None
-    dt: float = DT_S
     t_limit_s: float = T_LIMIT_S
-    respawn: bool = True
-    min_sep_m: float = MIN_SEPARATION_M
-    name: str = "scene"
 
 
 @dataclass
@@ -325,7 +323,6 @@ class EpisodeState:
     av_ticks: int = 0
     log: List[str] = field(default_factory=list)
     collect_log: bool = True
-    retired: set = field(default_factory=set)
 
 
 def draw_levels(n: int, traffic_model: str, rng: np.random.Generator) -> List[int]:
@@ -346,11 +343,11 @@ def init_episode(cfg: SceneConfig, seed, collect_log: bool = True) -> EpisodeSta
     av_index = None
     if cfg.av_policy is not None:
         av_index = 0
-        states.append(spawn_vehicle(cfg.network, states, rng, cfg.min_sep_m))
+        states.append(spawn_vehicle(cfg.network, states, rng))
         tags.append(cfg.av_policy)
     levels_bg = draw_levels(n, cfg.traffic_model, rng)
     for lv in levels_bg:
-        states.append(spawn_vehicle(cfg.network, states, rng, cfg.min_sep_m))
+        states.append(spawn_vehicle(cfg.network, states, rng))
         tags.append(f"l{lv}")
     levels = ([0] if av_index is not None else []) + levels_bg
     return EpisodeState(
@@ -389,6 +386,13 @@ def sim_step(
     simultaneous state advance, goal updates, fail/success handling,
     belief observation.
 
+    Every empty slot tries a spawn first. A background vehicle that fails
+    or succeeds is logged and respawned in place; the slot stays empty
+    when the spawn defers. The AV hears reset_belief for each empty slot
+    whose spawn lands and for each background vehicle that ends. The AV
+    failing or succeeding ends the episode, and so does the time cap,
+    t_limit_s, as a deadlock.
+
     The tick's plan table is made after the spawns and passed to select,
     decide and observe, which all plan from s_t: observe gets the copy
     of the states taken before the move.
@@ -396,13 +400,13 @@ def sim_step(
     Road edges are checked for all active vehicles at once on the post-move
     snapshot; the vehicle-vehicle check then runs in slot order after the
     earlier slots have respawned, so the later partner of a collision can
-    miss the wreck (ROADMAP item 2(a) is pending)."""
+    miss the wreck (ROADMAP item 1(a) is pending)."""
     if ep.done:
         return ep
     net = cfg.network
     for i, s in enumerate(ep.states):
-        if s is None and i not in ep.retired:
-            ep.states[i] = spawn_vehicle(net, ep.states, ep.rng, cfg.min_sep_m)
+        if s is None:
+            ep.states[i] = spawn_vehicle(net, ep.states, ep.rng)
             if ep.states[i] is not None and av is not None:
                 av.reset_belief(i)
 
@@ -423,9 +427,9 @@ def sim_step(
         st = ep.states[i]
         moved = None
         if av is not None and i == ep.av_index:
-            moved = av.advance(ep.states, i, net, cfg.dt)
+            moved = av.advance(ep.states, i, net)
         if moved is None:
-            moved = step(st.pose, st.speed, DEFAULT_ACTIONS[actions[i]], dt=cfg.dt)
+            moved = step(st.pose, st.speed, DEFAULT_ACTIONS[actions[i]])
         st.pose, st.speed = moved
         goal_results[i] = update_goal(st, net)
     if ep.av_index is not None and ep.av_index in active:
@@ -447,25 +451,16 @@ def sim_step(
             status = STATUS_FAILED if failed else STATUS_SUCCEEDED
             if ep.collect_log:
                 ep.log.append(_log_record(ep, i, None, status))
-            if cfg.respawn:
-                ep.states[i] = spawn_vehicle(net, ep.states, ep.rng, cfg.min_sep_m)
-                if av is not None:
-                    av.reset_belief(i)
-            else:
-                ep.states[i] = None
-                ep.retired.add(i)
-                if failed and ep.av_index is None:
-                    ep.done, ep.outcome = True, OUTCOME_COLLISION
+            ep.states[i] = spawn_vehicle(net, ep.states, ep.rng)
+            if av is not None:
+                av.reset_belief(i)
 
     if av is not None:
         av.observe(prev, actions, net, plans)
 
     ep.tick += 1
-    if not ep.done:
-        if ep.av_index is None and not cfg.respawn and all(s is None for s in ep.states):
-            ep.done, ep.outcome = True, OUTCOME_SUCCESS
-        elif ep.tick * cfg.dt >= cfg.t_limit_s:
-            ep.done, ep.outcome = True, OUTCOME_DEADLOCK
+    if not ep.done and ep.tick * DT_S >= cfg.t_limit_s:
+        ep.done, ep.outcome = True, OUTCOME_DEADLOCK
     return ep
 
 
@@ -486,51 +481,7 @@ def run_episode(
     return {
         "outcome": ep.outcome,
         "mean_speed": mean_v,
-        "duration_s": ep.tick * cfg.dt,
+        "duration_s": ep.tick * DT_S,
         "ticks": ep.tick,
         "log": ep.log,
     }
-
-
-# ---------------------------------------------------------------------------
-# deterministic conflict scenes for qualitative studies
-
-
-def conflict_scene(
-    network: RoadNetwork,
-    n_vehicles: int,
-    rng: np.random.Generator,
-    base_gap_m: float = 8.0,
-    jitter_m: float = 2.5,
-    base_speed: float = 2.5,
-    jitter_speed: float = 1.0,
-) -> List[VehicleState]:
-    """Vehicles on distinct entrance arms at matched distances from the
-    core, arriving near-simultaneously. Small jitter makes seeded
-    perturbation studies out of one nominal geometry."""
-    name = network.names[0]
-    lay = network.layouts[name]
-    arm_ids = list(lay.arms)
-    states: List[VehicleState] = []
-    for idx in range(n_vehicles):
-        arm = lay.arms[arm_ids[idx % len(arm_ids)]]
-        gap = base_gap_m + rng.uniform(-jitter_m, jitter_m)
-        u = min(arm.u_start + gap, arm.u_end - 1.0)
-        ux, uy = arm.unit_u()
-        wx, wy = arm.unit_w()
-        lw = lay.params["lane_width"]
-        x = lay.center[0] + ux * u + wx * 0.5 * lw
-        y = lay.center[1] + uy * u + wy * 0.5 * lw
-        heading = math.atan2(-uy, -ux)
-        refs = route_from_entry(network, name, arm.id, rng)
-        v = min(V_MAX, max(0.0, base_speed + rng.uniform(-jitter_speed, jitter_speed)))
-        states.append(
-            VehicleState(
-                Pose2(x, y, heading),
-                v,
-                goal_ref=refs[0],
-                target_lane_seq=refs[1:],
-                phase=PHASE_APPROACH,
-            )
-        )
-    return states

@@ -56,7 +56,7 @@ def observe_per_row(av, prev_states, actions, network, predict_row) -> None:
     (opponent, level)."""
     if av._ego is None or prev_states[av._ego] is None:
         return
-    near = set(near_indices(prev_states, av._ego, av.planner))
+    near = set(near_indices(prev_states, av._ego, av.planner.interaction_radius_m))
     snapshot = list(prev_states)
     for j, a_idx in actions.items():
         if j == av._ego or j not in near:
@@ -82,7 +82,7 @@ class PerRowAdaptive(AdaptiveController):
         self._ego = i
         cfg = self.planner
         cache = plans.setdefault(cfg, PlanCache())
-        near = near_indices(states, i, cfg)
+        near = near_indices(states, i, cfg.interaction_radius_m)
         if not near:
             return level0_plan(list(states), i, network, cfg, cache).action_sequence[0]
         estimates = {
@@ -105,7 +105,7 @@ class PerRowDistilledAdaptive(PerRowAdaptive):
 
     def decide(self, states, i, network, plans):
         self._ego = i
-        near = near_indices(states, i, self.planner)
+        near = near_indices(states, i, self.planner.interaction_radius_m)
         estimates = {
             j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
         }

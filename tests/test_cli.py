@@ -365,3 +365,66 @@ def test_train_policy_rejects_unknown_keys(tmp_path, capsys, config, extra, need
     assert main(["train-policy", "--config", str(cfg), "--out", str(out)] + extra) == 1
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed input files and config values
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])
+def test_scene_file_without_intersections_exits_one(tmp_path, policy_file, command, capsys):
+    scene = tmp_path / "bad.json"
+    scene.write_text(json.dumps({"connectors": []}))
+    out = tmp_path / "out"
+    code = main(
+        [command, "--scene", str(scene), "--episodes", "1", "--policy-file", policy_file,
+         "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(scene) in err and "intersections" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])
+def test_policy_file_without_architecture_exits_one(tmp_path, command, capsys):
+    policy = tmp_path / "bad_policy.json"
+    policy.write_text(json.dumps({"format_version": 1, "theta": [], "encoding": {}}))
+    out = tmp_path / "out"
+    code = main(
+        [command, "--scene", "fourway", "--episodes", "1", "--policy-file", str(policy),
+         "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(policy) in err and "architecture" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "calibrate"])
+@pytest.mark.parametrize("workers", [0.5, True, 0, -1, "2", None])
+def test_bad_workers_exits_one(tmp_path, policy_file, command, workers, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_limit_s": 5.0, "workers": workers}))
+    out = tmp_path / "out"
+    code = main(
+        [command, "--scene", "fourway", "--episodes", "1", "--policy-file", policy_file,
+         "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 1
+    assert "workers must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models", ["l1", [], ["l1", "l4"], [1], None])
+def test_bad_traffic_models_exits_one(tmp_path, policy_file, models, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_limit_s": 5.0, "traffic_models": models}))
+    out = tmp_path / "out"
+    code = main(
+        ["calibrate", "--scene", "fourway", "--episodes", "1", "--policy-file", policy_file,
+         "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 1
+    assert "traffic_models must be a non-empty list of l1, l2, mixed" in capsys.readouterr().err
+    assert not out.exists()

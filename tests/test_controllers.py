@@ -122,7 +122,8 @@ def test_estimate_level_thresholds_and_tie():
     assert estimate_level(np.array([0.5, 0.5])) == 2
     b = BeliefState()
     b.table[7] = np.array([0.9, 0.1])
-    assert estimate_levels(b) == {7: 1}
+    # an opponent not tracked yet starts uniform, so it reads as level 2
+    assert estimate_levels(b, [7, 3]) == {7: 1, 3: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +335,7 @@ def test_predictor_rollout_matches_per_row_rollout():
     seen = 0
     for states in snaps:
         for i in (i for i, st in enumerate(states) if st is not None):
-            near = near_indices(states, i, cfg)
+            near = near_indices(states, i, cfg.interaction_radius_m)
             if len(near) < 2:
                 continue
             est = {j: int(rng.integers(1, 3)) for j in near}
@@ -358,7 +359,7 @@ def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
         def decide(self, states, i, network, plans):
             n0 = len(calls)
             a = super().decide(states, i, network, plans)
-            n_near = len(near_indices(states, i, self.planner))
+            n_near = len(near_indices(states, i, self.planner.interaction_radius_m))
             assert calls[n0:] == ([n_near] * self.planner.horizon_n if n_near else [])
             stats["rollouts"] += n_near > 0
             return a
@@ -366,7 +367,7 @@ def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
         def observe(self, prev_states, actions, network, plans):
             n0 = len(calls)
             super().observe(prev_states, actions, network, plans)
-            near = near_indices(prev_states, self._ego, self.planner)
+            near = near_indices(prev_states, self._ego, self.planner.interaction_radius_m)
             n_opp = sum(j != self._ego and j in near for j in actions)
             assert calls[n0:] == ([n_opp * len(self.beliefs.model_set)] if n_opp else [])
             stats["observes"] += n_opp > 0
@@ -565,7 +566,7 @@ def test_rule_based_controller_tracks_its_reference_path():
     for _ in range(40):
         a = av.decide(states, 0, net, {})
         assert 0 <= a < len(DEFAULT_ACTIONS)
-        moved = av.advance(states, 0, net, 0.25)
+        moved = av.advance(states, 0, net)
         assert moved is not None
         states[0].pose, states[0].speed = moved
     # free road: the controller reaches the speed cap and stays on the
@@ -620,7 +621,7 @@ class _CheckedRuleAV(RuleBasedController):
             for j, st in enumerate(states)
             if j != i and st is not None
         }
-        eager = rule_based_action(states, i, self._pts, every, self.config, self.dt, self._s)
+        eager = rule_based_action(states, i, self._pts, every, self.config, self._s)
         self.records.append((a, self._accel, eager, list(self.estimated), within))
         return a
 
@@ -694,4 +695,4 @@ def test_opponent_exactly_at_rc_is_estimated(monkeypatch):
         av.decide(states, 0, net, {})
         assert calls == expected
         every = {1: real(states, 1, net)}
-        assert av._accel == rule_based_action(states, 0, av._pts, every, av.config, av.dt, av._s)
+        assert av._accel == rule_based_action(states, 0, av._pts, every, av.config, av._s)

@@ -1,0 +1,57 @@
+"""Pinned digests of short seeded runs.
+
+Each case hashes a byte-stable output of the library: the ndjson log of
+one seeded episode, or the CSV of one tiny DAgger dataset. A change that
+is meant to keep behaviour must leave every digest as it is; a change
+that moves behaviour on purpose updates the pin and says so.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from intersim.harness import EvalSpec, run_one
+from intersim.imitation import DaggerConfig, TrainConfig, dagger_train
+
+FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+EPISODES = {
+    "fourway-expert-adaptive": (
+        EvalSpec(scene="fourway", n_vehicles=3, av="adaptive", engine="expert", t_limit_s=8.0),
+        "bc9657be402e017992aeb686dfcb478800634ced23bb749055091bd79130c584",
+    ),
+    "fourway-fixture-adaptive": (
+        EvalSpec(scene="fourway", n_vehicles=3, av="adaptive", policy_file=FIXTURE, t_limit_s=10.0),
+        "26ea0777cbaee14db9c585705b4b4588df207bb82f91a2c4348060fb35476507",
+    ),
+    "city-fixture-rule-based": (
+        EvalSpec(scene="city", n_vehicles=16, av="rule-based", policy_file=FIXTURE, t_limit_s=10.0),
+        "b7ffa7aa6cd5d762bbe2a8e09bcf895b7c16ae7545c5e1862d97914e65ea24c3",
+    ),
+}
+
+
+DATASET_PIN = "7c7a811cae56aacb17ad539db0b958bf0de6e07e6a6ea43ec182c7549f55c1f4"
+
+
+@pytest.mark.parametrize("name", list(EPISODES))
+def test_episode_log_digest(name):
+    spec, pin = EPISODES[name]
+    _, log, _ = run_one(spec, (11, 0), collect_log=True)
+    assert _sha("\n".join(log) + "\n") == pin
+
+
+def test_dagger_dataset_digest(tmp_path):
+    cfg = DaggerConfig(
+        n_max=2, t_max=6, n_vehicles=2, scenes=("fourway", "roundabout"), seed=3,
+        train=TrainConfig(hidden=8, min_steps=5, max_steps=5, final_max_steps=5),
+    )
+    path = tmp_path / "dataset.csv"
+    dagger_train(cfg).dataset.to_csv(str(path))
+    assert _sha(path.read_text()) == DATASET_PIN

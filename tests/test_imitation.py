@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from intersim import controllers
 from intersim import imitation as im
 from intersim.dynamics import PHASE_APPROACH, Pose2, VehicleState
 from intersim.geometry import single_network
@@ -399,6 +400,51 @@ def test_adaptive_dagger_at_one_level():
     res = dagger_train_adaptive(cfg)
     assert [h["episode"] for h in res.history] == [1]
     assert res.history[0]["dataset"] == len(res.dataset)
+
+
+def test_adaptive_dagger_encodes_and_observes_as_deployment(monkeypatch):
+    """Training builds the adaptive head's input as DistilledAdaptiveController
+    does, and refreshes beliefs only for the opponents the deployed
+    controller observes. The opponent here is 60 m away, beyond the 40 m
+    interaction radius, and its belief is fresh: deployment reads its level
+    channel as -1.0 (not estimated), and nothing observes it."""
+    net = single_network("fourway")
+
+    def scene():
+        return [
+            VehicleState(Pose2(-30.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out", phase=PHASE_APPROACH),
+            VehicleState(Pose2(30.0, 2.0, math.pi), 3.0, goal_ref="I0:W.out", phase=PHASE_APPROACH),
+        ]
+
+    trained, served, updated = [], [], []
+    real_encode = im.encode_state_adaptive
+    real_update = controllers.update_beliefs
+
+    def encoding(*args):
+        trained.append(real_encode(*args))
+        return trained[-1]
+
+    def update(beliefs, j, *args):
+        updated.append(j)
+        return real_update(beliefs, j, *args)
+
+    def actor(states, i, estimates, network):
+        served.append(encode_state_adaptive(states, i, estimates, network))
+        return 0
+
+    monkeypatch.setattr(im, "_episodes", lambda cfg, rng, n: iter([(1, net, scene())]))
+    monkeypatch.setattr(im, "encode_state_adaptive", encoding)
+    monkeypatch.setattr(controllers, "update_beliefs", update)
+    cfg = DaggerConfig(
+        n_max=1, t_max=1, n_vehicles=2,
+        train=TrainConfig(hidden=4, min_steps=1, max_steps=1, final_max_steps=1),
+    )
+    dagger_train_adaptive(cfg)
+    controllers.DistilledAdaptiveController(actor, predictor=None).decide(scene(), 0, net, {})
+    assert len(trained) == len(served) == 1
+    assert served[0][EGO_BLOCK + SLOT_WIDTH] == -1.0
+    assert np.array_equal(trained[0], served[0])
+    assert updated == []
 
 
 # ---------------------------------------------------------------------------

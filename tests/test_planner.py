@@ -280,6 +280,21 @@ def test_far_vehicles_are_ignored():
     assert paired.opp_trajectories == {}
 
 
+def test_vehicle_exactly_at_the_interaction_radius_is_an_opponent():
+    # centers 5 m apart exactly (a 3-4-5 offset): inside a radius of 5,
+    # outside the next float below it
+    net = single_network("fourway")
+    ego = VehicleState(Pose2(-20.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
+    other = VehicleState(Pose2(-17.0, 2.0, -math.pi / 2), 3.0, goal_ref="I0:S.out")
+    states = [ego, None, other]
+    assert planner.near_indices(states, 0, 5.0) == [2]
+    assert planner.near_indices(states, 0, math.nextafter(5.0, 0.0)) == []
+    for radius, opponents in ((5.0, [2]), (math.nextafter(5.0, 0.0), [])):
+        cfg = dataclasses.replace(DEFAULT_PLANNER, interaction_radius_m=radius)
+        assert list(level0_plan(states, 0, net, cfg).opp_trajectories) == opponents
+        assert list(levelk_plan(states, 0, 1, net, cfg).opp_trajectories) == opponents
+
+
 def test_none_slots_are_skipped():
     # despawned vehicles leave None holes in the roster
     states, net = _crossing_scene()

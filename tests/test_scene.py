@@ -8,7 +8,7 @@ import pytest
 
 from intersim import planner, scene
 from intersim.controllers import AdaptiveController, adaptive_plan
-from intersim.dynamics import DT_S, PHASE_APPROACH, Pose2, VehicleState
+from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, Pose2, VehicleState
 from intersim.geometry import euclidean_dist, make_city, segment_intersects_rect, single_network
 from intersim.planner import DEFAULT_PLANNER, PlannerConfig
 from intersim.reward import DEFAULT_ZONES
@@ -21,7 +21,6 @@ from intersim.scene import (
     OUTCOME_SUCCESS,
     SceneConfig,
     TrafficPolicy,
-    conflict_scene,
     context_layout,
     detect_fail,
     detect_success,
@@ -124,6 +123,60 @@ def test_detect_fail_on_overlap_and_boundary():
     assert detect_fail([off], 0, net)
 
 
+def test_contact_check_tests_a_vehicle_exactly_at_its_reach(monkeypatch):
+    # c-zones cannot touch beyond c_length + 1 m between centers; a vehicle
+    # exactly that far away still gets the rectangle test
+    net = single_network("fourway")
+    reach = DEFAULT_ZONES.c_length + 1.0
+    ego = VehicleState(Pose2(0.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
+    pairs = []
+    real = scene.rects_overlap
+    monkeypatch.setattr(scene, "rects_overlap", lambda a, b: pairs.append((a, b)) or real(a, b))
+    for gap, tested in ((reach, 1), (math.nextafter(reach, math.inf), 0)):
+        other = VehicleState(Pose2(gap, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
+        pairs.clear()
+        assert not detect_fail([ego, other], 0, net, edge_hits={0: False})
+        assert len(pairs) == tested
+
+
+def test_sim_step_resets_beliefs_exactly_for_the_slots_it_spawns():
+    """reset_belief goes to each empty slot whose spawn lands (deferred
+    spawns) and to each background slot whose vehicle ended, in that
+    order, and to no other slot."""
+
+    class Recorder(AVController):
+        def __init__(self):
+            self.resets = []
+
+        def reset_belief(self, i):
+            self.resets.append(i)
+
+    class Jitter(TrafficPolicy):
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+
+        def select(self, states, levels, indices, network, plans):
+            return {i: int(self.rng.integers(len(DEFAULT_ACTIONS))) for i in indices}
+
+    cfg = SceneConfig(network=single_network("fourway"), n_vehicles=10, t_limit_s=60 * DT_S)
+    ep = init_episode(cfg, seed=(4, 0), collect_log=True)
+    av = Recorder()
+    seen = {"landed": 0, "deferred": 0, "ended": 0}
+    while not ep.done:
+        empty = [i for i, s in enumerate(ep.states) if s is None]
+        start = len(ep.log)
+        av.resets.clear()
+        sim_step(ep, cfg, Jitter(ep.tick), av)
+        recs = [json.loads(line) for line in ep.log[start:]]
+        landed = [r["id"] for r in recs if r["status"] == "active" and r["id"] in empty]
+        ended = [r["id"] for r in recs if r["status"] != "active"]
+        assert av.resets == landed + ended
+        seen["landed"] += len(landed)
+        seen["deferred"] += len(empty) - len(landed)
+        seen["ended"] += len(ended)
+    assert min(seen.values()) > 0, seen
+
+
 def _network(kind):
     return make_city() if kind == "city" else single_network(kind)
 
@@ -219,11 +272,11 @@ def test_sim_step_checks_road_edges_once_per_layout(monkeypatch, kind):
     edge_calls = []
     edges = scene.road_edge_hits
 
-    def spying_edges(states, indices, network, zones=DEFAULT_ZONES):
+    def spying_edges(states, indices, network):
         pairs = {(context_layout(states[i], network), i) for i in indices}
         pairs |= {(states[i].goal_ref.split(":")[0], i) for i in indices}
         edge_calls.append((len({name for name, _ in pairs}), len(pairs)))
-        return edges(states, indices, network, zones)
+        return edges(states, indices, network)
 
     monkeypatch.setattr(scene, "segments_hit_rects", counting_kernel)
     monkeypatch.setattr(scene, "road_edge_hits", spying_edges)
@@ -357,20 +410,6 @@ def test_log_records_parse_and_carry_policy_tags():
     tags = {json.loads(line)["policy"] for line in res["log"]}
     assert "rule-based" in tags
     assert tags - {"rule-based"} <= {"l1", "l2"}
-
-
-def test_conflict_scene_puts_vehicles_on_distinct_arms():
-    net = single_network("tshape")
-    rng = np.random.default_rng(5)
-    states = conflict_scene(net, 3, rng)
-    assert len(states) == 3
-    arms = set()
-    for st in states:
-        dx = st.pose.x - net.layouts["I0"].center[0]
-        dy = st.pose.y - net.layouts["I0"].center[1]
-        arms.add((abs(dx) > abs(dy), dx + dy > 0))
-        assert not detect_fail(states, states.index(st), net)
-    assert len(arms) == 3
 
 
 def test_expert_traffic_drives_toward_goals():
