@@ -23,6 +23,7 @@ from .harness import (
     DEFAULT_WEIGHTS,
     EvalSpec,
     TRAFFIC_MODELS,
+    _Built,
     build_network,
     calibrate_rc,
     monte_carlo,
@@ -30,7 +31,7 @@ from .harness import (
     run_one,
     write_report_csv,
 )
-from .imitation import DaggerConfig, PolicyApproximator, TrainConfig, dagger_train, dagger_train_adaptive
+from .imitation import DaggerConfig, TrainConfig, dagger_train, dagger_train_adaptive
 
 
 class ConfigError(Exception):
@@ -73,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", default=".")
     tr.add_argument("--config", default=None,
                     help="JSON with variant (levelk|adaptive) and training overrides")
-    tr.add_argument("--policy-file", default=None,
-                    help="level-k policy JSON (required for variant=adaptive)")
 
     ev = sub.add_parser("evaluate", help="Monte-Carlo evaluation report")
     common(ev, scene_required=True)
@@ -178,7 +177,6 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
             continue
         if not os.path.exists(path):
             raise ConfigError(f"{key.replace('_', '-')} not found: {path}")
-        PolicyApproximator.load(path)  # a malformed file raises ValueError naming it
     if spec.n_vehicles < 0:
         raise ConfigError("--vehicles must be nonnegative")
     if not (math.isfinite(spec.rc_m) and spec.rc_m >= 0):
@@ -232,14 +230,14 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     cfg.pop("workers", None)  # logs are written per episode; no parallel path here
     spec = _spec_from_args(args, cfg)
-    build_network(spec)  # surface bad scene names before running
+    built = _Built(spec)  # bad scenes and malformed policy files fail here
     n = args.episodes if args.episodes is not None else 1
     if n < 1:
         raise ConfigError("--episodes must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     summary = []
     for idx in range(n):
-        outcome, log, _ = run_one(spec, (args.seed, idx), collect_log=True)
+        outcome, log, _ = run_one(spec, (args.seed, idx), built, collect_log=True)
         log_path = os.path.join(args.out, f"episode_{idx:04d}.ndjson")
         with open(log_path, "w") as f:
             for line in log:
@@ -305,7 +303,7 @@ def _cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     workers = _pop_workers(cfg)
     spec = _spec_from_args(args, cfg)
-    build_network(spec)
+    _Built(spec)  # bad scenes and malformed policy files fail before any output
     n = args.episodes if args.episodes is not None else 200
     if n < 1:
         raise ConfigError("--episodes must be at least 1")
@@ -334,7 +332,7 @@ def _cmd_calibrate(args) -> int:
             f"traffic_models must be a non-empty list of {', '.join(TRAFFIC_MODELS)}, got {models!r}"
         )
     spec = _spec_from_args(args, cfg)
-    build_network(spec)
+    _Built(spec)  # bad scenes and malformed policy files fail before any output
     grid = _parse_grid(args.rc_grid)
     n = args.episodes if args.episodes is not None else 200
     if n < 1:

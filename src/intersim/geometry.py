@@ -198,36 +198,42 @@ def overlap_rects_one_many(
     return ~sep
 
 
-def overlap_rects_group(
-    x, y, theta, length: float, width: float, others: np.ndarray, o_length: float, o_width: float,
-    cth=None, sth=None,
-) -> np.ndarray:
-    """Closed-set overlap of B rectangles against any of a group of m.
+def overlap_rects_group(x, y, cth, sth, counts, others: np.ndarray, sizes) -> np.ndarray:
+    """Closed-set overlap of B rectangles against any of a group of m, at
+    several sizes in one pass.
 
-    others holds pose rows (x, y, theta) sharing one size, in one of two
-    shapes: (m, 3), the same m rectangles for every batch row, or
-    (m, B, 3), where others[:, b] are the m rectangles batch row b faces.
-    The member axis comes first in both, so len(others) is m. Returns (B,)
-    bool, true where the batch rectangle touches any member.
+    The batch rectangles sit at (x, y) with heading cos and sin cth, sth.
+    others (m, T, 3) holds the members' poses (x, y, theta) at T instants;
+    the batch rows come in T consecutive runs, counts[t] rows facing
+    instant t. The members' cos and sin are taken once per instant, and
+    the four projections and the relative angle once per pair. sizes holds
+    (length, width) pairs; at each size, batch and member rectangles share
+    it, and the thresholds are the same support sums as in
+    overlap_rects_one_many. Returns (len(sizes), B) bool, true where the
+    batch rectangle touches any member.
     """
-    m = len(others)
-    if m == 0:
-        return np.zeros(np.shape(x)[0], dtype=bool)
-    o = others if others.ndim == 3 else others[:, None, :]
-    c = np.cos(theta) if cth is None else cth
-    s = np.sin(theta) if sth is None else sth
-    hl, hw = 0.5 * length, 0.5 * width
-    co, so = np.cos(o[..., 2]), np.sin(o[..., 2])
-    ohl, ohw = 0.5 * o_length, 0.5 * o_width
-    dx = o[..., 0] - np.asarray(x)
-    dy = o[..., 1] - np.asarray(y)
-    C = np.abs(co * c + so * s)
-    S = np.abs(so * c - co * s)
-    sep = np.abs(dx * c + dy * s) > hl + ohl * C + ohw * S
-    sep |= np.abs(dy * c - dx * s) > hw + ohl * S + ohw * C
-    sep |= np.abs(dx * co + dy * so) > ohl + hl * C + hw * S
-    sep |= np.abs(dy * co - dx * so) > ohw + hl * S + hw * C
-    return (~sep).any(axis=0)
+    out = np.zeros((len(sizes), np.shape(x)[0]), dtype=bool)
+    if not len(others):
+        return out
+    ox, oy, co, so = (
+        np.repeat(a, counts, axis=1)
+        for a in (others[..., 0], others[..., 1], np.cos(others[..., 2]), np.sin(others[..., 2]))
+    )
+    dx = ox - np.asarray(x)
+    dy = oy - np.asarray(y)
+    C = np.abs(co * cth + so * sth)
+    S = np.abs(so * cth - co * sth)
+    pu, pw = np.abs(dx * cth + dy * sth), np.abs(dy * cth - dx * sth)
+    qu, qw = np.abs(dx * co + dy * so), np.abs(dy * co - dx * so)
+    for k, (length, width) in enumerate(sizes):
+        hl, hw = 0.5 * length, 0.5 * width
+        along, across = hl + hl * C + hw * S, hw + hl * S + hw * C
+        sep = pu > along
+        sep |= pw > across
+        sep |= qu > along
+        sep |= qw > across
+        out[k] = (~sep).any(axis=0)
+    return out
 
 
 def segments_hit_rects(

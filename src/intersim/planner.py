@@ -15,6 +15,16 @@ search fills the two overlap columns of a copy and sums the node values,
 each with its pose's features and its own speed, depth by depth.
 Searches that share a PlanCache share its trees and finished searches.
 
+Two culls skip work that cannot change a flag, so plans stay bit-identical.
+A search tests only the opponents whose poses at instants 1..N come within
+the overlap reach of the box around the tree's pose rows: the circumradii
+of the larger zone of each vehicle, plus a 1e-6 m margin (8.352 m for the
+default zones). Rectangles whose centers lie farther apart than their
+circumradii are disjoint, and then SAT finds a separating edge normal, so
+a dropped opponent would have set no flag. Boundary and marking segments
+can only hit the c-zone, so a tree keeps those within the c-zone's
+circumradius, plus the margin, of where its rows can be.
+
 Leaf ordering is node major, so np.argmax (first maximum) selects the
 lexicographically smallest tied sequence, with "maintain" first in the
 action table. The exhaustive scalar reference in the test suite iterates
@@ -63,11 +73,13 @@ class PlanResult:
 @dataclass
 class _EgoTree:
     """What a best response computes from the ego input alone: the pose
-    rows (x, y, theta, cos theta, sin theta), pose rows per depth, node
-    rows and speeds, and the features with both overlap columns 0. searched
+    rows (x, y, theta, cos theta, sin theta) and their bounding box (x0,
+    y0, x1, y1), pose rows per depth, node rows and speeds, and the
+    features with both overlap columns 0. searched
     holds the finished searches by opponent trajectories ((j, bytes), ...)."""
 
     poses: Tuple[np.ndarray, ...]
+    box: Tuple[float, float, float, float]
     depth_rows: List[int]
     node_rows: List[np.ndarray]
     node_speeds: List[np.ndarray]
@@ -99,6 +111,10 @@ class PlanCache(dict):
 # planners, and their trees, apart. Callers take their cache as
 # plans.setdefault(cfg, PlanCache()).
 PlanTable = Dict[PlannerConfig, PlanCache]
+
+# Slack on the culls' exact reach bounds: far above the rounding of the
+# float geometry, far below any distance that matters on the road.
+_MARGIN_M = 1e-6
 
 
 def level0_plan(
@@ -207,12 +223,7 @@ def _best_response(
         return tree.searched[key]
     n = cfg.horizon_n
     n_act = len(cfg.actions)
-    opp = list(opp_trajectories.values())
-    opp_arr = np.stack([t[:, :3] for t in opp]) if opp else np.zeros((0, n + 1, 3))
-    # the pose rows of depth tau face the opponents at instant tau + 1
-    opp_rows = np.repeat(opp_arr[:, 1:], tree.depth_rows, axis=1)
-    F = tree.features.copy()
-    opponent_features(F, *tree.poses, opp_rows, cfg.zones)
+    F = _searched_features(tree, opp_trajectories, cfg)
 
     w_arr = cfg.weights.as_array()
     value = np.zeros(1)
@@ -237,6 +248,22 @@ def _best_response(
     return res
 
 
+def _searched_features(tree: _EgoTree, opp_trajectories: Dict[int, np.ndarray], cfg: PlannerConfig) -> np.ndarray:
+    """The tree's features with the overlap columns filled against the
+    opponents within the overlap reach of its box (see the module doc)."""
+    z = cfg.zones
+    reach = max(math.hypot(z.c_length, z.c_width), math.hypot(z.s_length, z.s_width)) + _MARGIN_M
+    # the pose rows of depth tau face the opponents at instant tau + 1
+    opp = np.array([t[1:, :3] for t in opp_trajectories.values()]).reshape(-1, cfg.horizon_n, 3)
+    x0, y0, x1, y1 = tree.box
+    gx = np.maximum(np.maximum(x0 - opp[..., 0], opp[..., 0] - x1), 0.0)
+    gy = np.maximum(np.maximum(y0 - opp[..., 1], opp[..., 1] - y1), 0.0)
+    x, y, _, cth, sth = tree.poses
+    F = tree.features.copy()
+    opponent_features(F, x, y, cth, sth, opp[(np.hypot(gx, gy) <= reach).any(axis=1)], tree.depth_rows, z)
+    return F
+
+
 def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _EgoTree:
     if ego.goal_ref is None:
         raise ValueError("vehicle has no goal lane")
@@ -247,8 +274,12 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
     om, om_group = cfg.actions.omega_groups
     n_act, n_om = len(acc), len(om)
 
-    # geometry the horizon can possibly touch
-    reach = n * cfg.v_max * dt + max(cfg.zones.s_length, cfg.zones.s_width)
+    # Segments the c-zones can touch: only the first step moves at the
+    # ego's own speed, the rest at most v_max, so every row lies within
+    # n * dt * max(speed, v_max) of the ego, and a c-zone within its
+    # circumradius of its row.
+    z = cfg.zones
+    reach = n * dt * max(ego.speed, cfg.v_max) + 0.5 * math.hypot(z.c_length, z.c_width) + _MARGIN_M
     bsegs = _nearby_segments(lay.boundary_segments(), ego.pose.x, ego.pose.y, reach)
     msegs = _nearby_segments(lay.marking_segments(), ego.pose.x, ego.pose.y, reach)
 
@@ -279,10 +310,11 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
     cth, sth = np.cos(PTH), np.sin(PTH)
     exiting = (ego.phase != PHASE_APPROACH) & ~_in_core_many(lay, PX, PY)
     F = features_many(
-        PX, PY, PTH, np.zeros(n_rows), np.zeros((0, 3)), bsegs, msegs, lay.straight_lane_rects(), lane.id,
+        PX, PY, PTH, np.zeros(n_rows), bsegs, msegs, lay.straight_lane_rects(), lane.id,
         exiting, lane.ref_point, cfg.zones, cth, sth,
     )
-    return _EgoTree((PX, PY, PTH, cth, sth), [len(p[2]) for p in poses], node_rows, node_speeds, F)
+    box = (PX.min(), PY.min(), PX.max(), PY.max())
+    return _EgoTree((PX, PY, PTH, cth, sth), box, [len(p[2]) for p in poses], node_rows, node_speeds, F)
 
 
 def _in_core_many(lay, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -145,7 +145,6 @@ def features_many(
     y: np.ndarray,
     theta: np.ndarray,
     v: np.ndarray,
-    opp_states: np.ndarray,
     boundary_segs: np.ndarray,
     marking_segs: np.ndarray,
     lane_rects: List[Tuple[str, OrientedRect]],
@@ -156,18 +155,14 @@ def features_many(
     cth: Optional[np.ndarray] = None,
     sth: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Feature matrix (B, 6) for B candidate ego states.
-
-    opp_states holds opponent rows (x, y, theta) within the interaction
-    radius, m possibly 0: (m, 3) when all rows share one time instant, or
-    (m, B, 3) when row b faces its own opponents opp_states[:, b]. cth and
-    sth, when given, are cos and sin of theta.
+    """Opponent-free feature matrix (B, 6) for B candidate ego states: the
+    overlap columns 0 and 3 are 0, and opponent_features fills them. cth
+    and sth, when given, are cos and sin of theta.
     """
     B = x.shape[0]
     out = np.zeros((B, 6))
     if cth is None:
         cth, sth = np.cos(theta), np.sin(theta)
-    opponent_features(out, x, y, theta, cth, sth, opp_states, zones)
 
     # one clip pass over boundaries and markings together
     nb = len(boundary_segs)
@@ -201,18 +196,16 @@ def features_many(
     return out
 
 
-def opponent_features(out, x, y, theta, cth, sth, opp_states: np.ndarray, zones: ZoneSpec) -> None:
+def opponent_features(out, x, y, cth, sth, opp_states: np.ndarray, counts, zones: ZoneSpec) -> None:
     """Fills the overlap columns 0 (collision zones) and 3 (safe zones) of
-    the feature matrix out for the rows (x, y, theta) with cos and sin
-    cth, sth; opp_states as in features_many. Without opponents the
-    columns keep their values."""
+    the feature matrix out for the rows at (x, y) with heading cos and sin
+    cth, sth, in one overlap_rects_group pass over both zone sizes.
+    opp_states (m, T, 3) holds the opponents' poses (x, y, theta) at T
+    instants, and the rows come in T runs, counts[t] rows facing instant
+    t. Without opponents no kernel runs and the columns keep their values."""
     if not len(opp_states):
         return
-    hit_c = overlap_rects_group(
-        x, y, theta, zones.c_length, zones.c_width, opp_states, zones.c_length, zones.c_width, cth, sth
-    )
-    hit_s = overlap_rects_group(
-        x, y, theta, zones.s_length, zones.s_width, opp_states, zones.s_length, zones.s_width, cth, sth
-    )
+    sizes = ((zones.c_length, zones.c_width), (zones.s_length, zones.s_width))
+    hit_c, hit_s = overlap_rects_group(x, y, cth, sth, counts, opp_states, sizes)
     out[:, 0] = np.where(hit_c, -1.0, 0.0)
     out[:, 3] = np.where(hit_s, -1.0, 0.0)

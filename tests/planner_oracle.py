@@ -8,11 +8,14 @@ maximum, mirroring the planner's argmax convention.
 
 The scalar stage reward and discounted return, and the scalar segment
 predicates at the end, are the references for the batched paths of the
-library.
+library. repeat_per_row_search is the batched search as it was before the
+planner culled opponents, the bit-exact reference for the culled one.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 from intersim import dynamics as dyn
 from intersim import geometry as geo
@@ -135,6 +138,53 @@ def random_plan_scene(rng, n_vehicles=None):
             )
         )
     return states, net
+
+
+# ---------------------------------------------------------------------------
+# the opponent overlap before the planner's cull
+
+
+def repeat_per_row_overlap(x, y, cth, sth, length, width, others):
+    """Closed-set overlap of B rectangles against any of m of the same
+    size, where others[:, b] (m, B, 3) are the poses row b faces. One SAT
+    pass per size, with the members' cos and sin taken per row."""
+    co, so = np.cos(others[..., 2]), np.sin(others[..., 2])
+    hl, hw = 0.5 * length, 0.5 * width
+    dx = others[..., 0] - x
+    dy = others[..., 1] - y
+    C = np.abs(co * cth + so * sth)
+    S = np.abs(so * cth - co * sth)
+    sep = np.abs(dx * cth + dy * sth) > hl + hl * C + hw * S
+    sep |= np.abs(dy * cth - dx * sth) > hw + hl * S + hw * C
+    sep |= np.abs(dx * co + dy * so) > hl + hl * C + hw * S
+    sep |= np.abs(dy * co - dx * so) > hw + hl * S + hw * C
+    return (~sep).any(axis=0)
+
+
+def repeat_per_row_search(tree, ego, opp_trajectories, cfg):
+    """Overlap columns (rows, 2) and (sequence, value, trajectory) of the
+    best response from a planner ego tree, with every opponent tested
+    against every pose row and its pose repeated per row."""
+    F = tree.features.copy()
+    if opp_trajectories:
+        opp = np.stack([t[1:, :3] for t in opp_trajectories.values()])
+        rows = np.repeat(opp, tree.depth_rows, axis=1)
+        x, y, _, cth, sth = tree.poses
+        z = cfg.zones
+        for col, (length, width) in ((0, (z.c_length, z.c_width)), (3, (z.s_length, z.s_width))):
+            hit = repeat_per_row_overlap(x, y, cth, sth, length, width, rows)
+            F[:, col] = np.where(hit, -1.0, 0.0)
+    n_act, w = len(cfg.actions), cfg.weights.as_array()
+    value, disc = np.zeros(1), 1.0
+    for rows, speeds in zip(tree.node_rows, tree.node_speeds):
+        fv = F[rows]
+        fv[:, 5] = speeds
+        value = np.repeat(value, n_act) + disc * (fv @ w)
+        disc *= cfg.lam
+    best = int(np.argmax(value))
+    seq = [int(a) for a in np.unravel_index(best, (n_act,) * cfg.horizon_n)]
+    traj = dyn.rollout(ego.pose, ego.speed, [cfg.actions[a] for a in seq], dt=cfg.dt_s, v_max=cfg.v_max)
+    return F[:, [0, 3]], (seq, float(value[best]), traj)
 
 
 # ---------------------------------------------------------------------------

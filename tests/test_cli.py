@@ -5,8 +5,9 @@ import os
 
 import pytest
 
+from intersim import harness
 from intersim.cli import main
-from intersim.harness import REPORT_COLUMNS
+from intersim.harness import REPORT_COLUMNS, EvalSpec, run_one
 from intersim.imitation import LEVELK_DIM, PolicyApproximator, default_encoding
 
 
@@ -118,6 +119,31 @@ def test_simulate_writes_logs_and_summary(tmp_path, policy_file, capsys):
     assert len(summary) == 2
     assert summary[0]["log"] == "episode_0000.ndjson"
     assert summary[0]["kind"] in ("Collision", "Deadlock", "Success")
+
+
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_simulate_builds_once_and_logs_as_fresh_episodes(tmp_path, policy_file, monkeypatch, episodes, capsys):
+    loads, builds = [], []
+    load, build = PolicyApproximator.load.__func__, harness.build_network
+
+    def counted_load(cls, path):
+        loads.append(path)
+        return load(cls, path)
+
+    def counted_build(spec):
+        builds.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(PolicyApproximator, "load", classmethod(counted_load))
+    monkeypatch.setattr(harness, "build_network", counted_build)
+    code = main(["simulate", *_fast(policy_file, tmp_path), "--episodes", str(episodes), "--seed", "5"])
+    assert code == 0
+    capsys.readouterr()
+    assert loads == [policy_file] and len(builds) == 1
+    # sharing the built network and policy leaves every episode as a fresh one
+    spec = EvalSpec(scene="fourway", n_vehicles=2, av=None, policy_file=policy_file, t_limit_s=5.0)
+    _, log, _ = run_one(spec, (5, episodes - 1), collect_log=True)
+    assert (tmp_path / f"episode_{episodes - 1:04d}.ndjson").read_text() == "".join(line + "\n" for line in log)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +351,17 @@ def test_train_policy_adaptive_at_one_level_exits_zero(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert (tmp_path / "policy_adaptive.json").exists()
+
+
+def test_train_policy_has_no_policy_file_option(tmp_path, policy_file, capsys):
+    out = tmp_path / "out"
+    code = main(
+        ["train-policy", "--config", _tiny_train_cfg(tmp_path, "adaptive"), "--policy-file", policy_file,
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert "usage" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_policy_rejects_unknown_variant(tmp_path, capsys):

@@ -176,6 +176,9 @@ def test_overlap_batch_touching_counts():
     assert got.tolist() == [True, True, False]
 
 
+_SIZES = ((5.0, 2.0), (8.0, 2.4))
+
+
 def test_overlap_group_matches_scalar():
     rng = np.random.default_rng(13)
     B = 200
@@ -185,35 +188,45 @@ def test_overlap_group_matches_scalar():
     others = np.column_stack(
         [rng.uniform(-10, 10, 4), rng.uniform(-10, 10, 4), rng.uniform(-math.pi, math.pi, 4)]
     )
-    got = geo.overlap_rects_group(cx, cy, th, 5.0, 2.0, others, 8.0, 2.4)
+    got = geo.overlap_rects_group(cx, cy, np.cos(th), np.sin(th), [B], others[:, None], _SIZES)
     want = np.array(
         [
-            any(
-                geo.rects_overlap(
-                    geo.OrientedRect(cx[i], cy[i], 5.0, 2.0, th[i]),
-                    geo.OrientedRect(o[0], o[1], 8.0, 2.4, o[2]),
+            [
+                any(
+                    geo.rects_overlap(
+                        geo.OrientedRect(cx[i], cy[i], length, width, th[i]),
+                        geo.OrientedRect(o[0], o[1], length, width, o[2]),
+                    )
+                    for o in others
                 )
-                for o in others
-            )
-            for i in range(B)
+                for i in range(B)
+            ]
+            for length, width in _SIZES
         ]
     )
+    assert got.shape == (2, B) and not np.array_equal(got[0], got[1])
     assert np.array_equal(got, want)
 
 
 def test_overlap_group_per_row_opponents_match_single_rows():
+    # runs of rows per instant agree with one call per row, at both sizes
     rng = np.random.default_rng(17)
-    m, B = 3, 150
+    m, counts = 3, np.array([1, 6, 36, 107])
+    B = int(counts.sum())
     cx = rng.uniform(-10, 10, B)
     cy = rng.uniform(-10, 10, B)
     th = rng.uniform(-math.pi, math.pi, B)
+    T = len(counts)
     others = np.stack(
-        [rng.uniform(-10, 10, (m, B)), rng.uniform(-10, 10, (m, B)), rng.uniform(-math.pi, math.pi, (m, B))],
+        [rng.uniform(-10, 10, (m, T)), rng.uniform(-10, 10, (m, T)), rng.uniform(-math.pi, math.pi, (m, T))],
         axis=-1,
     )
-    got = geo.overlap_rects_group(cx, cy, th, 5.0, 2.0, others, 8.0, 2.4)
-    want = np.array(
-        [geo.overlap_rects_group(cx[b : b + 1], cy[b : b + 1], th[b : b + 1], 5.0, 2.0, others[:, b], 8.0, 2.4)[0]
+    c, s = np.cos(th), np.sin(th)
+    got = geo.overlap_rects_group(cx, cy, c, s, counts, others, _SIZES)
+    instant = np.repeat(np.arange(T), counts)
+    want = np.column_stack(
+        [geo.overlap_rects_group(cx[b : b + 1], cy[b : b + 1], c[b : b + 1], s[b : b + 1], [1],
+                                 others[:, instant[b] : instant[b] + 1], _SIZES)[:, 0]
          for b in range(B)]
     )
     assert got.any() and not got.all()
@@ -222,9 +235,9 @@ def test_overlap_group_per_row_opponents_match_single_rows():
 
 def test_overlap_group_empty_is_all_false():
     xs = np.zeros(4)
-    for others in (np.zeros((0, 3)), np.zeros((0, 4, 3))):
-        out = geo.overlap_rects_group(xs, xs, xs, 5.0, 2.0, others, 5.0, 2.0)
-        assert out.shape == (4,) and not out.any()
+    for others, counts in ((np.zeros((0, 1, 3)), [4]), (np.zeros((0, 4, 3)), [1] * 4)):
+        out = geo.overlap_rects_group(xs, xs, xs, xs, counts, others, _SIZES)
+        assert out.shape == (2, 4) and not out.any()
 
 
 def test_segments_hit_rects_matches_scalar():

@@ -1,6 +1,7 @@
 """Guards against dead code and unused dependencies growing back."""
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -112,12 +113,14 @@ def test_benchmark_hooks_read_the_right_arguments(monkeypatch):
     signature change that shifted them would count the wrong thing. One
     fourway expert tick under the tracer must give 777 feature rows per
     features_many call at the default horizon, and no more distinct
-    searches than searches."""
+    searches than searches. Each overlap_rects_group call must add its
+    rows times its opponents to the pair tests, as the kernel's own
+    parameters name them."""
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     from layers import instrument, per_layer
     from tracer import Tracer
 
-    from intersim import scene
+    from intersim import geometry, reward, scene
     from intersim.controllers import AdaptiveController
     from intersim.geometry import single_network
     from intersim.planner import DEFAULT_PLANNER
@@ -125,14 +128,30 @@ def test_benchmark_hooks_read_the_right_arguments(monkeypatch):
     cfg = scene.SceneConfig(network=single_network("fourway"), n_vehicles=3, av_policy="adaptive")
     ep = scene.init_episode(cfg, seed=(1, 0))
     tracer = Tracer()
+    kernel = inspect.signature(geometry.overlap_rects_group)
+    pairs = []  # (counted by the tracer's hook, rows x opponents)
+
+    def spy(*args, **kwargs):
+        before = tracer.counts["geometry.pair_tests"]
+        res = traced(*args, **kwargs)
+        a = kernel.bind(*args, **kwargs).arguments
+        pairs.append((tracer.counts["geometry.pair_tests"] - before, len(a["x"]) * len(a["others"])))
+        return res
+
+    av, ticks = AdaptiveController(), 0
     try:
         instrument(tracer, False)
-        scene.sim_step(ep, cfg, scene.ExpertTraffic(), AdaptiveController())
+        traced = reward.overlap_rects_group
+        reward.overlap_rects_group = spy  # restore() puts the kernel back
+        while not pairs:
+            scene.sim_step(ep, cfg, scene.ExpertTraffic(), av)
+            ticks += 1
     finally:
         tracer.restore()
     m = per_layer(tracer)
     assert DEFAULT_PLANNER.horizon_n == 4
-    assert m["scene.sim_step.calls"] == 1
+    assert all(counted == want > 0 for counted, want in pairs)
+    assert m["scene.sim_step.calls"] == ticks
     assert m["reward.features_many.calls"] > 0
     assert m["reward.features_many.rows"] == 777 * m["reward.features_many.calls"]
     assert 0 < m["planner.best_response.distinct"] <= m["planner.best_response.calls"]

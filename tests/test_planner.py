@@ -1,12 +1,13 @@
 """Level-k planner against the exhaustive scalar enumerator."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from intersim import planner
+from intersim import planner, reward
 from intersim.controllers import BeliefState, adaptive_plan
 from intersim.dynamics import (
     DEFAULT_ACTIONS,
@@ -29,7 +30,7 @@ from intersim.planner import (
 )
 from intersim.reward import RewardWeights
 
-from planner_oracle import exhaustive_plan, point_segment_dist, random_plan_scene
+from planner_oracle import exhaustive_plan, point_segment_dist, random_plan_scene, repeat_per_row_search
 
 
 def _check_against_oracle(states, net, i, k, cfg):
@@ -213,6 +214,167 @@ def test_nearby_segments_match_scalar_distance():
         assert np.array_equal(got, np.array(want).reshape(-1, 4))
     assert planner._nearby_segments(segs, 100.0, 100.0, 1.0).shape == (0, 4)
     assert planner._nearby_segments(np.zeros((0, 4)), 0.0, 0.0, 1.0).shape == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# the culls: opponents beyond the overlap reach of a tree's box, segments
+# beyond the reach of its c-zones
+
+
+def _overlap_reach(zones):
+    # the circumradii of the larger zone of each vehicle, plus 1e-6 m
+    return max(math.hypot(zones.c_length, zones.c_width), math.hypot(zones.s_length, zones.s_width)) + 1e-6
+
+
+def _box_gap(box, x, y):
+    x0, y0, x1, y1 = box
+    return math.hypot(max(x0 - x, x - x1, 0.0), max(y0 - y, y - y1, 0.0))
+
+
+def _standing(tree, x, y, theta, t, n):
+    """An opponent trajectory at (x, y, theta) at instant t, and far beyond
+    the tree's box at every other instant."""
+    traj = np.zeros((n + 1, 4))
+    traj[:, :2] = tree.box[2] + 40.0, tree.box[3] + 40.0
+    traj[t, :3] = x, y, theta
+    return traj
+
+
+def _off_box(tree, d, rng, n):
+    """An opponent at distance d from the tree's box at a random instant,
+    off a random corner or edge, at a random heading."""
+    x0, y0, x1, y1 = tree.box
+    a = rng.uniform(-math.pi, math.pi)
+    if rng.random() < 0.5:
+        x, y = (x1 if math.cos(a) > 0 else x0) + d * math.cos(a), (y1 if math.sin(a) > 0 else y0) + d * math.sin(a)
+    else:
+        x, y = (x1 + d, rng.uniform(y0, y1)) if math.cos(a) > 0 else (rng.uniform(x0, x1), y0 - d)
+    return _standing(tree, x, y, rng.uniform(-math.pi, math.pi), int(rng.integers(1, n + 1)), n)
+
+
+def _corner_to_corner(tree, length, width, gap, row, corner):
+    """Pose (x, y, theta) and instant of an opponent whose zone of the given
+    size meets that zone of pose row row corner to corner, at the instant
+    the row faces: gap metres apart along the diagonal (negative:
+    overlapping), heading like the row."""
+    x, y, theta = (float(p[row]) for p in tree.poses[:3])
+    phi = theta + (1, -1, 1, -1)[corner] * math.atan2(width, length) + (0, 0, math.pi, math.pi)[corner]
+    d = math.hypot(length, width) + gap
+    t = int(np.searchsorted(np.cumsum(tree.depth_rows), row, side="right")) + 1
+    return x + d * math.cos(phi), y + d * math.sin(phi), theta, t
+
+
+def _probe_opponents(tree, zones, rng, n):
+    """Opponents at reach - 1e-9, reach and reach + 1e-9 from the box, and
+    corner to corner with pose rows at either zone: a random row, and the
+    row and corner that put the opponent farthest from the box."""
+    reach = _overlap_reach(zones)
+    out = [_off_box(tree, d, rng, n) for d in (reach - 1e-9, reach, reach + 1e-9) for _ in range(2)]
+    rows = len(tree.poses[0])
+    for size in ((zones.c_length, zones.c_width), (zones.s_length, zones.s_width)):
+        picks = [(int(rng.integers(rows)), int(rng.integers(4)), gap) for gap in (-1e-3, -1e-9, 1e-9)]
+        far = max(
+            itertools.product(range(rows), range(4)),
+            key=lambda rc: _box_gap(tree.box, *_corner_to_corner(tree, *size, 0.0, *rc)[:2]),
+        )
+        for row, corner, gap in picks + [(*far, -1e-3)]:
+            out.append(_standing(tree, *_corner_to_corner(tree, *size, gap, row, corner), n))
+    return out
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+@pytest.mark.parametrize("actions", _ACTION_SETS, ids=["default", "distinct", "straight"])
+def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, horizon, actions):
+    """Culling opponents beyond the overlap reach of the tree's box changes
+    no overlap flag and no plan bit, at the edge of the reach and for zones
+    that meet corner to corner; the kernel sees only opponents in reach."""
+    tested = []
+    real = reward.overlap_rects_group
+
+    def kernel(*args):
+        tested.append(len(args[5]))
+        return real(*args)
+
+    monkeypatch.setattr(reward, "overlap_rects_group", kernel)
+    cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=horizon, actions=actions)
+    rng = np.random.default_rng(100 + horizon)
+    flags, culled = np.zeros(2), 0
+    for trial in range(6):
+        states, net = random_plan_scene(rng, 1)
+        ego = states[0]
+        ego.speed = (0.0, 2.0, cfg.v_max, cfg.v_max + 2.0, 3.0, 4.5)[trial]
+        if trial % 2:
+            ego.pose = Pose2(ego.pose.x, ego.pose.y, trial * math.pi / 2)  # axis-aligned travel
+        cache = PlanCache()
+        tree = cache.tree(ego, net, cfg)
+        probes = _probe_opponents(tree, cfg.zones, rng, horizon)
+        for opp in [{j: t} for j, t in enumerate(probes)] + [dict(enumerate(probes))]:
+            want_cols, (seq, value, traj) = repeat_per_row_search(tree, ego, opp, cfg)
+            del tested[:]
+            got = planner._searched_features(tree, opp, cfg)
+            assert len(tested) <= 1 and sum(tested) <= len(opp)
+            culled += len(opp) - sum(tested)
+            assert np.array_equal(got[:, [0, 3]], want_cols)
+            res = best_response(ego, opp, net, cfg, cache)
+            assert res.action_sequence == seq
+            assert res.value.hex() == value.hex()
+            assert res.trajectory.tobytes() == traj.tobytes()
+            flags += (want_cols == -1.0).any(axis=0)
+    # both zones overlap somewhere, and some opponents were culled
+    assert flags.all() and culled > 0
+
+
+def test_a_search_calls_the_overlap_kernel_only_with_opponents_in_reach(monkeypatch):
+    calls = []
+    real = reward.overlap_rects_group
+
+    def kernel(*args):
+        calls.append(len(args[5]))
+        return real(*args)
+
+    monkeypatch.setattr(reward, "overlap_rects_group", kernel)
+    rng = np.random.default_rng(41)
+    reach = _overlap_reach(DEFAULT_PLANNER.zones)
+    n = DEFAULT_PLANNER.horizon_n
+    for trial in range(8):
+        states, net = random_plan_scene(rng, 1)
+        ego = states[0]
+        cache = PlanCache()
+        tree = cache.tree(ego, net, DEFAULT_PLANNER)
+        out = {j: _off_box(tree, reach + 1e-9, rng, n) for j in range(4)}
+        best_response(ego, out, net, cache=cache)
+        assert calls == []
+        best_response(ego, {**out, 9: _off_box(tree, reach - 1e-9, rng, n)}, net, cache=cache)
+        assert calls == [1]
+        calls.clear()
+
+
+@pytest.mark.parametrize("speed", [3.0, DEFAULT_PLANNER.v_max + 2.0])
+def test_a_segment_exactly_at_the_c_zone_reach_is_kept(monkeypatch, speed):
+    """Rows lie within n * dt * max(speed, v_max) of the ego, and a c-zone
+    within its circumradius of its row: a segment at that reach plus 1e-6
+    m is kept, one a float beyond it is not, also above v_max."""
+    cfg = DEFAULT_PLANNER
+    z = cfg.zones
+    reach = cfg.horizon_n * cfg.dt_s * max(speed, cfg.v_max) + 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
+    beyond = math.nextafter(reach, math.inf)
+    # vertical segments whose nearest point to the origin is (+-x, 0)
+    segs = np.array([[x, -1.0, x, 1.0] for x in (reach, -reach, beyond, -beyond)])
+    net = single_network("fourway")
+    lay = net.layouts["I0"]
+    monkeypatch.setattr(lay, "boundary_segments", lambda: segs)
+    monkeypatch.setattr(lay, "marking_segments", lambda: segs[::-1])
+    kept = []
+    real = planner.features_many
+
+    def features_many(*args):
+        kept.append((args[4], args[5]))
+        return real(*args)
+
+    monkeypatch.setattr(planner, "features_many", features_many)
+    planner._ego_tree(VehicleState(Pose2(0.0, 0.0, 0.3), speed, goal_ref="I0:E.out"), net, cfg)
+    (bsegs, msegs), = kept
+    assert np.array_equal(bsegs, segs[:2]) and np.array_equal(msegs, segs[1::-1])
 
 
 def _crossing_scene():

@@ -111,7 +111,6 @@ def test_features_many_matches_scalar(fourway):
         opp = np.array([[3.0, -2.0, 2.0], [-6.0, 1.0, -0.5], [10.0, 10.0, 1.0]])
         got = rw.features_many(
             x, y, th, v,
-            opp,
             lay.boundary_segments(),
             lay.marking_segments(),
             lay.straight_lane_rects(),
@@ -119,6 +118,7 @@ def test_features_many_matches_scalar(fourway):
             exiting,
             ref,
         )
+        rw.opponent_features(got, x, y, np.cos(th), np.sin(th), opp[:, None], [B], rw.DEFAULT_ZONES)
         for i in range(B):
             want = feats(
                 Pose2(x[i], y[i], th[i]),
@@ -138,7 +138,6 @@ def test_features_many_no_opponents(fourway):
         np.array([-2.0]),
         np.array([0.0]),
         np.array([2.0]),
-        np.zeros((0, 3)),
         fourway.boundary_segments(),
         fourway.marking_segments(),
         fourway.straight_lane_rects(),
@@ -166,11 +165,16 @@ def test_features_many_one_call_equals_one_call_per_instant(fourway):
          rng.uniform(0, 5, n), rng.random(n) < 0.5)
         for n in sizes
     ]
+    def features(x, y, th, v, ex, opp, counts):
+        out = rw.features_many(x, y, th, v, *road, ex, ref)
+        rw.opponent_features(out, x, y, np.cos(th), np.sin(th), opp, counts, rw.DEFAULT_ZONES)
+        return out
+
     per_instant = [
-        rw.features_many(x, y, th, v, opp[:, t], *road, ex, ref)
+        features(x, y, th, v, ex, opp[:, t : t + 1], [len(x)])
         for t, (x, y, th, v, ex) in enumerate(batches)
     ]
     x, y, th, v, ex = (np.concatenate(c) for c in zip(*batches))
-    one = rw.features_many(x, y, th, v, np.repeat(opp, sizes, axis=1), *road, ex, ref)
+    one = features(x, y, th, v, ex, opp, sizes)
     assert np.array_equal(one, np.concatenate(per_instant))
     assert (one[:, 0] == -1.0).any() and (one[:, 2] == -1.0).any()
