@@ -303,7 +303,6 @@ def _cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     workers = _pop_workers(cfg)
     spec = _spec_from_args(args, cfg)
-    _Built(spec)  # bad scenes and malformed policy files fail before any output
     n = args.episodes if args.episodes is not None else 200
     if n < 1:
         raise ConfigError("--episodes must be at least 1")
@@ -332,7 +331,6 @@ def _cmd_calibrate(args) -> int:
             f"traffic_models must be a non-empty list of {', '.join(TRAFFIC_MODELS)}, got {models!r}"
         )
     spec = _spec_from_args(args, cfg)
-    _Built(spec)  # bad scenes and malformed policy files fail before any output
     grid = _parse_grid(args.rc_grid)
     n = args.episodes if args.episodes is not None else 200
     if n < 1:

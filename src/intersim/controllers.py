@@ -26,19 +26,16 @@ from .geometry import (
     polylines_min_dist,
 )
 from .planner import (
-    DEFAULT_PLANNER,
+    BEHAVIORAL_LEVELS,
+    PlanCache,
     PlannerConfig,
     PlanResult,
-    PlanCache,
-    PlanTable,
     best_response,
     level0_plan,
     levelk_plan,
     near_indices,
 )
 from .scene import AVController
-
-BEHAVIORAL_MODELS: Tuple[int, ...] = (1, 2)
 
 # predictor(states, indices, levels, network) -> one action index per row,
 # for vehicle indices[r] at level levels[r], all read from the same states;
@@ -62,7 +59,7 @@ class BeliefState:
     prediction best explains the observed action.
     """
 
-    model_set: Tuple[int, ...] = BEHAVIORAL_MODELS
+    model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS
     beta: float = 0.6
     table: Dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -112,7 +109,7 @@ def update_beliefs(
     return out
 
 
-def estimate_level(p: np.ndarray, model_set: Tuple[int, ...] = BEHAVIORAL_MODELS) -> int:
+def estimate_level(p: np.ndarray, model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS) -> int:
     # ties resolve to the higher level: undecided reads as aggressive
     best = len(p) - 1 - int(np.argmax(p[::-1]))
     return model_set[best]
@@ -130,7 +127,6 @@ def estimate_levels(beliefs: BeliefState, opponents: Sequence[int]) -> Dict[int,
 
 def predictor_rollout(
     states: Sequence[Optional[VehicleState]],
-    i: int,
     opponents: Sequence[int],
     estimates: Dict[int, int],
     network: RoadNetwork,
@@ -160,9 +156,7 @@ def predictor_rollout(
         picked = predictor(cur, opponents, levels, network)
         for j, a_idx in zip(opponents, picked):
             st = cur[j]
-            st.pose, st.speed = step(
-                st.pose, st.speed, cfg.actions[a_idx], dt=cfg.dt_s, v_max=cfg.v_max
-            )
+            st.pose, st.speed = step(st.pose, st.speed, cfg.actions[a_idx])
             trajs[j][tau] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
     return trajs
 
@@ -172,9 +166,8 @@ def adaptive_plan(
     i: int,
     beliefs: BeliefState,
     network: RoadNetwork,
-    cfg: PlannerConfig = DEFAULT_PLANNER,
+    cache: PlanCache,
     predictor: Optional[Predictor] = None,
-    cache: Optional[PlanCache] = None,
 ) -> PlanResult:
     """Best response to opponents committed at their estimated levels.
 
@@ -184,22 +177,19 @@ def adaptive_plan(
     tie-break. Without a predictor the predictions come from the game-tree
     search; with one, from a joint closed-loop rollout under that explicit
     policy (predictor_rollout). The first action of the result is the
-    control to apply. cache, when given, is the PlanCache of these states;
-    the searched predictions and the ego's own search read and add plans
-    and ego trees there.
+    control to apply. cache is the PlanCache of these states and carries
+    the planner config; the searched predictions and the ego's own search
+    read and add plans and ego trees there.
     """
-    near = near_indices(states, i, cfg.interaction_radius_m)
+    near = near_indices(states, i, cache.cfg.interaction_radius_m)
     estimates = estimate_levels(beliefs, near)
     if not near:
-        return level0_plan(list(states), i, network, cfg, cache)
+        return level0_plan(list(states), i, network, cache)
     if predictor is not None:
-        opp = predictor_rollout(states, i, near, estimates, network, cfg, predictor)
+        opp = predictor_rollout(states, near, estimates, network, cache.cfg, predictor)
     else:
-        opp = {
-            j: levelk_plan(list(states), j, estimates[j], network, cfg, cache).trajectory
-            for j in near
-        }
-    return best_response(states[i], opp, network, cfg, cache)
+        opp = {j: levelk_plan(list(states), j, estimates[j], network, cache).trajectory for j in near}
+    return best_response(states[i], opp, network, cache)
 
 
 class AdaptiveController(AVController):
@@ -214,13 +204,11 @@ class AdaptiveController(AVController):
 
     def __init__(
         self,
-        model_set: Tuple[int, ...] = BEHAVIORAL_MODELS,
+        model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS,
         beta: float = 0.6,
-        planner: PlannerConfig = DEFAULT_PLANNER,
         predictor: Optional[Predictor] = None,
     ):
         self.beliefs = BeliefState(model_set=model_set, beta=beta)
-        self.planner = planner
         self.predictor = predictor
         self._ego: Optional[int] = None
         # running per-opponent max of each model probability, for
@@ -230,25 +218,21 @@ class AdaptiveController(AVController):
         self.resolved: List[Tuple[int, np.ndarray]] = []
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
         self._ego = i
-        res = adaptive_plan(
-            states, i, self.beliefs, network, self.planner, self.predictor,
-            plans.setdefault(self.planner, PlanCache()),
-        )
-        return res.action_sequence[0]
+        return adaptive_plan(states, i, self.beliefs, network, plans, self.predictor).action_sequence[0]
 
     def observe(
         self,
         prev_states: Sequence[Optional[VehicleState]],
         actions: Dict[int, int],
         network: RoadNetwork,
-        plans: PlanTable,
+        plans: PlanCache,
     ) -> None:
         if self._ego is None or prev_states[self._ego] is None:
             return
-        near = set(near_indices(prev_states, self._ego, self.planner.interaction_radius_m))
+        near = set(near_indices(prev_states, self._ego, plans.cfg.interaction_radius_m))
         snapshot = list(prev_states)
         opps = [j for j in actions if j != self._ego and j in near]
         if not opps:
@@ -258,18 +242,14 @@ class AdaptiveController(AVController):
         if self.predictor is not None:
             picked = self.predictor(snapshot, [j for j, _ in rows], [k for _, k in rows], network)
         else:
-            cache = plans.setdefault(self.planner, PlanCache())
-            picked = [
-                levelk_plan(snapshot, j, k, network, self.planner, cache).action_sequence[0]
-                for j, k in rows
-            ]
+            picked = [levelk_plan(snapshot, j, k, network, plans).action_sequence[0] for j, k in rows]
         pred_idx = dict(zip(rows, picked))
         for j in opps:
             preds: Dict[int, Tuple[float, float]] = {}
             for k in ks:
-                act = self.planner.actions[pred_idx[(j, k)]]
+                act = plans.cfg.actions[pred_idx[(j, k)]]
                 preds[k] = (act.accel, act.omega)
-            obs_act = self.planner.actions[actions[j]]
+            obs_act = plans.cfg.actions[actions[j]]
             self.beliefs = update_beliefs(
                 self.beliefs, j, (obs_act.accel, obs_act.omega), preds
             )
@@ -304,18 +284,17 @@ class DistilledAdaptiveController(AdaptiveController):
             [Sequence[Optional[VehicleState]], int, Dict[int, int], RoadNetwork], int
         ],
         predictor: Predictor,
-        model_set: Tuple[int, ...] = BEHAVIORAL_MODELS,
+        model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS,
         beta: float = 0.6,
-        planner: PlannerConfig = DEFAULT_PLANNER,
     ):
-        super().__init__(model_set, beta, planner, predictor)
+        super().__init__(model_set, beta, predictor)
         self.actor = actor
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
         self._ego = i
-        near = near_indices(states, i, self.planner.interaction_radius_m)
+        near = near_indices(states, i, plans.cfg.interaction_radius_m)
         estimates = estimate_levels(self.beliefs, near)
         return self.actor(states, i, estimates, network)
 
@@ -324,25 +303,18 @@ class FixedLevelController(AVController):
     """Ego that plays a fixed behavioral level, as the expert tree search
     or through a distilled predictor queried with its one row."""
 
-    def __init__(
-        self,
-        level: int,
-        planner: PlannerConfig = DEFAULT_PLANNER,
-        predictor: Optional[Predictor] = None,
-    ):
-        if level not in BEHAVIORAL_MODELS:
-            raise ValueError(f"fixed ego level must be one of {BEHAVIORAL_MODELS}")
+    def __init__(self, level: int, predictor: Optional[Predictor] = None):
+        if level not in BEHAVIORAL_LEVELS:
+            raise ValueError(f"fixed ego level must be one of {BEHAVIORAL_LEVELS}")
         self.level = level
-        self.planner = planner
         self.predictor = predictor
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
         if self.predictor is not None:
             return int(self.predictor(states, [i], [self.level], network)[0])
-        cache = plans.setdefault(self.planner, PlanCache())
-        return levelk_plan(list(states), i, self.level, network, self.planner, cache).action_sequence[0]
+        return levelk_plan(list(states), i, self.level, network, plans).action_sequence[0]
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +636,7 @@ class RuleBasedController(AVController):
         self._s = project_arclength(self._pts, self._cum, st.pose.x, st.pose.y)
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
         """rule_based_action as an action index; only opponents within rc_m,
         the ones conflict_set reads, get an estimated path."""

@@ -2,7 +2,7 @@
 
 Discrete unicycle update with a fixed decision period. Position moves with
 the pre-update speed and heading, then speed and heading are updated; speed
-saturates to [0, v_max] afterwards and the heading is wrapped to (-pi, pi].
+saturates to [0, V_MAX] afterwards and the heading is wrapped to (-pi, pi].
 """
 
 from __future__ import annotations
@@ -107,17 +107,17 @@ class VehicleState:
         )
 
 
-def step(pose: Pose2, speed: float, action: Action, dt: float = DT_S, v_max: float = V_MAX) -> Tuple[Pose2, float]:
+def step(pose: Pose2, speed: float, action: Action) -> Tuple[Pose2, float]:
     """One kinematic update. Position uses the pre-update speed and heading."""
-    x = pose.x + speed * math.cos(pose.theta) * dt
-    y = pose.y + speed * math.sin(pose.theta) * dt
-    v = speed + action.accel * dt
-    v = V_MIN if v < V_MIN else (v_max if v > v_max else v)
-    theta = wrap_angle(pose.theta + action.omega * dt)
+    x = pose.x + speed * math.cos(pose.theta) * DT_S
+    y = pose.y + speed * math.sin(pose.theta) * DT_S
+    v = speed + action.accel * DT_S
+    v = V_MIN if v < V_MIN else (V_MAX if v > V_MAX else v)
+    theta = wrap_angle(pose.theta + action.omega * DT_S)
     return Pose2(x, y, theta), v
 
 
-def rollout(pose: Pose2, speed: float, actions, dt: float = DT_S, v_max: float = V_MAX) -> np.ndarray:
+def rollout(pose: Pose2, speed: float, actions) -> np.ndarray:
     """States visited when applying an action sequence.
 
     Returns shape (len(actions) + 1, 4) rows of (x, y, theta, v), first row
@@ -127,7 +127,7 @@ def rollout(pose: Pose2, speed: float, actions, dt: float = DT_S, v_max: float =
     out[0] = (pose.x, pose.y, pose.theta, speed)
     p, v = pose, speed
     for i, act in enumerate(actions):
-        p, v = step(p, v, act, dt=dt, v_max=v_max)
+        p, v = step(p, v, act)
         out[i + 1] = (p.x, p.y, p.theta, v)
     return out
 

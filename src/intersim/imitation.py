@@ -31,7 +31,7 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import BUILDERS, RoadNetwork, single_network
-from .planner import DEFAULT_PLANNER, PlanCache, PlannerConfig, expert_policy, near_indices
+from .planner import BEHAVIORAL_LEVELS, PlanCache, expert_policy, near_indices
 from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
 M_NEAR = 6
@@ -39,7 +39,6 @@ POS_SCALE_M = 40.0  # interaction radius; positions land roughly in [-1, 1]
 SPEED_SCALE = 5.0
 SENTINEL_DX_M = 100.0  # empty opponent slots read as a far-away stopped car
 N_LAYOUT_KINDS = 3
-BEHAVIORAL_LEVELS = (1, 2)
 
 N_PHASES = 3
 LANE_WIDTH_SCALE_M = 4.0
@@ -538,7 +537,6 @@ class DaggerConfig:
     k_max: int = 2
     scenes: Tuple[str, ...] = ("fourway", "tshape", "roundabout")
     seed: int = 0
-    planner: PlannerConfig = DEFAULT_PLANNER
     train: TrainConfig = field(default_factory=TrainConfig)
     m_near: int = M_NEAR
     warm_start: bool = False  # literal reading retrains from scratch
@@ -651,9 +649,7 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
             for i in active:
                 for k in levels:
                     encs[(i, k)] = encode_state(states, i, k, net, cfg.m_near)
-                    expert_idx[(i, k)] = expert_policy(
-                        states, i, k, net, cfg.planner, cache
-                    ).action_sequence[0]
+                    expert_idx[(i, k)] = expert_policy(states, i, k, net, cache).action_sequence[0]
             if encs:
                 keys = list(encs)
                 guesses = policy.predict(np.stack([encs[key] for key in keys]))
@@ -702,7 +698,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     history: List[dict] = []
 
     def controller():
-        return AdaptiveController(model_set=tuple(levels), planner=cfg.planner)
+        return AdaptiveController(model_set=tuple(levels))
 
     for n, net, states in _episodes(cfg, rng, cfg.n_max):
         bg_levels = {j: levels[rng.integers(len(levels))] for j in range(1, cfg.n_vehicles)}
@@ -716,19 +712,16 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                 else:
                     ego.reset_belief(i)
             cache = PlanCache()
-            plans = {cfg.planner: cache}
             opp_active = [
                 j for j in range(1, cfg.n_vehicles) if states[j] is not None
             ]
             chosen: Dict[int, int] = {}
             for j in opp_active:
-                chosen[j] = expert_policy(
-                    states, j, bg_levels[j], net, cfg.planner, cache
-                ).action_sequence[0]
+                chosen[j] = expert_policy(states, j, bg_levels[j], net, cache).action_sequence[0]
             if states[0] is not None:
-                near = near_indices(states, 0, cfg.planner.interaction_radius_m)
+                near = near_indices(states, 0, cache.cfg.interaction_radius_m)
                 x = encode_state_adaptive(states, 0, estimate_levels(ego.beliefs, near), net, cfg.m_near)
-                expert = ego.decide(states, 0, net, plans)
+                expert = ego.decide(states, 0, net, cache)
                 guess = int(policy.predict(x[None, :])[0])
                 queries += 1
                 if guess != expert:
@@ -736,7 +729,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                     disagreements += 1
                 chosen[0] = guess
             # belief refresh from the actions just chosen at this state
-            ego.observe(states, chosen, net, plans)
+            ego.observe(states, chosen, net, cache)
             _advance(states, chosen, net)
         policy, loss = _refit(policy, dataset, cfg, 6, n)
         rate = disagreements / queries if queries else 0.0
@@ -764,10 +757,10 @@ def collect_expert_rollouts(
             for i in active:
                 for k in levels:
                     enc = encode_state(states, i, k, net, cfg.m_near)
-                    idx = expert_policy(states, i, k, net, cfg.planner, cache).action_sequence[0]
+                    idx = expert_policy(states, i, k, net, cache).action_sequence[0]
                     dataset.append(enc, idx)
                 k_t = levels[rng.integers(len(levels))]
-                chosen[i] = expert_policy(states, i, k_t, net, cfg.planner, cache).action_sequence[0]
+                chosen[i] = expert_policy(states, i, k_t, net, cache).action_sequence[0]
             _advance(states, chosen, net)
     return dataset
 
@@ -808,7 +801,6 @@ def collect_probes(
 def evaluate_match(
     policy: PolicyApproximator,
     probes: Sequence[Tuple[List[Optional[VehicleState]], int, int, RoadNetwork]],
-    planner_cfg: PlannerConfig = DEFAULT_PLANNER,
 ) -> dict:
     """Fraction of probe states where the classifier's argmax equals the
     expert's decision, with a 95% binomial interval."""
@@ -821,7 +813,7 @@ def evaluate_match(
         cache = PlanCache()
         guesses = policy.act(states, [p[1] for p in tick], [p[2] for p in tick], net)
         for (_, i, k, _), guess in zip(tick, guesses):
-            expert = expert_policy(states, i, k, net, planner_cfg, cache).action_sequence[0]
+            expert = expert_policy(states, i, k, net, cache).action_sequence[0]
             hits += int(guess) == expert
     lo, hi = wilson_interval(hits, len(probes))
     return {"match": hits / len(probes), "n": len(probes), "ci_low": lo, "ci_high": hi}
@@ -834,7 +826,7 @@ def evaluate_match(
 class DistilledTraffic(TrafficPolicy):
     """Background traffic driven by the distilled classifier: one act call
     per tick for all background vehicles at their levels. It does not
-    search, so it leaves the tick's plan table alone."""
+    search, so it leaves the tick's plan cache alone."""
 
     def __init__(self, policy: PolicyApproximator):
         self.policy = policy

@@ -13,7 +13,13 @@ opponent-free features, from one features_many call, form the ego tree,
 a function of the ego input (x, y, theta, speed, phase, goal_ref). A
 search fills the two overlap columns of a copy and sums the node values,
 each with its pose's features and its own speed, depth by depth.
-Searches that share a PlanCache share its trees and finished searches.
+
+Every search takes a PlanCache, the planner's one context: it holds the
+config, the finished plans of one joint state by (vehicle, level) and
+the ego trees by ego input. A plan is a pure function of (states,
+vehicle, level, network, config), and an ego tree of (ego input, network,
+config), so every search from the same states under one config may share
+one cache; a search that shares nothing takes a fresh PlanCache().
 
 Two culls skip work that cannot change a flag, so plans stay bit-identical.
 A search tests only the opponents whose poses at instants 1..N come within
@@ -45,14 +51,15 @@ from .geometry import RoadNetwork, wrap_angle_many
 from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, RewardWeights, ZoneSpec, features_many, opponent_features
 
 
+K_MAX = 2  # the highest level the expert searches
+BEHAVIORAL_LEVELS: Tuple[int, ...] = (1, 2)  # the levels traffic plays and the adaptive AV estimates
+LAMBDA = 0.8  # discount per planning step
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
-    k_max: int = 2
     horizon_n: int = 4
-    lam: float = 0.8
     interaction_radius_m: float = 40.0
-    dt_s: float = DT_S
-    v_max: float = V_MAX
     actions: ActionSet = DEFAULT_ACTIONS
     zones: ZoneSpec = DEFAULT_ZONES
     weights: RewardWeights = DEFAULT_WEIGHTS
@@ -88,100 +95,69 @@ class _EgoTree:
 
 
 class PlanCache(dict):
-    """Finished plans of one joint state under one config, by (vehicle,
-    level), and in trees the ego trees of its searches, by ego input
-    (x, y, theta, speed, phase, goal_ref) rather than by slot."""
+    """The planner's context for one joint state: the config in cfg, the
+    finished plans by (vehicle, level), and in trees the ego trees of its
+    searches, by ego input (x, y, theta, speed, phase, goal_ref) rather
+    than by slot."""
 
-    def __init__(self):
+    def __init__(self, cfg: PlannerConfig = DEFAULT_PLANNER):
         super().__init__()
+        self.cfg = cfg
         self.trees: Dict[tuple, _EgoTree] = {}
 
-    def tree(self, ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _EgoTree:
+    def tree(self, ego: VehicleState, network: RoadNetwork) -> _EgoTree:
         p = ego.pose
         key = (p.x, p.y, p.theta, ego.speed, ego.phase, ego.goal_ref)
         if key not in self.trees:
-            self.trees[key] = _ego_tree(ego, network, cfg)
+            self.trees[key] = _ego_tree(ego, network, self.cfg)
         return self.trees[key]
 
-
-# Plans of one joint state, by planner config. A plan is a pure function
-# of (states, vehicle, level, network, config), and an ego tree of (ego
-# input, network, config), so every caller that plans from the same
-# states may share one table; the config key keeps differently configured
-# planners, and their trees, apart. Callers take their cache as
-# plans.setdefault(cfg, PlanCache()).
-PlanTable = Dict[PlannerConfig, PlanCache]
 
 # Slack on the culls' exact reach bounds: far above the rounding of the
 # float geometry, far below any distance that matters on the road.
 _MARGIN_M = 1e-6
 
 
-def level0_plan(
-    states: List[VehicleState],
-    i: int,
-    network: RoadNetwork,
-    cfg: PlannerConfig = DEFAULT_PLANNER,
-    cache: Optional[PlanCache] = None,
-) -> PlanResult:
+def level0_plan(states: List[VehicleState], i: int, network: RoadNetwork, cache: PlanCache) -> PlanResult:
     """Best response against opponents frozen at their current poses."""
-    near = near_indices(states, i, cfg.interaction_radius_m)
-    opp = {j: hold_trajectory(states[j].pose, cfg.horizon_n) for j in near}
-    return _best_response(states[i], opp, network, cfg, cache)
+    near = near_indices(states, i, cache.cfg.interaction_radius_m)
+    opp = {j: hold_trajectory(states[j].pose, cache.cfg.horizon_n) for j in near}
+    return _best_response(states[i], opp, network, cache)
 
 
-def levelk_plan(
-    states: List[VehicleState],
-    i: int,
-    k: int,
-    network: RoadNetwork,
-    cfg: PlannerConfig = DEFAULT_PLANNER,
-    cache: Optional[PlanCache] = None,
-) -> PlanResult:
+def levelk_plan(states: List[VehicleState], i: int, k: int, network: RoadNetwork, cache: PlanCache) -> PlanResult:
     """Level-k best response. cache holds the finished plans and ego trees
     of these states and is shared across vehicles within one decision tick."""
-    if cache is not None and (i, k) in cache:
+    if (i, k) in cache:
         return cache[(i, k)]
     if k == 0:
-        res = level0_plan(states, i, network, cfg, cache)
+        res = level0_plan(states, i, network, cache)
     else:
-        near = near_indices(states, i, cfg.interaction_radius_m)
+        near = near_indices(states, i, cache.cfg.interaction_radius_m)
         opp = {}
         for j in near:
-            sub = levelk_plan(states, j, k - 1, network, cfg, cache)
+            sub = levelk_plan(states, j, k - 1, network, cache)
             opp[j] = sub.trajectory
-        res = _best_response(states[i], opp, network, cfg, cache)
-    if cache is not None:
-        cache[(i, k)] = res
+        res = _best_response(states[i], opp, network, cache)
+    cache[(i, k)] = res
     return res
 
 
 def best_response(
-    ego: VehicleState,
-    opp_trajectories: Dict[int, np.ndarray],
-    network: RoadNetwork,
-    cfg: PlannerConfig = DEFAULT_PLANNER,
-    cache: Optional[PlanCache] = None,
+    ego: VehicleState, opp_trajectories: Dict[int, np.ndarray], network: RoadNetwork, cache: PlanCache
 ) -> PlanResult:
     """Single-agent receding-horizon search against externally committed
     opponent trajectories, each (N+1, 4). The adaptive controller supplies
     per-opponent predictions here instead of the level recursion; with the
     tick's cache, it reads the ego tree its levelk searches built."""
-    return _best_response(ego, opp_trajectories, network, cfg, cache)
+    return _best_response(ego, opp_trajectories, network, cache)
 
 
-def expert_policy(
-    states: List[VehicleState],
-    i: int,
-    k: int,
-    network: RoadNetwork,
-    cfg: PlannerConfig = DEFAULT_PLANNER,
-    cache: Optional[PlanCache] = None,
-) -> PlanResult:
+def expert_policy(states: List[VehicleState], i: int, k: int, network: RoadNetwork, cache: PlanCache) -> PlanResult:
     """The game-tree teacher queried during imitation and evaluation."""
-    if not 0 <= k <= cfg.k_max:
-        raise ValueError(f"level {k} outside 0..{cfg.k_max}")
-    return levelk_plan(states, i, k, network, cfg, cache)
+    if not 0 <= k <= K_MAX:
+        raise ValueError(f"level {k} outside 0..{K_MAX}")
+    return levelk_plan(states, i, k, network, cache)
 
 
 def near_indices(states: Sequence[Optional[VehicleState]], i: int, radius: float) -> List[int]:
@@ -211,13 +187,10 @@ def _nearby_segments(segs: np.ndarray, x: float, y: float, radius: float) -> np.
 
 
 def _best_response(
-    ego: VehicleState,
-    opp_trajectories: Dict[int, np.ndarray],
-    network: RoadNetwork,
-    cfg: PlannerConfig,
-    cache: Optional[PlanCache] = None,
+    ego: VehicleState, opp_trajectories: Dict[int, np.ndarray], network: RoadNetwork, cache: PlanCache
 ) -> PlanResult:
-    tree = _ego_tree(ego, network, cfg) if cache is None else cache.tree(ego, network, cfg)
+    cfg = cache.cfg
+    tree = cache.tree(ego, network)
     key = tuple((j, t.tobytes()) for j, t in opp_trajectories.items())
     if key in tree.searched:
         return tree.searched[key]
@@ -232,12 +205,12 @@ def _best_response(
         fv = F[rows]
         fv[:, 5] = speeds
         value = np.repeat(value, n_act) + disc * (fv @ w_arr)
-        disc *= cfg.lam
+        disc *= LAMBDA
 
     best = int(np.argmax(value))
     seq = [int(a) for a in np.unravel_index(best, (n_act,) * n)]
     actions = [cfg.actions[i] for i in seq]
-    traj = rollout(ego.pose, ego.speed, actions, dt=cfg.dt_s, v_max=cfg.v_max)
+    traj = rollout(ego.pose, ego.speed, actions)
     res = tree.searched[key] = PlanResult(
         action_sequence=seq,
         first_action=actions[0],
@@ -269,7 +242,7 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
         raise ValueError("vehicle has no goal lane")
     lay, lane = network.resolve(ego.goal_ref)
     n = cfg.horizon_n
-    dt = cfg.dt_s
+    dt = DT_S
     acc, _ = cfg.actions.arrays()
     om, om_group = cfg.actions.omega_groups
     n_act, n_om = len(acc), len(om)
@@ -279,7 +252,7 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
     # n * dt * max(speed, v_max) of the ego, and a c-zone within its
     # circumradius of its row.
     z = cfg.zones
-    reach = n * dt * max(ego.speed, cfg.v_max) + 0.5 * math.hypot(z.c_length, z.c_width) + _MARGIN_M
+    reach = n * dt * max(ego.speed, V_MAX) + 0.5 * math.hypot(z.c_length, z.c_width) + _MARGIN_M
     bsegs = _nearby_segments(lay.boundary_segments(), ego.pose.x, ego.pose.y, reach)
     msegs = _nearby_segments(lay.marking_segments(), ego.pose.x, ego.pose.y, reach)
 
@@ -297,7 +270,7 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
         Y = Y + V * np.sin(TH) * dt
         th = wrap_angle_many((TH[:, None] + om * dt).ravel())
         rows = (np.arange(P)[:, None] * n_om + om_group).ravel()
-        V = np.clip((V[:, None] + acc * dt).ravel(), 0.0, cfg.v_max)
+        V = np.clip((V[:, None] + acc * dt).ravel(), 0.0, V_MAX)
         poses.append((np.repeat(X, n_om), np.repeat(Y, n_om), th))
         node_rows.append(n_rows + rows)
         node_speeds.append(V)

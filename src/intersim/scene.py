@@ -7,14 +7,14 @@ re-initialized at a fresh entrance (the training-loop semantics, kept
 during evaluation so traffic density stays constant); the vehicle under
 test terminates the episode instead.
 
-Each tick owns one plan table (planner.PlanTable). The traffic policy,
-the AV's decision and the AV's belief observation all plan from s_t, so
-a level-k best response searched by one of them is reused by the others
-instead of searched again. Each config's PlanCache also holds the tick's
-ego trees, keyed by ego input (x, y, theta, speed, phase, goal_ref), so
-every search from one vehicle's state, the AV's own best response
-included, expands and scores the ego side once. The table holds plans of
-s_t only and is dropped when the tick ends.
+Each tick owns one plan cache (planner.PlanCache), which also carries
+the planner config. The traffic policy, the AV's decision and the AV's
+belief observation all plan from s_t, so a level-k best response searched
+by one of them is reused by the others instead of searched again. The
+cache also holds the tick's ego trees, keyed by ego input (x, y, theta,
+speed, phase, goal_ref), so every search from one vehicle's state, the
+AV's own best response included, expands and scores the ego side once.
+The cache holds plans of s_t only and is dropped when the tick ends.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .geometry import (
     segments_hit_rects,
     turn_targets,
 )
-from .planner import DEFAULT_PLANNER, PlanCache, PlannerConfig, PlanTable, expert_policy, near_indices
+from .planner import PlanCache, expert_policy, near_indices
 from .reward import DEFAULT_ZONES
 
 MIN_SEPARATION_M = 10.0
@@ -224,29 +224,21 @@ class TrafficPolicy:
         levels: Sequence[int],
         indices: Sequence[int],
         network: RoadNetwork,
-        plans: PlanTable,
+        plans: PlanCache,
     ) -> Dict[int, int]:
         """Action index per vehicle in indices. plans is the tick's plan
-        table: it holds plans of these states only, and a policy that
-        searches reads and adds its plans there."""
+        cache: it holds plans of these states only, and a policy that
+        searches reads and adds its plans there, under plans.cfg."""
         raise NotImplementedError
 
 
 class ExpertTraffic(TrafficPolicy):
     """Runs the full game-tree search every tick. Exact but slow; the
     distilled approximators are the production path. Its plans go into
-    the tick's plan table under its config, where an AV planning with the
-    same config finds them."""
-
-    def __init__(self, cfg: PlannerConfig = DEFAULT_PLANNER):
-        self.cfg = cfg
+    the tick's plan cache, where the AV finds them."""
 
     def select(self, states, levels, indices, network, plans):
-        cache = plans.setdefault(self.cfg, PlanCache())
-        return {
-            i: expert_policy(states, i, levels[i], network, self.cfg, cache).action_sequence[0]
-            for i in indices
-        }
+        return {i: expert_policy(states, i, levels[i], network, plans).action_sequence[0] for i in indices}
 
 
 class AVController:
@@ -254,11 +246,11 @@ class AVController:
     override decide; observe and reset_belief default to no-ops."""
 
     def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanTable
+        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
-        """Action index for vehicle i. plans is the tick's plan table,
+        """Action index for vehicle i. plans is the tick's plan cache,
         holding plans of these states only (see TrafficPolicy.select);
-        controllers that do not search ignore it."""
+        controllers that do not plan ignore it."""
         raise NotImplementedError
 
     def observe(
@@ -266,10 +258,10 @@ class AVController:
         prev_states: Sequence[Optional[VehicleState]],
         actions: Dict[int, int],
         network: RoadNetwork,
-        plans: PlanTable,
+        plans: PlanCache,
     ) -> None:
         """Sees the actions every vehicle took from prev_states, the
-        states before the move. plans is the same tick's table as in
+        states before the move. plans is the same tick's cache as in
         decide, so it holds plans of prev_states."""
         pass
 
@@ -393,7 +385,7 @@ def sim_step(
     failing or succeeding ends the episode, and so does the time cap,
     t_limit_s, as a deadlock.
 
-    The tick's plan table is made after the spawns and passed to select,
+    The tick's plan cache is made after the spawns and passed to select,
     decide and observe, which all plan from s_t: observe gets the copy
     of the states taken before the move.
 
@@ -412,7 +404,7 @@ def sim_step(
 
     active = [i for i, s in enumerate(ep.states) if s is not None]
     bg = [i for i in active if i != ep.av_index]
-    plans: PlanTable = {}
+    plans = PlanCache()
     actions = traffic.select(ep.states, ep.levels, bg, net, plans)
     if av is not None and ep.av_index in active:
         actions[ep.av_index] = av.decide(ep.states, ep.av_index, net, plans)

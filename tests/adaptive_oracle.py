@@ -17,7 +17,7 @@ from intersim.controllers import (
     update_beliefs,
 )
 from intersim.dynamics import step
-from intersim.planner import PlanCache, best_response, level0_plan, near_indices
+from intersim.planner import best_response, level0_plan, near_indices
 
 
 def batched(predict_row):
@@ -44,28 +44,26 @@ def rollout_per_row(states, opponents, estimates, network, cfg, predict_row):
         picked = {j: predict_row(cur, j, estimates[j], network) for j in opponents}
         for j in opponents:
             st = cur[j]
-            st.pose, st.speed = step(
-                st.pose, st.speed, cfg.actions[picked[j]], dt=cfg.dt_s, v_max=cfg.v_max
-            )
+            st.pose, st.speed = step(st.pose, st.speed, cfg.actions[picked[j]])
             trajs[j][tau] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
     return trajs
 
 
-def observe_per_row(av, prev_states, actions, network, predict_row) -> None:
+def observe_per_row(av, prev_states, actions, network, cfg, predict_row) -> None:
     """The belief update of AdaptiveController.observe, one query per
-    (opponent, level)."""
+    (opponent, level), under planner config cfg."""
     if av._ego is None or prev_states[av._ego] is None:
         return
-    near = set(near_indices(prev_states, av._ego, av.planner.interaction_radius_m))
+    near = set(near_indices(prev_states, av._ego, cfg.interaction_radius_m))
     snapshot = list(prev_states)
     for j, a_idx in actions.items():
         if j == av._ego or j not in near:
             continue
         preds: Dict[int, Tuple[float, float]] = {}
         for k in av.beliefs.model_set:
-            act = av.planner.actions[predict_row(snapshot, j, k, network)]
+            act = cfg.actions[predict_row(snapshot, j, k, network)]
             preds[k] = (act.accel, act.omega)
-        obs_act = av.planner.actions[a_idx]
+        obs_act = cfg.actions[a_idx]
         av.beliefs = update_beliefs(av.beliefs, j, (obs_act.accel, obs_act.omega), preds)
         p = av.beliefs.vec(j)
         av.peak[j] = np.maximum(av.peak.get(j, p), p)
@@ -80,19 +78,17 @@ class PerRowAdaptive(AdaptiveController):
 
     def decide(self, states, i, network, plans):
         self._ego = i
-        cfg = self.planner
-        cache = plans.setdefault(cfg, PlanCache())
-        near = near_indices(states, i, cfg.interaction_radius_m)
+        near = near_indices(states, i, plans.cfg.interaction_radius_m)
         if not near:
-            return level0_plan(list(states), i, network, cfg, cache).action_sequence[0]
+            return level0_plan(list(states), i, network, plans).action_sequence[0]
         estimates = {
             j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
         }
-        opp = rollout_per_row(states, near, estimates, network, cfg, self.predict_row)
-        return best_response(states[i], opp, network, cfg, cache).action_sequence[0]
+        opp = rollout_per_row(states, near, estimates, network, plans.cfg, self.predict_row)
+        return best_response(states[i], opp, network, plans).action_sequence[0]
 
     def observe(self, prev_states, actions, network, plans):
-        observe_per_row(self, prev_states, actions, network, self.predict_row)
+        observe_per_row(self, prev_states, actions, network, plans.cfg, self.predict_row)
 
 
 class PerRowDistilledAdaptive(PerRowAdaptive):
@@ -105,7 +101,7 @@ class PerRowDistilledAdaptive(PerRowAdaptive):
 
     def decide(self, states, i, network, plans):
         self._ego = i
-        near = near_indices(states, i, self.planner.interaction_radius_m)
+        near = near_indices(states, i, plans.cfg.interaction_radius_m)
         estimates = {
             j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
         }

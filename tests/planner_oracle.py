@@ -21,6 +21,7 @@ from intersim import dynamics as dyn
 from intersim import geometry as geo
 from intersim import reward as rw
 from intersim.dynamics import Pose2, VehicleState
+from intersim.planner import LAMBDA
 
 
 def exhaustive_plan(states, i, k, network, cfg, cache=None):
@@ -48,7 +49,7 @@ def exhaustive_plan(states, i, k, network, cfg, cache=None):
             poses = [states[j].pose]
             p, v = states[j].pose, states[j].speed
             for ai in sub_seq:
-                p, v = dyn.step(p, v, cfg.actions[ai], dt=cfg.dt_s, v_max=cfg.v_max)
+                p, v = dyn.step(p, v, cfg.actions[ai])
                 poses.append(p)
             opp_traj[j] = poses
 
@@ -60,14 +61,14 @@ def exhaustive_plan(states, i, k, network, cfg, cache=None):
         p, v = ego.pose, ego.speed
         total, f = 0.0, 1.0
         for tau, ai in enumerate(seq):
-            p, v = dyn.step(p, v, cfg.actions[ai], dt=cfg.dt_s, v_max=cfg.v_max)
+            p, v = dyn.step(p, v, cfg.actions[ai])
             others = [opp_traj[j][tau + 1] for j in near]
             exiting = may_exit and not lay.in_core(p.x, p.y)
             fv = rw.features(
                 p, v, others, lay, ref, exiting=exiting, target_lane=lane.id, zones=cfg.zones
             )
             total += f * reward(fv, cfg.weights)
-            f *= cfg.lam
+            f *= LAMBDA
         if total > best_val:
             best_seq, best_val = list(seq), total
     cache[(i, k)] = (best_seq, best_val)
@@ -180,10 +181,10 @@ def repeat_per_row_search(tree, ego, opp_trajectories, cfg):
         fv = F[rows]
         fv[:, 5] = speeds
         value = np.repeat(value, n_act) + disc * (fv @ w)
-        disc *= cfg.lam
+        disc *= LAMBDA
     best = int(np.argmax(value))
     seq = [int(a) for a in np.unravel_index(best, (n_act,) * cfg.horizon_n)]
-    traj = dyn.rollout(ego.pose, ego.speed, [cfg.actions[a] for a in seq], dt=cfg.dt_s, v_max=cfg.v_max)
+    traj = dyn.rollout(ego.pose, ego.speed, [cfg.actions[a] for a in seq])
     return F[:, [0, 3]], (seq, float(value[best]), traj)
 
 

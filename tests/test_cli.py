@@ -163,6 +163,25 @@ def test_evaluate_writes_report_and_outcomes(tmp_path, policy_file, capsys):
     assert json.loads(rows[0])["seed"] == [0, 0]
 
 
+def test_evaluate_builds_once_at_one_worker(tmp_path, policy_file, monkeypatch, capsys):
+    loads, builds = [], []
+    load, build = PolicyApproximator.load.__func__, harness.build_network
+
+    def counted_load(cls, path):
+        loads.append(path)
+        return load(cls, path)
+
+    def counted_build(spec):
+        builds.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(PolicyApproximator, "load", classmethod(counted_load))
+    monkeypatch.setattr(harness, "build_network", counted_build)
+    assert main(["evaluate", *_fast(policy_file, tmp_path), "--episodes", "3"]) == 0
+    capsys.readouterr()
+    assert loads == [policy_file] and len(builds) == 1
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -435,6 +454,26 @@ def test_policy_file_without_architecture_exits_one(tmp_path, command, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert str(policy) in err and "architecture" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["scene", "policy"])
+def test_malformed_input_with_two_workers_exits_one(tmp_path, policy_file, bad, capsys):
+    """The build errors of the worker processes reach the CLI as they do in
+    process, before any output."""
+    path = tmp_path / "bad.json"
+    if bad == "scene":
+        path.write_text(json.dumps({"connectors": []}))
+        inputs = ["--scene", str(path), "--policy-file", policy_file]
+    else:
+        path.write_text(json.dumps({"format_version": 1, "theta": [], "encoding": {}}))
+        inputs = ["--scene", "fourway", "--policy-file", str(path)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_limit_s": 5.0, "workers": 2}))
+    out = tmp_path / "out"
+    code = main(["evaluate", *inputs, "--episodes", "2", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert str(path) in capsys.readouterr().err
     assert not out.exists()
 
 

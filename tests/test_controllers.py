@@ -40,7 +40,7 @@ from intersim.controllers import (
 )
 from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState
 from intersim.geometry import make_city, single_network
-from intersim.planner import DEFAULT_PLANNER, level0_plan, levelk_plan, near_indices
+from intersim.planner import DEFAULT_PLANNER, LAMBDA, PlanCache, level0_plan, levelk_plan, near_indices
 from intersim.scene import SceneConfig, TrafficPolicy, init_episode, sim_step
 
 
@@ -151,8 +151,8 @@ def _saturated(assignments) -> BeliefState:
 def test_adaptive_reduces_to_level0_without_opponents():
     net = single_network("fourway")
     ego = VehicleState(Pose2(-12.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
-    res = adaptive_plan([ego], 0, BeliefState(), net)
-    assert res.action_sequence == level0_plan([ego], 0, net).action_sequence
+    res = adaptive_plan([ego], 0, BeliefState(), net, PlanCache())
+    assert res.action_sequence == level0_plan([ego], 0, net, PlanCache()).action_sequence
 
 
 def test_adaptive_is_best_response_to_the_estimated_level():
@@ -161,7 +161,7 @@ def test_adaptive_is_best_response_to_the_estimated_level():
     # scalar exhaustive planner provides an independent oracle
     states, net = _crossing_scene()
     for level in (1, 2):
-        res = adaptive_plan(states, 0, _saturated({1: level}), net)
+        res = adaptive_plan(states, 0, _saturated({1: level}), net, PlanCache())
         seq, val = exhaustive_plan(states, 0, level + 1, net, DEFAULT_PLANNER)
         assert res.action_sequence == seq
         assert res.value == pytest.approx(val, rel=1e-9, abs=1e-9)
@@ -178,7 +178,7 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
         VehicleState(Pose2(-7.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out"),
     ]
     beliefs = _saturated({1: 1, 2: 2})
-    res = adaptive_plan(states, 0, beliefs, net)
+    res = adaptive_plan(states, 0, beliefs, net, PlanCache())
 
     cfg = DEFAULT_PLANNER
     opp_traj = {}
@@ -187,7 +187,7 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
         poses = [states[j].pose]
         p, v = states[j].pose, states[j].speed
         for ai in seq:
-            p, v = dyn.step(p, v, cfg.actions[ai], dt=cfg.dt_s, v_max=cfg.v_max)
+            p, v = dyn.step(p, v, cfg.actions[ai])
             poses.append(p)
         opp_traj[j] = poses
     lay, lane = net.resolve(states[0].goal_ref)
@@ -196,14 +196,14 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
         p, v = states[0].pose, states[0].speed
         total, f = 0.0, 1.0
         for tau, ai in enumerate(seq):
-            p, v = dyn.step(p, v, cfg.actions[ai], dt=cfg.dt_s, v_max=cfg.v_max)
+            p, v = dyn.step(p, v, cfg.actions[ai])
             others = [opp_traj[j][tau + 1] for j in (1, 2)]
             fv = rw.features(
                 p, v, others, lay, lane.ref_point,
                 exiting=False, target_lane=lane.id, zones=cfg.zones,
             )
             total += f * reward(fv, cfg.weights)
-            f *= cfg.lam
+            f *= LAMBDA
         if total > best_val:
             best_seq, best_val = list(seq), total
     assert res.action_sequence == best_seq
@@ -212,8 +212,8 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
 
 def test_adaptive_yields_to_aggressive_and_pushes_past_cautious():
     states, net = _crossing_scene()
-    vs_cautious = adaptive_plan(states, 0, _saturated({1: 1}), net)
-    vs_aggressive = adaptive_plan(states, 0, _saturated({1: 2}), net)
+    vs_cautious = adaptive_plan(states, 0, _saturated({1: 1}), net, PlanCache())
+    vs_aggressive = adaptive_plan(states, 0, _saturated({1: 2}), net, PlanCache())
     # a level-1 opponent is modeled as yielding, so the ego keeps rolling;
     # a level-2 opponent plows through, so the ego plans to slow down
     assert vs_cautious.trajectory[:, 3].min() > vs_aggressive.trajectory[:, 3].min()
@@ -222,11 +222,11 @@ def test_adaptive_yields_to_aggressive_and_pushes_past_cautious():
 def test_adaptive_controller_updates_and_archives_peaks():
     states, net = _crossing_scene()
     av = AdaptiveController()
-    a = av.decide(states, 0, net, {})
+    a = av.decide(states, 0, net, PlanCache())
     assert 0 <= a < len(DEFAULT_ACTIONS)
-    opp_l1 = levelk_plan(states, 1, 1, net).action_sequence[0]
-    opp_l2 = levelk_plan(states, 1, 2, net).action_sequence[0]
-    av.observe(states, {1: opp_l2}, net, {})
+    opp_l1 = levelk_plan(states, 1, 1, net, PlanCache()).action_sequence[0]
+    opp_l2 = levelk_plan(states, 1, 2, net, PlanCache()).action_sequence[0]
+    av.observe(states, {1: opp_l2}, net, PlanCache())
     assert 1 in av.peak
     if opp_l1 != opp_l2:
         # the observation matched the level-2 prediction
@@ -242,7 +242,8 @@ def test_fixed_level_controller_matches_expert_plan():
     states, net = _crossing_scene()
     for k in (1, 2):
         av = FixedLevelController(k)
-        assert av.decide(states, 0, net, {}) == levelk_plan(states, 0, k, net).action_sequence[0]
+        want = levelk_plan(states, 0, k, net, PlanCache()).action_sequence[0]
+        assert av.decide(states, 0, net, PlanCache()) == want
     with pytest.raises(ValueError):
         FixedLevelController(0)
 
@@ -339,7 +340,7 @@ def test_predictor_rollout_matches_per_row_rollout():
             if len(near) < 2:
                 continue
             est = {j: int(rng.integers(1, 3)) for j in near}
-            got = controllers.predictor_rollout(states, i, near, est, _FOURWAY, cfg, batched(_toy_row))
+            got = controllers.predictor_rollout(states, near, est, _FOURWAY, cfg, batched(_toy_row))
             want = rollout_per_row(states, near, est, _FOURWAY, cfg, _toy_row)
             assert got.keys() == want.keys()
             for j in near:
@@ -359,15 +360,15 @@ def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
         def decide(self, states, i, network, plans):
             n0 = len(calls)
             a = super().decide(states, i, network, plans)
-            n_near = len(near_indices(states, i, self.planner.interaction_radius_m))
-            assert calls[n0:] == ([n_near] * self.planner.horizon_n if n_near else [])
+            n_near = len(near_indices(states, i, plans.cfg.interaction_radius_m))
+            assert calls[n0:] == ([n_near] * plans.cfg.horizon_n if n_near else [])
             stats["rollouts"] += n_near > 0
             return a
 
         def observe(self, prev_states, actions, network, plans):
             n0 = len(calls)
             super().observe(prev_states, actions, network, plans)
-            near = near_indices(prev_states, self._ego, self.planner.interaction_radius_m)
+            near = near_indices(prev_states, self._ego, plans.cfg.interaction_radius_m)
             n_opp = sum(j != self._ego and j in near for j in actions)
             assert calls[n0:] == ([n_opp * len(self.beliefs.model_set)] if n_opp else [])
             stats["observes"] += n_opp > 0
@@ -564,7 +565,7 @@ def test_rule_based_controller_tracks_its_reference_path():
     ]
     av = RuleBasedController()
     for _ in range(40):
-        a = av.decide(states, 0, net, {})
+        a = av.decide(states, 0, net, PlanCache())
         assert 0 <= a < len(DEFAULT_ACTIONS)
         moved = av.advance(states, 0, net)
         assert moved is not None
@@ -692,7 +693,7 @@ def test_opponent_exactly_at_rc_is_estimated(monkeypatch):
     for rc, expected in ((5.0, [1]), (math.nextafter(5.0, 0.0), [])):
         calls.clear()
         av = RuleBasedController(RuleBasedConfig(rc_m=rc))
-        av.decide(states, 0, net, {})
+        av.decide(states, 0, net, PlanCache())
         assert calls == expected
         every = {1: real(states, 1, net)}
         assert av._accel == rule_based_action(states, 0, av._pts, every, av.config, av._s)

@@ -17,20 +17,35 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _not_imported(deps, roots):
+    """The distribution names in deps that no file under roots imports."""
+    imported = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                    imported.add(node.module.split(".")[0])
+    names = [re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in deps]
+    return [n for n in names if n.replace("-", "_") not in imported]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib arrived in Python 3.11")
 def test_every_dependency_is_imported_by_the_package():
     import tomllib
 
     deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
-    imported = set()
-    for path in PACKAGE.rglob("*.py"):
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Import):
-                imported.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                imported.add(node.module.split(".")[0])
-    names = [re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in deps]
-    assert [n for n in names if n.replace("-", "_") not in imported] == []
+    assert _not_imported(deps, [PACKAGE]) == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib arrived in Python 3.11")
+def test_every_test_extra_is_imported_by_the_tests_or_benchmarks():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    deps = project["optional-dependencies"]["test"]
+    assert _not_imported(deps, [ROOT / "tests", ROOT / "benchmarks"]) == []
 
 
 def _references(tree):

@@ -34,7 +34,7 @@ from intersim.imitation import (
     levelk_feature_names,
     wilson_interval,
 )
-from intersim.planner import expert_policy
+from intersim.planner import PlanCache, expert_policy
 
 POS_SCALE = 40.0
 
@@ -440,7 +440,7 @@ def test_adaptive_dagger_encodes_and_observes_as_deployment(monkeypatch):
         train=TrainConfig(hidden=4, min_steps=1, max_steps=1, final_max_steps=1),
     )
     dagger_train_adaptive(cfg)
-    controllers.DistilledAdaptiveController(actor, predictor=None).decide(scene(), 0, net, {})
+    controllers.DistilledAdaptiveController(actor, predictor=None).decide(scene(), 0, net, PlanCache())
     assert len(trained) == len(served) == 1
     assert served[0][EGO_BLOCK + SLOT_WIDTH] == -1.0
     assert np.array_equal(trained[0], served[0])
@@ -487,7 +487,7 @@ def test_probe_match_pipeline_on_a_tiny_policy():
     assert out["n"] == len(probes)
     hits = sum(
         int(pol.predict(encode_state(s, i, k, net))[0])
-        == expert_policy(s, i, k, net).action_sequence[0]
+        == expert_policy(s, i, k, net, PlanCache()).action_sequence[0]
         for s, i, k, net in probes
     )
     assert out["match"] == hits / len(probes)
@@ -501,7 +501,7 @@ def test_distilled_traffic_matches_per_vehicle_queries():
     pol = PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=2)
     traffic = DistilledTraffic(pol)
     levels = {0: 1, 1: 2, 2: 1}
-    out = traffic.select(states, levels, [0, 1, 2], net, {})
+    out = traffic.select(states, levels, [0, 1, 2], net, PlanCache())
     assert out == {i: int(pol.predict(encode_state(states, i, levels[i], net))[0]) for i in range(3)}
-    assert traffic.select(states, levels, [], net, {}) == {}
+    assert traffic.select(states, levels, [], net, PlanCache()) == {}
     assert pol.act(states, [], [], net).shape == (0,)

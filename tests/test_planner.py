@@ -11,8 +11,10 @@ from intersim import planner, reward
 from intersim.controllers import BeliefState, adaptive_plan
 from intersim.dynamics import (
     DEFAULT_ACTIONS,
+    DT_S,
     PHASE_APPROACH,
     PHASE_EXIT,
+    V_MAX,
     Action,
     ActionSet,
     Pose2,
@@ -35,7 +37,7 @@ from planner_oracle import exhaustive_plan, point_segment_dist, random_plan_scen
 
 def _check_against_oracle(states, net, i, k, cfg):
     seq, val = exhaustive_plan(states, i, k, net, cfg)
-    res = levelk_plan(states, i, k, net, cfg)
+    res = levelk_plan(states, i, k, net, PlanCache(cfg))
     assert res.action_sequence == seq
     assert res.value == pytest.approx(val, rel=1e-9, abs=1e-9)
 
@@ -86,9 +88,10 @@ def test_one_features_call_per_best_response(monkeypatch):
     searches, rows = [], []
     real_br, real_fm = planner._best_response, planner.features_many
 
-    def best_response(*args):
+    def best_response(ego, opp, network, cache):
+        # a search that shares nothing, in a fresh cache of its own
         searches.append(len(rows))
-        return real_br(*args)
+        return real_br(ego, opp, network, PlanCache(cache.cfg))
 
     def features_many(x, *args):
         rows.append(len(x))
@@ -97,7 +100,7 @@ def test_one_features_call_per_best_response(monkeypatch):
     monkeypatch.setattr(planner, "_best_response", best_response)
     monkeypatch.setattr(planner, "features_many", features_many)
     states, net = _crossing_scene()
-    levelk_plan(states, 0, 2, net)
+    levelk_plan(states, 0, 2, net, PlanCache())
     n = DEFAULT_PLANNER.horizon_n
     assert len(searches) == 3
     # one call per search, over one row per (parent, distinct omega)
@@ -117,7 +120,7 @@ def test_one_features_call_per_ego_in_a_shared_cache(monkeypatch):
     states, net = _crossing_scene()
     cache = PlanCache()
     # (0, 0), (1, 1) and (0, 2) search; vehicle 0's two searches share a tree
-    levelk_plan(states, 0, 2, net, cache=cache)
+    levelk_plan(states, 0, 2, net, cache)
     assert rows == [3 * (6**DEFAULT_PLANNER.horizon_n - 1) // 5] * 2
     assert len(cache.trees) == 2
     assert set(cache) == {(0, 0), (1, 1), (0, 2)}
@@ -146,22 +149,22 @@ def _twin(st, field, lay, rng):
     return tw
 
 
-def _plan(states, net, cfg, query, beliefs, cache):
+def _plan(states, net, query, beliefs, cache):
     kind, i, k = query
     if kind == "levelk":
-        return levelk_plan(states, i, k, net, cfg, cache)
-    return adaptive_plan(states, i, beliefs, net, cfg, cache=cache)
+        return levelk_plan(states, i, k, net, cache)
+    return adaptive_plan(states, i, beliefs, net, cache)
 
 
 _ACTION_SETS = (DEFAULT_ACTIONS, _DISTINCT_OMEGAS, _STRAIGHT_ONLY)
 
 
 def test_shared_plan_cache_matches_a_fresh_search_each():
-    """Every plan read through one shared PlanTable, in shuffled order, equals
-    the same plan searched with a fresh cache of its own. Each scene plans
-    under two configs in one table, the adaptive best response of a slot
-    beside its levelk searches, and a twin of one vehicle that differs in
-    speed, phase or goal only."""
+    """Every plan read through one shared PlanCache per config, in shuffled
+    order, equals the same plan searched with a fresh cache of its own.
+    Each scene plans under two configs, interleaved, the adaptive best
+    response of a slot beside its levelk searches, and a twin of one
+    vehicle that differs in speed, phase or goal only."""
     rng = np.random.default_rng(2024)
     for trial in range(300):
         states, net = random_plan_scene(rng, n_vehicles=1 + trial % 2)
@@ -181,11 +184,11 @@ def test_shared_plan_cache_matches_a_fresh_search_each():
             for i in range(len(states))
             for kind, k in (("levelk", 0), ("levelk", 1), ("levelk", 2), ("adaptive", None))
         ]
-        plans = {}
+        shared = {cfg: PlanCache(cfg) for cfg in cfgs}
         for q in rng.permutation(len(queries)):
             cfg, query = queries[q]
-            got = _plan(states, net, cfg, query, beliefs, plans.setdefault(cfg, PlanCache()))
-            _same_plan(got, _plan(states, net, cfg, query, beliefs, PlanCache()))
+            got = _plan(states, net, query, beliefs, shared[cfg])
+            _same_plan(got, _plan(states, net, query, beliefs, PlanCache(cfg)))
 
 
 @pytest.mark.parametrize("field", ["speed", "phase", "goal_ref"])
@@ -195,11 +198,11 @@ def test_egos_that_differ_in_one_key_field_get_their_own_tree(field):
     net = single_network("fourway")
     ego = VehicleState(Pose2(-12.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out", phase=PHASE_APPROACH)
     twin = _twin(ego, field, net.layouts["I0"], np.random.default_rng(3))
-    alone = [best_response(st, {}, net) for st in (ego, twin)]
+    alone = [best_response(st, {}, net, PlanCache()) for st in (ego, twin)]
     assert alone[0].value != alone[1].value
     cache = PlanCache()
     for st, want in zip((ego, twin), alone):
-        _same_plan(best_response(st, {}, net, cache=cache), want)
+        _same_plan(best_response(st, {}, net, cache), want)
     assert len(cache.trees) == 2
 
 
@@ -302,11 +305,11 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, horizon
     for trial in range(6):
         states, net = random_plan_scene(rng, 1)
         ego = states[0]
-        ego.speed = (0.0, 2.0, cfg.v_max, cfg.v_max + 2.0, 3.0, 4.5)[trial]
+        ego.speed = (0.0, 2.0, V_MAX, V_MAX + 2.0, 3.0, 4.5)[trial]
         if trial % 2:
             ego.pose = Pose2(ego.pose.x, ego.pose.y, trial * math.pi / 2)  # axis-aligned travel
-        cache = PlanCache()
-        tree = cache.tree(ego, net, cfg)
+        cache = PlanCache(cfg)
+        tree = cache.tree(ego, net)
         probes = _probe_opponents(tree, cfg.zones, rng, horizon)
         for opp in [{j: t} for j, t in enumerate(probes)] + [dict(enumerate(probes))]:
             want_cols, (seq, value, traj) = repeat_per_row_search(tree, ego, opp, cfg)
@@ -315,7 +318,7 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, horizon
             assert len(tested) <= 1 and sum(tested) <= len(opp)
             culled += len(opp) - sum(tested)
             assert np.array_equal(got[:, [0, 3]], want_cols)
-            res = best_response(ego, opp, net, cfg, cache)
+            res = best_response(ego, opp, net, cache)
             assert res.action_sequence == seq
             assert res.value.hex() == value.hex()
             assert res.trajectory.tobytes() == traj.tobytes()
@@ -340,23 +343,23 @@ def test_a_search_calls_the_overlap_kernel_only_with_opponents_in_reach(monkeypa
         states, net = random_plan_scene(rng, 1)
         ego = states[0]
         cache = PlanCache()
-        tree = cache.tree(ego, net, DEFAULT_PLANNER)
+        tree = cache.tree(ego, net)
         out = {j: _off_box(tree, reach + 1e-9, rng, n) for j in range(4)}
-        best_response(ego, out, net, cache=cache)
+        best_response(ego, out, net, cache)
         assert calls == []
-        best_response(ego, {**out, 9: _off_box(tree, reach - 1e-9, rng, n)}, net, cache=cache)
+        best_response(ego, {**out, 9: _off_box(tree, reach - 1e-9, rng, n)}, net, cache)
         assert calls == [1]
         calls.clear()
 
 
-@pytest.mark.parametrize("speed", [3.0, DEFAULT_PLANNER.v_max + 2.0])
+@pytest.mark.parametrize("speed", [3.0, V_MAX + 2.0])
 def test_a_segment_exactly_at_the_c_zone_reach_is_kept(monkeypatch, speed):
     """Rows lie within n * dt * max(speed, v_max) of the ego, and a c-zone
     within its circumradius of its row: a segment at that reach plus 1e-6
     m is kept, one a float beyond it is not, also above v_max."""
     cfg = DEFAULT_PLANNER
     z = cfg.zones
-    reach = cfg.horizon_n * cfg.dt_s * max(speed, cfg.v_max) + 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
+    reach = cfg.horizon_n * DT_S * max(speed, V_MAX) + 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
     beyond = math.nextafter(reach, math.inf)
     # vertical segments whose nearest point to the origin is (+-x, 0)
     segs = np.array([[x, -1.0, x, 1.0] for x in (reach, -reach, beyond, -beyond)])
@@ -394,7 +397,7 @@ def test_level_one_yields_at_contested_crossing():
     # entirely), so it is the cautious rung: it holds speed and brakes
     # rather than fight for the conflict cell. Levels 0 and 2 both push.
     states, net = _crossing_scene()
-    plans = {k: levelk_plan(states, 0, k, net) for k in range(3)}
+    plans = {k: levelk_plan(states, 0, k, net, PlanCache()) for k in range(3)}
     acc1 = plans[1].first_action.accel
     assert acc1 <= 0.0
     assert plans[1].action_sequence != plans[0].action_sequence
@@ -409,7 +412,7 @@ def test_ties_resolve_to_lexicographically_first_sequence():
     w = RewardWeights(goal_dist=0.0, speed=0.0)
     cfg = dataclasses.replace(DEFAULT_PLANNER, weights=w)
     ego = VehicleState(Pose2(-10.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
-    res = levelk_plan([ego], 0, 2, net, cfg)
+    res = levelk_plan([ego], 0, 2, net, PlanCache(cfg))
     assert res.action_sequence == [0, 0, 0, 0]
     assert res.value == 0.0
 
@@ -420,14 +423,14 @@ def test_shared_cache_holds_every_subplan_once():
         VehicleState(Pose2(-2.0, 6.0, -math.pi / 2), 2.0, goal_ref="I0:S.out")
     ]
     cache = PlanCache()
-    expert_policy(states, 0, 2, net, cache=cache)
+    expert_policy(states, 0, 2, net, cache)
     # one k=2 query pulls in both opponents at k=1 and all three at k=0
     assert set(cache) == {(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (0, 2)}
     for i in range(3):
         for k in (1, 2):
-            expert_policy(states, i, k, net, cache=cache)
+            expert_policy(states, i, k, net, cache)
     assert set(cache) == {(i, k) for i in range(3) for k in range(3)}
-    again = expert_policy(states, 0, 2, net, cache=cache)
+    again = expert_policy(states, 0, 2, net, cache)
     assert again is cache[(0, 2)]
 
 
@@ -435,8 +438,8 @@ def test_far_vehicles_are_ignored():
     net = single_network("fourway")
     ego = VehicleState(Pose2(-12.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
     far = VehicleState(Pose2(38.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
-    solo = levelk_plan([ego], 0, 2, net)
-    paired = levelk_plan([ego, far], 0, 2, net)
+    solo = levelk_plan([ego], 0, 2, net, PlanCache())
+    paired = levelk_plan([ego, far], 0, 2, net, PlanCache())
     assert paired.action_sequence == solo.action_sequence
     assert paired.value == pytest.approx(solo.value)
     assert paired.opp_trajectories == {}
@@ -453,21 +456,21 @@ def test_vehicle_exactly_at_the_interaction_radius_is_an_opponent():
     assert planner.near_indices(states, 0, math.nextafter(5.0, 0.0)) == []
     for radius, opponents in ((5.0, [2]), (math.nextafter(5.0, 0.0), [])):
         cfg = dataclasses.replace(DEFAULT_PLANNER, interaction_radius_m=radius)
-        assert list(level0_plan(states, 0, net, cfg).opp_trajectories) == opponents
-        assert list(levelk_plan(states, 0, 1, net, cfg).opp_trajectories) == opponents
+        assert list(level0_plan(states, 0, net, PlanCache(cfg)).opp_trajectories) == opponents
+        assert list(levelk_plan(states, 0, 1, net, PlanCache(cfg)).opp_trajectories) == opponents
 
 
 def test_none_slots_are_skipped():
     # despawned vehicles leave None holes in the roster
     states, net = _crossing_scene()
-    res_full = levelk_plan([states[0]], 0, 1, net)
-    res_holes = levelk_plan([states[0], None], 0, 1, net)
+    res_full = levelk_plan([states[0]], 0, 1, net, PlanCache())
+    res_holes = levelk_plan([states[0], None], 0, 1, net, PlanCache())
     assert res_holes.action_sequence == res_full.action_sequence
 
 
 def test_reported_trajectory_replays_the_sequence():
     states, net = _crossing_scene()
-    res = levelk_plan(states, 0, 2, net)
+    res = levelk_plan(states, 0, 2, net, PlanCache())
     acts = [DEFAULT_ACTIONS[a] for a in res.action_sequence]
     expect = rollout(states[0].pose, states[0].speed, acts)
     assert np.allclose(res.trajectory, expect)
@@ -477,7 +480,7 @@ def test_reported_trajectory_replays_the_sequence():
 
 def test_level0_freezes_opponents():
     states, net = _crossing_scene()
-    res = level0_plan(states, 0, net)
+    res = level0_plan(states, 0, net, PlanCache())
     tr = res.opp_trajectories[1]
     assert np.all(tr[:, 0] == states[1].pose.x)
     assert np.all(tr[:, 3] == 0.0)
@@ -486,9 +489,9 @@ def test_level0_freezes_opponents():
 def test_expert_rejects_out_of_range_level():
     states, net = _crossing_scene()
     with pytest.raises(ValueError):
-        expert_policy(states, 0, 3, net)
+        expert_policy(states, 0, 3, net, PlanCache())
     with pytest.raises(ValueError):
-        expert_policy(states, 0, -1, net)
+        expert_policy(states, 0, -1, net, PlanCache())
 
 
 def test_horizon_one_reduces_to_greedy_step():
@@ -497,6 +500,6 @@ def test_horizon_one_reduces_to_greedy_step():
     for _ in range(6):
         states, net = random_plan_scene(rng, n_vehicles=2)
         seq, val = exhaustive_plan(states, 0, 1, net, cfg)
-        res = levelk_plan(states, 0, 1, net, cfg)
+        res = levelk_plan(states, 0, 1, net, PlanCache(cfg))
         assert res.action_sequence == seq
         assert len(res.action_sequence) == 1

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from intersim import planner, scene
-from intersim.controllers import AdaptiveController, adaptive_plan
+from intersim.controllers import AdaptiveController
 from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, Pose2, VehicleState
 from intersim.geometry import euclidean_dist, make_city, segment_intersects_rect, single_network
-from intersim.planner import DEFAULT_PLANNER, PlannerConfig
+from intersim.planner import PlanCache
 from intersim.reward import DEFAULT_ZONES
 from intersim.scene import (
     AVController,
@@ -433,24 +433,24 @@ def test_expert_traffic_drives_toward_goals():
 
 
 # ---------------------------------------------------------------------------
-# the tick's shared plan table
+# the tick's shared plan cache
 
 
 class PrivateTableTraffic(ExpertTraffic):
-    """Expert traffic that searches into a fresh table on every call."""
+    """Expert traffic that searches into a fresh cache on every call."""
 
     def select(self, states, levels, indices, network, plans):
-        return super().select(states, levels, indices, network, {})
+        return super().select(states, levels, indices, network, PlanCache())
 
 
 class PrivateTableAV(AdaptiveController):
-    """Adaptive AV whose decide and observe each search into a fresh table."""
+    """Adaptive AV whose decide and observe each search into a fresh cache."""
 
     def decide(self, states, i, network, plans):
-        return super().decide(states, i, network, {})
+        return super().decide(states, i, network, PlanCache())
 
     def observe(self, prev_states, actions, network, plans):
-        super().observe(prev_states, actions, network, {})
+        super().observe(prev_states, actions, network, PlanCache())
 
 
 def _adaptive_expert_scene(ticks=15):
@@ -473,6 +473,8 @@ def test_shared_plan_table_matches_private_tables():
 
 
 def test_each_tick_searches_each_plan_once(monkeypatch):
+    """select, decide and observe of one tick get one PlanCache, and each
+    tick a new one; it holds every plan searched in the tick, once."""
     calls = []
     search = planner._best_response
 
@@ -480,25 +482,36 @@ def test_each_tick_searches_each_plan_once(monkeypatch):
         calls[-1] += 1
         return search(*args)
 
-    tables = []
+    seen = []  # per tick: the cache each phase got
 
-    class TableSpy(ExpertTraffic):
+    class CacheSpy(ExpertTraffic):
         def select(self, states, levels, indices, network, plans):
-            tables.append(plans)
+            seen.append([plans])
             return super().select(states, levels, indices, network, plans)
+
+    class CacheSpyAV(AdaptiveController):
+        def decide(self, states, i, network, plans):
+            seen[-1].append(plans)
+            return super().decide(states, i, network, plans)
+
+        def observe(self, prev_states, actions, network, plans):
+            seen[-1].append(plans)
+            super().observe(prev_states, actions, network, plans)
 
     monkeypatch.setattr(planner, "_best_response", counting)
     cfg = _adaptive_expert_scene()
     ep = init_episode(cfg, seed=(1, 0))
-    av = AdaptiveController()
+    av = CacheSpyAV()
     while not ep.done:
         calls.append(0)
-        sim_step(ep, cfg, TableSpy(), av)
-    assert len(calls) == len(tables) == 15
-    for n, plans in zip(calls, tables):
+        sim_step(ep, cfg, CacheSpy(), av)
+    assert len(calls) == len(seen) == 15
+    assert all(len(phases) == 3 and all(c is phases[0] for c in phases) for phases in seen)
+    assert len({id(phases[0]) for phases in seen}) == 15
+    for n, (plans, _, _) in zip(calls, seen):
+        assert isinstance(plans, PlanCache)
         # every (slot, level) plan once, plus the AV's own best response
-        assert set(plans) == {DEFAULT_PLANNER}
-        assert n <= len(plans[DEFAULT_PLANNER]) + 1
+        assert n <= len(plans) + 1
 
 
 def test_each_tick_builds_one_ego_tree_per_distinct_ego_input(monkeypatch):
@@ -533,22 +546,3 @@ def test_each_tick_builds_one_ego_tree_per_distinct_ego_input(monkeypatch):
     assert runs[1][0].done and len(trees) == 30
     assert trees == [len(e) for e in egos]
     assert all(trees) and sum(searches) > sum(trees)
-
-
-def test_av_with_its_own_planner_config_never_reads_traffic_plans():
-    short = PlannerConfig(horizon_n=3)
-    checked = []
-
-    class CheckedAV(AdaptiveController):
-        def decide(self, states, i, network, plans):
-            alone = adaptive_plan(states, i, self.beliefs, network, self.planner)
-            got = super().decide(states, i, network, plans)
-            checked.append((got, alone.action_sequence[0], set(plans)))
-            return got
-
-    cfg = _adaptive_expert_scene(ticks=8)
-    run_episode(cfg, ExpertTraffic(), CheckedAV(planner=short), seed=(1, 0))
-    assert len(checked) == 8
-    for got, alone, configs in checked:
-        assert got == alone
-        assert configs == {DEFAULT_PLANNER, short}
