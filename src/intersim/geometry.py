@@ -260,26 +260,36 @@ def segments_hit_rects_matrix(
     degenerate rectangle, so its support radius along its own normal is 0).
     Degenerate point segments fall back to plain containment on the first
     two axes.
+
+    The longer of the two axes is the inner loop: with B >= S the pairs are
+    computed as (S, B) and the transpose returned, otherwise as (B, S).
+    Every pair sees the same float expressions either way, so the result
+    does not depend on the orientation.
     """
     B = np.shape(cx)[0] if np.ndim(cx) else 1
     if segs.size == 0:
         return np.zeros((B, 0), dtype=bool)
-    c = (np.cos(theta) if cth is None else cth)[:, None]
-    s = (np.sin(theta) if sth is None else sth)[:, None]
+    flip = B >= len(segs)
+    inner, outer = (None, slice(None)), (slice(None), None)
+    rows, cols = (inner, outer) if flip else (outer, inner)
+    c = (np.cos(theta) if cth is None else cth)[rows]
+    s = (np.sin(theta) if sth is None else sth)[rows]
     hl, hw = 0.5 * length, 0.5 * width
-    ex = 0.5 * (segs[:, 2] - segs[:, 0])[None, :]
-    ey = 0.5 * (segs[:, 3] - segs[:, 1])[None, :]
-    mx = 0.5 * (segs[:, 0] + segs[:, 2])[None, :]
-    my = 0.5 * (segs[:, 1] + segs[:, 3])[None, :]
-    dx = mx - np.asarray(cx)[:, None]
-    dy = my - np.asarray(cy)[:, None]
+    ex = 0.5 * (segs[:, 2] - segs[:, 0])[cols]
+    ey = 0.5 * (segs[:, 3] - segs[:, 1])[cols]
+    mx = 0.5 * (segs[:, 0] + segs[:, 2])[cols]
+    my = 0.5 * (segs[:, 1] + segs[:, 3])[cols]
+    dx = mx - np.asarray(cx)[rows]
+    dy = my - np.asarray(cy)[rows]
     eu = np.abs(ex * c + ey * s)
     ew = np.abs(ey * c - ex * s)
     sep = np.abs(dx * c + dy * s) > hl + eu
     sep |= np.abs(dy * c - dx * s) > hw + ew
-    # segment normal, unnormalized is fine for a homogeneous inequality
-    sep |= np.abs(dx * -ey + dy * ex) > hl * np.abs(c * -ey + s * ex) + hw * np.abs(-s * -ey + c * ex)
-    return ~sep
+    # segment normal, unnormalized is fine for a homogeneous inequality; its
+    # support sum hl*|c*ey - s*ex| + hw*|s*ey + c*ex| is hl*ew + hw*eu bit
+    # for bit, as float rounding is symmetric in sign
+    sep |= np.abs(dx * -ey + dy * ex) > hl * ew + hw * eu
+    return (~sep).T if flip else ~sep
 
 
 # ---------------------------------------------------------------------------

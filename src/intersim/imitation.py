@@ -31,7 +31,7 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import BUILDERS, RoadNetwork, single_network
-from .planner import BEHAVIORAL_LEVELS, PlanCache, expert_policy, near_indices
+from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy, near_indices
 from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
 M_NEAR = 6
@@ -548,6 +548,8 @@ class DaggerConfig:
         for name in ("n_max", "t_max", "n_vehicles", "k_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.k_max > K_MAX:
+            raise ValueError(f"k_max must be at most {K_MAX}, the highest level the expert searches, got {self.k_max}")
         if not self.scenes or not set(self.scenes) <= set(BUILDERS):
             raise ValueError(f"scenes must be among {sorted(BUILDERS)}, got {list(self.scenes)}")
 

@@ -27,9 +27,13 @@ the overlap reach of the box around the tree's pose rows: the circumradii
 of the larger zone of each vehicle, plus a 1e-6 m margin (8.352 m for the
 default zones). Rectangles whose centers lie farther apart than their
 circumradii are disjoint, and then SAT finds a separating edge normal, so
-a dropped opponent would have set no flag. Boundary and marking segments
-can only hit the c-zone, so a tree keeps those within the c-zone's
-circumradius, plus the margin, of where its rows can be.
+a dropped opponent would have set no flag. A search is thus a function of
+the tree and of the poses of the opponents in reach, and searches that
+differ only in opponents beyond reach share one. Boundary and marking
+segments can only hit the c-zone, so a tree keeps a segment only if its
+bounding box meets the box of the pose rows grown by the c-zone's
+circumradius plus the margin: a segment the c-zone of a row touches has a
+point within that circumradius of the row.
 
 Leaf ordering is node major, so np.argmax (first maximum) selects the
 lexicographically smallest tied sequence, with "maintain" first in the
@@ -40,7 +44,7 @@ in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,8 +86,10 @@ class _EgoTree:
     """What a best response computes from the ego input alone: the pose
     rows (x, y, theta, cos theta, sin theta) and their bounding box (x0,
     y0, x1, y1), pose rows per depth, node rows and speeds, and the
-    features with both overlap columns 0. searched
-    holds the finished searches by opponent trajectories ((j, bytes), ...)."""
+    features with both overlap columns 0. searched holds the finished
+    searches by the poses of the opponents in reach, the bytes of their
+    (m, N, 3) array (see the module doc); a stored PlanResult carries no
+    opponent trajectories."""
 
     poses: Tuple[np.ndarray, ...]
     box: Tuple[float, float, float, float]
@@ -174,67 +180,38 @@ def near_indices(states: Sequence[Optional[VehicleState]], i: int, radius: float
     return out
 
 
-def _nearby_segments(segs: np.ndarray, x: float, y: float, radius: float) -> np.ndarray:
-    """The rows of segs (x0, y0, x1, y1) within radius of the point, in order."""
-    a, d = segs[:, :2], segs[:, 2:] - segs[:, :2]
-    px, py = x - a[:, 0], y - a[:, 1]
-    denom = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    # a zero-length segment is its start point
-    long = denom >= 1e-15
-    t = np.where(long, np.clip((px * d[:, 0] + py * d[:, 1]) / np.where(long, denom, 1.0), 0.0, 1.0), 0.0)
-    keep = np.hypot(px - t * d[:, 0], py - t * d[:, 1]) <= radius
-    return segs[keep] if keep.any() else np.zeros((0, 4))
-
-
 def _best_response(
     ego: VehicleState, opp_trajectories: Dict[int, np.ndarray], network: RoadNetwork, cache: PlanCache
 ) -> PlanResult:
     cfg = cache.cfg
-    tree = cache.tree(ego, network)
-    key = tuple((j, t.tobytes()) for j, t in opp_trajectories.items())
-    if key in tree.searched:
-        return tree.searched[key]
-    n = cfg.horizon_n
-    n_act = len(cfg.actions)
-    F = _searched_features(tree, opp_trajectories, cfg)
-
-    w_arr = cfg.weights.as_array()
-    value = np.zeros(1)
-    disc = 1.0
-    for rows, speeds in zip(tree.node_rows, tree.node_speeds):
-        fv = F[rows]
-        fv[:, 5] = speeds
-        value = np.repeat(value, n_act) + disc * (fv @ w_arr)
-        disc *= LAMBDA
-
-    best = int(np.argmax(value))
-    seq = [int(a) for a in np.unravel_index(best, (n_act,) * n)]
-    actions = [cfg.actions[i] for i in seq]
-    traj = rollout(ego.pose, ego.speed, actions)
-    res = tree.searched[key] = PlanResult(
-        action_sequence=seq,
-        first_action=actions[0],
-        value=float(value[best]),
-        trajectory=traj,
-        opp_trajectories=opp_trajectories,
-    )
-    return res
-
-
-def _searched_features(tree: _EgoTree, opp_trajectories: Dict[int, np.ndarray], cfg: PlannerConfig) -> np.ndarray:
-    """The tree's features with the overlap columns filled against the
-    opponents within the overlap reach of its box (see the module doc)."""
     z = cfg.zones
-    reach = max(math.hypot(z.c_length, z.c_width), math.hypot(z.s_length, z.s_width)) + _MARGIN_M
+    tree = cache.tree(ego, network)
     # the pose rows of depth tau face the opponents at instant tau + 1
     opp = np.array([t[1:, :3] for t in opp_trajectories.values()]).reshape(-1, cfg.horizon_n, 3)
+    reach = max(math.hypot(z.c_length, z.c_width), math.hypot(z.s_length, z.s_width)) + _MARGIN_M
     x0, y0, x1, y1 = tree.box
     gx = np.maximum(np.maximum(x0 - opp[..., 0], opp[..., 0] - x1), 0.0)
     gy = np.maximum(np.maximum(y0 - opp[..., 1], opp[..., 1] - y1), 0.0)
-    x, y, _, cth, sth = tree.poses
-    F = tree.features.copy()
-    opponent_features(F, x, y, cth, sth, opp[(np.hypot(gx, gy) <= reach).any(axis=1)], tree.depth_rows, z)
-    return F
+    opp = opp[(np.hypot(gx, gy) <= reach).any(axis=1)]
+    key = opp.tobytes()
+    if key not in tree.searched:
+        x, y, _, cth, sth = tree.poses
+        F = tree.features.copy()
+        opponent_features(F, x, y, cth, sth, opp, tree.depth_rows, z)
+        n_act = len(cfg.actions)
+        w_arr = cfg.weights.as_array()
+        value = np.zeros(1)
+        disc = 1.0
+        for rows, speeds in zip(tree.node_rows, tree.node_speeds):
+            fv = F[rows]
+            fv[:, 5] = speeds
+            value = np.repeat(value, n_act) + disc * (fv @ w_arr)
+            disc *= LAMBDA
+        best = int(np.argmax(value))
+        seq = [int(a) for a in np.unravel_index(best, (n_act,) * cfg.horizon_n)]
+        actions = [cfg.actions[i] for i in seq]
+        tree.searched[key] = PlanResult(seq, actions[0], float(value[best]), rollout(ego.pose, ego.speed, actions))
+    return replace(tree.searched[key], opp_trajectories=opp_trajectories)
 
 
 def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _EgoTree:
@@ -246,15 +223,6 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
     acc, _ = cfg.actions.arrays()
     om, om_group = cfg.actions.omega_groups
     n_act, n_om = len(acc), len(om)
-
-    # Segments the c-zones can touch: only the first step moves at the
-    # ego's own speed, the rest at most v_max, so every row lies within
-    # n * dt * max(speed, v_max) of the ego, and a c-zone within its
-    # circumradius of its row.
-    z = cfg.zones
-    reach = n * dt * max(ego.speed, V_MAX) + 0.5 * math.hypot(z.c_length, z.c_width) + _MARGIN_M
-    bsegs = _nearby_segments(lay.boundary_segments(), ego.pose.x, ego.pose.y, reach)
-    msegs = _nearby_segments(lay.marking_segments(), ego.pose.x, ego.pose.y, reach)
 
     # Expand every depth first. Node p*n_act + a is child a of node p, so
     # its pose is row p*n_om + om_group[a] of that depth's pose rows.
@@ -280,14 +248,27 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
         TH = th[rows]
 
     PX, PY, PTH = (np.concatenate(c) for c in zip(*poses))
+    box = (PX.min(), PY.min(), PX.max(), PY.max())
+    # Segments the c-zones can touch: a c-zone lies within its circumradius
+    # of its row, so a segment it touches meets the rows' box grown by that.
+    z = cfg.zones
+    r = 0.5 * math.hypot(z.c_length, z.c_width) + _MARGIN_M
+    grown = np.array([box[0] - r, box[1] - r, box[2] + r, box[3] + r])
+    bsegs, msegs = (_segments_in_box(segs, grown) for segs in (lay.boundary_segments(), lay.marking_segments()))
     cth, sth = np.cos(PTH), np.sin(PTH)
     exiting = (ego.phase != PHASE_APPROACH) & ~_in_core_many(lay, PX, PY)
     F = features_many(
         PX, PY, PTH, np.zeros(n_rows), bsegs, msegs, lay.straight_lane_rects(), lane.id,
         exiting, lane.ref_point, cfg.zones, cth, sth,
     )
-    box = (PX.min(), PY.min(), PX.max(), PY.max())
     return _EgoTree((PX, PY, PTH, cth, sth), box, [len(p[2]) for p in poses], node_rows, node_speeds, F)
+
+
+def _segments_in_box(segs: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """The rows of segs (x0, y0, x1, y1) whose bounding box meets the
+    closed box (x0, y0, x1, y1), in order."""
+    lo, hi = np.minimum(segs[:, :2], segs[:, 2:]), np.maximum(segs[:, :2], segs[:, 2:])
+    return segs[((lo <= box[2:]) & (hi >= box[:2])).all(axis=1)]
 
 
 def _in_core_many(lay, x: np.ndarray, y: np.ndarray) -> np.ndarray:

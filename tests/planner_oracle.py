@@ -9,7 +9,8 @@ maximum, mirroring the planner's argmax convention.
 The scalar stage reward and discounted return, and the scalar segment
 predicates at the end, are the references for the batched paths of the
 library. repeat_per_row_search is the batched search as it was before the
-planner culled opponents, the bit-exact reference for the culled one.
+planner culled opponents, the bit-exact reference for the culled one, and
+disk_cull_tree the ego tree as it was before the box cull of segments.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from intersim import dynamics as dyn
 from intersim import geometry as geo
 from intersim import reward as rw
 from intersim.dynamics import Pose2, VehicleState
-from intersim.planner import LAMBDA
+from intersim.planner import LAMBDA, PlannerConfig
 
 
 def exhaustive_plan(states, i, k, network, cfg, cache=None):
@@ -186,6 +187,85 @@ def repeat_per_row_search(tree, ego, opp_trajectories, cfg):
     seq = [int(a) for a in np.unravel_index(best, (n_act,) * cfg.horizon_n)]
     traj = dyn.rollout(ego.pose, ego.speed, [cfg.actions[a] for a in seq])
     return F[:, [0, 3]], (seq, float(value[best]), traj)
+
+
+# ---------------------------------------------------------------------------
+# the ego tree before the box cull of segments
+
+
+def disk_cull_tree(ego, network, cfg: PlannerConfig):
+    """(poses, box, depth_rows, node_rows, node_speeds, features) of the
+    planner's ego tree as built before the box cull: boundary and marking
+    segments within a disk of n * dt * max(speed, v_max) plus the c-zone
+    circumradius plus 1e-6 m around the ego, hit-tested with the rows
+    broadcast against the segments."""
+    lay, lane = network.resolve(ego.goal_ref)
+    n, dt = cfg.horizon_n, dyn.DT_S
+    acc, _ = cfg.actions.arrays()
+    om, om_group = cfg.actions.omega_groups
+    n_act, n_om = len(acc), len(om)
+    z = cfg.zones
+    reach = n * dt * max(ego.speed, dyn.V_MAX) + 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
+    bsegs = segments_near_point(lay.boundary_segments(), ego.pose.x, ego.pose.y, reach)
+    msegs = segments_near_point(lay.marking_segments(), ego.pose.x, ego.pose.y, reach)
+
+    X, Y = np.array([ego.pose.x]), np.array([ego.pose.y])
+    TH, V = np.array([ego.pose.theta]), np.array([ego.speed])
+    poses, node_rows, node_speeds = [], [], []
+    n_rows = 0
+    for _ in range(n):
+        P = X.shape[0]
+        X = X + V * np.cos(TH) * dt
+        Y = Y + V * np.sin(TH) * dt
+        th = geo.wrap_angle_many((TH[:, None] + om * dt).ravel())
+        rows = (np.arange(P)[:, None] * n_om + om_group).ravel()
+        V = np.clip((V[:, None] + acc * dt).ravel(), 0.0, dyn.V_MAX)
+        poses.append((np.repeat(X, n_om), np.repeat(Y, n_om), th))
+        node_rows.append(n_rows + rows)
+        node_speeds.append(V)
+        n_rows += P * n_om
+        X, Y = np.repeat(X, n_act), np.repeat(Y, n_act)
+        TH = th[rows]
+
+    PX, PY, PTH = (np.concatenate(c) for c in zip(*poses))
+    cth, sth = np.cos(PTH), np.sin(PTH)
+    may_exit = ego.phase != dyn.PHASE_APPROACH
+    exiting = np.array([may_exit and not lay.in_core(x, y) for x, y in zip(PX, PY)], dtype=bool)
+    # the segment-free columns, then the boundary and marking terms
+    F = rw.features_many(
+        PX, PY, PTH, np.zeros(n_rows), np.zeros((0, 4)), np.zeros((0, 4)), lay.straight_lane_rects(),
+        lane.id, exiting, lane.ref_point, z, cth, sth,
+    )
+    hit_b = rows_by_segments_hit_matrix(bsegs, PX, PY, cth, sth, z.c_length, z.c_width).any(axis=1)
+    hit_m = rows_by_segments_hit_matrix(msegs, PX, PY, cth, sth, z.c_length, z.c_width).any(axis=1)
+    F[:, 1] = np.where(hit_b, -1.0, 0.0)
+    F[:, 2] = np.where(hit_m | (F[:, 2] == -1.0), -1.0, 0.0)
+    box = (PX.min(), PY.min(), PX.max(), PY.max())
+    return (PX, PY, PTH, cth, sth), box, [len(p[2]) for p in poses], node_rows, node_speeds, F
+
+
+def segments_near_point(segs, x, y, radius):
+    """The rows of segs (x0, y0, x1, y1) within radius of the point, in order."""
+    keep = [point_segment_dist((x, y), s[:2], s[2:]) <= radius for s in segs]
+    return segs[np.array(keep, dtype=bool)] if any(keep) else np.zeros((0, 4))
+
+
+def rows_by_segments_hit_matrix(segs, cx, cy, cth, sth, length, width):
+    """The (B, S) segment hit matrix with (B, 1) rows broadcast against
+    (1, S) segments, and the segment normal's support sum in its own
+    expression: the layout before the kernel looped over its long axis."""
+    if not len(segs):
+        return np.zeros((len(cx), 0), dtype=bool)
+    c, s = cth[:, None], sth[:, None]
+    hl, hw = 0.5 * length, 0.5 * width
+    ex = 0.5 * (segs[:, 2] - segs[:, 0])[None, :]
+    ey = 0.5 * (segs[:, 3] - segs[:, 1])[None, :]
+    dx = 0.5 * (segs[:, 0] + segs[:, 2])[None, :] - cx[:, None]
+    dy = 0.5 * (segs[:, 1] + segs[:, 3])[None, :] - cy[:, None]
+    sep = np.abs(dx * c + dy * s) > hl + np.abs(ex * c + ey * s)
+    sep |= np.abs(dy * c - dx * s) > hw + np.abs(ey * c - ex * s)
+    sep |= np.abs(dx * -ey + dy * ex) > hl * np.abs(c * -ey + s * ex) + hw * np.abs(-s * -ey + c * ex)
+    return ~sep
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,7 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
         ({"scenes": ["bogus"]}, [], "scenes"),
         ({"scenes": "fourway"}, [], "scenes"),
         ({"k_max": 0}, [], "k_max"),
+        ({"k_max": 7}, [], "k_max"),
         ({}, ["--episodes", "0"], "n_max"),
         ({}, ["--vehicles", "0"], "n_vehicles"),
         ({"n_max": "3"}, [], "n_max"),
@@ -410,7 +411,7 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
         ({"train": {"hidden": 0}}, [], "hidden"),
     ],
     ids=["unknown-key", "unknown-train-key", "train-not-object", "unknown-scene",
-         "scenes-not-list", "k_max-0", "episodes-0", "vehicles-0", "n_max-str",
+         "scenes-not-list", "k_max-0", "k_max-7", "episodes-0", "vehicles-0", "n_max-str",
          "min_sep_m-str", "warm_start-int", "scenes-item-not-str", "train-lr-str",
          "train-batch_size-0", "train-hidden-0"],
 )

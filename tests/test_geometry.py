@@ -257,6 +257,42 @@ def test_segments_hit_rects_matches_scalar():
     assert np.array_equal(got, want)
 
 
+def _segment_cases(rng, n):
+    """n segments: random ones, with every third horizontal, vertical or of
+    zero length."""
+    segs = rng.uniform(-8, 8, (n, 4))
+    for k in range(n):
+        if k % 3 == 1:
+            segs[k, 3] = segs[k, 1]  # horizontal
+        elif k % 3 == 2:
+            segs[k, 2] = segs[k, 0]  # vertical
+    segs[::4, 2:] = segs[::4, :2]  # zero length
+    return segs
+
+
+@pytest.mark.parametrize("B, S", [(60, 7), (7, 60), (12, 12), (1, 9), (9, 1), (1, 1)],
+                         ids=["B>S", "B<S", "B=S", "B=1", "S=1", "B=S=1"])
+def test_segment_hit_matrix_matches_scalar_in_either_orientation(B, S):
+    """The kernel loops over whichever axis is longer; every pair still
+    agrees with the scalar clip, and the result stays (B, S)."""
+    rng = np.random.default_rng(B * 100 + S)
+    segs = _segment_cases(rng, S)
+    cx, cy = rng.uniform(-8, 8, B), rng.uniform(-8, 8, B)
+    th = rng.uniform(-math.pi, math.pi, B)
+    th[::2] = np.resize([0.0, math.pi / 2, math.pi, -math.pi / 2], th[::2].shape)  # axis-aligned rectangles
+    got = geo.segments_hit_rects_matrix(segs, cx, cy, th, 5.0, 2.0)
+    assert got.shape == (B, S) and got.dtype == bool
+    for b in range(B):
+        rect = geo.OrientedRect(cx[b], cy[b], 5.0, 2.0, th[b])
+        for k, seg in enumerate(segs):
+            assert got[b, k] == geo.segment_intersects_rect(seg[:2], seg[2:], rect), (b, k)
+    # one row at a time (B = 1 <= S) and one segment at a time (B >= S = 1)
+    # take the other orientation whenever B and S differ
+    by_row = [geo.segments_hit_rects_matrix(segs, cx[[b]], cy[[b]], th[[b]], 5.0, 2.0) for b in range(B)]
+    by_seg = [geo.segments_hit_rects_matrix(segs[[k]], cx, cy, th, 5.0, 2.0) for k in range(S)]
+    assert np.array_equal(np.vstack(by_row), got) and np.array_equal(np.hstack(by_seg), got)
+
+
 def test_segments_hit_rects_empty():
     out = geo.segments_hit_rects(np.zeros((0, 4)), np.zeros(3), np.zeros(3), np.zeros(3), 5.0, 2.0)
     assert out.shape == (3,) and not out.any()

@@ -34,7 +34,7 @@ from intersim.imitation import (
     levelk_feature_names,
     wilson_interval,
 )
-from intersim.planner import PlanCache, expert_policy
+from intersim.planner import K_MAX, PlanCache, expert_policy
 
 POS_SCALE = 40.0
 
@@ -473,6 +473,15 @@ def test_probe_rollouts_move_all_vehicles_from_one_snapshot():
         (shown(snap), [i for s, i, k, _ in probes if s is snap and k == 1]) for snap in snaps
     ]
     assert all(len(indices) == 3 for _, indices in seen)
+
+
+@pytest.mark.parametrize("k_max", [K_MAX + 1, 7])
+def test_dagger_config_refuses_levels_the_expert_does_not_search(k_max):
+    # the loops keep the behavioral levels at or below k_max, so a higher
+    # k_max would silently train like K_MAX
+    with pytest.raises(ValueError, match="k_max must be at most"):
+        DaggerConfig(k_max=k_max)
+    assert DaggerConfig(k_max=K_MAX).k_max == K_MAX
 
 
 def test_probe_match_pipeline_on_a_tiny_policy():

@@ -11,9 +11,9 @@ from intersim import planner, reward
 from intersim.controllers import BeliefState, adaptive_plan
 from intersim.dynamics import (
     DEFAULT_ACTIONS,
-    DT_S,
     PHASE_APPROACH,
     PHASE_EXIT,
+    PHASE_INSIDE,
     V_MAX,
     Action,
     ActionSet,
@@ -21,7 +21,7 @@ from intersim.dynamics import (
     VehicleState,
     rollout,
 )
-from intersim.geometry import single_network
+from intersim.geometry import make_city, single_network
 from intersim.planner import (
     DEFAULT_PLANNER,
     PlanCache,
@@ -32,7 +32,7 @@ from intersim.planner import (
 )
 from intersim.reward import RewardWeights
 
-from planner_oracle import exhaustive_plan, point_segment_dist, random_plan_scene, repeat_per_row_search
+from planner_oracle import disk_cull_tree, exhaustive_plan, random_plan_scene, repeat_per_row_search
 
 
 def _check_against_oracle(states, net, i, k, cfg):
@@ -206,19 +206,6 @@ def test_egos_that_differ_in_one_key_field_get_their_own_tree(field):
     assert len(cache.trees) == 2
 
 
-def test_nearby_segments_match_scalar_distance():
-    rng = np.random.default_rng(11)
-    segs = rng.uniform(-20, 20, (40, 4))
-    segs[5, 2:] = segs[5, :2]  # a zero-length segment
-    for _ in range(20):
-        x, y, r = rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0, 15)
-        want = [s for s in segs if point_segment_dist((x, y), s[:2], s[2:]) <= r]
-        got = planner._nearby_segments(segs, x, y, r)
-        assert np.array_equal(got, np.array(want).reshape(-1, 4))
-    assert planner._nearby_segments(segs, 100.0, 100.0, 1.0).shape == (0, 4)
-    assert planner._nearby_segments(np.zeros((0, 4)), 0.0, 0.0, 1.0).shape == (0, 4)
-
-
 # ---------------------------------------------------------------------------
 # the culls: opponents beyond the overlap reach of a tree's box, segments
 # beyond the reach of its c-zones
@@ -291,14 +278,19 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, horizon
     """Culling opponents beyond the overlap reach of the tree's box changes
     no overlap flag and no plan bit, at the edge of the reach and for zones
     that meet corner to corner; the kernel sees only opponents in reach."""
-    tested = []
-    real = reward.overlap_rects_group
+    tested, filled = [], []
+    real, real_fill = reward.overlap_rects_group, planner.opponent_features
 
     def kernel(*args):
         tested.append(len(args[5]))
         return real(*args)
 
+    def fill(out, *args):
+        real_fill(out, *args)
+        filled.append(out)
+
     monkeypatch.setattr(reward, "overlap_rects_group", kernel)
+    monkeypatch.setattr(planner, "opponent_features", fill)
     cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=horizon, actions=actions)
     rng = np.random.default_rng(100 + horizon)
     flags, culled = np.zeros(2), 0
@@ -313,12 +305,13 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, horizon
         probes = _probe_opponents(tree, cfg.zones, rng, horizon)
         for opp in [{j: t} for j, t in enumerate(probes)] + [dict(enumerate(probes))]:
             want_cols, (seq, value, traj) = repeat_per_row_search(tree, ego, opp, cfg)
-            del tested[:]
-            got = planner._searched_features(tree, opp, cfg)
+            del tested[:], filled[:]
+            tree.searched.clear()  # search again, not read a shared search
+            res = best_response(ego, opp, net, cache)
+            (got,) = filled
             assert len(tested) <= 1 and sum(tested) <= len(opp)
             culled += len(opp) - sum(tested)
             assert np.array_equal(got[:, [0, 3]], want_cols)
-            res = best_response(ego, opp, net, cache)
             assert res.action_sequence == seq
             assert res.value.hex() == value.hex()
             assert res.trajectory.tobytes() == traj.tobytes()
@@ -352,18 +345,98 @@ def test_a_search_calls_the_overlap_kernel_only_with_opponents_in_reach(monkeypa
         calls.clear()
 
 
+def test_searches_that_differ_only_beyond_reach_share_one(monkeypatch):
+    """A search is keyed by the poses of the opponents in reach: opponent
+    sets that differ only beyond reach, or in the slots of the opponents in
+    reach, fill the overlap columns once and give the same plan, and each
+    result carries its caller's trajectories."""
+    calls = []
+    real = planner.opponent_features
+
+    def fill(out, x, y, cth, sth, opp, *args):
+        calls.append(len(opp))
+        return real(out, x, y, cth, sth, opp, *args)
+
+    monkeypatch.setattr(planner, "opponent_features", fill)
+    rng = np.random.default_rng(43)
+    reach = _overlap_reach(DEFAULT_PLANNER.zones)
+    n = DEFAULT_PLANNER.horizon_n
+    for trial in range(8):
+        states, net = random_plan_scene(rng, 1)
+        ego = states[0]
+        cache = PlanCache()
+        tree = cache.tree(ego, net)
+        near = _off_box(tree, reach - 1e-9, rng, n)
+        one = {0: near, 1: _off_box(tree, reach + 1e-9, rng, n)}
+        other = {2: _off_box(tree, reach + 1.0, rng, n), 5: near.copy(), 7: _off_box(tree, 2 * reach, rng, n)}
+        calls.clear()
+        got = [best_response(ego, opp, net, cache) for opp in (one, other)]
+        assert calls == [1]
+        _same_plan(got[0], got[1])
+        assert got[0].opp_trajectories is one and got[1].opp_trajectories is other
+        _same_plan(got[1], best_response(ego, other, net, PlanCache()))
+
+
+def _tree_egos(rng):
+    """Random egos, with speeds up to v_max + 3 m/s and any phase: anywhere
+    around each single intersection, and on the city's connector roads
+    around the ports, heading for a lane of either end."""
+    city = make_city()
+    places = [(single_network(kind), "I0", None) for kind in ("fourway", "tshape", "roundabout") for _ in range(5)]
+    places += [(city, name, city.layouts[name].port(arm)) for a, arm_a, b, arm_b in city.connectors
+               for name, arm in ((a, arm_a), (b, arm_b))]
+    for net, name, port in places:
+        lay = net.layouts[name]
+        cx, cy = lay.center if port is None else port
+        lanes = sorted(lay.lanes)
+        yield net, VehicleState(
+            Pose2(cx + rng.uniform(-22, 22), cy + rng.uniform(-22, 22), rng.uniform(-math.pi, math.pi)),
+            float(rng.uniform(0.0, V_MAX + 3.0)),
+            goal_ref=f"{name}:{lanes[rng.integers(len(lanes))]}",
+            phase=(PHASE_APPROACH, PHASE_INSIDE, PHASE_EXIT)[rng.integers(3)],
+        )
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 4])
+@pytest.mark.parametrize("actions", _ACTION_SETS, ids=["default", "distinct", "straight"])
+def test_box_culled_tree_matches_the_disk_culled_reference(horizon, actions):
+    """The box cull of segments and the long-axis kernel build every tree
+    byte for byte as the disk cull and the rows-by-segments kernel did."""
+    cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=horizon, actions=actions)
+    rng = np.random.default_rng(60 + horizon)
+    flags = np.zeros(2)
+    for net, ego in _tree_egos(rng):
+        tree = planner._ego_tree(ego, net, cfg)
+        poses, box, depth_rows, node_rows, node_speeds, F = disk_cull_tree(ego, net, cfg)
+        assert [p.tobytes() for p in tree.poses] == [p.tobytes() for p in poses]
+        assert tree.box == box and tree.depth_rows == depth_rows
+        assert [r.tobytes() for r in tree.node_rows] == [r.tobytes() for r in node_rows]
+        assert [v.tobytes() for v in tree.node_speeds] == [v.tobytes() for v in node_speeds]
+        assert tree.features.tobytes() == F.tobytes()
+        flags += (F[:, 1:3] == -1.0).any(axis=0)
+    # boundary and lane terms both fire somewhere
+    assert flags.all()
+
+
 @pytest.mark.parametrize("speed", [3.0, V_MAX + 2.0])
-def test_a_segment_exactly_at_the_c_zone_reach_is_kept(monkeypatch, speed):
-    """Rows lie within n * dt * max(speed, v_max) of the ego, and a c-zone
-    within its circumradius of its row: a segment at that reach plus 1e-6
-    m is kept, one a float beyond it is not, also above v_max."""
+def test_a_segment_exactly_at_the_box_reach_is_kept(monkeypatch, speed):
+    """A c-zone lies within its circumradius of its row: on each side of
+    the box of the pose rows, a segment at that reach plus 1e-6 m is kept
+    and one a float beyond it is not, also above v_max."""
     cfg = DEFAULT_PLANNER
     z = cfg.zones
-    reach = cfg.horizon_n * DT_S * max(speed, V_MAX) + 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
-    beyond = math.nextafter(reach, math.inf)
-    # vertical segments whose nearest point to the origin is (+-x, 0)
-    segs = np.array([[x, -1.0, x, 1.0] for x in (reach, -reach, beyond, -beyond)])
+    r = 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
     net = single_network("fourway")
+    ego = VehicleState(Pose2(0.0, 0.0, 0.3), speed, goal_ref="I0:E.out")
+    x0, y0, x1, y1 = (float(v) for v in planner._ego_tree(ego, net, cfg).box)
+
+    def sides(east, west, north, south):
+        # one segment beside each side of the box, as long as that side
+        return [[east, y0, east, y1], [west, y1, west, y0], [x0, north, x1, north], [x1, south, x0, south]]
+
+    at = (x1 + r, x0 - r, y1 + r, y0 - r)
+    beyond = [math.nextafter(v, math.copysign(math.inf, v - c)) for v, c in zip(at, (x1, x0, y1, y0))]
+    segs = np.array(sides(*at) + sides(*beyond))
     lay = net.layouts["I0"]
     monkeypatch.setattr(lay, "boundary_segments", lambda: segs)
     monkeypatch.setattr(lay, "marking_segments", lambda: segs[::-1])
@@ -375,9 +448,9 @@ def test_a_segment_exactly_at_the_c_zone_reach_is_kept(monkeypatch, speed):
         return real(*args)
 
     monkeypatch.setattr(planner, "features_many", features_many)
-    planner._ego_tree(VehicleState(Pose2(0.0, 0.0, 0.3), speed, goal_ref="I0:E.out"), net, cfg)
+    planner._ego_tree(ego, net, cfg)
     (bsegs, msegs), = kept
-    assert np.array_equal(bsegs, segs[:2]) and np.array_equal(msegs, segs[1::-1])
+    assert np.array_equal(bsegs, segs[:4]) and np.array_equal(msegs, segs[3::-1])
 
 
 def _crossing_scene():
