@@ -340,8 +340,19 @@ def reference_path(
     U-turns there are illegal. Roundabouts run the entrance centerline to
     the circulating-lane circle, follow it counterclockwise to the exit
     radial, then leave along the exit centerline. Arcs get a vertex every
-    ARC_STEP_DEG or closer. Returns (M, 2) vertices.
+    ARC_STEP_DEG or closer. Returns (M, 2) vertices, read-only: the path
+    is built once per layout and (entrance, exit) and shared by every call.
     """
+
+    def build():
+        pts = _build_reference_path(layout, entrance, exit)
+        pts.flags.writeable = False
+        return pts
+
+    return layout.derived(("reference_path", entrance, exit), build)
+
+
+def _build_reference_path(layout: RoadLayout, entrance: str, exit: str) -> np.ndarray:
     lane_in = layout.lanes[entrance]
     lane_out = layout.lanes[exit]
     if lane_in.kind != "in" or lane_out.kind != "out":
@@ -410,6 +421,11 @@ def _arm_point(layout: RoadLayout, arm, u: float, w: float) -> Tuple[float, floa
 
 
 def _dedup(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """pts without each vertex within tol of the last one kept. pts itself
+    when every step is longer than 2 tol, so that none can be dropped."""
+    d = np.diff(pts, axis=0)
+    if (np.einsum("ij,ij->i", d, d) > 4.0 * tol * tol).all():
+        return pts
     keep = [0]
     for m in range(1, len(pts)):
         if np.linalg.norm(pts[m] - pts[keep[-1]]) > tol:

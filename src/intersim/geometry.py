@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -305,11 +305,16 @@ class Arm:
     u_start: float
     u_end: float
 
+    def __post_init__(self):
+        # fixed by the angle, and read for every arm-frame query
+        self._unit_u = (_snap(math.cos(self.angle)), _snap(math.sin(self.angle)))
+        self._unit_w = (_snap(-math.sin(self.angle)), _snap(math.cos(self.angle)))
+
     def unit_u(self) -> Tuple[float, float]:
-        return (_snap(math.cos(self.angle)), _snap(math.sin(self.angle)))
+        return self._unit_u
 
     def unit_w(self) -> Tuple[float, float]:
-        return (_snap(-math.sin(self.angle)), _snap(math.cos(self.angle)))
+        return self._unit_w
 
 
 def _snap(v: float, eps: float = 1e-12) -> float:
@@ -368,21 +373,41 @@ class RoadLayout:
         self.boundaries = boundaries
         self.markings = markings
         self.core = core
-        self._boundary_segs: Optional[np.ndarray] = None
-        self._marking_segs: Optional[np.ndarray] = None
+        self._derived: Dict[object, object] = {}
 
-    # -- segment caches -----------------------------------------------------
+    # -- derived geometry, computed on first use ------------------------------
+
+    def derived(self, key, build: Callable[[], object]):
+        """build() on the first call with key, the stored value after it.
+
+        For values that depend on this layout alone, which does not change
+        once built. A build that raises stores nothing, so it raises again
+        on the next call."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def boundary_segments(self) -> np.ndarray:
         """All boundary polylines flattened to an (S, 4) segment array."""
-        if self._boundary_segs is None:
-            self._boundary_segs = _polylines_to_segments(self.boundaries)
-        return self._boundary_segs
+        return self.derived("boundary_segments", lambda: _polylines_to_segments(self.boundaries))
 
     def marking_segments(self) -> np.ndarray:
-        if self._marking_segs is None:
-            self._marking_segs = _polylines_to_segments(self.markings)
-        return self._marking_segs
+        return self.derived("marking_segments", lambda: _polylines_to_segments(self.markings))
+
+    def edge_segments(self) -> np.ndarray:
+        """Boundary then marking segments in one (S, 4) array: every segment
+        a vehicle must not touch."""
+        return self.derived(
+            "edge_segments", lambda: np.vstack([self.boundary_segments(), self.marking_segments()])
+        )
+
+    def boundary_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-segment bounding boxes of boundary_segments() as (lo, hi),
+        each (S, 2)."""
+        return self.derived("boundary_bounds", lambda: _segment_bounds(self.boundary_segments()))
+
+    def marking_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.derived("marking_bounds", lambda: _segment_bounds(self.marking_segments()))
 
     def straight_lane_rects(self) -> List[Tuple[str, OrientedRect]]:
         return [(lid, ln.rect) for lid, ln in self.lanes.items() if ln.rect is not None]
@@ -491,6 +516,10 @@ class RoadLayout:
             markings=[np.asarray(m, dtype=float) for m in data["markings"]],
             core=data["core"],
         )
+
+
+def _segment_bounds(segs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    return np.minimum(segs[:, :2], segs[:, 2:]), np.maximum(segs[:, :2], segs[:, 2:])
 
 
 def _polylines_to_segments(polylines: List[np.ndarray]) -> np.ndarray:
@@ -792,6 +821,7 @@ class RoadNetwork:
         self.names: List[str] = [lay.name for lay in layouts]
         self.connectors = [tuple(c) for c in (connectors or [])]
         self.validate()
+        self._entry_lanes: Optional[List[Tuple[str, Lane]]] = None
 
     def validate(self) -> None:
         for a, arm_a, b, arm_b in self.connectors:
@@ -826,12 +856,13 @@ class RoadNetwork:
         """Arms of a layout not consumed by a connector (network entries/exits)."""
         return [aid for aid in self.layouts[name].arms if self.neighbor(name, aid) is None]
 
-    def entry_lanes(self) -> List[str]:
-        refs = []
-        for name in self.names:
-            for aid in self.open_arms(name):
-                refs.append(f"{name}:{aid}.in")
-        return refs
+    def entry_lanes(self) -> List[Tuple[str, Lane]]:
+        """(ref, lane) of every inbound lane of an open arm, in layout then
+        arm order; computed on the first call."""
+        if self._entry_lanes is None:
+            refs = [f"{name}:{aid}.in" for name in self.names for aid in self.open_arms(name)]
+            self._entry_lanes = [(ref, self.resolve(ref)[1]) for ref in refs]
+        return self._entry_lanes
 
     def nearest_layout(self, x: float, y: float) -> str:
         """Nearest intersection center, ties broken by listing order."""

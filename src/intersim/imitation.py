@@ -70,89 +70,117 @@ def _lane_tracking(lane, x: float, y: float, th: float) -> Tuple[float, float]:
     return e_y, e_psi
 
 
-def _opponent_order(states, i):
-    """Opponents sorted by distance then bearing, so the slot assignment
-    is stable under index relabeling."""
-    ex, ey = states[i].pose.x, states[i].pose.y
-    rows = []
-    for j, o in enumerate(states):
-        if j == i or o is None:
-            continue
-        dx, dy = o.pose.x - ex, o.pose.y - ey
-        rows.append((math.hypot(dx, dy), math.atan2(dy, dx), j))
-    rows.sort()
-    return [j for _, _, j in rows]
-
-
 _PHASE_INDEX = {PHASE_APPROACH: 0, PHASE_INSIDE: 1, PHASE_EXIT: 2}
 
 
-def _encode_common(
-    states: Sequence[Optional[VehicleState]],
-    i: int,
-    network: RoadNetwork,
-    m_near: int,
-    slot_width: int,
-    tail: int,
-) -> Tuple[np.ndarray, object, List[int], int]:
-    """Ego block plus opponent slots shared by both encoding variants.
+def _read_live(states: Sequence[Optional[VehicleState]], network: RoadNetwork) -> list:
+    """Per slot, None when empty, else what the encoders read of a vehicle:
+    (x, y, theta, scaled speed, scaled goal offset x and y, phase, goal
+    layout, goal lane)."""
+    live: list = []
+    for st in states:
+        if st is None:
+            live.append(None)
+            continue
+        lay, lane = network.resolve(st.goal_ref)
+        x, y = st.pose.x, st.pose.y
+        gx = (lane.ref_point[0] - x) / POS_SCALE_M
+        gy = (lane.ref_point[1] - y) / POS_SCALE_M
+        live.append((x, y, st.pose.theta, st.speed / SPEED_SCALE, gx, gy, st.phase, lay, lane))
+    return live
+
+
+def _common_block(live: list, i: int, m_near: int) -> Tuple[List[float], List[List[float]], List[int], int]:
+    """Ego fields, opponent slots, slot occupants and layout label of ego i,
+    shared by both encoding variants.
 
     Ego: center offset in the layout frame, heading cos/sin, speed, goal
     offset in the layout frame and rotated into the ego frame (steering
-    decisions read directly off the lateral component), phase one-hot.
-    Each opponent slot: relative position in both frames, relative
-    heading cos/sin, speed, and the opponent's own goal direction in the
-    ego frame (crossing intent). Empty slots read as a far-away stopped
-    car dead ahead with a zero goal vector.
+    decisions read directly off the lateral component), phase one-hot,
+    goal-lane tracking errors. Opponents fill the m_near slots sorted by
+    distance, then bearing, then slot, so the assignment is stable under
+    index relabeling. Each slot: relative position in both frames,
+    relative heading cos/sin, speed, and the opponent's own goal direction
+    in the ego frame (crossing intent). Empty slots read as a far-away
+    stopped car dead ahead with a zero goal vector.
     """
-    st = states[i]
-    lay, lane = network.resolve(st.goal_ref)
-    x, y, th = st.pose.x, st.pose.y, st.pose.theta
+    x, y, th, v, gx, gy, phase, lay, lane = live[i]
     c, s = math.cos(th), math.sin(th)
-    out = np.zeros(EGO_BLOCK + slot_width * m_near + tail)
-    out[0] = (x - lay.center[0]) / POS_SCALE_M
-    out[1] = (y - lay.center[1]) / POS_SCALE_M
-    out[2] = c
-    out[3] = s
-    out[4] = st.speed / SPEED_SCALE
-    gx = (lane.ref_point[0] - x) / POS_SCALE_M
-    gy = (lane.ref_point[1] - y) / POS_SCALE_M
-    out[5] = gx
-    out[6] = gy
-    out[7] = gx * c + gy * s
-    out[8] = -gx * s + gy * c
-    out[9 + _PHASE_INDEX[st.phase]] = 1.0
+    phases = [0.0] * N_PHASES
+    phases[_PHASE_INDEX[phase]] = 1.0
     e_y, e_psi = _lane_tracking(lane, x, y, th)
-    out[12] = max(-2.0, min(2.0, e_y / LANE_WIDTH_SCALE_M))
-    out[13] = math.cos(e_psi)
-    out[14] = math.sin(e_psi)
-    order = _opponent_order(states, i)
-    base = EGO_BLOCK
-    for slot in range(m_near):
-        if slot < len(order):
-            j = order[slot]
-            o = states[j]
-            dx = (o.pose.x - x) / POS_SCALE_M
-            dy = (o.pose.y - y) / POS_SCALE_M
-            _, olane = network.resolve(o.goal_ref)
-            ogx = (olane.ref_point[0] - o.pose.x) / POS_SCALE_M
-            ogy = (olane.ref_point[1] - o.pose.y) / POS_SCALE_M
-            out[base] = dx
-            out[base + 1] = dy
-            out[base + 2] = dx * c + dy * s
-            out[base + 3] = -dx * s + dy * c
-            out[base + 4] = math.cos(o.pose.theta - th)
-            out[base + 5] = math.sin(o.pose.theta - th)
-            out[base + 6] = o.speed / SPEED_SCALE
-            out[base + 7] = ogx * c + ogy * s
-            out[base + 8] = -ogx * s + ogy * c
-        else:
-            far = SENTINEL_DX_M / POS_SCALE_M
-            out[base] = far
-            out[base + 2] = far
-            out[base + 4] = 1.0
-        base += slot_width
-    return out, lay, order, base
+    ego = [
+        (x - lay.center[0]) / POS_SCALE_M,
+        (y - lay.center[1]) / POS_SCALE_M,
+        c,
+        s,
+        v,
+        gx,
+        gy,
+        gx * c + gy * s,
+        -gx * s + gy * c,
+        *phases,
+        max(-2.0, min(2.0, e_y / LANE_WIDTH_SCALE_M)),
+        math.cos(e_psi),
+        math.sin(e_psi),
+    ]
+    rows = []
+    for j, o in enumerate(live):
+        if j == i or o is None:
+            continue
+        dx, dy = o[0] - x, o[1] - y
+        rows.append((math.hypot(dx, dy), math.atan2(dy, dx), j, dx, dy))
+    rows.sort()
+    del rows[m_near:]
+    slots = []
+    for _, _, j, dx, dy in rows:
+        _, _, oth, ov, ogx, ogy, _, _, _ = live[j]
+        dx, dy = dx / POS_SCALE_M, dy / POS_SCALE_M
+        slots.append([
+            dx,
+            dy,
+            dx * c + dy * s,
+            -dx * s + dy * c,
+            math.cos(oth - th),
+            math.sin(oth - th),
+            ov,
+            ogx * c + ogy * s,
+            -ogx * s + ogy * c,
+        ])
+    far = SENTINEL_DX_M / POS_SCALE_M
+    slots += [[far, 0.0, far, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0] for _ in range(m_near - len(rows))]
+    return ego, slots, [r[2] for r in rows], lay.label
+
+
+def _one_hot(index: int, size: int) -> List[float]:
+    out = [0.0] * size
+    out[index] = 1.0
+    return out
+
+
+def encode_many(
+    states: Sequence[Optional[VehicleState]],
+    indices: Sequence[int],
+    levels: Sequence[int],
+    network: RoadNetwork,
+    m_near: int = M_NEAR,
+) -> np.ndarray:
+    """encode_state of vehicle indices[r] at level levels[r] as row r of
+    one (R, D) array, all read from the same states. Each live vehicle is
+    read once, and each distinct ego's common block is built once and
+    shared by its rows at every level."""
+    live = _read_live(states, network)
+    heads: Dict[int, List[float]] = {}
+    rows = []
+    for i, k in zip(indices, levels):
+        if k not in BEHAVIORAL_LEVELS:
+            raise ValueError(f"encoding defined for levels {BEHAVIORAL_LEVELS}, got {k}")
+        if i not in heads:
+            ego, slots, _, label = _common_block(live, i, m_near)
+            heads[i] = ego + [v for slot in slots for v in slot] + _one_hot(label - 1, N_LAYOUT_KINDS)
+        rows.append(heads[i] + _one_hot(k - 1, len(BEHAVIORAL_LEVELS)))
+    width = EGO_BLOCK + SLOT_WIDTH * m_near + N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS)
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def encode_state(
@@ -164,15 +192,8 @@ def encode_state(
 ) -> np.ndarray:
     """Fixed-width encoding of (ego, opponents, level) in the frame of the
     intersection the ego is currently negotiating, closed by the layout
-    kind one-hot and the commanded level one-hot."""
-    if k not in BEHAVIORAL_LEVELS:
-        raise ValueError(f"encoding defined for levels {BEHAVIORAL_LEVELS}, got {k}")
-    out, lay, _, base = _encode_common(
-        states, i, network, m_near, SLOT_WIDTH, N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS)
-    )
-    out[base + lay.label - 1] = 1.0
-    out[base + N_LAYOUT_KINDS + k - 1] = 1.0
-    return out
+    kind one-hot and the commanded level one-hot: encode_many's one row."""
+    return encode_many(states, [i], [k], network, m_near)[0]
 
 
 def encode_state_adaptive(
@@ -186,15 +207,12 @@ def encode_state_adaptive(
     but each opponent slot gains its estimated level as a signed channel
     (-1 level-1, +1 level-2, 0 empty slot) instead of a global ego-level
     one-hot."""
-    out, lay, order, base = _encode_common(
-        states, i, network, m_near, SLOT_WIDTH + 1, N_LAYOUT_KINDS
-    )
-    for slot in range(min(m_near, len(order))):
-        j = order[slot]
-        pos = EGO_BLOCK + (SLOT_WIDTH + 1) * slot + SLOT_WIDTH
-        out[pos] = -1.0 if estimates.get(j, 1) == 1 else 1.0
-    out[base + lay.label - 1] = 1.0
-    return out
+    ego, slots, order, label = _common_block(_read_live(states, network), i, m_near)
+    for slot, j in zip(slots, order):
+        slot.append(-1.0 if estimates.get(j, 1) == 1 else 1.0)
+    for slot in slots[len(order):]:
+        slot.append(0.0)
+    return np.array(ego + [v for slot in slots for v in slot] + _one_hot(label - 1, N_LAYOUT_KINDS))
 
 
 _SLOT_FIELDS = ("dx", "dy", "dxe", "dye", "cos", "sin", "v", "gdxe", "gdye")
@@ -369,13 +387,10 @@ class PolicyApproximator:
 
     def act(self, states, indices, levels, network) -> np.ndarray:
         """Action index per row: vehicle indices[r] of states behaving at
-        level levels[r]. One encode per row, one predict for all rows."""
+        level levels[r]. One encode_many and one predict for all rows."""
         if not len(indices):
             return np.zeros(0, dtype=int)
-        m_near = self.encoding["m_near"]
-        return self.predict(
-            np.stack([encode_state(states, i, k, network, m_near) for i, k in zip(indices, levels)])
-        )
+        return self.predict(encode_many(states, indices, levels, network, self.encoding["m_near"]))
 
     # -- training -----------------------------------------------------------
 
@@ -581,7 +596,7 @@ def _respawn_terminal(states, net, rng, min_sep) -> List[int]:
     Road edges are checked once for all vehicles before any respawn;
     slot i's vehicle check runs after the earlier slots have respawned,
     the same order as scene.sim_step, so the later partner of a collision
-    can miss the wreck; ROADMAP item 1(a) is the pending fix for both.
+    can miss the wreck; ROADMAP item 2(a) is the pending fix for both.
     """
     edges = road_edge_hits(states, [i for i, st in enumerate(states) if st is not None], net)
     respawned = []
@@ -646,19 +661,15 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
             _respawn_terminal(states, net, rng, cfg.min_sep_m)
             active = [i for i, s in enumerate(states) if s is not None]
             cache = PlanCache()
-            encs: Dict[Tuple[int, int], np.ndarray] = {}
-            expert_idx: Dict[Tuple[int, int], int] = {}
-            for i in active:
-                for k in levels:
-                    encs[(i, k)] = encode_state(states, i, k, net, cfg.m_near)
-                    expert_idx[(i, k)] = expert_policy(states, i, k, net, cache).action_sequence[0]
-            if encs:
-                keys = list(encs)
-                guesses = policy.predict(np.stack([encs[key] for key in keys]))
-                for key, guess in zip(keys, guesses):
+            keys = [(i, k) for i in active for k in levels]
+            if keys:
+                encs = encode_many(states, [i for i, _ in keys], [k for _, k in keys], net, cfg.m_near)
+                expert_idx = [expert_policy(states, i, k, net, cache).action_sequence[0] for i, k in keys]
+                guesses = policy.predict(encs)
+                for x, expert, guess in zip(encs, expert_idx, guesses):
                     queries += 1
-                    if int(guess) != expert_idx[key]:
-                        dataset.append(encs[key], expert_idx[key])
+                    if int(guess) != expert:
+                        dataset.append(x.copy(), expert)
                         disagreements += 1
                 chosen = {}
                 for i in active:

@@ -254,7 +254,8 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
     z = cfg.zones
     r = 0.5 * math.hypot(z.c_length, z.c_width) + _MARGIN_M
     grown = np.array([box[0] - r, box[1] - r, box[2] + r, box[3] + r])
-    bsegs, msegs = (_segments_in_box(segs, grown) for segs in (lay.boundary_segments(), lay.marking_segments()))
+    bsegs = _segments_in_box(lay.boundary_segments(), lay.boundary_bounds(), grown)
+    msegs = _segments_in_box(lay.marking_segments(), lay.marking_bounds(), grown)
     cth, sth = np.cos(PTH), np.sin(PTH)
     exiting = (ego.phase != PHASE_APPROACH) & ~_in_core_many(lay, PX, PY)
     F = features_many(
@@ -264,10 +265,10 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
     return _EgoTree((PX, PY, PTH, cth, sth), box, [len(p[2]) for p in poses], node_rows, node_speeds, F)
 
 
-def _segments_in_box(segs: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """The rows of segs (x0, y0, x1, y1) whose bounding box meets the
-    closed box (x0, y0, x1, y1), in order."""
-    lo, hi = np.minimum(segs[:, :2], segs[:, 2:]), np.maximum(segs[:, :2], segs[:, 2:])
+def _segments_in_box(segs: np.ndarray, bounds: Tuple[np.ndarray, np.ndarray], box: np.ndarray) -> np.ndarray:
+    """The rows of segs (x0, y0, x1, y1) whose bounding box, (lo, hi) rows
+    of bounds, meets the closed box (x0, y0, x1, y1), in order."""
+    lo, hi = bounds
     return segs[((lo <= box[2:]) & (hi >= box[:2])).all(axis=1)]
 
 

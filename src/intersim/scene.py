@@ -20,6 +20,7 @@ The cache holds plans of s_t only and is dropped when the tick ends.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,6 @@ from .dynamics import (
 from .geometry import (
     Pose2,
     RoadNetwork,
-    euclidean_dist,
     rects_overlap,
     segments_hit_rects,
     turn_targets,
@@ -102,27 +102,26 @@ def spawn_vehicle(
     min_sep from every live vehicle; None when no draw does (the spawn
     defers to a later tick)."""
     entries = network.entry_lanes()
+    live = [(s.pose.x, s.pose.y) for s in states if s is not None]
     for _ in range(SPAWN_TRIES):
-        ref = entries[rng.integers(len(entries))]
-        _, lane = network.resolve(ref)
+        ref, lane = entries[rng.integers(len(entries))]
         t = rng.uniform(0.05, 0.95)
         x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
         y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
-        if any(
-            s is not None and euclidean_dist((x, y), (s.pose.x, s.pose.y)) < min_sep
-            for s in states
-        ):
-            continue
-        name, lane_id = ref.split(":")
-        arm_id = lane_id.split(".")[0]
-        refs = route_from_entry(network, name, arm_id, rng)
-        return VehicleState(
-            Pose2(x, y, lane.heading),
-            float(rng.uniform(0.0, V_MAX)),
-            goal_ref=refs[0],
-            target_lane_seq=refs[1:],
-            phase=PHASE_APPROACH,
-        )
+        for px, py in live:
+            if math.hypot(x - px, y - py) < min_sep:
+                break
+        else:
+            name, lane_id = ref.split(":")
+            arm_id = lane_id.split(".")[0]
+            refs = route_from_entry(network, name, arm_id, rng)
+            return VehicleState(
+                Pose2(x, y, lane.heading),
+                float(rng.uniform(0.0, V_MAX)),
+                goal_ref=refs[0],
+                target_lane_seq=refs[1:],
+                phase=PHASE_APPROACH,
+            )
     return None
 
 
@@ -152,8 +151,7 @@ def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork) -> Dict
             groups.setdefault(goal_name, []).append(i)
     hits = dict.fromkeys(indices, False)
     for name, members in groups.items():
-        lay = network.layouts[name]
-        segs = np.vstack([lay.boundary_segments(), lay.marking_segments()])
+        segs = network.layouts[name].edge_segments()
         czs = [DEFAULT_ZONES.c_zone(states[i].pose) for i in members]
         x, y, th = np.array([(cz.cx, cz.cy, cz.theta) for cz in czs]).T.copy()
         hit_rows = segments_hit_rects(segs, x, y, th, DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width)
@@ -170,7 +168,7 @@ def detect_fail(states, i: int, network: RoadNetwork, edge_hits=None) -> bool:
     road_edge_hits of a batch holding i in its current state, or None to
     check i by itself. sim_step and the training loops take it for all
     vehicles on the post-move snapshot, then run the vehicle part in slot
-    order between respawns (ROADMAP item 1(a) is pending)."""
+    order between respawns (ROADMAP item 2(a) is pending)."""
     if _hits_other_vehicle(states, i):
         return True
     if edge_hits is None:
@@ -392,7 +390,7 @@ def sim_step(
     Road edges are checked for all active vehicles at once on the post-move
     snapshot; the vehicle-vehicle check then runs in slot order after the
     earlier slots have respawned, so the later partner of a collision can
-    miss the wreck (ROADMAP item 1(a) is pending)."""
+    miss the wreck (ROADMAP item 2(a) is pending)."""
     if ep.done:
         return ep
     net = cfg.network

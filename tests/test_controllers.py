@@ -410,6 +410,56 @@ def test_uturn_is_rejected_at_box_intersections():
         reference_path(lay, "N.out", "S.out")
 
 
+def _routes(lay):
+    ins = [lid for lid, ln in lay.lanes.items() if ln.kind == "in"]
+    outs = [lid for lid, ln in lay.lanes.items() if ln.kind == "out"]
+    return [(e, x) for e in ins for x in outs]
+
+
+@pytest.mark.parametrize("kind", ["fourway", "tshape", "roundabout"])
+def test_reference_path_is_built_once_per_route_and_read_only(kind):
+    """The cached path equals one built on a fresh layout, every call
+    returns it, a write raises, and a U-turn raises on every call."""
+    lay = single_network(kind).layouts["I0"]
+    fresh = single_network(kind).layouts["I0"]
+    for e, x in _routes(lay):
+        if lay.kind != "roundabout" and lay.lanes[e].arm == lay.lanes[x].arm:
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    reference_path(lay, e, x)
+            continue
+        pts = reference_path(lay, e, x)
+        assert reference_path(lay, e, x) is pts
+        want = controllers._build_reference_path(fresh, e, x)
+        assert np.array_equal(pts.view(np.uint64), want.view(np.uint64))
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+
+
+def _dedup_by_loop(pts, tol=1e-9):
+    keep = [0]
+    for m in range(1, len(pts)):
+        if np.linalg.norm(pts[m] - pts[keep[-1]]) > tol:
+            keep.append(m)
+    return pts[keep]
+
+
+def test_dedup_matches_the_vertex_loop():
+    """Paths whose steps are all long take the shortcut; repeated
+    vertices and steps just above and below tol take the loop."""
+    lay = single_network("roundabout").layouts["I0"]
+    paths = [controllers._build_reference_path(lay, e, x) for e, x in _routes(lay)]
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [4.0, 2.0]])
+    for step in (0.0, 0.5e-9, 1.5e-9, 2.5e-9):
+        paths.append(np.insert(base, 2, base[1] + [step, 0.0], axis=0))
+    paths.append(base[:1])
+    for pts in paths:
+        got = controllers._dedup(pts.copy())
+        assert np.array_equal(got, _dedup_by_loop(pts))
+    assert len(controllers._dedup(paths[-4])) == len(base)  # 0.5e-9 is dropped
+    assert len(controllers._dedup(paths[-3])) == len(base) + 1  # 1.5e-9 is kept
+
+
 def _drivable(lay, x, y, tol=1e-6):
     lw = lay.params["lane_width"]
     if lay.kind == "roundabout":

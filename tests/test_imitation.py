@@ -5,11 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from encode_oracle import encode_row, encode_row_adaptive, opponent_order
 
 from intersim import controllers
 from intersim import imitation as im
-from intersim.dynamics import PHASE_APPROACH, Pose2, VehicleState
-from intersim.geometry import single_network
+from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState, step, update_goal
+from intersim.geometry import make_city, single_network
 from intersim.imitation import (
     ADAPTIVE_DIM,
     DaggerConfig,
@@ -17,6 +18,7 @@ from intersim.imitation import (
     DistilledTraffic,
     EGO_BLOCK,
     LEVELK_DIM,
+    M_NEAR,
     PolicyApproximator,
     SENTINEL_DX_M,
     SLOT_WIDTH,
@@ -28,6 +30,7 @@ from intersim.imitation import (
     dagger_train,
     dagger_train_adaptive,
     default_encoding,
+    encode_many,
     encode_state,
     encode_state_adaptive,
     evaluate_match,
@@ -35,6 +38,7 @@ from intersim.imitation import (
     wilson_interval,
 )
 from intersim.planner import K_MAX, PlanCache, expert_policy
+from intersim.scene import spawn_vehicle
 
 POS_SCALE = 40.0
 
@@ -174,6 +178,78 @@ def test_encoding_is_pure_and_deterministic():
     b = encode_state(states, 0, 2, net)
     assert np.array_equal(a, b)
     assert [(s.pose.x, s.pose.y, s.pose.theta, s.speed) for s in states] == before
+
+
+def _traffic(kind, seed, n_vehicles):
+    """n_vehicles spawned 3 m apart that then drive 25 random ticks, so
+    that phases, goal lanes and ring arcs vary, with slot 1 left empty."""
+    net = make_city() if kind == "city" else single_network(kind)
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n_vehicles):
+        states.append(spawn_vehicle(net, states, rng, 3.0))
+    for _ in range(25):
+        for st in states:
+            if st is not None:
+                st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[int(rng.integers(6))])
+                update_goal(st, net)
+    states[1] = None
+    return states, net
+
+
+def _with_ties(states, net):
+    """Appends an ego at an exact point and four opponents around it: one
+    4 m north before one 4 m east (equal distance, so the bearing decides)
+    and two on the same point 3 m west (so the slot decides). Returns the
+    ego's slot."""
+    name = net.names[0]
+    lay = net.layouts[name]
+    goal = f"{name}:{next(iter(lay.lanes))}"
+    ex, ey = lay.center[0] + 1.5, lay.center[1] - 2.0
+    for dx, dy in ((0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (-3.0, 0.0), (-3.0, 0.0)):
+        states.append(VehicleState(Pose2(ex + dx, ey + dy, 0.5), 1.5, goal_ref=goal))
+    return len(states) - 5
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["fourway", "tshape", "roundabout", "city"])
+def test_encode_many_is_byte_equal_to_the_per_row_oracle(kind):
+    """Crowded scenes with tied distances and sparse scenes with sentinel
+    slots, every live ego at both levels and some egos twice more."""
+    for seed, n_vehicles, ties in ((0, 12, True), (1, 3, False)):
+        states, net = _traffic(kind, seed, n_vehicles)
+        if ties:
+            ego = _with_ties(states, net)
+            order = opponent_order(states, ego)
+            # the tie-breaks decide: east before north, then the lower slot
+            assert order.index(ego + 2) < order.index(ego + 1)
+            assert order.index(ego + 3) < order.index(ego + 4)
+        live = [i for i, st in enumerate(states) if st is not None]
+        indices = [i for i in live for _ in (1, 2)] + live[:2]
+        levels = [1, 2] * len(live) + [2, 1]
+        got = encode_many(states, indices, levels, net)
+        want = np.stack([encode_row(states, i, k, net, M_NEAR) for i, k in zip(indices, levels)])
+        assert got.shape == (len(indices), LEVELK_DIM)
+        assert np.array_equal(_bits(got), _bits(want))
+        for r in (0, len(indices) - 1):
+            assert np.array_equal(_bits(encode_state(states, indices[r], levels[r], net)), _bits(want[r]))
+        if not ties:
+            assert len(live) - 1 < M_NEAR  # sentinel slots are in play
+        estimates = {j: 1 + j % 2 for j in live[::2]}
+        for i in live:
+            got_a = encode_state_adaptive(states, i, estimates, net)
+            assert np.array_equal(_bits(got_a), _bits(encode_row_adaptive(states, i, estimates, net, M_NEAR)))
+
+
+def test_encode_many_refuses_levels_outside_the_behavioral_set():
+    states, net = _scene()
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            encode_many(states, [0, 1], [1, bad], net)
+    assert encode_many(states, [], [], net).shape == (0, LEVELK_DIM)
 
 
 # ---------------------------------------------------------------------------

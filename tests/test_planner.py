@@ -437,9 +437,11 @@ def test_a_segment_exactly_at_the_box_reach_is_kept(monkeypatch, speed):
     at = (x1 + r, x0 - r, y1 + r, y0 - r)
     beyond = [math.nextafter(v, math.copysign(math.inf, v - c)) for v, c in zip(at, (x1, x0, y1, y0))]
     segs = np.array(sides(*at) + sides(*beyond))
-    lay = net.layouts["I0"]
-    monkeypatch.setattr(lay, "boundary_segments", lambda: segs)
-    monkeypatch.setattr(lay, "marking_segments", lambda: segs[::-1])
+    # a fresh layout, so that its segments and their bounds derive from these
+    fresh = single_network("fourway")
+    lay = fresh.layouts["I0"]
+    monkeypatch.setattr(lay, "boundaries", [seg.reshape(2, 2) for seg in segs])
+    monkeypatch.setattr(lay, "markings", [seg.reshape(2, 2) for seg in segs[::-1]])
     kept = []
     real = planner.features_many
 
@@ -448,7 +450,7 @@ def test_a_segment_exactly_at_the_box_reach_is_kept(monkeypatch, speed):
         return real(*args)
 
     monkeypatch.setattr(planner, "features_many", features_many)
-    planner._ego_tree(ego, net, cfg)
+    planner._ego_tree(ego, fresh, cfg)
     (bsegs, msegs), = kept
     assert np.array_equal(bsegs, segs[:4]) and np.array_equal(msegs, segs[3::-1])
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from spawn_oracle import spawn_by_rejection
 
 from intersim import planner, scene
 from intersim.controllers import AdaptiveController
@@ -73,18 +74,45 @@ def test_spawn_respects_separation_and_lane_alignment():
         assert 0.0 <= states[a].speed <= 5.0
 
 
-def test_spawn_gives_up_when_everything_is_blocked():
-    net = single_network("fourway")
-    rng = np.random.default_rng(1)
-    # blanket every entrance with parked vehicles so no gap clears 10 m
+def _blanket(net):
+    """Three parked vehicles on every entrance lane: no spot clears 10 m."""
     states = []
-    for ref in net.entry_lanes():
-        _, lane = net.resolve(ref)
+    for ref, lane in net.entry_lanes():
         for t in (0.15, 0.5, 0.85):
             x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
             y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
             states.append(VehicleState(Pose2(x, y, lane.heading), 0.0, goal_ref=ref))
-    assert spawn_vehicle(net, states, rng) is None
+    return states
+
+
+def test_spawn_gives_up_when_everything_is_blocked():
+    net = single_network("fourway")
+    rng = np.random.default_rng(1)
+    assert spawn_vehicle(net, _blanket(net), rng) is None
+
+
+@pytest.mark.parametrize("kind", ["fourway", "city"])
+def test_spawn_matches_the_rejection_oracle(kind):
+    """Crowded scenes with empty slots, and blanketed ones where every try
+    defers: the same vehicle or None, and the generator left in the same
+    state."""
+    net = make_city() if kind == "city" else single_network(kind)
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        states = [None]
+        for _ in range(int(rng.integers(4, 20))):
+            states.append(spawn_vehicle(net, states, rng, 4.0))
+        if seed % 8 == 0:
+            states = _blanket(net) + [None]
+        for min_sep in (MIN_SEPARATION_M, 6.0):
+            got_rng, want_rng = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
+            got = spawn_vehicle(net, states, got_rng, min_sep)
+            want = spawn_by_rejection(net, states, want_rng, min_sep)
+            assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_routes_stay_legal_at_a_box_intersection():
