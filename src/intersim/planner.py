@@ -14,6 +14,19 @@ a function of the ego input (x, y, theta, speed, phase, goal_ref). A
 search fills the two overlap columns of a copy and sums the node values,
 each with its pose's features and its own speed, depth by depth.
 
+Egos repeat their headings and speeds far more often than their
+positions, so trees share three memoised tables: per action set and
+horizon the structure table (node and depth rows), per heading the
+heading table (each depth's moving-node cos and sin, then every pose
+row's wrapped heading with its cos and sin), and per speed the speed
+table (each depth's clipped node speeds). A tree computes only its
+positions and what follows from them. Plans stay exact: every entry comes
+from the numpy calls, on arrays of the same shapes, that expanding one
+tree on its own makes (the reference in the test suite does), keys are
+bit patterns (float hex, array bytes; 0.0 and -0.0 stay apart), and the
+shared arrays are read-only. The memos are bounded, about 1 MB in all at
+the default actions and horizon.
+
 Every search takes a PlanCache, the planner's one context: it holds the
 config, the finished plans of one joint state by (vehicle, level) and
 the ego trees by ego input. A plan is a pure function of (states,
@@ -43,6 +56,7 @@ in the same order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -89,13 +103,15 @@ class _EgoTree:
     features with both overlap columns 0. searched holds the finished
     searches by the poses of the opponents in reach, the bytes of their
     (m, N, 3) array (see the module doc); a stored PlanResult carries no
-    opponent trajectories."""
+    opponent trajectories. theta, cos theta and sin theta come from the
+    heading table, the node speeds from the speed table and the rows from
+    the structure table: read-only arrays that other trees share."""
 
     poses: Tuple[np.ndarray, ...]
     box: Tuple[float, float, float, float]
-    depth_rows: List[int]
-    node_rows: List[np.ndarray]
-    node_speeds: List[np.ndarray]
+    depth_rows: Tuple[int, ...]
+    node_rows: Tuple[np.ndarray, ...]
+    node_speeds: Tuple[np.ndarray, ...]
     features: np.ndarray
     searched: Dict[tuple, PlanResult] = field(default_factory=dict)
 
@@ -219,35 +235,22 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
         raise ValueError("vehicle has no goal lane")
     lay, lane = network.resolve(ego.goal_ref)
     n = cfg.horizon_n
-    dt = DT_S
     acc, _ = cfg.actions.arrays()
     om, om_group = cfg.actions.omega_groups
     n_act, n_om = len(acc), len(om)
+    _, node_rows, depth_rows = _structure_table(om_group.tobytes(), n)
+    CS, PTH, cth, sth = _heading_table(float(ego.pose.theta).hex(), om.tobytes(), om_group.tobytes(), n)
+    V = _speed_table(float(ego.speed).hex(), acc.tobytes(), n)
 
-    # Expand every depth first. Node p*n_act + a is child a of node p, so
-    # its pose is row p*n_om + om_group[a] of that depth's pose rows.
-    X = np.array([ego.pose.x])
-    Y = np.array([ego.pose.y])
-    TH = np.array([ego.pose.theta])
-    V = np.array([ego.speed])
-    poses, node_rows, node_speeds = [], [], []
-    n_rows = 0
-    for _ in range(n):
-        P = X.shape[0]
-        X = X + V * np.cos(TH) * dt
-        Y = Y + V * np.sin(TH) * dt
-        th = wrap_angle_many((TH[:, None] + om * dt).ravel())
-        rows = (np.arange(P)[:, None] * n_om + om_group).ravel()
-        V = np.clip((V[:, None] + acc * dt).ravel(), 0.0, V_MAX)
-        poses.append((np.repeat(X, n_om), np.repeat(Y, n_om), th))
-        node_rows.append(n_rows + rows)
-        node_speeds.append(V)
-        n_rows += P * n_om
-        X = np.repeat(X, n_act)
-        Y = np.repeat(Y, n_act)
-        TH = th[rows]
-
-    PX, PY, PTH = (np.concatenate(c) for c in zip(*poses))
+    # Move every depth, x and y as the rows of one array. Each pose row of
+    # a depth takes its moving node's position, and each child its parent's.
+    XY = np.array([[ego.pose.x], [ego.pose.y]])
+    moved = []
+    for d in range(n):
+        XY = XY + V[d] * CS[d] * DT_S
+        moved.append(np.repeat(XY, n_om, axis=1))
+        XY = np.repeat(XY, n_act, axis=1)
+    PX, PY = np.concatenate(moved, axis=1)
     box = (PX.min(), PY.min(), PX.max(), PY.max())
     # Segments the c-zones can touch: a c-zone lies within its circumradius
     # of its row, so a segment it touches meets the rows' box grown by that.
@@ -256,13 +259,74 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
     grown = np.array([box[0] - r, box[1] - r, box[2] + r, box[3] + r])
     bsegs = _segments_in_box(lay.boundary_segments(), lay.boundary_bounds(), grown)
     msegs = _segments_in_box(lay.marking_segments(), lay.marking_bounds(), grown)
-    cth, sth = np.cos(PTH), np.sin(PTH)
     exiting = (ego.phase != PHASE_APPROACH) & ~_in_core_many(lay, PX, PY)
     F = features_many(
-        PX, PY, PTH, np.zeros(n_rows), bsegs, msegs, lay.straight_lane_rects(), lane.id,
+        PX, PY, PTH, np.zeros(len(PX)), bsegs, msegs, lay.straight_lane_rects(), lane.id,
         exiting, lane.ref_point, cfg.zones, cth, sth,
     )
-    return _EgoTree((PX, PY, PTH, cth, sth), box, [len(p[2]) for p in poses], node_rows, node_speeds, F)
+    return _EgoTree((PX, PY, PTH, cth, sth), box, depth_rows, node_rows, V[1:], F)
+
+
+# Bounds of the table memos: a heading table holds about 23 kB and a speed
+# table about 12 kB at the default actions and horizon.
+_STRUCTURE_TABLES = 8
+_HEADING_TABLES = 32
+_SPEED_TABLES = 16
+
+
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_STRUCTURE_TABLES)
+def _structure_table(om_group: bytes, n: int) -> tuple:
+    """(rows, node_rows, depth_rows) of an n-deep tree whose actions take
+    the distinct omegas om_group (the bytes of an intp array). Node
+    k = p*n_act + a of depth d is child a of node p: its pose is row
+    rows[d][k] = p*n_om + om_group[a] of the depth's pose rows, and row
+    node_rows[d][k] of all of them."""
+    group = np.frombuffer(om_group, dtype=np.intp)
+    n_act, n_om = len(group), int(group.max()) + 1
+    rows, node_rows, depth_rows = [], [], []
+    n_rows = 0
+    for d in range(n):
+        P = n_act**d
+        rows.append((np.arange(P)[:, None] * n_om + group).ravel())
+        node_rows.append(n_rows + rows[-1])
+        depth_rows.append(P * n_om)
+        n_rows += P * n_om
+    return _frozen(*rows), _frozen(*node_rows), tuple(depth_rows)
+
+
+@functools.lru_cache(maxsize=_HEADING_TABLES)
+def _heading_table(theta: str, om: bytes, om_group: bytes, n: int) -> tuple:
+    """(CS, PTH, cth, sth) of an n-deep tree from the heading whose hex is
+    theta: per depth the cos and sin of the moving nodes' headings as the
+    rows of a (2, P) array, then the wrapped headings of all pose rows with
+    their cos and sin."""
+    rows = _structure_table(om_group, n)[0]
+    om = np.frombuffer(om)
+    TH = np.array([float.fromhex(theta)])
+    CS, ths = [], []
+    for d in range(n):
+        CS.append(np.stack([np.cos(TH), np.sin(TH)]))
+        ths.append(wrap_angle_many((TH[:, None] + om * DT_S).ravel()))
+        TH = ths[-1][rows[d]]
+    PTH = np.concatenate(ths)
+    return _frozen(*CS), *_frozen(PTH, np.cos(PTH), np.sin(PTH))
+
+
+@functools.lru_cache(maxsize=_SPEED_TABLES)
+def _speed_table(speed: str, acc: bytes, n: int) -> tuple:
+    """The node speeds of depths 0..n of a tree from the speed whose hex
+    is speed: the root's, then each depth's, clipped to [0, V_MAX]."""
+    acc = np.frombuffer(acc)
+    V = [np.array([float.fromhex(speed)])]
+    for _ in range(n):
+        V.append(np.clip((V[-1][:, None] + acc * DT_S).ravel(), 0.0, V_MAX))
+    return _frozen(*V)
 
 
 def _segments_in_box(segs: np.ndarray, bounds: Tuple[np.ndarray, np.ndarray], box: np.ndarray) -> np.ndarray:

@@ -26,6 +26,14 @@ EPISODES = {
         EvalSpec(scene="fourway", n_vehicles=3, av="adaptive", engine="expert", t_limit_s=8.0),
         "bc9657be402e017992aeb686dfcb478800634ced23bb749055091bd79130c584",
     ),
+    "tshape-expert-adaptive": (
+        EvalSpec(scene="tshape", n_vehicles=3, av="adaptive", engine="expert", t_limit_s=8.0),
+        "fed7ba42d5d0632a4684cad8162d8919d9f6ae2887553905edd9655babaa8f28",
+    ),
+    "roundabout-expert-adaptive": (
+        EvalSpec(scene="roundabout", n_vehicles=3, av="adaptive", engine="expert", t_limit_s=8.0),
+        "35215f3e0826f32e9534ba110562682b4efee50a8520d67f93cf87c2048ed44a",
+    ),
     "fourway-fixture-adaptive": (
         EvalSpec(scene="fourway", n_vehicles=3, av="adaptive", policy_file=FIXTURE, t_limit_s=10.0),
         "26ea0777cbaee14db9c585705b4b4588df207bb82f91a2c4348060fb35476507",

@@ -1,9 +1,12 @@
 """Guards against dead code and unused dependencies growing back."""
 
 import ast
+import functools
+import importlib
 import inspect
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,33 @@ def test_no_module_imports_a_name_it_never_uses():
         for name, line in _unused_imports(_parse(path))
     ]
     assert unused == []
+
+
+def _unbounded_memos(namespaces):
+    """Qualified names of the functools.lru_cache or functools.cache memos
+    in the namespaces, and in the classes there, that have no finite
+    maxsize."""
+    out = []
+    for ns in namespaces:
+        for name, obj in vars(ns).items():
+            members = vars(obj).items() if inspect.isclass(obj) and obj.__module__ == ns.__name__ else []
+            for qual, fn in [(name, obj), *((f"{name}.{m}", v) for m, v in members)]:
+                fn = getattr(fn, "__func__", fn)
+                if hasattr(fn, "cache_parameters") and fn.cache_parameters()["maxsize"] is None:
+                    out.append(f"{ns.__name__}.{qual}")
+    return out
+
+
+def test_every_library_memo_is_bounded():
+    """A memo that lives as long as the process and has no bound would
+    grow with every distinct key over a long study."""
+    modules = [importlib.import_module(f"intersim.{p.stem}") for p in sorted(PACKAGE.glob("*.py"))]
+    assert _unbounded_memos(modules) == []
+    probe = types.ModuleType("probe")
+    probe.bounded = functools.lru_cache(maxsize=4)(abs)
+    probe.unbounded = functools.cache(abs)
+    probe.Holder = type("Holder", (), {"__module__": "probe", "memo": staticmethod(functools.lru_cache(None)(abs))})
+    assert _unbounded_memos([probe]) == ["probe.unbounded", "probe.Holder.memo"]
 
 
 @pytest.mark.parametrize("dagger", [False, True])

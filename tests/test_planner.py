@@ -377,45 +377,118 @@ def test_searches_that_differ_only_beyond_reach_share_one(monkeypatch):
         _same_plan(got[1], best_response(ego, other, net, PlanCache()))
 
 
+# headings at zero and on either side of the wrap at +-pi, and speeds at
+# and beyond the clip limits
+_EDGE_HEADINGS = (
+    0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0),
+    math.nextafter(-math.pi, 0.0), math.nextafter(-math.pi, -4.0),
+)
+_EDGE_SPEEDS = (0.0, V_MAX, V_MAX + 1.5)
+
+
 def _tree_egos(rng):
     """Random egos, with speeds up to v_max + 3 m/s and any phase: anywhere
     around each single intersection, and on the city's connector roads
-    around the ports, heading for a lane of either end."""
+    around the ports, heading for a lane of either end. Then egos at every
+    edge heading and speed around the four-way."""
     city = make_city()
     places = [(single_network(kind), "I0", None) for kind in ("fourway", "tshape", "roundabout") for _ in range(5)]
     places += [(city, name, city.layouts[name].port(arm)) for a, arm_a, b, arm_b in city.connectors
                for name, arm in ((a, arm_a), (b, arm_b))]
-    for net, name, port in places:
+    egos = [(place, None, None) for place in places]
+    egos += [(places[0], theta, speed) for theta, speed in itertools.product(_EDGE_HEADINGS, _EDGE_SPEEDS)]
+    for (net, name, port), theta, speed in egos:
         lay = net.layouts[name]
         cx, cy = lay.center if port is None else port
         lanes = sorted(lay.lanes)
+        x, y = cx + rng.uniform(-22, 22), cy + rng.uniform(-22, 22)
         yield net, VehicleState(
-            Pose2(cx + rng.uniform(-22, 22), cy + rng.uniform(-22, 22), rng.uniform(-math.pi, math.pi)),
-            float(rng.uniform(0.0, V_MAX + 3.0)),
+            Pose2(x, y, rng.uniform(-math.pi, math.pi) if theta is None else theta),
+            float(rng.uniform(0.0, V_MAX + 3.0)) if speed is None else speed,
             goal_ref=f"{name}:{lanes[rng.integers(len(lanes))]}",
             phase=(PHASE_APPROACH, PHASE_INSIDE, PHASE_EXIT)[rng.integers(3)],
         )
 
 
+# the planner's memos of the tables that ego trees share
+_MEMOS = (planner._structure_table, planner._heading_table, planner._speed_table)
+
+
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+def _same_tree(tree, want):
+    poses, box, depth_rows, node_rows, node_speeds, F = want
+    assert [p.tobytes() for p in tree.poses] == [p.tobytes() for p in poses]
+    assert tree.box == box and list(tree.depth_rows) == depth_rows
+    assert [r.tobytes() for r in tree.node_rows] == [r.tobytes() for r in node_rows]
+    assert [v.tobytes() for v in tree.node_speeds] == [v.tobytes() for v in node_speeds]
+    assert tree.features.tobytes() == F.tobytes()
+
+
 @pytest.mark.parametrize("horizon", [1, 3, 4])
 @pytest.mark.parametrize("actions", _ACTION_SETS, ids=["default", "distinct", "straight"])
 def test_box_culled_tree_matches_the_disk_culled_reference(horizon, actions):
-    """The box cull of segments and the long-axis kernel build every tree
-    byte for byte as the disk cull and the rows-by-segments kernel did."""
+    """The box cull of segments, the long-axis kernel and the shared
+    heading, speed and structure tables build every tree byte for byte as
+    the disk cull, the rows-by-segments kernel and the per-depth expansion
+    did: on a cold memo, and on a warm one that holds the other egos'
+    tables and, on the second build, the ego's own."""
     cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=horizon, actions=actions)
     rng = np.random.default_rng(60 + horizon)
+    cases = [(net, ego, disk_cull_tree(ego, net, cfg)) for net, ego in _tree_egos(rng)]
     flags = np.zeros(2)
-    for net, ego in _tree_egos(rng):
-        tree = planner._ego_tree(ego, net, cfg)
-        poses, box, depth_rows, node_rows, node_speeds, F = disk_cull_tree(ego, net, cfg)
-        assert [p.tobytes() for p in tree.poses] == [p.tobytes() for p in poses]
-        assert tree.box == box and tree.depth_rows == depth_rows
-        assert [r.tobytes() for r in tree.node_rows] == [r.tobytes() for r in node_rows]
-        assert [v.tobytes() for v in tree.node_speeds] == [v.tobytes() for v in node_speeds]
-        assert tree.features.tobytes() == F.tobytes()
-        flags += (F[:, 1:3] == -1.0).any(axis=0)
+    for net, ego, want in cases:
+        _clear_memos()
+        _same_tree(planner._ego_tree(ego, net, cfg), want)
+        flags += (want[5][:, 1:3] == -1.0).any(axis=0)
+    for net, ego, want in cases:
+        for _ in range(2):
+            _same_tree(planner._ego_tree(ego, net, cfg), want)
     # boundary and lane terms both fire somewhere
     assert flags.all()
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        return [x]
+    return [a for item in x for a in _arrays(item)] if isinstance(x, tuple) else []
+
+
+def test_table_memos_are_bounded_read_only_and_keyed_by_bit_pattern():
+    """Each memo is bounded; no tree can write into a table it shares with
+    others; the headings 0.0 and -0.0 take two entries; and a search from a
+    cold memo equals one from a warm memo."""
+    assert all(isinstance(memo.cache_parameters()["maxsize"], int) for memo in _MEMOS)
+    net = single_network("fourway")
+    cfg = DEFAULT_PLANNER
+    om, group = (a.tobytes() for a in cfg.actions.omega_groups)
+    acc = cfg.actions.arrays()[0].tobytes()
+    _clear_memos()
+    trees = []
+    for theta in (0.0, -0.0):
+        trees.append(planner._ego_tree(VehicleState(Pose2(-12.0, -2.0, theta), 2.0, goal_ref="I0:E.out"), net, cfg))
+    info = planner._heading_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    shared = _arrays((
+        planner._structure_table(group, cfg.horizon_n),
+        planner._heading_table((0.0).hex(), om, group, cfg.horizon_n),
+        planner._heading_table((-0.0).hex(), om, group, cfg.horizon_n),
+        planner._speed_table((2.0).hex(), acc, cfg.horizon_n),
+    ))
+    for tree in trees:
+        shared += [*tree.poses[2:], *tree.node_rows, *tree.node_speeds]
+    for a in shared:
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+    states, net = _crossing_scene()
+    _clear_memos()
+    cold = [levelk_plan(states, i, 2, net, PlanCache()) for i in range(2)]
+    for i, want in enumerate(cold):
+        _same_plan(levelk_plan(states, i, 2, net, PlanCache()), want)
 
 
 @pytest.mark.parametrize("speed", [3.0, V_MAX + 2.0])
