@@ -30,6 +30,7 @@ from .imitation import (
     DistilledTraffic,
     PolicyApproximator,
     encode_state_adaptive,
+    load_policy,
     wilson_interval,
 )
 from .scene import (
@@ -250,14 +251,14 @@ class _Built:
         if spec.engine == "distilled":
             if spec.policy_file is None:
                 raise ValueError("distilled engine needs policy_file")
-            self.policy = PolicyApproximator.load(spec.policy_file)
+            self.policy = load_policy(spec.policy_file, "levelk")
             self.traffic: TrafficPolicy = DistilledTraffic(self.policy)
         else:
             self.traffic = ExpertTraffic()
         if spec.adaptive_policy_file is not None:
             if self.policy is None:
                 raise ValueError("adaptive_policy_file needs the distilled engine")
-            self.adaptive_policy = PolicyApproximator.load(spec.adaptive_policy_file)
+            self.adaptive_policy = load_policy(spec.adaptive_policy_file, "adaptive")
 
 
 def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
@@ -273,10 +274,9 @@ def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
     if spec.av == "adaptive":
         if built.adaptive_policy is not None:
             apol = built.adaptive_policy
-            m_near = apol.encoding["m_near"]
 
             def actor(states, i, estimates, network):
-                x = encode_state_adaptive(states, i, estimates, network, m_near)
+                x = encode_state_adaptive(states, i, estimates, network)
                 return int(apol.predict(x)[0])
 
             return DistilledAdaptiveController(actor, predictor, beta=spec.beta)

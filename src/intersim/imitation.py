@@ -34,7 +34,7 @@ from .geometry import BUILDERS, RoadNetwork, single_network
 from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy, near_indices
 from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
-M_NEAR = 6
+M_NEAR = 6  # opponent slots of both encoders; a policy file must say the same
 POS_SCALE_M = 40.0  # interaction radius; positions land roughly in [-1, 1]
 SPEED_SCALE = 5.0
 SENTINEL_DX_M = 100.0  # empty opponent slots read as a far-away stopped car
@@ -90,14 +90,14 @@ def _read_live(states: Sequence[Optional[VehicleState]], network: RoadNetwork) -
     return live
 
 
-def _common_block(live: list, i: int, m_near: int) -> Tuple[List[float], List[List[float]], List[int], int]:
+def _common_block(live: list, i: int) -> Tuple[List[float], List[List[float]], List[int], int]:
     """Ego fields, opponent slots, slot occupants and layout label of ego i,
     shared by both encoding variants.
 
     Ego: center offset in the layout frame, heading cos/sin, speed, goal
     offset in the layout frame and rotated into the ego frame (steering
     decisions read directly off the lateral component), phase one-hot,
-    goal-lane tracking errors. Opponents fill the m_near slots sorted by
+    goal-lane tracking errors. Opponents fill the M_NEAR slots sorted by
     distance, then bearing, then slot, so the assignment is stable under
     index relabeling. Each slot: relative position in both frames,
     relative heading cos/sin, speed, and the opponent's own goal direction
@@ -131,7 +131,7 @@ def _common_block(live: list, i: int, m_near: int) -> Tuple[List[float], List[Li
         dx, dy = o[0] - x, o[1] - y
         rows.append((math.hypot(dx, dy), math.atan2(dy, dx), j, dx, dy))
     rows.sort()
-    del rows[m_near:]
+    del rows[M_NEAR:]
     slots = []
     for _, _, j, dx, dy in rows:
         _, _, oth, ov, ogx, ogy, _, _, _ = live[j]
@@ -148,7 +148,7 @@ def _common_block(live: list, i: int, m_near: int) -> Tuple[List[float], List[Li
             -ogx * s + ogy * c,
         ])
     far = SENTINEL_DX_M / POS_SCALE_M
-    slots += [[far, 0.0, far, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0] for _ in range(m_near - len(rows))]
+    slots += [[far, 0.0, far, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0] for _ in range(M_NEAR - len(rows))]
     return ego, slots, [r[2] for r in rows], lay.label
 
 
@@ -163,12 +163,11 @@ def encode_many(
     indices: Sequence[int],
     levels: Sequence[int],
     network: RoadNetwork,
-    m_near: int = M_NEAR,
 ) -> np.ndarray:
     """encode_state of vehicle indices[r] at level levels[r] as row r of
-    one (R, D) array, all read from the same states. Each live vehicle is
-    read once, and each distinct ego's common block is built once and
-    shared by its rows at every level."""
+    one (R, LEVELK_DIM) array, all read from the same states. Each live
+    vehicle is read once, and each distinct ego's common block is built
+    once and shared by its rows at every level."""
     live = _read_live(states, network)
     heads: Dict[int, List[float]] = {}
     rows = []
@@ -176,11 +175,10 @@ def encode_many(
         if k not in BEHAVIORAL_LEVELS:
             raise ValueError(f"encoding defined for levels {BEHAVIORAL_LEVELS}, got {k}")
         if i not in heads:
-            ego, slots, _, label = _common_block(live, i, m_near)
+            ego, slots, _, label = _common_block(live, i)
             heads[i] = ego + [v for slot in slots for v in slot] + _one_hot(label - 1, N_LAYOUT_KINDS)
         rows.append(heads[i] + _one_hot(k - 1, len(BEHAVIORAL_LEVELS)))
-    width = EGO_BLOCK + SLOT_WIDTH * m_near + N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS)
-    return np.array(rows, dtype=float).reshape(len(rows), width)
+    return np.array(rows, dtype=float).reshape(len(rows), LEVELK_DIM)
 
 
 def encode_state(
@@ -188,12 +186,11 @@ def encode_state(
     i: int,
     k: int,
     network: RoadNetwork,
-    m_near: int = M_NEAR,
 ) -> np.ndarray:
     """Fixed-width encoding of (ego, opponents, level) in the frame of the
     intersection the ego is currently negotiating, closed by the layout
     kind one-hot and the commanded level one-hot: encode_many's one row."""
-    return encode_many(states, [i], [k], network, m_near)[0]
+    return encode_many(states, [i], [k], network)[0]
 
 
 def encode_state_adaptive(
@@ -201,13 +198,12 @@ def encode_state_adaptive(
     i: int,
     estimates: Dict[int, int],
     network: RoadNetwork,
-    m_near: int = M_NEAR,
 ) -> np.ndarray:
-    """Encoding for the adaptive-policy approximator: the common block,
-    but each opponent slot gains its estimated level as a signed channel
-    (-1 level-1, +1 level-2, 0 empty slot) instead of a global ego-level
-    one-hot."""
-    ego, slots, order, label = _common_block(_read_live(states, network), i, m_near)
+    """ADAPTIVE_DIM encoding for the adaptive-policy approximator: the
+    common block, but each opponent slot gains its estimated level as a
+    signed channel (-1 level-1, +1 level-2, 0 empty slot) instead of a
+    global ego-level one-hot."""
+    ego, slots, order, label = _common_block(_read_live(states, network), i)
     for slot, j in zip(slots, order):
         slot.append(-1.0 if estimates.get(j, 1) == 1 else 1.0)
     for slot in slots[len(order):]:
@@ -224,17 +220,17 @@ _EGO_FIELDS = (
 )
 
 
-def levelk_feature_names(m_near: int = M_NEAR) -> List[str]:
+def levelk_feature_names() -> List[str]:
     names = list(_EGO_FIELDS)
-    for s in range(m_near):
+    for s in range(M_NEAR):
         names += [f"opp{s}_{f}" for f in _SLOT_FIELDS]
     names += ["xi_fourway", "xi_tshape", "xi_roundabout", "lvl_1", "lvl_2"]
     return names
 
 
-def adaptive_feature_names(m_near: int = M_NEAR) -> List[str]:
+def adaptive_feature_names() -> List[str]:
     names = list(_EGO_FIELDS)
-    for s in range(m_near):
+    for s in range(M_NEAR):
         names += [f"opp{s}_{f}" for f in _SLOT_FIELDS] + [f"opp{s}_lvl"]
     names += ["xi_fourway", "xi_tshape", "xi_roundabout"]
     return names
@@ -390,7 +386,7 @@ class PolicyApproximator:
         level levels[r]. One encode_many and one predict for all rows."""
         if not len(indices):
             return np.zeros(0, dtype=int)
-        return self.predict(encode_many(states, indices, levels, network, self.encoding["m_near"]))
+        return self.predict(encode_many(states, indices, levels, network))
 
     # -- training -----------------------------------------------------------
 
@@ -509,21 +505,30 @@ class PolicyApproximator:
                 raise ValueError(f"policy file {path} is malformed: {type(e).__name__}: {e}") from None
 
 
-def default_encoding(variant: str = "levelk", m_near: int = M_NEAR) -> dict:
+def default_encoding(variant: str = "levelk") -> dict:
+    """The encoding block of this encoder's policies; set-up refuses a file with another."""
     return {
         "variant": variant,
-        "m_near": m_near,
+        "m_near": M_NEAR,
         "pos_scale_m": POS_SCALE_M,
         "speed_scale": SPEED_SCALE,
         "sentinel_dx_m": SENTINEL_DX_M,
     }
 
 
+def load_policy(path: str, variant: str) -> PolicyApproximator:
+    """The policy in path; raises ValueError naming path unless this encoder's variant reads it."""
+    policy = PolicyApproximator.load(path)
+    width = LEVELK_DIM if variant == "levelk" else ADAPTIVE_DIM
+    if policy.encoding != default_encoding(variant) or policy.sizes[0] != width:
+        raise ValueError(f"policy file {path} is not a {variant} policy of this encoder")
+    return policy
+
+
 def behavioral_clone_train(
     dataset: DemoDataset,
     train: TrainConfig = TrainConfig(),
     seed: int = 0,
-    encoding: Optional[dict] = None,
 ) -> PolicyApproximator:
     """Supervised fit on a fixed expert-generated dataset (the baseline
     against dataset aggregation)."""
@@ -532,7 +537,7 @@ def behavioral_clone_train(
     X, y = dataset.arrays()
     approx = PolicyApproximator(
         _layer_sizes(dataset.n_features, train.hidden),
-        encoding or default_encoding(),
+        default_encoding(),
         seed=seed,
     )
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
@@ -546,6 +551,8 @@ def behavioral_clone_train(
 
 @dataclass
 class DaggerConfig:
+    """Settings of both trainers; encoder width and spawn gap are library constants."""
+
     n_max: int = 200
     t_max: int = 100
     n_vehicles: int = 3
@@ -553,11 +560,7 @@ class DaggerConfig:
     scenes: Tuple[str, ...] = ("fourway", "tshape", "roundabout")
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
-    m_near: int = M_NEAR
     warm_start: bool = False  # literal reading retrains from scratch
-    min_sep_m: float = 10.0
-    stop_disagreement_below: Optional[float] = None  # optional early stop
-    stop_patience: int = 5
 
     def __post_init__(self):
         for name in ("n_max", "t_max", "n_vehicles", "k_max"):
@@ -585,13 +588,13 @@ def _episodes(cfg: DaggerConfig, rng: np.random.Generator, n_episodes: int):
         net = networks[cfg.scenes[rng.integers(len(cfg.scenes))]]
         states: List[Optional[VehicleState]] = []
         for _ in range(cfg.n_vehicles):
-            states.append(spawn_vehicle(net, states, rng, cfg.min_sep_m))
+            states.append(spawn_vehicle(net, states, rng))
         yield n, net, states
 
 
-def _respawn_terminal(states, net, rng, min_sep) -> List[int]:
-    """Respawn every empty, failed or finished slot in place and return
-    the respawned slots.
+def _respawn_terminal(states, net, rng) -> List[int]:
+    """Respawn every empty, failed or finished slot in place, at the
+    spawn gap scene.sim_step uses, and return the respawned slots.
 
     Road edges are checked once for all vehicles before any respawn;
     slot i's vehicle check runs after the earlier slots have respawned,
@@ -602,7 +605,7 @@ def _respawn_terminal(states, net, rng, min_sep) -> List[int]:
     respawned = []
     for i, st in enumerate(states):
         if st is None or detect_fail(states, i, net, edge_hits=edges) or detect_success(st, net):
-            states[i] = spawn_vehicle(net, states, rng, min_sep)
+            states[i] = spawn_vehicle(net, states, rng)
             respawned.append(i)
     return respawned
 
@@ -646,24 +649,23 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     """
     root = np.random.SeedSequence(cfg.seed)
     rng = np.random.default_rng(root.spawn(1)[0])
-    enc = default_encoding("levelk", cfg.m_near)
-    names = levelk_feature_names(cfg.m_near)
+    enc = default_encoding("levelk")
+    names = levelk_feature_names()
     policy = PolicyApproximator(_layer_sizes(len(names), cfg.train.hidden), enc, seed=cfg.seed)
     dataset = DemoDataset(len(names), names)
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     history: List[dict] = []
-    calm_streak = 0
 
     for n, net, states in _episodes(cfg, rng, cfg.n_max):
         disagreements = 0
         queries = 0
         for _t in range(cfg.t_max):
-            _respawn_terminal(states, net, rng, cfg.min_sep_m)
+            _respawn_terminal(states, net, rng)
             active = [i for i, s in enumerate(states) if s is not None]
             cache = PlanCache()
             keys = [(i, k) for i in active for k in levels]
             if keys:
-                encs = encode_many(states, [i for i, _ in keys], [k for _, k in keys], net, cfg.m_near)
+                encs = encode_many(states, [i for i, _ in keys], [k for _, k in keys], net)
                 expert_idx = [expert_policy(states, i, k, net, cache).action_sequence[0] for i, k in keys]
                 guesses = policy.predict(encs)
                 for x, expert, guess in zip(encs, expert_idx, guesses):
@@ -679,10 +681,6 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
         policy, loss = _refit(policy, dataset, cfg, 2, n)
         rate = disagreements / queries if queries else 0.0
         history.append({"episode": n, "dataset": len(dataset), "disagreement": rate, "loss": loss})
-        if cfg.stop_disagreement_below is not None:
-            calm_streak = calm_streak + 1 if rate < cfg.stop_disagreement_below else 0
-            if calm_streak >= cfg.stop_patience:
-                break
     return DaggerResult(policy, dataset, history)
 
 
@@ -703,8 +701,8 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
 
     root = np.random.SeedSequence((cfg.seed, 5))
     rng = np.random.default_rng(root.spawn(1)[0])
-    enc = default_encoding("adaptive", cfg.m_near)
-    names = adaptive_feature_names(cfg.m_near)
+    enc = default_encoding("adaptive")
+    names = adaptive_feature_names()
     policy = PolicyApproximator(_layer_sizes(len(names), cfg.train.hidden), enc, seed=cfg.seed)
     dataset = DemoDataset(len(names), names)
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
@@ -719,7 +717,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
         disagreements = 0
         queries = 0
         for _t in range(cfg.t_max):
-            for i in _respawn_terminal(states, net, rng, cfg.min_sep_m):
+            for i in _respawn_terminal(states, net, rng):
                 if i == 0:
                     ego = controller()
                 else:
@@ -733,7 +731,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                 chosen[j] = expert_policy(states, j, bg_levels[j], net, cache).action_sequence[0]
             if states[0] is not None:
                 near = near_indices(states, 0, cache.cfg.interaction_radius_m)
-                x = encode_state_adaptive(states, 0, estimate_levels(ego.beliefs, near), net, cfg.m_near)
+                x = encode_state_adaptive(states, 0, estimate_levels(ego.beliefs, near), net)
                 expert = ego.decide(states, 0, net, cache)
                 guess = int(policy.predict(x[None, :])[0])
                 queries += 1
@@ -758,18 +756,18 @@ def collect_expert_rollouts(
     """Expert-driven rollouts labeled at every visited state, for training
     the cloning baseline on the expert's own distribution."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    names = levelk_feature_names(cfg.m_near)
+    names = levelk_feature_names()
     dataset = DemoDataset(len(names), names)
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     for _n, net, states in _episodes(cfg, rng, n_episodes):
         for _t in range(cfg.t_max):
-            _respawn_terminal(states, net, rng, cfg.min_sep_m)
+            _respawn_terminal(states, net, rng)
             active = [i for i, s in enumerate(states) if s is not None]
             cache = PlanCache()
             chosen = {}
             for i in active:
                 for k in levels:
-                    enc = encode_state(states, i, k, net, cfg.m_near)
+                    enc = encode_state(states, i, k, net)
                     idx = expert_policy(states, i, k, net, cache).action_sequence[0]
                     dataset.append(enc, idx)
                 k_t = levels[rng.integers(len(levels))]
@@ -799,7 +797,7 @@ def collect_probes(
     probes = []
     for _n, net, states in _episodes(cfg, rng, n_episodes):
         for _t in range(cfg.t_max):
-            _respawn_terminal(states, net, rng, cfg.min_sep_m)
+            _respawn_terminal(states, net, rng)
             active = [i for i, s in enumerate(states) if s is not None]
             snapshot = [s.copy() if s is not None else None for s in states]
             for i in active:

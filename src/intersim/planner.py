@@ -58,12 +58,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, Action, ActionSet, VehicleState, rollout
+from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, ActionSet, VehicleState, rollout
 from .dynamics import PHASE_APPROACH, hold_trajectory
 from .geometry import RoadNetwork, wrap_angle_many
 from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, RewardWeights, ZoneSpec, features_many, opponent_features
@@ -88,11 +88,11 @@ DEFAULT_PLANNER = PlannerConfig()
 
 @dataclass
 class PlanResult:
+    """A finished search, shared by every search that matches it: never mutate one."""
+
     action_sequence: List[int]
-    first_action: Action
     value: float
     trajectory: np.ndarray  # (N+1, 4) rows of x, y, theta, v
-    opp_trajectories: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -102,10 +102,10 @@ class _EgoTree:
     y0, x1, y1), pose rows per depth, node rows and speeds, and the
     features with both overlap columns 0. searched holds the finished
     searches by the poses of the opponents in reach, the bytes of their
-    (m, N, 3) array (see the module doc); a stored PlanResult carries no
-    opponent trajectories. theta, cos theta and sin theta come from the
-    heading table, the node speeds from the speed table and the rows from
-    the structure table: read-only arrays that other trees share."""
+    (m, N, 3) array (see the module doc). theta, cos theta and sin theta
+    come from the heading table, the node speeds from the speed table and
+    the rows from the structure table: read-only arrays that other trees
+    share."""
 
     poses: Tuple[np.ndarray, ...]
     box: Tuple[float, float, float, float]
@@ -226,8 +226,8 @@ def _best_response(
         best = int(np.argmax(value))
         seq = [int(a) for a in np.unravel_index(best, (n_act,) * cfg.horizon_n)]
         actions = [cfg.actions[i] for i in seq]
-        tree.searched[key] = PlanResult(seq, actions[0], float(value[best]), rollout(ego.pose, ego.speed, actions))
-    return replace(tree.searched[key], opp_trajectories=opp_trajectories)
+        tree.searched[key] = PlanResult(seq, float(value[best]), rollout(ego.pose, ego.speed, actions))
+    return tree.searched[key]
 
 
 def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _EgoTree:

@@ -2,13 +2,22 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from intersim import harness
 from intersim.cli import main
 from intersim.harness import REPORT_COLUMNS, EvalSpec, run_one
-from intersim.imitation import LEVELK_DIM, PolicyApproximator, default_encoding
+from intersim.imitation import (
+    ADAPTIVE_DIM,
+    LEVELK_DIM,
+    SLOT_WIDTH,
+    PolicyApproximator,
+    default_encoding,
+)
+
+FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json")
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +412,10 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
         ({}, ["--episodes", "0"], "n_max"),
         ({}, ["--vehicles", "0"], "n_vehicles"),
         ({"n_max": "3"}, [], "n_max"),
-        ({"min_sep_m": "a"}, [], "min_sep_m"),
+        ({"m_near": 6}, [], "unknown training keys in config: m_near"),
+        ({"min_sep_m": 10.0}, [], "unknown training keys in config: min_sep_m"),
+        ({"stop_disagreement_below": 0.1}, [], "unknown training keys in config: stop_disagreement_below"),
+        ({"stop_patience": 5}, [], "unknown training keys in config: stop_patience"),
         ({"warm_start": 1}, [], "warm_start"),
         ({"scenes": ["fourway", 3]}, [], "scenes"),
         ({"train": {"lr": "fast"}}, [], "lr"),
@@ -412,7 +424,8 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
     ],
     ids=["unknown-key", "unknown-train-key", "train-not-object", "unknown-scene",
          "scenes-not-list", "k_max-0", "k_max-7", "episodes-0", "vehicles-0", "n_max-str",
-         "min_sep_m-str", "warm_start-int", "scenes-item-not-str", "train-lr-str",
+         "removed-m_near", "removed-min_sep_m", "removed-stop_disagreement_below",
+         "removed-stop_patience", "warm_start-int", "scenes-item-not-str", "train-lr-str",
          "train-batch_size-0", "train-hidden-0"],
 )
 def test_train_policy_rejects_unknown_keys(tmp_path, capsys, config, extra, needle):
@@ -458,7 +471,40 @@ def test_policy_file_without_architecture_exits_one(tmp_path, command, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["scene", "policy"])
+def _policy_of_another_encoder(path, case):
+    """Writes a policy file this encoder must refuse and returns its path."""
+    if case == "adaptive-as-levelk":
+        PolicyApproximator([ADAPTIVE_DIM, 8, 6], default_encoding("adaptive"), seed=1).save(str(path))
+    else:  # m_near-4: the width an encoder of 4 slots reads
+        width = LEVELK_DIM - 2 * SLOT_WIDTH
+        PolicyApproximator([width, 8, 6], {**default_encoding(), "m_near": 4}, seed=1).save(str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])
+@pytest.mark.parametrize("case", ["adaptive-as-levelk", "m_near-4", "levelk-as-adaptive"])
+def test_policy_file_of_another_encoder_exits_one(tmp_path, command, case, capsys):
+    """Set-up refuses a policy file whose variant, encoding or input width
+    differs from the encoder that would read it, before any output."""
+    cfg = {"t_limit_s": 5.0}
+    if case == "levelk-as-adaptive":
+        policy, bad = FIXTURE, FIXTURE
+        cfg["adaptive_policy_file"] = FIXTURE
+    else:
+        policy = bad = _policy_of_another_encoder(tmp_path / "other.json", case)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(
+        [command, "--scene", "fourway", "--vehicles", "2", "--av", "adaptive", "--episodes", "1",
+         "--policy-file", policy, "--config", str(cfg_path), "--out", str(out)]
+    )
+    assert code == 1
+    assert f"policy file {bad} is not a" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["scene", "policy", "mismatch"])
 def test_malformed_input_with_two_workers_exits_one(tmp_path, policy_file, bad, capsys):
     """The build errors of the worker processes reach the CLI as they do in
     process, before any output."""
@@ -466,9 +512,11 @@ def test_malformed_input_with_two_workers_exits_one(tmp_path, policy_file, bad, 
     if bad == "scene":
         path.write_text(json.dumps({"connectors": []}))
         inputs = ["--scene", str(path), "--policy-file", policy_file]
-    else:
+    elif bad == "policy":
         path.write_text(json.dumps({"format_version": 1, "theta": [], "encoding": {}}))
         inputs = ["--scene", "fourway", "--policy-file", str(path)]
+    else:
+        inputs = ["--scene", "fourway", "--policy-file", _policy_of_another_encoder(path, "m_near-4")]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t_limit_s": 5.0, "workers": 2}))
     out = tmp_path / "out"

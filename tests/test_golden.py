@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from intersim.harness import EvalSpec, run_one
-from intersim.imitation import DaggerConfig, TrainConfig, dagger_train
+from intersim.imitation import DaggerConfig, TrainConfig, dagger_train, dagger_train_adaptive
 
 FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json")
 
@@ -46,6 +46,7 @@ EPISODES = {
 
 
 DATASET_PIN = "7c7a811cae56aacb17ad539db0b958bf0de6e07e6a6ea43ec182c7549f55c1f4"
+ADAPTIVE_DATASET_PIN = "4abc45c263685c5c830aadc532bd92f76e8a92a5a66843e455bb0358732e2be9"
 
 
 @pytest.mark.parametrize("name", list(EPISODES))
@@ -63,3 +64,13 @@ def test_dagger_dataset_digest(tmp_path):
     path = tmp_path / "dataset.csv"
     dagger_train(cfg).dataset.to_csv(str(path))
     assert _sha(path.read_text()) == DATASET_PIN
+
+
+def test_adaptive_dagger_dataset_digest(tmp_path):
+    cfg = DaggerConfig(
+        n_max=2, t_max=8, n_vehicles=3, scenes=("fourway", "roundabout"), seed=3,
+        train=TrainConfig(hidden=8, min_steps=5, max_steps=5, final_max_steps=5),
+    )
+    path = tmp_path / "dataset.csv"
+    dagger_train_adaptive(cfg).dataset.to_csv(str(path))
+    assert _sha(path.read_text()) == ADAPTIVE_DATASET_PIN

@@ -200,3 +200,33 @@ def test_benchmark_hooks_read_the_right_arguments(monkeypatch):
     assert m["reward.features_many.calls"] > 0
     assert m["reward.features_many.rows"] == 777 * m["reward.features_many.calls"]
     assert 0 < m["planner.best_response.distinct"] <= m["planner.best_response.calls"]
+
+
+def test_both_trainers_read_every_dagger_config_field():
+    """A DaggerConfig field that one trainer ignores is a knob that does
+    nothing there, and one that neither reads does nothing at all: each
+    dataset-aggregation trainer, run once, reads every field after the
+    config is built."""
+    import dataclasses
+
+    from intersim.imitation import DaggerConfig, TrainConfig, dagger_train, dagger_train_adaptive
+
+    fields = {f.name for f in dataclasses.fields(DaggerConfig)}
+    reads = set()
+
+    class Recorded(DaggerConfig):
+        def __getattribute__(self, name):
+            if name in fields:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    seen = {}
+    for trainer in (dagger_train, dagger_train_adaptive):
+        cfg = Recorded(
+            n_max=1, t_max=2, n_vehicles=2, seed=0,
+            train=TrainConfig(hidden=4, min_steps=1, max_steps=1, final_max_steps=1),
+        )
+        reads.clear()  # __post_init__ reads the fields it checks
+        assert len(trainer(cfg).dataset) > 0  # so the refit reads its fields too
+        seen[trainer.__name__] = set(reads)
+    assert seen["dagger_train"] == seen["dagger_train_adaptive"] == fields

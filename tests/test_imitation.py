@@ -430,20 +430,6 @@ def test_dagger_smoke_run_produces_consistent_history():
     assert np.all((0 <= acts) & (acts < 6))
 
 
-def test_dagger_early_stop_by_calm_streak():
-    cfg = DaggerConfig(
-        n_max=10,
-        t_max=2,
-        n_vehicles=2,
-        seed=5,
-        train=TrainConfig(hidden=8, min_steps=10, max_steps=20),
-        stop_disagreement_below=2.0,  # always satisfied
-        stop_patience=1,
-    )
-    res = dagger_train(cfg)
-    assert len(res.history) == 1
-
-
 def test_adaptive_dagger_smoke_run():
     cfg = DaggerConfig(
         n_max=1,

@@ -136,6 +136,20 @@ def _same_plan(got, want):
     assert got.trajectory.tobytes() == want.trajectory.tobytes()
 
 
+def _spy_opponents(monkeypatch):
+    """The opponent trajectories of every search, in call order: the
+    second argument of each planner._best_response call."""
+    seen = []
+    real = planner._best_response
+
+    def spy(ego, opp_trajectories, network, cache):
+        seen.append(opp_trajectories)
+        return real(ego, opp_trajectories, network, cache)
+
+    monkeypatch.setattr(planner, "_best_response", spy)
+    return seen
+
+
 def _twin(st, field, lay, rng):
     """A copy of st that differs in one field of the ego-tree key."""
     tw = st.copy()
@@ -348,8 +362,7 @@ def test_a_search_calls_the_overlap_kernel_only_with_opponents_in_reach(monkeypa
 def test_searches_that_differ_only_beyond_reach_share_one(monkeypatch):
     """A search is keyed by the poses of the opponents in reach: opponent
     sets that differ only beyond reach, or in the slots of the opponents in
-    reach, fill the overlap columns once and give the same plan, and each
-    result carries its caller's trajectories."""
+    reach, fill the overlap columns once and return the same stored plan."""
     calls = []
     real = planner.opponent_features
 
@@ -372,8 +385,7 @@ def test_searches_that_differ_only_beyond_reach_share_one(monkeypatch):
         calls.clear()
         got = [best_response(ego, opp, net, cache) for opp in (one, other)]
         assert calls == [1]
-        _same_plan(got[0], got[1])
-        assert got[0].opp_trajectories is one and got[1].opp_trajectories is other
+        assert got[0] is got[1]
         _same_plan(got[1], best_response(ego, other, net, PlanCache()))
 
 
@@ -546,11 +558,12 @@ def test_level_one_yields_at_contested_crossing():
     # rather than fight for the conflict cell. Levels 0 and 2 both push.
     states, net = _crossing_scene()
     plans = {k: levelk_plan(states, 0, k, net, PlanCache()) for k in range(3)}
-    acc1 = plans[1].first_action.accel
+    first = {k: DEFAULT_ACTIONS[plan.action_sequence[0]] for k, plan in plans.items()}
+    acc1 = first[1].accel
     assert acc1 <= 0.0
     assert plans[1].action_sequence != plans[0].action_sequence
-    assert plans[0].first_action.accel > acc1 or plans[0].first_action.omega != 0.0
-    assert plans[2].first_action.accel > acc1 or plans[2].first_action.omega != 0.0
+    assert first[0].accel > acc1 or first[0].omega != 0.0
+    assert first[2].accel > acc1 or first[2].omega != 0.0
 
 
 def test_ties_resolve_to_lexicographically_first_sequence():
@@ -582,18 +595,19 @@ def test_shared_cache_holds_every_subplan_once():
     assert again is cache[(0, 2)]
 
 
-def test_far_vehicles_are_ignored():
+def test_far_vehicles_are_ignored(monkeypatch):
     net = single_network("fourway")
     ego = VehicleState(Pose2(-12.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
     far = VehicleState(Pose2(38.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
     solo = levelk_plan([ego], 0, 2, net, PlanCache())
+    seen = _spy_opponents(monkeypatch)
     paired = levelk_plan([ego, far], 0, 2, net, PlanCache())
     assert paired.action_sequence == solo.action_sequence
     assert paired.value == pytest.approx(solo.value)
-    assert paired.opp_trajectories == {}
+    assert seen == [{}]
 
 
-def test_vehicle_exactly_at_the_interaction_radius_is_an_opponent():
+def test_vehicle_exactly_at_the_interaction_radius_is_an_opponent(monkeypatch):
     # centers 5 m apart exactly (a 3-4-5 offset): inside a radius of 5,
     # outside the next float below it
     net = single_network("fourway")
@@ -602,10 +616,13 @@ def test_vehicle_exactly_at_the_interaction_radius_is_an_opponent():
     states = [ego, None, other]
     assert planner.near_indices(states, 0, 5.0) == [2]
     assert planner.near_indices(states, 0, math.nextafter(5.0, 0.0)) == []
+    seen = _spy_opponents(monkeypatch)
     for radius, opponents in ((5.0, [2]), (math.nextafter(5.0, 0.0), [])):
         cfg = dataclasses.replace(DEFAULT_PLANNER, interaction_radius_m=radius)
-        assert list(level0_plan(states, 0, net, PlanCache(cfg)).opp_trajectories) == opponents
-        assert list(levelk_plan(states, 0, 1, net, PlanCache(cfg)).opp_trajectories) == opponents
+        level0_plan(states, 0, net, PlanCache(cfg))
+        assert list(seen[-1]) == opponents
+        levelk_plan(states, 0, 1, net, PlanCache(cfg))
+        assert list(seen[-1]) == opponents  # the ego's search follows its opponents
 
 
 def test_none_slots_are_skipped():
@@ -616,20 +633,23 @@ def test_none_slots_are_skipped():
     assert res_holes.action_sequence == res_full.action_sequence
 
 
-def test_reported_trajectory_replays_the_sequence():
+def test_reported_trajectory_replays_the_sequence(monkeypatch):
     states, net = _crossing_scene()
+    seen = _spy_opponents(monkeypatch)
     res = levelk_plan(states, 0, 2, net, PlanCache())
     acts = [DEFAULT_ACTIONS[a] for a in res.action_sequence]
     expect = rollout(states[0].pose, states[0].speed, acts)
     assert np.allclose(res.trajectory, expect)
-    assert set(res.opp_trajectories) == {1}
-    assert res.opp_trajectories[1].shape == (5, 4)
+    assert set(seen[-1]) == {1}
+    assert seen[-1][1].shape == (5, 4)
 
 
-def test_level0_freezes_opponents():
+def test_level0_freezes_opponents(monkeypatch):
     states, net = _crossing_scene()
-    res = level0_plan(states, 0, net, PlanCache())
-    tr = res.opp_trajectories[1]
+    seen = _spy_opponents(monkeypatch)
+    level0_plan(states, 0, net, PlanCache())
+    assert len(seen) == 1
+    tr = seen[0][1]
     assert np.all(tr[:, 0] == states[1].pose.x)
     assert np.all(tr[:, 3] == 0.0)
 
