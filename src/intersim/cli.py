@@ -20,7 +20,6 @@ from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 from .harness import (
     AV_POLICIES,
-    DEFAULT_WEIGHTS,
     EvalSpec,
     TRAFFIC_MODELS,
     _Built,
@@ -156,40 +155,24 @@ def _check_types(cfg: dict, config_cls, what: str) -> None:
 
 
 def _spec_from_args(args, overrides: dict) -> EvalSpec:
-    spec = EvalSpec(
-        scene=args.scene,
-        n_vehicles=args.vehicles,
-        traffic_model=args.traffic_model,
-        av=args.av,
-        engine="distilled" if args.policy_file else "expert",
-        policy_file=args.policy_file,
-        rc_m=args.rc,
-    )
+    """The flags' EvalSpec under the config's overrides. EvalSpec checks
+    the values; here only the override names and types, and the files."""
     _check_keys(overrides, EvalSpec, "spec keys")
     _check_types(overrides, EvalSpec, "spec keys")
-    if overrides:
-        spec = replace(spec, **overrides)
-    if spec.engine == "distilled" and spec.policy_file is None:
-        raise ConfigError("distilled engine needs --policy-file")
+    spec = EvalSpec(**{
+        "scene": args.scene,
+        "n_vehicles": args.vehicles,
+        "traffic_model": args.traffic_model,
+        "av": args.av,
+        "engine": "distilled" if args.policy_file else "expert",
+        "policy_file": args.policy_file,
+        "rc_m": args.rc,
+        **overrides,
+    })
     for key in ("policy_file", "adaptive_policy_file"):
         path = getattr(spec, key)
-        if path is None:
-            continue
-        if not os.path.exists(path):
+        if path is not None and not os.path.exists(path):
             raise ConfigError(f"{key.replace('_', '-')} not found: {path}")
-    if spec.n_vehicles < 0:
-        raise ConfigError("--vehicles must be nonnegative")
-    if not (math.isfinite(spec.rc_m) and spec.rc_m >= 0):
-        raise ConfigError(f"--rc must be finite and nonnegative, got {spec.rc_m}")
-    if not (math.isfinite(spec.t_limit_s) and spec.t_limit_s > 0):
-        raise ConfigError(f"t_limit_s must be finite and positive, got {spec.t_limit_s}")
-    if spec.arm_length_m is not None and not (math.isfinite(spec.arm_length_m) and spec.arm_length_m > 0):
-        raise ConfigError(f"arm_length_m must be finite and positive, got {spec.arm_length_m}")
-    if not 0 < spec.beta <= 1:
-        raise ConfigError(f"beta must be in (0, 1], got {spec.beta}")
-    w = spec.weights or {}
-    if not (set(w) <= set(DEFAULT_WEIGHTS) and all(map(math.isfinite, w.values()))):
-        raise ConfigError(f"weights must map some of {', '.join(DEFAULT_WEIGHTS)} to finite values, got {w}")
     return spec
 
 

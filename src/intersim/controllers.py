@@ -199,7 +199,8 @@ class AdaptiveController(AVController):
     opponents out for planning (adaptive_plan) and supplies the per-level
     action predictions of the belief update, one call for all
     (opponent, level) rows of a tick. Without it the game-tree expert
-    does both.
+    does both. The beliefs are its only record of the opponents:
+    reset_belief drops a slot's vector when a new vehicle takes the slot.
     """
 
     def __init__(
@@ -211,11 +212,6 @@ class AdaptiveController(AVController):
         self.beliefs = BeliefState(model_set=model_set, beta=beta)
         self.predictor = predictor
         self._ego: Optional[int] = None
-        # running per-opponent max of each model probability, for
-        # post-episode convergence checks; resets archive into resolved
-        # so respawned slots keep their best instance
-        self.peak: Dict[int, np.ndarray] = {}
-        self.resolved: List[Tuple[int, np.ndarray]] = []
 
     def decide(
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
@@ -253,21 +249,9 @@ class AdaptiveController(AVController):
             self.beliefs = update_beliefs(
                 self.beliefs, j, (obs_act.accel, obs_act.omega), preds
             )
-            p = self.beliefs.vec(j)
-            self.peak[j] = np.maximum(self.peak.get(j, p), p)
 
     def reset_belief(self, i: int) -> None:
-        if i in self.peak:
-            self.resolved.append((i, self.peak.pop(i)))
         self.beliefs.reset(i)
-
-    def peak_by_slot(self) -> Dict[int, np.ndarray]:
-        """Best probability reached per model for every slot, across all
-        vehicle instances that occupied the slot."""
-        out: Dict[int, np.ndarray] = {}
-        for j, p in self.resolved + list(self.peak.items()):
-            out[j] = np.maximum(out[j], p) if j in out else p.copy()
-        return out
 
 
 class DistilledAdaptiveController(AdaptiveController):
@@ -420,9 +404,10 @@ def _arm_point(layout: RoadLayout, arm, u: float, w: float) -> Tuple[float, floa
     )
 
 
-def _dedup(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """pts without each vertex within tol of the last one kept. pts itself
-    when every step is longer than 2 tol, so that none can be dropped."""
+def _dedup(pts: np.ndarray) -> np.ndarray:
+    """pts without each vertex within tol = 1e-9 of the last one kept. pts
+    itself when every step is longer than 2 tol, so that none can be dropped."""
+    tol = 1e-9
     d = np.diff(pts, axis=0)
     if (np.einsum("ij,ij->i", d, d) > 4.0 * tol * tol).all():
         return pts
@@ -480,14 +465,9 @@ def path_tail(pts: np.ndarray, cum: np.ndarray, s: float) -> np.ndarray:
 # rule-based control
 
 
-@dataclass(frozen=True)
-class RuleBasedConfig:
-    rc_m: float = 14.0
-    accel_set: Tuple[float, ...] = (-5.0, -2.5, 0.0, 2.5)
-    path_tol_m: float = 1.0
-
-
-DEFAULT_RULE = RuleBasedConfig()
+RC_M = 14.0  # default conflict radius
+ACCEL_SET = (-5.0, -2.5, 0.0, 2.5)  # ascending
+PATH_TOL_M = 1.0  # paths this close conflict
 
 # accelerations map onto the straight-line entries of the action table
 _ACCEL_ACTION = {a.accel: idx for idx, a in enumerate(DEFAULT_ACTIONS) if a.omega == 0.0}
@@ -557,19 +537,19 @@ def conflict_set(
     states: Sequence[Optional[VehicleState]],
     i: int,
     paths: Dict[int, np.ndarray],
-    cfg: RuleBasedConfig = DEFAULT_RULE,
+    rc_m: float = RC_M,
 ) -> List[int]:
     """Vehicles whose estimated path crosses the ego's within the
     conflict radius: both the path condition (minimum polyline distance
     at most the lateral tolerance) and the proximity condition (centers
     within rc_m) must hold."""
-    near = set(near_indices(states, i, cfg.rc_m))
+    near = set(near_indices(states, i, rc_m))
     ego_segs = polyline_segments(paths[i])
     out = []
     for j, pts in paths.items():
         if j not in near:
             continue
-        if polylines_min_dist(ego_segs, polyline_segments(pts)) <= cfg.path_tol_m:
+        if polylines_min_dist(ego_segs, polyline_segments(pts)) <= PATH_TOL_M:
             out.append(j)
     return out
 
@@ -579,10 +559,10 @@ def rule_based_action(
     i: int,
     ego_path: np.ndarray,
     opp_paths: Dict[int, np.ndarray],
-    cfg: RuleBasedConfig = DEFAULT_RULE,
+    rc_m: float = RC_M,
     ego_s: Optional[float] = None,
 ) -> float:
-    """One acceleration from the configured set.
+    """One acceleration from ACCEL_SET; conflicts are sought within rc_m.
 
     With no conflicting vehicle the largest acceleration is taken.
     Otherwise each candidate advances the ego one DT_S step along its
@@ -596,9 +576,9 @@ def rule_based_action(
     if ego_s is None:
         ego_s = project_arclength(ego_path, cum, ego.pose.x, ego.pose.y)
     paths = {i: path_tail(ego_path, cum, ego_s), **opp_paths}
-    conflicts = conflict_set(states, i, paths, cfg)
+    conflicts = conflict_set(states, i, paths, rc_m)
     if not conflicts:
-        return max(cfg.accel_set)
+        return ACCEL_SET[-1]
     opp_next = []
     for j in conflicts:
         st = states[j]
@@ -610,7 +590,7 @@ def rule_based_action(
         )
     best_a = None
     best_d = -math.inf
-    for a in sorted(cfg.accel_set):
+    for a in ACCEL_SET:
         v1 = min(max(ego.speed + a * DT_S, 0.0), V_MAX)
         px, py, _ = point_along(ego_path, cum, ego_s + v1 * DT_S)
         dmin = min(math.hypot(px - ox, py - oy) for ox, oy in opp_next)
@@ -630,8 +610,8 @@ class RuleBasedController(AVController):
     tick from their moving positions.
     """
 
-    def __init__(self, config: RuleBasedConfig = DEFAULT_RULE):
-        self.config = config
+    def __init__(self, rc_m: float = RC_M):
+        self.rc_m = rc_m
         self._pts: Optional[np.ndarray] = None
         self._cum: Optional[np.ndarray] = None
         self._s = 0.0
@@ -658,10 +638,10 @@ class RuleBasedController(AVController):
         the ones conflict_set reads, get an estimated path."""
         if self._pts is None:
             self._bind(states, i, network)
-        near = near_indices(states, i, self.config.rc_m)
+        near = near_indices(states, i, self.rc_m)
         opp_paths = {j: estimate_path(states, j, network) for j in near}
         self._accel = rule_based_action(
-            states, i, self._pts, opp_paths, self.config, self._s
+            states, i, self._pts, opp_paths, self.rc_m, self._s
         )
         return _ACCEL_ACTION[self._accel]
 

@@ -139,19 +139,17 @@ def hold_trajectory(pose: Pose2, n: int) -> np.ndarray:
     return out
 
 
-def update_goal(
-    state: VehicleState,
-    network: RoadNetwork,
-) -> Optional[str]:
+def update_goal(state: VehicleState, network: RoadNetwork) -> None:
     """Advance phase and pop the goal lane when it is reached.
 
     An exit lane counts as reached when the collision zone lies fully inside
     its arm strip and the center sits in the lane's half of the road. A ring
-    arc counts once the polar angle about the core passes the arc end.
-    Returns "advanced", "done" (route exhausted) or None.
+    arc counts once the polar angle about the core passes the arc end. The
+    last goal lane stays when reached: whether the route is done is
+    scene.detect_success's call.
     """
     if state.goal_ref is None:
-        return None
+        return
     lay, lane = network.resolve(state.goal_ref)
     x, y = state.pose.x, state.pose.y
 
@@ -161,22 +159,19 @@ def update_goal(
     elif state.phase == PHASE_INSIDE and not in_core:
         state.phase = PHASE_EXIT
 
-    reached = False
+    if not state.target_lane_seq:
+        return
     if lane.kind == "arc":
         reached = in_core and arc_reached(lay, lane.id, x, y)
     else:
         reached = _zone_in_lane(state, lay, lane)
-
     if not reached:
-        return None
-    if not state.target_lane_seq:
-        return "done"
+        return
     nxt = state.target_lane_seq.pop(0)
     prev_lay = state.goal_ref.split(":")[0]
     state.goal_ref = nxt
     if nxt.split(":")[0] != prev_lay:
         state.phase = PHASE_APPROACH
-    return "advanced"
 
 
 def _zone_in_lane(state, lay, lane) -> bool:

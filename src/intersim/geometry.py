@@ -236,15 +236,13 @@ def overlap_rects_group(x, y, cth, sth, counts, others: np.ndarray, sizes) -> np
     return out
 
 
-def segments_hit_rects(
-    segs: np.ndarray, cx, cy, theta, length: float, width: float, cth=None, sth=None
-) -> np.ndarray:
+def segments_hit_rects(segs: np.ndarray, cx, cy, theta, length: float, width: float) -> np.ndarray:
     """Whether any of S segments touches each of B rectangles.
 
     segs has shape (S, 4) as (x0, y0, x1, y1). Returns (B,) bool. Closed-set
     Liang-Barsky clip evaluated in every rectangle frame at once.
     """
-    m = segments_hit_rects_matrix(segs, cx, cy, theta, length, width, cth, sth)
+    m = segments_hit_rects_matrix(segs, cx, cy, theta, length, width)
     if m.shape[1] == 0:
         return np.zeros(m.shape[0], dtype=bool)
     return m.any(axis=1)
@@ -317,10 +315,11 @@ class Arm:
         return self._unit_w
 
 
-def _snap(v: float, eps: float = 1e-12) -> float:
-    """Round trig noise on axis-aligned directions to exact -1, 0 or 1."""
+def _snap(v: float) -> float:
+    """Round trig noise (below 1e-12) on axis-aligned directions to exact
+    -1, 0 or 1."""
     for target in (-1.0, 0.0, 1.0):
-        if abs(v - target) < eps:
+        if abs(v - target) < 1e-12:
             return target
     return v
 
@@ -538,6 +537,11 @@ def _polylines_to_segments(polylines: List[np.ndarray]) -> np.ndarray:
 
 ARM_ANGLES = {"E": 0.0, "N": 90.0, "W": 180.0, "S": 270.0}
 KIND_LABELS = {"fourway": 1, "tshape": 2, "roundabout": 3}
+# the built-in layouts' dimensions, recorded in each layout's params
+LANE_WIDTH_M = 4.0
+ISLAND_RADIUS_M = 8.0
+CIRCLE_SEGMENTS = 64  # polyline segments of a full roundabout circle
+MARKING_SETBACK_M = 2.0  # roundabout arm markings start this far out
 
 
 def _build_arm_lanes(center, arm: Arm, lane_width: float) -> Dict[str, Lane]:
@@ -613,30 +617,27 @@ def _box_boundaries(center, arms: List[Arm], lane_width: float) -> List[np.ndarr
 
 def make_fourway(
     center=(0.0, 0.0),
-    lane_width: float = 4.0,
     arm_length: float = 30.0,
-    arm_lengths: Optional[Dict[str, float]] = None,
     name: str = "fourway",
 ) -> RoadLayout:
     """Four-way intersection, arms E, N, W, S."""
-    return _make_box_layout("fourway", ["E", "N", "W", "S"], center, lane_width, arm_length, arm_lengths, name)
+    return _make_box_layout("fourway", ["E", "N", "W", "S"], center, arm_length, {}, name)
 
 
 def make_tshape(
     center=(0.0, 0.0),
     stem: str = "S",
-    lane_width: float = 4.0,
     arm_length: float = 30.0,
     arm_lengths: Optional[Dict[str, float]] = None,
     name: str = "tshape",
 ) -> RoadLayout:
     """T intersection: a through road plus one stem arm."""
     through = {"S": ["E", "W"], "N": ["E", "W"], "E": ["N", "S"], "W": ["N", "S"]}[stem]
-    return _make_box_layout("tshape", through + [stem], center, lane_width, arm_length, arm_lengths, name)
+    return _make_box_layout("tshape", through + [stem], center, arm_length, arm_lengths or {}, name)
 
 
-def _make_box_layout(kind, arm_ids, center, lane_width, arm_length, arm_lengths, name):
-    arm_lengths = arm_lengths or {}
+def _make_box_layout(kind, arm_ids, center, arm_length, arm_lengths, name):
+    lane_width = LANE_WIDTH_M
     arms = {}
     for aid in arm_ids:
         u_start = lane_width
@@ -665,23 +666,19 @@ def _make_box_layout(kind, arm_ids, center, lane_width, arm_length, arm_lengths,
 
 def make_roundabout(
     center=(0.0, 0.0),
-    lane_width: float = 4.0,
-    island_radius: float = 8.0,
     arm_length: float = 30.0,
     arm_lengths: Optional[Dict[str, float]] = None,
-    circle_segments: int = 64,
-    marking_setback: float = 2.0,
     name: str = "roundabout",
 ) -> RoadLayout:
     """Single-lane roundabout with four arms, counterclockwise circulation.
 
     The circulating lane is the annulus between the island and the outer
-    radius island_radius + lane_width. Arm mouths open through the outer
-    circle, so arm edges start at sqrt(r_out^2 - lane_width^2).
+    radius ISLAND_RADIUS_M + LANE_WIDTH_M. Arm mouths open through the
+    outer circle, so arm edges start at sqrt(r_out^2 - lane_width^2).
     """
     arm_lengths = arm_lengths or {}
     cx, cy = center
-    lw = lane_width
+    lw, island_radius, circle_segments = LANE_WIDTH_M, ISLAND_RADIUS_M, CIRCLE_SEGMENTS
     r_out = island_radius + lw
     u_mouth = math.sqrt(r_out * r_out - lw * lw)
     arms = {}
@@ -733,7 +730,7 @@ def make_roundabout(
     markings = []
     for a in arms.values():
         ux, uy = a.unit_u()
-        m0 = a.u_start + marking_setback
+        m0 = a.u_start + MARKING_SETBACK_M
         markings.append(
             np.array([[cx + ux * m0, cy + uy * m0], [cx + ux * a.u_end, cy + uy * a.u_end]])
         )
@@ -743,7 +740,7 @@ def make_roundabout(
         "arm_length": arm_length,
         "arm_lengths": arm_lengths,
         "circle_segments": circle_segments,
-        "marking_setback": marking_setback,
+        "marking_setback": MARKING_SETBACK_M,
     }
     core = {"type": "disc", "r": r_out}
     return RoadLayout(name, "roundabout", KIND_LABELS["roundabout"], center, params, arms, lanes, boundaries, markings, core)
@@ -905,24 +902,23 @@ def single_network(kind: str, **kwargs) -> RoadNetwork:
     return RoadNetwork([builder(name="I0", **kwargs)])
 
 
-def make_city(name_prefix: str = "") -> RoadNetwork:
+def make_city() -> RoadNetwork:
     """Built-in four-node district: a fourway, a roundabout and two T junctions.
 
     F --- T1 on the bottom road, R --- T2 on the top road, F --- R and
     T1 --- T2 as the vertical links. Arm lengths are tuned so every
     connected pair of ports coincides exactly.
     """
-    p = name_prefix
-    f = make_fourway(center=(0.0, 0.0), name=p + "F")
-    r = make_roundabout(center=(0.0, 76.0), arm_lengths={"E": 22.0}, name=p + "R")
-    t1 = make_tshape(center=(68.0, 0.0), stem="N", arm_lengths={"N": 38.0}, name=p + "T1")
-    t2 = make_tshape(center=(68.0, 76.0), stem="S", name=p + "T2")
+    f = make_fourway(center=(0.0, 0.0), name="F")
+    r = make_roundabout(center=(0.0, 76.0), arm_lengths={"E": 22.0}, name="R")
+    t1 = make_tshape(center=(68.0, 0.0), stem="N", arm_lengths={"N": 38.0}, name="T1")
+    t2 = make_tshape(center=(68.0, 76.0), stem="S", name="T2")
     return RoadNetwork(
         [f, r, t1, t2],
         connectors=[
-            (p + "F", "E", p + "T1", "W"),
-            (p + "F", "N", p + "R", "S"),
-            (p + "R", "E", p + "T2", "W"),
-            (p + "T1", "N", p + "T2", "S"),
+            ("F", "E", "T1", "W"),
+            ("F", "N", "R", "S"),
+            ("R", "E", "T2", "W"),
+            ("T1", "N", "T2", "S"),
         ],
     )

@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .controllers import (
     AdaptiveController,
     DistilledAdaptiveController,
     FixedLevelController,
-    RuleBasedConfig,
+    RC_M,
     RuleBasedController,
 )
 from .geometry import BUILDERS, RoadNetwork, make_city, single_network
@@ -33,25 +36,17 @@ from .imitation import (
     load_policy,
     wilson_interval,
 )
+from .reward import DEFAULT_ZONES
 from .scene import (
+    KIND_COLLISION,
+    KIND_DEADLOCK,
+    KIND_SUCCESS,
     AVController,
     ExpertTraffic,
-    OUTCOME_COLLISION,
-    OUTCOME_DEADLOCK,
-    OUTCOME_SUCCESS,
     SceneConfig,
     TrafficPolicy,
     run_episode,
 )
-
-KIND_COLLISION = "Collision"
-KIND_DEADLOCK = "Deadlock"
-KIND_SUCCESS = "Success"
-_KIND_BY_OUTCOME = {
-    OUTCOME_COLLISION: KIND_COLLISION,
-    OUTCOME_DEADLOCK: KIND_DEADLOCK,
-    OUTCOME_SUCCESS: KIND_SUCCESS,
-}
 
 DEFAULT_WEIGHTS = {"w_c": 10.0, "w_d": 5.0, "w_v": 1.0, "eps": 0.1}
 
@@ -65,6 +60,7 @@ REPORT_COLUMNS = (
 CALIBRATION_COLUMNS = (
     "rc", "traffic_model", "n", "success_rate", "cr", "dr", "j",
 )
+CHART_WIDTH, CHART_HEIGHT = 560, 360  # pixels
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +183,12 @@ def summarize(outcomes: Sequence[EpisodeOutcome], scene: str, traffic_model: str
 # evaluation specs: plain data a worker process can rebuild everything from
 
 
-@dataclass
+def _finite(v) -> bool:
+    """Whether v is a finite real number; booleans are not numbers."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+@dataclass(frozen=True)
 class EvalSpec:
     """One evaluation cell: the scene, traffic, and the AV stack.
 
@@ -196,6 +197,15 @@ class EvalSpec:
     trained classifier (needs policy_file). adaptive_policy_file switches
     the adaptive ego from online best response to its own distilled head.
     scene takes a built-in layout kind, "city", or a network JSON path.
+
+    Construction checks each field alone and raises ValueError unless
+    traffic_model, av and engine are known names, n_vehicles is a
+    nonnegative integer, rc_m is finite and nonnegative, t_limit_s and
+    arm_length_m are finite and positive, beta is in (0, 1], and weights
+    maps some DEFAULT_WEIGHTS keys to finite values. The scene and the
+    rules across fields (the distilled engine needs policy_file, and
+    adaptive_policy_file needs the distilled engine) are checked when the
+    cell is built to run, so EvalSpec(scene=...) can name a network to render.
     """
 
     scene: str = "fourway"
@@ -205,11 +215,33 @@ class EvalSpec:
     engine: str = "distilled"
     policy_file: Optional[str] = None
     adaptive_policy_file: Optional[str] = None
-    rc_m: float = 14.0
+    rc_m: float = RC_M
     beta: float = 0.6
     arm_length_m: Optional[float] = None  # None keeps the builder default
     t_limit_s: float = 300.0
     weights: Optional[Dict[str, float]] = None
+
+    def __post_init__(self):
+        if self.traffic_model not in TRAFFIC_MODELS:
+            raise ValueError(f"unknown traffic model {self.traffic_model!r}")
+        if self.av is not None and self.av not in AV_POLICIES:
+            raise ValueError(f"unknown av policy {self.av!r}")
+        if self.engine not in ("expert", "distilled"):
+            raise ValueError(f"unknown engine {self.engine!r}")
+        n = self.n_vehicles
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
+            raise ValueError(f"n_vehicles must be a nonnegative integer, got {n!r}")
+        if not (_finite(self.rc_m) and self.rc_m >= 0):
+            raise ValueError(f"rc_m must be finite and nonnegative, got {self.rc_m}")
+        if not (_finite(self.t_limit_s) and self.t_limit_s > 0):
+            raise ValueError(f"t_limit_s must be finite and positive, got {self.t_limit_s}")
+        if self.arm_length_m is not None and not (_finite(self.arm_length_m) and self.arm_length_m > 0):
+            raise ValueError(f"arm_length_m must be finite and positive, got {self.arm_length_m}")
+        if not (_finite(self.beta) and 0 < self.beta <= 1):
+            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        w = self.weights or {}
+        if not (isinstance(w, dict) and set(w) <= set(DEFAULT_WEIGHTS) and all(map(_finite, w.values()))):
+            raise ValueError(f"weights must map some of {', '.join(DEFAULT_WEIGHTS)} to finite values, got {w}")
 
 
 def build_network(spec: EvalSpec) -> RoadNetwork:
@@ -232,12 +264,6 @@ class _Built:
     """Per-process immutable pieces shared across a chunk of episodes."""
 
     def __init__(self, spec: EvalSpec):
-        if spec.traffic_model not in TRAFFIC_MODELS:
-            raise ValueError(f"unknown traffic model {spec.traffic_model!r}")
-        if spec.av is not None and spec.av not in AV_POLICIES:
-            raise ValueError(f"unknown av policy {spec.av!r}")
-        if spec.engine not in ("expert", "distilled"):
-            raise ValueError(f"unknown engine {spec.engine!r}")
         self.network = build_network(spec)
         self.scene_cfg = SceneConfig(
             network=self.network,
@@ -270,18 +296,16 @@ def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
     if spec.av in ("level1", "level2"):
         return FixedLevelController(int(spec.av[-1]), predictor=predictor)
     if spec.av == "rule-based":
-        return RuleBasedController(RuleBasedConfig(rc_m=spec.rc_m))
-    if spec.av == "adaptive":
-        if built.adaptive_policy is not None:
-            apol = built.adaptive_policy
-
-            def actor(states, i, estimates, network):
-                x = encode_state_adaptive(states, i, estimates, network)
-                return int(apol.predict(x)[0])
-
-            return DistilledAdaptiveController(actor, predictor, beta=spec.beta)
+        return RuleBasedController(spec.rc_m)
+    if built.adaptive_policy is None:
         return AdaptiveController(beta=spec.beta, predictor=predictor)
-    raise ValueError(f"unknown av policy {spec.av!r}")
+    apol = built.adaptive_policy
+
+    def actor(states, i, estimates, network):
+        x = encode_state_adaptive(states, i, estimates, network)
+        return int(apol.predict(x)[0])
+
+    return DistilledAdaptiveController(actor, predictor, beta=spec.beta)
 
 
 def run_one(
@@ -298,7 +322,7 @@ def run_one(
     av = _make_av(spec, built)
     res = run_episode(built.scene_cfg, built.traffic, av, seed, collect_log)
     outcome = EpisodeOutcome(
-        kind=_KIND_BY_OUTCOME[res["outcome"]],
+        kind=res["outcome"],
         mean_speed=res["mean_speed"],
         duration_s=res["duration_s"],
         seed=seed,
@@ -461,10 +485,11 @@ def calibrate_rc(
 # SVG output: line charts and episode frames
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> List[float]:
+def _ticks(lo: float, hi: float) -> List[float]:
+    """Round axis ticks, about five of them, spanning [lo, hi]."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -485,10 +510,9 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 560,
-    height: int = 360,
 ) -> str:
     """Minimal single-series line chart as a standalone SVG string."""
+    width, height = CHART_WIDTH, CHART_HEIGHT
     if not points:
         raise ValueError("empty point list")
     pts = sorted((float(x), float(y)) for x, y in points)
@@ -567,9 +591,6 @@ POLICY_COLORS = {
 }
 _FALLBACK_COLOR = "#777777"
 
-VEHICLE_LENGTH_M = 5.0
-VEHICLE_WIDTH_M = 2.0
-
 
 def parse_log(lines: Sequence[str]) -> List[dict]:
     """ndjson episode log to records; the reported line number is
@@ -606,16 +627,8 @@ class _Mapper:
 
 
 def _network_extent(network: RoadNetwork) -> Tuple[float, float, float, float]:
-    x_lo = y_lo = float("inf")
-    x_hi = y_hi = float("-inf")
-    for lay in network.layouts.values():
-        segs = lay.boundary_segments()
-        if not segs.shape[0]:
-            continue
-        x_lo = min(x_lo, segs[:, 0].min(), segs[:, 2].min())
-        x_hi = max(x_hi, segs[:, 0].max(), segs[:, 2].max())
-        y_lo = min(y_lo, segs[:, 1].min(), segs[:, 3].min())
-        y_hi = max(y_hi, segs[:, 1].max(), segs[:, 3].max())
+    lo, hi = zip(*(lay.boundary_bounds() for lay in network.layouts.values()))
+    (x_lo, y_lo), (x_hi, y_hi) = np.vstack(lo).min(axis=0), np.vstack(hi).max(axis=0)
     return x_lo, x_hi, y_lo, y_hi
 
 
@@ -640,7 +653,8 @@ def _road_group(network: RoadNetwork, m: _Mapper) -> List[str]:
 
 def _vehicle_group(records: Sequence[dict], m: _Mapper) -> List[str]:
     parts = []
-    hl, hw = VEHICLE_LENGTH_M / 2.0, VEHICLE_WIDTH_M / 2.0
+    # the box drawn is the vehicle's collision zone
+    hl, hw = 0.5 * DEFAULT_ZONES.c_length, 0.5 * DEFAULT_ZONES.c_width
     for rec in records:
         x, y, th = rec["x"], rec["y"], rec["theta"]
         c, s = math.cos(th), math.sin(th)

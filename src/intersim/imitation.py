@@ -295,10 +295,11 @@ class DemoDataset:
 # classifier
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> Tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
     """95% score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.959963984540054  # standard normal quantile at 0.975
     p = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n

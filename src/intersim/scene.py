@@ -55,9 +55,10 @@ STATUS_ACTIVE = "active"
 STATUS_FAILED = "failed"
 STATUS_SUCCEEDED = "succeeded"
 
-OUTCOME_COLLISION = "collision"
-OUTCOME_DEADLOCK = "deadlock"
-OUTCOME_SUCCESS = "success"
+# how an episode ends for the vehicle under test, as the reports name it
+KIND_COLLISION = "Collision"
+KIND_DEADLOCK = "Deadlock"
+KIND_SUCCESS = "Success"
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +377,14 @@ def sim_step(
     simultaneous state advance, goal updates, fail/success handling,
     belief observation.
 
-    Every empty slot tries a spawn first. A background vehicle that fails
-    or succeeds is logged and respawned in place; the slot stays empty
-    when the spawn defers. The AV hears reset_belief for each empty slot
-    whose spawn lands and for each background vehicle that ends. The AV
-    failing or succeeding ends the episode, and so does the time cap,
-    t_limit_s, as a deadlock.
+    Every empty slot tries a spawn first. A vehicle succeeds when it did
+    not fail and detect_success holds after its move and goal update. A
+    background vehicle that fails or succeeds is logged and respawned in
+    place; the slot stays empty when the spawn defers. The AV hears
+    reset_belief for each empty slot whose spawn lands and for each
+    background vehicle that ends. The AV failing or succeeding ends the
+    episode as KIND_COLLISION or KIND_SUCCESS, and so does the time cap,
+    t_limit_s, as KIND_DEADLOCK.
 
     The tick's plan cache is made after the spawns and passed to select,
     decide and observe, which all plan from s_t: observe gets the copy
@@ -412,7 +415,6 @@ def sim_step(
             ep.log.append(_log_record(ep, i, actions[i], STATUS_ACTIVE))
 
     prev = [s.copy() if s is not None else None for s in ep.states]
-    goal_results: Dict[int, Optional[str]] = {}
     for i in active:
         st = ep.states[i]
         moved = None
@@ -421,7 +423,7 @@ def sim_step(
         if moved is None:
             moved = step(st.pose, st.speed, DEFAULT_ACTIONS[actions[i]])
         st.pose, st.speed = moved
-        goal_results[i] = update_goal(st, net)
+        update_goal(st, net)
     if ep.av_index is not None and ep.av_index in active:
         ep.av_speed_sum += ep.states[ep.av_index].speed
         ep.av_ticks += 1
@@ -429,14 +431,12 @@ def sim_step(
     edges = road_edge_hits(ep.states, active, net)
     for i in active:
         failed = detect_fail(ep.states, i, net, edge_hits=edges)
-        succeeded = not failed and (
-            goal_results[i] == "done" or detect_success(ep.states[i], net)
-        )
+        succeeded = not failed and detect_success(ep.states[i], net)
         if i == ep.av_index:
             if failed:
-                ep.done, ep.outcome = True, OUTCOME_COLLISION
+                ep.done, ep.outcome = True, KIND_COLLISION
             elif succeeded:
-                ep.done, ep.outcome = True, OUTCOME_SUCCESS
+                ep.done, ep.outcome = True, KIND_SUCCESS
         elif failed or succeeded:
             status = STATUS_FAILED if failed else STATUS_SUCCEEDED
             if ep.collect_log:
@@ -450,7 +450,7 @@ def sim_step(
 
     ep.tick += 1
     if not ep.done and ep.tick * DT_S >= cfg.t_limit_s:
-        ep.done, ep.outcome = True, OUTCOME_DEADLOCK
+        ep.done, ep.outcome = True, KIND_DEADLOCK
     return ep
 
 

@@ -6,7 +6,7 @@ predict_row(states, i, k, network) -> action index; `batched` turns it
 into the library's Predictor, which answers a list of rows at once.
 """
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -51,7 +51,8 @@ def rollout_per_row(states, opponents, estimates, network, cfg, predict_row):
 
 def observe_per_row(av, prev_states, actions, network, cfg, predict_row) -> None:
     """The belief update of AdaptiveController.observe, one query per
-    (opponent, level), under planner config cfg."""
+    (opponent, level), under planner config cfg; it also raises the
+    PerRowAdaptive av's peak of each opponent it updates."""
     if av._ego is None or prev_states[av._ego] is None:
         return
     near = set(near_indices(prev_states, av._ego, cfg.interaction_radius_m))
@@ -70,11 +71,16 @@ def observe_per_row(av, prev_states, actions, network, cfg, predict_row) -> None
 
 
 class PerRowAdaptive(AdaptiveController):
-    """Adaptive AV planning against rollout_per_row."""
+    """Adaptive AV planning against rollout_per_row. It also keeps, per
+    opponent, the running max of each level's probability (peak); a reset
+    archives the slot's peak into resolved, so a test can check that the
+    beliefs it compares lean to a level."""
 
     def __init__(self, predict_row, **kwargs):
         super().__init__(**kwargs)
         self.predict_row = predict_row
+        self.peak: Dict[int, np.ndarray] = {}
+        self.resolved: List[Tuple[int, np.ndarray]] = []
 
     def decide(self, states, i, network, plans):
         self._ego = i
@@ -89,6 +95,19 @@ class PerRowAdaptive(AdaptiveController):
 
     def observe(self, prev_states, actions, network, plans):
         observe_per_row(self, prev_states, actions, network, plans.cfg, self.predict_row)
+
+    def reset_belief(self, i):
+        if i in self.peak:
+            self.resolved.append((i, self.peak.pop(i)))
+        super().reset_belief(i)
+
+    def peak_by_slot(self) -> Dict[int, np.ndarray]:
+        """Best probability reached per level for every slot, across all
+        vehicle instances that occupied the slot."""
+        out: Dict[int, np.ndarray] = {}
+        for j, p in self.resolved + list(self.peak.items()):
+            out[j] = np.maximum(out[j], p) if j in out else p.copy()
+        return out
 
 
 class PerRowDistilledAdaptive(PerRowAdaptive):

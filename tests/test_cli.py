@@ -1,5 +1,6 @@
 """Exit-code contract and artifact layout of the command-line front end."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -236,7 +237,7 @@ def test_bad_rc_exits_one(tmp_path, policy_file, command, rc, capsys):
          f"--rc={rc}", "--out", str(out)]
     )
     assert code == 1
-    assert "--rc must be finite and nonnegative" in capsys.readouterr().err
+    assert "rc_m must be finite and nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -256,6 +257,43 @@ _BAD_OVERRIDES = {
     "weights-str-value": ({"weights": {"w_c": "1"}}, "weights (expected"),
     "weights-list": ({"weights": [1, 2]}, "weights (expected"),
 }
+
+
+_BAD_VALUES = {
+    **{case: override for case, (override, _) in _BAD_OVERRIDES.items()},
+    "rc_m-negative": {"rc_m": -3.0},
+    "n_vehicles-negative": {"n_vehicles": -2},
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES))
+def test_bad_spec_value_raises_without_the_cli(case):
+    """EvalSpec refuses what the CLI refuses, on the library path too."""
+    override = _BAD_VALUES[case]
+    (field,) = override
+    with pytest.raises(ValueError, match=field):
+        EvalSpec(**override)
+    valid = EvalSpec(scene="fourway", av="rule-based", engine="expert")
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(valid, **override)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"engine": "distilled"}, "distilled engine needs policy_file"),
+        ({"adaptive_policy_file": FIXTURE}, "adaptive_policy_file needs the distilled engine"),
+    ],
+)
+def test_rules_across_fields_are_checked_at_the_build(tmp_path, override, message, capsys):
+    EvalSpec(**override)  # a spec alone may still name a scene to render
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    out = tmp_path / "out"
+    code = main(["evaluate", "--scene", "fourway", "--episodes", "1", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])

@@ -19,12 +19,11 @@ from intersim import controllers
 from intersim import dynamics as dyn
 from intersim import reward as rw
 from intersim.controllers import (
+    ACCEL_SET,
     AdaptiveController,
     BeliefState,
-    DEFAULT_RULE,
     DistilledAdaptiveController,
     FixedLevelController,
-    RuleBasedConfig,
     RuleBasedController,
     adaptive_plan,
     conflict_set,
@@ -219,7 +218,7 @@ def test_adaptive_yields_to_aggressive_and_pushes_past_cautious():
     assert vs_cautious.trajectory[:, 3].min() > vs_aggressive.trajectory[:, 3].min()
 
 
-def test_adaptive_controller_updates_and_archives_peaks():
+def test_adaptive_controller_updates_and_resets_beliefs():
     states, net = _crossing_scene()
     av = AdaptiveController()
     a = av.decide(states, 0, net, PlanCache())
@@ -227,15 +226,13 @@ def test_adaptive_controller_updates_and_archives_peaks():
     opp_l1 = levelk_plan(states, 1, 1, net, PlanCache()).action_sequence[0]
     opp_l2 = levelk_plan(states, 1, 2, net, PlanCache()).action_sequence[0]
     av.observe(states, {1: opp_l2}, net, PlanCache())
-    assert 1 in av.peak
+    assert 1 in av.beliefs.table
     if opp_l1 != opp_l2:
         # the observation matched the level-2 prediction
         assert av.beliefs.vec(1)[1] > 0.5
-        assert av.peak[1][1] == pytest.approx(av.beliefs.vec(1)[1])
     av.reset_belief(1)
+    assert 1 not in av.beliefs.table
     assert av.beliefs.vec(1) == pytest.approx([0.5, 0.5])
-    # the pre-reset peak survives in the per-slot archive
-    assert 1 in av.peak_by_slot()
 
 
 def test_fixed_level_controller_matches_expert_plan():
@@ -273,30 +270,31 @@ class _ToyTraffic(TrafficPolicy):
 
 
 _FOURWAY = single_network("fourway")
+_TOY_SCENE = SceneConfig(network=_FOURWAY, n_vehicles=4, av_policy="adaptive", t_limit_s=12.0)
 
 
 def _toy_episode(av, seed):
-    cfg = SceneConfig(network=_FOURWAY, n_vehicles=4, av_policy="adaptive", t_limit_s=12.0)
-    ep = init_episode(cfg, seed=(23, seed), collect_log=True)
+    ep = init_episode(_TOY_SCENE, seed=(23, seed), collect_log=True)
     while not ep.done:
-        sim_step(ep, cfg, _ToyTraffic(), av)
+        sim_step(ep, _TOY_SCENE, _ToyTraffic(), av)
     return ep
 
 
 def _same_run(av, ref, seed):
-    """Runs one seeded episode under each controller and compares the
-    ndjson logs and, for adaptive ones, the belief tables and peaks."""
-    got, want = _toy_episode(av, seed), _toy_episode(ref, seed)
+    """Runs one seeded episode under each controller in lockstep and
+    compares the ndjson logs and, for adaptive ones, the belief tables
+    after every tick."""
+    got = init_episode(_TOY_SCENE, seed=(23, seed), collect_log=True)
+    want = init_episode(_TOY_SCENE, seed=(23, seed), collect_log=True)
+    while not want.done:
+        sim_step(got, _TOY_SCENE, _ToyTraffic(), av)
+        sim_step(want, _TOY_SCENE, _ToyTraffic(), ref)
+        if isinstance(ref, AdaptiveController):
+            assert av.beliefs.table.keys() == ref.beliefs.table.keys()
+            for j, p in ref.beliefs.table.items():
+                assert np.array_equal(av.beliefs.table[j], p)
     assert got.log == want.log
-    assert (got.outcome, got.tick) == (want.outcome, want.tick)
-    if isinstance(ref, AdaptiveController):
-        assert av.beliefs.table.keys() == ref.beliefs.table.keys()
-        for j, p in ref.beliefs.table.items():
-            assert np.array_equal(av.beliefs.table[j], p)
-        got_peaks, want_peaks = av.peak_by_slot(), ref.peak_by_slot()
-        assert got_peaks.keys() == want_peaks.keys()
-        for j, p in want_peaks.items():
-            assert np.array_equal(got_peaks[j], p)
+    assert (got.done, got.outcome, got.tick) == (want.done, want.outcome, want.tick)
 
 
 def test_distilled_adaptive_paths_match_per_row_queries():
@@ -584,15 +582,14 @@ def test_rule_output_always_in_the_acceleration_set():
                 [[x, y], [x + 25 * math.cos(th), y + 25 * math.sin(th)]]
             )
         a = rule_based_action(states, 0, path, opp_paths)
-        assert a in DEFAULT_RULE.accel_set
+        assert a in ACCEL_SET
 
 
 def test_vanishing_radius_empties_the_conflict_set():
     states = [_plain_state(0.0, 0.0, 0.0, v=3.0), _plain_state(4.0, 0.0, math.pi, v=3.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[4.0, 0.0], [-10.0, 0.0]])}
-    tight = RuleBasedConfig(rc_m=1e-9)
-    assert rule_based_action(states, 0, path, opp, tight) == max(tight.accel_set)
+    assert rule_based_action(states, 0, path, opp, 1e-9) == max(ACCEL_SET)
 
 
 def test_tie_goes_to_the_smaller_acceleration():
@@ -653,8 +650,8 @@ class _CheckedRuleAV(RuleBasedController):
     estimated paths for, the opponents within rc_m, and its acceleration
     beside that of an eager reference estimating every opponent."""
 
-    def __init__(self, config):
-        super().__init__(config)
+    def __init__(self, rc_m):
+        super().__init__(rc_m)
         self.estimated = []
         self.records = []
 
@@ -665,14 +662,14 @@ class _CheckedRuleAV(RuleBasedController):
         within = [
             j for j, st in enumerate(states)
             if j != i and st is not None
-            and math.hypot(st.pose.x - ego.pose.x, st.pose.y - ego.pose.y) <= self.config.rc_m
+            and math.hypot(st.pose.x - ego.pose.x, st.pose.y - ego.pose.y) <= self.rc_m
         ]
         every = {
             j: estimate_path(states, j, network)
             for j, st in enumerate(states)
             if j != i and st is not None
         }
-        eager = rule_based_action(states, i, self._pts, every, self.config, self._s)
+        eager = rule_based_action(states, i, self._pts, every, self.rc_m, self._s)
         self.records.append((a, self._accel, eager, list(self.estimated), within))
         return a
 
@@ -692,7 +689,7 @@ def _city_decisions(monkeypatch, rc_values, min_states):
     records = []
     seed = 0
     while len(records) < min_states:
-        av = _CheckedRuleAV(RuleBasedConfig(rc_m=rc_values[seed % len(rc_values)]))
+        av = _CheckedRuleAV(rc_values[seed % len(rc_values)])
         ep = init_episode(cfg, seed=(17, seed))
         traffic = _RandomTraffic(seed)
         while not ep.done:
@@ -708,7 +705,7 @@ def test_decide_matches_an_eager_reference_on_city_states(monkeypatch):
     for a, accel, eager, _, _ in records:
         assert accel == eager
         assert DEFAULT_ACTIONS[a].accel == eager and DEFAULT_ACTIONS[a].omega == 0.0
-        conflicted += eager != max(DEFAULT_RULE.accel_set)
+        conflicted += eager != max(ACCEL_SET)
     assert conflicted >= 10  # the sample exercises the conflict branch
 
 
@@ -742,8 +739,8 @@ def test_opponent_exactly_at_rc_is_estimated(monkeypatch):
     )
     for rc, expected in ((5.0, [1]), (math.nextafter(5.0, 0.0), [])):
         calls.clear()
-        av = RuleBasedController(RuleBasedConfig(rc_m=rc))
+        av = RuleBasedController(rc)
         av.decide(states, 0, net, PlanCache())
         assert calls == expected
         every = {1: real(states, 1, net)}
-        assert av._accel == rule_based_action(states, 0, av._pts, every, av.config, av._s)
+        assert av._accel == rule_based_action(states, 0, av._pts, every, av.rc_m, av._s)

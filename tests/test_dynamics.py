@@ -20,6 +20,7 @@ from intersim.dynamics import (
     step,
     update_goal,
 )
+from intersim.scene import detect_success
 
 
 def test_action_table_order():
@@ -88,18 +89,30 @@ def fourway_net():
 
 
 def test_update_goal_pops_exit_lane(fourway_net):
+    # the final lane stays the goal: whether the route is done is detect_success's call
     st = VehicleState(Pose2(10.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out", phase=PHASE_EXIT)
-    assert update_goal(st, fourway_net) == "done"
+    update_goal(st, fourway_net)
+    assert (st.goal_ref, st.target_lane_seq, st.phase) == ("I0:E.out", [], PHASE_EXIT)
+    assert detect_success(st, fourway_net)
 
 
-def test_update_goal_not_yet_inside_strip(fourway_net):
-    st = VehicleState(Pose2(5.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out", phase=PHASE_EXIT)
-    assert update_goal(st, fourway_net) is None  # zone straddles the core edge
+def _leaving_f_east(x, y):
+    """A city vehicle in F's east arm whose route goes on to T1."""
+    return VehicleState(
+        Pose2(x, y, 0.0), 2.0, goal_ref="F:E.out", target_lane_seq=["T1:E.out"], phase=PHASE_EXIT
+    )
 
 
-def test_update_goal_wrong_half_does_not_pop(fourway_net):
-    st = VehicleState(Pose2(10.0, 2.0, 0.0), 2.0, goal_ref="I0:E.out", phase=PHASE_EXIT)
-    assert update_goal(st, fourway_net) is None
+def test_update_goal_not_yet_inside_strip():
+    st = _leaving_f_east(5.0, -2.0)
+    update_goal(st, geo.make_city())
+    assert st.goal_ref == "F:E.out"  # zone straddles the core edge
+
+
+def test_update_goal_wrong_half_does_not_pop():
+    st = _leaving_f_east(10.0, 2.0)
+    update_goal(st, geo.make_city())
+    assert (st.goal_ref, st.target_lane_seq) == ("F:E.out", ["T1:E.out"])
 
 
 def test_update_goal_phase_transitions(fourway_net):
@@ -124,7 +137,7 @@ def test_update_goal_chains_targets(fourway_net):
         target_lane_seq=["T1:E.out"],
         phase=PHASE_EXIT,
     )
-    assert update_goal(st, net) == "advanced"
+    update_goal(st, net)
     assert st.goal_ref == "T1:E.out"
     assert st.target_lane_seq == []
     assert st.phase == PHASE_APPROACH
@@ -139,18 +152,23 @@ def test_update_goal_roundabout_arc_chain():
         target_lane_seq=["I0:ring.q1", "I0:W.out"],
         phase=PHASE_INSIDE,
     )
-    assert update_goal(st, net) == "advanced"
+    update_goal(st, net)
     assert st.goal_ref == "I0:ring.q1"
     assert st.phase == PHASE_INSIDE  # same intersection, no reset
     # not reached yet from 92 degrees
-    assert update_goal(st, net) is None
+    update_goal(st, net)
+    assert (st.goal_ref, st.target_lane_seq) == ("I0:ring.q1", ["I0:W.out"])
 
 
 def test_update_goal_arc_requires_core(fourway_net):
     net = geo.single_network("roundabout")
     # on the north arm at polar angle 90, but outside the ring
-    st = VehicleState(Pose2(2.0, 20.0, math.radians(270)), 2.0, goal_ref="I0:ring.q0", phase=PHASE_APPROACH)
-    assert update_goal(st, net) is None
+    st = VehicleState(
+        Pose2(2.0, 20.0, math.radians(270)), 2.0, goal_ref="I0:ring.q0",
+        target_lane_seq=["I0:ring.q1"], phase=PHASE_APPROACH,
+    )
+    update_goal(st, net)
+    assert (st.goal_ref, st.target_lane_seq) == ("I0:ring.q0", ["I0:ring.q1"])
 
 
 def test_vehicle_state_copy_is_deep_enough():

@@ -1,7 +1,8 @@
 """Pinned digests of short seeded runs.
 
 Each case hashes a byte-stable output of the library: the ndjson log of
-one seeded episode, or the CSV of one tiny DAgger dataset. A change that
+one seeded episode, the SVG frames rendered from one such log, or the CSV
+of one tiny DAgger dataset. A change that
 is meant to keep behaviour must leave every digest as it is; a change
 that moves behaviour on purpose updates the pin and says so.
 """
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from intersim.harness import EvalSpec, run_one
+from intersim.harness import EvalSpec, build_network, render_svg, run_one
 from intersim.imitation import DaggerConfig, TrainConfig, dagger_train, dagger_train_adaptive
 
 FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json")
@@ -45,6 +46,8 @@ EPISODES = {
 }
 
 
+# every frame of the city-fixture-rule-based log, joined by newlines
+FRAMES_PIN = "9640a8326e349bb7000bef6ee830eb8bd530e4e73655c4dc3ea7e88e8ae20f59"
 DATASET_PIN = "7c7a811cae56aacb17ad539db0b958bf0de6e07e6a6ea43ec182c7549f55c1f4"
 ADAPTIVE_DATASET_PIN = "4abc45c263685c5c830aadc532bd92f76e8a92a5a66843e455bb0358732e2be9"
 
@@ -54,6 +57,14 @@ def test_episode_log_digest(name):
     spec, pin = EPISODES[name]
     _, log, _ = run_one(spec, (11, 0), collect_log=True)
     assert _sha("\n".join(log) + "\n") == pin
+
+
+def test_rendered_frames_digest():
+    spec, _ = EPISODES["city-fixture-rule-based"]
+    _, log, _ = run_one(spec, (11, 0), collect_log=True)
+    frames = render_svg(log, build_network(spec))
+    assert len(frames) == 40
+    assert _sha("\n".join(frames)) == FRAMES_PIN
 
 
 def test_dagger_dataset_digest(tmp_path):

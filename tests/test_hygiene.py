@@ -66,6 +66,20 @@ def _references(tree):
                 yield node.value, node.lineno
 
 
+def _public_definitions(tree):
+    """Module-level functions and classes, and the methods of every
+    module-level class, whose names do not start with an underscore."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield member
+
+
 def test_every_public_definition_is_referenced():
     refs = {}  # name -> [(path, line)]
     for root in SEARCHED:
@@ -74,11 +88,7 @@ def test_every_public_definition_is_referenced():
                 refs.setdefault(name, []).append((path, line))
     orphans = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _parse(path).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
+        for node in _public_definitions(_parse(path)):
             own = range(node.lineno, node.end_lineno + 1)
             users = [r for r in refs.get(node.name, []) if not (r[0] == path and r[1] in own)]
             if not users:

@@ -17,9 +17,9 @@ from intersim.scene import (
     AVController,
     ExpertTraffic,
     MIN_SEPARATION_M,
-    OUTCOME_COLLISION,
-    OUTCOME_DEADLOCK,
-    OUTCOME_SUCCESS,
+    KIND_COLLISION,
+    KIND_DEADLOCK,
+    KIND_SUCCESS,
     SceneConfig,
     TrafficPolicy,
     context_layout,
@@ -387,7 +387,7 @@ def test_episode_time_cap_classifies_deadlock():
     ep = init_episode(cfg, seed=(3, 0))
     ep.states[0].speed = 0.0  # a parked AV can neither succeed nor collide
     res = run_episode(cfg, HoldTraffic(), av, seed=None, episode=ep)
-    assert res["outcome"] == OUTCOME_DEADLOCK
+    assert res["outcome"] == KIND_DEADLOCK
     assert res["duration_s"] == pytest.approx(2.0)
     assert av.observed == res["ticks"]
 
@@ -399,7 +399,7 @@ def test_av_boundary_strike_ends_episode_as_collision():
     # aim the AV at the outer boundary
     ep.states[0] = VehicleState(Pose2(-12.0, -2.0, -math.pi / 2), 4.0, goal_ref="I0:E.out")
     res = run_episode(cfg, HoldTraffic(), ScriptedAV(), seed=None, episode=ep)
-    assert res["outcome"] == OUTCOME_COLLISION
+    assert res["outcome"] == KIND_COLLISION
     assert res["duration_s"] < 5.0
 
 
@@ -409,7 +409,7 @@ def test_av_reaching_exit_lane_is_success():
     ep = init_episode(cfg, seed=(6, 0))
     ep.states[0] = VehicleState(Pose2(8.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
     res = run_episode(cfg, HoldTraffic(), ScriptedAV(), seed=None, episode=ep)
-    assert res["outcome"] == OUTCOME_SUCCESS
+    assert res["outcome"] == KIND_SUCCESS
     assert res["mean_speed"] > 0.0
 
 
