@@ -18,6 +18,7 @@ import sys
 from dataclasses import fields, replace
 from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
+from .controllers import RC_M
 from .harness import (
     AV_POLICIES,
     EvalSpec,
@@ -48,23 +49,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="intersim", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    def common(sp, scene_required=False):
-        sp.add_argument("--scene", required=scene_required,
+    def common(sp, episodes: int):
+        sp.add_argument("--scene", required=True,
                         help="built-in layout (fourway|tshape|roundabout|city) or network JSON path")
         sp.add_argument("--vehicles", type=int, default=3, help="background vehicle count")
         sp.add_argument("--traffic-model", choices=TRAFFIC_MODELS, default="mixed")
         sp.add_argument("--av", choices=AV_POLICIES, default=None,
                         help="vehicle-under-test policy (omit for traffic only)")
-        sp.add_argument("--episodes", type=int, default=None)
+        sp.add_argument("--episodes", type=int, default=episodes)
         sp.add_argument("--seed", type=_u64, default=0)
-        sp.add_argument("--rc", type=float, default=14.0, help="rule-based spacing radius, m")
+        sp.add_argument("--rc", type=float, default=RC_M, help="rule-based spacing radius, m")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--policy-file", default=None,
                         help="trained level-k policy JSON; enables the distilled engine")
         sp.add_argument("--config", default=None, help="JSON file of extra spec overrides")
 
     sim = sub.add_parser("simulate", help="run seeded episodes and write ndjson logs")
-    common(sim, scene_required=True)
+    common(sim, episodes=1)
 
     tr = sub.add_parser("train-policy", help="imitation-train an explicit policy")
     tr.add_argument("--episodes", type=int, default=None, help="dataset-aggregation episodes")
@@ -75,10 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="JSON with variant (levelk|adaptive) and training overrides")
 
     ev = sub.add_parser("evaluate", help="Monte-Carlo evaluation report")
-    common(ev, scene_required=True)
+    common(ev, episodes=200)
 
     cal = sub.add_parser("calibrate", help="sweep the rule-based spacing radius")
-    common(cal, scene_required=True)
+    common(cal, episodes=200)
     cal.add_argument("--rc-grid", default="6:20:2",
                      help="min:max:step in meters, inclusive of both ends")
 
@@ -209,17 +210,21 @@ def _parse_ticks(text: Optional[str]):
     return lo, hi
 
 
+def _check_episodes(args) -> None:
+    """Refuses --episodes below 1; each episode command calls it first."""
+    if args.episodes < 1:
+        raise ConfigError("--episodes must be at least 1")
+
+
 def _cmd_simulate(args) -> int:
+    _check_episodes(args)
     cfg = _load_config(args.config)
     cfg.pop("workers", None)  # logs are written per episode; no parallel path here
     spec = _spec_from_args(args, cfg)
     built = _Built(spec)  # bad scenes and malformed policy files fail here
-    n = args.episodes if args.episodes is not None else 1
-    if n < 1:
-        raise ConfigError("--episodes must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     summary = []
-    for idx in range(n):
+    for idx in range(args.episodes):
         outcome, log, _ = run_one(spec, (args.seed, idx), built, collect_log=True)
         log_path = os.path.join(args.out, f"episode_{idx:04d}.ndjson")
         with open(log_path, "w") as f:
@@ -283,13 +288,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_episodes(args)
     cfg = _load_config(args.config)
     workers = _pop_workers(cfg)
     spec = _spec_from_args(args, cfg)
-    n = args.episodes if args.episodes is not None else 200
-    if n < 1:
-        raise ConfigError("--episodes must be at least 1")
-    report = monte_carlo(spec, n, args.seed, workers=workers)
+    report = monte_carlo(spec, args.episodes, args.seed, workers=workers)
     os.makedirs(args.out, exist_ok=True)
     write_report_csv([report], os.path.join(args.out, "report.csv"))
     with open(os.path.join(args.out, "outcomes.ndjson"), "w") as f:
@@ -306,6 +309,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _check_episodes(args)
     cfg = _load_config(args.config)
     workers = _pop_workers(cfg)
     models = cfg.pop("traffic_models", list(TRAFFIC_MODELS))
@@ -315,10 +319,7 @@ def _cmd_calibrate(args) -> int:
         )
     spec = _spec_from_args(args, cfg)
     grid = _parse_grid(args.rc_grid)
-    n = args.episodes if args.episodes is not None else 200
-    if n < 1:
-        raise ConfigError("--episodes must be at least 1")
-    rows = calibrate_rc(spec, grid, n, models, args.seed, workers, out_dir=args.out)
+    rows = calibrate_rc(spec, grid, args.episodes, models, args.seed, workers, args.out)
     for r in rows:
         print(f"rc={r['rc']:>5.1f} {r['traffic_model']:>5}: J={r['j']:.3f} "
               f"(success {r['success_rate']:.3f}, CR {r['cr']:.3f}, DR {r['dr']:.3f})")

@@ -27,8 +27,9 @@ from .geometry import (
 )
 from .planner import (
     BEHAVIORAL_LEVELS,
+    HORIZON_N,
+    INTERACTION_RADIUS_M,
     PlanCache,
-    PlannerConfig,
     PlanResult,
     best_response,
     level0_plan,
@@ -49,6 +50,8 @@ Predictor = Callable[
 # ---------------------------------------------------------------------------
 # level estimation
 
+BETA = 0.6  # belief correction step toward the best-explaining level
+
 
 @dataclass
 class BeliefState:
@@ -60,7 +63,7 @@ class BeliefState:
     """
 
     model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS
-    beta: float = 0.6
+    beta: float = BETA
     table: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def vec(self, j: int) -> np.ndarray:
@@ -109,7 +112,7 @@ def update_beliefs(
     return out
 
 
-def estimate_level(p: np.ndarray, model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS) -> int:
+def estimate_level(p: np.ndarray, model_set: Tuple[int, ...]) -> int:
     # ties resolve to the higher level: undecided reads as aggressive
     best = len(p) - 1 - int(np.argmax(p[::-1]))
     return model_set[best]
@@ -130,10 +133,9 @@ def predictor_rollout(
     opponents: Sequence[int],
     estimates: Dict[int, int],
     network: RoadNetwork,
-    cfg: PlannerConfig,
     predictor: Predictor,
 ) -> Dict[int, np.ndarray]:
-    """Joint N-step opponent prediction under an explicit policy.
+    """Joint HORIZON_N-step opponent prediction under an explicit policy.
 
     Opponents advance together under predictor at their estimated levels,
     one predictor call for all of them per horizon step, while the ego
@@ -144,19 +146,18 @@ def predictor_rollout(
     cur: List[Optional[VehicleState]] = [
         s.copy() if s is not None else None for s in states
     ]
-    n = cfg.horizon_n
     trajs = {}
     for j in opponents:
-        tr = np.empty((n + 1, 4))
+        tr = np.empty((HORIZON_N + 1, 4))
         st = cur[j]
         tr[0] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
         trajs[j] = tr
     levels = [estimates[j] for j in opponents]
-    for tau in range(1, n + 1):
+    for tau in range(1, HORIZON_N + 1):
         picked = predictor(cur, opponents, levels, network)
         for j, a_idx in zip(opponents, picked):
             st = cur[j]
-            st.pose, st.speed = step(st.pose, st.speed, cfg.actions[a_idx])
+            st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[a_idx])
             trajs[j][tau] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
     return trajs
 
@@ -177,16 +178,16 @@ def adaptive_plan(
     tie-break. Without a predictor the predictions come from the game-tree
     search; with one, from a joint closed-loop rollout under that explicit
     policy (predictor_rollout). The first action of the result is the
-    control to apply. cache is the PlanCache of these states and carries
-    the planner config; the searched predictions and the ego's own search
-    read and add plans and ego trees there.
+    control to apply. cache is the PlanCache of these states; the searched
+    predictions and the ego's own search read and add plans and ego trees
+    there.
     """
-    near = near_indices(states, i, cache.cfg.interaction_radius_m)
+    near = near_indices(states, i, INTERACTION_RADIUS_M)
     estimates = estimate_levels(beliefs, near)
     if not near:
         return level0_plan(list(states), i, network, cache)
     if predictor is not None:
-        opp = predictor_rollout(states, near, estimates, network, cache.cfg, predictor)
+        opp = predictor_rollout(states, near, estimates, network, predictor)
     else:
         opp = {j: levelk_plan(list(states), j, estimates[j], network, cache).trajectory for j in near}
     return best_response(states[i], opp, network, cache)
@@ -206,7 +207,7 @@ class AdaptiveController(AVController):
     def __init__(
         self,
         model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS,
-        beta: float = 0.6,
+        beta: float = BETA,
         predictor: Optional[Predictor] = None,
     ):
         self.beliefs = BeliefState(model_set=model_set, beta=beta)
@@ -228,7 +229,7 @@ class AdaptiveController(AVController):
     ) -> None:
         if self._ego is None or prev_states[self._ego] is None:
             return
-        near = set(near_indices(prev_states, self._ego, plans.cfg.interaction_radius_m))
+        near = set(near_indices(prev_states, self._ego, INTERACTION_RADIUS_M))
         snapshot = list(prev_states)
         opps = [j for j in actions if j != self._ego and j in near]
         if not opps:
@@ -243,9 +244,9 @@ class AdaptiveController(AVController):
         for j in opps:
             preds: Dict[int, Tuple[float, float]] = {}
             for k in ks:
-                act = plans.cfg.actions[pred_idx[(j, k)]]
+                act = DEFAULT_ACTIONS[pred_idx[(j, k)]]
                 preds[k] = (act.accel, act.omega)
-            obs_act = plans.cfg.actions[actions[j]]
+            obs_act = DEFAULT_ACTIONS[actions[j]]
             self.beliefs = update_beliefs(
                 self.beliefs, j, (obs_act.accel, obs_act.omega), preds
             )
@@ -268,17 +269,16 @@ class DistilledAdaptiveController(AdaptiveController):
             [Sequence[Optional[VehicleState]], int, Dict[int, int], RoadNetwork], int
         ],
         predictor: Predictor,
-        model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS,
-        beta: float = 0.6,
+        beta: float = BETA,
     ):
-        super().__init__(model_set, beta, predictor)
+        super().__init__(BEHAVIORAL_LEVELS, beta, predictor)
         self.actor = actor
 
     def decide(
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
         self._ego = i
-        near = near_indices(states, i, plans.cfg.interaction_radius_m)
+        near = near_indices(states, i, INTERACTION_RADIUS_M)
         estimates = estimate_levels(self.beliefs, near)
         return self.actor(states, i, estimates, network)
 
@@ -537,7 +537,7 @@ def conflict_set(
     states: Sequence[Optional[VehicleState]],
     i: int,
     paths: Dict[int, np.ndarray],
-    rc_m: float = RC_M,
+    rc_m: float,
 ) -> List[int]:
     """Vehicles whose estimated path crosses the ego's within the
     conflict radius: both the path condition (minimum polyline distance
@@ -559,10 +559,11 @@ def rule_based_action(
     i: int,
     ego_path: np.ndarray,
     opp_paths: Dict[int, np.ndarray],
-    rc_m: float = RC_M,
-    ego_s: Optional[float] = None,
+    rc_m: float,
+    ego_s: float,
 ) -> float:
-    """One acceleration from ACCEL_SET; conflicts are sought within rc_m.
+    """One acceleration from ACCEL_SET; conflicts are sought within rc_m,
+    and the ego sits at arc length ego_s of ego_path.
 
     With no conflicting vehicle the largest acceleration is taken.
     Otherwise each candidate advances the ego one DT_S step along its
@@ -573,8 +574,6 @@ def rule_based_action(
     """
     cum = path_arclength(ego_path)
     ego = states[i]
-    if ego_s is None:
-        ego_s = project_arclength(ego_path, cum, ego.pose.x, ego.pose.y)
     paths = {i: path_tail(ego_path, cum, ego_s), **opp_paths}
     conflicts = conflict_set(states, i, paths, rc_m)
     if not conflicts:

@@ -173,16 +173,15 @@ def polylines_min_dist(a_segs: np.ndarray, b_segs: np.ndarray) -> float:
 
 
 def overlap_rects_one_many(
-    x, y, theta, length: float, width: float, other: OrientedRect, cth=None, sth=None
+    x, y, c, s, length: float, width: float, other: OrientedRect
 ) -> np.ndarray:
-    """Closed-set overlap of B equally sized rectangles against one rectangle.
+    """Closed-set overlap of B equally sized rectangles, at (x, y) with
+    heading cos and sin c, s, against one rectangle.
 
     Support-function separating axis test: along each of the four edge
     normals, separated iff the center gap exceeds the summed support radii.
     Strict inequality keeps touching as overlap. Returns (B,) bool.
     """
-    c = np.cos(theta) if cth is None else cth
-    s = np.sin(theta) if sth is None else sth
     hl, hw = 0.5 * length, 0.5 * width
     co, so = math.cos(other.theta), math.sin(other.theta)
     ohl, ohw = 0.5 * other.length, 0.5 * other.width
@@ -242,16 +241,17 @@ def segments_hit_rects(segs: np.ndarray, cx, cy, theta, length: float, width: fl
     segs has shape (S, 4) as (x0, y0, x1, y1). Returns (B,) bool. Closed-set
     Liang-Barsky clip evaluated in every rectangle frame at once.
     """
-    m = segments_hit_rects_matrix(segs, cx, cy, theta, length, width)
+    m = segments_hit_rects_matrix(segs, cx, cy, np.cos(theta), np.sin(theta), length, width)
     if m.shape[1] == 0:
         return np.zeros(m.shape[0], dtype=bool)
     return m.any(axis=1)
 
 
 def segments_hit_rects_matrix(
-    segs: np.ndarray, cx, cy, theta, length: float, width: float, cth=None, sth=None
+    segs: np.ndarray, cx, cy, cth, sth, length: float, width: float
 ) -> np.ndarray:
-    """Per-segment hit matrix, shape (B, S). See segments_hit_rects.
+    """Per-segment hit matrix, shape (B, S), of rectangles with heading cos
+    and sin cth, sth. See segments_hit_rects.
 
     Separating axis test between each rectangle and each segment: the two
     rectangle edge normals plus the segment normal (a segment is a
@@ -270,8 +270,8 @@ def segments_hit_rects_matrix(
     flip = B >= len(segs)
     inner, outer = (None, slice(None)), (slice(None), None)
     rows, cols = (inner, outer) if flip else (outer, inner)
-    c = (np.cos(theta) if cth is None else cth)[rows]
-    s = (np.sin(theta) if sth is None else sth)[rows]
+    c = cth[rows]
+    s = sth[rows]
     hl, hw = 0.5 * length, 0.5 * width
     ex = 0.5 * (segs[:, 2] - segs[:, 0])[cols]
     ey = 0.5 * (segs[:, 3] - segs[:, 1])[cols]

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .controllers import (
+    BETA,
     AdaptiveController,
     DistilledAdaptiveController,
     FixedLevelController,
@@ -216,7 +217,7 @@ class EvalSpec:
     policy_file: Optional[str] = None
     adaptive_policy_file: Optional[str] = None
     rc_m: float = RC_M
-    beta: float = 0.6
+    beta: float = BETA
     arm_length_m: Optional[float] = None  # None keeps the builder default
     t_limit_s: float = 300.0
     weights: Optional[Dict[str, float]] = None
@@ -311,14 +312,12 @@ def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
 def run_one(
     spec: EvalSpec,
     seed: Tuple[int, int],
-    built: Optional[_Built] = None,
+    built: _Built,
     collect_log: bool = False,
 ) -> Tuple[EpisodeOutcome, List[str], Optional[AVController]]:
-    """One seeded episode under a spec. Returns the classified outcome,
-    the ndjson log lines (empty unless collect_log), and the controller
-    for post-episode inspection."""
-    if built is None:
-        built = _Built(spec)
+    """One seeded episode under a spec, on the spec's built pieces. Returns
+    the classified outcome, the ndjson log lines (empty unless
+    collect_log), and the controller for post-episode inspection."""
     av = _make_av(spec, built)
     res = run_episode(built.scene_cfg, built.traffic, av, seed, collect_log)
     outcome = EpisodeOutcome(
@@ -407,15 +406,6 @@ def write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence[str]]) 
             f.write(",".join(r) + "\n")
 
 
-def read_csv(path: str) -> Tuple[List[str], List[List[str]]]:
-    """Header and raw string rows; write_csv(read_csv(p)) reproduces the
-    file byte for byte (fields never contain commas or quotes here)."""
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        rows = [line.rstrip("\n").split(",") for line in f if line]
-    return header, rows
-
-
 def write_report_csv(reports: Sequence[MetricsReport], path: str) -> None:
     write_csv(path, REPORT_COLUMNS, [r.row() for r in reports])
 
@@ -428,17 +418,17 @@ def calibrate_rc(
     spec: EvalSpec,
     rc_grid: Sequence[float],
     n_episodes: int,
-    traffic_models: Sequence[str] = TRAFFIC_MODELS,
-    master_seed: int = 0,
-    workers: int = 1,
-    out_dir: Optional[str] = None,
+    traffic_models: Sequence[str],
+    master_seed: int,
+    workers: int,
+    out_dir: str,
 ) -> List[dict]:
     """J(R_c) per traffic model for the rule-based controller.
 
     Every grid point reuses the same episode seeds, so traffic
     realizations are common across the sweep and differences isolate the
-    radius. Returns one row per (R_c, model); with out_dir set, emits
-    calibration.csv plus one J-vs-R_c line chart per model.
+    radius. Returns one row per (R_c, model), and writes them to out_dir
+    as calibration.csv plus one J-vs-R_c line chart per model.
     """
     if not rc_grid:
         raise ValueError("empty rc grid")
@@ -458,26 +448,25 @@ def calibrate_rc(
                     "j": rep.j,
                 }
             )
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_rows = [
-            [
-                repr(r["rc"]), r["traffic_model"], str(r["n"]),
-                repr(r["success_rate"]), repr(r["cr"]), repr(r["dr"]), repr(r["j"]),
-            ]
-            for r in rows
+    os.makedirs(out_dir, exist_ok=True)
+    csv_rows = [
+        [
+            repr(r["rc"]), r["traffic_model"], str(r["n"]),
+            repr(r["success_rate"]), repr(r["cr"]), repr(r["dr"]), repr(r["j"]),
         ]
-        write_csv(os.path.join(out_dir, "calibration.csv"), CALIBRATION_COLUMNS, csv_rows)
-        for tm in traffic_models:
-            pts = [(r["rc"], r["j"]) for r in rows if r["traffic_model"] == tm]
-            svg = line_chart(
-                pts,
-                title=f"performance index vs spacing radius ({tm} traffic)",
-                x_label="R_c (m)",
-                y_label="J",
-            )
-            with open(os.path.join(out_dir, f"calibration_{tm}.svg"), "w") as f:
-                f.write(svg)
+        for r in rows
+    ]
+    write_csv(os.path.join(out_dir, "calibration.csv"), CALIBRATION_COLUMNS, csv_rows)
+    for tm in traffic_models:
+        pts = [(r["rc"], r["j"]) for r in rows if r["traffic_model"] == tm]
+        svg = line_chart(
+            pts,
+            title=f"performance index vs spacing radius ({tm} traffic)",
+            x_label="R_c (m)",
+            y_label="J",
+        )
+        with open(os.path.join(out_dir, f"calibration_{tm}.svg"), "w") as f:
+            f.write(svg)
     return rows
 
 
@@ -507,9 +496,9 @@ def _fmt(v: float) -> str:
 
 def line_chart(
     points: Sequence[Tuple[float, float]],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
+    title: str,
+    x_label: str,
+    y_label: str,
 ) -> str:
     """Minimal single-series line chart as a standalone SVG string."""
     width, height = CHART_WIDTH, CHART_HEIGHT
@@ -564,19 +553,16 @@ def line_chart(
     parts.append(f'<polyline points="{poly}" fill="none" stroke="#1a6fb0" stroke-width="2"/>')
     for x, y in pts:
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#1a6fb0"/>')
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{m_l + pw / 2:.0f}" y="{height - 10}" text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{m_t + ph / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {m_t + ph / 2:.0f})">{y_label}</text>'
-        )
+    parts.append(
+        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+    )
+    parts.append(
+        f'<text x="{m_l + pw / 2:.0f}" y="{height - 10}" text-anchor="middle">{x_label}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{m_t + ph / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {m_t + ph / 2:.0f})">{y_label}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -610,20 +596,22 @@ def parse_log(lines: Sequence[str]) -> List[dict]:
     return records
 
 
+FRAME_PX_PER_M, FRAME_PAD_PX = 8.0, 20.0
+
+
 class _Mapper:
     """World-to-pixel mapping with the y axis flipped for SVG."""
 
-    def __init__(self, x_lo, x_hi, y_lo, y_hi, scale=8.0, pad=20.0):
+    def __init__(self, x_lo, x_hi, y_lo, y_hi):
         self.x_lo, self.y_hi = x_lo, y_hi
-        self.s, self.pad = scale, pad
-        self.width = int((x_hi - x_lo) * scale + 2 * pad)
-        self.height = int((y_hi - y_lo) * scale + 2 * pad)
+        self.width = int((x_hi - x_lo) * FRAME_PX_PER_M + 2 * FRAME_PAD_PX)
+        self.height = int((y_hi - y_lo) * FRAME_PX_PER_M + 2 * FRAME_PAD_PX)
 
     def x(self, wx: float) -> float:
-        return (wx - self.x_lo) * self.s + self.pad
+        return (wx - self.x_lo) * FRAME_PX_PER_M + FRAME_PAD_PX
 
     def y(self, wy: float) -> float:
-        return (self.y_hi - wy) * self.s + self.pad
+        return (self.y_hi - wy) * FRAME_PX_PER_M + FRAME_PAD_PX
 
 
 def _network_extent(network: RoadNetwork) -> Tuple[float, float, float, float]:
@@ -712,7 +700,7 @@ def render_svg(
     for t in ticks:
         body = [head] + road + _vehicle_group(by_tick[t], m)
         body.append(
-            f'<text x="{m.pad:.0f}" y="{m.height - 8}" font-size="11" fill="#333">'
+            f'<text x="{FRAME_PAD_PX:.0f}" y="{m.height - 8}" font-size="11" fill="#333">'
             f"tick {t}</text>"
         )
         body.append("</svg>")

@@ -31,7 +31,7 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import BUILDERS, RoadNetwork, single_network
-from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy, near_indices
+from .planner import BEHAVIORAL_LEVELS, INTERACTION_RADIUS_M, K_MAX, PlanCache, expert_policy, near_indices
 from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
 M_NEAR = 6  # opponent slots of both encoders; a policy file must say the same
@@ -241,18 +241,17 @@ def adaptive_feature_names() -> List[str]:
 
 
 class DemoDataset:
-    """Expert-labeled encoded states, append-only during training.
+    """Expert-labeled encoded states, one column per feature name,
+    append-only during training.
 
     Persists as CSV with one header row (encoded field names, then
-    `label`); floats are written with repr so a parse and re-emit cycle
-    reproduces the file byte for byte.
+    `label`); floats are written with repr, so each value reads back
+    exactly.
     """
 
-    def __init__(self, n_features: int, feature_names: Optional[List[str]] = None):
-        if feature_names is not None and len(feature_names) != n_features:
-            raise ValueError("feature_names length mismatch")
-        self.n_features = n_features
-        self.feature_names = feature_names or [f"f{i}" for i in range(n_features)]
+    def __init__(self, feature_names: List[str]):
+        self.n_features = len(feature_names)
+        self.feature_names = feature_names
         self._xs: List[np.ndarray] = []
         self._ys: List[int] = []
 
@@ -277,18 +276,6 @@ class DemoDataset:
             f.write(",".join(self.feature_names + ["label"]) + "\n")
             for enc, lab in zip(self._xs, self._ys):
                 f.write(",".join(repr(float(v)) for v in enc) + f",{lab}\n")
-
-    @classmethod
-    def from_csv(cls, path: str) -> "DemoDataset":
-        with open(path) as f:
-            header = f.readline().rstrip("\n").split(",")
-            if not header or header[-1] != "label":
-                raise ValueError(f"{path}: expected trailing `label` column")
-            ds = cls(len(header) - 1, header[:-1])
-            for line in f:
-                parts = line.rstrip("\n").split(",")
-                ds.append(np.array([float(v) for v in parts[:-1]]), int(parts[-1]))
-        return ds
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +493,7 @@ class PolicyApproximator:
                 raise ValueError(f"policy file {path} is malformed: {type(e).__name__}: {e}") from None
 
 
-def default_encoding(variant: str = "levelk") -> dict:
+def default_encoding(variant: str) -> dict:
     """The encoding block of this encoder's policies; set-up refuses a file with another."""
     return {
         "variant": variant,
@@ -518,32 +505,14 @@ def default_encoding(variant: str = "levelk") -> dict:
 
 
 def load_policy(path: str, variant: str) -> PolicyApproximator:
-    """The policy in path; raises ValueError naming path unless this encoder's variant reads it."""
+    """The policy in path; raises ValueError naming path unless this
+    encoder's variant reads it and it scores every action of the table."""
     policy = PolicyApproximator.load(path)
     width = LEVELK_DIM if variant == "levelk" else ADAPTIVE_DIM
-    if policy.encoding != default_encoding(variant) or policy.sizes[0] != width:
+    sizes = policy.sizes
+    if policy.encoding != default_encoding(variant) or sizes[0] != width or sizes[-1] != len(DEFAULT_ACTIONS):
         raise ValueError(f"policy file {path} is not a {variant} policy of this encoder")
     return policy
-
-
-def behavioral_clone_train(
-    dataset: DemoDataset,
-    train: TrainConfig = TrainConfig(),
-    seed: int = 0,
-) -> PolicyApproximator:
-    """Supervised fit on a fixed expert-generated dataset (the baseline
-    against dataset aggregation)."""
-    if len(dataset) == 0:
-        raise ValueError("behavioral cloning needs a non-empty dataset")
-    X, y = dataset.arrays()
-    approx = PolicyApproximator(
-        _layer_sizes(dataset.n_features, train.hidden),
-        default_encoding(),
-        seed=seed,
-    )
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    approx.fit(X, y, train, rng, steps=_final_steps(train, len(dataset)))
-    return approx
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +622,7 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     enc = default_encoding("levelk")
     names = levelk_feature_names()
     policy = PolicyApproximator(_layer_sizes(len(names), cfg.train.hidden), enc, seed=cfg.seed)
-    dataset = DemoDataset(len(names), names)
+    dataset = DemoDataset(names)
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     history: List[dict] = []
 
@@ -705,7 +674,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     enc = default_encoding("adaptive")
     names = adaptive_feature_names()
     policy = PolicyApproximator(_layer_sizes(len(names), cfg.train.hidden), enc, seed=cfg.seed)
-    dataset = DemoDataset(len(names), names)
+    dataset = DemoDataset(names)
     levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
     history: List[dict] = []
 
@@ -731,7 +700,7 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
             for j in opp_active:
                 chosen[j] = expert_policy(states, j, bg_levels[j], net, cache).action_sequence[0]
             if states[0] is not None:
-                near = near_indices(states, 0, cache.cfg.interaction_radius_m)
+                near = near_indices(states, 0, INTERACTION_RADIUS_M)
                 x = encode_state_adaptive(states, 0, estimate_levels(ego.beliefs, near), net)
                 expert = ego.decide(states, 0, net, cache)
                 guess = int(policy.predict(x[None, :])[0])
@@ -747,34 +716,6 @@ def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
         rate = disagreements / queries if queries else 0.0
         history.append({"episode": n, "dataset": len(dataset), "disagreement": rate, "loss": loss})
     return DaggerResult(policy, dataset, history)
-
-
-def collect_expert_rollouts(
-    n_episodes: int,
-    cfg: DaggerConfig = DaggerConfig(),
-    seed: int = 1,
-) -> DemoDataset:
-    """Expert-driven rollouts labeled at every visited state, for training
-    the cloning baseline on the expert's own distribution."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    names = levelk_feature_names()
-    dataset = DemoDataset(len(names), names)
-    levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
-    for _n, net, states in _episodes(cfg, rng, n_episodes):
-        for _t in range(cfg.t_max):
-            _respawn_terminal(states, net, rng)
-            active = [i for i, s in enumerate(states) if s is not None]
-            cache = PlanCache()
-            chosen = {}
-            for i in active:
-                for k in levels:
-                    enc = encode_state(states, i, k, net)
-                    idx = expert_policy(states, i, k, net, cache).action_sequence[0]
-                    dataset.append(enc, idx)
-                k_t = levels[rng.integers(len(levels))]
-                chosen[i] = expert_policy(states, i, k_t, net, cache).action_sequence[0]
-            _advance(states, chosen, net)
-    return dataset
 
 
 # ---------------------------------------------------------------------------

@@ -14,35 +14,37 @@ a function of the ego input (x, y, theta, speed, phase, goal_ref). A
 search fills the two overlap columns of a copy and sums the node values,
 each with its pose's features and its own speed, depth by depth.
 
-Egos repeat their headings and speeds far more often than their
-positions, so trees share three memoised tables: per action set and
-horizon the structure table (node and depth rows), per heading the
-heading table (each depth's moving-node cos and sin, then every pose
-row's wrapped heading with its cos and sin), and per speed the speed
-table (each depth's clipped node speeds). A tree computes only its
-positions and what follows from them. Plans stay exact: every entry comes
-from the numpy calls, on arrays of the same shapes, that expanding one
-tree on its own makes (the reference in the test suite does), keys are
-bit patterns (float hex, array bytes; 0.0 and -0.0 stay apart), and the
-shared arrays are read-only. The memos are bounded, about 1 MB in all at
-the default actions and horizon.
+The planner has one shape: the action table DEFAULT_ACTIONS, the
+horizon HORIZON_N, the zones DEFAULT_ZONES, the weights DEFAULT_WEIGHTS
+and the radius INTERACTION_RADIUS_M. Egos repeat their headings and
+speeds far more often than their positions, so trees share three
+tables: the structure table (node and depth rows), built once at import,
+and two memos, per heading the heading table (each depth's moving-node
+cos and sin, then every pose row's wrapped heading with its cos and sin)
+and per speed the speed table (each depth's clipped node speeds). A tree
+computes only its positions and what follows from them. Plans stay
+exact: every entry comes from the numpy calls, on arrays of the same
+shapes, that expanding one tree on its own makes (the reference in the
+test suite does), memo keys are bit patterns (float hex; 0.0 and -0.0
+stay apart), and the shared arrays are read-only. The memos are bounded,
+about 1 MB in all.
 
 Every search takes a PlanCache, the planner's one context: it holds the
-config, the finished plans of one joint state by (vehicle, level) and
-the ego trees by ego input. A plan is a pure function of (states,
-vehicle, level, network, config), and an ego tree of (ego input, network,
-config), so every search from the same states under one config may share
-one cache; a search that shares nothing takes a fresh PlanCache().
+finished plans of one joint state by (vehicle, level) and the ego trees
+by ego input. A plan is a pure function of (states, vehicle, level,
+network), and an ego tree of (ego input, network), so every search from
+the same states may share one cache; a search that shares nothing takes
+a fresh PlanCache().
 
 Two culls skip work that cannot change a flag, so plans stay bit-identical.
 A search tests only the opponents whose poses at instants 1..N come within
 the overlap reach of the box around the tree's pose rows: the circumradii
-of the larger zone of each vehicle, plus a 1e-6 m margin (8.352 m for the
-default zones). Rectangles whose centers lie farther apart than their
-circumradii are disjoint, and then SAT finds a separating edge normal, so
-a dropped opponent would have set no flag. A search is thus a function of
-the tree and of the poses of the opponents in reach, and searches that
-differ only in opponents beyond reach share one. Boundary and marking
+of the larger zone of each vehicle, plus a 1e-6 m margin (8.352 m).
+Rectangles whose centers lie farther apart than their circumradii are
+disjoint, and then SAT finds a separating edge normal, so a dropped
+opponent would have set no flag. A search is thus a function of the tree
+and of the poses of the opponents in reach, and searches that differ
+only in opponents beyond reach share one. Boundary and marking
 segments can only hit the c-zone, so a tree keeps a segment only if its
 bounding box meets the box of the pose rows grown by the c-zone's
 circumradius plus the margin: a segment the c-zone of a row touches has a
@@ -63,27 +65,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, ActionSet, VehicleState, rollout
+from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, VehicleState, rollout
 from .dynamics import PHASE_APPROACH, hold_trajectory
 from .geometry import RoadNetwork, wrap_angle_many
-from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, RewardWeights, ZoneSpec, features_many, opponent_features
+from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, features_many, opponent_features
 
 
 K_MAX = 2  # the highest level the expert searches
 BEHAVIORAL_LEVELS: Tuple[int, ...] = (1, 2)  # the levels traffic plays and the adaptive AV estimates
 LAMBDA = 0.8  # discount per planning step
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    horizon_n: int = 4
-    interaction_radius_m: float = 40.0
-    actions: ActionSet = DEFAULT_ACTIONS
-    zones: ZoneSpec = DEFAULT_ZONES
-    weights: RewardWeights = DEFAULT_WEIGHTS
-
-
-DEFAULT_PLANNER = PlannerConfig()
+HORIZON_N = 4  # steps per planned sequence
+INTERACTION_RADIUS_M = 40.0  # vehicles farther from the ego are not opponents
 
 
 @dataclass
@@ -117,33 +109,40 @@ class _EgoTree:
 
 
 class PlanCache(dict):
-    """The planner's context for one joint state: the config in cfg, the
-    finished plans by (vehicle, level), and in trees the ego trees of its
-    searches, by ego input (x, y, theta, speed, phase, goal_ref) rather
-    than by slot."""
+    """The planner's context for one joint state: the finished plans by
+    (vehicle, level), and in trees the ego trees of its searches, by ego
+    input (x, y, theta, speed, phase, goal_ref) rather than by slot."""
 
-    def __init__(self, cfg: PlannerConfig = DEFAULT_PLANNER):
+    def __init__(self):
         super().__init__()
-        self.cfg = cfg
         self.trees: Dict[tuple, _EgoTree] = {}
 
     def tree(self, ego: VehicleState, network: RoadNetwork) -> _EgoTree:
         p = ego.pose
         key = (p.x, p.y, p.theta, ego.speed, ego.phase, ego.goal_ref)
         if key not in self.trees:
-            self.trees[key] = _ego_tree(ego, network, self.cfg)
+            self.trees[key] = _ego_tree(ego, network)
         return self.trees[key]
 
 
 # Slack on the culls' exact reach bounds: far above the rounding of the
 # float geometry, far below any distance that matters on the road.
 _MARGIN_M = 1e-6
+# The culls' reach bounds (see the module doc): the circumradii of the
+# larger zone of each of two vehicles, and the circumradius of a c-zone,
+# each plus the margin. The stage reward weights as one vector.
+_OVERLAP_REACH_M = max(
+    math.hypot(DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width),
+    math.hypot(DEFAULT_ZONES.s_length, DEFAULT_ZONES.s_width),
+) + _MARGIN_M
+_C_ZONE_REACH_M = 0.5 * math.hypot(DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width) + _MARGIN_M
+_WEIGHTS = DEFAULT_WEIGHTS.as_array()
 
 
 def level0_plan(states: List[VehicleState], i: int, network: RoadNetwork, cache: PlanCache) -> PlanResult:
     """Best response against opponents frozen at their current poses."""
-    near = near_indices(states, i, cache.cfg.interaction_radius_m)
-    opp = {j: hold_trajectory(states[j].pose, cache.cfg.horizon_n) for j in near}
+    near = near_indices(states, i, INTERACTION_RADIUS_M)
+    opp = {j: hold_trajectory(states[j].pose, HORIZON_N) for j in near}
     return _best_response(states[i], opp, network, cache)
 
 
@@ -155,7 +154,7 @@ def levelk_plan(states: List[VehicleState], i: int, k: int, network: RoadNetwork
     if k == 0:
         res = level0_plan(states, i, network, cache)
     else:
-        near = near_indices(states, i, cache.cfg.interaction_radius_m)
+        near = near_indices(states, i, INTERACTION_RADIUS_M)
         opp = {}
         for j in near:
             sub = levelk_plan(states, j, k - 1, network, cache)
@@ -199,54 +198,47 @@ def near_indices(states: Sequence[Optional[VehicleState]], i: int, radius: float
 def _best_response(
     ego: VehicleState, opp_trajectories: Dict[int, np.ndarray], network: RoadNetwork, cache: PlanCache
 ) -> PlanResult:
-    cfg = cache.cfg
-    z = cfg.zones
     tree = cache.tree(ego, network)
     # the pose rows of depth tau face the opponents at instant tau + 1
-    opp = np.array([t[1:, :3] for t in opp_trajectories.values()]).reshape(-1, cfg.horizon_n, 3)
-    reach = max(math.hypot(z.c_length, z.c_width), math.hypot(z.s_length, z.s_width)) + _MARGIN_M
+    opp = np.array([t[1:, :3] for t in opp_trajectories.values()]).reshape(-1, HORIZON_N, 3)
     x0, y0, x1, y1 = tree.box
     gx = np.maximum(np.maximum(x0 - opp[..., 0], opp[..., 0] - x1), 0.0)
     gy = np.maximum(np.maximum(y0 - opp[..., 1], opp[..., 1] - y1), 0.0)
-    opp = opp[(np.hypot(gx, gy) <= reach).any(axis=1)]
+    opp = opp[(np.hypot(gx, gy) <= _OVERLAP_REACH_M).any(axis=1)]
     key = opp.tobytes()
     if key not in tree.searched:
         x, y, _, cth, sth = tree.poses
         F = tree.features.copy()
-        opponent_features(F, x, y, cth, sth, opp, tree.depth_rows, z)
-        n_act = len(cfg.actions)
-        w_arr = cfg.weights.as_array()
+        opponent_features(F, x, y, cth, sth, opp, tree.depth_rows)
+        n_act = len(DEFAULT_ACTIONS)
         value = np.zeros(1)
         disc = 1.0
         for rows, speeds in zip(tree.node_rows, tree.node_speeds):
             fv = F[rows]
             fv[:, 5] = speeds
-            value = np.repeat(value, n_act) + disc * (fv @ w_arr)
+            value = np.repeat(value, n_act) + disc * (fv @ _WEIGHTS)
             disc *= LAMBDA
         best = int(np.argmax(value))
-        seq = [int(a) for a in np.unravel_index(best, (n_act,) * cfg.horizon_n)]
-        actions = [cfg.actions[i] for i in seq]
+        seq = [int(a) for a in np.unravel_index(best, (n_act,) * HORIZON_N)]
+        actions = [DEFAULT_ACTIONS[i] for i in seq]
         tree.searched[key] = PlanResult(seq, float(value[best]), rollout(ego.pose, ego.speed, actions))
     return tree.searched[key]
 
 
-def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _EgoTree:
+def _ego_tree(ego: VehicleState, network: RoadNetwork) -> _EgoTree:
     if ego.goal_ref is None:
         raise ValueError("vehicle has no goal lane")
     lay, lane = network.resolve(ego.goal_ref)
-    n = cfg.horizon_n
-    acc, _ = cfg.actions.arrays()
-    om, om_group = cfg.actions.omega_groups
-    n_act, n_om = len(acc), len(om)
-    _, node_rows, depth_rows = _structure_table(om_group.tobytes(), n)
-    CS, PTH, cth, sth = _heading_table(float(ego.pose.theta).hex(), om.tobytes(), om_group.tobytes(), n)
-    V = _speed_table(float(ego.speed).hex(), acc.tobytes(), n)
+    n_act, n_om = len(DEFAULT_ACTIONS), len(_OMEGAS)
+    _, node_rows, depth_rows = _STRUCTURE
+    CS, PTH, cth, sth = _heading_table(float(ego.pose.theta).hex())
+    V = _speed_table(float(ego.speed).hex())
 
     # Move every depth, x and y as the rows of one array. Each pose row of
     # a depth takes its moving node's position, and each child its parent's.
     XY = np.array([[ego.pose.x], [ego.pose.y]])
     moved = []
-    for d in range(n):
+    for d in range(HORIZON_N):
         XY = XY + V[d] * CS[d] * DT_S
         moved.append(np.repeat(XY, n_om, axis=1))
         XY = np.repeat(XY, n_act, axis=1)
@@ -254,22 +246,20 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork, cfg: PlannerConfig) -> _E
     box = (PX.min(), PY.min(), PX.max(), PY.max())
     # Segments the c-zones can touch: a c-zone lies within its circumradius
     # of its row, so a segment it touches meets the rows' box grown by that.
-    z = cfg.zones
-    r = 0.5 * math.hypot(z.c_length, z.c_width) + _MARGIN_M
+    r = _C_ZONE_REACH_M
     grown = np.array([box[0] - r, box[1] - r, box[2] + r, box[3] + r])
     bsegs = _segments_in_box(lay.boundary_segments(), lay.boundary_bounds(), grown)
     msegs = _segments_in_box(lay.marking_segments(), lay.marking_bounds(), grown)
     exiting = (ego.phase != PHASE_APPROACH) & ~_in_core_many(lay, PX, PY)
     F = features_many(
-        PX, PY, PTH, np.zeros(len(PX)), bsegs, msegs, lay.straight_lane_rects(), lane.id,
-        exiting, lane.ref_point, cfg.zones, cth, sth,
+        PX, PY, cth, sth, np.zeros(len(PX)), bsegs, msegs, lay.straight_lane_rects(), lane.id,
+        exiting, lane.ref_point,
     )
     return _EgoTree((PX, PY, PTH, cth, sth), box, depth_rows, node_rows, V[1:], F)
 
 
 # Bounds of the table memos: a heading table holds about 23 kB and a speed
-# table about 12 kB at the default actions and horizon.
-_STRUCTURE_TABLES = 8
+# table about 12 kB.
 _HEADING_TABLES = 32
 _SPEED_TABLES = 16
 
@@ -280,14 +270,11 @@ def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     return arrays
 
 
-@functools.lru_cache(maxsize=_STRUCTURE_TABLES)
-def _structure_table(om_group: bytes, n: int) -> tuple:
-    """(rows, node_rows, depth_rows) of an n-deep tree whose actions take
-    the distinct omegas om_group (the bytes of an intp array). Node
-    k = p*n_act + a of depth d is child a of node p: its pose is row
-    rows[d][k] = p*n_om + om_group[a] of the depth's pose rows, and row
-    node_rows[d][k] of all of them."""
-    group = np.frombuffer(om_group, dtype=np.intp)
+def _structure_table(group: np.ndarray, n: int) -> tuple:
+    """(rows, node_rows, depth_rows) of an n-deep tree whose action a takes
+    the distinct omega group[a]. Node k = p*n_act + a of depth d is child
+    a of node p: its pose is row rows[d][k] = p*n_om + group[a] of the
+    depth's pose rows, and row node_rows[d][k] of all of them."""
     n_act, n_om = len(group), int(group.max()) + 1
     rows, node_rows, depth_rows = [], [], []
     n_rows = 0
@@ -300,32 +287,37 @@ def _structure_table(om_group: bytes, n: int) -> tuple:
     return _frozen(*rows), _frozen(*node_rows), tuple(depth_rows)
 
 
+# what the tree expansion reads of the action table, derived once
+_ACCELS, _ = DEFAULT_ACTIONS.arrays()
+_OMEGAS, _OMEGA_GROUP = DEFAULT_ACTIONS.omega_groups
+_STRUCTURE = _structure_table(_OMEGA_GROUP, HORIZON_N)
+
+
 @functools.lru_cache(maxsize=_HEADING_TABLES)
-def _heading_table(theta: str, om: bytes, om_group: bytes, n: int) -> tuple:
-    """(CS, PTH, cth, sth) of an n-deep tree from the heading whose hex is
-    theta: per depth the cos and sin of the moving nodes' headings as the
-    rows of a (2, P) array, then the wrapped headings of all pose rows with
-    their cos and sin."""
-    rows = _structure_table(om_group, n)[0]
-    om = np.frombuffer(om)
+def _heading_table(theta: str) -> tuple:
+    """(CS, PTH, cth, sth) of a tree from the heading whose hex is theta:
+    per depth the cos and sin of the moving nodes' headings as the rows of
+    a (2, P) array, then the wrapped headings of all pose rows with their
+    cos and sin."""
+    rows = _STRUCTURE[0]
     TH = np.array([float.fromhex(theta)])
     CS, ths = [], []
-    for d in range(n):
+    for d in range(HORIZON_N):
         CS.append(np.stack([np.cos(TH), np.sin(TH)]))
-        ths.append(wrap_angle_many((TH[:, None] + om * DT_S).ravel()))
+        ths.append(wrap_angle_many((TH[:, None] + _OMEGAS * DT_S).ravel()))
         TH = ths[-1][rows[d]]
     PTH = np.concatenate(ths)
     return _frozen(*CS), *_frozen(PTH, np.cos(PTH), np.sin(PTH))
 
 
 @functools.lru_cache(maxsize=_SPEED_TABLES)
-def _speed_table(speed: str, acc: bytes, n: int) -> tuple:
-    """The node speeds of depths 0..n of a tree from the speed whose hex
-    is speed: the root's, then each depth's, clipped to [0, V_MAX]."""
-    acc = np.frombuffer(acc)
+def _speed_table(speed: str) -> tuple:
+    """The node speeds of depths 0..HORIZON_N of a tree from the speed
+    whose hex is speed: the root's, then each depth's, clipped to
+    [0, V_MAX]."""
     V = [np.array([float.fromhex(speed)])]
-    for _ in range(n):
-        V.append(np.clip((V[-1][:, None] + acc * DT_S).ravel(), 0.0, V_MAX))
+    for _ in range(HORIZON_N):
+        V.append(np.clip((V[-1][:, None] + _ACCELS * DT_S).ravel(), 0.0, V_MAX))
     return _frozen(*V)
 
 

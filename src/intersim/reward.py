@@ -94,13 +94,13 @@ def features(
     ref_point: Tuple[float, float],
     exiting: bool = False,
     target_lane: Optional[str] = None,
-    zones: ZoneSpec = DEFAULT_ZONES,
 ) -> FeatureVector:
     """Scalar feature evaluation for one state.
 
     others are the poses of vehicles under consideration at the same time
     instant; call sites filter them to the interaction radius.
     """
+    zones = DEFAULT_ZONES
     cz = zones.c_zone(pose)
     sz = zones.s_zone(pose)
 
@@ -143,7 +143,8 @@ def _any_segment_hits(segs: np.ndarray, rect: OrientedRect) -> bool:
 def features_many(
     x: np.ndarray,
     y: np.ndarray,
-    theta: np.ndarray,
+    cth: np.ndarray,
+    sth: np.ndarray,
     v: np.ndarray,
     boundary_segs: np.ndarray,
     marking_segs: np.ndarray,
@@ -151,18 +152,14 @@ def features_many(
     target_lane: Optional[str],
     exiting_mask: np.ndarray,
     ref_point: Tuple[float, float],
-    zones: ZoneSpec = DEFAULT_ZONES,
-    cth: Optional[np.ndarray] = None,
-    sth: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Opponent-free feature matrix (B, 6) for B candidate ego states: the
-    overlap columns 0 and 3 are 0, and opponent_features fills them. cth
-    and sth, when given, are cos and sin of theta.
+    """Opponent-free feature matrix (B, 6) for B candidate ego states at
+    (x, y) with heading cos and sin cth, sth: the overlap columns 0 and 3
+    are 0, and opponent_features fills them.
     """
+    zones = DEFAULT_ZONES
     B = x.shape[0]
     out = np.zeros((B, 6))
-    if cth is None:
-        cth, sth = np.cos(theta), np.sin(theta)
 
     # one clip pass over boundaries and markings together
     nb = len(boundary_segs)
@@ -173,7 +170,7 @@ def features_many(
     )
     lane_bad = np.zeros(B, dtype=bool)
     if len(segs):
-        hits = segments_hit_rects_matrix(segs, x, y, theta, zones.c_length, zones.c_width, cth, sth)
+        hits = segments_hit_rects_matrix(segs, x, y, cth, sth, zones.c_length, zones.c_width)
         if nb:
             out[:, 1] = np.where(hits[:, :nb].any(axis=1), -1.0, 0.0)
         if hits.shape[1] > nb:
@@ -186,7 +183,7 @@ def features_many(
                 if lid == target_lane:
                     continue
                 wrong |= overlap_rects_one_many(
-                    x[sub], y[sub], theta[sub], zones.c_length, zones.c_width, rect, cth[sub], sth[sub]
+                    x[sub], y[sub], cth[sub], sth[sub], zones.c_length, zones.c_width, rect
                 )
             lane_bad[sub] |= wrong
     out[:, 2] = np.where(lane_bad, -1.0, 0.0)
@@ -196,7 +193,7 @@ def features_many(
     return out
 
 
-def opponent_features(out, x, y, cth, sth, opp_states: np.ndarray, counts, zones: ZoneSpec) -> None:
+def opponent_features(out, x, y, cth, sth, opp_states: np.ndarray, counts) -> None:
     """Fills the overlap columns 0 (collision zones) and 3 (safe zones) of
     the feature matrix out for the rows at (x, y) with heading cos and sin
     cth, sth, in one overlap_rects_group pass over both zone sizes.
@@ -205,6 +202,7 @@ def opponent_features(out, x, y, cth, sth, opp_states: np.ndarray, counts, zones
     t. Without opponents no kernel runs and the columns keep their values."""
     if not len(opp_states):
         return
+    zones = DEFAULT_ZONES
     sizes = ((zones.c_length, zones.c_width), (zones.s_length, zones.s_width))
     hit_c, hit_s = overlap_rects_group(x, y, cth, sth, counts, opp_states, sizes)
     out[:, 0] = np.where(hit_c, -1.0, 0.0)

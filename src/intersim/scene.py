@@ -7,11 +7,10 @@ re-initialized at a fresh entrance (the training-loop semantics, kept
 during evaluation so traffic density stays constant); the vehicle under
 test terminates the episode instead.
 
-Each tick owns one plan cache (planner.PlanCache), which also carries
-the planner config. The traffic policy, the AV's decision and the AV's
-belief observation all plan from s_t, so a level-k best response searched
-by one of them is reused by the others instead of searched again. The
-cache also holds the tick's ego trees, keyed by ego input (x, y, theta,
+Each tick owns one plan cache (planner.PlanCache). The traffic policy,
+the AV's decision and the AV's belief observation all plan from s_t, so
+a level-k best response searched by one of them is reused by the others
+instead of searched again. The cache also holds the tick's ego trees, keyed by ego input (x, y, theta,
 speed, phase, goal_ref), so every search from one vehicle's state, the
 AV's own best response included, expands and scores the ego side once.
 The cache holds plans of s_t only and is dropped when the tick ends.
@@ -227,7 +226,7 @@ class TrafficPolicy:
     ) -> Dict[int, int]:
         """Action index per vehicle in indices. plans is the tick's plan
         cache: it holds plans of these states only, and a policy that
-        searches reads and adds its plans there, under plans.cfg."""
+        searches reads and adds its plans there."""
         raise NotImplementedError
 
 

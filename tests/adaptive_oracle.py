@@ -16,8 +16,8 @@ from intersim.controllers import (
     estimate_level,
     update_beliefs,
 )
-from intersim.dynamics import step
-from intersim.planner import best_response, level0_plan, near_indices
+from intersim.dynamics import DEFAULT_ACTIONS, step
+from intersim.planner import HORIZON_N, INTERACTION_RADIUS_M, best_response, level0_plan, near_indices
 
 
 def batched(predict_row):
@@ -31,40 +31,40 @@ def batched(predict_row):
     return predictor
 
 
-def rollout_per_row(states, opponents, estimates, network, cfg, predict_row):
+def rollout_per_row(states, opponents, estimates, network, predict_row):
     """Joint N-step opponent rollout, one query per opponent and step."""
     cur = [s.copy() if s is not None else None for s in states]
     trajs = {}
     for j in opponents:
-        tr = np.empty((cfg.horizon_n + 1, 4))
+        tr = np.empty((HORIZON_N + 1, 4))
         st = cur[j]
         tr[0] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
         trajs[j] = tr
-    for tau in range(1, cfg.horizon_n + 1):
+    for tau in range(1, HORIZON_N + 1):
         picked = {j: predict_row(cur, j, estimates[j], network) for j in opponents}
         for j in opponents:
             st = cur[j]
-            st.pose, st.speed = step(st.pose, st.speed, cfg.actions[picked[j]])
+            st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[picked[j]])
             trajs[j][tau] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
     return trajs
 
 
-def observe_per_row(av, prev_states, actions, network, cfg, predict_row) -> None:
+def observe_per_row(av, prev_states, actions, network, predict_row) -> None:
     """The belief update of AdaptiveController.observe, one query per
-    (opponent, level), under planner config cfg; it also raises the
-    PerRowAdaptive av's peak of each opponent it updates."""
+    (opponent, level); it also raises the PerRowAdaptive av's peak of each
+    opponent it updates."""
     if av._ego is None or prev_states[av._ego] is None:
         return
-    near = set(near_indices(prev_states, av._ego, cfg.interaction_radius_m))
+    near = set(near_indices(prev_states, av._ego, INTERACTION_RADIUS_M))
     snapshot = list(prev_states)
     for j, a_idx in actions.items():
         if j == av._ego or j not in near:
             continue
         preds: Dict[int, Tuple[float, float]] = {}
         for k in av.beliefs.model_set:
-            act = cfg.actions[predict_row(snapshot, j, k, network)]
+            act = DEFAULT_ACTIONS[predict_row(snapshot, j, k, network)]
             preds[k] = (act.accel, act.omega)
-        obs_act = cfg.actions[a_idx]
+        obs_act = DEFAULT_ACTIONS[a_idx]
         av.beliefs = update_beliefs(av.beliefs, j, (obs_act.accel, obs_act.omega), preds)
         p = av.beliefs.vec(j)
         av.peak[j] = np.maximum(av.peak.get(j, p), p)
@@ -84,17 +84,17 @@ class PerRowAdaptive(AdaptiveController):
 
     def decide(self, states, i, network, plans):
         self._ego = i
-        near = near_indices(states, i, plans.cfg.interaction_radius_m)
+        near = near_indices(states, i, INTERACTION_RADIUS_M)
         if not near:
             return level0_plan(list(states), i, network, plans).action_sequence[0]
         estimates = {
             j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
         }
-        opp = rollout_per_row(states, near, estimates, network, plans.cfg, self.predict_row)
+        opp = rollout_per_row(states, near, estimates, network, self.predict_row)
         return best_response(states[i], opp, network, plans).action_sequence[0]
 
     def observe(self, prev_states, actions, network, plans):
-        observe_per_row(self, prev_states, actions, network, plans.cfg, self.predict_row)
+        observe_per_row(self, prev_states, actions, network, self.predict_row)
 
     def reset_belief(self, i):
         if i in self.peak:
@@ -120,7 +120,7 @@ class PerRowDistilledAdaptive(PerRowAdaptive):
 
     def decide(self, states, i, network, plans):
         self._ego = i
-        near = near_indices(states, i, plans.cfg.interaction_radius_m)
+        near = near_indices(states, i, INTERACTION_RADIUS_M)
         estimates = {
             j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
         }

@@ -21,12 +21,13 @@ import numpy as np
 from intersim import dynamics as dyn
 from intersim import geometry as geo
 from intersim import reward as rw
-from intersim.dynamics import Pose2, VehicleState
-from intersim.planner import LAMBDA, PlannerConfig
+from intersim.dynamics import DEFAULT_ACTIONS, Pose2, VehicleState
+from intersim.planner import HORIZON_N, INTERACTION_RADIUS_M, LAMBDA
 
 
-def exhaustive_plan(states, i, k, network, cfg, cache=None):
-    """Returns (action index sequence, value) for vehicle i planning at level k."""
+def exhaustive_plan(states, i, k, network, n=HORIZON_N, actions=DEFAULT_ACTIONS, cache=None):
+    """Returns (action index sequence, value) for vehicle i planning at
+    level k, n steps deep over the action table actions."""
     if cache is None:
         cache = {}
     if (i, k) in cache:
@@ -38,19 +39,18 @@ def exhaustive_plan(states, i, k, network, cfg, cache=None):
         if j != i
         and states[j] is not None
         and math.hypot(states[j].pose.x - ego.pose.x, states[j].pose.y - ego.pose.y)
-        <= cfg.interaction_radius_m
+        <= INTERACTION_RADIUS_M
     ]
-    n = cfg.horizon_n
     opp_traj = {}
     for j in near:
         if k == 0:
             opp_traj[j] = [states[j].pose] * (n + 1)
         else:
-            sub_seq, _ = exhaustive_plan(states, j, k - 1, network, cfg, cache)
+            sub_seq, _ = exhaustive_plan(states, j, k - 1, network, n, actions, cache)
             poses = [states[j].pose]
             p, v = states[j].pose, states[j].speed
             for ai in sub_seq:
-                p, v = dyn.step(p, v, cfg.actions[ai])
+                p, v = dyn.step(p, v, actions[ai])
                 poses.append(p)
             opp_traj[j] = poses
 
@@ -58,17 +58,15 @@ def exhaustive_plan(states, i, k, network, cfg, cache=None):
     ref = lane.ref_point
     may_exit = ego.phase != dyn.PHASE_APPROACH
     best_seq, best_val = None, -math.inf
-    for seq in itertools.product(range(len(cfg.actions)), repeat=n):
+    for seq in itertools.product(range(len(actions)), repeat=n):
         p, v = ego.pose, ego.speed
         total, f = 0.0, 1.0
         for tau, ai in enumerate(seq):
-            p, v = dyn.step(p, v, cfg.actions[ai])
+            p, v = dyn.step(p, v, actions[ai])
             others = [opp_traj[j][tau + 1] for j in near]
             exiting = may_exit and not lay.in_core(p.x, p.y)
-            fv = rw.features(
-                p, v, others, lay, ref, exiting=exiting, target_lane=lane.id, zones=cfg.zones
-            )
-            total += f * reward(fv, cfg.weights)
+            fv = rw.features(p, v, others, lay, ref, exiting=exiting, target_lane=lane.id)
+            total += f * reward(fv)
             f *= LAMBDA
         if total > best_val:
             best_seq, best_val = list(seq), total
@@ -163,20 +161,21 @@ def repeat_per_row_overlap(x, y, cth, sth, length, width, others):
     return (~sep).any(axis=0)
 
 
-def repeat_per_row_search(tree, ego, opp_trajectories, cfg):
+def repeat_per_row_search(tree, ego, opp_trajectories, n=HORIZON_N, actions=DEFAULT_ACTIONS):
     """Overlap columns (rows, 2) and (sequence, value, trajectory) of the
-    best response from a planner ego tree, with every opponent tested
-    against every pose row and its pose repeated per row."""
+    best response from a planner ego tree n steps deep over the action
+    table actions, with every opponent tested against every pose row and
+    its pose repeated per row."""
     F = tree.features.copy()
     if opp_trajectories:
         opp = np.stack([t[1:, :3] for t in opp_trajectories.values()])
         rows = np.repeat(opp, tree.depth_rows, axis=1)
         x, y, _, cth, sth = tree.poses
-        z = cfg.zones
+        z = rw.DEFAULT_ZONES
         for col, (length, width) in ((0, (z.c_length, z.c_width)), (3, (z.s_length, z.s_width))):
             hit = repeat_per_row_overlap(x, y, cth, sth, length, width, rows)
             F[:, col] = np.where(hit, -1.0, 0.0)
-    n_act, w = len(cfg.actions), cfg.weights.as_array()
+    n_act, w = len(actions), rw.DEFAULT_WEIGHTS.as_array()
     value, disc = np.zeros(1), 1.0
     for rows, speeds in zip(tree.node_rows, tree.node_speeds):
         fv = F[rows]
@@ -184,8 +183,8 @@ def repeat_per_row_search(tree, ego, opp_trajectories, cfg):
         value = np.repeat(value, n_act) + disc * (fv @ w)
         disc *= LAMBDA
     best = int(np.argmax(value))
-    seq = [int(a) for a in np.unravel_index(best, (n_act,) * cfg.horizon_n)]
-    traj = dyn.rollout(ego.pose, ego.speed, [cfg.actions[a] for a in seq])
+    seq = [int(a) for a in np.unravel_index(best, (n_act,) * n)]
+    traj = dyn.rollout(ego.pose, ego.speed, [actions[a] for a in seq])
     return F[:, [0, 3]], (seq, float(value[best]), traj)
 
 
@@ -193,18 +192,19 @@ def repeat_per_row_search(tree, ego, opp_trajectories, cfg):
 # the ego tree before the box cull of segments
 
 
-def disk_cull_tree(ego, network, cfg: PlannerConfig):
+def disk_cull_tree(ego, network, n=HORIZON_N, actions=DEFAULT_ACTIONS):
     """(poses, box, depth_rows, node_rows, node_speeds, features) of the
-    planner's ego tree as built before the box cull: boundary and marking
+    planner's ego tree, n steps deep over the action table actions, as
+    built before the box cull and the shared tables: boundary and marking
     segments within a disk of n * dt * max(speed, v_max) plus the c-zone
     circumradius plus 1e-6 m around the ego, hit-tested with the rows
     broadcast against the segments."""
     lay, lane = network.resolve(ego.goal_ref)
-    n, dt = cfg.horizon_n, dyn.DT_S
-    acc, _ = cfg.actions.arrays()
-    om, om_group = cfg.actions.omega_groups
+    dt = dyn.DT_S
+    acc, _ = actions.arrays()
+    om, om_group = actions.omega_groups
     n_act, n_om = len(acc), len(om)
-    z = cfg.zones
+    z = rw.DEFAULT_ZONES
     reach = n * dt * max(ego.speed, dyn.V_MAX) + 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
     bsegs = segments_near_point(lay.boundary_segments(), ego.pose.x, ego.pose.y, reach)
     msegs = segments_near_point(lay.marking_segments(), ego.pose.x, ego.pose.y, reach)
@@ -233,8 +233,8 @@ def disk_cull_tree(ego, network, cfg: PlannerConfig):
     exiting = np.array([may_exit and not lay.in_core(x, y) for x, y in zip(PX, PY)], dtype=bool)
     # the segment-free columns, then the boundary and marking terms
     F = rw.features_many(
-        PX, PY, PTH, np.zeros(n_rows), np.zeros((0, 4)), np.zeros((0, 4)), lay.straight_lane_rects(),
-        lane.id, exiting, lane.ref_point, z, cth, sth,
+        PX, PY, cth, sth, np.zeros(n_rows), np.zeros((0, 4)), np.zeros((0, 4)), lay.straight_lane_rects(),
+        lane.id, exiting, lane.ref_point,
     )
     hit_b = rows_by_segments_hit_matrix(bsegs, PX, PY, cth, sth, z.c_length, z.c_width).any(axis=1)
     hit_m = rows_by_segments_hit_matrix(msegs, PX, PY, cth, sth, z.c_length, z.c_width).any(axis=1)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from intersim import harness
-from intersim.cli import main
+from intersim.cli import _build_parser, _spec_from_args, main
+from intersim.controllers import BETA, RC_M
 from intersim.harness import REPORT_COLUMNS, EvalSpec, run_one
 from intersim.imitation import (
     ADAPTIVE_DIM,
@@ -24,7 +25,7 @@ FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / 
 @pytest.fixture(scope="module")
 def policy_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("pol") / "policy.json"
-    PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=4).save(str(path))
+    PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding("levelk"), seed=4).save(str(path))
     return str(path)
 
 
@@ -104,12 +105,35 @@ def test_unknown_config_key_exits_one(tmp_path, policy_file, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
-def test_zero_episodes_exits_one(tmp_path, policy_file, capsys):
-    code = main(
-        ["simulate", *_fast(policy_file, tmp_path), "--episodes", "0"]
-    )
-    assert code == 1
-    capsys.readouterr()
+def _count_loads(monkeypatch):
+    """The path of every PolicyApproximator.load call from here on."""
+    loads = []
+    load = PolicyApproximator.load.__func__
+
+    def counted_load(cls, path):
+        loads.append(path)
+        return load(cls, path)
+
+    monkeypatch.setattr(PolicyApproximator, "load", classmethod(counted_load))
+    return loads
+
+
+def test_zero_episodes_exits_one(tmp_path, monkeypatch, capsys):
+    # the count is checked before the network is built or the policy read
+    loads = _count_loads(monkeypatch)
+    for command in ("simulate", "evaluate", "calibrate"):
+        code = main([command, *_fast(FIXTURE, tmp_path), "--episodes", "0"])
+        assert code == 1
+        assert "--episodes must be at least 1" in capsys.readouterr().err
+    assert loads == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])
+def test_default_flags_carry_the_library_defaults(command):
+    args = _build_parser().parse_args([command, "--scene", "fourway"])
+    spec = _spec_from_args(args, {})
+    assert (spec.rc_m, spec.beta) == (RC_M, BETA)
+    assert args.episodes == (1 if command == "simulate" else 200)
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +157,13 @@ def test_simulate_writes_logs_and_summary(tmp_path, policy_file, capsys):
 
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_simulate_builds_once_and_logs_as_fresh_episodes(tmp_path, policy_file, monkeypatch, episodes, capsys):
-    loads, builds = [], []
-    load, build = PolicyApproximator.load.__func__, harness.build_network
-
-    def counted_load(cls, path):
-        loads.append(path)
-        return load(cls, path)
+    loads, builds = _count_loads(monkeypatch), []
+    build = harness.build_network
 
     def counted_build(spec):
         builds.append(spec)
         return build(spec)
 
-    monkeypatch.setattr(PolicyApproximator, "load", classmethod(counted_load))
     monkeypatch.setattr(harness, "build_network", counted_build)
     code = main(["simulate", *_fast(policy_file, tmp_path), "--episodes", str(episodes), "--seed", "5"])
     assert code == 0
@@ -152,7 +171,7 @@ def test_simulate_builds_once_and_logs_as_fresh_episodes(tmp_path, policy_file, 
     assert loads == [policy_file] and len(builds) == 1
     # sharing the built network and policy leaves every episode as a fresh one
     spec = EvalSpec(scene="fourway", n_vehicles=2, av=None, policy_file=policy_file, t_limit_s=5.0)
-    _, log, _ = run_one(spec, (5, episodes - 1), collect_log=True)
+    _, log, _ = run_one(spec, (5, episodes - 1), harness._Built(spec), collect_log=True)
     assert (tmp_path / f"episode_{episodes - 1:04d}.ndjson").read_text() == "".join(line + "\n" for line in log)
 
 
@@ -515,7 +534,7 @@ def _policy_of_another_encoder(path, case):
         PolicyApproximator([ADAPTIVE_DIM, 8, 6], default_encoding("adaptive"), seed=1).save(str(path))
     else:  # m_near-4: the width an encoder of 4 slots reads
         width = LEVELK_DIM - 2 * SLOT_WIDTH
-        PolicyApproximator([width, 8, 6], {**default_encoding(), "m_near": 4}, seed=1).save(str(path))
+        PolicyApproximator([width, 8, 6], {**default_encoding("levelk"), "m_near": 4}, seed=1).save(str(path))
     return str(path)
 
 
@@ -539,6 +558,22 @@ def test_policy_file_of_another_encoder_exits_one(tmp_path, command, case, capsy
     )
     assert code == 1
     assert f"policy file {bad} is not a" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+@pytest.mark.parametrize("n_out", [7, 5])
+def test_policy_file_of_another_action_count_exits_one(tmp_path, command, n_out, capsys):
+    """A policy must score each action of the table: set-up refuses one
+    with more outputs (an index past the table) or fewer (an action it can
+    never pick), before any output."""
+    policy = tmp_path / "other.json"
+    PolicyApproximator([LEVELK_DIM, 8, n_out], default_encoding("levelk"), seed=1).save(str(policy))
+    out = tmp_path / "out"
+    code = main([command, "--scene", "fourway", "--av", "level1", "--episodes", "2",
+                 "--policy-file", str(policy), "--out", str(out)])
+    assert code == 1
+    assert f"policy file {policy} is not a levelk policy" in capsys.readouterr().err
     assert not out.exists()
 
 

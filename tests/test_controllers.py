@@ -20,6 +20,7 @@ from intersim import dynamics as dyn
 from intersim import reward as rw
 from intersim.controllers import (
     ACCEL_SET,
+    RC_M,
     AdaptiveController,
     BeliefState,
     DistilledAdaptiveController,
@@ -39,7 +40,16 @@ from intersim.controllers import (
 )
 from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState
 from intersim.geometry import make_city, single_network
-from intersim.planner import DEFAULT_PLANNER, LAMBDA, PlanCache, level0_plan, levelk_plan, near_indices
+from intersim.planner import (
+    BEHAVIORAL_LEVELS,
+    HORIZON_N,
+    INTERACTION_RADIUS_M,
+    LAMBDA,
+    PlanCache,
+    level0_plan,
+    levelk_plan,
+    near_indices,
+)
 from intersim.scene import SceneConfig, TrafficPolicy, init_episode, sim_step
 
 
@@ -115,10 +125,10 @@ def test_consistent_observations_converge_monotonically():
 
 
 def test_estimate_level_thresholds_and_tie():
-    assert estimate_level(np.array([0.38, 0.62])) == 2
-    assert estimate_level(np.array([0.62, 0.38])) == 1
+    assert estimate_level(np.array([0.38, 0.62]), BEHAVIORAL_LEVELS) == 2
+    assert estimate_level(np.array([0.62, 0.38]), BEHAVIORAL_LEVELS) == 1
     # exact tie goes to the higher level (undecided reads as aggressive)
-    assert estimate_level(np.array([0.5, 0.5])) == 2
+    assert estimate_level(np.array([0.5, 0.5]), BEHAVIORAL_LEVELS) == 2
     b = BeliefState()
     b.table[7] = np.array([0.9, 0.1])
     # an opponent not tracked yet starts uniform, so it reads as level 2
@@ -161,7 +171,7 @@ def test_adaptive_is_best_response_to_the_estimated_level():
     states, net = _crossing_scene()
     for level in (1, 2):
         res = adaptive_plan(states, 0, _saturated({1: level}), net, PlanCache())
-        seq, val = exhaustive_plan(states, 0, level + 1, net, DEFAULT_PLANNER)
+        seq, val = exhaustive_plan(states, 0, level + 1, net)
         assert res.action_sequence == seq
         assert res.value == pytest.approx(val, rel=1e-9, abs=1e-9)
 
@@ -179,29 +189,28 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
     beliefs = _saturated({1: 1, 2: 2})
     res = adaptive_plan(states, 0, beliefs, net, PlanCache())
 
-    cfg = DEFAULT_PLANNER
     opp_traj = {}
     for j, level in ((1, 1), (2, 2)):
-        seq, _ = exhaustive_plan(states, j, level, net, cfg)
+        seq, _ = exhaustive_plan(states, j, level, net)
         poses = [states[j].pose]
         p, v = states[j].pose, states[j].speed
         for ai in seq:
-            p, v = dyn.step(p, v, cfg.actions[ai])
+            p, v = dyn.step(p, v, DEFAULT_ACTIONS[ai])
             poses.append(p)
         opp_traj[j] = poses
     lay, lane = net.resolve(states[0].goal_ref)
     best_seq, best_val = None, -math.inf
-    for seq in itertools.product(range(len(cfg.actions)), repeat=cfg.horizon_n):
+    for seq in itertools.product(range(len(DEFAULT_ACTIONS)), repeat=HORIZON_N):
         p, v = states[0].pose, states[0].speed
         total, f = 0.0, 1.0
         for tau, ai in enumerate(seq):
-            p, v = dyn.step(p, v, cfg.actions[ai])
+            p, v = dyn.step(p, v, DEFAULT_ACTIONS[ai])
             others = [opp_traj[j][tau + 1] for j in (1, 2)]
             fv = rw.features(
                 p, v, others, lay, lane.ref_point,
-                exiting=False, target_lane=lane.id, zones=cfg.zones,
+                exiting=False, target_lane=lane.id,
             )
-            total += f * reward(fv, cfg.weights)
+            total += f * reward(fv)
             f *= LAMBDA
         if total > best_val:
             best_seq, best_val = list(seq), total
@@ -330,16 +339,15 @@ def test_predictor_rollout_matches_per_row_rollout():
     for seed in range(2):
         _toy_episode(Recording(_toy_row), seed)
     rng = np.random.default_rng(8)
-    cfg = DEFAULT_PLANNER
     seen = 0
     for states in snaps:
         for i in (i for i, st in enumerate(states) if st is not None):
-            near = near_indices(states, i, cfg.interaction_radius_m)
+            near = near_indices(states, i, INTERACTION_RADIUS_M)
             if len(near) < 2:
                 continue
             est = {j: int(rng.integers(1, 3)) for j in near}
-            got = controllers.predictor_rollout(states, near, est, _FOURWAY, cfg, batched(_toy_row))
-            want = rollout_per_row(states, near, est, _FOURWAY, cfg, _toy_row)
+            got = controllers.predictor_rollout(states, near, est, _FOURWAY, batched(_toy_row))
+            want = rollout_per_row(states, near, est, _FOURWAY, _toy_row)
             assert got.keys() == want.keys()
             for j in near:
                 assert np.array_equal(got[j], want[j])
@@ -358,15 +366,15 @@ def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
         def decide(self, states, i, network, plans):
             n0 = len(calls)
             a = super().decide(states, i, network, plans)
-            n_near = len(near_indices(states, i, plans.cfg.interaction_radius_m))
-            assert calls[n0:] == ([n_near] * plans.cfg.horizon_n if n_near else [])
+            n_near = len(near_indices(states, i, INTERACTION_RADIUS_M))
+            assert calls[n0:] == ([n_near] * HORIZON_N if n_near else [])
             stats["rollouts"] += n_near > 0
             return a
 
         def observe(self, prev_states, actions, network, plans):
             n0 = len(calls)
             super().observe(prev_states, actions, network, plans)
-            near = near_indices(prev_states, self._ego, plans.cfg.interaction_radius_m)
+            near = near_indices(prev_states, self._ego, INTERACTION_RADIUS_M)
             n_opp = sum(j != self._ego and j in near for j in actions)
             assert calls[n0:] == ([n_opp * len(self.beliefs.model_set)] if n_opp else [])
             stats["observes"] += n_opp > 0
@@ -527,27 +535,27 @@ def test_conflict_requires_crossing_and_proximity():
         0: np.array([[0.0, 0.0], [20.0, 0.0]]),
         1: np.array([[5.0, -5.0], [5.0, 15.0]]),
     }
-    assert conflict_set(states, 0, crossing) == [1]
+    assert conflict_set(states, 0, crossing, RC_M) == [1]
     # same crossing geometry but the opponent sits 20 m out: proximity fails
     far = [_plain_state(0.0, 0.0, 0.0), _plain_state(20.0, -5.0, math.pi / 2)]
     crossing_far = {
         0: np.array([[0.0, 0.0], [30.0, 0.0]]),
         1: np.array([[20.0, -5.0], [20.0, 15.0]]),
     }
-    assert conflict_set(far, 0, crossing_far) == []
+    assert conflict_set(far, 0, crossing_far, RC_M) == []
     # parallel paths 3 m apart never cross: the path condition fails
     parallel = [_plain_state(0.0, 0.0, 0.0), _plain_state(0.0, 3.0, 0.0)]
     lanes = {
         0: np.array([[0.0, 0.0], [20.0, 0.0]]),
         1: np.array([[0.0, 3.0], [20.0, 3.0]]),
     }
-    assert conflict_set(parallel, 0, lanes) == []
+    assert conflict_set(parallel, 0, lanes, RC_M) == []
 
 
 def test_empty_conflict_set_takes_the_largest_acceleration():
     states = [_plain_state(0.0, 0.0, 0.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
-    assert rule_based_action(states, 0, path, {}) == 2.5
+    assert rule_based_action(states, 0, path, {}, RC_M, 0.0) == 2.5
 
 
 def test_head_on_conflict_brakes_hard():
@@ -556,7 +564,7 @@ def test_head_on_conflict_brakes_hard():
     states = [_plain_state(0.0, 0.0, 0.0, v=3.0), _plain_state(9.0, 0.0, math.pi, v=3.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[9.0, 0.0], [-10.0, 0.0]])}
-    assert rule_based_action(states, 0, path, opp) == -5.0
+    assert rule_based_action(states, 0, path, opp, RC_M, 0.0) == -5.0
 
 
 def test_receding_conflict_behind_accelerates():
@@ -565,7 +573,7 @@ def test_receding_conflict_behind_accelerates():
     states = [_plain_state(0.0, 0.0, 0.0, v=3.0), _plain_state(-6.0, 0.0, math.pi, v=3.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[-6.0, 0.0], [1.0, 0.0]])}
-    assert rule_based_action(states, 0, path, opp) == 2.5
+    assert rule_based_action(states, 0, path, opp, RC_M, 0.0) == 2.5
 
 
 def test_rule_output_always_in_the_acceleration_set():
@@ -581,7 +589,7 @@ def test_rule_output_always_in_the_acceleration_set():
             opp_paths[j] = np.array(
                 [[x, y], [x + 25 * math.cos(th), y + 25 * math.sin(th)]]
             )
-        a = rule_based_action(states, 0, path, opp_paths)
+        a = rule_based_action(states, 0, path, opp_paths, RC_M, 0.0)
         assert a in ACCEL_SET
 
 
@@ -589,7 +597,7 @@ def test_vanishing_radius_empties_the_conflict_set():
     states = [_plain_state(0.0, 0.0, 0.0, v=3.0), _plain_state(4.0, 0.0, math.pi, v=3.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[4.0, 0.0], [-10.0, 0.0]])}
-    assert rule_based_action(states, 0, path, opp, 1e-9) == max(ACCEL_SET)
+    assert rule_based_action(states, 0, path, opp, 1e-9, 0.0) == max(ACCEL_SET)
 
 
 def test_tie_goes_to_the_smaller_acceleration():
@@ -600,7 +608,7 @@ def test_tie_goes_to_the_smaller_acceleration():
     states = [_plain_state(0.0, 0.0, 0.0, v=0.0), _plain_state(1.0, 0.0, 0.0, v=0.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[1.0, 0.0], [20.0, 0.0]])}
-    assert rule_based_action(states, 0, path, opp) == -5.0
+    assert rule_based_action(states, 0, path, opp, RC_M, 0.0) == -5.0
 
 
 def test_rule_based_controller_tracks_its_reference_path():

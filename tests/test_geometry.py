@@ -156,7 +156,7 @@ def test_overlap_batch_matches_scalar():
     cx = rng.uniform(-10, 10, B)
     cy = rng.uniform(-10, 10, B)
     th = rng.uniform(-math.pi, math.pi, B)
-    got = geo.overlap_rects_one_many(cx, cy, th, 5.0, 2.0, other)
+    got = geo.overlap_rects_one_many(cx, cy, np.cos(th), np.sin(th), 5.0, 2.0, other)
     want = np.array(
         [geo.rects_overlap(geo.OrientedRect(cx[i], cy[i], 5.0, 2.0, th[i]), other) for i in range(B)]
     )
@@ -168,6 +168,7 @@ def test_overlap_batch_touching_counts():
     got = geo.overlap_rects_one_many(
         np.array([0.0, 0.0, 0.0]),
         np.array([0.0, 2.0, 2.0001]),
+        np.ones(3),
         np.zeros(3),
         4.0,
         2.0,
@@ -280,7 +281,8 @@ def test_segment_hit_matrix_matches_scalar_in_either_orientation(B, S):
     cx, cy = rng.uniform(-8, 8, B), rng.uniform(-8, 8, B)
     th = rng.uniform(-math.pi, math.pi, B)
     th[::2] = np.resize([0.0, math.pi / 2, math.pi, -math.pi / 2], th[::2].shape)  # axis-aligned rectangles
-    got = geo.segments_hit_rects_matrix(segs, cx, cy, th, 5.0, 2.0)
+    c, s = np.cos(th), np.sin(th)
+    got = geo.segments_hit_rects_matrix(segs, cx, cy, c, s, 5.0, 2.0)
     assert got.shape == (B, S) and got.dtype == bool
     for b in range(B):
         rect = geo.OrientedRect(cx[b], cy[b], 5.0, 2.0, th[b])
@@ -288,8 +290,8 @@ def test_segment_hit_matrix_matches_scalar_in_either_orientation(B, S):
             assert got[b, k] == geo.segment_intersects_rect(seg[:2], seg[2:], rect), (b, k)
     # one row at a time (B = 1 <= S) and one segment at a time (B >= S = 1)
     # take the other orientation whenever B and S differ
-    by_row = [geo.segments_hit_rects_matrix(segs, cx[[b]], cy[[b]], th[[b]], 5.0, 2.0) for b in range(B)]
-    by_seg = [geo.segments_hit_rects_matrix(segs[[k]], cx, cy, th, 5.0, 2.0) for k in range(S)]
+    by_row = [geo.segments_hit_rects_matrix(segs, cx[[b]], cy[[b]], c[[b]], s[[b]], 5.0, 2.0) for b in range(B)]
+    by_seg = [geo.segments_hit_rects_matrix(segs[[k]], cx, cy, c, s, 5.0, 2.0) for k in range(S)]
     assert np.array_equal(np.vstack(by_row), got) and np.array_equal(np.hstack(by_seg), got)
 
 

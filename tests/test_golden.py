@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from intersim.harness import EvalSpec, build_network, render_svg, run_one
+from intersim.harness import EvalSpec, _Built, build_network, render_svg, run_one
 from intersim.imitation import DaggerConfig, TrainConfig, dagger_train, dagger_train_adaptive
 
 FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json")
@@ -55,13 +55,13 @@ ADAPTIVE_DATASET_PIN = "4abc45c263685c5c830aadc532bd92f76e8a92a5a66843e455bb0358
 @pytest.mark.parametrize("name", list(EPISODES))
 def test_episode_log_digest(name):
     spec, pin = EPISODES[name]
-    _, log, _ = run_one(spec, (11, 0), collect_log=True)
+    _, log, _ = run_one(spec, (11, 0), _Built(spec), collect_log=True)
     assert _sha("\n".join(log) + "\n") == pin
 
 
 def test_rendered_frames_digest():
     spec, _ = EPISODES["city-fixture-rule-based"]
-    _, log, _ = run_one(spec, (11, 0), collect_log=True)
+    _, log, _ = run_one(spec, (11, 0), _Built(spec), collect_log=True)
     frames = render_svg(log, build_network(spec))
     assert len(frames) == 40
     assert _sha("\n".join(frames)) == FRAMES_PIN

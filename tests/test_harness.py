@@ -22,14 +22,23 @@ from intersim.harness import (
     monte_carlo,
     parse_log,
     performance_index,
-    read_csv,
     render_svg,
+    _Built,
     run_one,
     summarize,
     write_csv,
     write_report_csv,
 )
 from intersim.imitation import LEVELK_DIM, PolicyApproximator, default_encoding
+
+
+def _read_csv(path):
+    """Header and raw string rows of a write_csv file (no field holds a
+    comma or a quote)."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        rows = [line.rstrip("\n").split(",") for line in f if line]
+    return header, rows
 
 
 def _outcome(kind, v=2.0, scene="fourway"):
@@ -41,7 +50,7 @@ def policy_file(tmp_path_factory):
     """Untrained classifier on disk: drives badly but exercises every
     code path at distilled-engine speed."""
     path = tmp_path_factory.mktemp("pol") / "policy.json"
-    PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=4).save(str(path))
+    PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding("levelk"), seed=4).save(str(path))
     return str(path)
 
 
@@ -124,7 +133,7 @@ def test_summarize_counts_partition():
 
 def test_run_one_classifies_and_logs(policy_file):
     spec = _spec(policy_file)
-    outcome, log, av = run_one(spec, (0, 0), collect_log=True)
+    outcome, log, av = run_one(spec, (0, 0), _Built(spec), collect_log=True)
     assert outcome.kind in (KIND_COLLISION, KIND_DEADLOCK, KIND_SUCCESS)
     assert outcome.seed == (0, 0)
     assert outcome.duration_s <= spec.t_limit_s + 1e-9
@@ -185,7 +194,7 @@ def test_csv_roundtrip_is_byte_stable(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     rows = [[repr(0.1), "mixed", repr(1.0 / 3.0)], [repr(-2.5e-7), "l1", repr(5.0)]]
     write_csv(str(p1), ["x", "model", "y"], rows)
-    header, back = read_csv(str(p1))
+    header, back = _read_csv(str(p1))
     write_csv(str(p2), header, back)
     assert p1.read_bytes() == p2.read_bytes()
     assert back == rows
@@ -201,7 +210,7 @@ def test_report_csv_has_one_row_per_report(tmp_path, policy_file):
     reports = [monte_carlo(spec, 2, master_seed=s) for s in (0, 1)]
     path = tmp_path / "report.csv"
     write_report_csv(reports, str(path))
-    header, rows = read_csv(str(path))
+    header, rows = _read_csv(str(path))
     assert header == list(REPORT_COLUMNS)
     assert len(rows) == 2
     # rates parse back to floats that partition
@@ -215,28 +224,25 @@ def test_report_csv_has_one_row_per_report(tmp_path, policy_file):
 
 def test_calibrate_rc_emits_rows_and_files(tmp_path, policy_file):
     spec = _spec(policy_file)
-    rows = calibrate_rc(
-        spec, [10.0], n_episodes=2, traffic_models=("l1",), master_seed=0,
-        out_dir=str(tmp_path),
-    )
+    rows = calibrate_rc(spec, [10.0], 2, ("l1",), 0, 1, str(tmp_path))
     assert len(rows) == 1
     r = rows[0]
     assert r["rc"] == 10.0 and r["traffic_model"] == "l1" and r["n"] == 2
     assert r["success_rate"] + r["cr"] + r["dr"] == pytest.approx(1.0)
-    header, csv_rows = read_csv(str(tmp_path / "calibration.csv"))
+    header, csv_rows = _read_csv(str(tmp_path / "calibration.csv"))
     assert header == list(CALIBRATION_COLUMNS)
     assert len(csv_rows) == 1
     svg = (tmp_path / "calibration_l1.svg").read_text()
     assert "<svg" in svg and "polyline" in svg
     with pytest.raises(ValueError):
-        calibrate_rc(spec, [], 1)
+        calibrate_rc(spec, [], 1, ("l1",), 0, 1, str(tmp_path))
 
 
-def test_calibration_reuses_seeds_across_grid(policy_file):
+def test_calibration_reuses_seeds_across_grid(tmp_path, policy_file):
     # common random numbers: the traffic realization for episode i is
     # shared across grid points, so two identical radii give identical rows
     spec = _spec(policy_file)
-    rows = calibrate_rc(spec, [12.0, 12.0], 2, traffic_models=("l2",))
+    rows = calibrate_rc(spec, [12.0, 12.0], 2, ("l2",), 0, 1, str(tmp_path))
     assert rows[0]["j"] == rows[1]["j"]
     assert rows[0]["success_rate"] == rows[1]["success_rate"]
 
@@ -253,7 +259,7 @@ def test_line_chart_contains_axes_and_data():
 
 def _logged_episode(policy_file):
     spec = _spec(policy_file)
-    _, log, _ = run_one(spec, (2, 0), collect_log=True)
+    _, log, _ = run_one(spec, (2, 0), _Built(spec), collect_log=True)
     return spec, log
 
 

@@ -13,7 +13,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "intersim"
-SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "benchmarks"]
+# where a public name of the package must be used: a caller in the tests
+# alone keeps a name that no library, command or benchmark path runs
+CALLERS = [ROOT / "src", ROOT / "benchmarks"]
+# public names that wait for a library caller, each named by the open
+# ROADMAP item that gives it one; this list may only shrink
+PENDING_CALLERS = {
+    "harness.py:evaluate_models",  # item 11
+    "imitation.py:collect_probes",  # item 6
+    "imitation.py:evaluate_match",  # item 6
+}
 
 
 def _parse(path):
@@ -82,7 +91,7 @@ def _public_definitions(tree):
 
 def test_every_public_definition_is_referenced():
     refs = {}  # name -> [(path, line)]
-    for root in SEARCHED:
+    for root in CALLERS:
         for path in root.rglob("*.py"):
             for name, line in _references(_parse(path)):
                 refs.setdefault(name, []).append((path, line))
@@ -93,7 +102,7 @@ def test_every_public_definition_is_referenced():
             users = [r for r in refs.get(node.name, []) if not (r[0] == path and r[1] in own)]
             if not users:
                 orphans.append(f"{path.name}:{node.name}")
-    assert orphans == []
+    assert set(orphans) == PENDING_CALLERS
 
 
 def _unused_imports(tree):
@@ -178,7 +187,7 @@ def test_benchmark_hooks_read_the_right_arguments(monkeypatch):
     from intersim import geometry, reward, scene
     from intersim.controllers import AdaptiveController
     from intersim.geometry import single_network
-    from intersim.planner import DEFAULT_PLANNER
+    from intersim.planner import HORIZON_N
 
     cfg = scene.SceneConfig(network=single_network("fourway"), n_vehicles=3, av_policy="adaptive")
     ep = scene.init_episode(cfg, seed=(1, 0))
@@ -204,7 +213,7 @@ def test_benchmark_hooks_read_the_right_arguments(monkeypatch):
     finally:
         tracer.restore()
     m = per_layer(tracer)
-    assert DEFAULT_PLANNER.horizon_n == 4
+    assert HORIZON_N == 4
     assert all(counted == want > 0 for counted, want in pairs)
     assert m["scene.sim_step.calls"] == ticks
     assert m["reward.features_many.calls"] > 0

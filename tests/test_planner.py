@@ -1,6 +1,5 @@
 """Level-k planner against the exhaustive scalar enumerator."""
 
-import dataclasses
 import itertools
 import math
 
@@ -23,34 +22,68 @@ from intersim.dynamics import (
 )
 from intersim.geometry import make_city, single_network
 from intersim.planner import (
-    DEFAULT_PLANNER,
+    HORIZON_N,
     PlanCache,
     best_response,
     expert_policy,
     level0_plan,
     levelk_plan,
 )
-from intersim.reward import RewardWeights
+from intersim.reward import DEFAULT_ZONES, RewardWeights
 
 from planner_oracle import disk_cull_tree, exhaustive_plan, random_plan_scene, repeat_per_row_search
 
 
-def _check_against_oracle(states, net, i, k, cfg):
-    seq, val = exhaustive_plan(states, i, k, net, cfg)
-    res = levelk_plan(states, i, k, net, PlanCache(cfg))
+# the planner's memos of the tables that ego trees share
+_MEMOS = (planner._heading_table, planner._speed_table)
+
+
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def shape(monkeypatch):
+    """shape(n, actions) gives the planner the horizon n and the action
+    table actions until the test ends: it sets the module constants that
+    derive from them and empties the table memos, which are keyed by
+    heading and speed alone. The planner has one shape; the tree and
+    search code is generic over it, and these shapes probe its edges."""
+
+    def set_shape(n, actions):
+        om, group = actions.omega_groups
+        derived = {
+            "HORIZON_N": n,
+            "DEFAULT_ACTIONS": actions,
+            "_ACCELS": actions.arrays()[0],
+            "_OMEGAS": om,
+            "_STRUCTURE": planner._structure_table(group, n),
+        }
+        for name, value in derived.items():
+            monkeypatch.setattr(planner, name, value)
+        _clear_memos()
+
+    yield set_shape
+    _clear_memos()
+
+
+def _check_against_oracle(states, net, i, k, n=HORIZON_N, actions=DEFAULT_ACTIONS):
+    seq, val = exhaustive_plan(states, i, k, net, n, actions)
+    res = levelk_plan(states, i, k, net, PlanCache())
     assert res.action_sequence == seq
     assert res.value == pytest.approx(val, rel=1e-9, abs=1e-9)
 
 
-def test_matches_exhaustive_search_short_horizons():
+def test_matches_exhaustive_search_short_horizons(shape):
     rng = np.random.default_rng(42)
     for trial in range(30):
         n_h = 2 + trial % 2
-        cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=n_h)
+        shape(n_h, DEFAULT_ACTIONS)
         states, net = random_plan_scene(rng)
         i = int(rng.integers(len(states)))
         k = int(rng.integers(3))
-        _check_against_oracle(states, net, i, k, cfg)
+        _check_against_oracle(states, net, i, k, n_h)
 
 
 def test_matches_exhaustive_search_full_horizon():
@@ -59,7 +92,7 @@ def test_matches_exhaustive_search_full_horizon():
         states, net = random_plan_scene(rng, n_vehicles=1 + trial % 2)
         i = int(rng.integers(len(states)))
         k = int(rng.integers(3))
-        _check_against_oracle(states, net, i, k, DEFAULT_PLANNER)
+        _check_against_oracle(states, net, i, k)
 
 
 # every turn rate distinct (no two children share a pose), and every turn
@@ -75,13 +108,13 @@ _STRAIGHT_ONLY = ActionSet(
 
 
 @pytest.mark.parametrize("actions", [_DISTINCT_OMEGAS, _STRAIGHT_ONLY], ids=["distinct", "straight"])
-def test_matches_exhaustive_search_with_other_action_sets(actions):
+def test_matches_exhaustive_search_with_other_action_sets(shape, actions):
     rng = np.random.default_rng(7)
     for trial in range(18):
-        cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=1 + trial % 3, actions=actions)
+        shape(1 + trial % 3, actions)
         states, net = random_plan_scene(rng)
         i = int(rng.integers(len(states)))
-        _check_against_oracle(states, net, i, trial % 3, cfg)
+        _check_against_oracle(states, net, i, trial % 3, 1 + trial % 3, actions)
 
 
 def test_one_features_call_per_best_response(monkeypatch):
@@ -91,7 +124,7 @@ def test_one_features_call_per_best_response(monkeypatch):
     def best_response(ego, opp, network, cache):
         # a search that shares nothing, in a fresh cache of its own
         searches.append(len(rows))
-        return real_br(ego, opp, network, PlanCache(cache.cfg))
+        return real_br(ego, opp, network, PlanCache())
 
     def features_many(x, *args):
         rows.append(len(x))
@@ -101,7 +134,7 @@ def test_one_features_call_per_best_response(monkeypatch):
     monkeypatch.setattr(planner, "features_many", features_many)
     states, net = _crossing_scene()
     levelk_plan(states, 0, 2, net, PlanCache())
-    n = DEFAULT_PLANNER.horizon_n
+    n = HORIZON_N
     assert len(searches) == 3
     # one call per search, over one row per (parent, distinct omega)
     assert searches == [0, 1, 2]
@@ -121,7 +154,7 @@ def test_one_features_call_per_ego_in_a_shared_cache(monkeypatch):
     cache = PlanCache()
     # (0, 0), (1, 1) and (0, 2) search; vehicle 0's two searches share a tree
     levelk_plan(states, 0, 2, net, cache)
-    assert rows == [3 * (6**DEFAULT_PLANNER.horizon_n - 1) // 5] * 2
+    assert rows == [3 * (6**HORIZON_N - 1) // 5] * 2
     assert len(cache.trees) == 2
     assert set(cache) == {(0, 0), (1, 1), (0, 2)}
 
@@ -173,36 +206,32 @@ def _plan(states, net, query, beliefs, cache):
 _ACTION_SETS = (DEFAULT_ACTIONS, _DISTINCT_OMEGAS, _STRAIGHT_ONLY)
 
 
-def test_shared_plan_cache_matches_a_fresh_search_each():
-    """Every plan read through one shared PlanCache per config, in shuffled
-    order, equals the same plan searched with a fresh cache of its own.
-    Each scene plans under two configs, interleaved, the adaptive best
-    response of a slot beside its levelk searches, and a twin of one
-    vehicle that differs in speed, phase or goal only."""
+def test_shared_plan_cache_matches_a_fresh_search_each(shape):
+    """Every plan read through one shared PlanCache, in shuffled order,
+    equals the same plan searched with a fresh cache of its own. Each
+    scene plans the adaptive best response of a slot beside its levelk
+    searches, and a twin of one vehicle that differs in speed, phase or
+    goal only, at one planner shape of a cycle over horizons 4 to 1 and
+    the action sets."""
     rng = np.random.default_rng(2024)
     for trial in range(300):
+        shape((4, 3, 2, 1)[trial % 4], _ACTION_SETS[trial // 4 % 3])
         states, net = random_plan_scene(rng, n_vehicles=1 + trial % 2)
         src = int(rng.integers(len(states)))
         states.append(_twin(states[src], ("speed", "phase", "goal_ref")[trial % 3], net.layouts["I0"], rng))
-        cfgs = (
-            dataclasses.replace(DEFAULT_PLANNER, horizon_n=(4, 3, 2)[trial % 3], actions=_ACTION_SETS[trial // 3 % 3]),
-            dataclasses.replace(DEFAULT_PLANNER, horizon_n=1),
-        )
         beliefs = BeliefState()
         for j in range(len(states)):
             p = rng.choice([0.0, rng.uniform(), 1.0])
             beliefs.table[j] = np.array([p, 1.0 - p])
         queries = [
-            (cfg, (kind, i, k))
-            for cfg in cfgs
+            (kind, i, k)
             for i in range(len(states))
             for kind, k in (("levelk", 0), ("levelk", 1), ("levelk", 2), ("adaptive", None))
         ]
-        shared = {cfg: PlanCache(cfg) for cfg in cfgs}
+        shared = PlanCache()
         for q in rng.permutation(len(queries)):
-            cfg, query = queries[q]
-            got = _plan(states, net, query, beliefs, shared[cfg])
-            _same_plan(got, _plan(states, net, query, beliefs, PlanCache(cfg)))
+            got = _plan(states, net, queries[q], beliefs, shared)
+            _same_plan(got, _plan(states, net, queries[q], beliefs, PlanCache()))
 
 
 @pytest.mark.parametrize("field", ["speed", "phase", "goal_ref"])
@@ -225,9 +254,10 @@ def test_egos_that_differ_in_one_key_field_get_their_own_tree(field):
 # beyond the reach of its c-zones
 
 
-def _overlap_reach(zones):
+def _overlap_reach():
     # the circumradii of the larger zone of each vehicle, plus 1e-6 m
-    return max(math.hypot(zones.c_length, zones.c_width), math.hypot(zones.s_length, zones.s_width)) + 1e-6
+    z = DEFAULT_ZONES
+    return max(math.hypot(z.c_length, z.c_width), math.hypot(z.s_length, z.s_width)) + 1e-6
 
 
 def _box_gap(box, x, y):
@@ -268,11 +298,12 @@ def _corner_to_corner(tree, length, width, gap, row, corner):
     return x + d * math.cos(phi), y + d * math.sin(phi), theta, t
 
 
-def _probe_opponents(tree, zones, rng, n):
+def _probe_opponents(tree, rng, n):
     """Opponents at reach - 1e-9, reach and reach + 1e-9 from the box, and
     corner to corner with pose rows at either zone: a random row, and the
     row and corner that put the opponent farthest from the box."""
-    reach = _overlap_reach(zones)
+    zones = DEFAULT_ZONES
+    reach = _overlap_reach()
     out = [_off_box(tree, d, rng, n) for d in (reach - 1e-9, reach, reach + 1e-9) for _ in range(2)]
     rows = len(tree.poses[0])
     for size in ((zones.c_length, zones.c_width), (zones.s_length, zones.s_width)):
@@ -288,7 +319,7 @@ def _probe_opponents(tree, zones, rng, n):
 
 @pytest.mark.parametrize("horizon", [1, 2, 3, 4])
 @pytest.mark.parametrize("actions", _ACTION_SETS, ids=["default", "distinct", "straight"])
-def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, horizon, actions):
+def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, shape, horizon, actions):
     """Culling opponents beyond the overlap reach of the tree's box changes
     no overlap flag and no plan bit, at the edge of the reach and for zones
     that meet corner to corner; the kernel sees only opponents in reach."""
@@ -305,7 +336,7 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, horizon
 
     monkeypatch.setattr(reward, "overlap_rects_group", kernel)
     monkeypatch.setattr(planner, "opponent_features", fill)
-    cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=horizon, actions=actions)
+    shape(horizon, actions)
     rng = np.random.default_rng(100 + horizon)
     flags, culled = np.zeros(2), 0
     for trial in range(6):
@@ -314,11 +345,11 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, horizon
         ego.speed = (0.0, 2.0, V_MAX, V_MAX + 2.0, 3.0, 4.5)[trial]
         if trial % 2:
             ego.pose = Pose2(ego.pose.x, ego.pose.y, trial * math.pi / 2)  # axis-aligned travel
-        cache = PlanCache(cfg)
+        cache = PlanCache()
         tree = cache.tree(ego, net)
-        probes = _probe_opponents(tree, cfg.zones, rng, horizon)
+        probes = _probe_opponents(tree, rng, horizon)
         for opp in [{j: t} for j, t in enumerate(probes)] + [dict(enumerate(probes))]:
-            want_cols, (seq, value, traj) = repeat_per_row_search(tree, ego, opp, cfg)
+            want_cols, (seq, value, traj) = repeat_per_row_search(tree, ego, opp, horizon, actions)
             del tested[:], filled[:]
             tree.searched.clear()  # search again, not read a shared search
             res = best_response(ego, opp, net, cache)
@@ -344,8 +375,8 @@ def test_a_search_calls_the_overlap_kernel_only_with_opponents_in_reach(monkeypa
 
     monkeypatch.setattr(reward, "overlap_rects_group", kernel)
     rng = np.random.default_rng(41)
-    reach = _overlap_reach(DEFAULT_PLANNER.zones)
-    n = DEFAULT_PLANNER.horizon_n
+    reach = _overlap_reach()
+    n = HORIZON_N
     for trial in range(8):
         states, net = random_plan_scene(rng, 1)
         ego = states[0]
@@ -372,8 +403,8 @@ def test_searches_that_differ_only_beyond_reach_share_one(monkeypatch):
 
     monkeypatch.setattr(planner, "opponent_features", fill)
     rng = np.random.default_rng(43)
-    reach = _overlap_reach(DEFAULT_PLANNER.zones)
-    n = DEFAULT_PLANNER.horizon_n
+    reach = _overlap_reach()
+    n = HORIZON_N
     for trial in range(8):
         states, net = random_plan_scene(rng, 1)
         ego = states[0]
@@ -422,15 +453,6 @@ def _tree_egos(rng):
         )
 
 
-# the planner's memos of the tables that ego trees share
-_MEMOS = (planner._structure_table, planner._heading_table, planner._speed_table)
-
-
-def _clear_memos():
-    for memo in _MEMOS:
-        memo.cache_clear()
-
-
 def _same_tree(tree, want):
     poses, box, depth_rows, node_rows, node_speeds, F = want
     assert [p.tobytes() for p in tree.poses] == [p.tobytes() for p in poses]
@@ -442,23 +464,23 @@ def _same_tree(tree, want):
 
 @pytest.mark.parametrize("horizon", [1, 3, 4])
 @pytest.mark.parametrize("actions", _ACTION_SETS, ids=["default", "distinct", "straight"])
-def test_box_culled_tree_matches_the_disk_culled_reference(horizon, actions):
+def test_box_culled_tree_matches_the_disk_culled_reference(shape, horizon, actions):
     """The box cull of segments, the long-axis kernel and the shared
     heading, speed and structure tables build every tree byte for byte as
     the disk cull, the rows-by-segments kernel and the per-depth expansion
     did: on a cold memo, and on a warm one that holds the other egos'
     tables and, on the second build, the ego's own."""
-    cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=horizon, actions=actions)
+    shape(horizon, actions)
     rng = np.random.default_rng(60 + horizon)
-    cases = [(net, ego, disk_cull_tree(ego, net, cfg)) for net, ego in _tree_egos(rng)]
+    cases = [(net, ego, disk_cull_tree(ego, net, horizon, actions)) for net, ego in _tree_egos(rng)]
     flags = np.zeros(2)
     for net, ego, want in cases:
         _clear_memos()
-        _same_tree(planner._ego_tree(ego, net, cfg), want)
+        _same_tree(planner._ego_tree(ego, net), want)
         flags += (want[5][:, 1:3] == -1.0).any(axis=0)
     for net, ego, want in cases:
         for _ in range(2):
-            _same_tree(planner._ego_tree(ego, net, cfg), want)
+            _same_tree(planner._ego_tree(ego, net), want)
     # boundary and lane terms both fire somewhere
     assert flags.all()
 
@@ -471,24 +493,22 @@ def _arrays(x):
 
 def test_table_memos_are_bounded_read_only_and_keyed_by_bit_pattern():
     """Each memo is bounded; no tree can write into a table it shares with
-    others; the headings 0.0 and -0.0 take two entries; and a search from a
-    cold memo equals one from a warm memo."""
+    others, the structure table included; the headings 0.0 and -0.0 take
+    two entries; and a search from a cold memo equals one from a warm
+    memo."""
     assert all(isinstance(memo.cache_parameters()["maxsize"], int) for memo in _MEMOS)
     net = single_network("fourway")
-    cfg = DEFAULT_PLANNER
-    om, group = (a.tobytes() for a in cfg.actions.omega_groups)
-    acc = cfg.actions.arrays()[0].tobytes()
     _clear_memos()
     trees = []
     for theta in (0.0, -0.0):
-        trees.append(planner._ego_tree(VehicleState(Pose2(-12.0, -2.0, theta), 2.0, goal_ref="I0:E.out"), net, cfg))
+        trees.append(planner._ego_tree(VehicleState(Pose2(-12.0, -2.0, theta), 2.0, goal_ref="I0:E.out"), net))
     info = planner._heading_table.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
     shared = _arrays((
-        planner._structure_table(group, cfg.horizon_n),
-        planner._heading_table((0.0).hex(), om, group, cfg.horizon_n),
-        planner._heading_table((-0.0).hex(), om, group, cfg.horizon_n),
-        planner._speed_table((2.0).hex(), acc, cfg.horizon_n),
+        planner._STRUCTURE,
+        planner._heading_table((0.0).hex()),
+        planner._heading_table((-0.0).hex()),
+        planner._speed_table((2.0).hex()),
     ))
     for tree in trees:
         shared += [*tree.poses[2:], *tree.node_rows, *tree.node_speeds]
@@ -508,12 +528,11 @@ def test_a_segment_exactly_at_the_box_reach_is_kept(monkeypatch, speed):
     """A c-zone lies within its circumradius of its row: on each side of
     the box of the pose rows, a segment at that reach plus 1e-6 m is kept
     and one a float beyond it is not, also above v_max."""
-    cfg = DEFAULT_PLANNER
-    z = cfg.zones
+    z = DEFAULT_ZONES
     r = 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
     net = single_network("fourway")
     ego = VehicleState(Pose2(0.0, 0.0, 0.3), speed, goal_ref="I0:E.out")
-    x0, y0, x1, y1 = (float(v) for v in planner._ego_tree(ego, net, cfg).box)
+    x0, y0, x1, y1 = (float(v) for v in planner._ego_tree(ego, net).box)
 
     def sides(east, west, north, south):
         # one segment beside each side of the box, as long as that side
@@ -531,11 +550,11 @@ def test_a_segment_exactly_at_the_box_reach_is_kept(monkeypatch, speed):
     real = planner.features_many
 
     def features_many(*args):
-        kept.append((args[4], args[5]))
+        kept.append((args[5], args[6]))
         return real(*args)
 
     monkeypatch.setattr(planner, "features_many", features_many)
-    planner._ego_tree(ego, fresh, cfg)
+    planner._ego_tree(ego, fresh)
     (bsegs, msegs), = kept
     assert np.array_equal(bsegs, segs[:4]) and np.array_equal(msegs, segs[3::-1])
 
@@ -566,14 +585,13 @@ def test_level_one_yields_at_contested_crossing():
     assert first[2].accel > acc1 or first[2].omega != 0.0
 
 
-def test_ties_resolve_to_lexicographically_first_sequence():
+def test_ties_resolve_to_lexicographically_first_sequence(monkeypatch):
     # With goal and speed weights zeroed, an unobstructed vehicle scores 0
     # for every sequence; first maximum must be all-maintain.
     net = single_network("fourway")
-    w = RewardWeights(goal_dist=0.0, speed=0.0)
-    cfg = dataclasses.replace(DEFAULT_PLANNER, weights=w)
+    monkeypatch.setattr(planner, "_WEIGHTS", RewardWeights(goal_dist=0.0, speed=0.0).as_array())
     ego = VehicleState(Pose2(-10.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
-    res = levelk_plan([ego], 0, 2, net, PlanCache(cfg))
+    res = levelk_plan([ego], 0, 2, net, PlanCache())
     assert res.action_sequence == [0, 0, 0, 0]
     assert res.value == 0.0
 
@@ -618,10 +636,10 @@ def test_vehicle_exactly_at_the_interaction_radius_is_an_opponent(monkeypatch):
     assert planner.near_indices(states, 0, math.nextafter(5.0, 0.0)) == []
     seen = _spy_opponents(monkeypatch)
     for radius, opponents in ((5.0, [2]), (math.nextafter(5.0, 0.0), [])):
-        cfg = dataclasses.replace(DEFAULT_PLANNER, interaction_radius_m=radius)
-        level0_plan(states, 0, net, PlanCache(cfg))
+        monkeypatch.setattr(planner, "INTERACTION_RADIUS_M", radius)
+        level0_plan(states, 0, net, PlanCache())
         assert list(seen[-1]) == opponents
-        levelk_plan(states, 0, 1, net, PlanCache(cfg))
+        levelk_plan(states, 0, 1, net, PlanCache())
         assert list(seen[-1]) == opponents  # the ego's search follows its opponents
 
 
@@ -662,12 +680,12 @@ def test_expert_rejects_out_of_range_level():
         expert_policy(states, 0, -1, net, PlanCache())
 
 
-def test_horizon_one_reduces_to_greedy_step():
-    cfg = dataclasses.replace(DEFAULT_PLANNER, horizon_n=1)
+def test_horizon_one_reduces_to_greedy_step(shape):
+    shape(1, DEFAULT_ACTIONS)
     rng = np.random.default_rng(99)
     for _ in range(6):
         states, net = random_plan_scene(rng, n_vehicles=2)
-        seq, val = exhaustive_plan(states, 0, 1, net, cfg)
-        res = levelk_plan(states, 0, 1, net, PlanCache(cfg))
+        seq, val = exhaustive_plan(states, 0, 1, net, 1)
+        res = levelk_plan(states, 0, 1, net, PlanCache())
         assert res.action_sequence == seq
         assert len(res.action_sequence) == 1

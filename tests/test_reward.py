@@ -110,7 +110,7 @@ def test_features_many_matches_scalar(fourway):
         exiting = rng.random(B) < 0.5
         opp = np.array([[3.0, -2.0, 2.0], [-6.0, 1.0, -0.5], [10.0, 10.0, 1.0]])
         got = rw.features_many(
-            x, y, th, v,
+            x, y, np.cos(th), np.sin(th), v,
             lay.boundary_segments(),
             lay.marking_segments(),
             lay.straight_lane_rects(),
@@ -118,7 +118,7 @@ def test_features_many_matches_scalar(fourway):
             exiting,
             ref,
         )
-        rw.opponent_features(got, x, y, np.cos(th), np.sin(th), opp[:, None], [B], rw.DEFAULT_ZONES)
+        rw.opponent_features(got, x, y, np.cos(th), np.sin(th), opp[:, None], [B])
         for i in range(B):
             want = feats(
                 Pose2(x[i], y[i], th[i]),
@@ -136,6 +136,7 @@ def test_features_many_no_opponents(fourway):
     got = rw.features_many(
         np.array([0.0]),
         np.array([-2.0]),
+        np.array([1.0]),
         np.array([0.0]),
         np.array([2.0]),
         fourway.boundary_segments(),
@@ -166,8 +167,9 @@ def test_features_many_one_call_equals_one_call_per_instant(fourway):
         for n in sizes
     ]
     def features(x, y, th, v, ex, opp, counts):
-        out = rw.features_many(x, y, th, v, *road, ex, ref)
-        rw.opponent_features(out, x, y, np.cos(th), np.sin(th), opp, counts, rw.DEFAULT_ZONES)
+        c, s = np.cos(th), np.sin(th)
+        out = rw.features_many(x, y, c, s, v, *road, ex, ref)
+        rw.opponent_features(out, x, y, c, s, opp, counts)
         return out
 
     per_instant = [
