@@ -42,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract here is exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"intersim: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

@@ -269,7 +269,7 @@ class DistilledAdaptiveController(AdaptiveController):
             [Sequence[Optional[VehicleState]], int, Dict[int, int], RoadNetwork], int
         ],
         predictor: Predictor,
-        beta: float = BETA,
+        beta: float,
     ):
         super().__init__(BEHAVIORAL_LEVELS, beta, predictor)
         self.actor = actor
@@ -609,7 +609,7 @@ class RuleBasedController(AVController):
     tick from their moving positions.
     """
 
-    def __init__(self, rc_m: float = RC_M):
+    def __init__(self, rc_m: float):
         self.rc_m = rc_m
         self._pts: Optional[np.ndarray] = None
         self._cum: Optional[np.ndarray] = None

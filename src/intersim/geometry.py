@@ -172,21 +172,20 @@ def polylines_min_dist(a_segs: np.ndarray, b_segs: np.ndarray) -> float:
 # batched kernels, used by the planner and the per-step fail checks
 
 
-def overlap_rects_one_many(
-    x, y, c, s, length: float, width: float, other: OrientedRect
-) -> np.ndarray:
+def overlap_rects_one_many(x, y, c, s, length: float, width: float, others: np.ndarray) -> np.ndarray:
     """Closed-set overlap of B equally sized rectangles, at (x, y) with
-    heading cos and sin c, s, against one rectangle.
+    heading cos and sin c, s, against any of L rectangles, all pairs in
+    one pass. others holds the L as rect_rows.
 
     Support-function separating axis test: along each of the four edge
     normals, separated iff the center gap exceeds the summed support radii.
-    Strict inequality keeps touching as overlap. Returns (B,) bool.
+    Strict inequality keeps touching as overlap. Returns (B,) bool, true
+    where the rectangle touches any of the L.
     """
     hl, hw = 0.5 * length, 0.5 * width
-    co, so = math.cos(other.theta), math.sin(other.theta)
-    ohl, ohw = 0.5 * other.length, 0.5 * other.width
-    dx = other.cx - np.asarray(x)
-    dy = other.cy - np.asarray(y)
+    ocx, ocy, ohl, ohw, co, so = others.T[:, :, None]
+    dx = ocx - np.asarray(x)
+    dy = ocy - np.asarray(y)
     # C = cos(theta_o - theta), S = sin(theta_o - theta)
     C = np.abs(co * c + so * s)
     S = np.abs(so * c - co * s)
@@ -194,7 +193,16 @@ def overlap_rects_one_many(
     sep |= np.abs(dy * c - dx * s) > hw + ohl * S + ohw * C
     sep |= np.abs(dx * co + dy * so) > ohl + hl * C + hw * S
     sep |= np.abs(dy * co - dx * so) > ohw + hl * S + hw * C
-    return ~sep
+    return ~sep.all(axis=0)
+
+
+def rect_rows(rects: Sequence[OrientedRect]) -> np.ndarray:
+    """(L, 6) rows of center x and y, half length, half width and the
+    math.cos and math.sin of the heading: rectangles as
+    overlap_rects_one_many reads them."""
+    return np.array(
+        [[r.cx, r.cy, 0.5 * r.length, 0.5 * r.width, math.cos(r.theta), math.sin(r.theta)] for r in rects]
+    ).reshape(-1, 6)
 
 
 def overlap_rects_group(x, y, cth, sth, counts, others: np.ndarray, sizes) -> np.ndarray:
@@ -405,11 +413,19 @@ class RoadLayout:
         each (S, 2)."""
         return self.derived("boundary_bounds", lambda: _segment_bounds(self.boundary_segments()))
 
-    def marking_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.derived("marking_bounds", lambda: _segment_bounds(self.marking_segments()))
+    def edge_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.derived("edge_bounds", lambda: _segment_bounds(self.edge_segments()))
 
     def straight_lane_rects(self) -> List[Tuple[str, OrientedRect]]:
         return [(lid, ln.rect) for lid, ln in self.lanes.items() if ln.rect is not None]
+
+    def wrong_lanes(self, target: str) -> np.ndarray:
+        """The straight lanes other than target as rect_rows: where a
+        vehicle leaving the core for target must not go."""
+        return self.derived(
+            ("wrong_lanes", target),
+            lambda: rect_rows([rect for lid, rect in self.straight_lane_rects() if lid != target]),
+        )
 
     # -- queries ------------------------------------------------------------
 

@@ -343,8 +343,8 @@ def _chunk_task(args) -> List[Tuple[int, EpisodeOutcome]]:
 def monte_carlo(
     spec: EvalSpec,
     n_episodes: int,
-    master_seed: int = 0,
-    workers: int = 1,
+    master_seed: int,
+    workers: int,
 ) -> MetricsReport:
     """Independent seeded episodes aggregated into a MetricsReport.
 

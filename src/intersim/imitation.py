@@ -350,12 +350,21 @@ class PolicyApproximator:
         if any(s <= 0 for s in self.sizes):
             raise ValueError(f"layer widths must be positive, got {self.sizes}")
         self.encoding = dict(encoding)
+        # one flat parameter vector; ws and bs are views into it
+        self._theta = np.zeros(sum((d_in + 1) * d_out for d_in, d_out in zip(self.sizes, self.sizes[1:])))
+        self.ws, self.bs = self._layers(self._theta)
         rng = np.random.default_rng(seed)
-        self.ws = [
-            rng.normal(0.0, math.sqrt(2.0 / d_in), (d_in, d_out))
-            for d_in, d_out in zip(self.sizes[:-1], self.sizes[1:])
-        ]
-        self.bs = [np.zeros(d) for d in self.sizes[1:]]
+        for w in self.ws:
+            w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), w.shape)
+
+    def _layers(self, flat: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Views of flat, laid out as theta(), as each layer's weights and biases."""
+        ws, bs, a = [], [], 0
+        for d_in, d_out in zip(self.sizes, self.sizes[1:]):
+            ws.append(flat[a : a + d_in * d_out].reshape(d_in, d_out))
+            bs.append(flat[a + d_in * d_out : a + (d_in + 1) * d_out])
+            a += (d_in + 1) * d_out
+        return ws, bs
 
     # -- inference ----------------------------------------------------------
 
@@ -378,90 +387,79 @@ class PolicyApproximator:
 
     # -- training -----------------------------------------------------------
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        cfg: TrainConfig,
-        rng: np.random.Generator,
-        steps: Optional[int] = None,
-    ) -> float:
-        """Minibatch momentum SGD on softmax cross-entropy with an
-        exponential learning-rate anneal over the fit. Returns the final
-        minibatch loss; raises on divergence."""
+    def fit(self, X: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: np.random.Generator, steps: int) -> float:
+        """Minibatch momentum SGD on softmax cross-entropy for steps steps,
+        the learning rate annealed exponentially from cfg.lr down to
+        cfg.lr_floor_frac of it. Returns the final minibatch loss; raises
+        RuntimeError on divergence.
+
+        Gradients and velocities are flat vectors laid out as theta(), so
+        one momentum update moves every layer, and each step writes into
+        buffers made once per fit. Every product keeps the operands,
+        orientation and row count of a per-layer step (a BLAS row's result
+        can change with the batch), so the parameters come out bit for bit
+        as the per-layer loop in the test suite's fit oracle gives them."""
         n = X.shape[0]
         if n == 0:
             return 0.0
-        if steps is None:
-            steps = int(cfg.epochs_per_fit * n / cfg.batch_size)
-            steps = max(cfg.min_steps, min(cfg.max_steps, steps))
+        m = min(n, cfg.batch_size)  # every batch has m rows
+        grad, vel = np.zeros_like(self._theta), np.zeros_like(self._theta)
+        gws, gbs = self._layers(grad)
+        hidden = self.sizes[1:-1]
+        pres = [np.empty((m, d)) for d in hidden]  # pre-activation of each hidden layer
+        acts = [None] + [np.empty((m, d)) for d in hidden]  # input to each layer
+        backs = [np.empty((m, d)) for d in hidden]  # loss gradient at each hidden layer
+        P = np.empty((m, self.sizes[-1]))
+        rows = np.arange(m)
         loss = 0.0
         order = rng.permutation(n)
         pos = 0
-        vws = [np.zeros_like(w) for w in self.ws]
-        vbs = [np.zeros_like(b) for b in self.bs]
         decay = cfg.lr_floor_frac ** (1.0 / max(steps - 1, 1))
         lr = cfg.lr
-        n_layers = len(self.ws)
-        for t in range(steps):
+        for _ in range(steps):
             if pos + cfg.batch_size > n:
                 order = rng.permutation(n)
                 pos = 0
             idx = order[pos : pos + cfg.batch_size] if n >= cfg.batch_size else order
             pos += cfg.batch_size
-            Xb, yb = X[idx], y[idx]
-            acts = [Xb]  # post-activation input to each layer
-            pres = []  # pre-activation of each hidden layer
-            for w, b in zip(self.ws[:-1], self.bs[:-1]):
-                pre = acts[-1] @ w + b
-                pres.append(pre)
-                acts.append(np.maximum(pre, 0.0))
-            Z = acts[-1] @ self.ws[-1] + self.bs[-1]
-            Z -= Z.max(axis=1, keepdims=True)
-            expz = np.exp(Z)
-            P = expz / expz.sum(axis=1, keepdims=True)
-            m = Xb.shape[0]
-            loss = float(-np.log(P[np.arange(m), yb] + 1e-12).mean())
+            acts[0], yb = X[idx], y[idx]
+            for layer, pre in enumerate(pres):
+                np.matmul(acts[layer], self.ws[layer], out=pre)
+                pre += self.bs[layer]
+                np.maximum(pre, 0.0, out=acts[layer + 1])
+            np.matmul(acts[-1], self.ws[-1], out=P)
+            P += self.bs[-1]
+            # the softmax, in place
+            P -= P.max(axis=1, keepdims=True)
+            np.exp(P, out=P)
+            P /= P.sum(axis=1, keepdims=True)
+            loss = float(-np.log(P[rows, yb] + 1e-12).mean())
             if not math.isfinite(loss):
                 raise RuntimeError(f"classifier training diverged (loss={loss})")
+            P[rows, yb] -= 1.0
+            P /= m
             G = P
-            G[np.arange(m), yb] -= 1.0
-            G /= m
-            gws = [np.empty(0)] * n_layers
-            gbs = [np.empty(0)] * n_layers
-            for layer in range(n_layers - 1, -1, -1):
-                gws[layer] = acts[layer].T @ G
-                gbs[layer] = G.sum(axis=0)
+            for layer in range(len(self.ws) - 1, -1, -1):
+                np.matmul(acts[layer].T, G, out=gws[layer])
+                G.sum(axis=0, out=gbs[layer])
                 if layer > 0:
-                    G = (G @ self.ws[layer].T) * (pres[layer - 1] > 0.0)
-            mu = cfg.momentum
-            for layer in range(n_layers):
-                vws[layer] = mu * vws[layer] + gws[layer]
-                vbs[layer] = mu * vbs[layer] + gbs[layer]
-                self.ws[layer] -= lr * vws[layer]
-                self.bs[layer] -= lr * vbs[layer]
+                    G = np.matmul(G, self.ws[layer].T, out=backs[layer - 1])
+                    G *= pres[layer - 1] > 0.0
+            vel *= cfg.momentum
+            vel += grad
+            self._theta -= lr * vel
             lr *= decay
         return loss
 
     # -- persistence ---------------------------------------------------------
 
     def theta(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.ws, self.bs):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self._theta.copy()
 
     def set_theta(self, theta: np.ndarray) -> None:
-        total = sum(w.size + b.size for w, b in zip(self.ws, self.bs))
-        if theta.shape != (total,):
-            raise ValueError(f"theta length {theta.shape} mismatches {total}")
-        a = 0
-        for layer, (w, b) in enumerate(zip(self.ws, self.bs)):
-            self.ws[layer] = theta[a : a + w.size].reshape(w.shape).copy()
-            a += w.size
-            self.bs[layer] = theta[a : a + b.size].copy()
-            a += b.size
+        if theta.shape != self._theta.shape:
+            raise ValueError(f"theta length {theta.shape} mismatches {self._theta.size}")
+        self._theta[...] = theta
 
     def to_json(self) -> dict:
         return {
@@ -588,6 +586,12 @@ def _advance(states, actions: Dict[int, int], net: RoadNetwork) -> None:
         update_goal(st, net)
 
 
+def _fit_steps(train: TrainConfig, n_rows: int) -> int:
+    """Step count of the fit after every episode but the last."""
+    steps = int(train.epochs_per_fit * n_rows / train.batch_size)
+    return max(train.min_steps, min(train.max_steps, steps))
+
+
 def _final_steps(train: TrainConfig, n_rows: int) -> int:
     """Step count of the deeper last fit on the aggregate dataset."""
     steps = int(train.final_epochs * n_rows / train.batch_size)
@@ -604,8 +608,8 @@ def _refit(policy, dataset, cfg, stream, n) -> Tuple[PolicyApproximator, float]:
     if not cfg.warm_start:
         seed = int(fit_seed.generate_state(1)[0])
         policy = PolicyApproximator(policy.sizes, policy.encoding, seed=seed)
-    steps = _final_steps(cfg.train, len(dataset)) if n == cfg.n_max else None
-    return policy, policy.fit(X, y, cfg.train, np.random.default_rng(fit_seed), steps=steps)
+    steps = (_final_steps if n == cfg.n_max else _fit_steps)(cfg.train, len(dataset))
+    return policy, policy.fit(X, y, cfg.train, np.random.default_rng(fit_seed), steps)
 
 
 def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:

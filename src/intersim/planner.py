@@ -10,9 +10,12 @@ The whole tree is expanded before any node is scored. A child's pose
 depends only on its parent's state and its own turn rate, so each depth
 keeps one pose row per (parent, distinct omega). The expansion and the
 opponent-free features, from one features_many call, form the ego tree,
-a function of the ego input (x, y, theta, speed, phase, goal_ref). A
-search fills the two overlap columns of a copy and sums the node values,
-each with its pose's features and its own speed, depth by depth.
+a function of the ego input (x, y, theta, speed, phase, goal_ref). The
+lane term tests the rows that leave the core against every straight lane
+but the goal lane in one pass; in the approach phase no row leaves. A
+search with opponents in reach fills the two overlap columns of a copy of
+the features (one without reads them as they are) and sums the node
+values, each with its pose's features and its own speed, depth by depth.
 
 The planner has one shape: the action table DEFAULT_ACTIONS, the
 horizon HORIZON_N, the zones DEFAULT_ZONES, the weights DEFAULT_WEIGHTS
@@ -45,10 +48,11 @@ disjoint, and then SAT finds a separating edge normal, so a dropped
 opponent would have set no flag. A search is thus a function of the tree
 and of the poses of the opponents in reach, and searches that differ
 only in opponents beyond reach share one. Boundary and marking
-segments can only hit the c-zone, so a tree keeps a segment only if its
-bounding box meets the box of the pose rows grown by the c-zone's
-circumradius plus the margin: a segment the c-zone of a row touches has a
-point within that circumradius of the row.
+segments can only hit the c-zone, so a tree keeps a segment of the
+layout's edge array (boundary rows first) only if its bounding box meets
+the box of the pose rows grown by the c-zone's circumradius plus the
+margin: a segment the c-zone of a row touches has a point within that
+circumradius of the row.
 
 Leaf ordering is node major, so np.argmax (first maximum) selects the
 lexicographically smallest tied sequence, with "maintain" first in the
@@ -200,16 +204,21 @@ def _best_response(
 ) -> PlanResult:
     tree = cache.tree(ego, network)
     # the pose rows of depth tau face the opponents at instant tau + 1
-    opp = np.array([t[1:, :3] for t in opp_trajectories.values()]).reshape(-1, HORIZON_N, 3)
     x0, y0, x1, y1 = tree.box
-    gx = np.maximum(np.maximum(x0 - opp[..., 0], opp[..., 0] - x1), 0.0)
-    gy = np.maximum(np.maximum(y0 - opp[..., 1], opp[..., 1] - y1), 0.0)
-    opp = opp[(np.hypot(gx, gy) <= _OVERLAP_REACH_M).any(axis=1)]
+    kept = []
+    for t in opp_trajectories.values():
+        for ox, oy in t[1:, :2].tolist():
+            if math.hypot(max(x0 - ox, ox - x1, 0.0), max(y0 - oy, oy - y1, 0.0)) <= _OVERLAP_REACH_M:
+                kept.append(t[1:, :3])
+                break
+    opp = np.array(kept).reshape(-1, HORIZON_N, 3)
     key = opp.tobytes()
     if key not in tree.searched:
-        x, y, _, cth, sth = tree.poses
-        F = tree.features.copy()
-        opponent_features(F, x, y, cth, sth, opp, tree.depth_rows)
+        F = tree.features
+        if len(opp):
+            x, y, _, cth, sth = tree.poses
+            F = F.copy()
+            opponent_features(F, x, y, cth, sth, opp, tree.depth_rows)
         n_act = len(DEFAULT_ACTIONS)
         value = np.zeros(1)
         disc = 1.0
@@ -218,10 +227,13 @@ def _best_response(
             fv[:, 5] = speeds
             value = np.repeat(value, n_act) + disc * (fv @ _WEIGHTS)
             disc *= LAMBDA
-        best = int(np.argmax(value))
-        seq = [int(a) for a in np.unravel_index(best, (n_act,) * HORIZON_N)]
+        leaf = int(np.argmax(value))
+        best, seq = float(value[leaf]), []
+        for _ in range(HORIZON_N):  # the leaf index is node major
+            leaf, a = divmod(leaf, n_act)
+            seq.insert(0, a)
         actions = [DEFAULT_ACTIONS[i] for i in seq]
-        tree.searched[key] = PlanResult(seq, float(value[best]), rollout(ego.pose, ego.speed, actions))
+        tree.searched[key] = PlanResult(seq, best, rollout(ego.pose, ego.speed, actions))
     return tree.searched[key]
 
 
@@ -239,22 +251,24 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork) -> _EgoTree:
     XY = np.array([[ego.pose.x], [ego.pose.y]])
     moved = []
     for d in range(HORIZON_N):
+        if d:
+            XY = np.repeat(XY, n_act, axis=1)
         XY = XY + V[d] * CS[d] * DT_S
         moved.append(np.repeat(XY, n_om, axis=1))
-        XY = np.repeat(XY, n_act, axis=1)
-    PX, PY = np.concatenate(moved, axis=1)
-    box = (PX.min(), PY.min(), PX.max(), PY.max())
+    PXY = np.concatenate(moved, axis=1)
+    lo, hi = PXY.min(axis=1), PXY.max(axis=1)
     # Segments the c-zones can touch: a c-zone lies within its circumradius
     # of its row, so a segment it touches meets the rows' box grown by that.
-    r = _C_ZONE_REACH_M
-    grown = np.array([box[0] - r, box[1] - r, box[2] + r, box[3] + r])
-    bsegs = _segments_in_box(lay.boundary_segments(), lay.boundary_bounds(), grown)
-    msegs = _segments_in_box(lay.marking_segments(), lay.marking_bounds(), grown)
-    exiting = (ego.phase != PHASE_APPROACH) & ~_in_core_many(lay, PX, PY)
+    seg_lo, seg_hi = lay.edge_bounds()
+    keep = ((seg_lo <= hi + _C_ZONE_REACH_M) & (seg_hi >= lo - _C_ZONE_REACH_M)).all(axis=1)
+    nb = int(np.count_nonzero(keep[: len(lay.boundary_segments())]))
+    PX, PY = PXY
+    exiting = np.zeros(len(PX), dtype=bool) if ego.phase == PHASE_APPROACH else ~_in_core_many(lay, PX, PY)
     F = features_many(
-        PX, PY, cth, sth, np.zeros(len(PX)), bsegs, msegs, lay.straight_lane_rects(), lane.id,
+        PX, PY, cth, sth, np.zeros(len(PX)), lay.edge_segments()[keep], nb, lay.wrong_lanes(lane.id),
         exiting, lane.ref_point,
     )
+    box = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
     return _EgoTree((PX, PY, PTH, cth, sth), box, depth_rows, node_rows, V[1:], F)
 
 
@@ -319,13 +333,6 @@ def _speed_table(speed: str) -> tuple:
     for _ in range(HORIZON_N):
         V.append(np.clip((V[-1][:, None] + _ACCELS * DT_S).ravel(), 0.0, V_MAX))
     return _frozen(*V)
-
-
-def _segments_in_box(segs: np.ndarray, bounds: Tuple[np.ndarray, np.ndarray], box: np.ndarray) -> np.ndarray:
-    """The rows of segs (x0, y0, x1, y1) whose bounding box, (lo, hi) rows
-    of bounds, meets the closed box (x0, y0, x1, y1), in order."""
-    lo, hi = bounds
-    return segs[((lo <= box[2:]) & (hi >= box[:2])).all(axis=1)]
 
 
 def _in_core_many(lay, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ remaining ties toward making progress.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,46 +146,32 @@ def features_many(
     cth: np.ndarray,
     sth: np.ndarray,
     v: np.ndarray,
-    boundary_segs: np.ndarray,
-    marking_segs: np.ndarray,
-    lane_rects: List[Tuple[str, OrientedRect]],
-    target_lane: Optional[str],
+    segs: np.ndarray,
+    nb: int,
+    wrong_lanes: np.ndarray,
     exiting_mask: np.ndarray,
     ref_point: Tuple[float, float],
 ) -> np.ndarray:
     """Opponent-free feature matrix (B, 6) for B candidate ego states at
     (x, y) with heading cos and sin cth, sth: the overlap columns 0 and 3
-    are 0, and opponent_features fills them.
+    are 0, and opponent_features fills them. segs holds boundary segments
+    in its first nb rows and marking segments after them; the rows of
+    exiting_mask are checked against wrong_lanes, rect_rows as
+    RoadLayout.wrong_lanes gives them.
     """
     zones = DEFAULT_ZONES
-    B = x.shape[0]
-    out = np.zeros((B, 6))
+    out = np.zeros((x.shape[0], 6))
 
     # one clip pass over boundaries and markings together
-    nb = len(boundary_segs)
-    segs = (
-        np.concatenate([boundary_segs, marking_segs])
-        if nb and len(marking_segs)
-        else (boundary_segs if nb else marking_segs)
-    )
-    lane_bad = np.zeros(B, dtype=bool)
-    if len(segs):
-        hits = segments_hit_rects_matrix(segs, x, y, cth, sth, zones.c_length, zones.c_width)
-        if nb:
-            out[:, 1] = np.where(hits[:, :nb].any(axis=1), -1.0, 0.0)
-        if hits.shape[1] > nb:
-            lane_bad = hits[:, nb:].any(axis=1)
-    if exiting_mask.any() and lane_rects:
+    hits = segments_hit_rects_matrix(segs, x, y, cth, sth, zones.c_length, zones.c_width)
+    out[:, 1] = np.where(hits[:, :nb].any(axis=1), -1.0, 0.0)
+    lane_bad = hits[:, nb:].any(axis=1)
+    if len(wrong_lanes) and exiting_mask.any():
         sub = np.nonzero(exiting_mask & ~lane_bad)[0]
         if sub.size:
-            wrong = np.zeros(sub.size, dtype=bool)
-            for lid, rect in lane_rects:
-                if lid == target_lane:
-                    continue
-                wrong |= overlap_rects_one_many(
-                    x[sub], y[sub], cth[sub], sth[sub], zones.c_length, zones.c_width, rect
-                )
-            lane_bad[sub] |= wrong
+            lane_bad[sub] = overlap_rects_one_many(
+                x[sub], y[sub], cth[sub], sth[sub], zones.c_length, zones.c_width, wrong_lanes
+            )
     out[:, 2] = np.where(lane_bad, -1.0, 0.0)
 
     out[:, 4] = -(np.abs(ref_point[0] - x) + np.abs(ref_point[1] - y))

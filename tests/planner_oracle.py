@@ -10,7 +10,9 @@ The scalar stage reward and discounted return, and the scalar segment
 predicates at the end, are the references for the batched paths of the
 library. repeat_per_row_search is the batched search as it was before the
 planner culled opponents, the bit-exact reference for the culled one, and
-disk_cull_tree the ego tree as it was before the box cull of segments.
+disk_cull_tree the ego tree as it was before the box cull of segments,
+with the lane term of overlap_one_rect, the lane kernel as it was before
+it took every lane in one pass.
 """
 
 import itertools
@@ -231,17 +233,36 @@ def disk_cull_tree(ego, network, n=HORIZON_N, actions=DEFAULT_ACTIONS):
     cth, sth = np.cos(PTH), np.sin(PTH)
     may_exit = ego.phase != dyn.PHASE_APPROACH
     exiting = np.array([may_exit and not lay.in_core(x, y) for x, y in zip(PX, PY)], dtype=bool)
-    # the segment-free columns, then the boundary and marking terms
-    F = rw.features_many(
-        PX, PY, cth, sth, np.zeros(n_rows), np.zeros((0, 4)), np.zeros((0, 4)), lay.straight_lane_rects(),
-        lane.id, exiting, lane.ref_point,
-    )
     hit_b = rows_by_segments_hit_matrix(bsegs, PX, PY, cth, sth, z.c_length, z.c_width).any(axis=1)
     hit_m = rows_by_segments_hit_matrix(msegs, PX, PY, cth, sth, z.c_length, z.c_width).any(axis=1)
+    wrong = np.zeros(n_rows, dtype=bool)
+    for lid, rect in lay.straight_lane_rects():
+        if lid != lane.id:
+            wrong |= overlap_one_rect(PX, PY, cth, sth, z.c_length, z.c_width, rect)
+    F = np.zeros((n_rows, 6))
     F[:, 1] = np.where(hit_b, -1.0, 0.0)
-    F[:, 2] = np.where(hit_m | (F[:, 2] == -1.0), -1.0, 0.0)
+    F[:, 2] = np.where(hit_m | (exiting & wrong), -1.0, 0.0)
+    F[:, 4] = -(np.abs(lane.ref_point[0] - PX) + np.abs(lane.ref_point[1] - PY))
     box = (PX.min(), PY.min(), PX.max(), PY.max())
     return (PX, PY, PTH, cth, sth), box, [len(p[2]) for p in poses], node_rows, node_speeds, F
+
+
+def overlap_one_rect(x, y, c, s, length, width, other):
+    """Closed-set overlap of B equally sized rectangles, at (x, y) with
+    heading cos and sin c, s, against the one OrientedRect other: the
+    lane kernel as it was before it took every lane in one pass."""
+    hl, hw = 0.5 * length, 0.5 * width
+    co, so = math.cos(other.theta), math.sin(other.theta)
+    ohl, ohw = 0.5 * other.length, 0.5 * other.width
+    dx = other.cx - np.asarray(x)
+    dy = other.cy - np.asarray(y)
+    C = np.abs(co * c + so * s)
+    S = np.abs(so * c - co * s)
+    sep = np.abs(dx * c + dy * s) > hl + ohl * C + ohw * S
+    sep |= np.abs(dy * c - dx * s) > hw + ohl * S + ohw * C
+    sep |= np.abs(dx * co + dy * so) > ohl + hl * C + hw * S
+    sep |= np.abs(dy * co - dx * so) > ohw + hl * S + hw * C
+    return ~sep
 
 
 def segments_near_point(segs, x, y, radius):

@@ -62,6 +62,17 @@ def test_unknown_flag_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--episodes", "x"], "argument --episodes: invalid int value: 'x'"),
+    (["--traffic-model", "l3"], "argument --traffic-model: invalid choice: 'l3'"),
+])
+def test_bad_flag_value_names_flag_and_value(flags, needle, capsys):
+    assert main(["evaluate", "--scene", "fourway", *flags]) == 1
+    err = capsys.readouterr().err
+    usage, message = err.split("intersim: error: ")
+    assert "usage" in usage and message.startswith(needle)
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

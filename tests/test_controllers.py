@@ -20,6 +20,7 @@ from intersim import dynamics as dyn
 from intersim import reward as rw
 from intersim.controllers import (
     ACCEL_SET,
+    BETA,
     RC_M,
     AdaptiveController,
     BeliefState,
@@ -313,7 +314,7 @@ def test_distilled_adaptive_paths_match_per_row_queries():
         refs.append(PerRowAdaptive(_toy_row))
         _same_run(AdaptiveController(predictor=predictor), refs[-1], seed)
         refs.append(PerRowDistilledAdaptive(_toy_actor, _toy_row))
-        _same_run(DistilledAdaptiveController(_toy_actor, predictor), refs[-1], seed)
+        _same_run(DistilledAdaptiveController(_toy_actor, predictor, BETA), refs[-1], seed)
     # the comparison is only as sharp as the beliefs it compares: every
     # tracked vehicle leans to a level, and respawns reset some of them
     peaks = [p for ref in refs for p in ref.peak_by_slot().values()]
@@ -618,7 +619,7 @@ def test_rule_based_controller_tracks_its_reference_path():
             Pose2(-20.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out", phase=PHASE_APPROACH
         )
     ]
-    av = RuleBasedController()
+    av = RuleBasedController(RC_M)
     for _ in range(40):
         a = av.decide(states, 0, net, PlanCache())
         assert 0 <= a < len(DEFAULT_ACTIONS)

@@ -14,7 +14,7 @@ import pytest
 
 from intersim import geometry as geo
 
-from planner_oracle import segment_segment_dist, segments_intersect
+from planner_oracle import overlap_one_rect, segment_segment_dist, segments_intersect
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +156,33 @@ def test_overlap_batch_matches_scalar():
     cx = rng.uniform(-10, 10, B)
     cy = rng.uniform(-10, 10, B)
     th = rng.uniform(-math.pi, math.pi, B)
-    got = geo.overlap_rects_one_many(cx, cy, np.cos(th), np.sin(th), 5.0, 2.0, other)
+    got = geo.overlap_rects_one_many(cx, cy, np.cos(th), np.sin(th), 5.0, 2.0, geo.rect_rows([other]))
     want = np.array(
         [geo.rects_overlap(geo.OrientedRect(cx[i], cy[i], 5.0, 2.0, th[i]), other) for i in range(B)]
     )
     assert np.array_equal(got, want)
+
+
+def test_one_pass_lane_kernel_matches_the_per_rect_kernel():
+    """Against L rectangles in one pass, the kernel flags exactly the rows
+    that the per-rect kernel flags for some rectangle, on random rows and
+    on rows around each rectangle's corners; one rectangle at a time it
+    equals the per-rect kernel, and against none it flags no row."""
+    rng = np.random.default_rng(8)
+    others = [random_rect(rng, span=6.0) for _ in range(5)]
+    corners = np.concatenate([r.corners() for r in others])
+    x = np.concatenate([rng.uniform(-12, 12, 300), corners[:, 0] + 2.5, corners[:, 0] - 2.5, corners[:, 0]])
+    y = np.concatenate([rng.uniform(-12, 12, 300), corners[:, 1], corners[:, 1], corners[:, 1] + 1.0])
+    th = np.concatenate([rng.uniform(-math.pi, math.pi, 300), np.zeros(3 * len(corners))])
+    c, s = np.cos(th), np.sin(th)
+    per_rect = np.array([overlap_one_rect(x, y, c, s, 5.0, 2.0, r) for r in others])
+    got = geo.overlap_rects_one_many(x, y, c, s, 5.0, 2.0, geo.rect_rows(others))
+    assert np.array_equal(got, per_rect.any(axis=0))
+    # some rows touch two or more rectangles, and some touch none
+    assert (per_rect.sum(axis=0) >= 2).any() and not per_rect.any(axis=0).all()
+    for r, want in zip(others, per_rect):
+        assert np.array_equal(geo.overlap_rects_one_many(x, y, c, s, 5.0, 2.0, geo.rect_rows([r])), want)
+    assert not geo.overlap_rects_one_many(x, y, c, s, 5.0, 2.0, geo.rect_rows([])).any()
 
 
 def test_overlap_batch_touching_counts():
@@ -172,7 +194,7 @@ def test_overlap_batch_touching_counts():
         np.zeros(3),
         4.0,
         2.0,
-        geo.OrientedRect(4.0, 0.0, 4.0, 2.0, 0.0),
+        geo.rect_rows([geo.OrientedRect(4.0, 0.0, 4.0, 2.0, 0.0)]),
     )
     assert got.tolist() == [True, True, False]
 

@@ -159,13 +159,13 @@ def test_monte_carlo_is_deterministic_across_worker_counts(policy_file):
 
 def test_monte_carlo_seeds_episodes_by_index(policy_file):
     spec = _spec(policy_file)
-    rep = monte_carlo(spec, 3, master_seed=9)
+    rep = monte_carlo(spec, 3, master_seed=9, workers=1)
     assert [o.seed for o in rep.outcomes] == [(9, 0), (9, 1), (9, 2)]
     # same master seed reproduces, a different one may not
-    again = monte_carlo(spec, 3, master_seed=9)
+    again = monte_carlo(spec, 3, master_seed=9, workers=1)
     assert [o.kind for o in rep.outcomes] == [o.kind for o in again.outcomes]
     with pytest.raises(ValueError):
-        monte_carlo(spec, 0)
+        monte_carlo(spec, 0, master_seed=0, workers=1)
 
 
 def test_evaluate_models_pools_with_breakdown(policy_file):
@@ -207,7 +207,7 @@ def test_write_csv_checks_row_width(tmp_path):
 
 def test_report_csv_has_one_row_per_report(tmp_path, policy_file):
     spec = _spec(policy_file)
-    reports = [monte_carlo(spec, 2, master_seed=s) for s in (0, 1)]
+    reports = [monte_carlo(spec, 2, master_seed=s, workers=1) for s in (0, 1)]
     path = tmp_path / "report.csv"
     write_report_csv(reports, str(path))
     header, rows = _read_csv(str(path))

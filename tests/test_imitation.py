@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from encode_oracle import encode_row, encode_row_adaptive, opponent_order
+from fit_oracle import reference_fit
 
 from intersim import controllers
 from intersim import imitation as im
@@ -367,6 +368,56 @@ def test_fit_learns_a_separable_problem():
     assert (pol.predict(X) == y).mean() > 0.95
 
 
+def _labelled(rng, n, d):
+    X = rng.normal(size=(n, d))
+    return X, (X[:, 0] > 0).astype(int) + 2 * (X[:, 1] > 0).astype(int) + (X[:, 2] > 1.0).astype(int)
+
+
+@pytest.mark.parametrize(
+    "hidden, n, batch_size, steps",
+    [
+        (12, 400, 64, 40),  # one hidden layer; 400 rows re-permute after 6 batches
+        ((10, 7), 400, 64, 40),  # two hidden layers
+        (12, 23, 64, 15),  # fewer rows than a batch: every step takes all of them
+        ((10, 7), 300, 32, 1),  # one step: the learning rate does not anneal
+        (12, 130, 64, 5),  # 130 rows: batches at 0 and 64, then a re-permute
+    ],
+)
+def test_fit_equals_the_per_layer_reference_bit_for_bit(hidden, n, batch_size, steps):
+    """The flat-vector step with products into buffers gives the theta
+    bytes and the loss of the per-layer loop."""
+    X, y = _labelled(np.random.default_rng(n), n, 9)
+    cfg = TrainConfig(hidden=hidden, batch_size=batch_size)
+    sizes = [9, *([hidden] if isinstance(hidden, int) else hidden), 6]
+    pol = PolicyApproximator(sizes, default_encoding("levelk"), seed=4)
+    want_theta, want_loss = reference_fit(pol, X, y, cfg, np.random.default_rng(11), steps)
+    loss = pol.fit(X, y, cfg, np.random.default_rng(11), steps)
+    assert pol.theta().tobytes() == want_theta.tobytes()
+    assert loss == want_loss
+
+
+def test_fit_layer_views_share_theta():
+    """ws and bs stay views of the parameters through a fit and a
+    set_theta, so logits read what fit wrote."""
+    X, y = _labelled(np.random.default_rng(3), 100, 5)
+    pol = PolicyApproximator([5, 8, 6], default_encoding("levelk"), seed=2)
+    pol.fit(X, y, TrainConfig(hidden=8), np.random.default_rng(1), 10)
+    theta = pol.theta()
+    flat = np.concatenate([part for w, b in zip(pol.ws, pol.bs) for part in (w.ravel(), b)])
+    assert flat.tobytes() == theta.tobytes()
+    pol.set_theta(theta[::-1].copy())
+    assert pol.ws[0].ravel()[0] == theta[-1]
+
+
+def test_a_diverging_fit_raises():
+    """The loss is floored at log(1e-12), so a runaway step shows as
+    overflow: inputs of order 100 at lr 50 overflow the logits."""
+    X, y = _labelled(np.random.default_rng(5), 200, 6)
+    pol = PolicyApproximator([6, 12, 6], default_encoding("levelk"), seed=0)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="diverged"):
+        pol.fit(100.0 * X, y, TrainConfig(hidden=12, lr=50.0), np.random.default_rng(0), 300)
+
+
 # ---------------------------------------------------------------------------
 # aggregation loop
 
@@ -493,7 +544,7 @@ def test_adaptive_dagger_encodes_and_observes_as_deployment(monkeypatch):
         train=TrainConfig(hidden=4, min_steps=1, max_steps=1, final_max_steps=1),
     )
     dagger_train_adaptive(cfg)
-    controllers.DistilledAdaptiveController(actor, predictor=None).decide(scene(), 0, net, PlanCache())
+    controllers.DistilledAdaptiveController(actor, None, controllers.BETA).decide(scene(), 0, net, PlanCache())
     assert len(trained) == len(served) == 1
     assert served[0][EGO_BLOCK + SLOT_WIDTH] == -1.0
     assert np.array_equal(trained[0], served[0])

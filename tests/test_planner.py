@@ -31,7 +31,13 @@ from intersim.planner import (
 )
 from intersim.reward import DEFAULT_ZONES, RewardWeights
 
-from planner_oracle import disk_cull_tree, exhaustive_plan, random_plan_scene, repeat_per_row_search
+from planner_oracle import (
+    disk_cull_tree,
+    exhaustive_plan,
+    overlap_one_rect,
+    random_plan_scene,
+    repeat_per_row_search,
+)
 
 
 # the planner's memos of the tables that ego trees share
@@ -322,7 +328,8 @@ def _probe_opponents(tree, rng, n):
 def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, shape, horizon, actions):
     """Culling opponents beyond the overlap reach of the tree's box changes
     no overlap flag and no plan bit, at the edge of the reach and for zones
-    that meet corner to corner; the kernel sees only opponents in reach."""
+    that meet corner to corner; the kernel sees only opponents in reach,
+    and a search fills overlap columns only when one is."""
     tested, filled = [], []
     real, real_fill = reward.overlap_rects_group, planner.opponent_features
 
@@ -353,8 +360,9 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, shape, 
             del tested[:], filled[:]
             tree.searched.clear()  # search again, not read a shared search
             res = best_response(ego, opp, net, cache)
-            (got,) = filled
-            assert len(tested) <= 1 and sum(tested) <= len(opp)
+            # with no opponent in reach, the search reads the tree's own features
+            got = filled[0] if filled else tree.features
+            assert len(filled) == len(tested) <= 1 and sum(tested) <= len(opp)
             culled += len(opp) - sum(tested)
             assert np.array_equal(got[:, [0, 3]], want_cols)
             assert res.action_sequence == seq
@@ -485,6 +493,51 @@ def test_box_culled_tree_matches_the_disk_culled_reference(shape, horizon, actio
     assert flags.all()
 
 
+def _leaving_egos(rng, net, name, center, n):
+    """n egos in the inside or exit phase within a few metres of center,
+    bound for a random lane of layout name: their pose rows leave the core
+    over the straight lanes around it."""
+    lay = net.layouts[name]
+    reach = lay.core.get("half", lay.core.get("r")) if center is None else 0.0
+    cx, cy = lay.center if center is None else center
+    for _ in range(n):
+        a, d = rng.uniform(-math.pi, math.pi), reach + rng.uniform(-2.0, 5.0)
+        yield VehicleState(
+            Pose2(cx + d * math.cos(a), cy + d * math.sin(a), rng.uniform(-math.pi, math.pi)),
+            float(rng.uniform(1.0, V_MAX)),
+            goal_ref=f"{name}:{sorted(lay.lanes)[rng.integers(len(lay.lanes))]}",
+            phase=(PHASE_INSIDE, PHASE_EXIT)[rng.integers(2)],
+        )
+
+
+@pytest.mark.parametrize("place", ["fourway", "tshape", "roundabout", "city connector"])
+def test_leaving_egos_match_the_per_lane_reference(place):
+    """Trees whose rows leave the core, and meet several wrong lanes at
+    once, equal the reference that tests one lane at a time: around each
+    single intersection's core, and at both ends of a city connector."""
+    rng = np.random.default_rng(70)
+    if place == "city connector":
+        net = make_city()
+        a, arm_a, b, arm_b = net.connectors[0]
+        egos = [ego for name, arm in ((a, arm_a), (b, arm_b))
+                for ego in _leaving_egos(rng, net, name, net.layouts[name].port(arm), 10)]
+    else:
+        net = single_network(place)
+        egos = list(_leaving_egos(rng, net, "I0", None, 20))
+    z = DEFAULT_ZONES
+    most = 0  # the most wrong lanes one exiting row meets
+    for ego in egos:
+        want = disk_cull_tree(ego, net)
+        _same_tree(planner._ego_tree(ego, net), want)
+        lay, lane = net.resolve(ego.goal_ref)
+        PX, PY, _, cth, sth = want[0]
+        exiting = ~np.array([lay.in_core(x, y) for x, y in zip(PX, PY)], dtype=bool)
+        lanes = [overlap_one_rect(PX, PY, cth, sth, z.c_length, z.c_width, rect)
+                 for lid, rect in lay.straight_lane_rects() if lid != lane.id]
+        most = max(most, int(np.sum(lanes, axis=0)[exiting].max(initial=0)))
+    assert most >= 2
+
+
 def _arrays(x):
     if isinstance(x, np.ndarray):
         return [x]
@@ -555,8 +608,8 @@ def test_a_segment_exactly_at_the_box_reach_is_kept(monkeypatch, speed):
 
     monkeypatch.setattr(planner, "features_many", features_many)
     planner._ego_tree(ego, fresh)
-    (bsegs, msegs), = kept
-    assert np.array_equal(bsegs, segs[:4]) and np.array_equal(msegs, segs[3::-1])
+    (edges, nb), = kept
+    assert nb == 4 and np.array_equal(edges, np.concatenate([segs[:4], segs[3::-1]]))
 
 
 def _crossing_scene():

@@ -21,6 +21,12 @@ def feats(pose, speed, others, lay, ref, **kw):
     return rw.features(pose, speed, others, lay, ref, **kw).as_array()
 
 
+def road(lay, target):
+    """The segment and lane arguments of features_many on lay, heading for
+    the lane target."""
+    return lay.edge_segments(), len(lay.boundary_segments()), lay.wrong_lanes(target)
+
+
 def test_weight_order():
     w = rw.DEFAULT_WEIGHTS.as_array()
     assert np.array_equal(w, [1000.0, 500.0, 50.0, 100.0, 5.0, 1.0])
@@ -110,13 +116,7 @@ def test_features_many_matches_scalar(fourway):
         exiting = rng.random(B) < 0.5
         opp = np.array([[3.0, -2.0, 2.0], [-6.0, 1.0, -0.5], [10.0, 10.0, 1.0]])
         got = rw.features_many(
-            x, y, np.cos(th), np.sin(th), v,
-            lay.boundary_segments(),
-            lay.marking_segments(),
-            lay.straight_lane_rects(),
-            target,
-            exiting,
-            ref,
+            x, y, np.cos(th), np.sin(th), v, *road(lay, target), exiting, ref,
         )
         rw.opponent_features(got, x, y, np.cos(th), np.sin(th), opp[:, None], [B])
         for i in range(B):
@@ -139,10 +139,7 @@ def test_features_many_no_opponents(fourway):
         np.array([1.0]),
         np.array([0.0]),
         np.array([2.0]),
-        fourway.boundary_segments(),
-        fourway.marking_segments(),
-        fourway.straight_lane_rects(),
-        "E.out",
+        *road(fourway, "E.out"),
         np.array([False]),
         (34.0, -2.0),
     )
@@ -155,7 +152,6 @@ def test_features_many_one_call_equals_one_call_per_instant(fourway):
     # opponents of its own instant
     rng = np.random.default_rng(31)
     ref = fourway.lanes["E.out"].ref_point
-    road = (fourway.boundary_segments(), fourway.marking_segments(), fourway.straight_lane_rects(), "E.out")
     sizes = (3, 18, 108)
     opp = np.stack(
         [rng.uniform(-8, 8, (2, 3)), rng.uniform(-8, 8, (2, 3)), rng.uniform(-math.pi, math.pi, (2, 3))],
@@ -168,7 +164,7 @@ def test_features_many_one_call_equals_one_call_per_instant(fourway):
     ]
     def features(x, y, th, v, ex, opp, counts):
         c, s = np.cos(th), np.sin(th)
-        out = rw.features_many(x, y, c, s, v, *road, ex, ref)
+        out = rw.features_many(x, y, c, s, v, *road(fourway, "E.out"), ex, ref)
         rw.opponent_features(out, x, y, c, s, opp, counts)
         return out
 
