@@ -52,7 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, episodes: int):
         sp.add_argument("--scene", required=True,
-                        help="built-in layout (fourway|tshape|roundabout|city) or network JSON path")
+                        help="built-in layout (fourway|tshape|roundabout|city) or the path of a network "
+                             "recipe file: format_version 2, intersections as builder arguments "
+                             "(kind, name, center, stem, arm_lengths), connectors")
         sp.add_argument("--vehicles", type=int, default=3, help="background vehicle count")
         sp.add_argument("--traffic-model", choices=TRAFFIC_MODELS, default="mixed")
         sp.add_argument("--av", choices=AV_POLICIES, default=None,
@@ -87,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rnd = sub.add_parser("render", help="episode log to SVG frames")
     rnd.add_argument("log", help="ndjson episode log path")
     rnd.add_argument("--scene", required=True,
-                     help="layout kind or network JSON the log was recorded on")
+                     help="layout kind or network recipe file the log was recorded on")
     rnd.add_argument("--ticks", default=None, help="lo:hi tick range (inclusive)")
     rnd.add_argument("--out", default=".")
     return p

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, VehicleState, step
 from .geometry import (
+    LANE_WIDTH_M,
     Pose2,
     RoadLayout,
     RoadNetwork,
@@ -356,7 +357,7 @@ def _build_reference_path(layout: RoadLayout, entrance: str, exit: str) -> np.nd
         )
         t, _ = np.linalg.solve(a, b)
         corner = np.array(lane_in.p0) + t * np.array(e)
-        r = layout.params["lane_width"]
+        r = LANE_WIDTH_M
         t1 = corner - r * np.array(e)
         t2 = corner + r * np.array(x)
         left = cross > 0
@@ -375,7 +376,7 @@ def _build_reference_path(layout: RoadLayout, entrance: str, exit: str) -> np.nd
         ring = next(l for l in layout.lanes.values() if l.kind == "arc")
         r_ring = ring.arc["r"]
         cx, cy = ring.arc["cx"], ring.arc["cy"]
-        half = 0.5 * layout.params["lane_width"]
+        half = 0.5 * LANE_WIDTH_M
         u_c = math.sqrt(r_ring * r_ring - half * half)
         arm_in = layout.arms[lane_in.arm]
         arm_out = layout.arms[lane_out.arm]

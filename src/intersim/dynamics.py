@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .geometry import Pose2, RoadNetwork, arc_reached, wrap_angle
+from .geometry import LANE_WIDTH_M, Pose2, RoadNetwork, arc_reached, wrap_angle
 from .reward import DEFAULT_ZONES
 
 DT_S = 0.25
@@ -177,7 +177,6 @@ def update_goal(state: VehicleState, network: RoadNetwork) -> None:
 def _zone_in_lane(state, lay, lane) -> bool:
     """Whether the collision zone lies in lane's arm strip, center in lane's half."""
     arm = lay.arms[lane.arm]
-    lw = lay.params["lane_width"]
     c, s = math.cos(state.pose.theta), math.sin(state.pose.theta)
     hl, hw = 0.5 * DEFAULT_ZONES.c_length, 0.5 * DEFAULT_ZONES.c_width
     x, y = state.pose.x, state.pose.y
@@ -185,7 +184,7 @@ def _zone_in_lane(state, lay, lane) -> bool:
         px = x + dx * c * hl - dy * s * hw
         py = y + dx * s * hl + dy * c * hw
         u, w = lay.arm_frame(lane.arm, px, py)
-        if u < arm.u_start or abs(w) > lw:
+        if u < arm.u_start or abs(w) > LANE_WIDTH_M:
             return False
     _, wc = lay.arm_frame(lane.arm, x, y)
     return lane.w_lo <= wc <= lane.w_hi

@@ -9,12 +9,20 @@ region (a box, or an annular ring for roundabouts). Arms carry one inbound
 and one outbound lane under right-hand traffic. A RoadNetwork is one or
 more layouts whose arm ends coincide pairwise (connectors), so a road
 shared by two intersections is simply both of their arms.
+
+A network file is the recipe its builders take, and nothing derived: a
+JSON object of format_version 2, its "intersections" a list of builder
+arguments with the "kind" (name, center, stem for a T, and arm_lengths
+by arm id, where an arm not named is ARM_LENGTH_M long), and its
+"connectors" [a, arm_a, b, arm_b] rows. Each intersection is
+BUILDERS[kind] called with its other keys; CITY is an example.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -354,32 +362,37 @@ class Lane:
     arc: Optional[dict] = None  # {"cx","cy","r","a0","a1"} CCW span, degrees
 
 
+# the built-in layouts' dimensions
+LANE_WIDTH_M = 4.0
+ARM_LENGTH_M = 30.0  # an arm's length where the recipe names none
+ISLAND_RADIUS_M = 8.0
+RING_OUTER_R_M = ISLAND_RADIUS_M + LANE_WIDTH_M  # a roundabout's core radius
+CIRCLE_SEGMENTS = 64  # polyline segments of a full roundabout circle
+MARKING_SETBACK_M = 2.0  # roundabout arm markings start this far out
+
+
 class RoadLayout:
-    """Geometry bundle for a single intersection."""
+    """Geometry bundle for a single intersection. Its core is the square
+    of half side LANE_WIDTH_M about the center, or for a roundabout the
+    disc of radius RING_OUTER_R_M."""
 
     def __init__(
         self,
         name: str,
         kind: str,
-        label: int,
         center: Tuple[float, float],
-        params: dict,
         arms: Dict[str, Arm],
         lanes: Dict[str, Lane],
         boundaries: List[np.ndarray],
         markings: List[np.ndarray],
-        core: dict,
     ):
         self.name = name
         self.kind = kind
-        self.label = label  # 1 fourway, 2 tshape, 3 roundabout
         self.center = (float(center[0]), float(center[1]))
-        self.params = params
         self.arms = arms
         self.lanes = lanes
         self.boundaries = boundaries
         self.markings = markings
-        self.core = core
         self._derived: Dict[object, object] = {}
 
     # -- derived geometry, computed on first use ------------------------------
@@ -430,13 +443,18 @@ class RoadLayout:
     # -- queries ------------------------------------------------------------
 
     def in_core(self, x: float, y: float) -> bool:
-        if self.core["type"] == "box":
-            return (
-                abs(x - self.center[0]) <= self.core["half"]
-                and abs(y - self.center[1]) <= self.core["half"]
-            )
+        """Whether the point lies in the core, touching included."""
         dx, dy = x - self.center[0], y - self.center[1]
-        return dx * dx + dy * dy <= self.core["r"] ** 2
+        if self.kind == "roundabout":
+            return dx * dx + dy * dy <= RING_OUTER_R_M**2
+        return abs(dx) <= LANE_WIDTH_M and abs(dy) <= LANE_WIDTH_M
+
+    def in_core_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """in_core of each point of the arrays x and y."""
+        dx, dy = x - self.center[0], y - self.center[1]
+        if self.kind == "roundabout":
+            return dx * dx + dy * dy <= RING_OUTER_R_M**2
+        return (np.abs(dx) <= LANE_WIDTH_M) & (np.abs(dy) <= LANE_WIDTH_M)
 
     def port(self, arm_id: str) -> Tuple[float, float]:
         """Outer end of an arm axis, where a neighbor layout may attach."""
@@ -456,81 +474,6 @@ class RoadLayout:
         """Polar angle of a point about the core center, in [0, 360)."""
         a = math.degrees(math.atan2(y - self.center[1], x - self.center[0]))
         return a % 360.0
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "name": self.name,
-            "kind": self.kind,
-            "label": self.label,
-            "center": list(self.center),
-            "params": self.params,
-            "arms": {
-                aid: {
-                    "angle_deg": math.degrees(a.angle),
-                    "u_start": a.u_start,
-                    "u_end": a.u_end,
-                }
-                for aid, a in self.arms.items()
-            },
-            "lanes": {
-                lid: {
-                    "kind": ln.kind,
-                    "arm": ln.arm,
-                    "heading": ln.heading,
-                    "p0": list(ln.p0),
-                    "p1": list(ln.p1),
-                    "ref_point": list(ln.ref_point),
-                    "rect": None
-                    if ln.rect is None
-                    else [ln.rect.cx, ln.rect.cy, ln.rect.length, ln.rect.width, ln.rect.theta],
-                    "w_lo": ln.w_lo,
-                    "w_hi": ln.w_hi,
-                    "arc": ln.arc,
-                }
-                for lid, ln in self.lanes.items()
-            },
-            "boundaries": [np.asarray(b).tolist() for b in self.boundaries],
-            "markings": [np.asarray(m).tolist() for m in self.markings],
-            "core": self.core,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RoadLayout":
-        arms = {
-            aid: Arm(aid, math.radians(d["angle_deg"]), d["u_start"], d["u_end"])
-            for aid, d in data["arms"].items()
-        }
-        lanes = {}
-        for lid, d in data["lanes"].items():
-            rect = None if d["rect"] is None else OrientedRect(*d["rect"])
-            lanes[lid] = Lane(
-                id=lid,
-                kind=d["kind"],
-                arm=d["arm"],
-                heading=d["heading"],
-                p0=tuple(d["p0"]),
-                p1=tuple(d["p1"]),
-                ref_point=tuple(d["ref_point"]),
-                rect=rect,
-                w_lo=d["w_lo"],
-                w_hi=d["w_hi"],
-                arc=d["arc"],
-            )
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            label=data["label"],
-            center=tuple(data["center"]),
-            params=data["params"],
-            arms=arms,
-            lanes=lanes,
-            boundaries=[np.asarray(b, dtype=float) for b in data["boundaries"]],
-            markings=[np.asarray(m, dtype=float) for m in data["markings"]],
-            core=data["core"],
-        )
 
 
 def _segment_bounds(segs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -553,22 +496,42 @@ def _polylines_to_segments(polylines: List[np.ndarray]) -> np.ndarray:
 
 ARM_ANGLES = {"E": 0.0, "N": 90.0, "W": 180.0, "S": 270.0}
 KIND_LABELS = {"fourway": 1, "tshape": 2, "roundabout": 3}
-# the built-in layouts' dimensions, recorded in each layout's params
-LANE_WIDTH_M = 4.0
-ISLAND_RADIUS_M = 8.0
-CIRCLE_SEGMENTS = 64  # polyline segments of a full roundabout circle
-MARKING_SETBACK_M = 2.0  # roundabout arm markings start this far out
 
 
-def _build_arm_lanes(center, arm: Arm, lane_width: float) -> Dict[str, Lane]:
+def is_finite_number(v) -> bool:
+    """Whether v is a finite real number; booleans are not numbers."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _checked_recipe(name, center, arm_lengths, arm_ids) -> Tuple[Tuple[float, float], Dict[str, float]]:
+    """center as two floats and the length of each arm in arm_ids. Raises
+    ValueError unless name can head a lane reference (nonempty, no ':'),
+    center is two finite numbers and arm_lengths, None or a dict, maps
+    some of arm_ids to finite positive numbers."""
+    if not (isinstance(name, str) and name and ":" not in name):
+        raise ValueError(f"name must be a nonempty string without ':', got {name!r}")
+    if not (isinstance(center, (tuple, list)) and len(center) == 2 and all(map(is_finite_number, center))):
+        raise ValueError(f"center must be two finite numbers, got {center!r}")
+    arm_lengths = {} if arm_lengths is None else arm_lengths
+    if not isinstance(arm_lengths, dict):
+        raise ValueError(f"arm_lengths must map arm ids to lengths, got {arm_lengths!r}")
+    for aid, length in arm_lengths.items():
+        if aid not in arm_ids:
+            raise ValueError(f"arm_lengths names arm {aid!r}: expected one of {', '.join(arm_ids)}")
+        if not (is_finite_number(length) and length > 0):
+            raise ValueError(f"arm_lengths[{aid!r}] must be finite and positive, got {length!r}")
+    return (float(center[0]), float(center[1])), {aid: arm_lengths.get(aid, ARM_LENGTH_M) for aid in arm_ids}
+
+
+def _build_arm_lanes(center, arm: Arm) -> Dict[str, Lane]:
     """Inbound and outbound lane of an arm under right-hand traffic.
 
-    Outbound traffic runs on w in [-lane_width, 0], inbound on [0, lane_width].
+    Outbound traffic runs on w in [-LANE_WIDTH_M, 0], inbound on [0, LANE_WIDTH_M].
     """
     cx, cy = center
     ux, uy = arm.unit_u()
     wx, wy = arm.unit_w()
-    lw = lane_width
+    lw = LANE_WIDTH_M
     mid_u = 0.5 * (arm.u_start + arm.u_end)
     length = arm.u_end - arm.u_start
 
@@ -604,13 +567,13 @@ def _build_arm_lanes(center, arm: Arm, lane_width: float) -> Dict[str, Lane]:
     return {out_lane.id: out_lane, in_lane.id: in_lane}
 
 
-def _box_boundaries(center, arms: List[Arm], lane_width: float) -> List[np.ndarray]:
+def _box_boundaries(center, arms: List[Arm]) -> List[np.ndarray]:
     """Boundary polylines between angle-consecutive arms of a box layout.
 
     A 90 degree gap produces an L corner, a 180 degree gap a straight edge.
     """
     cx, cy = center
-    lw = lane_width
+    lw = LANE_WIDTH_M
     order = sorted(arms, key=lambda a: a.angle % TWO_PI)
     polys = []
     for i, a in enumerate(order):
@@ -633,36 +596,36 @@ def _box_boundaries(center, arms: List[Arm], lane_width: float) -> List[np.ndarr
 
 def make_fourway(
     center=(0.0, 0.0),
-    arm_length: float = 30.0,
+    arm_lengths: Optional[Dict[str, float]] = None,
     name: str = "fourway",
 ) -> RoadLayout:
     """Four-way intersection, arms E, N, W, S."""
-    return _make_box_layout("fourway", ["E", "N", "W", "S"], center, arm_length, {}, name)
+    return _make_box_layout("fourway", ["E", "N", "W", "S"], center, arm_lengths, name)
 
 
 def make_tshape(
     center=(0.0, 0.0),
     stem: str = "S",
-    arm_length: float = 30.0,
     arm_lengths: Optional[Dict[str, float]] = None,
     name: str = "tshape",
 ) -> RoadLayout:
     """T intersection: a through road plus one stem arm."""
-    through = {"S": ["E", "W"], "N": ["E", "W"], "E": ["N", "S"], "W": ["N", "S"]}[stem]
-    return _make_box_layout("tshape", through + [stem], center, arm_length, arm_lengths or {}, name)
+    if stem not in ("N", "E", "S", "W"):
+        raise ValueError(f"stem must be one of N, E, S, W, got {stem!r}")
+    through = ["E", "W"] if stem in ("N", "S") else ["N", "S"]
+    return _make_box_layout("tshape", through + [stem], center, arm_lengths, name)
 
 
-def _make_box_layout(kind, arm_ids, center, arm_length, arm_lengths, name):
-    lane_width = LANE_WIDTH_M
-    arms = {}
-    for aid in arm_ids:
-        u_start = lane_width
-        u_end = u_start + arm_lengths.get(aid, arm_length)
-        arms[aid] = Arm(aid, math.radians(ARM_ANGLES[aid]), u_start, u_end)
+def _make_box_layout(kind, arm_ids, center, arm_lengths, name):
+    center, lengths = _checked_recipe(name, center, arm_lengths, arm_ids)
+    arms = {
+        aid: Arm(aid, math.radians(ARM_ANGLES[aid]), LANE_WIDTH_M, LANE_WIDTH_M + length)
+        for aid, length in lengths.items()
+    }
     lanes: Dict[str, Lane] = {}
     for a in arms.values():
-        lanes.update(_build_arm_lanes(center, a, lane_width))
-    boundaries = _box_boundaries(center, list(arms.values()), lane_width)
+        lanes.update(_build_arm_lanes(center, a))
+    boundaries = _box_boundaries(center, list(arms.values()))
     markings = []
     cx, cy = center
     for a in arms.values():
@@ -675,37 +638,32 @@ def _make_box_layout(kind, arm_ids, center, arm_length, arm_lengths, name):
                 ]
             )
         )
-    params = {"lane_width": lane_width, "arm_length": arm_length, "arm_lengths": arm_lengths}
-    core = {"type": "box", "half": lane_width}
-    return RoadLayout(name, kind, KIND_LABELS[kind], center, params, arms, lanes, boundaries, markings, core)
+    return RoadLayout(name, kind, center, arms, lanes, boundaries, markings)
 
 
 def make_roundabout(
     center=(0.0, 0.0),
-    arm_length: float = 30.0,
     arm_lengths: Optional[Dict[str, float]] = None,
     name: str = "roundabout",
 ) -> RoadLayout:
     """Single-lane roundabout with four arms, counterclockwise circulation.
 
     The circulating lane is the annulus between the island and the outer
-    radius ISLAND_RADIUS_M + LANE_WIDTH_M. Arm mouths open through the
-    outer circle, so arm edges start at sqrt(r_out^2 - lane_width^2).
+    radius RING_OUTER_R_M. Arm mouths open through the outer circle, so
+    arm edges start at sqrt(r_out^2 - lane_width^2).
     """
-    arm_lengths = arm_lengths or {}
+    center, lengths = _checked_recipe(name, center, arm_lengths, ["E", "N", "W", "S"])
     cx, cy = center
-    lw, island_radius, circle_segments = LANE_WIDTH_M, ISLAND_RADIUS_M, CIRCLE_SEGMENTS
-    r_out = island_radius + lw
+    lw, r_out = LANE_WIDTH_M, RING_OUTER_R_M
     u_mouth = math.sqrt(r_out * r_out - lw * lw)
-    arms = {}
-    for aid in ("E", "N", "W", "S"):
-        u_end = r_out + arm_lengths.get(aid, arm_length)
-        arms[aid] = Arm(aid, math.radians(ARM_ANGLES[aid]), u_mouth, u_end)
+    arms = {
+        aid: Arm(aid, math.radians(ARM_ANGLES[aid]), u_mouth, r_out + length) for aid, length in lengths.items()
+    }
     lanes: Dict[str, Lane] = {}
     for a in arms.values():
-        lanes.update(_build_arm_lanes(center, a, lw))
+        lanes.update(_build_arm_lanes(center, a))
 
-    r_mid = island_radius + 0.5 * lw
+    r_mid = ISLAND_RADIUS_M + 0.5 * lw
     for qi in range(4):
         a0, a1 = 90.0 * qi, 90.0 * (qi + 1)
         end = (cx + r_mid * math.cos(math.radians(a1)), cy + r_mid * math.sin(math.radians(a1)))
@@ -721,7 +679,7 @@ def make_roundabout(
             arc={"cx": cx, "cy": cy, "r": r_mid, "a0": a0, "a1": a1},
         )
 
-    boundaries = [_circle_polyline(cx, cy, island_radius, circle_segments)]
+    boundaries = [_circle_polyline(cx, cy, ISLAND_RADIUS_M, CIRCLE_SEGMENTS)]
     half_open = math.degrees(math.asin(lw / r_out))
     order = sorted(arms.values(), key=lambda a: a.angle)
     for i, a in enumerate(order):
@@ -730,7 +688,7 @@ def make_roundabout(
         a1 = math.degrees(b.angle) % 360.0 - half_open
         if a1 < a0:
             a1 += 360.0
-        boundaries.append(_arc_polyline(cx, cy, r_out, a0, a1, circle_segments))
+        boundaries.append(_arc_polyline(cx, cy, r_out, a0, a1, CIRCLE_SEGMENTS))
     for a in arms.values():
         ux, uy = a.unit_u()
         wx, wy = a.unit_w()
@@ -750,16 +708,7 @@ def make_roundabout(
         markings.append(
             np.array([[cx + ux * m0, cy + uy * m0], [cx + ux * a.u_end, cy + uy * a.u_end]])
         )
-    params = {
-        "lane_width": lw,
-        "island_radius": island_radius,
-        "arm_length": arm_length,
-        "arm_lengths": arm_lengths,
-        "circle_segments": circle_segments,
-        "marking_setback": MARKING_SETBACK_M,
-    }
-    core = {"type": "disc", "r": r_out}
-    return RoadLayout(name, "roundabout", KIND_LABELS["roundabout"], center, params, arms, lanes, boundaries, markings, core)
+    return RoadLayout(name, "roundabout", center, arms, lanes, boundaries, markings)
 
 
 def _circle_polyline(cx, cy, r, n) -> np.ndarray:
@@ -774,6 +723,7 @@ def _arc_polyline(cx, cy, r, a0_deg, a1_deg, full_circle_segments) -> np.ndarray
 
 
 BUILDERS = {"fourway": make_fourway, "tshape": make_tshape, "roundabout": make_roundabout}
+NETWORK_FORMAT = 2  # format_version of a network file
 
 
 # ---------------------------------------------------------------------------
@@ -825,14 +775,14 @@ class RoadNetwork:
     and lanes must line up, validate() checks both.
     """
 
-    def __init__(self, layouts: List[RoadLayout], connectors: Optional[List[Tuple[str, str, str, str]]] = None):
+    def __init__(self, layouts: List[RoadLayout], connectors: Sequence[Sequence[str]]):
         self.layouts: Dict[str, RoadLayout] = {}
         for lay in layouts:
             if lay.name in self.layouts:
                 raise ValueError(f"duplicate layout name {lay.name}")
             self.layouts[lay.name] = lay
         self.names: List[str] = [lay.name for lay in layouts]
-        self.connectors = [tuple(c) for c in (connectors or [])]
+        self.connectors = [tuple(c) for c in connectors]
         self.validate()
         self._entry_lanes: Optional[List[Tuple[str, Lane]]] = None
 
@@ -886,55 +836,62 @@ class RoadNetwork:
                 best, best_d = name, d
         return best
 
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "intersections": [self.layouts[n].to_json() for n in self.names],
-            "connectors": [list(c) for c in self.connectors],
-        }
-
     @classmethod
-    def from_json(cls, data: dict) -> "RoadNetwork":
-        layouts = [RoadLayout.from_json(d) for d in data["intersections"]]
-        return cls(layouts, [tuple(c) for c in data["connectors"]])
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=1)
+    def from_recipe(cls, recipe: dict) -> "RoadNetwork":
+        """The network a recipe describes (see the module doc): each
+        intersection is BUILDERS[kind] called with its other keys. Raises
+        KeyError, TypeError or ValueError, naming the key, when malformed."""
+        intersections = recipe["intersections"]
+        if not intersections:
+            raise ValueError("intersections is empty")
+        if recipe.get("format_version") != NETWORK_FORMAT:
+            raise ValueError(f"format_version {recipe.get('format_version')!r} is not {NETWORK_FORMAT}")
+        unknown = sorted(set(recipe) - {"format_version", "intersections", "connectors"})
+        if unknown:
+            raise ValueError(f"unknown keys {', '.join(unknown)}")
+        layouts = []
+        for args in intersections:
+            args = dict(args)
+            kind = args.pop("kind")
+            if kind not in BUILDERS:
+                raise ValueError(f"unknown kind {kind!r}: expected one of {', '.join(BUILDERS)}")
+            layouts.append(BUILDERS[kind](**args))
+        return cls(layouts, recipe.get("connectors", []))
 
     @classmethod
     def load(cls, path: str) -> "RoadNetwork":
-        """Raises ValueError naming path when the file is not a network."""
+        """The network of a recipe file. Raises ValueError naming path
+        when the file is not a recipe."""
         with open(path) as f:
             try:
-                return cls.from_json(json.load(f))
+                return cls.from_recipe(json.load(f))
             except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"network file {path} is malformed: {type(e).__name__}: {e}") from None
 
 
-def single_network(kind: str, **kwargs) -> RoadNetwork:
+def single_network(kind: str) -> RoadNetwork:
     """A network holding one built-in intersection, named I0."""
-    builder = BUILDERS[kind]
-    return RoadNetwork([builder(name="I0", **kwargs)])
+    return RoadNetwork.from_recipe(
+        {"format_version": NETWORK_FORMAT, "intersections": [{"kind": kind, "name": "I0"}]}
+    )
+
+
+# The built-in four-node district: a fourway, a roundabout and two T
+# junctions. F --- T1 on the bottom road, R --- T2 on the top road, F --- R
+# and T1 --- T2 as the vertical links. Arm lengths are tuned so every
+# connected pair of ports coincides exactly.
+CITY = {
+    "format_version": NETWORK_FORMAT,
+    "intersections": [
+        {"kind": "fourway", "name": "F", "center": [0.0, 0.0]},
+        {"kind": "roundabout", "name": "R", "center": [0.0, 76.0], "arm_lengths": {"E": 22.0}},
+        {"kind": "tshape", "name": "T1", "center": [68.0, 0.0], "stem": "N", "arm_lengths": {"N": 38.0}},
+        {"kind": "tshape", "name": "T2", "center": [68.0, 76.0], "stem": "S"},
+    ],
+    "connectors": [["F", "E", "T1", "W"], ["F", "N", "R", "S"], ["R", "E", "T2", "W"], ["T1", "N", "T2", "S"]],
+}
 
 
 def make_city() -> RoadNetwork:
-    """Built-in four-node district: a fourway, a roundabout and two T junctions.
-
-    F --- T1 on the bottom road, R --- T2 on the top road, F --- R and
-    T1 --- T2 as the vertical links. Arm lengths are tuned so every
-    connected pair of ports coincides exactly.
-    """
-    f = make_fourway(center=(0.0, 0.0), name="F")
-    r = make_roundabout(center=(0.0, 76.0), arm_lengths={"E": 22.0}, name="R")
-    t1 = make_tshape(center=(68.0, 0.0), stem="N", arm_lengths={"N": 38.0}, name="T1")
-    t2 = make_tshape(center=(68.0, 76.0), stem="S", name="T2")
-    return RoadNetwork(
-        [f, r, t1, t2],
-        connectors=[
-            ("F", "E", "T1", "W"),
-            ("F", "N", "R", "S"),
-            ("R", "E", "T2", "W"),
-            ("T1", "N", "T2", "S"),
-        ],
-    )
+    """The built-in district, CITY."""
+    return RoadNetwork.from_recipe(CITY)

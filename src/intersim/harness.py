@@ -29,7 +29,7 @@ from .controllers import (
     RC_M,
     RuleBasedController,
 )
-from .geometry import BUILDERS, RoadNetwork, make_city, single_network
+from .geometry import BUILDERS, RoadNetwork, is_finite_number, make_city, single_network
 from .imitation import (
     DistilledTraffic,
     PolicyApproximator,
@@ -184,11 +184,6 @@ def summarize(outcomes: Sequence[EpisodeOutcome], scene: str, traffic_model: str
 # evaluation specs: plain data a worker process can rebuild everything from
 
 
-def _finite(v) -> bool:
-    """Whether v is a finite real number; booleans are not numbers."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 @dataclass(frozen=True)
 class EvalSpec:
     """One evaluation cell: the scene, traffic, and the AV stack.
@@ -197,12 +192,15 @@ class EvalSpec:
     "expert" runs the game-tree search every tick, "distilled" batches the
     trained classifier (needs policy_file). adaptive_policy_file switches
     the adaptive ego from online best response to its own distilled head.
-    scene takes a built-in layout kind, "city", or a network JSON path.
+    scene takes a built-in layout kind, "city", or the path of a network
+    recipe file: the builders' arguments per intersection, plus the
+    connectors (geometry's module doc gives the format). A recipe sets
+    each arm's length; the built-in kinds have ARM_LENGTH_M arms.
 
     Construction checks each field alone and raises ValueError unless
     traffic_model, av and engine are known names, n_vehicles is a
-    nonnegative integer, rc_m is finite and nonnegative, t_limit_s and
-    arm_length_m are finite and positive, beta is in (0, 1], and weights
+    nonnegative integer, rc_m is finite and nonnegative, t_limit_s is
+    finite and positive, beta is in (0, 1], and weights
     maps some DEFAULT_WEIGHTS keys to finite values. The scene and the
     rules across fields (the distilled engine needs policy_file, and
     adaptive_policy_file needs the distilled engine) are checked when the
@@ -218,7 +216,6 @@ class EvalSpec:
     adaptive_policy_file: Optional[str] = None
     rc_m: float = RC_M
     beta: float = BETA
-    arm_length_m: Optional[float] = None  # None keeps the builder default
     t_limit_s: float = 300.0
     weights: Optional[Dict[str, float]] = None
 
@@ -232,32 +229,27 @@ class EvalSpec:
         n = self.n_vehicles
         if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
             raise ValueError(f"n_vehicles must be a nonnegative integer, got {n!r}")
-        if not (_finite(self.rc_m) and self.rc_m >= 0):
+        if not (is_finite_number(self.rc_m) and self.rc_m >= 0):
             raise ValueError(f"rc_m must be finite and nonnegative, got {self.rc_m}")
-        if not (_finite(self.t_limit_s) and self.t_limit_s > 0):
+        if not (is_finite_number(self.t_limit_s) and self.t_limit_s > 0):
             raise ValueError(f"t_limit_s must be finite and positive, got {self.t_limit_s}")
-        if self.arm_length_m is not None and not (_finite(self.arm_length_m) and self.arm_length_m > 0):
-            raise ValueError(f"arm_length_m must be finite and positive, got {self.arm_length_m}")
-        if not (_finite(self.beta) and 0 < self.beta <= 1):
+        if not (is_finite_number(self.beta) and 0 < self.beta <= 1):
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         w = self.weights or {}
-        if not (isinstance(w, dict) and set(w) <= set(DEFAULT_WEIGHTS) and all(map(_finite, w.values()))):
+        if not (isinstance(w, dict) and set(w) <= set(DEFAULT_WEIGHTS) and all(map(is_finite_number, w.values()))):
             raise ValueError(f"weights must map some of {', '.join(DEFAULT_WEIGHTS)} to finite values, got {w}")
 
 
 def build_network(spec: EvalSpec) -> RoadNetwork:
     if spec.scene in BUILDERS:
-        kwargs = {}
-        if spec.arm_length_m is not None:
-            kwargs["arm_length"] = spec.arm_length_m
-        return single_network(spec.scene, **kwargs)
+        return single_network(spec.scene)
     if spec.scene == "city":
         return make_city()
     if os.path.exists(spec.scene):
         return RoadNetwork.load(spec.scene)
     raise ValueError(
         f"unknown scene {spec.scene!r}: expected one of {sorted(BUILDERS)}, "
-        "'city', or a path to a network JSON"
+        "'city', or a path to a network recipe file"
     )
 
 

@@ -30,7 +30,7 @@ from .dynamics import (
     step,
     update_goal,
 )
-from .geometry import BUILDERS, RoadNetwork, single_network
+from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, single_network
 from .planner import BEHAVIORAL_LEVELS, INTERACTION_RADIUS_M, K_MAX, PlanCache, expert_policy, near_indices
 from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
@@ -149,7 +149,7 @@ def _common_block(live: list, i: int) -> Tuple[List[float], List[List[float]], L
         ])
     far = SENTINEL_DX_M / POS_SCALE_M
     slots += [[far, 0.0, far, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0] for _ in range(M_NEAR - len(rows))]
-    return ego, slots, [r[2] for r in rows], lay.label
+    return ego, slots, [r[2] for r in rows], KIND_LABELS[lay.kind]
 
 
 def _one_hot(index: int, size: int) -> List[float]:
@@ -572,7 +572,7 @@ def _respawn_terminal(states, net, rng) -> List[int]:
     edges = road_edge_hits(states, [i for i, st in enumerate(states) if st is not None], net)
     respawned = []
     for i, st in enumerate(states):
-        if st is None or detect_fail(states, i, net, edge_hits=edges) or detect_success(st, net):
+        if st is None or detect_fail(states, i, edges) or detect_success(st, net):
             states[i] = spawn_vehicle(net, states, rng)
             respawned.append(i)
     return respawned

@@ -263,7 +263,7 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork) -> _EgoTree:
     keep = ((seg_lo <= hi + _C_ZONE_REACH_M) & (seg_hi >= lo - _C_ZONE_REACH_M)).all(axis=1)
     nb = int(np.count_nonzero(keep[: len(lay.boundary_segments())]))
     PX, PY = PXY
-    exiting = np.zeros(len(PX), dtype=bool) if ego.phase == PHASE_APPROACH else ~_in_core_many(lay, PX, PY)
+    exiting = np.zeros(len(PX), dtype=bool) if ego.phase == PHASE_APPROACH else ~lay.in_core_many(PX, PY)
     F = features_many(
         PX, PY, cth, sth, np.zeros(len(PX)), lay.edge_segments()[keep], nb, lay.wrong_lanes(lane.id),
         exiting, lane.ref_point,
@@ -333,12 +333,3 @@ def _speed_table(speed: str) -> tuple:
     for _ in range(HORIZON_N):
         V.append(np.clip((V[-1][:, None] + _ACCELS * DT_S).ravel(), 0.0, V_MAX))
     return _frozen(*V)
-
-
-def _in_core_many(lay, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    cx, cy = lay.center
-    if lay.core["type"] == "box":
-        h = lay.core["half"]
-        return (np.abs(x - cx) <= h) & (np.abs(y - cy) <= h)
-    dx, dy = x - cx, y - cy
-    return dx * dx + dy * dy <= lay.core["r"] ** 2

@@ -36,6 +36,7 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import (
+    LANE_WIDTH_M,
     Pose2,
     RoadNetwork,
     rects_overlap,
@@ -94,12 +95,11 @@ def spawn_vehicle(
     network: RoadNetwork,
     states: Sequence[Optional[VehicleState]],
     rng: np.random.Generator,
-    min_sep: float = MIN_SEPARATION_M,
 ) -> Optional[VehicleState]:
     """Place a vehicle at a random point of a random entrance lane, with
     lane-aligned heading, a speed drawn from [0, V_MAX) and a random legal
     route. Each of SPAWN_TRIES draws is kept when its center lies at least
-    min_sep from every live vehicle; None when no draw does (the spawn
+    MIN_SEPARATION_M from every live vehicle; None when no draw does (the spawn
     defers to a later tick)."""
     entries = network.entry_lanes()
     live = [(s.pose.x, s.pose.y) for s in states if s is not None]
@@ -109,7 +109,7 @@ def spawn_vehicle(
         x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
         y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
         for px, py in live:
-            if math.hypot(x - px, y - py) < min_sep:
+            if math.hypot(x - px, y - py) < MIN_SEPARATION_M:
                 break
         else:
             name, lane_id = ref.split(":")
@@ -160,19 +160,17 @@ def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork) -> Dict
     return hits
 
 
-def detect_fail(states, i: int, network: RoadNetwork, edge_hits=None) -> bool:
+def detect_fail(states, i: int, edge_hits: Dict[int, bool]) -> bool:
     """A vehicle fails on c-zone overlap with another vehicle, on touching
     a road boundary, or on crossing an opposing-traffic marking.
 
     The road-edge part depends on vehicle i alone: edge_hits is the
-    road_edge_hits of a batch holding i in its current state, or None to
-    check i by itself. sim_step and the training loops take it for all
-    vehicles on the post-move snapshot, then run the vehicle part in slot
-    order between respawns (ROADMAP item 2(a) is pending)."""
+    road_edge_hits of a batch holding i in its current state. sim_step and
+    the training loops take it for all vehicles on the post-move snapshot,
+    then run the vehicle part in slot order between respawns (ROADMAP item
+    2(a) is pending)."""
     if _hits_other_vehicle(states, i):
         return True
-    if edge_hits is None:
-        edge_hits = road_edge_hits(states, [i], network)
     return edge_hits[i]
 
 
@@ -204,7 +202,7 @@ def context_layout(state: VehicleState, network: RoadNetwork) -> str:
             if nb is None or nb[0] != goal_name:
                 continue
             u, w = lay.arm_frame(arm.id, x, y)
-            if u >= arm.u_start and abs(w) <= lay.params["lane_width"]:
+            if u >= arm.u_start and abs(w) <= LANE_WIDTH_M:
                 return goal_name
     return name
 
@@ -429,7 +427,7 @@ def sim_step(
 
     edges = road_edge_hits(ep.states, active, net)
     for i in active:
-        failed = detect_fail(ep.states, i, net, edge_hits=edges)
+        failed = detect_fail(ep.states, i, edges)
         succeeded = not failed and detect_success(ep.states[i], net)
         if i == ep.av_index:
             if failed:
@@ -459,11 +457,9 @@ def run_episode(
     av: Optional[AVController],
     seed,
     collect_log: bool = False,
-    episode: Optional[EpisodeState] = None,
 ) -> dict:
     """Runs one seeded episode to termination and classifies it."""
-    ep = episode if episode is not None else init_episode(cfg, seed, collect_log)
-    ep.collect_log = collect_log
+    ep = init_episode(cfg, seed, collect_log)
     while not ep.done:
         sim_step(ep, cfg, traffic, av)
     mean_v = ep.av_speed_sum / ep.av_ticks if ep.av_ticks else 0.0

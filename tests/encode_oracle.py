@@ -21,6 +21,7 @@ from intersim.imitation import (
     _PHASE_INDEX,
     _lane_tracking,
 )
+from intersim.geometry import KIND_LABELS
 from intersim.planner import BEHAVIORAL_LEVELS
 
 
@@ -94,7 +95,7 @@ def encode_row(states, i, k, network, m_near):
     out, lay, _, base = encode_common(
         states, i, network, m_near, SLOT_WIDTH, N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS)
     )
-    out[base + lay.label - 1] = 1.0
+    out[base + KIND_LABELS[lay.kind] - 1] = 1.0
     out[base + N_LAYOUT_KINDS + k - 1] = 1.0
     return out
 
@@ -104,5 +105,5 @@ def encode_row_adaptive(states, i, estimates, network, m_near):
     for slot in range(min(m_near, len(order))):
         pos = EGO_BLOCK + (SLOT_WIDTH + 1) * slot + SLOT_WIDTH
         out[pos] = -1.0 if estimates.get(order[slot], 1) == 1 else 1.0
-    out[base + lay.label - 1] = 1.0
+    out[base + KIND_LABELS[lay.kind] - 1] = 1.0
     return out

@@ -120,7 +120,7 @@ def random_plan_scene(rng, n_vehicles=None):
             u = rng.uniform(a.u_start + 2.0, a.u_end - 2.0)
             ux, uy = a.unit_u()
             wx, wy = a.unit_w()
-            lw = lay.params["lane_width"]
+            lw = geo.LANE_WIDTH_M
             x = lay.center[0] + ux * u + wx * 0.5 * lw
             y = lay.center[1] + uy * u + wy * 0.5 * lw
             heading = geo.wrap_angle(a.angle + math.pi)

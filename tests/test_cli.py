@@ -10,6 +10,7 @@ import pytest
 from intersim import harness
 from intersim.cli import _build_parser, _spec_from_args, main
 from intersim.controllers import BETA, RC_M
+from intersim.geometry import CITY
 from intersim.harness import REPORT_COLUMNS, EvalSpec, run_one
 from intersim.imitation import (
     ADAPTIVE_DIM,
@@ -276,9 +277,10 @@ _BAD_OVERRIDES = {
     "t_limit_s-negative": ({"t_limit_s": -1}, "t_limit_s must be finite and positive"),
     "t_limit_s-zero": ({"t_limit_s": 0}, "t_limit_s must be finite and positive"),
     "t_limit_s-inf": ({"t_limit_s": float("inf")}, "t_limit_s must be finite and positive"),
-    "arm_length_m-zero": ({"arm_length_m": 0}, "arm_length_m must be finite and positive"),
-    "arm_length_m-negative": ({"arm_length_m": -5}, "arm_length_m must be finite and positive"),
-    "arm_length_m-inf": ({"arm_length_m": float("inf")}, "arm_length_m must be finite and positive"),
+    # arm_length_m is no spec key: a network recipe sets arm lengths
+    "arm_length_m-zero": ({"arm_length_m": 0}, "unknown spec keys in config: arm_length_m"),
+    "arm_length_m-negative": ({"arm_length_m": -5}, "unknown spec keys in config: arm_length_m"),
+    "arm_length_m-inf": ({"arm_length_m": float("inf")}, "unknown spec keys in config: arm_length_m"),
     "beta-7": ({"beta": 7}, "beta must be in (0, 1]"),
     "beta-0": ({"beta": 0.0}, "beta must be in (0, 1]"),
     "beta-nan": ({"beta": float("nan")}, "beta must be in (0, 1]"),
@@ -298,13 +300,16 @@ _BAD_VALUES = {
 
 @pytest.mark.parametrize("case", list(_BAD_VALUES))
 def test_bad_spec_value_raises_without_the_cli(case):
-    """EvalSpec refuses what the CLI refuses, on the library path too."""
+    """EvalSpec refuses what the CLI refuses, on the library path too: a
+    bad field value with ValueError, a key that is no field with
+    TypeError."""
     override = _BAD_VALUES[case]
     (field,) = override
-    with pytest.raises(ValueError, match=field):
+    error = ValueError if field in {f.name for f in dataclasses.fields(EvalSpec)} else TypeError
+    with pytest.raises(error, match=field):
         EvalSpec(**override)
     valid = EvalSpec(scene="fourway", av="rule-based", engine="expert")
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(error, match=field):
         dataclasses.replace(valid, **override)
 
 
@@ -522,6 +527,63 @@ def test_scene_file_without_intersections_exits_one(tmp_path, policy_file, comma
     err = capsys.readouterr().err
     assert str(scene) in err and "intersections" in err
     assert not out.exists()
+
+
+_FORMAT_1_DUMP = {
+    "format_version": 1,
+    "intersections": [{"format_version": 1, "name": "I0", "kind": "fourway", "label": 1, "center": [0.0, 0.0],
+                       "params": {"lane_width": 4.0}, "arms": {}, "lanes": {}, "boundaries": [], "markings": [],
+                       "core": {"type": "box", "half": 4.0}}],
+    "connectors": [],
+}
+_BAD_RECIPES = {
+    "no-intersections": ([], "intersections is empty"),
+    "unknown-kind": ([{"kind": "hexagon"}], "unknown kind 'hexagon'"),
+    "unknown-key": ([{"kind": "fourway", "radius": 3.0}], "'radius'"),
+    "arm-length-zero": ([{"kind": "fourway", "arm_lengths": {"E": 0}}], "arm_lengths['E']"),
+    "arm-length-negative": ([{"kind": "roundabout", "arm_lengths": {"N": -5}}], "arm_lengths['N']"),
+    "arm-length-inf": ([{"kind": "tshape", "arm_lengths": {"S": float("inf")}}], "arm_lengths['S']"),
+    "bad-stem": ([{"kind": "tshape", "stem": "Q"}], "stem must be one of N, E, S, W"),
+    "bad-name": ([{"kind": "fourway", "name": "I0:N"}], "name must be a nonempty string without ':'"),
+    "format-1-dump": (_FORMAT_1_DUMP, "format_version 1 is not 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_RECIPES))
+def test_malformed_network_file_exits_one_naming_path_and_key(tmp_path, policy_file, case, capsys):
+    body, needle = _BAD_RECIPES[case]
+    recipe = body if isinstance(body, dict) else {"format_version": 2, "intersections": body}
+    scene = tmp_path / "net.json"
+    scene.write_text(json.dumps(recipe))
+    out = tmp_path / "out"
+    code = main(
+        ["evaluate", "--scene", str(scene), "--episodes", "1", "--policy-file", policy_file,
+         "--config", _fast_cfg(tmp_path), "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"network file {scene} is malformed" in err and needle in err
+    assert not out.exists()
+
+
+def test_a_city_recipe_file_evaluates_as_the_city(tmp_path, policy_file, capsys):
+    """The built-in city written as a recipe file gives the same outcomes
+    byte for byte; the report differs only in the scene it names."""
+    scene = tmp_path / "city.json"
+    scene.write_text(json.dumps(CITY))
+    outs = {}
+    for name in ("city", str(scene)):
+        outs[name] = tmp_path / ("builtin" if name == "city" else "file")
+        assert main(
+            ["evaluate", "--scene", name, "--vehicles", "2", "--episodes", "3", "--av", "rule-based",
+             "--policy-file", policy_file, "--config", _fast_cfg(tmp_path), "--out", str(outs[name])]
+        ) == 0
+    capsys.readouterr()
+    builtin, file = outs["city"], outs[str(scene)]
+    assert (file / "outcomes.ndjson").read_bytes() == (builtin / "outcomes.ndjson").read_bytes()
+    report = (file / "report.csv").read_text()
+    assert str(scene) in report
+    assert report.replace(str(scene), "city") == (builtin / "report.csv").read_text()
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])

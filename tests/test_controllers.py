@@ -40,7 +40,7 @@ from intersim.controllers import (
     update_beliefs,
 )
 from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState
-from intersim.geometry import make_city, single_network
+from intersim.geometry import ISLAND_RADIUS_M, LANE_WIDTH_M, make_city, single_network
 from intersim.planner import (
     BEHAVIORAL_LEVELS,
     HORIZON_N,
@@ -468,11 +468,10 @@ def test_dedup_matches_the_vertex_loop():
 
 
 def _drivable(lay, x, y, tol=1e-6):
-    lw = lay.params["lane_width"]
+    lw = LANE_WIDTH_M
     if lay.kind == "roundabout":
         r = math.hypot(x - lay.center[0], y - lay.center[1])
-        island = lay.params["island_radius"]
-        if island - tol <= r <= island + lw + tol:
+        if ISLAND_RADIUS_M - tol <= r <= ISLAND_RADIUS_M + lw + tol:
             return True
     else:
         if abs(x - lay.center[0]) <= lw + tol and abs(y - lay.center[1]) <= lw + tol:
@@ -508,7 +507,7 @@ def test_roundabout_uturn_circulates_the_full_ring():
     lay = single_network("roundabout").layouts["I0"]
     pts = reference_path(lay, "N.in", "N.out")
     cum = path_arclength(pts)
-    ring_r = lay.params["island_radius"] + 0.5 * lay.params["lane_width"]
+    ring_r = ISLAND_RADIUS_M + 0.5 * LANE_WIDTH_M
     # a U-turn must sweep essentially the whole circle
     assert cum[-1] > 2 * math.pi * ring_r * 0.8
 

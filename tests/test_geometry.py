@@ -6,6 +6,7 @@ orientation tests plus point containment. Both are separate code paths from
 the separating-axis and Liang-Barsky routines under test.
 """
 
+import dataclasses
 import json
 import math
 
@@ -411,23 +412,74 @@ def test_arc_reached_window():
     assert not geo.arc_reached(lay, "ring.q0", -10.0, -1.0)  # 185 deg, window closed
 
 
-def test_layout_json_roundtrip():
-    for builder in (geo.make_fourway, geo.make_tshape, geo.make_roundabout):
-        lay = builder()
-        data = json.loads(json.dumps(lay.to_json()))
-        back = geo.RoadLayout.from_json(data)
-        assert back.to_json() == lay.to_json()
+def _layout_bits(lay):
+    """Everything a layout holds, floats by their exact repr and arrays by
+    their bytes."""
+    return repr((
+        lay.name, lay.kind, lay.center,
+        [(a.id, a.angle, a.u_start, a.u_end) for a in lay.arms.values()],
+        [dataclasses.asdict(ln) for ln in lay.lanes.values()],
+        [(b.shape, b.tobytes()) for b in lay.boundaries + lay.markings],
+    ))
 
 
-def test_network_json_roundtrip(tmp_path):
-    net = geo.make_city()
-    path = tmp_path / "city.json"
-    net.save(str(path))
-    back = geo.RoadNetwork.load(str(path))
-    assert back.to_json() == net.to_json()
-    assert back.neighbor("F", "E") == ("T1", "W")
-    assert back.neighbor("T1", "W") == ("F", "E")
-    assert back.neighbor("F", "W") is None
+@pytest.mark.parametrize("kind", ["fourway", "tshape", "roundabout", "city"])
+def test_a_recipe_file_builds_what_its_builder_builds(tmp_path, kind):
+    """A network file holds builder arguments, so loading one gives arrays
+    bit-equal to the builder's: each built-in kind, a T junction on
+    another stem with a lengthened arm, and the city."""
+    path = tmp_path / "net.json"
+    if kind == "city":
+        recipe, want = geo.CITY, geo.make_city()
+    else:
+        recipe, want = {"format_version": 2, "intersections": [{"kind": kind, "name": "I0"}]}, geo.single_network(kind)
+    path.write_text(json.dumps(recipe))
+    got = geo.RoadNetwork.load(str(path))
+    assert got.names == want.names and got.connectors == want.connectors
+    assert [_layout_bits(got.layouts[n]) for n in got.names] == [_layout_bits(want.layouts[n]) for n in want.names]
+    if kind == "city":
+        assert got.neighbor("F", "E") == ("T1", "W")
+        assert got.neighbor("T1", "W") == ("F", "E")
+        assert got.neighbor("F", "W") is None
+    if kind == "tshape":
+        args = {"name": "T", "center": [3, -2], "stem": "W", "arm_lengths": {"W": 12, "N": 40.5}}
+        path.write_text(json.dumps({"format_version": 2, "intersections": [{"kind": "tshape", **args}]}))
+        lay = geo.RoadNetwork.load(str(path)).layouts["T"]
+        assert _layout_bits(lay) == _layout_bits(geo.make_tshape(**args))
+        assert lay.arms["W"].u_end == geo.LANE_WIDTH_M + 12 and lay.arms["S"].u_end == geo.LANE_WIDTH_M + 30
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        ({"center": [0.0]}, "center must be two finite numbers"),
+        ({"center": [0.0, float("nan")]}, "center must be two finite numbers"),
+        ({"center": "00"}, "center must be two finite numbers"),
+        ({"center": [True, 0.0]}, "center must be two finite numbers"),
+        ({"arm_lengths": {"E": 0}}, "arm_lengths['E'] must be finite and positive"),
+        ({"arm_lengths": {"E": -5}}, "arm_lengths['E'] must be finite and positive"),
+        ({"arm_lengths": {"E": float("inf")}}, "arm_lengths['E'] must be finite and positive"),
+        ({"arm_lengths": {"E": "30"}}, "arm_lengths['E'] must be finite and positive"),
+        ({"arm_lengths": {"Q": 10.0}}, "arm_lengths names arm 'Q'"),
+        ({"arm_lengths": [10.0]}, "arm_lengths must map arm ids to lengths"),
+        ({"name": "a:b"}, "name must be a nonempty string without ':'"),
+        ({"name": 5}, "name must be a nonempty string without ':'"),
+        ({"name": ""}, "name must be a nonempty string without ':'"),
+    ],
+)
+@pytest.mark.parametrize("builder", [geo.make_fourway, geo.make_tshape, geo.make_roundabout])
+def test_builders_refuse_bad_arguments(builder, args, needle):
+    with pytest.raises(ValueError) as e:
+        builder(**args)
+    assert needle in str(e.value)
+
+
+def test_tshape_refuses_a_bad_stem_and_the_arm_it_lacks():
+    for stem in ("Q", "", None, ["N"]):
+        with pytest.raises(ValueError, match="stem must be one of N, E, S, W"):
+            geo.make_tshape(stem=stem)
+    with pytest.raises(ValueError, match="arm_lengths names arm 'N'"):
+        geo.make_tshape(stem="S", arm_lengths={"N": 10.0})
 
 
 def test_network_validation_rejects_gap():

@@ -181,9 +181,6 @@ def test_evaluate_models_pools_with_breakdown(policy_file):
 def test_build_network_rejects_unknown_scene():
     with pytest.raises(ValueError):
         build_network(EvalSpec(scene="hexagon"))
-    net = build_network(EvalSpec(scene="roundabout", arm_length_m=50.0))
-    lay = net.layouts["I0"]
-    assert lay.params["arm_length"] == 50.0
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,69 @@ def test_every_public_definition_is_referenced():
     assert set(orphans) == PENDING_CALLERS
 
 
+# parameters with defaults, dataclass fields with defaults and command-line
+# options in the package: every one is a value a caller may set, and each
+# needs a reason to exist; this ceiling may only fall
+SETTABLE_VALUES_CEILING = 116
+
+
+def _is_dataclass(node) -> bool:
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _settable_values(tree):
+    """(kind, name, line) of each default a caller may override: a
+    parameter default of a function or lambda, a defaulted field of a
+    dataclass, and an add_argument call."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "lambda")
+            a = node.args
+            positional = (a.posonlyargs + a.args)[len(a.posonlyargs + a.args) - len(a.defaults):]
+            keyword = [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for arg in positional + keyword:
+                yield "parameter", f"{name}({arg.arg})", arg.lineno
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.value is not None:
+                    yield "field", f"{node.name}.{item.target.id}", item.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+            flag = node.args[0].value if node.args and isinstance(node.args[0], ast.Constant) else "?"
+            yield "option", flag, node.lineno
+
+
+def test_settable_values_stay_under_the_ceiling():
+    found = [
+        f"{path.name}:{line}: {kind} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for kind, name, line in _settable_values(_parse(path))
+    ]
+    assert len(found) <= SETTABLE_VALUES_CEILING, "\n".join(found)
+
+
+def test_the_settable_values_scan_counts_each_kind():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "def f(a, b=1, *args, c, d=2, **kw): pass\n"
+        "g = lambda x=0: x\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 3\n"
+        "class D:\n"
+        "    e: int = 4\n"
+        "p.add_argument('--flag', default=5)\n"
+    )
+    assert sorted((kind, name) for kind, name, _ in _settable_values(tree)) == [
+        ("field", "C.b"), ("option", "--flag"), ("parameter", "f(b)"), ("parameter", "f(d)"),
+        ("parameter", "lambda(x)"),
+    ]
+
+
 def _unused_imports(tree):
     """Names bound by an import statement and never read in the module."""
     bound = {}

@@ -10,8 +10,9 @@ from fit_oracle import reference_fit
 
 from intersim import controllers
 from intersim import imitation as im
+from intersim import scene
 from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState, step, update_goal
-from intersim.geometry import make_city, single_network
+from intersim.geometry import ISLAND_RADIUS_M, LANE_WIDTH_M, make_city, single_network
 from intersim.imitation import (
     ADAPTIVE_DIM,
     DaggerConfig,
@@ -143,7 +144,7 @@ def test_lane_tracking_channels_vanish_on_the_centerline():
 def test_lane_tracking_handles_ring_arcs():
     net = single_network("roundabout")
     lay = net.layouts["I0"]
-    r_mid = lay.params["island_radius"] + 0.5 * lay.params["lane_width"]
+    r_mid = ISLAND_RADIUS_M + 0.5 * LANE_WIDTH_M
     # on the ring centerline at angle 0, heading along the CCW tangent
     st = VehicleState(Pose2(r_mid, 0.0, math.pi / 2), 2.0, goal_ref="I0:ring.q1")
     x = encode_state([st], 0, 1, net)
@@ -185,8 +186,10 @@ def _traffic(kind, seed, n_vehicles):
     net = make_city() if kind == "city" else single_network(kind)
     rng = np.random.default_rng(seed)
     states = []
-    for _ in range(n_vehicles):
-        states.append(spawn_vehicle(net, states, rng, 3.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scene, "MIN_SEPARATION_M", 3.0)
+        for _ in range(n_vehicles):
+            states.append(spawn_vehicle(net, states, rng))
     for _ in range(25):
         for st in states:
             if st is not None:

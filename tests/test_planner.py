@@ -20,7 +20,7 @@ from intersim.dynamics import (
     VehicleState,
     rollout,
 )
-from intersim.geometry import make_city, single_network
+from intersim.geometry import LANE_WIDTH_M, RING_OUTER_R_M, make_city, single_network
 from intersim.planner import (
     HORIZON_N,
     PlanCache,
@@ -498,7 +498,8 @@ def _leaving_egos(rng, net, name, center, n):
     bound for a random lane of layout name: their pose rows leave the core
     over the straight lanes around it."""
     lay = net.layouts[name]
-    reach = lay.core.get("half", lay.core.get("r")) if center is None else 0.0
+    core_reach = RING_OUTER_R_M if lay.kind == "roundabout" else LANE_WIDTH_M
+    reach = core_reach if center is None else 0.0
     cx, cy = lay.center if center is None else center
     for _ in range(n):
         a, d = rng.uniform(-math.pi, math.pi), reach + rng.uniform(-2.0, 5.0)

@@ -10,7 +10,7 @@ from spawn_oracle import spawn_by_rejection
 from intersim import planner, scene
 from intersim.controllers import AdaptiveController
 from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, Pose2, VehicleState
-from intersim.geometry import euclidean_dist, make_city, segment_intersects_rect, single_network
+from intersim.geometry import LANE_WIDTH_M, euclidean_dist, make_city, segment_intersects_rect, single_network
 from intersim.planner import PlanCache
 from intersim.reward import DEFAULT_ZONES
 from intersim.scene import (
@@ -92,7 +92,7 @@ def test_spawn_gives_up_when_everything_is_blocked():
 
 
 @pytest.mark.parametrize("kind", ["fourway", "city"])
-def test_spawn_matches_the_rejection_oracle(kind):
+def test_spawn_matches_the_rejection_oracle(kind, monkeypatch):
     """Crowded scenes with empty slots, and blanketed ones where every try
     defers: the same vehicle or None, and the generator left in the same
     state."""
@@ -101,13 +101,15 @@ def test_spawn_matches_the_rejection_oracle(kind):
     for seed in range(40):
         rng = np.random.default_rng(seed)
         states = [None]
+        monkeypatch.setattr(scene, "MIN_SEPARATION_M", 4.0)
         for _ in range(int(rng.integers(4, 20))):
-            states.append(spawn_vehicle(net, states, rng, 4.0))
+            states.append(spawn_vehicle(net, states, rng))
         if seed % 8 == 0:
             states = _blanket(net) + [None]
         for min_sep in (MIN_SEPARATION_M, 6.0):
+            monkeypatch.setattr(scene, "MIN_SEPARATION_M", min_sep)
             got_rng, want_rng = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
-            got = spawn_vehicle(net, states, got_rng, min_sep)
+            got = spawn_vehicle(net, states, got_rng)
             want = spawn_by_rejection(net, states, want_rng, min_sep)
             assert got == want
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -142,13 +144,14 @@ def test_detect_fail_on_overlap_and_boundary():
     lay = net.layouts["I0"]
     a = VehicleState(Pose2(-12.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
     b = VehicleState(Pose2(-9.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
-    assert detect_fail([a, b], 0, net)
-    assert detect_fail([a, b], 1, net)
+    edges = road_edge_hits([a, b], [0, 1], net)
+    assert detect_fail([a, b], 0, edges)
+    assert detect_fail([a, b], 1, edges)
     # same vehicle alone in the lane center is fine
-    assert not detect_fail([a, None], 0, net)
+    assert not detect_fail([a, None], 0, road_edge_hits([a, None], [0], net))
     # straddling the road edge trips the boundary check
     off = VehicleState(Pose2(-12.0, -4.2, 0.0), 2.0, goal_ref="I0:E.out")
-    assert detect_fail([off], 0, net)
+    assert detect_fail([off], 0, road_edge_hits([off], [0], net))
 
 
 def test_contact_check_tests_a_vehicle_exactly_at_its_reach(monkeypatch):
@@ -163,7 +166,7 @@ def test_contact_check_tests_a_vehicle_exactly_at_its_reach(monkeypatch):
     for gap, tested in ((reach, 1), (math.nextafter(reach, math.inf), 0)):
         other = VehicleState(Pose2(gap, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
         pairs.clear()
-        assert not detect_fail([ego, other], 0, net, edge_hits={0: False})
+        assert not detect_fail([ego, other], 0, {0: False})
         assert len(pairs) == tested
 
 
@@ -226,7 +229,7 @@ def _random_edge_states(net, rng, n):
             a, arm_id, b, _ = net.connectors[rng.integers(len(net.connectors))]
             lay = net.layouts[a]
             arm = lay.arms[arm_id]
-            lw = lay.params["lane_width"]
+            lw = LANE_WIDTH_M
             u = rng.uniform(arm.u_end - 10.0, arm.u_end + 10.0)
             w = rng.uniform(-1.5 * lw, 1.5 * lw)
             (ux, uy), (wx, wy) = arm.unit_u(), arm.unit_w()
@@ -268,7 +271,7 @@ def test_batched_road_edge_hits_match_scalar_oracle(kind):
     assert hits == expected
     assert 10 < sum(expected.values()) < len(active) - 10
     for i in active:
-        assert detect_fail(states, i, net) == detect_fail(states, i, net, edge_hits=hits)
+        assert hits[i] == road_edge_hits(states, [i], net)[i]
     if kind == "city":
         moved = [i for i, b in handoffs.items() if states[i] is not None]
         assert all(context_layout(states[i], net) == handoffs[i] for i in moved)
@@ -380,16 +383,22 @@ def test_sim_step_is_synchronous():
     assert [seen[i] for i in range(2)] == before
 
 
+def _run_out(ep, cfg, av):
+    """Steps a prepared episode under HoldTraffic until it ends."""
+    while not ep.done:
+        sim_step(ep, cfg, HoldTraffic(), av)
+
+
 def test_episode_time_cap_classifies_deadlock():
     net = single_network("fourway")
     cfg = SceneConfig(network=net, n_vehicles=0, av_policy="level1", t_limit_s=2.0)
     av = ScriptedAV(action=0)
     ep = init_episode(cfg, seed=(3, 0))
     ep.states[0].speed = 0.0  # a parked AV can neither succeed nor collide
-    res = run_episode(cfg, HoldTraffic(), av, seed=None, episode=ep)
-    assert res["outcome"] == KIND_DEADLOCK
-    assert res["duration_s"] == pytest.approx(2.0)
-    assert av.observed == res["ticks"]
+    _run_out(ep, cfg, av)
+    assert ep.outcome == KIND_DEADLOCK
+    assert ep.tick * DT_S == pytest.approx(2.0)
+    assert av.observed == ep.tick
 
 
 def test_av_boundary_strike_ends_episode_as_collision():
@@ -398,9 +407,9 @@ def test_av_boundary_strike_ends_episode_as_collision():
     ep = init_episode(cfg, seed=(4, 0))
     # aim the AV at the outer boundary
     ep.states[0] = VehicleState(Pose2(-12.0, -2.0, -math.pi / 2), 4.0, goal_ref="I0:E.out")
-    res = run_episode(cfg, HoldTraffic(), ScriptedAV(), seed=None, episode=ep)
-    assert res["outcome"] == KIND_COLLISION
-    assert res["duration_s"] < 5.0
+    _run_out(ep, cfg, ScriptedAV())
+    assert ep.outcome == KIND_COLLISION
+    assert ep.tick * DT_S < 5.0
 
 
 def test_av_reaching_exit_lane_is_success():
@@ -408,9 +417,9 @@ def test_av_reaching_exit_lane_is_success():
     cfg = SceneConfig(network=net, n_vehicles=0, av_policy="level1", t_limit_s=60.0)
     ep = init_episode(cfg, seed=(6, 0))
     ep.states[0] = VehicleState(Pose2(8.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
-    res = run_episode(cfg, HoldTraffic(), ScriptedAV(), seed=None, episode=ep)
-    assert res["outcome"] == KIND_SUCCESS
-    assert res["mean_speed"] > 0.0
+    _run_out(ep, cfg, ScriptedAV())
+    assert ep.outcome == KIND_SUCCESS
+    assert ep.av_speed_sum > 0.0
 
 
 def test_background_respawn_keeps_drawn_level():
@@ -430,12 +439,12 @@ def test_log_records_parse_and_carry_policy_tags():
     net = single_network("fourway")
     cfg = SceneConfig(network=net, n_vehicles=2, av_policy="rule-based", t_limit_s=1.0)
     ep = init_episode(cfg, seed=(11, 0), collect_log=True)
-    res = run_episode(cfg, HoldTraffic(), ScriptedAV(), seed=None, episode=ep, collect_log=True)
-    assert res["log"], "expected log lines"
-    for line in res["log"]:
+    _run_out(ep, cfg, ScriptedAV())
+    assert ep.log, "expected log lines"
+    for line in ep.log:
         rec = json.loads(line)
         assert set(rec) == {"tick", "id", "x", "y", "v", "theta", "action", "policy", "status"}
-    tags = {json.loads(line)["policy"] for line in res["log"]}
+    tags = {json.loads(line)["policy"] for line in ep.log}
     assert "rule-based" in tags
     assert tags - {"rule-based"} <= {"l1", "l2"}
 
