@@ -39,12 +39,15 @@ from .planner import (
 )
 from .scene import AVController
 
-# predictor(states, indices, levels, network) -> one action index per row,
-# for vehicle indices[r] at level levels[r], all read from the same states;
-# supplied by the distilled policy (PolicyApproximator.act) so this module
-# never imports the learner.
+# predictor(states, indices, levels, network, plans) -> one action index
+# per row, for vehicle indices[r] at level levels[r], all read from the
+# same states; supplied by the distilled policy (PolicyApproximator.act) so
+# this module never imports the learner. plans is the PlanCache of those
+# states, which holds plans, trees and encodings of them only: decide and
+# observe pass the tick's cache of s_t, and so does the rollout's step 1;
+# its steps 2..HORIZON_N, whose states are not s_t, pass a fresh one.
 Predictor = Callable[
-    [Sequence[Optional[VehicleState]], Sequence[int], Sequence[int], RoadNetwork], np.ndarray
+    [Sequence[Optional[VehicleState]], Sequence[int], Sequence[int], RoadNetwork, PlanCache], np.ndarray
 ]
 
 
@@ -77,11 +80,9 @@ class BeliefState:
         self.table.pop(j, None)
 
     def copy(self) -> "BeliefState":
-        return BeliefState(
-            model_set=self.model_set,
-            beta=self.beta,
-            table={j: p.copy() for j, p in self.table.items()},
-        )
+        """A new table sharing the vectors: updates replace a vector and
+        never write into one."""
+        return BeliefState(model_set=self.model_set, beta=self.beta, table=dict(self.table))
 
 
 def update_beliefs(
@@ -106,7 +107,7 @@ def update_beliefs(
         return out
     obs = np.asarray(observed, dtype=float)
     dists = np.array([float(np.linalg.norm(obs - p)) for p in preds])
-    mass = out.vec(opponent).astype(float).copy()
+    mass = out.vec(opponent).astype(float)
     winners = np.flatnonzero(dists <= dists.min() + 1e-12)
     mass[winners] = (1.0 - beliefs.beta) * mass[winners] + beliefs.beta
     out.table[opponent] = mass / mass.sum()
@@ -134,6 +135,7 @@ def predictor_rollout(
     opponents: Sequence[int],
     estimates: Dict[int, int],
     network: RoadNetwork,
+    plans: PlanCache,
     predictor: Predictor,
 ) -> Dict[int, np.ndarray]:
     """Joint HORIZON_N-step opponent prediction under an explicit policy.
@@ -143,19 +145,22 @@ def predictor_rollout(
     stays frozen at its current pose, mirroring how the expert's committed
     trajectories treat the planning vehicle. Goal refs are not advanced
     during the rollout, matching the search's frozen route assumption.
+    Step 1 reads states through plans, their PlanCache; the later steps
+    read copies of the opponents, moved, through fresh caches.
     """
-    cur: List[Optional[VehicleState]] = [
-        s.copy() if s is not None else None for s in states
-    ]
+    cur: List[Optional[VehicleState]] = list(states)
     trajs = {}
     for j in opponents:
+        st = cur[j] = states[j].copy()
         tr = np.empty((HORIZON_N + 1, 4))
-        st = cur[j]
         tr[0] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
         trajs[j] = tr
     levels = [estimates[j] for j in opponents]
     for tau in range(1, HORIZON_N + 1):
-        picked = predictor(cur, opponents, levels, network)
+        if tau == 1:
+            picked = predictor(states, opponents, levels, network, plans)
+        else:
+            picked = predictor(cur, opponents, levels, network, PlanCache())
         for j, a_idx in zip(opponents, picked):
             st = cur[j]
             st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[a_idx])
@@ -181,14 +186,14 @@ def adaptive_plan(
     policy (predictor_rollout). The first action of the result is the
     control to apply. cache is the PlanCache of these states; the searched
     predictions and the ego's own search read and add plans and ego trees
-    there.
+    there, and the rollout's first step encodings.
     """
     near = near_indices(states, i, INTERACTION_RADIUS_M)
     estimates = estimate_levels(beliefs, near)
     if not near:
         return level0_plan(list(states), i, network, cache)
     if predictor is not None:
-        opp = predictor_rollout(states, near, estimates, network, predictor)
+        opp = predictor_rollout(states, near, estimates, network, cache, predictor)
     else:
         opp = {j: levelk_plan(list(states), j, estimates[j], network, cache).trajectory for j in near}
     return best_response(states[i], opp, network, cache)
@@ -238,7 +243,7 @@ class AdaptiveController(AVController):
         ks = self.beliefs.model_set
         rows = [(j, k) for j in opps for k in ks]
         if self.predictor is not None:
-            picked = self.predictor(snapshot, [j for j, _ in rows], [k for _, k in rows], network)
+            picked = self.predictor(snapshot, [j for j, _ in rows], [k for _, k in rows], network, plans)
         else:
             picked = [levelk_plan(snapshot, j, k, network, plans).action_sequence[0] for j, k in rows]
         pred_idx = dict(zip(rows, picked))
@@ -298,7 +303,7 @@ class FixedLevelController(AVController):
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
         if self.predictor is not None:
-            return int(self.predictor(states, [i], [self.level], network)[0])
+            return int(self.predictor(states, [i], [self.level], network, plans)[0])
         return levelk_plan(list(states), i, self.level, network, plans).action_sequence[0]
 
 
@@ -501,7 +506,7 @@ def estimate_path(
                 return path_tail(full, cum, s)
     pts = [(st.pose.x, st.pose.y)]
     for r in local:
-        pts.append(network.resolve(r)[1].ref_point)
+        pts.append(network.resolve(r)[1].p1)
     if len(pts) == 1:
         # no usable refs: extend along the current heading
         pts.append(

@@ -344,7 +344,8 @@ def _snap(v: float) -> float:
 class Lane:
     """One driving lane. Straight lanes have a rect, ring arcs have arc data.
 
-    p0 and p1 are the centerline endpoints in travel order, ref_point is p1.
+    p0 and p1 are the centerline endpoints in travel order; p1, the lane's
+    end, is the goal point the reward and the encoder measure against.
     w_lo / w_hi bound the lane across the arm (arm frame), used to decide on
     which half of the road a vehicle sits.
     """
@@ -355,7 +356,6 @@ class Lane:
     heading: Optional[float]
     p0: Tuple[float, float]
     p1: Tuple[float, float]
-    ref_point: Tuple[float, float]
     rect: Optional[OrientedRect] = None
     w_lo: float = 0.0
     w_hi: float = 0.0
@@ -547,7 +547,6 @@ def _build_arm_lanes(center, arm: Arm) -> Dict[str, Lane]:
         heading=wrap_angle(arm.angle),
         p0=at(arm.u_start, -0.5 * lw),
         p1=at(arm.u_end, -0.5 * lw),
-        ref_point=at(arm.u_end, -0.5 * lw),
         rect=out_rect,
         w_lo=-lw,
         w_hi=0.0,
@@ -559,7 +558,6 @@ def _build_arm_lanes(center, arm: Arm) -> Dict[str, Lane]:
         heading=wrap_angle(arm.angle + math.pi),
         p0=at(arm.u_end, 0.5 * lw),
         p1=at(arm.u_start, 0.5 * lw),
-        ref_point=at(arm.u_start, 0.5 * lw),
         rect=in_rect,
         w_lo=0.0,
         w_hi=lw,
@@ -675,7 +673,6 @@ def make_roundabout(
             heading=None,
             p0=start,
             p1=end,
-            ref_point=end,
             arc={"cx": cx, "cy": cy, "r": r_mid, "a0": a0, "a1": a1},
         )
 

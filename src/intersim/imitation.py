@@ -71,6 +71,10 @@ def _lane_tracking(lane, x: float, y: float, th: float) -> Tuple[float, float]:
 
 
 _PHASE_INDEX = {PHASE_APPROACH: 0, PHASE_INSIDE: 1, PHASE_EXIT: 2}
+_PHASE_ONE_HOT = {ph: [float(n == r) for n in range(N_PHASES)] for ph, r in _PHASE_INDEX.items()}
+_LAYOUT_ONE_HOT = {kind: [float(n == r - 1) for n in range(N_LAYOUT_KINDS)] for kind, r in KIND_LABELS.items()}
+_LEVEL_ONE_HOT = {k: [float(n == r) for n in range(len(BEHAVIORAL_LEVELS))] for r, k in enumerate(BEHAVIORAL_LEVELS)}
+_SENTINEL_SLOT = [SENTINEL_DX_M / POS_SCALE_M, 0.0, SENTINEL_DX_M / POS_SCALE_M, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def _read_live(states: Sequence[Optional[VehicleState]], network: RoadNetwork) -> list:
@@ -84,32 +88,32 @@ def _read_live(states: Sequence[Optional[VehicleState]], network: RoadNetwork) -
             continue
         lay, lane = network.resolve(st.goal_ref)
         x, y = st.pose.x, st.pose.y
-        gx = (lane.ref_point[0] - x) / POS_SCALE_M
-        gy = (lane.ref_point[1] - y) / POS_SCALE_M
+        gx = (lane.p1[0] - x) / POS_SCALE_M
+        gy = (lane.p1[1] - y) / POS_SCALE_M
         live.append((x, y, st.pose.theta, st.speed / SPEED_SCALE, gx, gy, st.phase, lay, lane))
     return live
 
 
-def _common_block(live: list, i: int) -> Tuple[List[float], List[List[float]], List[int], int]:
-    """Ego fields, opponent slots, slot occupants and layout label of ego i,
-    shared by both encoding variants.
+def _common_block(live: list, i: int) -> Tuple[List[float], List[int]]:
+    """The head of ego i, one flat list shared by both encoding variants
+    (the ego block, the M_NEAR opponent slots and the layout kind one-hot),
+    and the slots' occupants.
 
     Ego: center offset in the layout frame, heading cos/sin, speed, goal
     offset in the layout frame and rotated into the ego frame (steering
     decisions read directly off the lateral component), phase one-hot,
     goal-lane tracking errors. Opponents fill the M_NEAR slots sorted by
     distance, then bearing, then slot, so the assignment is stable under
-    index relabeling. Each slot: relative position in both frames,
-    relative heading cos/sin, speed, and the opponent's own goal direction
-    in the ego frame (crossing intent). Empty slots read as a far-away
-    stopped car dead ahead with a zero goal vector.
+    index relabeling; the bearing is computed only when two distances tie
+    exactly. Each slot: relative position in both frames, relative heading
+    cos/sin, speed, and the opponent's own goal direction in the ego frame
+    (crossing intent). Empty slots read as a far-away stopped car dead
+    ahead with a zero goal vector.
     """
     x, y, th, v, gx, gy, phase, lay, lane = live[i]
     c, s = math.cos(th), math.sin(th)
-    phases = [0.0] * N_PHASES
-    phases[_PHASE_INDEX[phase]] = 1.0
     e_y, e_psi = _lane_tracking(lane, x, y, th)
-    ego = [
+    head = [
         (x - lay.center[0]) / POS_SCALE_M,
         (y - lay.center[1]) / POS_SCALE_M,
         c,
@@ -119,24 +123,20 @@ def _common_block(live: list, i: int) -> Tuple[List[float], List[List[float]], L
         gy,
         gx * c + gy * s,
         -gx * s + gy * c,
-        *phases,
+        *_PHASE_ONE_HOT[phase],
         max(-2.0, min(2.0, e_y / LANE_WIDTH_SCALE_M)),
         math.cos(e_psi),
         math.sin(e_psi),
     ]
-    rows = []
-    for j, o in enumerate(live):
-        if j == i or o is None:
-            continue
-        dx, dy = o[0] - x, o[1] - y
-        rows.append((math.hypot(dx, dy), math.atan2(dy, dx), j, dx, dy))
-    rows.sort()
-    del rows[M_NEAR:]
-    slots = []
-    for _, _, j, dx, dy in rows:
-        _, _, oth, ov, ogx, ogy, _, _, _ = live[j]
-        dx, dy = dx / POS_SCALE_M, dy / POS_SCALE_M
-        slots.append([
+    near = [(math.hypot(o[0] - x, o[1] - y), j) for j, o in enumerate(live) if j != i and o is not None]
+    near.sort()
+    if len({d for d, _ in near}) < len(near):
+        near.sort(key=lambda r: (r[0], math.atan2(live[r[1]][1] - y, live[r[1]][0] - x), r[1]))
+    order = [j for _, j in near[:M_NEAR]]
+    for j in order:
+        ox, oy, oth, ov, ogx, ogy, _, _, _ = live[j]
+        dx, dy = (ox - x) / POS_SCALE_M, (oy - y) / POS_SCALE_M
+        head += (
             dx,
             dy,
             dx * c + dy * s,
@@ -146,16 +146,9 @@ def _common_block(live: list, i: int) -> Tuple[List[float], List[List[float]], L
             ov,
             ogx * c + ogy * s,
             -ogx * s + ogy * c,
-        ])
-    far = SENTINEL_DX_M / POS_SCALE_M
-    slots += [[far, 0.0, far, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0] for _ in range(M_NEAR - len(rows))]
-    return ego, slots, [r[2] for r in rows], KIND_LABELS[lay.kind]
-
-
-def _one_hot(index: int, size: int) -> List[float]:
-    out = [0.0] * size
-    out[index] = 1.0
-    return out
+        )
+    head += _SENTINEL_SLOT * (M_NEAR - len(order))
+    return head + _LAYOUT_ONE_HOT[lay.kind], order
 
 
 def encode_many(
@@ -163,21 +156,25 @@ def encode_many(
     indices: Sequence[int],
     levels: Sequence[int],
     network: RoadNetwork,
+    plans: PlanCache,
 ) -> np.ndarray:
     """encode_state of vehicle indices[r] at level levels[r] as row r of
-    one (R, LEVELK_DIM) array, all read from the same states. Each live
-    vehicle is read once, and each distinct ego's common block is built
-    once and shared by its rows at every level."""
-    live = _read_live(states, network)
-    heads: Dict[int, List[float]] = {}
+    one (R, LEVELK_DIM) array, all read from the same states. plans is the
+    PlanCache of these states: its heads table holds each vehicle's head
+    (every value of its rows but the level one-hot) by slot, so a head is
+    built at most once per cache and shared by the rows of every call and
+    level. The live vehicles are read only when a head is missing."""
+    heads = plans.heads
+    live = None
     rows = []
     for i, k in zip(indices, levels):
         if k not in BEHAVIORAL_LEVELS:
             raise ValueError(f"encoding defined for levels {BEHAVIORAL_LEVELS}, got {k}")
         if i not in heads:
-            ego, slots, _, label = _common_block(live, i)
-            heads[i] = ego + [v for slot in slots for v in slot] + _one_hot(label - 1, N_LAYOUT_KINDS)
-        rows.append(heads[i] + _one_hot(k - 1, len(BEHAVIORAL_LEVELS)))
+            if live is None:
+                live = _read_live(states, network)
+            heads[i] = _common_block(live, i)[0]
+        rows.append(heads[i] + _LEVEL_ONE_HOT[k])
     return np.array(rows, dtype=float).reshape(len(rows), LEVELK_DIM)
 
 
@@ -190,7 +187,12 @@ def encode_state(
     """Fixed-width encoding of (ego, opponents, level) in the frame of the
     intersection the ego is currently negotiating, closed by the layout
     kind one-hot and the commanded level one-hot: encode_many's one row."""
-    return encode_many(states, [i], [k], network)[0]
+    return encode_many(states, [i], [k], network, PlanCache())[0]
+
+
+# where each opponent slot of a head ends, before which the adaptive
+# encoding inserts the slot's level channel
+_SLOT_ENDS = [EGO_BLOCK + SLOT_WIDTH * (s + 1) for s in range(M_NEAR)]
 
 
 def encode_state_adaptive(
@@ -203,12 +205,9 @@ def encode_state_adaptive(
     common block, but each opponent slot gains its estimated level as a
     signed channel (-1 level-1, +1 level-2, 0 empty slot) instead of a
     global ego-level one-hot."""
-    ego, slots, order, label = _common_block(_read_live(states, network), i)
-    for slot, j in zip(slots, order):
-        slot.append(-1.0 if estimates.get(j, 1) == 1 else 1.0)
-    for slot in slots[len(order):]:
-        slot.append(0.0)
-    return np.array(ego + [v for slot in slots for v in slot] + _one_hot(label - 1, N_LAYOUT_KINDS))
+    head, order = _common_block(_read_live(states, network), i)
+    lvl = [-1.0 if estimates.get(j, 1) == 1 else 1.0 for j in order] + [0.0] * (M_NEAR - len(order))
+    return np.insert(np.array(head), _SLOT_ENDS, lvl)
 
 
 _SLOT_FIELDS = ("dx", "dy", "dxe", "dye", "cos", "sin", "v", "gdxe", "gdye")
@@ -371,19 +370,24 @@ class PolicyApproximator:
     def logits(self, X: np.ndarray) -> np.ndarray:
         H = X
         for w, b in zip(self.ws[:-1], self.bs[:-1]):
-            H = np.maximum(H @ w + b, 0.0)
-        return H @ self.ws[-1] + self.bs[-1]
+            H = H @ w
+            H += b
+            np.maximum(H, 0.0, out=H)
+        H = H @ self.ws[-1]
+        H += self.bs[-1]
+        return H
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         return np.argmax(self.logits(X), axis=1)
 
-    def act(self, states, indices, levels, network) -> np.ndarray:
+    def act(self, states, indices, levels, network, plans: PlanCache) -> np.ndarray:
         """Action index per row: vehicle indices[r] of states behaving at
-        level levels[r]. One encode_many and one predict for all rows."""
+        level levels[r]. One encode_many, through plans, the PlanCache of
+        these states, and one predict for all rows."""
         if not len(indices):
             return np.zeros(0, dtype=int)
-        return self.predict(encode_many(states, indices, levels, network))
+        return self.predict(encode_many(states, indices, levels, network, plans))
 
     # -- training -----------------------------------------------------------
 
@@ -639,7 +643,7 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
             cache = PlanCache()
             keys = [(i, k) for i in active for k in levels]
             if keys:
-                encs = encode_many(states, [i for i, _ in keys], [k for _, k in keys], net)
+                encs = encode_many(states, [i for i, _ in keys], [k for _, k in keys], net, cache)
                 expert_idx = [expert_policy(states, i, k, net, cache).action_sequence[0] for i, k in keys]
                 guesses = policy.predict(encs)
                 for x, expert, guess in zip(encs, expert_idx, guesses):
@@ -750,7 +754,7 @@ def collect_probes(
                 for k in levels:
                     probes.append((snapshot, i, k, net))
             k_t = [levels[rng.integers(len(levels))] for _ in active]
-            chosen = policy.act(states, active, k_t, net)
+            chosen = policy.act(states, active, k_t, net, PlanCache())
             _advance(states, {i: int(a) for i, a in zip(active, chosen)}, net)
     return probes
 
@@ -768,7 +772,7 @@ def evaluate_match(
         tick = list(tick)
         states, net = tick[0][0], tick[0][3]
         cache = PlanCache()
-        guesses = policy.act(states, [p[1] for p in tick], [p[2] for p in tick], net)
+        guesses = policy.act(states, [p[1] for p in tick], [p[2] for p in tick], net, cache)
         for (_, i, k, _), guess in zip(tick, guesses):
             expert = expert_policy(states, i, k, net, cache).action_sequence[0]
             hits += int(guess) == expert
@@ -783,11 +787,12 @@ def evaluate_match(
 class DistilledTraffic(TrafficPolicy):
     """Background traffic driven by the distilled classifier: one act call
     per tick for all background vehicles at their levels. It does not
-    search, so it leaves the tick's plan cache alone."""
+    search; it puts the encodings of s_t in the tick's plan cache, where
+    the AV's rollout and belief update find them."""
 
     def __init__(self, policy: PolicyApproximator):
         self.policy = policy
 
     def select(self, states, levels, indices, network, plans):
-        out = self.policy.act(states, indices, [levels[i] for i in indices], network)
+        out = self.policy.act(states, indices, [levels[i] for i in indices], network, plans)
         return {i: int(a) for i, a in zip(indices, out)}

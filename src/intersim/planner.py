@@ -33,11 +33,13 @@ stay apart), and the shared arrays are read-only. The memos are bounded,
 about 1 MB in all.
 
 Every search takes a PlanCache, the planner's one context: it holds the
-finished plans of one joint state by (vehicle, level) and the ego trees
-by ego input. A plan is a pure function of (states, vehicle, level,
-network), and an ego tree of (ego input, network), so every search from
-the same states may share one cache; a search that shares nothing takes
-a fresh PlanCache().
+finished plans of one joint state by (vehicle, level), the ego trees by
+ego input, and the distilled encoder's heads of that state by slot
+(imitation.encode_many). A plan is a pure function of (states, vehicle,
+level, network), an ego tree of (ego input, network) and a head of
+(states, slot, network), so every search and encoding from the same
+states may share one cache; one that shares nothing takes a fresh
+PlanCache().
 
 Two culls skip work that cannot change a flag, so plans stay bit-identical.
 A search tests only the opponents whose poses at instants 1..N come within
@@ -113,13 +115,19 @@ class _EgoTree:
 
 
 class PlanCache(dict):
-    """The planner's context for one joint state: the finished plans by
-    (vehicle, level), and in trees the ego trees of its searches, by ego
-    input (x, y, theta, speed, phase, goal_ref) rather than by slot."""
+    """The context of one joint state s: the finished plans by (vehicle,
+    level); in trees the ego trees of its searches, by ego input (x, y,
+    theta, speed, phase, goal_ref) rather than by slot; in heads the
+    distilled encoder's head of each vehicle of s, by slot. It holds
+    plans, trees and encodings of s only. A simulator tick makes one for
+    s_t (scene.sim_step); the callers whose states are not s_t pass a
+    fresh PlanCache(): the predictor rollout's steps 2..HORIZON_N,
+    imitation.encode_state and imitation.collect_probes."""
 
     def __init__(self):
         super().__init__()
         self.trees: Dict[tuple, _EgoTree] = {}
+        self.heads: Dict[int, List[float]] = {}
 
     def tree(self, ego: VehicleState, network: RoadNetwork) -> _EgoTree:
         p = ego.pose
@@ -223,7 +231,7 @@ def _best_response(
         value = np.zeros(1)
         disc = 1.0
         for rows, speeds in zip(tree.node_rows, tree.node_speeds):
-            fv = F[rows]
+            fv = np.take(F, rows, axis=0)
             fv[:, 5] = speeds
             value = np.repeat(value, n_act) + disc * (fv @ _WEIGHTS)
             disc *= LAMBDA
@@ -266,7 +274,7 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork) -> _EgoTree:
     exiting = np.zeros(len(PX), dtype=bool) if ego.phase == PHASE_APPROACH else ~lay.in_core_many(PX, PY)
     F = features_many(
         PX, PY, cth, sth, np.zeros(len(PX)), lay.edge_segments()[keep], nb, lay.wrong_lanes(lane.id),
-        exiting, lane.ref_point,
+        exiting, lane.p1,
     )
     box = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
     return _EgoTree((PX, PY, PTH, cth, sth), box, depth_rows, node_rows, V[1:], F)

@@ -10,10 +10,14 @@ test terminates the episode instead.
 Each tick owns one plan cache (planner.PlanCache). The traffic policy,
 the AV's decision and the AV's belief observation all plan from s_t, so
 a level-k best response searched by one of them is reused by the others
-instead of searched again. The cache also holds the tick's ego trees, keyed by ego input (x, y, theta,
-speed, phase, goal_ref), so every search from one vehicle's state, the
-AV's own best response included, expands and scores the ego side once.
-The cache holds plans of s_t only and is dropped when the tick ends.
+instead of searched again. The cache also holds the tick's ego trees,
+keyed by ego input (x, y, theta, speed, phase, goal_ref), so every search
+from one vehicle's state, the AV's own best response included, expands
+and scores the ego side once; and the distilled encoder's heads of s_t by
+slot, so distilled traffic, a distilled AV's rollout step 1 and its
+belief update encode each vehicle once. The cache holds plans, trees and
+encodings of s_t only and is dropped when the tick ends; the rollout's
+later steps, whose states are not s_t, pass a fresh one.
 """
 
 from __future__ import annotations
@@ -223,8 +227,8 @@ class TrafficPolicy:
         plans: PlanCache,
     ) -> Dict[int, int]:
         """Action index per vehicle in indices. plans is the tick's plan
-        cache: it holds plans of these states only, and a policy that
-        searches reads and adds its plans there."""
+        cache: it holds plans, trees and encodings of these states only,
+        and a policy that searches or encodes reads and adds them there."""
         raise NotImplementedError
 
 
@@ -323,7 +327,7 @@ def draw_levels(n: int, traffic_model: str, rng: np.random.Generator) -> List[in
     raise ValueError(f"unknown traffic model {traffic_model!r}")
 
 
-def init_episode(cfg: SceneConfig, seed, collect_log: bool = True) -> EpisodeState:
+def init_episode(cfg: SceneConfig, seed, collect_log: bool) -> EpisodeState:
     rng = np.random.default_rng(seed)
     n = cfg.n_vehicles
     states: List[Optional[VehicleState]] = []
@@ -456,7 +460,7 @@ def run_episode(
     traffic: TrafficPolicy,
     av: Optional[AVController],
     seed,
-    collect_log: bool = False,
+    collect_log: bool,
 ) -> dict:
     """Runs one seeded episode to termination and classifies it."""
     ep = init_episode(cfg, seed, collect_log)

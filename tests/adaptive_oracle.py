@@ -23,7 +23,7 @@ from intersim.planner import HORIZON_N, INTERACTION_RADIUS_M, best_response, lev
 def batched(predict_row):
     """The Predictor that answers each row with predict_row."""
 
-    def predictor(states, indices, levels, network):
+    def predictor(states, indices, levels, network, plans):
         return np.array(
             [predict_row(states, i, k, network) for i, k in zip(indices, levels)], dtype=int
         )

@@ -50,8 +50,8 @@ def encode_common(states, i, network, m_near, slot_width, tail):
     out[2] = c
     out[3] = s
     out[4] = st.speed / SPEED_SCALE
-    gx = (lane.ref_point[0] - x) / POS_SCALE_M
-    gy = (lane.ref_point[1] - y) / POS_SCALE_M
+    gx = (lane.p1[0] - x) / POS_SCALE_M
+    gy = (lane.p1[1] - y) / POS_SCALE_M
     out[5] = gx
     out[6] = gy
     out[7] = gx * c + gy * s
@@ -69,8 +69,8 @@ def encode_common(states, i, network, m_near, slot_width, tail):
             dx = (o.pose.x - x) / POS_SCALE_M
             dy = (o.pose.y - y) / POS_SCALE_M
             _, olane = network.resolve(o.goal_ref)
-            ogx = (olane.ref_point[0] - o.pose.x) / POS_SCALE_M
-            ogy = (olane.ref_point[1] - o.pose.y) / POS_SCALE_M
+            ogx = (olane.p1[0] - o.pose.x) / POS_SCALE_M
+            ogy = (olane.p1[1] - o.pose.y) / POS_SCALE_M
             out[base] = dx
             out[base + 1] = dy
             out[base + 2] = dx * c + dy * s

@@ -57,7 +57,7 @@ def exhaustive_plan(states, i, k, network, n=HORIZON_N, actions=DEFAULT_ACTIONS,
             opp_traj[j] = poses
 
     lay, lane = network.resolve(ego.goal_ref)
-    ref = lane.ref_point
+    ref = lane.p1
     may_exit = ego.phase != dyn.PHASE_APPROACH
     best_seq, best_val = None, -math.inf
     for seq in itertools.product(range(len(actions)), repeat=n):
@@ -242,7 +242,7 @@ def disk_cull_tree(ego, network, n=HORIZON_N, actions=DEFAULT_ACTIONS):
     F = np.zeros((n_rows, 6))
     F[:, 1] = np.where(hit_b, -1.0, 0.0)
     F[:, 2] = np.where(hit_m | (exiting & wrong), -1.0, 0.0)
-    F[:, 4] = -(np.abs(lane.ref_point[0] - PX) + np.abs(lane.ref_point[1] - PY))
+    F[:, 4] = -(np.abs(lane.p1[0] - PX) + np.abs(lane.p1[1] - PY))
     box = (PX.min(), PY.min(), PX.max(), PY.max())
     return (PX, PY, PTH, cth, sth), box, [len(p[2]) for p in poses], node_rows, node_speeds, F
 

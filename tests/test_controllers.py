@@ -86,6 +86,24 @@ def test_identical_predictions_carry_no_information():
     assert out.vec(4) == pytest.approx([0.2, 0.8])
 
 
+def test_update_beliefs_returns_a_new_state_and_leaves_its_input_unchanged():
+    # copies share the vectors, so an update that wrote into one would
+    # change the state it was given
+    b = BeliefState(beta=0.6)
+    b.table[1] = np.array([0.3, 0.7])
+    b.table[2] = np.array([0.6, 0.4])
+    before = {j: p.copy() for j, p in b.table.items()}
+    informative = {1: (2.5, 0.0), 2: (-5.0, 0.0)}
+    for j, preds in ((1, informative), (5, informative), (2, {1: (0.0, 0.0), 2: (0.0, 0.0)})):
+        out = update_beliefs(b, j, (-5.0, 0.0), preds)
+        assert out is not b and out.table is not b.table
+        assert b.table.keys() == before.keys()
+        for k, p in before.items():
+            assert np.array_equal(b.table[k], p)
+        if preds is informative:
+            assert not np.array_equal(out.vec(j), b.table.get(j, np.full(2, 0.5)))
+
+
 def test_equidistant_predictions_credit_both_models():
     b = BeliefState(beta=0.6)
     b.table[1] = np.array([0.3, 0.7])
@@ -208,7 +226,7 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
             p, v = dyn.step(p, v, DEFAULT_ACTIONS[ai])
             others = [opp_traj[j][tau + 1] for j in (1, 2)]
             fv = rw.features(
-                p, v, others, lay, lane.ref_point,
+                p, v, others, lay, lane.p1,
                 exiting=False, target_lane=lane.id,
             )
             total += f * reward(fv)
@@ -347,7 +365,7 @@ def test_predictor_rollout_matches_per_row_rollout():
             if len(near) < 2:
                 continue
             est = {j: int(rng.integers(1, 3)) for j in near}
-            got = controllers.predictor_rollout(states, near, est, _FOURWAY, batched(_toy_row))
+            got = controllers.predictor_rollout(states, near, est, _FOURWAY, PlanCache(), batched(_toy_row))
             want = rollout_per_row(states, near, est, _FOURWAY, _toy_row)
             assert got.keys() == want.keys()
             for j in near:
@@ -359,9 +377,9 @@ def test_predictor_rollout_matches_per_row_rollout():
 def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
     calls = []
 
-    def counting(states, indices, levels, network):
+    def counting(states, indices, levels, network, plans):
         calls.append(len(indices))
-        return batched(_toy_row)(states, indices, levels, network)
+        return batched(_toy_row)(states, indices, levels, network, plans)
 
     class Counted(AdaptiveController):
         def decide(self, states, i, network, plans):
@@ -698,7 +716,7 @@ def _city_decisions(monkeypatch, rc_values, min_states):
     seed = 0
     while len(records) < min_states:
         av = _CheckedRuleAV(rc_values[seed % len(rc_values)])
-        ep = init_episode(cfg, seed=(17, seed))
+        ep = init_episode(cfg, seed=(17, seed), collect_log=True)
         traffic = _RandomTraffic(seed)
         while not ep.done:
             sim_step(ep, cfg, traffic, av)

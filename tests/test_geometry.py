@@ -332,11 +332,11 @@ def test_fourway_structure():
     assert set(lay.arms) == {"E", "N", "W", "S"}
     assert len(lay.lanes) == 8
     # right-hand traffic: eastbound exit centerline at y = -2, far end x = 34
-    assert lay.lanes["E.out"].ref_point == (34.0, -2.0)
+    assert lay.lanes["E.out"].p1 == (34.0, -2.0)
     assert lay.lanes["E.in"].p0 == (34.0, 2.0)
-    assert lay.lanes["N.out"].ref_point == pytest.approx((2.0, 34.0))
-    assert lay.lanes["S.out"].ref_point == pytest.approx((-2.0, -34.0))
-    assert lay.lanes["W.out"].ref_point == pytest.approx((-34.0, 2.0))
+    assert lay.lanes["N.out"].p1 == pytest.approx((2.0, 34.0))
+    assert lay.lanes["S.out"].p1 == pytest.approx((-2.0, -34.0))
+    assert lay.lanes["W.out"].p1 == pytest.approx((-34.0, 2.0))
     # four L corners, eight boundary segments total
     assert lay.boundary_segments().shape == (8, 4)
     corners = {(4, 4), (4, -4), (-4, 4), (-4, -4)}
@@ -369,7 +369,7 @@ def test_roundabout_structure():
     assert lay.arms["E"].u_start == pytest.approx(u0)
     # ring arcs: centerline radius 10, quadrant ends
     q0 = lay.lanes["ring.q0"]
-    assert q0.ref_point == pytest.approx((0.0, 10.0))
+    assert q0.p1 == pytest.approx((0.0, 10.0))
     assert lay.in_core(11.9, 0.0) and not lay.in_core(12.1, 0.0)
 
 

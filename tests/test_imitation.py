@@ -37,7 +37,7 @@ from intersim.imitation import (
     levelk_feature_names,
     wilson_interval,
 )
-from intersim.planner import K_MAX, PlanCache, expert_policy
+from intersim.planner import HORIZON_N, INTERACTION_RADIUS_M, K_MAX, PlanCache, expert_policy, near_indices
 from intersim.scene import spawn_vehicle
 
 POS_SCALE = 40.0
@@ -232,7 +232,7 @@ def test_encode_many_is_byte_equal_to_the_per_row_oracle(kind):
         live = [i for i, st in enumerate(states) if st is not None]
         indices = [i for i in live for _ in (1, 2)] + live[:2]
         levels = [1, 2] * len(live) + [2, 1]
-        got = encode_many(states, indices, levels, net)
+        got = encode_many(states, indices, levels, net, PlanCache())
         want = np.stack([encode_row(states, i, k, net, M_NEAR) for i, k in zip(indices, levels)])
         assert got.shape == (len(indices), LEVELK_DIM)
         assert np.array_equal(_bits(got), _bits(want))
@@ -250,8 +250,125 @@ def test_encode_many_refuses_levels_outside_the_behavioral_set():
     states, net = _scene()
     for bad in (0, 3):
         with pytest.raises(ValueError):
-            encode_many(states, [0, 1], [1, bad], net)
-    assert encode_many(states, [], [], net).shape == (0, LEVELK_DIM)
+            encode_many(states, [0, 1], [1, bad], net, PlanCache())
+    assert encode_many(states, [], [], net, PlanCache()).shape == (0, LEVELK_DIM)
+
+
+def test_exact_distance_ties_order_by_bearing_then_slot():
+    """Two ties, each between a lower slot to the north and a higher slot
+    to the east at exactly the same distance: one inside the M_NEAR slots
+    (4 m) and one across the cut (5 m), where only the eastern one gets a
+    slot. Slot order alone would pick the northern one both times."""
+    net = single_network("fourway")
+    ex, ey = 1.5, -2.0
+    offsets = [(0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (-2.0, 0.0), (0.0, -3.0), (3.0, 3.0), (0.0, 5.0), (5.0, 0.0)]
+    states = [VehicleState(Pose2(ex + dx, ey + dy, 0.3), 2.0, goal_ref="I0:E.out") for dx, dy in offsets]
+    assert math.hypot(*offsets[1]) == math.hypot(*offsets[2]) and math.hypot(*offsets[6]) == math.hypot(*offsets[7])
+    _, order = im._common_block(im._read_live(states, net), 0)
+    assert order == opponent_order(states, 0)[:M_NEAR] == [3, 4, 2, 1, 5, 7]
+    got = encode_many(states, [0, 0], [1, 2], net, PlanCache())
+    assert np.array_equal(_bits(got), _bits(np.stack([encode_row(states, 0, k, net, M_NEAR) for k in (1, 2)])))
+    estimates = {1: 2, 7: 2, 6: 1}
+    got_a = encode_state_adaptive(states, 0, estimates, net)
+    assert np.array_equal(_bits(got_a), _bits(encode_row_adaptive(states, 0, estimates, net, M_NEAR)))
+
+
+def _random_levelk_policy():
+    return PolicyApproximator([LEVELK_DIM, 16, len(DEFAULT_ACTIONS)], default_encoding("levelk"), seed=3)
+
+
+def _distilled_ticks(kind, n_ticks):
+    """(s_t, levels, background slots) at select of the first n_ticks
+    ticks of seeded episodes with distilled traffic and the adaptive AV,
+    both on a random-weight classifier, and the network."""
+    policy = _random_levelk_policy()
+    ticks = []
+
+    class Recording(DistilledTraffic):
+        def select(self, states, levels, indices, network, plans):
+            ticks.append(([s.copy() if s is not None else None for s in states], list(levels), list(indices)))
+            return super().select(states, levels, indices, network, plans)
+
+    cfg = scene.SceneConfig(network=single_network(kind), n_vehicles=4, av_policy="adaptive", t_limit_s=30.0)
+    seed = 0
+    while len(ticks) < n_ticks:
+        ep = scene.init_episode(cfg, seed=(31, seed), collect_log=False)
+        av = controllers.AdaptiveController(predictor=policy.act)
+        while not ep.done and len(ticks) < n_ticks:
+            scene.sim_step(ep, cfg, Recording(policy), av)
+        seed += 1
+    return ticks, cfg.network
+
+
+@pytest.mark.parametrize("kind", ["fourway", "roundabout"])
+def test_one_cache_per_tick_encodes_as_fresh_calls_and_the_oracle_do(kind):
+    """The rows of select, rollout step 1 and observe of each sampled tick,
+    all through one PlanCache (observe's on a copy of s_t, as sim_step
+    gives it), are byte-equal to encodings through a fresh cache per call
+    and to the per-row oracle; each tick has its own cache."""
+    ticks, net = _distilled_ticks(kind, 40)
+    shared = 0
+    for states, levels, bg in ticks:
+        near = near_indices(states, 0, INTERACTION_RADIUS_M) if states[0] is not None else []
+        opps = [j for j in bg if j in near]
+        prev = [s.copy() if s is not None else None for s in states]
+        row_sets = [
+            (states, bg, [levels[i] for i in bg]),
+            (states, near, [1 + j % 2 for j in near]),
+            (prev, [j for j in opps for _ in (1, 2)], [1, 2] * len(opps)),
+        ]
+        plans = PlanCache()
+        for snapshot, indices, ks in row_sets:
+            got = encode_many(snapshot, indices, ks, net, plans)
+            assert np.array_equal(_bits(got), _bits(encode_many(snapshot, indices, ks, net, PlanCache())))
+            want = [encode_row(snapshot, i, k, net, M_NEAR) for i, k in zip(indices, ks)]
+            assert np.array_equal(_bits(got), _bits(np.array(want).reshape(len(want), LEVELK_DIM)))
+        assert plans.heads.keys() == set(bg) | set(near)
+        shared += bool(opps)
+    assert shared >= 20
+
+
+def test_a_distilled_tick_builds_each_head_of_s_t_once(monkeypatch):
+    """One sim_step with distilled traffic and the adaptive AV builds the
+    head of each background vehicle of s_t once (select builds them;
+    rollout step 1 and observe read them), and rollout steps 2 to
+    HORIZON_N build one head per opponent they move."""
+    read_from, built = [], []
+    read_live, common_block = im._read_live, im._common_block
+
+    def spy_read(states, network):
+        read_from.append(states)
+        return read_live(states, network)
+
+    def spy_block(live, i):
+        built.append((read_from[-1], i))
+        return common_block(live, i)
+
+    monkeypatch.setattr(im, "_read_live", spy_read)
+    monkeypatch.setattr(im, "_common_block", spy_block)
+    policy = _random_levelk_policy()
+    s_t = []
+
+    class Recording(DistilledTraffic):
+        def select(self, states, levels, indices, network, plans):
+            near = near_indices(states, 0, INTERACTION_RADIUS_M) if states[0] is not None else []
+            s_t.append((states, list(indices), near))
+            return super().select(states, levels, indices, network, plans)
+
+    cfg = scene.SceneConfig(network=single_network("fourway"), n_vehicles=3, av_policy="adaptive", t_limit_s=15.0)
+    rolled = 0
+    for seed in range(4):
+        ep = scene.init_episode(cfg, seed=(1, seed), collect_log=False)
+        av = controllers.AdaptiveController(predictor=policy.act)
+        while not ep.done:
+            built.clear()
+            scene.sim_step(ep, cfg, Recording(policy), av)
+            states, bg, near = s_t[-1]
+            assert sorted(i for src, i in built if src is states) == sorted(bg)
+            later = sorted(i for src, i in built if src is not states)
+            assert later == sorted(near * (HORIZON_N - 1))
+            rolled += bool(near)
+    assert rolled >= 60
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +587,7 @@ def test_dagger_smoke_run_produces_consistent_history():
         assert 0.0 <= h["disagreement"] <= 1.0
     assert res.policy.sizes == [LEVELK_DIM, 8, 6]
     states, net = _scene()
-    acts = res.policy.act(states, [0, 1, 2], [1, 2, 1], net)
+    acts = res.policy.act(states, [0, 1, 2], [1, 2, 1], net, PlanCache())
     assert acts.shape == (3,)
     assert np.all((0 <= acts) & (acts < 6))
 
@@ -567,7 +684,7 @@ def test_probe_rollouts_move_all_vehicles_from_one_snapshot():
     seen = []
 
     class Recorder:
-        def act(self, states, indices, levels, network):
+        def act(self, states, indices, levels, network, plans):
             seen.append((shown(states), list(indices)))
             assert set(levels) <= {1, 2}
             return np.ones(len(indices), dtype=int)  # accelerate, so every move changes the poses
@@ -617,4 +734,4 @@ def test_distilled_traffic_matches_per_vehicle_queries():
     out = traffic.select(states, levels, [0, 1, 2], net, PlanCache())
     assert out == {i: int(pol.predict(encode_state(states, i, levels[i], net))[0]) for i in range(3)}
     assert traffic.select(states, levels, [], net, PlanCache()) == {}
-    assert pol.act(states, [], [], net).shape == (0,)
+    assert pol.act(states, [], [], net, PlanCache()).shape == (0,)

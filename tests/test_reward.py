@@ -107,7 +107,7 @@ def test_features_many_matches_scalar(fourway):
     rng = np.random.default_rng(23)
     roundabout = geo.make_roundabout()
     for lay, target in ((fourway, "E.out"), (roundabout, "N.out")):
-        ref = lay.lanes[target].ref_point
+        ref = lay.lanes[target].p1
         B = 120
         x = rng.uniform(-16, 16, B)
         y = rng.uniform(-16, 16, B)
@@ -151,7 +151,7 @@ def test_features_many_one_call_equals_one_call_per_instant(fourway):
     # the planner scores several instants at once, each row facing the
     # opponents of its own instant
     rng = np.random.default_rng(31)
-    ref = fourway.lanes["E.out"].ref_point
+    ref = fourway.lanes["E.out"].p1
     sizes = (3, 18, 108)
     opp = np.stack(
         [rng.uniform(-8, 8, (2, 3)), rng.uniform(-8, 8, (2, 3)), rng.uniform(-math.pi, math.pi, (2, 3))],

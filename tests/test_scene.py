@@ -312,7 +312,7 @@ def test_sim_step_checks_road_edges_once_per_layout(monkeypatch, kind):
     monkeypatch.setattr(scene, "segments_hit_rects", counting_kernel)
     monkeypatch.setattr(scene, "road_edge_hits", spying_edges)
     cfg = SceneConfig(network=_network(kind), n_vehicles=12, t_limit_s=40 * DT_S)
-    ep = init_episode(cfg, seed=(8, 0))
+    ep = init_episode(cfg, seed=(8, 0), collect_log=True)
     while not ep.done:
         kernel_rows.clear()
         edge_calls.clear()
@@ -341,7 +341,7 @@ def test_detect_success_requires_exhausted_route_and_exit_lane():
 def test_init_episode_av_rides_slot_zero():
     net = single_network("tshape")
     cfg = SceneConfig(network=net, n_vehicles=3, av_policy="adaptive")
-    ep = init_episode(cfg, seed=(5, 0))
+    ep = init_episode(cfg, seed=(5, 0), collect_log=True)
     assert ep.av_index == 0
     assert len(ep.states) == 4
     assert ep.levels[0] == 0
@@ -352,8 +352,8 @@ def test_init_episode_av_rides_slot_zero():
 def test_init_episode_is_seed_deterministic():
     net = single_network("fourway")
     cfg = SceneConfig(network=net, n_vehicles=3)
-    a = init_episode(cfg, seed=(9, 1))
-    b = init_episode(cfg, seed=(9, 1))
+    a = init_episode(cfg, seed=(9, 1), collect_log=True)
+    b = init_episode(cfg, seed=(9, 1), collect_log=True)
     for sa, sb in zip(a.states, b.states):
         assert (sa.pose.x, sa.pose.y, sa.pose.theta, sa.speed) == (
             sb.pose.x,
@@ -377,7 +377,7 @@ def test_sim_step_is_synchronous():
             return {i: 1 for i in indices}
 
     cfg = SceneConfig(network=net, n_vehicles=2)
-    ep = init_episode(cfg, seed=(2, 0))
+    ep = init_episode(cfg, seed=(2, 0), collect_log=True)
     before = [(s.pose.x, s.pose.y) for s in ep.states]
     sim_step(ep, cfg, Recorder())
     assert [seen[i] for i in range(2)] == before
@@ -393,7 +393,7 @@ def test_episode_time_cap_classifies_deadlock():
     net = single_network("fourway")
     cfg = SceneConfig(network=net, n_vehicles=0, av_policy="level1", t_limit_s=2.0)
     av = ScriptedAV(action=0)
-    ep = init_episode(cfg, seed=(3, 0))
+    ep = init_episode(cfg, seed=(3, 0), collect_log=True)
     ep.states[0].speed = 0.0  # a parked AV can neither succeed nor collide
     _run_out(ep, cfg, av)
     assert ep.outcome == KIND_DEADLOCK
@@ -404,7 +404,7 @@ def test_episode_time_cap_classifies_deadlock():
 def test_av_boundary_strike_ends_episode_as_collision():
     net = single_network("fourway")
     cfg = SceneConfig(network=net, n_vehicles=0, av_policy="level1", t_limit_s=30.0)
-    ep = init_episode(cfg, seed=(4, 0))
+    ep = init_episode(cfg, seed=(4, 0), collect_log=True)
     # aim the AV at the outer boundary
     ep.states[0] = VehicleState(Pose2(-12.0, -2.0, -math.pi / 2), 4.0, goal_ref="I0:E.out")
     _run_out(ep, cfg, ScriptedAV())
@@ -415,7 +415,7 @@ def test_av_boundary_strike_ends_episode_as_collision():
 def test_av_reaching_exit_lane_is_success():
     net = single_network("fourway")
     cfg = SceneConfig(network=net, n_vehicles=0, av_policy="level1", t_limit_s=60.0)
-    ep = init_episode(cfg, seed=(6, 0))
+    ep = init_episode(cfg, seed=(6, 0), collect_log=True)
     ep.states[0] = VehicleState(Pose2(8.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
     _run_out(ep, cfg, ScriptedAV())
     assert ep.outcome == KIND_SUCCESS
@@ -425,7 +425,7 @@ def test_av_reaching_exit_lane_is_success():
 def test_background_respawn_keeps_drawn_level():
     net = single_network("fourway")
     cfg = SceneConfig(network=net, n_vehicles=2, av_policy=None, t_limit_s=10.0)
-    ep = init_episode(cfg, seed=(8, 0))
+    ep = init_episode(cfg, seed=(8, 0), collect_log=True)
     levels_before = list(ep.levels)
     # force vehicle 1 into a crash with a planted obstacle at its nose
     ep.states[0] = VehicleState(Pose2(-12.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out")
@@ -452,10 +452,10 @@ def test_log_records_parse_and_carry_policy_tags():
 def test_expert_traffic_drives_toward_goals():
     net = single_network("fourway")
     cfg = SceneConfig(network=net, n_vehicles=1, av_policy=None, t_limit_s=8.0)
-    ep = init_episode(cfg, seed=(13, 2))
+    ep = init_episode(cfg, seed=(13, 2), collect_log=True)
     start_goal_d = euclidean_dist(
         (ep.states[0].pose.x, ep.states[0].pose.y),
-        net.resolve(ep.states[0].goal_ref)[1].ref_point,
+        net.resolve(ep.states[0].goal_ref)[1].p1,
     )
     for _ in range(16):
         sim_step(ep, cfg, ExpertTraffic())
@@ -464,7 +464,7 @@ def test_expert_traffic_drives_toward_goals():
     if ep.states[0] is not None:
         end_goal_d = euclidean_dist(
             (ep.states[0].pose.x, ep.states[0].pose.y),
-            net.resolve(ep.states[0].goal_ref)[1].ref_point,
+            net.resolve(ep.states[0].goal_ref)[1].p1,
         )
         assert end_goal_d < start_goal_d
 
@@ -537,7 +537,7 @@ def test_each_tick_searches_each_plan_once(monkeypatch):
 
     monkeypatch.setattr(planner, "_best_response", counting)
     cfg = _adaptive_expert_scene()
-    ep = init_episode(cfg, seed=(1, 0))
+    ep = init_episode(cfg, seed=(1, 0), collect_log=True)
     av = CacheSpyAV()
     while not ep.done:
         calls.append(0)
@@ -573,7 +573,7 @@ def test_each_tick_builds_one_ego_tree_per_distinct_ego_input(monkeypatch):
     monkeypatch.setattr(planner, "_best_response", counting)
     monkeypatch.setattr(planner, "features_many", counting_features)
     cfg = _adaptive_expert_scene()
-    runs = [(init_episode(cfg, seed=(1, 0)), AdaptiveController()) for _ in range(2)]
+    runs = [(init_episode(cfg, seed=(1, 0), collect_log=True), AdaptiveController()) for _ in range(2)]
     while not runs[0][0].done:
         for ep, av in runs:
             egos.append(set())
