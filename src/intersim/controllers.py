@@ -11,6 +11,7 @@ traffic.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -333,13 +334,20 @@ def reference_path(
     ARC_STEP_DEG or closer. Returns (M, 2) vertices, read-only: the path
     is built once per layout and (entrance, exit) and shared by every call.
     """
+    return layout.derived(
+        ("reference_path", entrance, exit), lambda: _read_only(_build_reference_path(layout, entrance, exit))
+    )
 
-    def build():
-        pts = _build_reference_path(layout, entrance, exit)
-        pts.flags.writeable = False
-        return pts
 
-    return layout.derived(("reference_path", entrance, exit), build)
+def _reference_arclength(layout: RoadLayout, entrance: str, exit: str, pts: np.ndarray) -> np.ndarray:
+    """path_arclength of pts = reference_path(layout, entrance, exit),
+    read-only and built once per path like it."""
+    return layout.derived(("reference_arclength", entrance, exit), lambda: _read_only(path_arclength(pts)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _build_reference_path(layout: RoadLayout, entrance: str, exit: str) -> np.ndarray:
@@ -432,14 +440,14 @@ def path_arclength(pts: np.ndarray) -> np.ndarray:
 
 def point_along(pts: np.ndarray, cum: np.ndarray, s: float) -> Tuple[float, float, float]:
     """Position and tangent heading at arc length s (clamped to the path)."""
-    s = float(np.clip(s, 0.0, cum[-1]))
-    m = int(np.searchsorted(cum, s, side="right")) - 1
-    m = min(max(m, 0), len(pts) - 2)
-    seg = cum[m + 1] - cum[m]
-    t = 0.0 if seg <= 0 else (s - cum[m]) / seg
-    p = pts[m] + t * (pts[m + 1] - pts[m])
-    d = pts[m + 1] - pts[m]
-    return float(p[0]), float(p[1]), math.atan2(d[1], d[0])
+    s = min(max(float(s), 0.0), float(cum[-1]))
+    m = min(max(bisect.bisect_right(cum, s) - 1, 0), len(pts) - 2)
+    c0, c1 = cum[m : m + 2].tolist()
+    (x0, y0), (x1, y1) = pts[m : m + 2].tolist()
+    seg = c1 - c0
+    t = 0.0 if seg <= 0 else (s - c0) / seg
+    dx, dy = x1 - x0, y1 - y0
+    return x0 + t * dx, y0 + t * dy, math.atan2(dy, dx)
 
 
 def project_arclength(pts: np.ndarray, cum: np.ndarray, x: float, y: float) -> float:
@@ -501,7 +509,7 @@ def estimate_path(
             except ValueError:
                 full = None
             if full is not None:
-                cum = path_arclength(full)
+                cum = _reference_arclength(lay, entrance, exit_lane.id, full)
                 s = project_arclength(full, cum, st.pose.x, st.pose.y)
                 return path_tail(full, cum, s)
     pts = [(st.pose.x, st.pose.y)]
@@ -564,12 +572,14 @@ def rule_based_action(
     states: Sequence[Optional[VehicleState]],
     i: int,
     ego_path: np.ndarray,
+    cum: np.ndarray,
     opp_paths: Dict[int, np.ndarray],
     rc_m: float,
     ego_s: float,
 ) -> float:
     """One acceleration from ACCEL_SET; conflicts are sought within rc_m,
-    and the ego sits at arc length ego_s of ego_path.
+    and the ego sits at arc length ego_s of ego_path, whose cumulative
+    arc lengths per vertex are cum (path_arclength(ego_path)).
 
     With no conflicting vehicle the largest acceleration is taken.
     Otherwise each candidate advances the ego one DT_S step along its
@@ -578,7 +588,6 @@ def rule_based_action(
     current speed; the candidate maximizing the minimum predicted
     distance wins, ties going to the smaller acceleration.
     """
-    cum = path_arclength(ego_path)
     ego = states[i]
     paths = {i: path_tail(ego_path, cum, ego_s), **opp_paths}
     conflicts = conflict_set(states, i, paths, rc_m)
@@ -632,8 +641,9 @@ class RuleBasedController(AVController):
             raise ValueError("rule-based vehicle must start on an entrance lane")
         if exit_ref is None:
             raise ValueError("rule-based vehicle has no exit lane in its route")
-        self._pts = reference_path(lay, entrance, network.resolve(exit_ref)[1].id)
-        self._cum = path_arclength(self._pts)
+        exit_id = network.resolve(exit_ref)[1].id
+        self._pts = reference_path(lay, entrance, exit_id)
+        self._cum = _reference_arclength(lay, entrance, exit_id, self._pts)
         self._s = project_arclength(self._pts, self._cum, st.pose.x, st.pose.y)
 
     def decide(
@@ -646,7 +656,7 @@ class RuleBasedController(AVController):
         near = near_indices(states, i, self.rc_m)
         opp_paths = {j: estimate_path(states, j, network) for j in near}
         self._accel = rule_based_action(
-            states, i, self._pts, opp_paths, self.rc_m, self._s
+            states, i, self._pts, self._cum, opp_paths, self.rc_m, self._s
         )
         return _ACCEL_ACTION[self._accel]
 

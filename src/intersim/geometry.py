@@ -251,16 +251,18 @@ def overlap_rects_group(x, y, cth, sth, counts, others: np.ndarray, sizes) -> np
     return out
 
 
-def segments_hit_rects(segs: np.ndarray, cx, cy, theta, length: float, width: float) -> np.ndarray:
-    """Whether any of S segments touches each of B rectangles.
+def segments_hit_rects(segs: np.ndarray, cx, cy, theta, length: float, width: float, owned) -> np.ndarray:
+    """Whether each of B rectangles touches any segment it owns.
 
-    segs has shape (S, 4) as (x0, y0, x1, y1). Returns (B,) bool. Closed-set
-    Liang-Barsky clip evaluated in every rectangle frame at once.
+    segs has shape (S, 4) as (x0, y0, x1, y1), and owned is a (B, S) bool
+    mask: row b owns the segments its rectangle is checked against.
+    Returns (B,) bool. Closed-set clip of every (rectangle, segment) pair
+    in one segments_hit_rects_matrix call, whose pairs each see the same
+    float expressions, so a row's flags do not depend on the other rows
+    or segments of the call.
     """
     m = segments_hit_rects_matrix(segs, cx, cy, np.cos(theta), np.sin(theta), length, width)
-    if m.shape[1] == 0:
-        return np.zeros(m.shape[0], dtype=bool)
-    return m.any(axis=1)
+    return (m & owned).any(axis=1)
 
 
 def segments_hit_rects_matrix(
@@ -769,7 +771,8 @@ class RoadNetwork:
 
     A connector declares that arm `arm_a` of intersection `a` is the same
     stretch of road as arm `arm_b` of intersection `b`. Ports must coincide
-    and lanes must line up, validate() checks both.
+    and lanes must line up, validate() checks both. edge_table() stacks
+    every layout's edge segments, so one kernel call checks a whole tick.
     """
 
     def __init__(self, layouts: List[RoadLayout], connectors: Sequence[Sequence[str]]):
@@ -782,6 +785,7 @@ class RoadNetwork:
         self.connectors = [tuple(c) for c in connectors]
         self.validate()
         self._entry_lanes: Optional[List[Tuple[str, Lane]]] = None
+        self._edge_table: Optional[Tuple[np.ndarray, Dict[str, Tuple[int, int]]]] = None
 
     def validate(self) -> None:
         for a, arm_a, b, arm_b in self.connectors:
@@ -823,6 +827,16 @@ class RoadNetwork:
             refs = [f"{name}:{aid}.in" for name in self.names for aid in self.open_arms(name)]
             self._entry_lanes = [(ref, self.resolve(ref)[1]) for ref in refs]
         return self._entry_lanes
+
+    def edge_table(self) -> Tuple[np.ndarray, Dict[str, Tuple[int, int]]]:
+        """Every layout's edge_segments() stacked in listing order, and each
+        layout's (start, stop) column range in it; computed on the first call."""
+        if self._edge_table is None:
+            segs = [self.layouts[name].edge_segments() for name in self.names]
+            stops = np.cumsum([len(s) for s in segs]).tolist()
+            cols = {name: (stop - len(s), stop) for name, s, stop in zip(self.names, segs, stops)}
+            self._edge_table = (np.vstack(segs), cols)
+        return self._edge_table
 
     def nearest_layout(self, x: float, y: float) -> str:
         """Nearest intersection center, ties broken by listing order."""

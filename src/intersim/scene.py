@@ -18,6 +18,9 @@ slot, so distilled traffic, a distilled AV's rollout step 1 and its
 belief update encode each vehicle once. The cache holds plans, trees and
 encodings of s_t only and is dropped when the tick ends; the rollout's
 later steps, whose states are not s_t, pass a fresh one.
+
+Road edges take one kernel call per tick: each active vehicle is a row
+owning its context and goal layouts' segments of the network's edge table.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def spawn_vehicle(
     live = [(s.pose.x, s.pose.y) for s in states if s is not None]
     for _ in range(SPAWN_TRIES):
         ref, lane = entries[rng.integers(len(entries))]
-        t = rng.uniform(0.05, 0.95)
+        t = 0.05 + (0.95 - 0.05) * rng.random()  # rng.uniform(0.05, 0.95), bit for bit
         x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
         y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
         for px, py in live:
@@ -121,7 +124,7 @@ def spawn_vehicle(
             refs = route_from_entry(network, name, arm_id, rng)
             return VehicleState(
                 Pose2(x, y, lane.heading),
-                float(rng.uniform(0.0, V_MAX)),
+                V_MAX * rng.random(),  # rng.uniform(0.0, V_MAX), bit for bit
                 goal_ref=refs[0],
                 target_lane_seq=refs[1:],
                 phase=PHASE_APPROACH,
@@ -145,23 +148,18 @@ def _hits_other_vehicle(states, i: int) -> bool:
 def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork) -> Dict[int, bool]:
     """Whether each vehicle in indices touches a road boundary or crosses
     a marking of its context layout or, where that differs, of its goal
-    layout: one segments_hit_rects call per layout, over its boundary and
-    marking segments together."""
-    groups: Dict[str, List[int]] = {}
-    for i in indices:
-        name, goal_name = context_layout(states[i], network), states[i].goal_ref.split(":")[0]
-        groups.setdefault(name, []).append(i)
-        if goal_name != name:
-            groups.setdefault(goal_name, []).append(i)
-    hits = dict.fromkeys(indices, False)
-    for name, members in groups.items():
-        segs = network.layouts[name].edge_segments()
-        czs = [DEFAULT_ZONES.c_zone(states[i].pose) for i in members]
-        x, y, th = np.array([(cz.cx, cz.cy, cz.theta) for cz in czs]).T.copy()
-        hit_rows = segments_hit_rects(segs, x, y, th, DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width)
-        for i, hit in zip(members, hit_rows):
-            hits[i] = hits[i] or bool(hit)
-    return hits
+    layout: one segments_hit_rects call over the network's edge table,
+    each row owning the columns of those layouts."""
+    segs, cols = network.edge_table()
+    owned = np.zeros((len(indices), len(segs)), dtype=bool)
+    poses = []
+    for r, i in enumerate(indices):
+        (c0, c1), (g0, g1) = cols[context_layout(states[i], network)], cols[states[i].goal_ref.split(":")[0]]
+        owned[r, c0:c1] = owned[r, g0:g1] = True
+        poses.append((states[i].pose.x, states[i].pose.y, states[i].pose.theta))
+    x, y, th = np.array(poses, dtype=float).reshape(-1, 3).T.copy()
+    hits = segments_hit_rects(segs, x, y, th, DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width, owned)
+    return dict(zip(indices, hits.tolist()))
 
 
 def detect_fail(states, i: int, edge_hits: Dict[int, bool]) -> bool:
@@ -169,10 +167,11 @@ def detect_fail(states, i: int, edge_hits: Dict[int, bool]) -> bool:
     a road boundary, or on crossing an opposing-traffic marking.
 
     The road-edge part depends on vehicle i alone: edge_hits is the
-    road_edge_hits of a batch holding i in its current state. sim_step and
-    the training loops take it for all vehicles on the post-move snapshot,
-    then run the vehicle part in slot order between respawns (ROADMAP item
-    2(a) is pending)."""
+    road_edge_hits of a batch holding i in its current state, where the
+    ownership mask keeps each row to its own layouts' segments. sim_step
+    and the training loops take it for all vehicles on the post-move
+    snapshot in one kernel call, then run the vehicle part in slot order
+    between respawns (ROADMAP item 2(a) is pending)."""
     if _hits_other_vehicle(states, i):
         return True
     return edge_hits[i]
@@ -307,6 +306,7 @@ class EpisodeState:
     levels: List[int]
     tags: List[str]
     rng: np.random.Generator
+    collect_log: bool
     av_index: Optional[int] = None
     tick: int = 0
     done: bool = False
@@ -314,7 +314,6 @@ class EpisodeState:
     av_speed_sum: float = 0.0
     av_ticks: int = 0
     log: List[str] = field(default_factory=list)
-    collect_log: bool = True
 
 
 def draw_levels(n: int, traffic_model: str, rng: np.random.Generator) -> List[int]:
@@ -391,8 +390,10 @@ def sim_step(
     decide and observe, which all plan from s_t: observe gets the copy
     of the states taken before the move.
 
-    Road edges are checked for all active vehicles at once on the post-move
-    snapshot; the vehicle-vehicle check then runs in slot order after the
+    Road edges are checked for all active vehicles on the post-move
+    snapshot in one segments_hit_rects call, each vehicle owning the
+    segments of its context and goal layouts in the network's edge table;
+    the vehicle-vehicle check then runs in slot order after the
     earlier slots have respawned, so the later partner of a collision can
     miss the wreck (ROADMAP item 2(a) is pending)."""
     if ep.done:

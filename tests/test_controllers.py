@@ -459,6 +459,41 @@ def test_reference_path_is_built_once_per_route_and_read_only(kind):
         assert np.array_equal(pts.view(np.uint64), want.view(np.uint64))
         with pytest.raises(ValueError):
             pts[0, 0] = 0.0
+        cum = controllers._reference_arclength(lay, e, x, pts)
+        assert controllers._reference_arclength(lay, e, x, pts) is cum
+        assert np.array_equal(cum.view(np.uint64), path_arclength(want).view(np.uint64))
+        with pytest.raises(ValueError):
+            cum[0] = 1.0
+
+
+def _point_along_numpy(pts, cum, s):
+    """point_along as numpy 2-vector arithmetic, the formula it replaced."""
+    s = float(np.clip(s, 0.0, cum[-1]))
+    m = int(np.searchsorted(cum, s, side="right")) - 1
+    m = min(max(m, 0), len(pts) - 2)
+    seg = cum[m + 1] - cum[m]
+    t = 0.0 if seg <= 0 else (s - cum[m]) / seg
+    p = pts[m] + t * (pts[m + 1] - pts[m])
+    d = pts[m + 1] - pts[m]
+    return float(p[0]), float(p[1]), math.atan2(d[1], d[0])
+
+
+def test_point_along_is_byte_equal_to_the_numpy_formula():
+    """Random paths, some with a zero-length segment inside or at the end,
+    at arc lengths below 0, past the end, on every vertex and in between."""
+    rng = np.random.default_rng(41)
+    for k in range(60):
+        pts = np.cumsum(rng.uniform(-6.0, 6.0, (int(rng.integers(2, 12)), 2)), axis=0)
+        if k % 3 == 0 and len(pts) > 2:
+            m = int(rng.integers(1, len(pts) - 1))
+            pts[m] = pts[m - 1]  # zero-length segment
+        if k % 5 == 1:
+            pts[-1] = pts[-2]  # the clamp lands on a zero-length last segment
+        cum = path_arclength(pts)
+        for s in [-3.0, -0.0, 0.0, cum[-1], cum[-1] + 2.5, *cum, *rng.uniform(-1.0, cum[-1] + 1.0, 20)]:
+            got, want = point_along(pts, cum, s), _point_along_numpy(pts, cum, s)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (k, s)
 
 
 def _dedup_by_loop(pts, tol=1e-9):
@@ -573,7 +608,7 @@ def test_conflict_requires_crossing_and_proximity():
 def test_empty_conflict_set_takes_the_largest_acceleration():
     states = [_plain_state(0.0, 0.0, 0.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
-    assert rule_based_action(states, 0, path, {}, RC_M, 0.0) == 2.5
+    assert rule_based_action(states, 0, path, path_arclength(path), {}, RC_M, 0.0) == 2.5
 
 
 def test_head_on_conflict_brakes_hard():
@@ -582,7 +617,7 @@ def test_head_on_conflict_brakes_hard():
     states = [_plain_state(0.0, 0.0, 0.0, v=3.0), _plain_state(9.0, 0.0, math.pi, v=3.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[9.0, 0.0], [-10.0, 0.0]])}
-    assert rule_based_action(states, 0, path, opp, RC_M, 0.0) == -5.0
+    assert rule_based_action(states, 0, path, path_arclength(path), opp, RC_M, 0.0) == -5.0
 
 
 def test_receding_conflict_behind_accelerates():
@@ -591,7 +626,7 @@ def test_receding_conflict_behind_accelerates():
     states = [_plain_state(0.0, 0.0, 0.0, v=3.0), _plain_state(-6.0, 0.0, math.pi, v=3.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[-6.0, 0.0], [1.0, 0.0]])}
-    assert rule_based_action(states, 0, path, opp, RC_M, 0.0) == 2.5
+    assert rule_based_action(states, 0, path, path_arclength(path), opp, RC_M, 0.0) == 2.5
 
 
 def test_rule_output_always_in_the_acceleration_set():
@@ -607,7 +642,7 @@ def test_rule_output_always_in_the_acceleration_set():
             opp_paths[j] = np.array(
                 [[x, y], [x + 25 * math.cos(th), y + 25 * math.sin(th)]]
             )
-        a = rule_based_action(states, 0, path, opp_paths, RC_M, 0.0)
+        a = rule_based_action(states, 0, path, path_arclength(path), opp_paths, RC_M, 0.0)
         assert a in ACCEL_SET
 
 
@@ -615,7 +650,7 @@ def test_vanishing_radius_empties_the_conflict_set():
     states = [_plain_state(0.0, 0.0, 0.0, v=3.0), _plain_state(4.0, 0.0, math.pi, v=3.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[4.0, 0.0], [-10.0, 0.0]])}
-    assert rule_based_action(states, 0, path, opp, 1e-9, 0.0) == max(ACCEL_SET)
+    assert rule_based_action(states, 0, path, path_arclength(path), opp, 1e-9, 0.0) == max(ACCEL_SET)
 
 
 def test_tie_goes_to_the_smaller_acceleration():
@@ -626,7 +661,7 @@ def test_tie_goes_to_the_smaller_acceleration():
     states = [_plain_state(0.0, 0.0, 0.0, v=0.0), _plain_state(1.0, 0.0, 0.0, v=0.0)]
     path = np.array([[0.0, 0.0], [40.0, 0.0]])
     opp = {1: np.array([[1.0, 0.0], [20.0, 0.0]])}
-    assert rule_based_action(states, 0, path, opp, RC_M, 0.0) == -5.0
+    assert rule_based_action(states, 0, path, path_arclength(path), opp, RC_M, 0.0) == -5.0
 
 
 def test_rule_based_controller_tracks_its_reference_path():
@@ -695,7 +730,7 @@ class _CheckedRuleAV(RuleBasedController):
             for j, st in enumerate(states)
             if j != i and st is not None
         }
-        eager = rule_based_action(states, i, self._pts, every, self.rc_m, self._s)
+        eager = rule_based_action(states, i, self._pts, self._cum, every, self.rc_m, self._s)
         self.records.append((a, self._accel, eager, list(self.estimated), within))
         return a
 
@@ -769,4 +804,4 @@ def test_opponent_exactly_at_rc_is_estimated(monkeypatch):
         av.decide(states, 0, net, PlanCache())
         assert calls == expected
         every = {1: real(states, 1, net)}
-        assert av._accel == rule_based_action(states, 0, av._pts, every, av.rc_m, av._s)
+        assert av._accel == rule_based_action(states, 0, av._pts, av._cum, every, av.rc_m, av._s)

@@ -108,7 +108,7 @@ def test_every_public_definition_is_referenced():
 # parameters with defaults, dataclass fields with defaults and command-line
 # options in the package: every one is a value a caller may set, and each
 # needs a reason to exist; this ceiling may only fall
-SETTABLE_VALUES_CEILING = 114
+SETTABLE_VALUES_CEILING = 113
 
 
 def _is_dataclass(node) -> bool:

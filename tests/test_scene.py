@@ -9,7 +9,7 @@ from spawn_oracle import spawn_by_rejection
 
 from intersim import planner, scene
 from intersim.controllers import AdaptiveController
-from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, Pose2, VehicleState
+from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, V_MAX, Pose2, VehicleState
 from intersim.geometry import LANE_WIDTH_M, euclidean_dist, make_city, segment_intersects_rect, single_network
 from intersim.planner import PlanCache
 from intersim.reward import DEFAULT_ZONES
@@ -115,6 +115,24 @@ def test_spawn_matches_the_rejection_oracle(kind, monkeypatch):
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "lo, hi, draw",
+    [(0.05, 0.95, lambda rng: 0.05 + (0.95 - 0.05) * rng.random()), (0.0, V_MAX, lambda rng: V_MAX * rng.random())],
+    ids=["position", "speed"],
+)
+def test_spawn_draws_through_random_equal_uniform_bit_for_bit(lo, hi, draw):
+    """spawn_vehicle draws its lane position and its speed as draw does,
+    through the faster rng.random(); numpy's scalar uniform(lo, hi) must
+    give the same double and leave the generator in the same state, or
+    seeded outcomes would move."""
+    for seed in range(4):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.array([a.uniform(lo, hi) for _ in range(25_000)])
+        got = np.array([draw(b) for _ in range(25_000)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_routes_stay_legal_at_a_box_intersection():
@@ -292,35 +310,37 @@ def test_road_edge_hits_check_the_goal_layout_past_a_port():
 
 
 @pytest.mark.parametrize("kind", ["fourway", "city"])
-def test_sim_step_checks_road_edges_once_per_layout(monkeypatch, kind):
-    kernel_rows = []
+def test_sim_step_checks_road_edges_once_per_tick(monkeypatch, kind):
+    """One road_edge_hits and one kernel call per sim_step, with one row
+    per active vehicle over the network's whole edge table."""
+    kernel_shapes = []
     kernel = scene.segments_hit_rects
 
-    def counting_kernel(segs, cx, *args):
-        kernel_rows.append(len(cx))
-        return kernel(segs, cx, *args)
+    def counting_kernel(segs, cx, cy, theta, length, width, owned):
+        kernel_shapes.append((len(cx), len(segs), owned.shape))
+        return kernel(segs, cx, cy, theta, length, width, owned)
 
     edge_calls = []
     edges = scene.road_edge_hits
 
     def spying_edges(states, indices, network):
-        pairs = {(context_layout(states[i], network), i) for i in indices}
-        pairs |= {(states[i].goal_ref.split(":")[0], i) for i in indices}
-        edge_calls.append((len({name for name, _ in pairs}), len(pairs)))
+        edge_calls.append((len(indices), sum(st is not None for st in states)))
         return edges(states, indices, network)
 
     monkeypatch.setattr(scene, "segments_hit_rects", counting_kernel)
     monkeypatch.setattr(scene, "road_edge_hits", spying_edges)
-    cfg = SceneConfig(network=_network(kind), n_vehicles=12, t_limit_s=40 * DT_S)
+    net = _network(kind)
+    n_segs = len(net.edge_table()[0])
+    cfg = SceneConfig(network=net, n_vehicles=12, t_limit_s=40 * DT_S)
     ep = init_episode(cfg, seed=(8, 0), collect_log=True)
     while not ep.done:
-        kernel_rows.clear()
+        kernel_shapes.clear()
         edge_calls.clear()
         sim_step(ep, cfg, HoldTraffic())
         assert len(edge_calls) == 1
-        n_layouts, n_pairs = edge_calls[0]
-        assert len(kernel_rows) == n_layouts
-        assert sum(kernel_rows) == n_pairs
+        n_rows, n_active = edge_calls[0]
+        assert n_rows == n_active > 0
+        assert kernel_shapes == [(n_active, n_segs, (n_active, n_segs))]
     assert ep.tick == 40
     # vehicles failed, and their slots respawned inside the vehicle loop
     assert any('"status":"failed"' in line for line in ep.log)
