@@ -31,7 +31,7 @@ from .harness import (
     run_one,
     write_report_csv,
 )
-from .imitation import DaggerConfig, TrainConfig, dagger_train, dagger_train_adaptive
+from .imitation import DaggerConfig, TrainConfig, dagger_train
 
 
 class ConfigError(Exception):
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=_u64, default=None)
     tr.add_argument("--out", default=".")
     tr.add_argument("--config", default=None,
-                    help="JSON with variant (levelk|adaptive) and training overrides")
+                    help="JSON of DaggerConfig overrides, with classifier settings under train")
 
     ev = sub.add_parser("evaluate", help="Monte-Carlo evaluation report")
     common(ev, episodes=200)
@@ -173,10 +173,8 @@ def _spec_from_args(args, overrides: dict) -> EvalSpec:
         "rc_m": args.rc,
         **overrides,
     })
-    for key in ("policy_file", "adaptive_policy_file"):
-        path = getattr(spec, key)
-        if path is not None and not os.path.exists(path):
-            raise ConfigError(f"{key.replace('_', '-')} not found: {path}")
+    if spec.policy_file is not None and not os.path.exists(spec.policy_file):
+        raise ConfigError(f"policy-file not found: {spec.policy_file}")
     return spec
 
 
@@ -251,9 +249,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    variant = cfg.pop("variant", "levelk")
-    if variant not in ("levelk", "adaptive"):
-        raise ConfigError(f"unknown train variant {variant!r}")
     train_over = cfg.pop("train", {})
     dcfg = DaggerConfig()
     _check_keys(cfg, DaggerConfig, "training keys")
@@ -274,12 +269,8 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         dcfg = replace(dcfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    if variant == "adaptive":
-        result = dagger_train_adaptive(dcfg)
-        stem = "policy_adaptive"
-    else:
-        result = dagger_train(dcfg)
-        stem = "policy_levelk"
+    result = dagger_train(dcfg)
+    stem = "policy_levelk"
     result.policy.save(os.path.join(args.out, f"{stem}.json"))
     result.dataset.to_csv(os.path.join(args.out, f"{stem}_dataset.csv"))
     with open(os.path.join(args.out, f"{stem}_history.json"), "w") as f:

@@ -262,34 +262,6 @@ class AdaptiveController(AVController):
         self.beliefs.reset(i)
 
 
-class DistilledAdaptiveController(AdaptiveController):
-    """Adaptive controller whose action head is a trained approximator.
-
-    actor(states, i, estimates, network) -> action index replaces the
-    online best-response search; beliefs still update every tick through
-    the supplied batched predictor, as in AdaptiveController.observe.
-    """
-
-    def __init__(
-        self,
-        actor: Callable[
-            [Sequence[Optional[VehicleState]], int, Dict[int, int], RoadNetwork], int
-        ],
-        predictor: Predictor,
-        beta: float,
-    ):
-        super().__init__(BEHAVIORAL_LEVELS, beta, predictor)
-        self.actor = actor
-
-    def decide(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
-    ) -> int:
-        self._ego = i
-        near = near_indices(states, i, INTERACTION_RADIUS_M)
-        estimates = estimate_levels(self.beliefs, near)
-        return self.actor(states, i, estimates, network)
-
-
 class FixedLevelController(AVController):
     """Ego that plays a fixed behavioral level, as the expert tree search
     or through a distilled predictor queried with its one row."""

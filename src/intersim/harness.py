@@ -24,7 +24,6 @@ import numpy as np
 from .controllers import (
     BETA,
     AdaptiveController,
-    DistilledAdaptiveController,
     FixedLevelController,
     RC_M,
     RuleBasedController,
@@ -33,7 +32,6 @@ from .geometry import BUILDERS, RoadNetwork, is_finite_number, make_city, single
 from .imitation import (
     DistilledTraffic,
     PolicyApproximator,
-    encode_state_adaptive,
     load_policy,
     wilson_interval,
 )
@@ -190,8 +188,7 @@ class EvalSpec:
 
     engine selects how background vehicles (and search-based egos) act:
     "expert" runs the game-tree search every tick, "distilled" batches the
-    trained classifier (needs policy_file). adaptive_policy_file switches
-    the adaptive ego from online best response to its own distilled head.
+    trained classifier (needs policy_file).
     scene takes a built-in layout kind, "city", or the path of a network
     recipe file: the builders' arguments per intersection, plus the
     connectors (geometry's module doc gives the format). A recipe sets
@@ -202,9 +199,9 @@ class EvalSpec:
     nonnegative integer, rc_m is finite and nonnegative, t_limit_s is
     finite and positive, beta is in (0, 1], and weights
     maps some DEFAULT_WEIGHTS keys to finite values. The scene and the
-    rules across fields (the distilled engine needs policy_file, and
-    adaptive_policy_file needs the distilled engine) are checked when the
-    cell is built to run, so EvalSpec(scene=...) can name a network to render.
+    rule across fields (the distilled engine needs policy_file) are
+    checked when the cell is built to run, so EvalSpec(scene=...) can
+    name a network to render.
     """
 
     scene: str = "fourway"
@@ -213,7 +210,6 @@ class EvalSpec:
     av: Optional[str] = "adaptive"
     engine: str = "distilled"
     policy_file: Optional[str] = None
-    adaptive_policy_file: Optional[str] = None
     rc_m: float = RC_M
     beta: float = BETA
     t_limit_s: float = 300.0
@@ -266,18 +262,13 @@ class _Built:
             t_limit_s=spec.t_limit_s,
         )
         self.policy: Optional[PolicyApproximator] = None
-        self.adaptive_policy: Optional[PolicyApproximator] = None
         if spec.engine == "distilled":
             if spec.policy_file is None:
                 raise ValueError("distilled engine needs policy_file")
-            self.policy = load_policy(spec.policy_file, "levelk")
+            self.policy = load_policy(spec.policy_file)
             self.traffic: TrafficPolicy = DistilledTraffic(self.policy)
         else:
             self.traffic = ExpertTraffic()
-        if spec.adaptive_policy_file is not None:
-            if self.policy is None:
-                raise ValueError("adaptive_policy_file needs the distilled engine")
-            self.adaptive_policy = load_policy(spec.adaptive_policy_file, "adaptive")
 
 
 def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
@@ -290,15 +281,7 @@ def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
         return FixedLevelController(int(spec.av[-1]), predictor=predictor)
     if spec.av == "rule-based":
         return RuleBasedController(spec.rc_m)
-    if built.adaptive_policy is None:
-        return AdaptiveController(beta=spec.beta, predictor=predictor)
-    apol = built.adaptive_policy
-
-    def actor(states, i, estimates, network):
-        x = encode_state_adaptive(states, i, estimates, network)
-        return int(apol.predict(x)[0])
-
-    return DistilledAdaptiveController(actor, predictor, beta=spec.beta)
+    return AdaptiveController(beta=spec.beta, predictor=predictor)
 
 
 def run_one(

@@ -31,10 +31,10 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, single_network
-from .planner import BEHAVIORAL_LEVELS, INTERACTION_RADIUS_M, K_MAX, PlanCache, expert_policy, near_indices
+from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy
 from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
 
-M_NEAR = 6  # opponent slots of both encoders; a policy file must say the same
+M_NEAR = 6  # opponent slots of the encoder; a policy file must say the same
 POS_SCALE_M = 40.0  # interaction radius; positions land roughly in [-1, 1]
 SPEED_SCALE = 5.0
 SENTINEL_DX_M = 100.0  # empty opponent slots read as a far-away stopped car
@@ -47,7 +47,6 @@ EGO_BLOCK = 5 + 4 + N_PHASES + 3
 SLOT_WIDTH = 9  # relative pose in both frames, heading, speed, goal direction
 
 LEVELK_DIM = EGO_BLOCK + SLOT_WIDTH * M_NEAR + N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS)  # 74
-ADAPTIVE_DIM = EGO_BLOCK + (SLOT_WIDTH + 1) * M_NEAR + N_LAYOUT_KINDS  # 78
 
 
 def _lane_tracking(lane, x: float, y: float, th: float) -> Tuple[float, float]:
@@ -78,7 +77,7 @@ _SENTINEL_SLOT = [SENTINEL_DX_M / POS_SCALE_M, 0.0, SENTINEL_DX_M / POS_SCALE_M,
 
 
 def _read_live(states: Sequence[Optional[VehicleState]], network: RoadNetwork) -> list:
-    """Per slot, None when empty, else what the encoders read of a vehicle:
+    """Per slot, None when empty, else what the encoder reads of a vehicle:
     (x, y, theta, scaled speed, scaled goal offset x and y, phase, goal
     layout, goal lane)."""
     live: list = []
@@ -94,10 +93,10 @@ def _read_live(states: Sequence[Optional[VehicleState]], network: RoadNetwork) -
     return live
 
 
-def _common_block(live: list, i: int) -> Tuple[List[float], List[int]]:
-    """The head of ego i, one flat list shared by both encoding variants
-    (the ego block, the M_NEAR opponent slots and the layout kind one-hot),
-    and the slots' occupants.
+def _common_block(live: list, i: int) -> List[float]:
+    """The head of ego i, one flat list: every value of its encoded rows
+    but the level one-hot (the ego block, the M_NEAR opponent slots and
+    the layout kind one-hot).
 
     Ego: center offset in the layout frame, heading cos/sin, speed, goal
     offset in the layout frame and rotated into the ego frame (steering
@@ -148,7 +147,7 @@ def _common_block(live: list, i: int) -> Tuple[List[float], List[int]]:
             -ogx * s + ogy * c,
         )
     head += _SENTINEL_SLOT * (M_NEAR - len(order))
-    return head + _LAYOUT_ONE_HOT[lay.kind], order
+    return head + _LAYOUT_ONE_HOT[lay.kind]
 
 
 def encode_many(
@@ -173,7 +172,7 @@ def encode_many(
         if i not in heads:
             if live is None:
                 live = _read_live(states, network)
-            heads[i] = _common_block(live, i)[0]
+            heads[i] = _common_block(live, i)
         rows.append(heads[i] + _LEVEL_ONE_HOT[k])
     return np.array(rows, dtype=float).reshape(len(rows), LEVELK_DIM)
 
@@ -190,26 +189,6 @@ def encode_state(
     return encode_many(states, [i], [k], network, PlanCache())[0]
 
 
-# where each opponent slot of a head ends, before which the adaptive
-# encoding inserts the slot's level channel
-_SLOT_ENDS = [EGO_BLOCK + SLOT_WIDTH * (s + 1) for s in range(M_NEAR)]
-
-
-def encode_state_adaptive(
-    states: Sequence[Optional[VehicleState]],
-    i: int,
-    estimates: Dict[int, int],
-    network: RoadNetwork,
-) -> np.ndarray:
-    """ADAPTIVE_DIM encoding for the adaptive-policy approximator: the
-    common block, but each opponent slot gains its estimated level as a
-    signed channel (-1 level-1, +1 level-2, 0 empty slot) instead of a
-    global ego-level one-hot."""
-    head, order = _common_block(_read_live(states, network), i)
-    lvl = [-1.0 if estimates.get(j, 1) == 1 else 1.0 for j in order] + [0.0] * (M_NEAR - len(order))
-    return np.insert(np.array(head), _SLOT_ENDS, lvl)
-
-
 _SLOT_FIELDS = ("dx", "dy", "dxe", "dye", "cos", "sin", "v", "gdxe", "gdye")
 _EGO_FIELDS = (
     "ego_px", "ego_py", "ego_cos", "ego_sin", "ego_v",
@@ -224,14 +203,6 @@ def levelk_feature_names() -> List[str]:
     for s in range(M_NEAR):
         names += [f"opp{s}_{f}" for f in _SLOT_FIELDS]
     names += ["xi_fourway", "xi_tshape", "xi_roundabout", "lvl_1", "lvl_2"]
-    return names
-
-
-def adaptive_feature_names() -> List[str]:
-    names = list(_EGO_FIELDS)
-    for s in range(M_NEAR):
-        names += [f"opp{s}_{f}" for f in _SLOT_FIELDS] + [f"opp{s}_lvl"]
-    names += ["xi_fourway", "xi_tshape", "xi_roundabout"]
     return names
 
 
@@ -324,6 +295,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
+# a fitted parameter beyond this magnitude marks a runaway fit; the
+# committed fixture's largest is about 31
+PARAM_LIMIT = 1e6
+
+
 def _layer_sizes(n_features: int, hidden: Union[int, Sequence[int]]) -> List[int]:
     """Full width list [input, hidden..., n_actions] from a TrainConfig.hidden."""
     hs = [hidden] if isinstance(hidden, int) else [int(h) for h in hidden]
@@ -395,7 +371,9 @@ class PolicyApproximator:
         """Minibatch momentum SGD on softmax cross-entropy for steps steps,
         the learning rate annealed exponentially from cfg.lr down to
         cfg.lr_floor_frac of it. Returns the final minibatch loss; raises
-        RuntimeError on divergence.
+        RuntimeError on divergence: a non-finite loss during the loop, or
+        after it a parameter that is not finite or exceeds PARAM_LIMIT in
+        magnitude.
 
         Gradients and velocities are flat vectors laid out as theta(), so
         one momentum update moves every layer, and each step writes into
@@ -453,6 +431,9 @@ class PolicyApproximator:
             vel += grad
             self._theta -= lr * vel
             lr *= decay
+        peak = float(np.max(np.abs(self._theta)))
+        if not peak <= PARAM_LIMIT:
+            raise RuntimeError(f"classifier training diverged (max |theta|={peak:.3g})")
         return loss
 
     # -- persistence ---------------------------------------------------------
@@ -495,10 +476,10 @@ class PolicyApproximator:
                 raise ValueError(f"policy file {path} is malformed: {type(e).__name__}: {e}") from None
 
 
-def default_encoding(variant: str) -> dict:
+def default_encoding() -> dict:
     """The encoding block of this encoder's policies; set-up refuses a file with another."""
     return {
-        "variant": variant,
+        "variant": "levelk",
         "m_near": M_NEAR,
         "pos_scale_m": POS_SCALE_M,
         "speed_scale": SPEED_SCALE,
@@ -506,14 +487,13 @@ def default_encoding(variant: str) -> dict:
     }
 
 
-def load_policy(path: str, variant: str) -> PolicyApproximator:
+def load_policy(path: str) -> PolicyApproximator:
     """The policy in path; raises ValueError naming path unless this
-    encoder's variant reads it and it scores every action of the table."""
+    encoder reads it and it scores every action of the table."""
     policy = PolicyApproximator.load(path)
-    width = LEVELK_DIM if variant == "levelk" else ADAPTIVE_DIM
     sizes = policy.sizes
-    if policy.encoding != default_encoding(variant) or sizes[0] != width or sizes[-1] != len(DEFAULT_ACTIONS):
-        raise ValueError(f"policy file {path} is not a {variant} policy of this encoder")
+    if policy.encoding != default_encoding() or sizes[0] != LEVELK_DIM or sizes[-1] != len(DEFAULT_ACTIONS):
+        raise ValueError(f"policy file {path} is not a levelk policy of this encoder")
     return policy
 
 
@@ -523,7 +503,7 @@ def load_policy(path: str, variant: str) -> PolicyApproximator:
 
 @dataclass
 class DaggerConfig:
-    """Settings of both trainers; encoder width and spawn gap are library constants."""
+    """Settings of the trainer; encoder width and spawn gap are library constants."""
 
     n_max: int = 200
     t_max: int = 100
@@ -602,13 +582,13 @@ def _final_steps(train: TrainConfig, n_rows: int) -> int:
     return min(train.final_max_steps, max(train.min_steps, steps))
 
 
-def _refit(policy, dataset, cfg, stream, n) -> Tuple[PolicyApproximator, float]:
+def _refit(policy, dataset, cfg, n) -> Tuple[PolicyApproximator, float]:
     """Fit on the full dataset after episode n: from fresh weights unless
-    cfg.warm_start, seeded by (cfg.seed, stream, n), deeper on the last."""
+    cfg.warm_start, seeded by (cfg.seed, 2, n), deeper on the last."""
     if not len(dataset):
         return policy, float("nan")
     X, y = dataset.arrays()
-    fit_seed = np.random.SeedSequence((cfg.seed, stream, n))
+    fit_seed = np.random.SeedSequence((cfg.seed, 2, n))
     if not cfg.warm_start:
         seed = int(fit_seed.generate_state(1)[0])
         policy = PolicyApproximator(policy.sizes, policy.encoding, seed=seed)
@@ -627,7 +607,7 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
     """
     root = np.random.SeedSequence(cfg.seed)
     rng = np.random.default_rng(root.spawn(1)[0])
-    enc = default_encoding("levelk")
+    enc = default_encoding()
     names = levelk_feature_names()
     policy = PolicyApproximator(_layer_sizes(len(names), cfg.train.hidden), enc, seed=cfg.seed)
     dataset = DemoDataset(names)
@@ -656,71 +636,7 @@ def dagger_train(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
                     k_t = levels[rng.integers(len(levels))]
                     chosen[i] = int(guesses[keys.index((i, k_t))])
                 _advance(states, chosen, net)
-        policy, loss = _refit(policy, dataset, cfg, 2, n)
-        rate = disagreements / queries if queries else 0.0
-        history.append({"episode": n, "dataset": len(dataset), "disagreement": rate, "loss": loss})
-    return DaggerResult(policy, dataset, history)
-
-
-def dagger_train_adaptive(cfg: DaggerConfig = DaggerConfig()) -> DaggerResult:
-    """Dataset aggregation against the level-estimating controller.
-
-    The ego in slot 0 is driven by an AdaptiveController, as in
-    deployment: its decide labels the visited states, its observe refreshes
-    the beliefs from the actions taken, and a respawned opponent's belief
-    resets (a respawned ego gets a fresh controller). The head's estimate
-    channels cover the opponents within the interaction radius, the ones
-    DistilledAdaptiveController estimates. The ego advances under the
-    classifier, and the opponents play their true levels through the
-    expert. The output approximates the map (own state, opponents,
-    estimated levels) to action.
-    """
-    from .controllers import AdaptiveController, estimate_levels
-
-    root = np.random.SeedSequence((cfg.seed, 5))
-    rng = np.random.default_rng(root.spawn(1)[0])
-    enc = default_encoding("adaptive")
-    names = adaptive_feature_names()
-    policy = PolicyApproximator(_layer_sizes(len(names), cfg.train.hidden), enc, seed=cfg.seed)
-    dataset = DemoDataset(names)
-    levels = [k for k in BEHAVIORAL_LEVELS if k <= cfg.k_max]
-    history: List[dict] = []
-
-    def controller():
-        return AdaptiveController(model_set=tuple(levels))
-
-    for n, net, states in _episodes(cfg, rng, cfg.n_max):
-        bg_levels = {j: levels[rng.integers(len(levels))] for j in range(1, cfg.n_vehicles)}
-        ego = controller()
-        disagreements = 0
-        queries = 0
-        for _t in range(cfg.t_max):
-            for i in _respawn_terminal(states, net, rng):
-                if i == 0:
-                    ego = controller()
-                else:
-                    ego.reset_belief(i)
-            cache = PlanCache()
-            opp_active = [
-                j for j in range(1, cfg.n_vehicles) if states[j] is not None
-            ]
-            chosen: Dict[int, int] = {}
-            for j in opp_active:
-                chosen[j] = expert_policy(states, j, bg_levels[j], net, cache).action_sequence[0]
-            if states[0] is not None:
-                near = near_indices(states, 0, INTERACTION_RADIUS_M)
-                x = encode_state_adaptive(states, 0, estimate_levels(ego.beliefs, near), net)
-                expert = ego.decide(states, 0, net, cache)
-                guess = int(policy.predict(x[None, :])[0])
-                queries += 1
-                if guess != expert:
-                    dataset.append(x, expert)
-                    disagreements += 1
-                chosen[0] = guess
-            # belief refresh from the actions just chosen at this state
-            ego.observe(states, chosen, net, cache)
-            _advance(states, chosen, net)
-        policy, loss = _refit(policy, dataset, cfg, 6, n)
+        policy, loss = _refit(policy, dataset, cfg, n)
         rate = disagreements / queries if queries else 0.0
         history.append({"episode": n, "dataset": len(dataset), "disagreement": rate, "loss": loss})
     return DaggerResult(policy, dataset, history)

@@ -110,23 +110,6 @@ class PerRowAdaptive(AdaptiveController):
         return out
 
 
-class PerRowDistilledAdaptive(PerRowAdaptive):
-    """Adaptive AV whose action comes from actor(states, i, estimates,
-    network), as in DistilledAdaptiveController."""
-
-    def __init__(self, actor, predict_row, **kwargs):
-        super().__init__(predict_row, **kwargs)
-        self.actor = actor
-
-    def decide(self, states, i, network, plans):
-        self._ego = i
-        near = near_indices(states, i, INTERACTION_RADIUS_M)
-        estimates = {
-            j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
-        }
-        return self.actor(states, i, estimates, network)
-
-
 class PerRowFixedLevel(FixedLevelController):
     def __init__(self, level, predict_row):
         super().__init__(level)

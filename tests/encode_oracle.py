@@ -1,9 +1,9 @@
 """The per-row state encoders that encode_many replaced.
 
-encode_row and encode_row_adaptive build one encoding at a time into a
-zeroed array, reading every opponent and resolving its goal lane again for
-each row. They are the bit-exact references for the library's encoders:
-the same float expressions, in a separate code path.
+encode_row builds one encoding at a time into a zeroed array, reading
+every opponent and resolving its goal lane again for each row. It is the
+bit-exact reference for the library's encoder: the same float
+expressions, in a separate code path.
 """
 
 import math
@@ -38,13 +38,13 @@ def opponent_order(states, i):
     return [j for _, _, j in rows]
 
 
-def encode_common(states, i, network, m_near, slot_width, tail):
-    """Ego block plus opponent slots shared by both encoding variants."""
+def encode_common(states, i, network, m_near, tail):
+    """Ego block plus opponent slots, then tail zeros."""
     st = states[i]
     lay, lane = network.resolve(st.goal_ref)
     x, y, th = st.pose.x, st.pose.y, st.pose.theta
     c, s = math.cos(th), math.sin(th)
-    out = np.zeros(EGO_BLOCK + slot_width * m_near + tail)
+    out = np.zeros(EGO_BLOCK + SLOT_WIDTH * m_near + tail)
     out[0] = (x - lay.center[0]) / POS_SCALE_M
     out[1] = (y - lay.center[1]) / POS_SCALE_M
     out[2] = c
@@ -85,25 +85,15 @@ def encode_common(states, i, network, m_near, slot_width, tail):
             out[base] = far
             out[base + 2] = far
             out[base + 4] = 1.0
-        base += slot_width
-    return out, lay, order, base
+        base += SLOT_WIDTH
+    return out, lay, base
 
 
 def encode_row(states, i, k, network, m_near):
     if k not in BEHAVIORAL_LEVELS:
         raise ValueError(f"encoding defined for levels {BEHAVIORAL_LEVELS}, got {k}")
-    out, lay, _, base = encode_common(
-        states, i, network, m_near, SLOT_WIDTH, N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS)
-    )
+    out, lay, base = encode_common(states, i, network, m_near, N_LAYOUT_KINDS + len(BEHAVIORAL_LEVELS))
     out[base + KIND_LABELS[lay.kind] - 1] = 1.0
     out[base + N_LAYOUT_KINDS + k - 1] = 1.0
     return out
 
-
-def encode_row_adaptive(states, i, estimates, network, m_near):
-    out, lay, order, base = encode_common(states, i, network, m_near, SLOT_WIDTH + 1, N_LAYOUT_KINDS)
-    for slot in range(min(m_near, len(order))):
-        pos = EGO_BLOCK + (SLOT_WIDTH + 1) * slot + SLOT_WIDTH
-        out[pos] = -1.0 if estimates.get(order[slot], 1) == 1 else 1.0
-    out[base + KIND_LABELS[lay.kind] - 1] = 1.0
-    return out

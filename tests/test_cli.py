@@ -13,7 +13,6 @@ from intersim.controllers import BETA, RC_M
 from intersim.geometry import CITY
 from intersim.harness import REPORT_COLUMNS, EvalSpec, run_one
 from intersim.imitation import (
-    ADAPTIVE_DIM,
     LEVELK_DIM,
     SLOT_WIDTH,
     PolicyApproximator,
@@ -26,7 +25,7 @@ FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / 
 @pytest.fixture(scope="module")
 def policy_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("pol") / "policy.json"
-    PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding("levelk"), seed=4).save(str(path))
+    PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=4).save(str(path))
     return str(path)
 
 
@@ -288,6 +287,10 @@ _BAD_OVERRIDES = {
     "weights-nan": ({"weights": {"w_c": float("nan")}}, "to finite values, got {'w_c': nan}"),
     "weights-str-value": ({"weights": {"w_c": "1"}}, "weights (expected"),
     "weights-list": ({"weights": [1, 2]}, "weights (expected"),
+    # the adaptive AV has one head, the online best response
+    "removed-adaptive_policy_file": (
+        {"adaptive_policy_file": FIXTURE}, "unknown spec keys in config: adaptive_policy_file"
+    ),
 }
 
 
@@ -317,7 +320,6 @@ def test_bad_spec_value_raises_without_the_cli(case):
     "override, message",
     [
         ({"engine": "distilled"}, "distilled engine needs policy_file"),
-        ({"adaptive_policy_file": FIXTURE}, "adaptive_policy_file needs the distilled engine"),
     ],
 )
 def test_rules_across_fields_are_checked_at_the_build(tmp_path, override, message, capsys):
@@ -405,9 +407,8 @@ def test_render_bad_ticks_exit_one(tmp_path, policy_file, capsys):
 # train-policy
 
 
-def _tiny_train_cfg(tmp_path, variant, **over):
+def _tiny_train_cfg(tmp_path, **over):
     cfg = {
-        "variant": variant,
         "n_max": 1,
         "t_max": 2,
         "n_vehicles": 2,
@@ -417,14 +418,14 @@ def _tiny_train_cfg(tmp_path, variant, **over):
         },
         **over,
     }
-    path = tmp_path / f"train_{variant}.json"
+    path = tmp_path / "train.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
 
 def test_train_policy_levelk_writes_artifacts(tmp_path, capsys):
     code = main(
-        ["train-policy", "--config", _tiny_train_cfg(tmp_path, "levelk"),
+        ["train-policy", "--config", _tiny_train_cfg(tmp_path),
          "--out", str(tmp_path)]
     )
     assert code == 0
@@ -436,28 +437,19 @@ def test_train_policy_levelk_writes_artifacts(tmp_path, capsys):
     assert arch[0] == LEVELK_DIM and arch[-1] == 6
 
 
-def test_train_policy_adaptive_writes_artifacts(tmp_path, capsys):
-    code = main(
-        ["train-policy", "--config", _tiny_train_cfg(tmp_path, "adaptive"),
-         "--out", str(tmp_path)]
-    )
-    assert code == 0
-    capsys.readouterr()
-    assert (tmp_path / "policy_adaptive.json").exists()
-
-
-def test_train_policy_adaptive_at_one_level_exits_zero(tmp_path, capsys):
-    cfg = _tiny_train_cfg(tmp_path, "adaptive", k_max=1, t_max=4, n_vehicles=3)
-    code = main(["train-policy", "--config", cfg, "--out", str(tmp_path)])
-    assert code == 0
-    capsys.readouterr()
-    assert (tmp_path / "policy_adaptive.json").exists()
+def test_train_policy_whose_fit_diverges_exits_two(tmp_path, capsys):
+    """A runaway classifier fit is a failure of a valid configuration:
+    train-policy exits 2 and names the error, and saves no policy."""
+    cfg = _tiny_train_cfg(tmp_path, t_max=8, train={"hidden": 4, "lr": 1e4, "min_steps": 300, "max_steps": 300})
+    assert main(["train-policy", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "failed: RuntimeError: classifier training diverged" in capsys.readouterr().err
+    assert not (tmp_path / "policy_levelk.json").exists()
 
 
 def test_train_policy_has_no_policy_file_option(tmp_path, policy_file, capsys):
     out = tmp_path / "out"
     code = main(
-        ["train-policy", "--config", _tiny_train_cfg(tmp_path, "adaptive"), "--policy-file", policy_file,
+        ["train-policy", "--config", _tiny_train_cfg(tmp_path), "--policy-file", policy_file,
          "--out", str(out)]
     )
     assert code == 1
@@ -475,7 +467,7 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
 @pytest.mark.parametrize(
     "config, extra, needle",
     [
-        ({"variant": "levelk", "n_epoch": 3}, [], "n_epoch"),
+        ({"n_epoch": 3}, [], "n_epoch"),
         ({"train": {"bogus": 1}}, [], "bogus"),
         ({"train": 3}, [], "train"),
         ({"scenes": ["bogus"]}, [], "scenes"),
@@ -494,12 +486,14 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
         ({"train": {"lr": "fast"}}, [], "lr"),
         ({"train": {"batch_size": 0}}, [], "batch_size"),
         ({"train": {"hidden": 0}}, [], "hidden"),
+        ({"variant": "adaptive"}, [], "unknown training keys in config: variant"),
+        ({"variant": "levelk"}, [], "unknown training keys in config: variant"),
     ],
     ids=["unknown-key", "unknown-train-key", "train-not-object", "unknown-scene",
          "scenes-not-list", "k_max-0", "k_max-7", "episodes-0", "vehicles-0", "n_max-str",
          "removed-m_near", "removed-min_sep_m", "removed-stop_disagreement_below",
          "removed-stop_patience", "warm_start-int", "scenes-item-not-str", "train-lr-str",
-         "train-batch_size-0", "train-hidden-0"],
+         "train-batch_size-0", "train-hidden-0", "removed-variant-adaptive", "removed-variant-levelk"],
 )
 def test_train_policy_rejects_unknown_keys(tmp_path, capsys, config, extra, needle):
     cfg = tmp_path / "bad2.json"
@@ -603,34 +597,30 @@ def test_policy_file_without_architecture_exits_one(tmp_path, command, capsys):
 
 def _policy_of_another_encoder(path, case):
     """Writes a policy file this encoder must refuse and returns its path."""
-    if case == "adaptive-as-levelk":
-        PolicyApproximator([ADAPTIVE_DIM, 8, 6], default_encoding("adaptive"), seed=1).save(str(path))
+    if case == "adaptive-as-levelk":  # a head that also reads a level estimate per opponent slot
+        encoding = {**default_encoding(), "variant": "adaptive"}
+        PolicyApproximator([LEVELK_DIM + 4, 8, 6], encoding, seed=1).save(str(path))
     else:  # m_near-4: the width an encoder of 4 slots reads
         width = LEVELK_DIM - 2 * SLOT_WIDTH
-        PolicyApproximator([width, 8, 6], {**default_encoding("levelk"), "m_near": 4}, seed=1).save(str(path))
+        PolicyApproximator([width, 8, 6], {**default_encoding(), "m_near": 4}, seed=1).save(str(path))
     return str(path)
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])
-@pytest.mark.parametrize("case", ["adaptive-as-levelk", "m_near-4", "levelk-as-adaptive"])
+@pytest.mark.parametrize("case", ["adaptive-as-levelk", "m_near-4"])
 def test_policy_file_of_another_encoder_exits_one(tmp_path, command, case, capsys):
     """Set-up refuses a policy file whose variant, encoding or input width
     differs from the encoder that would read it, before any output."""
-    cfg = {"t_limit_s": 5.0}
-    if case == "levelk-as-adaptive":
-        policy, bad = FIXTURE, FIXTURE
-        cfg["adaptive_policy_file"] = FIXTURE
-    else:
-        policy = bad = _policy_of_another_encoder(tmp_path / "other.json", case)
+    policy = _policy_of_another_encoder(tmp_path / "other.json", case)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps({"t_limit_s": 5.0}))
     out = tmp_path / "out"
     code = main(
         [command, "--scene", "fourway", "--vehicles", "2", "--av", "adaptive", "--episodes", "1",
          "--policy-file", policy, "--config", str(cfg_path), "--out", str(out)]
     )
     assert code == 1
-    assert f"policy file {bad} is not a" in capsys.readouterr().err
+    assert f"policy file {policy} is not a" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -641,7 +631,7 @@ def test_policy_file_of_another_action_count_exits_one(tmp_path, command, n_out,
     with more outputs (an index past the table) or fewer (an action it can
     never pick), before any output."""
     policy = tmp_path / "other.json"
-    PolicyApproximator([LEVELK_DIM, 8, n_out], default_encoding("levelk"), seed=1).save(str(policy))
+    PolicyApproximator([LEVELK_DIM, 8, n_out], default_encoding(), seed=1).save(str(policy))
     out = tmp_path / "out"
     code = main([command, "--scene", "fourway", "--av", "level1", "--episodes", "2",
                  "--policy-file", str(policy), "--out", str(out)])

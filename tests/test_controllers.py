@@ -8,7 +8,6 @@ import pytest
 
 from adaptive_oracle import (
     PerRowAdaptive,
-    PerRowDistilledAdaptive,
     PerRowFixedLevel,
     batched,
     rollout_per_row,
@@ -20,11 +19,9 @@ from intersim import dynamics as dyn
 from intersim import reward as rw
 from intersim.controllers import (
     ACCEL_SET,
-    BETA,
     RC_M,
     AdaptiveController,
     BeliefState,
-    DistilledAdaptiveController,
     FixedLevelController,
     RuleBasedController,
     adaptive_plan,
@@ -285,10 +282,6 @@ def _toy_row(states, i, k, network):
     return (int(abs(st.pose.x) + abs(st.pose.y)) + k + i) % 3
 
 
-def _toy_actor(states, i, estimates, network):
-    return (int(abs(states[i].pose.x)) + sum(j * k for j, k in estimates.items())) % 3
-
-
 class _ToyTraffic(TrafficPolicy):
     """Background vehicles play _toy_row at their true level, so the
     AV's beliefs have a level to find."""
@@ -325,14 +318,12 @@ def _same_run(av, ref, seed):
     assert (got.done, got.outcome, got.tick) == (want.done, want.outcome, want.tick)
 
 
-def test_distilled_adaptive_paths_match_per_row_queries():
+def test_adaptive_with_a_predictor_matches_per_row_queries():
     predictor = batched(_toy_row)
     refs = []
-    for seed in range(4):
+    for seed in range(6):
         refs.append(PerRowAdaptive(_toy_row))
         _same_run(AdaptiveController(predictor=predictor), refs[-1], seed)
-        refs.append(PerRowDistilledAdaptive(_toy_actor, _toy_row))
-        _same_run(DistilledAdaptiveController(_toy_actor, predictor, BETA), refs[-1], seed)
     # the comparison is only as sharp as the beliefs it compares: every
     # tracked vehicle leans to a level, and respawns reset some of them
     peaks = [p for ref in refs for p in ref.peak_by_slot().values()]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from intersim.harness import EvalSpec, _Built, build_network, render_svg, run_one
-from intersim.imitation import DaggerConfig, TrainConfig, dagger_train, dagger_train_adaptive
+from intersim.imitation import DaggerConfig, TrainConfig, dagger_train
 
 FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json")
 
@@ -49,7 +49,6 @@ EPISODES = {
 # every frame of the city-fixture-rule-based log, joined by newlines
 FRAMES_PIN = "9640a8326e349bb7000bef6ee830eb8bd530e4e73655c4dc3ea7e88e8ae20f59"
 DATASET_PIN = "7c7a811cae56aacb17ad539db0b958bf0de6e07e6a6ea43ec182c7549f55c1f4"
-ADAPTIVE_DATASET_PIN = "4abc45c263685c5c830aadc532bd92f76e8a92a5a66843e455bb0358732e2be9"
 
 
 @pytest.mark.parametrize("name", list(EPISODES))
@@ -76,12 +75,3 @@ def test_dagger_dataset_digest(tmp_path):
     dagger_train(cfg).dataset.to_csv(str(path))
     assert _sha(path.read_text()) == DATASET_PIN
 
-
-def test_adaptive_dagger_dataset_digest(tmp_path):
-    cfg = DaggerConfig(
-        n_max=2, t_max=8, n_vehicles=3, scenes=("fourway", "roundabout"), seed=3,
-        train=TrainConfig(hidden=8, min_steps=5, max_steps=5, final_max_steps=5),
-    )
-    path = tmp_path / "dataset.csv"
-    dagger_train_adaptive(cfg).dataset.to_csv(str(path))
-    assert _sha(path.read_text()) == ADAPTIVE_DATASET_PIN

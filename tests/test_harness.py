@@ -50,7 +50,7 @@ def policy_file(tmp_path_factory):
     """Untrained classifier on disk: drives badly but exercises every
     code path at distilled-engine speed."""
     path = tmp_path_factory.mktemp("pol") / "policy.json"
-    PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding("levelk"), seed=4).save(str(path))
+    PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=4).save(str(path))
     return str(path)
 
 

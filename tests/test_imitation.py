@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from encode_oracle import encode_row, encode_row_adaptive, opponent_order
+from encode_oracle import encode_row, opponent_order
 from fit_oracle import reference_fit
 
 from intersim import controllers
@@ -14,7 +14,6 @@ from intersim import scene
 from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState, step, update_goal
 from intersim.geometry import ISLAND_RADIUS_M, LANE_WIDTH_M, make_city, single_network
 from intersim.imitation import (
-    ADAPTIVE_DIM,
     DaggerConfig,
     DemoDataset,
     DistilledTraffic,
@@ -25,14 +24,11 @@ from intersim.imitation import (
     SENTINEL_DX_M,
     SLOT_WIDTH,
     TrainConfig,
-    adaptive_feature_names,
     collect_probes,
     dagger_train,
-    dagger_train_adaptive,
     default_encoding,
     encode_many,
     encode_state,
-    encode_state_adaptive,
     evaluate_match,
     levelk_feature_names,
     wilson_interval,
@@ -65,14 +61,9 @@ def test_encoding_dimensions_and_names_line_up():
     states, net = _scene()
     x = encode_state(states, 0, 1, net)
     assert x.shape == (LEVELK_DIM,)
-    xa = encode_state_adaptive(states, 0, {1: 2, 2: 1}, net)
-    assert xa.shape == (ADAPTIVE_DIM,)
     names = levelk_feature_names()
     assert len(names) == LEVELK_DIM
     assert len(set(names)) == LEVELK_DIM
-    anames = adaptive_feature_names()
-    assert len(anames) == ADAPTIVE_DIM
-    assert len(set(anames)) == ADAPTIVE_DIM
 
 
 def test_commanded_level_is_a_trailing_one_hot():
@@ -156,21 +147,6 @@ def test_lane_tracking_handles_ring_arcs():
     assert abs(x2[12]) == pytest.approx(0.25)
 
 
-def test_adaptive_encoding_carries_signed_level_estimates():
-    states, net = _scene()
-    x = encode_state_adaptive(states, 0, {1: 2, 2: 1}, net)
-    ch0 = EGO_BLOCK + (SLOT_WIDTH + 1) * 0 + SLOT_WIDTH
-    ch1 = EGO_BLOCK + (SLOT_WIDTH + 1) * 1 + SLOT_WIDTH
-    assert x[ch0] == 1.0  # nearest opponent believed level-2
-    assert x[ch1] == -1.0  # farther one believed level-1
-    # absent estimates default to the cautious model
-    x_def = encode_state_adaptive(states, 0, {}, net)
-    assert x_def[ch0] == -1.0 and x_def[ch1] == -1.0
-    # empty slots keep a zero estimate channel
-    ch_empty = EGO_BLOCK + (SLOT_WIDTH + 1) * 5 + SLOT_WIDTH
-    assert x[ch_empty] == 0.0
-
-
 def test_encoding_is_pure_and_deterministic():
     states, net = _scene()
     before = [(s.pose.x, s.pose.y, s.pose.theta, s.speed) for s in states]
@@ -240,10 +216,6 @@ def test_encode_many_is_byte_equal_to_the_per_row_oracle(kind):
             assert np.array_equal(_bits(encode_state(states, indices[r], levels[r], net)), _bits(want[r]))
         if not ties:
             assert len(live) - 1 < M_NEAR  # sentinel slots are in play
-        estimates = {j: 1 + j % 2 for j in live[::2]}
-        for i in live:
-            got_a = encode_state_adaptive(states, i, estimates, net)
-            assert np.array_equal(_bits(got_a), _bits(encode_row_adaptive(states, i, estimates, net, M_NEAR)))
 
 
 def test_encode_many_refuses_levels_outside_the_behavioral_set():
@@ -264,17 +236,17 @@ def test_exact_distance_ties_order_by_bearing_then_slot():
     offsets = [(0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (-2.0, 0.0), (0.0, -3.0), (3.0, 3.0), (0.0, 5.0), (5.0, 0.0)]
     states = [VehicleState(Pose2(ex + dx, ey + dy, 0.3), 2.0, goal_ref="I0:E.out") for dx, dy in offsets]
     assert math.hypot(*offsets[1]) == math.hypot(*offsets[2]) and math.hypot(*offsets[6]) == math.hypot(*offsets[7])
-    _, order = im._common_block(im._read_live(states, net), 0)
-    assert order == opponent_order(states, 0)[:M_NEAR] == [3, 4, 2, 1, 5, 7]
+    order = opponent_order(states, 0)[:M_NEAR]
+    assert order == [3, 4, 2, 1, 5, 7]
     got = encode_many(states, [0, 0], [1, 2], net, PlanCache())
     assert np.array_equal(_bits(got), _bits(np.stack([encode_row(states, 0, k, net, M_NEAR) for k in (1, 2)])))
-    estimates = {1: 2, 7: 2, 6: 1}
-    got_a = encode_state_adaptive(states, 0, estimates, net)
-    assert np.array_equal(_bits(got_a), _bits(encode_row_adaptive(states, 0, estimates, net, M_NEAR)))
+    for slot, j in enumerate(order):
+        base = EGO_BLOCK + SLOT_WIDTH * slot
+        assert tuple(got[0, base : base + 2] * POS_SCALE) == pytest.approx(offsets[j])
 
 
 def _random_levelk_policy():
-    return PolicyApproximator([LEVELK_DIM, 16, len(DEFAULT_ACTIONS)], default_encoding("levelk"), seed=3)
+    return PolicyApproximator([LEVELK_DIM, 16, len(DEFAULT_ACTIONS)], default_encoding(), seed=3)
 
 
 def _distilled_ticks(kind, n_ticks):
@@ -435,7 +407,7 @@ def test_wilson_interval_known_values():
 
 def test_policy_json_roundtrip_preserves_predictions(tmp_path):
     rng = np.random.default_rng(5)
-    pol = PolicyApproximator([10, 8, 6], default_encoding("levelk"), seed=5)
+    pol = PolicyApproximator([10, 8, 6], default_encoding(), seed=5)
     X = rng.normal(size=(50, 10))
     path = tmp_path / "pol.json"
     pol.save(str(path))
@@ -447,19 +419,19 @@ def test_policy_json_roundtrip_preserves_predictions(tmp_path):
 
 
 def test_policy_rejects_foreign_formats(tmp_path):
-    pol = PolicyApproximator([4, 3, 6], default_encoding("levelk"))
+    pol = PolicyApproximator([4, 3, 6], default_encoding())
     data = pol.to_json()
     data["format_version"] = 99
     with pytest.raises(ValueError):
         PolicyApproximator.from_json(data)
     with pytest.raises(ValueError):
-        PolicyApproximator([4, 3], default_encoding("levelk"))
+        PolicyApproximator([4, 3], default_encoding())
     with pytest.raises(ValueError):
         pol.set_theta(np.zeros(7))
 
 
 def test_argmax_ties_resolve_to_the_lowest_action():
-    pol = PolicyApproximator([5, 4, 6], default_encoding("levelk"), seed=0)
+    pol = PolicyApproximator([5, 4, 6], default_encoding(), seed=0)
     pol.set_theta(np.zeros_like(pol.theta()))
     X = np.random.default_rng(0).normal(size=(20, 5))
     assert np.all(pol.predict(X) == 0)
@@ -472,7 +444,7 @@ def test_fit_is_deterministic_given_seeds():
     cfg = TrainConfig(hidden=12)
     thetas = []
     for _ in range(2):
-        pol = PolicyApproximator([6, 12, 6], default_encoding("levelk"), seed=3)
+        pol = PolicyApproximator([6, 12, 6], default_encoding(), seed=3)
         pol.fit(X, y, cfg, np.random.default_rng(42), steps=500)
         thetas.append(pol.theta())
     assert np.array_equal(thetas[0], thetas[1])
@@ -483,7 +455,7 @@ def test_fit_learns_a_separable_problem():
     centers = np.array([[2.0, 0.0], [-2.0, 1.5], [0.0, -2.5]])
     X = np.concatenate([rng.normal(c, 0.4, size=(200, 2)) for c in centers])
     y = np.repeat(np.arange(3), 200)
-    pol = PolicyApproximator([2, 16, 6], default_encoding("levelk"), seed=1)
+    pol = PolicyApproximator([2, 16, 6], default_encoding(), seed=1)
     pol.fit(X, y, TrainConfig(hidden=16), np.random.default_rng(7), steps=3000)
     assert (pol.predict(X) == y).mean() > 0.95
 
@@ -509,7 +481,7 @@ def test_fit_equals_the_per_layer_reference_bit_for_bit(hidden, n, batch_size, s
     X, y = _labelled(np.random.default_rng(n), n, 9)
     cfg = TrainConfig(hidden=hidden, batch_size=batch_size)
     sizes = [9, *([hidden] if isinstance(hidden, int) else hidden), 6]
-    pol = PolicyApproximator(sizes, default_encoding("levelk"), seed=4)
+    pol = PolicyApproximator(sizes, default_encoding(), seed=4)
     want_theta, want_loss = reference_fit(pol, X, y, cfg, np.random.default_rng(11), steps)
     loss = pol.fit(X, y, cfg, np.random.default_rng(11), steps)
     assert pol.theta().tobytes() == want_theta.tobytes()
@@ -520,7 +492,7 @@ def test_fit_layer_views_share_theta():
     """ws and bs stay views of the parameters through a fit and a
     set_theta, so logits read what fit wrote."""
     X, y = _labelled(np.random.default_rng(3), 100, 5)
-    pol = PolicyApproximator([5, 8, 6], default_encoding("levelk"), seed=2)
+    pol = PolicyApproximator([5, 8, 6], default_encoding(), seed=2)
     pol.fit(X, y, TrainConfig(hidden=8), np.random.default_rng(1), 10)
     theta = pol.theta()
     flat = np.concatenate([part for w, b in zip(pol.ws, pol.bs) for part in (w.ravel(), b)])
@@ -531,11 +503,14 @@ def test_fit_layer_views_share_theta():
 
 def test_a_diverging_fit_raises():
     """The loss is floored at log(1e-12), so a runaway step shows as
-    overflow: inputs of order 100 at lr 50 overflow the logits."""
+    overflow or as runaway weights: inputs of order 100 at lr 50 overflow
+    the logits; unit-scale inputs at lr 50 keep every loss finite while
+    the weights grow past PARAM_LIMIT."""
     X, y = _labelled(np.random.default_rng(5), 200, 6)
-    pol = PolicyApproximator([6, 12, 6], default_encoding("levelk"), seed=0)
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="diverged"):
-        pol.fit(100.0 * X, y, TrainConfig(hidden=12, lr=50.0), np.random.default_rng(0), 300)
+    for scale in (100.0, 1.0):
+        pol = PolicyApproximator([6, 12, 6], default_encoding(), seed=0)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="diverged"):
+            pol.fit(scale * X, y, TrainConfig(hidden=12, lr=50.0), np.random.default_rng(0), 300)
 
 
 # ---------------------------------------------------------------------------
@@ -592,85 +567,6 @@ def test_dagger_smoke_run_produces_consistent_history():
     assert np.all((0 <= acts) & (acts < 6))
 
 
-def test_adaptive_dagger_smoke_run():
-    cfg = DaggerConfig(
-        n_max=1,
-        t_max=3,
-        n_vehicles=2,
-        seed=4,
-        train=TrainConfig(hidden=8, min_steps=20, max_steps=40, final_epochs=1.0, final_max_steps=60),
-    )
-    res = dagger_train_adaptive(cfg)
-    assert res.policy.sizes == [ADAPTIVE_DIM, 8, 6]
-    assert res.policy.encoding["variant"] == "adaptive"
-    states, net = _scene()
-    x = encode_state_adaptive(states, 0, {1: 1, 2: 2}, net)
-    acts = res.policy.predict(x)
-    assert acts.shape == (1,)
-    assert 0 <= acts[0] < 6
-
-
-def test_adaptive_dagger_at_one_level():
-    # beliefs span the trained levels only, also after the ego respawns
-    # (at the second tick under this seed)
-    cfg = DaggerConfig(
-        n_max=1,
-        t_max=4,
-        n_vehicles=3,
-        k_max=1,
-        seed=5,
-        train=TrainConfig(hidden=4, min_steps=5, max_steps=10, final_epochs=1.0, final_max_steps=10),
-    )
-    res = dagger_train_adaptive(cfg)
-    assert [h["episode"] for h in res.history] == [1]
-    assert res.history[0]["dataset"] == len(res.dataset)
-
-
-def test_adaptive_dagger_encodes_and_observes_as_deployment(monkeypatch):
-    """Training builds the adaptive head's input as DistilledAdaptiveController
-    does, and refreshes beliefs only for the opponents the deployed
-    controller observes. The opponent here is 60 m away, beyond the 40 m
-    interaction radius, and its belief is fresh: deployment reads its level
-    channel as -1.0 (not estimated), and nothing observes it."""
-    net = single_network("fourway")
-
-    def scene():
-        return [
-            VehicleState(Pose2(-30.0, -2.0, 0.0), 3.0, goal_ref="I0:E.out", phase=PHASE_APPROACH),
-            VehicleState(Pose2(30.0, 2.0, math.pi), 3.0, goal_ref="I0:W.out", phase=PHASE_APPROACH),
-        ]
-
-    trained, served, updated = [], [], []
-    real_encode = im.encode_state_adaptive
-    real_update = controllers.update_beliefs
-
-    def encoding(*args):
-        trained.append(real_encode(*args))
-        return trained[-1]
-
-    def update(beliefs, j, *args):
-        updated.append(j)
-        return real_update(beliefs, j, *args)
-
-    def actor(states, i, estimates, network):
-        served.append(encode_state_adaptive(states, i, estimates, network))
-        return 0
-
-    monkeypatch.setattr(im, "_episodes", lambda cfg, rng, n: iter([(1, net, scene())]))
-    monkeypatch.setattr(im, "encode_state_adaptive", encoding)
-    monkeypatch.setattr(controllers, "update_beliefs", update)
-    cfg = DaggerConfig(
-        n_max=1, t_max=1, n_vehicles=2,
-        train=TrainConfig(hidden=4, min_steps=1, max_steps=1, final_max_steps=1),
-    )
-    dagger_train_adaptive(cfg)
-    controllers.DistilledAdaptiveController(actor, None, controllers.BETA).decide(scene(), 0, net, PlanCache())
-    assert len(trained) == len(served) == 1
-    assert served[0][EGO_BLOCK + SLOT_WIDTH] == -1.0
-    assert np.array_equal(trained[0], served[0])
-    assert updated == []
-
-
 # ---------------------------------------------------------------------------
 # held-out evaluation and the traffic adapter
 
@@ -710,7 +606,7 @@ def test_dagger_config_refuses_levels_the_expert_does_not_search(k_max):
 
 def test_probe_match_pipeline_on_a_tiny_policy():
     cfg = DaggerConfig(n_vehicles=2, t_max=2)
-    pol = PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding("levelk"), seed=3)
+    pol = PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=3)
     probes = collect_probes(pol, 1, cfg, seed=7)
     assert len(probes) == 2 * 2 * 2
     out = evaluate_match(pol, probes)
@@ -728,7 +624,7 @@ def test_probe_match_pipeline_on_a_tiny_policy():
 
 def test_distilled_traffic_matches_per_vehicle_queries():
     states, net = _scene()
-    pol = PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding("levelk"), seed=2)
+    pol = PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=2)
     traffic = DistilledTraffic(pol)
     levels = {0: 1, 1: 2, 2: 1}
     out = traffic.select(states, levels, [0, 1, 2], net, PlanCache())
