@@ -24,6 +24,7 @@ from .geometry import (
     Pose2,
     RoadLayout,
     RoadNetwork,
+    arm_point,
     polyline_segments,
     polylines_min_dist,
 )
@@ -60,20 +61,19 @@ BETA = 0.6  # belief correction step toward the best-explaining level
 
 @dataclass
 class BeliefState:
-    """Per-opponent probability vectors over the behavioral model set.
+    """Per-opponent probability vectors over BEHAVIORAL_LEVELS.
 
     Vectors are created uniform on first access and stay normalized
     through updates. beta is the correction step toward the model whose
     prediction best explains the observed action.
     """
 
-    model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS
     beta: float = BETA
     table: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def vec(self, j: int) -> np.ndarray:
         if j not in self.table:
-            m = len(self.model_set)
+            m = len(BEHAVIORAL_LEVELS)
             self.table[j] = np.full(m, 1.0 / m)
         return self.table[j]
 
@@ -83,7 +83,7 @@ class BeliefState:
     def copy(self) -> "BeliefState":
         """A new table sharing the vectors: updates replace a vector and
         never write into one."""
-        return BeliefState(model_set=self.model_set, beta=self.beta, table=dict(self.table))
+        return BeliefState(beta=self.beta, table=dict(self.table))
 
 
 def update_beliefs(
@@ -102,7 +102,7 @@ def update_beliefs(
     Returns a new BeliefState; the input is not mutated.
     """
     out = beliefs.copy()
-    preds = [np.asarray(predictions[k], dtype=float) for k in beliefs.model_set]
+    preds = [np.asarray(predictions[k], dtype=float) for k in BEHAVIORAL_LEVELS]
     if all(np.array_equal(preds[0], p) for p in preds[1:]):
         out.vec(opponent)
         return out
@@ -115,16 +115,16 @@ def update_beliefs(
     return out
 
 
-def estimate_level(p: np.ndarray, model_set: Tuple[int, ...]) -> int:
+def estimate_level(p: np.ndarray) -> int:
     # ties resolve to the higher level: undecided reads as aggressive
     best = len(p) - 1 - int(np.argmax(p[::-1]))
-    return model_set[best]
+    return BEHAVIORAL_LEVELS[best]
 
 
 def estimate_levels(beliefs: BeliefState, opponents: Sequence[int]) -> Dict[int, int]:
     """Maximum-likelihood level per opponent; one not tracked yet starts
     with a uniform belief."""
-    return {j: estimate_level(beliefs.vec(j), beliefs.model_set) for j in opponents}
+    return {j: estimate_level(beliefs.vec(j)) for j in opponents}
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +211,8 @@ class AdaptiveController(AVController):
     reset_belief drops a slot's vector when a new vehicle takes the slot.
     """
 
-    def __init__(
-        self,
-        model_set: Tuple[int, ...] = BEHAVIORAL_LEVELS,
-        beta: float = BETA,
-        predictor: Optional[Predictor] = None,
-    ):
-        self.beliefs = BeliefState(model_set=model_set, beta=beta)
+    def __init__(self, beta: float = BETA, predictor: Optional[Predictor] = None):
+        self.beliefs = BeliefState(beta=beta)
         self.predictor = predictor
         self._ego: Optional[int] = None
 
@@ -241,8 +236,7 @@ class AdaptiveController(AVController):
         opps = [j for j in actions if j != self._ego and j in near]
         if not opps:
             return
-        ks = self.beliefs.model_set
-        rows = [(j, k) for j in opps for k in ks]
+        rows = [(j, k) for j in opps for k in BEHAVIORAL_LEVELS]
         if self.predictor is not None:
             picked = self.predictor(snapshot, [j for j, _ in rows], [k for _, k in rows], network, plans)
         else:
@@ -250,7 +244,7 @@ class AdaptiveController(AVController):
         pred_idx = dict(zip(rows, picked))
         for j in opps:
             preds: Dict[int, Tuple[float, float]] = {}
-            for k in ks:
+            for k in BEHAVIORAL_LEVELS:
                 act = DEFAULT_ACTIONS[pred_idx[(j, k)]]
                 preds[k] = (act.accel, act.omega)
             obs_act = DEFAULT_ACTIONS[actions[j]]
@@ -363,11 +357,9 @@ def _build_reference_path(layout: RoadLayout, entrance: str, exit: str) -> np.nd
         cx, cy = ring.arc["cx"], ring.arc["cy"]
         half = 0.5 * LANE_WIDTH_M
         u_c = math.sqrt(r_ring * r_ring - half * half)
-        arm_in = layout.arms[lane_in.arm]
-        arm_out = layout.arms[lane_out.arm]
         # ring points where the entry and exit centerlines meet the circle
-        g1 = _arm_point(layout, arm_in, u_c, half)
-        g2 = _arm_point(layout, arm_out, u_c, -half)
+        g1 = arm_point(layout.center, layout.arms[lane_in.arm], u_c, half)
+        g2 = arm_point(layout.center, layout.arms[lane_out.arm], u_c, -half)
         a1 = math.atan2(g1[1] - cy, g1[0] - cx)
         a2 = math.atan2(g2[1] - cy, g2[0] - cx)
         sweep = (a2 - a1) % (2 * math.pi)
@@ -380,14 +372,6 @@ def _build_reference_path(layout: RoadLayout, entrance: str, exit: str) -> np.nd
     else:
         raise ValueError(f"unknown layout kind {layout.kind!r}")
     return _dedup(pts)
-
-
-def _arm_point(layout: RoadLayout, arm, u: float, w: float) -> Tuple[float, float]:
-    ux, uy = math.cos(arm.angle), math.sin(arm.angle)
-    return (
-        layout.center[0] + u * ux - w * uy,
-        layout.center[1] + u * uy + w * ux,
-    )
 
 
 def _dedup(pts: np.ndarray) -> np.ndarray:
@@ -472,18 +456,12 @@ def estimate_path(
     """
     st = states[j]
     lay, local, exit_ref = _route_exit(st, network)
-    if exit_ref is not None:
-        entrance = _entrance_lane(lay, st.pose.x, st.pose.y)
-        if entrance is not None:
-            exit_lane = network.resolve(exit_ref)[1]
-            try:
-                full = reference_path(lay, entrance, exit_lane.id)
-            except ValueError:
-                full = None
-            if full is not None:
-                cum = _reference_arclength(lay, entrance, exit_lane.id, full)
-                s = project_arclength(full, cum, st.pose.x, st.pose.y)
-                return path_tail(full, cum, s)
+    try:
+        pts, cum, s = _route_reference(st, lay, exit_ref, network)
+    except ValueError:
+        pass  # off the entrance lanes, no exit lane here, or a U-turn at a box
+    else:
+        return path_tail(pts, cum, s)
     pts = [(st.pose.x, st.pose.y)]
     for r in local:
         pts.append(network.resolve(r)[1].p1)
@@ -506,6 +484,25 @@ def _route_exit(st: VehicleState, network: RoadNetwork):
     local = [r for r in refs if network.resolve(r)[0] is lay]
     exit_ref = next((r for r in local if network.resolve(r)[1].kind == "out"), None)
     return lay, local, exit_ref
+
+
+def _route_reference(
+    st: VehicleState, lay: RoadLayout, exit_ref: Optional[str], network: RoadNetwork
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(pts, cum, s): the reference path of lay from the entrance lane st
+    sits on to exit_ref, the exit of its route (_route_exit), the path's
+    cumulative arc lengths and st's arc length along it. Raises ValueError
+    when st is on no entrance lane, exit_ref is None, or reference_path
+    refuses the pair."""
+    entrance = _entrance_lane(lay, st.pose.x, st.pose.y)
+    if entrance is None:
+        raise ValueError("rule-based vehicle must start on an entrance lane")
+    if exit_ref is None:
+        raise ValueError("rule-based vehicle has no exit lane in its route")
+    exit_id = network.resolve(exit_ref)[1].id
+    pts = reference_path(lay, entrance, exit_id)
+    cum = _reference_arclength(lay, entrance, exit_id, pts)
+    return pts, cum, project_arclength(pts, cum, st.pose.x, st.pose.y)
 
 
 def _entrance_lane(lay: RoadLayout, x: float, y: float) -> Optional[str]:
@@ -606,17 +603,8 @@ class RuleBasedController(AVController):
     def _bind(
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
     ) -> None:
-        st = states[i]
-        lay, _, exit_ref = _route_exit(st, network)
-        entrance = _entrance_lane(lay, st.pose.x, st.pose.y)
-        if entrance is None:
-            raise ValueError("rule-based vehicle must start on an entrance lane")
-        if exit_ref is None:
-            raise ValueError("rule-based vehicle has no exit lane in its route")
-        exit_id = network.resolve(exit_ref)[1].id
-        self._pts = reference_path(lay, entrance, exit_id)
-        self._cum = _reference_arclength(lay, entrance, exit_id, self._pts)
-        self._s = project_arclength(self._pts, self._cum, st.pose.x, st.pose.y)
+        lay, _, exit_ref = _route_exit(states[i], network)
+        self._pts, self._cum, self._s = _route_reference(states[i], lay, exit_ref, network)
 
     def decide(
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache

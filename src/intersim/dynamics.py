@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import LANE_WIDTH_M, Pose2, RoadNetwork, arc_reached, wrap_angle
-from .reward import DEFAULT_ZONES
+from .reward import C_LENGTH_M, C_WIDTH_M
 
 DT_S = 0.25
 V_MIN = 0.0
@@ -178,7 +178,7 @@ def _zone_in_lane(state, lay, lane) -> bool:
     """Whether the collision zone lies in lane's arm strip, center in lane's half."""
     arm = lay.arms[lane.arm]
     c, s = math.cos(state.pose.theta), math.sin(state.pose.theta)
-    hl, hw = 0.5 * DEFAULT_ZONES.c_length, 0.5 * DEFAULT_ZONES.c_width
+    hl, hw = 0.5 * C_LENGTH_M, 0.5 * C_WIDTH_M
     x, y = state.pose.x, state.pose.y
     for dx, dy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         px = x + dx * c * hl - dy * s * hw

@@ -333,6 +333,14 @@ class Arm:
         return self._unit_w
 
 
+def arm_point(center: Tuple[float, float], arm: Arm, u: float, w: float) -> Tuple[float, float]:
+    """The world point at (u, w) in the frame of arm about center: the
+    inverse of RoadLayout.arm_frame."""
+    ux, uy = arm.unit_u()
+    wx, wy = arm.unit_w()
+    return (center[0] + ux * u + wx * w, center[1] + uy * u + wy * w)
+
+
 def _snap(v: float) -> float:
     """Round trig noise (below 1e-12) on axis-aligned directions to exact
     -1, 0 or 1."""
@@ -461,8 +469,7 @@ class RoadLayout:
     def port(self, arm_id: str) -> Tuple[float, float]:
         """Outer end of an arm axis, where a neighbor layout may attach."""
         a = self.arms[arm_id]
-        ux, uy = a.unit_u()
-        return (self.center[0] + ux * a.u_end, self.center[1] + uy * a.u_end)
+        return arm_point(self.center, a, a.u_end, 0.0)
 
     def arm_frame(self, arm_id: str, x: float, y: float) -> Tuple[float, float]:
         """(u, w) coordinates of a world point in an arm frame."""
@@ -530,25 +537,18 @@ def _build_arm_lanes(center, arm: Arm) -> Dict[str, Lane]:
 
     Outbound traffic runs on w in [-LANE_WIDTH_M, 0], inbound on [0, LANE_WIDTH_M].
     """
-    cx, cy = center
-    ux, uy = arm.unit_u()
-    wx, wy = arm.unit_w()
     lw = LANE_WIDTH_M
     mid_u = 0.5 * (arm.u_start + arm.u_end)
     length = arm.u_end - arm.u_start
-
-    def at(u, w):
-        return (cx + ux * u + wx * w, cy + uy * u + wy * w)
-
-    out_rect = OrientedRect(*at(mid_u, -0.5 * lw), length, lw, arm.angle)
-    in_rect = OrientedRect(*at(mid_u, 0.5 * lw), length, lw, arm.angle)
+    out_rect = OrientedRect(*arm_point(center, arm, mid_u, -0.5 * lw), length, lw, arm.angle)
+    in_rect = OrientedRect(*arm_point(center, arm, mid_u, 0.5 * lw), length, lw, arm.angle)
     out_lane = Lane(
         id=f"{arm.id}.out",
         kind="out",
         arm=arm.id,
         heading=wrap_angle(arm.angle),
-        p0=at(arm.u_start, -0.5 * lw),
-        p1=at(arm.u_end, -0.5 * lw),
+        p0=arm_point(center, arm, arm.u_start, -0.5 * lw),
+        p1=arm_point(center, arm, arm.u_end, -0.5 * lw),
         rect=out_rect,
         w_lo=-lw,
         w_hi=0.0,
@@ -558,8 +558,8 @@ def _build_arm_lanes(center, arm: Arm) -> Dict[str, Lane]:
         kind="in",
         arm=arm.id,
         heading=wrap_angle(arm.angle + math.pi),
-        p0=at(arm.u_end, 0.5 * lw),
-        p1=at(arm.u_start, 0.5 * lw),
+        p0=arm_point(center, arm, arm.u_end, 0.5 * lw),
+        p1=arm_point(center, arm, arm.u_start, 0.5 * lw),
         rect=in_rect,
         w_lo=0.0,
         w_hi=lw,
@@ -579,19 +579,21 @@ def _box_boundaries(center, arms: List[Arm]) -> List[np.ndarray]:
     for i, a in enumerate(order):
         b = order[(i + 1) % len(order)]
         gap = (b.angle - a.angle) % TWO_PI
-        aux, auy = a.unit_u()
-        awx, awy = a.unit_w()
-        bux, buy = b.unit_u()
-        bwx, bwy = b.unit_w()
         # left edge of a (w=+lw) meets right edge of b (w=-lw)
-        pa = (cx + aux * a.u_end + awx * lw, cy + auy * a.u_end + awy * lw)
-        pb = (cx + bux * b.u_end - bwx * lw, cy + buy * b.u_end - bwy * lw)
+        pa = arm_point(center, a, a.u_end, lw)
+        pb = arm_point(center, b, b.u_end, -lw)
         if abs(gap - math.pi) < 1e-9:
             polys.append(np.array([pa, pb]))
         else:
+            (aux, auy), (bux, buy) = a.unit_u(), b.unit_u()
             corner = (cx + (aux + bux) * lw, cy + (auy + buy) * lw)
             polys.append(np.array([pa, corner, pb]))
     return polys
+
+
+def _arm_line(center, arm: Arm, u0: float, w: float) -> np.ndarray:
+    """The (2, 2) line along arm at offset w, from u0 to the arm's outer end."""
+    return np.array([arm_point(center, arm, u0, w), arm_point(center, arm, arm.u_end, w)])
 
 
 def make_fourway(
@@ -626,18 +628,7 @@ def _make_box_layout(kind, arm_ids, center, arm_lengths, name):
     for a in arms.values():
         lanes.update(_build_arm_lanes(center, a))
     boundaries = _box_boundaries(center, list(arms.values()))
-    markings = []
-    cx, cy = center
-    for a in arms.values():
-        ux, uy = a.unit_u()
-        markings.append(
-            np.array(
-                [
-                    [cx + ux * a.u_start, cy + uy * a.u_start],
-                    [cx + ux * a.u_end, cy + uy * a.u_end],
-                ]
-            )
-        )
+    markings = [_arm_line(center, a, a.u_start, 0.0) for a in arms.values()]
     return RoadLayout(name, kind, center, arms, lanes, boundaries, markings)
 
 
@@ -689,24 +680,8 @@ def make_roundabout(
             a1 += 360.0
         boundaries.append(_arc_polyline(cx, cy, r_out, a0, a1, CIRCLE_SEGMENTS))
     for a in arms.values():
-        ux, uy = a.unit_u()
-        wx, wy = a.unit_w()
-        for side in (lw, -lw):
-            boundaries.append(
-                np.array(
-                    [
-                        [cx + ux * a.u_start + wx * side, cy + uy * a.u_start + wy * side],
-                        [cx + ux * a.u_end + wx * side, cy + uy * a.u_end + wy * side],
-                    ]
-                )
-            )
-    markings = []
-    for a in arms.values():
-        ux, uy = a.unit_u()
-        m0 = a.u_start + MARKING_SETBACK_M
-        markings.append(
-            np.array([[cx + ux * m0, cy + uy * m0], [cx + ux * a.u_end, cy + uy * a.u_end]])
-        )
+        boundaries += [_arm_line(center, a, a.u_start, side) for side in (lw, -lw)]
+    markings = [_arm_line(center, a, a.u_start + MARKING_SETBACK_M, 0.0) for a in arms.values()]
     return RoadLayout(name, "roundabout", center, arms, lanes, boundaries, markings)
 
 

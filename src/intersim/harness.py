@@ -35,11 +35,12 @@ from .imitation import (
     load_policy,
     wilson_interval,
 )
-from .reward import DEFAULT_ZONES
+from .reward import C_LENGTH_M, C_WIDTH_M
 from .scene import (
     KIND_COLLISION,
     KIND_DEADLOCK,
     KIND_SUCCESS,
+    T_LIMIT_S,
     AVController,
     ExpertTraffic,
     SceneConfig,
@@ -212,7 +213,7 @@ class EvalSpec:
     policy_file: Optional[str] = None
     rc_m: float = RC_M
     beta: float = BETA
-    t_limit_s: float = 300.0
+    t_limit_s: float = T_LIMIT_S
     weights: Optional[Dict[str, float]] = None
 
     def __post_init__(self):
@@ -617,7 +618,7 @@ def _road_group(network: RoadNetwork, m: _Mapper) -> List[str]:
 def _vehicle_group(records: Sequence[dict], m: _Mapper) -> List[str]:
     parts = []
     # the box drawn is the vehicle's collision zone
-    hl, hw = 0.5 * DEFAULT_ZONES.c_length, 0.5 * DEFAULT_ZONES.c_width
+    hl, hw = 0.5 * C_LENGTH_M, 0.5 * C_WIDTH_M
     for rec in records:
         x, y, th = rec["x"], rec["y"], rec["theta"]
         c, s = math.cos(th), math.sin(th)

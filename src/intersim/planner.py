@@ -17,20 +17,21 @@ search with opponents in reach fills the two overlap columns of a copy of
 the features (one without reads them as they are) and sums the node
 values, each with its pose's features and its own speed, depth by depth.
 
-The planner has one shape: the action table DEFAULT_ACTIONS, the
-horizon HORIZON_N, the zones DEFAULT_ZONES, the weights DEFAULT_WEIGHTS
-and the radius INTERACTION_RADIUS_M. Egos repeat their headings and
-speeds far more often than their positions, so trees share three
-tables: the structure table (node and depth rows), built once at import,
-and two memos, per heading the heading table (each depth's moving-node
-cos and sin, then every pose row's wrapped heading with its cos and sin)
-and per speed the speed table (each depth's clipped node speeds). A tree
-computes only its positions and what follows from them. Plans stay
-exact: every entry comes from the numpy calls, on arrays of the same
-shapes, that expanding one tree on its own makes (the reference in the
-test suite does), memo keys are bit patterns (float hex; 0.0 and -0.0
-stay apart), and the shared arrays are read-only. The memos are bounded,
-about 1 MB in all.
+The planner has one shape: the action table DEFAULT_ACTIONS, the horizon
+HORIZON_N, reward's zones (the c-zone C_LENGTH_M by C_WIDTH_M, the safe
+zone S_LENGTH_M by S_WIDTH_M) and weights (reward.WEIGHTS, in feature
+order phi1..phi6), and the radius INTERACTION_RADIUS_M. Egos repeat
+their headings and speeds far more often than their positions, so trees
+share three tables: the structure table (node and depth rows), built
+once at import, and two memos, per heading the heading table (each
+depth's moving-node cos and sin, then every pose row's wrapped heading
+with its cos and sin) and per speed the speed table (each depth's
+clipped node speeds). A tree computes only its positions and what
+follows from them. Plans stay exact: every entry comes from the numpy
+calls, on arrays of the same shapes, that expanding one tree on its own
+makes (the reference in the test suite does), memo keys are bit patterns
+(float hex; 0.0 and -0.0 stay apart), and the shared arrays are
+read-only. The memos are bounded, about 1 MB in all.
 
 Every search takes a PlanCache, the planner's one context: it holds the
 finished plans of one joint state by (vehicle, level), the ego trees by
@@ -74,7 +75,7 @@ import numpy as np
 from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, VehicleState, rollout
 from .dynamics import PHASE_APPROACH, hold_trajectory
 from .geometry import RoadNetwork, wrap_angle_many
-from .reward import DEFAULT_WEIGHTS, DEFAULT_ZONES, features_many, opponent_features
+from .reward import C_LENGTH_M, C_WIDTH_M, S_LENGTH_M, S_WIDTH_M, WEIGHTS, features_many, opponent_features
 
 
 K_MAX = 2  # the highest level the expert searches
@@ -142,13 +143,9 @@ class PlanCache(dict):
 _MARGIN_M = 1e-6
 # The culls' reach bounds (see the module doc): the circumradii of the
 # larger zone of each of two vehicles, and the circumradius of a c-zone,
-# each plus the margin. The stage reward weights as one vector.
-_OVERLAP_REACH_M = max(
-    math.hypot(DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width),
-    math.hypot(DEFAULT_ZONES.s_length, DEFAULT_ZONES.s_width),
-) + _MARGIN_M
-_C_ZONE_REACH_M = 0.5 * math.hypot(DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width) + _MARGIN_M
-_WEIGHTS = DEFAULT_WEIGHTS.as_array()
+# each plus the margin.
+_OVERLAP_REACH_M = max(math.hypot(C_LENGTH_M, C_WIDTH_M), math.hypot(S_LENGTH_M, S_WIDTH_M)) + _MARGIN_M
+_C_ZONE_REACH_M = 0.5 * math.hypot(C_LENGTH_M, C_WIDTH_M) + _MARGIN_M
 
 
 def level0_plan(states: List[VehicleState], i: int, network: RoadNetwork, cache: PlanCache) -> PlanResult:
@@ -233,7 +230,7 @@ def _best_response(
         for rows, speeds in zip(tree.node_rows, tree.node_speeds):
             fv = np.take(F, rows, axis=0)
             fv[:, 5] = speeds
-            value = np.repeat(value, n_act) + disc * (fv @ _WEIGHTS)
+            value = np.repeat(value, n_act) + disc * (fv @ WEIGHTS)
             disc *= LAMBDA
         leaf = int(np.argmax(value))
         best, seq = float(value[leaf]), []

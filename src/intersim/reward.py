@@ -13,11 +13,16 @@ Six features weighted and summed. Indicator features are 0 or -1:
 Weights order the concerns: collisions dominate boundaries, boundaries
 dominate lane etiquette, and the distance and speed terms break the
 remaining ties toward making progress.
+
+Zones and weights are constants of the model. A vehicle's collision zone
+(c-zone, c_zone) is C_LENGTH_M by C_WIDTH_M and its safe zone S_LENGTH_M
+by S_WIDTH_M. WEIGHTS, a read-only array, holds the weights in feature
+order phi1..phi6: collision 1000, boundary 500, lane 50, safe gap 100,
+goal distance 5, speed 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,56 +39,19 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class ZoneSpec:
-    """Rectangular envelopes around each vehicle, long axis along heading."""
-
-    c_length: float = 5.0
-    c_width: float = 2.0
-    s_length: float = 8.0
-    s_width: float = 2.4
-
-    def c_zone(self, pose: Pose2) -> OrientedRect:
-        return OrientedRect(pose.x, pose.y, self.c_length, self.c_width, pose.theta)
-
-    def s_zone(self, pose: Pose2) -> OrientedRect:
-        return OrientedRect(pose.x, pose.y, self.s_length, self.s_width, pose.theta)
+C_LENGTH_M, C_WIDTH_M = 5.0, 2.0  # the c-zone, long axis along the heading
+S_LENGTH_M, S_WIDTH_M = 8.0, 2.4  # the safe zone
+WEIGHTS = np.array([1000.0, 500.0, 50.0, 100.0, 5.0, 1.0])  # of phi1..phi6
+WEIGHTS.flags.writeable = False
 
 
-DEFAULT_ZONES = ZoneSpec()
+def c_zone(pose: Pose2) -> OrientedRect:
+    """The collision zone of a vehicle at pose."""
+    return OrientedRect(pose.x, pose.y, C_LENGTH_M, C_WIDTH_M, pose.theta)
 
 
-@dataclass(frozen=True)
-class RewardWeights:
-    collision: float = 1000.0
-    boundary: float = 500.0
-    lane: float = 50.0
-    safe_gap: float = 100.0
-    goal_dist: float = 5.0
-    speed: float = 1.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.collision, self.boundary, self.lane, self.safe_gap, self.goal_dist, self.speed]
-        )
-
-
-DEFAULT_WEIGHTS = RewardWeights()
-
-
-@dataclass
-class FeatureVector:
-    collision: float
-    boundary: float
-    lane: float
-    safe_gap: float
-    goal_dist: float
-    speed: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.collision, self.boundary, self.lane, self.safe_gap, self.goal_dist, self.speed]
-        )
+def _s_zone(pose: Pose2) -> OrientedRect:
+    return OrientedRect(pose.x, pose.y, S_LENGTH_M, S_WIDTH_M, pose.theta)
 
 
 def features(
@@ -94,22 +62,21 @@ def features(
     ref_point: Tuple[float, float],
     exiting: bool = False,
     target_lane: Optional[str] = None,
-) -> FeatureVector:
-    """Scalar feature evaluation for one state.
+) -> np.ndarray:
+    """Scalar feature evaluation for one state: phi1..phi6 as a (6,) array.
 
     others are the poses of vehicles under consideration at the same time
     instant; call sites filter them to the interaction radius.
     """
-    zones = DEFAULT_ZONES
-    cz = zones.c_zone(pose)
-    sz = zones.s_zone(pose)
+    cz = c_zone(pose)
+    sz = _s_zone(pose)
 
     phi1 = 0.0
     phi4 = 0.0
     for op in others:
-        if phi1 == 0.0 and rects_overlap(cz, zones.c_zone(op)):
+        if phi1 == 0.0 and rects_overlap(cz, c_zone(op)):
             phi1 = -1.0
-        if phi4 == 0.0 and rects_overlap(sz, zones.s_zone(op)):
+        if phi4 == 0.0 and rects_overlap(sz, _s_zone(op)):
             phi4 = -1.0
         if phi1 and phi4:
             break
@@ -126,7 +93,7 @@ def features(
                 break
 
     phi5 = -(abs(ref_point[0] - pose.x) + abs(ref_point[1] - pose.y))
-    return FeatureVector(phi1, phi2, phi3, phi4, phi5, float(speed))
+    return np.array([phi1, phi2, phi3, phi4, phi5, float(speed)])
 
 
 def _any_segment_hits(segs: np.ndarray, rect: OrientedRect) -> bool:
@@ -159,18 +126,17 @@ def features_many(
     exiting_mask are checked against wrong_lanes, rect_rows as
     RoadLayout.wrong_lanes gives them.
     """
-    zones = DEFAULT_ZONES
     out = np.zeros((x.shape[0], 6))
 
     # one clip pass over boundaries and markings together
-    hits = segments_hit_rects_matrix(segs, x, y, cth, sth, zones.c_length, zones.c_width)
+    hits = segments_hit_rects_matrix(segs, x, y, cth, sth, C_LENGTH_M, C_WIDTH_M)
     out[:, 1] = np.where(hits[:, :nb].any(axis=1), -1.0, 0.0)
     lane_bad = hits[:, nb:].any(axis=1)
     if len(wrong_lanes) and exiting_mask.any():
         sub = np.nonzero(exiting_mask & ~lane_bad)[0]
         if sub.size:
             lane_bad[sub] = overlap_rects_one_many(
-                x[sub], y[sub], cth[sub], sth[sub], zones.c_length, zones.c_width, wrong_lanes
+                x[sub], y[sub], cth[sub], sth[sub], C_LENGTH_M, C_WIDTH_M, wrong_lanes
             )
     out[:, 2] = np.where(lane_bad, -1.0, 0.0)
 
@@ -188,8 +154,7 @@ def opponent_features(out, x, y, cth, sth, opp_states: np.ndarray, counts) -> No
     t. Without opponents no kernel runs and the columns keep their values."""
     if not len(opp_states):
         return
-    zones = DEFAULT_ZONES
-    sizes = ((zones.c_length, zones.c_width), (zones.s_length, zones.s_width))
+    sizes = ((C_LENGTH_M, C_WIDTH_M), (S_LENGTH_M, S_WIDTH_M))
     hit_c, hit_s = overlap_rects_group(x, y, cth, sth, counts, opp_states, sizes)
     out[:, 0] = np.where(hit_c, -1.0, 0.0)
     out[:, 3] = np.where(hit_s, -1.0, 0.0)

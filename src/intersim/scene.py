@@ -51,7 +51,7 @@ from .geometry import (
     turn_targets,
 )
 from .planner import PlanCache, expert_policy, near_indices
-from .reward import DEFAULT_ZONES
+from .reward import C_LENGTH_M, C_WIDTH_M, c_zone
 
 MIN_SEPARATION_M = 10.0
 SPAWN_TRIES = 30  # random placements before a spawn defers to the next tick
@@ -137,10 +137,10 @@ def spawn_vehicle(
 
 
 def _hits_other_vehicle(states, i: int) -> bool:
-    cz = DEFAULT_ZONES.c_zone(states[i].pose)
+    cz = c_zone(states[i].pose)
     # centers farther apart than a zone length and a margin cannot touch
-    for j in near_indices(states, i, DEFAULT_ZONES.c_length + 1.0):
-        if rects_overlap(cz, DEFAULT_ZONES.c_zone(states[j].pose)):
+    for j in near_indices(states, i, C_LENGTH_M + 1.0):
+        if rects_overlap(cz, c_zone(states[j].pose)):
             return True
     return False
 
@@ -158,7 +158,7 @@ def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork) -> Dict
         owned[r, c0:c1] = owned[r, g0:g1] = True
         poses.append((states[i].pose.x, states[i].pose.y, states[i].pose.theta))
     x, y, th = np.array(poses, dtype=float).reshape(-1, 3).T.copy()
-    hits = segments_hit_rects(segs, x, y, th, DEFAULT_ZONES.c_length, DEFAULT_ZONES.c_width, owned)
+    hits = segments_hit_rects(segs, x, y, th, C_LENGTH_M, C_WIDTH_M, owned)
     return dict(zip(indices, hits.tolist()))
 
 

@@ -17,7 +17,7 @@ from intersim.controllers import (
     update_beliefs,
 )
 from intersim.dynamics import DEFAULT_ACTIONS, step
-from intersim.planner import HORIZON_N, INTERACTION_RADIUS_M, best_response, level0_plan, near_indices
+from intersim.planner import BEHAVIORAL_LEVELS, HORIZON_N, INTERACTION_RADIUS_M, best_response, level0_plan, near_indices
 
 
 def batched(predict_row):
@@ -61,7 +61,7 @@ def observe_per_row(av, prev_states, actions, network, predict_row) -> None:
         if j == av._ego or j not in near:
             continue
         preds: Dict[int, Tuple[float, float]] = {}
-        for k in av.beliefs.model_set:
+        for k in BEHAVIORAL_LEVELS:
             act = DEFAULT_ACTIONS[predict_row(snapshot, j, k, network)]
             preds[k] = (act.accel, act.omega)
         obs_act = DEFAULT_ACTIONS[a_idx]
@@ -87,9 +87,7 @@ class PerRowAdaptive(AdaptiveController):
         near = near_indices(states, i, INTERACTION_RADIUS_M)
         if not near:
             return level0_plan(list(states), i, network, plans).action_sequence[0]
-        estimates = {
-            j: estimate_level(self.beliefs.vec(j), self.beliefs.model_set) for j in near
-        }
+        estimates = {j: estimate_level(self.beliefs.vec(j)) for j in near}
         opp = rollout_per_row(states, near, estimates, network, self.predict_row)
         return best_response(states[i], opp, network, plans).action_sequence[0]
 

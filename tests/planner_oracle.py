@@ -76,9 +76,9 @@ def exhaustive_plan(states, i, k, network, n=HORIZON_N, actions=DEFAULT_ACTIONS,
     return best_seq, best_val
 
 
-def reward(fv, weights=rw.DEFAULT_WEIGHTS) -> float:
-    """Stage reward: the weighted sum of one FeatureVector."""
-    return float(fv.as_array() @ weights.as_array())
+def reward(fv) -> float:
+    """Stage reward: the weighted sum of one feature vector."""
+    return float(fv @ rw.WEIGHTS)
 
 
 def discounted_return(rewards, lam: float) -> float:
@@ -173,11 +173,10 @@ def repeat_per_row_search(tree, ego, opp_trajectories, n=HORIZON_N, actions=DEFA
         opp = np.stack([t[1:, :3] for t in opp_trajectories.values()])
         rows = np.repeat(opp, tree.depth_rows, axis=1)
         x, y, _, cth, sth = tree.poses
-        z = rw.DEFAULT_ZONES
-        for col, (length, width) in ((0, (z.c_length, z.c_width)), (3, (z.s_length, z.s_width))):
+        for col, (length, width) in ((0, (rw.C_LENGTH_M, rw.C_WIDTH_M)), (3, (rw.S_LENGTH_M, rw.S_WIDTH_M))):
             hit = repeat_per_row_overlap(x, y, cth, sth, length, width, rows)
             F[:, col] = np.where(hit, -1.0, 0.0)
-    n_act, w = len(actions), rw.DEFAULT_WEIGHTS.as_array()
+    n_act, w = len(actions), rw.WEIGHTS
     value, disc = np.zeros(1), 1.0
     for rows, speeds in zip(tree.node_rows, tree.node_speeds):
         fv = F[rows]
@@ -206,8 +205,7 @@ def disk_cull_tree(ego, network, n=HORIZON_N, actions=DEFAULT_ACTIONS):
     acc, _ = actions.arrays()
     om, om_group = actions.omega_groups
     n_act, n_om = len(acc), len(om)
-    z = rw.DEFAULT_ZONES
-    reach = n * dt * max(ego.speed, dyn.V_MAX) + 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
+    reach = n * dt * max(ego.speed, dyn.V_MAX) + 0.5 * math.hypot(rw.C_LENGTH_M, rw.C_WIDTH_M) + 1e-6
     bsegs = segments_near_point(lay.boundary_segments(), ego.pose.x, ego.pose.y, reach)
     msegs = segments_near_point(lay.marking_segments(), ego.pose.x, ego.pose.y, reach)
 
@@ -233,12 +231,12 @@ def disk_cull_tree(ego, network, n=HORIZON_N, actions=DEFAULT_ACTIONS):
     cth, sth = np.cos(PTH), np.sin(PTH)
     may_exit = ego.phase != dyn.PHASE_APPROACH
     exiting = np.array([may_exit and not lay.in_core(x, y) for x, y in zip(PX, PY)], dtype=bool)
-    hit_b = rows_by_segments_hit_matrix(bsegs, PX, PY, cth, sth, z.c_length, z.c_width).any(axis=1)
-    hit_m = rows_by_segments_hit_matrix(msegs, PX, PY, cth, sth, z.c_length, z.c_width).any(axis=1)
+    hit_b = rows_by_segments_hit_matrix(bsegs, PX, PY, cth, sth, rw.C_LENGTH_M, rw.C_WIDTH_M).any(axis=1)
+    hit_m = rows_by_segments_hit_matrix(msegs, PX, PY, cth, sth, rw.C_LENGTH_M, rw.C_WIDTH_M).any(axis=1)
     wrong = np.zeros(n_rows, dtype=bool)
     for lid, rect in lay.straight_lane_rects():
         if lid != lane.id:
-            wrong |= overlap_one_rect(PX, PY, cth, sth, z.c_length, z.c_width, rect)
+            wrong |= overlap_one_rect(PX, PY, cth, sth, rw.C_LENGTH_M, rw.C_WIDTH_M, rect)
     F = np.zeros((n_rows, 6))
     F[:, 1] = np.where(hit_b, -1.0, 0.0)
     F[:, 2] = np.where(hit_m | (exiting & wrong), -1.0, 0.0)

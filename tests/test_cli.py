@@ -18,6 +18,7 @@ from intersim.imitation import (
     PolicyApproximator,
     default_encoding,
 )
+from intersim.scene import T_LIMIT_S
 
 FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json")
 
@@ -143,7 +144,7 @@ def test_zero_episodes_exits_one(tmp_path, monkeypatch, capsys):
 def test_default_flags_carry_the_library_defaults(command):
     args = _build_parser().parse_args([command, "--scene", "fourway"])
     spec = _spec_from_args(args, {})
-    assert (spec.rc_m, spec.beta) == (RC_M, BETA)
+    assert (spec.rc_m, spec.beta, spec.t_limit_s) == (RC_M, BETA, T_LIMIT_S)
     assert args.episodes == (1 if command == "simulate" else 200)
 
 

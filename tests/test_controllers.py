@@ -141,10 +141,10 @@ def test_consistent_observations_converge_monotonically():
 
 
 def test_estimate_level_thresholds_and_tie():
-    assert estimate_level(np.array([0.38, 0.62]), BEHAVIORAL_LEVELS) == 2
-    assert estimate_level(np.array([0.62, 0.38]), BEHAVIORAL_LEVELS) == 1
+    assert estimate_level(np.array([0.38, 0.62])) == 2
+    assert estimate_level(np.array([0.62, 0.38])) == 1
     # exact tie goes to the higher level (undecided reads as aggressive)
-    assert estimate_level(np.array([0.5, 0.5]), BEHAVIORAL_LEVELS) == 2
+    assert estimate_level(np.array([0.5, 0.5])) == 2
     b = BeliefState()
     b.table[7] = np.array([0.9, 0.1])
     # an opponent not tracked yet starts uniform, so it reads as level 2
@@ -386,7 +386,7 @@ def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
             super().observe(prev_states, actions, network, plans)
             near = near_indices(prev_states, self._ego, INTERACTION_RADIUS_M)
             n_opp = sum(j != self._ego and j in near for j in actions)
-            assert calls[n0:] == ([n_opp * len(self.beliefs.model_set)] if n_opp else [])
+            assert calls[n0:] == ([n_opp * len(BEHAVIORAL_LEVELS)] if n_opp else [])
             stats["observes"] += n_opp > 0
 
     stats = {"rollouts": 0, "observes": 0}

@@ -509,6 +509,24 @@ def test_city_ports_coincide():
         assert geo.euclidean_dist(pa, pb) < 1e-9
 
 
+def test_arm_point_inverts_arm_frame():
+    """Exact, both ways, on every arm of the built-in layouts, which are
+    axis-aligned, at grid points whose sums are exact in float; within
+    rounding on a rotated arm."""
+    grid = [(u, w) for u in np.arange(-8.0, 72.0, 1.25).tolist() for w in (-4.0, -2.5, -0.5, 0.0, 1.25, 4.0)]
+    nets = [geo.make_city(), *(geo.single_network(kind) for kind in geo.BUILDERS)]
+    for lay in (lay for net in nets for lay in net.layouts.values()):
+        for arm in lay.arms.values():
+            for u, w in grid:
+                assert lay.arm_frame(arm.id, *geo.arm_point(lay.center, arm, u, w)) == (u, w)
+                x, y = lay.center[0] + u, lay.center[1] + w
+                assert geo.arm_point(lay.center, arm, *lay.arm_frame(arm.id, x, y)) == (x, y)
+    arm = geo.Arm("A", 0.5, 4.0, 34.0)
+    lay = geo.RoadLayout("rotated", "fourway", (3.0, -2.0), {"A": arm}, {}, [], [])
+    for u, w in grid:
+        assert lay.arm_frame("A", *geo.arm_point(lay.center, arm, u, w)) == pytest.approx((u, w), abs=1e-12)
+
+
 def test_nearest_layout_tie_prefers_listing_order():
     net = geo.make_city()
     # halfway between F (0,0) and T1 (68,0)

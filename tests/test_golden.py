@@ -1,8 +1,9 @@
 """Pinned digests of short seeded runs.
 
 Each case hashes a byte-stable output of the library: the ndjson log of
-one seeded episode, the SVG frames rendered from one such log, or the CSV
-of one tiny DAgger dataset. A change that
+one seeded episode, the SVG frames rendered from one such log, the CSV
+of one tiny DAgger dataset, or the float64 bytes of a built-in network's
+geometry. A change that
 is meant to keep behaviour must leave every digest as it is; a change
 that moves behaviour on purpose updates the pin and says so.
 """
@@ -10,8 +11,10 @@ that moves behaviour on purpose updates the pin and says so.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from intersim.geometry import make_city, single_network
 from intersim.harness import EvalSpec, _Built, build_network, render_svg, run_one
 from intersim.imitation import DaggerConfig, TrainConfig, dagger_train
 
@@ -49,6 +52,12 @@ EPISODES = {
 # every frame of the city-fixture-rule-based log, joined by newlines
 FRAMES_PIN = "9640a8326e349bb7000bef6ee830eb8bd530e4e73655c4dc3ea7e88e8ae20f59"
 DATASET_PIN = "7c7a811cae56aacb17ad539db0b958bf0de6e07e6a6ea43ec182c7549f55c1f4"
+GEOMETRY_PINS = {
+    "fourway": "47ed56de33dc9f3e6c6604434f11ea00e47295e5f8177a1184c8d6f7e13c0dbc",
+    "tshape": "708df154cc5699c46e684651bac339ca48e1ca1a4db354a70ca533d3eb87546f",
+    "roundabout": "dddae65031a6e6b335f41452087bc6a93497767c3216dc733cb3e83309d2931b",
+    "city": "7eb72c51bfb8b4465cb1244c49fdaf1329f2103902f01571d0c8cc3965054540",
+}
 
 
 @pytest.mark.parametrize("name", list(EPISODES))
@@ -75,3 +84,21 @@ def test_dagger_dataset_digest(tmp_path):
     dagger_train(cfg).dataset.to_csv(str(path))
     assert _sha(path.read_text()) == DATASET_PIN
 
+
+
+@pytest.mark.parametrize("kind", list(GEOMETRY_PINS))
+def test_built_in_geometry_digest(kind):
+    """Every layout's boundary and marking polylines, its lanes' endpoints
+    and rectangles, and its ports, in listing order."""
+    net = make_city() if kind == "city" else single_network(kind)
+    parts = []
+    for name in net.names:
+        lay = net.layouts[name]
+        parts += [np.asarray(p, dtype=float).tobytes() for p in lay.boundaries + lay.markings]
+        for lane in lay.lanes.values():
+            parts.append(np.array([lane.p0, lane.p1], dtype=float).tobytes())
+            if lane.rect is not None:
+                r = lane.rect
+                parts.append(np.array([r.cx, r.cy, r.length, r.width, r.theta]).tobytes())
+        parts += [np.array(lay.port(aid), dtype=float).tobytes() for aid in lay.arms]
+    assert hashlib.sha256(b"".join(parts)).hexdigest() == GEOMETRY_PINS[kind]

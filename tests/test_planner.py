@@ -29,7 +29,7 @@ from intersim.planner import (
     level0_plan,
     levelk_plan,
 )
-from intersim.reward import DEFAULT_ZONES, RewardWeights
+from intersim.reward import C_LENGTH_M, C_WIDTH_M, S_LENGTH_M, S_WIDTH_M, WEIGHTS
 
 from planner_oracle import (
     disk_cull_tree,
@@ -262,8 +262,7 @@ def test_egos_that_differ_in_one_key_field_get_their_own_tree(field):
 
 def _overlap_reach():
     # the circumradii of the larger zone of each vehicle, plus 1e-6 m
-    z = DEFAULT_ZONES
-    return max(math.hypot(z.c_length, z.c_width), math.hypot(z.s_length, z.s_width)) + 1e-6
+    return max(math.hypot(C_LENGTH_M, C_WIDTH_M), math.hypot(S_LENGTH_M, S_WIDTH_M)) + 1e-6
 
 
 def _box_gap(box, x, y):
@@ -308,11 +307,10 @@ def _probe_opponents(tree, rng, n):
     """Opponents at reach - 1e-9, reach and reach + 1e-9 from the box, and
     corner to corner with pose rows at either zone: a random row, and the
     row and corner that put the opponent farthest from the box."""
-    zones = DEFAULT_ZONES
     reach = _overlap_reach()
     out = [_off_box(tree, d, rng, n) for d in (reach - 1e-9, reach, reach + 1e-9) for _ in range(2)]
     rows = len(tree.poses[0])
-    for size in ((zones.c_length, zones.c_width), (zones.s_length, zones.s_width)):
+    for size in ((C_LENGTH_M, C_WIDTH_M), (S_LENGTH_M, S_WIDTH_M)):
         picks = [(int(rng.integers(rows)), int(rng.integers(4)), gap) for gap in (-1e-3, -1e-9, 1e-9)]
         far = max(
             itertools.product(range(rows), range(4)),
@@ -525,7 +523,6 @@ def test_leaving_egos_match_the_per_lane_reference(place):
     else:
         net = single_network(place)
         egos = list(_leaving_egos(rng, net, "I0", None, 20))
-    z = DEFAULT_ZONES
     most = 0  # the most wrong lanes one exiting row meets
     for ego in egos:
         want = disk_cull_tree(ego, net)
@@ -533,7 +530,7 @@ def test_leaving_egos_match_the_per_lane_reference(place):
         lay, lane = net.resolve(ego.goal_ref)
         PX, PY, _, cth, sth = want[0]
         exiting = ~np.array([lay.in_core(x, y) for x, y in zip(PX, PY)], dtype=bool)
-        lanes = [overlap_one_rect(PX, PY, cth, sth, z.c_length, z.c_width, rect)
+        lanes = [overlap_one_rect(PX, PY, cth, sth, C_LENGTH_M, C_WIDTH_M, rect)
                  for lid, rect in lay.straight_lane_rects() if lid != lane.id]
         most = max(most, int(np.sum(lanes, axis=0)[exiting].max(initial=0)))
     assert most >= 2
@@ -582,8 +579,7 @@ def test_a_segment_exactly_at_the_box_reach_is_kept(monkeypatch, speed):
     """A c-zone lies within its circumradius of its row: on each side of
     the box of the pose rows, a segment at that reach plus 1e-6 m is kept
     and one a float beyond it is not, also above v_max."""
-    z = DEFAULT_ZONES
-    r = 0.5 * math.hypot(z.c_length, z.c_width) + 1e-6
+    r = 0.5 * math.hypot(C_LENGTH_M, C_WIDTH_M) + 1e-6
     net = single_network("fourway")
     ego = VehicleState(Pose2(0.0, 0.0, 0.3), speed, goal_ref="I0:E.out")
     x0, y0, x1, y1 = (float(v) for v in planner._ego_tree(ego, net).box)
@@ -643,7 +639,7 @@ def test_ties_resolve_to_lexicographically_first_sequence(monkeypatch):
     # With goal and speed weights zeroed, an unobstructed vehicle scores 0
     # for every sequence; first maximum must be all-maintain.
     net = single_network("fourway")
-    monkeypatch.setattr(planner, "_WEIGHTS", RewardWeights(goal_dist=0.0, speed=0.0).as_array())
+    monkeypatch.setattr(planner, "WEIGHTS", WEIGHTS * [1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
     ego = VehicleState(Pose2(-10.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
     res = levelk_plan([ego], 0, 2, net, PlanCache())
     assert res.action_sequence == [0, 0, 0, 0]

@@ -17,10 +17,6 @@ def fourway():
     return geo.make_fourway()
 
 
-def feats(pose, speed, others, lay, ref, **kw):
-    return rw.features(pose, speed, others, lay, ref, **kw).as_array()
-
-
 def road(lay, target):
     """The segment and lane arguments of features_many on lay, heading for
     the lane target."""
@@ -28,13 +24,13 @@ def road(lay, target):
 
 
 def test_weight_order():
-    w = rw.DEFAULT_WEIGHTS.as_array()
-    assert np.array_equal(w, [1000.0, 500.0, 50.0, 100.0, 5.0, 1.0])
+    assert np.array_equal(rw.WEIGHTS, [1000.0, 500.0, 50.0, 100.0, 5.0, 1.0])
+    assert not rw.WEIGHTS.flags.writeable
 
 
 def test_reward_linear_combination(fourway):
     # fifteen meters from the reference, speed 3, nothing else active
-    fv = rw.FeatureVector(0, 0, 0, 0, -15.0, 3.0)
+    fv = np.array([0.0, 0.0, 0.0, 0.0, -15.0, 3.0])
     assert reward(fv) == -72.0
 
 
@@ -50,9 +46,9 @@ def test_collision_zone_feature(fourway):
     close = [Pose2(3.0, -2.0, math.pi)]
     far = [Pose2(8.6, -2.0, math.pi)]
     touching = [Pose2(5.0, -2.0, math.pi)]
-    assert feats(ego, 2.0, close, fourway, ref)[0] == -1.0
-    assert feats(ego, 2.0, far, fourway, ref)[0] == 0.0
-    assert feats(ego, 2.0, touching, fourway, ref)[0] == -1.0  # closed set
+    assert rw.features(ego, 2.0, close, fourway, ref)[0] == -1.0
+    assert rw.features(ego, 2.0, far, fourway, ref)[0] == 0.0
+    assert rw.features(ego, 2.0, touching, fourway, ref)[0] == -1.0  # closed set
 
 
 def test_safe_zone_feature(fourway):
@@ -61,45 +57,45 @@ def test_safe_zone_feature(fourway):
     at7 = [Pose2(7.0, -2.0, math.pi)]
     at8 = [Pose2(8.0, -2.0, math.pi)]
     at9 = [Pose2(8.5, -2.0, math.pi)]
-    assert feats(ego, 2.0, at7, fourway, ref)[3] == -1.0
-    assert feats(ego, 2.0, at8, fourway, ref)[3] == -1.0
-    assert feats(ego, 2.0, at9, fourway, ref)[3] == 0.0
+    assert rw.features(ego, 2.0, at7, fourway, ref)[3] == -1.0
+    assert rw.features(ego, 2.0, at8, fourway, ref)[3] == -1.0
+    assert rw.features(ego, 2.0, at9, fourway, ref)[3] == 0.0
     # the collision zones are clear in all three
-    assert feats(ego, 2.0, at7, fourway, ref)[0] == 0.0
+    assert rw.features(ego, 2.0, at7, fourway, ref)[0] == 0.0
 
 
 def test_boundary_feature(fourway):
     ref = (34.0, -2.0)
     off_road = Pose2(10.0, -3.5, 0.0)  # zone dips past y = -4
     on_road = Pose2(10.0, -2.0, 0.0)
-    assert feats(off_road, 2.0, [], fourway, ref)[1] == -1.0
-    assert feats(on_road, 2.0, [], fourway, ref)[1] == 0.0
+    assert rw.features(off_road, 2.0, [], fourway, ref)[1] == -1.0
+    assert rw.features(on_road, 2.0, [], fourway, ref)[1] == 0.0
 
 
 def test_marking_feature(fourway):
     ref = (34.0, -2.0)
     straddling = Pose2(10.0, 0.5, 0.0)
     clear = Pose2(10.0, -2.0, 0.0)
-    assert feats(straddling, 2.0, [], fourway, ref)[2] == -1.0
-    assert feats(clear, 2.0, [], fourway, ref)[2] == 0.0
+    assert rw.features(straddling, 2.0, [], fourway, ref)[2] == -1.0
+    assert rw.features(clear, 2.0, [], fourway, ref)[2] == 0.0
 
 
 def test_wrong_lane_feature_only_when_exiting(fourway):
     ref = (34.0, -2.0)
     # in the oncoming half of the east arm but not touching the marking
     pose = Pose2(10.0, 1.5, 0.0)
-    assert feats(pose, 2.0, [], fourway, ref, exiting=True, target_lane="E.out")[2] == -1.0
-    assert feats(pose, 2.0, [], fourway, ref, exiting=False, target_lane="E.out")[2] == 0.0
+    assert rw.features(pose, 2.0, [], fourway, ref, exiting=True, target_lane="E.out")[2] == -1.0
+    assert rw.features(pose, 2.0, [], fourway, ref, exiting=False, target_lane="E.out")[2] == 0.0
     # own goal lane never counts against
     good = Pose2(10.0, -1.5, 0.0)
-    assert feats(good, 2.0, [], fourway, ref, exiting=True, target_lane="E.out")[2] == 0.0
+    assert rw.features(good, 2.0, [], fourway, ref, exiting=True, target_lane="E.out")[2] == 0.0
 
 
 def test_goal_distance_and_speed(fourway):
-    fv = feats(Pose2(4.0, -2.0, 0.0), 3.25, [], fourway, (34.0, -2.0))
+    fv = rw.features(Pose2(4.0, -2.0, 0.0), 3.25, [], fourway, (34.0, -2.0))
     assert fv[4] == -30.0
     assert fv[5] == 3.25
-    fv = feats(Pose2(0.0, 0.0, 0.0), 0.0, [], fourway, (10.0, -7.0))
+    fv = rw.features(Pose2(0.0, 0.0, 0.0), 0.0, [], fourway, (10.0, -7.0))
     assert fv[4] == -17.0
 
 
@@ -120,7 +116,7 @@ def test_features_many_matches_scalar(fourway):
         )
         rw.opponent_features(got, x, y, np.cos(th), np.sin(th), opp[:, None], [B])
         for i in range(B):
-            want = feats(
+            want = rw.features(
                 Pose2(x[i], y[i], th[i]),
                 v[i],
                 [Pose2(*o) for o in opp],

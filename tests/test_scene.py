@@ -12,7 +12,7 @@ from intersim.controllers import AdaptiveController
 from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, V_MAX, Pose2, VehicleState
 from intersim.geometry import LANE_WIDTH_M, euclidean_dist, make_city, segment_intersects_rect, single_network
 from intersim.planner import PlanCache
-from intersim.reward import DEFAULT_ZONES
+from intersim.reward import C_LENGTH_M, c_zone
 from intersim.scene import (
     AVController,
     ExpertTraffic,
@@ -173,10 +173,10 @@ def test_detect_fail_on_overlap_and_boundary():
 
 
 def test_contact_check_tests_a_vehicle_exactly_at_its_reach(monkeypatch):
-    # c-zones cannot touch beyond c_length + 1 m between centers; a vehicle
+    # c-zones cannot touch beyond C_LENGTH_M + 1 m between centers; a vehicle
     # exactly that far away still gets the rectangle test
     net = single_network("fourway")
-    reach = DEFAULT_ZONES.c_length + 1.0
+    reach = C_LENGTH_M + 1.0
     ego = VehicleState(Pose2(0.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
     pairs = []
     real = scene.rects_overlap
@@ -268,7 +268,7 @@ def _random_edge_states(net, rng, n):
 def _edge_oracle(st, net):
     """Scalar road-edge check of one vehicle against its context and goal
     layouts, one segment at a time."""
-    cz = DEFAULT_ZONES.c_zone(st.pose)
+    cz = c_zone(st.pose)
     for name in {context_layout(st, net), st.goal_ref.split(":")[0]}:
         lay = net.layouts[name]
         for seg in np.vstack([lay.boundary_segments(), lay.marking_segments()]):
