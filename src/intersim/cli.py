@@ -126,13 +126,11 @@ def _check_keys(cfg: dict, config_cls, what: str) -> None:
 
 def _json_fits(value, tp) -> bool:
     """Whether a decoded JSON value can fill a dataclass field of type tp.
-    Lists stand in for tuples and sequences, objects for dicts; ints are
-    valid floats, but booleans are not numbers."""
+    Lists stand in for tuples and sequences; ints are valid floats, but
+    booleans are not numbers."""
     origin = get_origin(tp)
     if origin is Union:
         return any(_json_fits(value, t) for t in get_args(tp))
-    if origin is dict:
-        return isinstance(value, dict) and all(_json_fits(v, get_args(tp)[1]) for v in value.values())
     if origin in (tuple, collections.abc.Sequence):
         item = get_args(tp)[0]
         return isinstance(value, list) and all(_json_fits(v, item) for v in value)

@@ -1,19 +1,18 @@
 """AV control stacks evaluated inside the level-k traffic.
 
 Two controllers share the simulator's action interface. The adaptive one
-keeps a belief over each neighbor's behavioral level, refreshes it by
-comparing observed actions against per-level predictions, and best-responds
-to the committed maneuvers of the estimated levels. The rule-based one
-follows a fixed reference path through the junction and picks the
-acceleration that maximizes its worst-case one-step gap to conflicting
-traffic.
+keeps a belief over each neighbor's behavioral level, a probability vector
+per slot, moves it by the fixed step BETA toward the level whose prediction
+best explains the observed action, and best-responds to the committed
+maneuvers of the estimated levels. The rule-based one follows a fixed
+reference path through the junction and picks the acceleration that
+maximizes its worst-case one-step gap to conflicting traffic.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,62 +56,35 @@ Predictor = Callable[
 # level estimation
 
 BETA = 0.6  # belief correction step toward the best-explaining level
-
-
-@dataclass
-class BeliefState:
-    """Per-opponent probability vectors over BEHAVIORAL_LEVELS.
-
-    Vectors are created uniform on first access and stay normalized
-    through updates. beta is the correction step toward the model whose
-    prediction best explains the observed action.
-    """
-
-    beta: float = BETA
-    table: Dict[int, np.ndarray] = field(default_factory=dict)
-
-    def vec(self, j: int) -> np.ndarray:
-        if j not in self.table:
-            m = len(BEHAVIORAL_LEVELS)
-            self.table[j] = np.full(m, 1.0 / m)
-        return self.table[j]
-
-    def reset(self, j: int) -> None:
-        self.table.pop(j, None)
-
-    def copy(self) -> "BeliefState":
-        """A new table sharing the vectors: updates replace a vector and
-        never write into one."""
-        return BeliefState(beta=self.beta, table=dict(self.table))
+# the belief of an opponent not tracked yet; read-only, since updates
+# replace a vector and never write into one
+_UNIFORM = np.full(len(BEHAVIORAL_LEVELS), 1.0 / len(BEHAVIORAL_LEVELS))
+_UNIFORM.flags.writeable = False
 
 
 def update_beliefs(
-    beliefs: BeliefState,
-    opponent: int,
+    p: np.ndarray,
     observed: Tuple[float, float],
     predictions: Dict[int, Tuple[float, float]],
-) -> BeliefState:
-    """One observation step for a single opponent.
+) -> np.ndarray:
+    """One observation step for a single opponent whose belief is p.
 
     observed and each prediction are (accel, heading_rate) pairs. When
     every model predicts the same action the observation carries no
-    information and the prior is kept. Otherwise the models nearest to
-    the observation in Euclidean action distance each receive the beta
+    information and p is kept. Otherwise the models nearest to the
+    observation in Euclidean action distance each receive the BETA
     correction on their unnormalized mass, then the vector renormalizes.
-    Returns a new BeliefState; the input is not mutated.
+    p is not mutated.
     """
-    out = beliefs.copy()
     preds = [np.asarray(predictions[k], dtype=float) for k in BEHAVIORAL_LEVELS]
-    if all(np.array_equal(preds[0], p) for p in preds[1:]):
-        out.vec(opponent)
-        return out
+    if all(np.array_equal(preds[0], q) for q in preds[1:]):
+        return p
     obs = np.asarray(observed, dtype=float)
-    dists = np.array([float(np.linalg.norm(obs - p)) for p in preds])
-    mass = out.vec(opponent).astype(float)
+    dists = np.array([float(np.linalg.norm(obs - q)) for q in preds])
+    mass = p.astype(float)
     winners = np.flatnonzero(dists <= dists.min() + 1e-12)
-    mass[winners] = (1.0 - beliefs.beta) * mass[winners] + beliefs.beta
-    out.table[opponent] = mass / mass.sum()
-    return out
+    mass[winners] = (1.0 - BETA) * mass[winners] + BETA
+    return mass / mass.sum()
 
 
 def estimate_level(p: np.ndarray) -> int:
@@ -121,10 +93,10 @@ def estimate_level(p: np.ndarray) -> int:
     return BEHAVIORAL_LEVELS[best]
 
 
-def estimate_levels(beliefs: BeliefState, opponents: Sequence[int]) -> Dict[int, int]:
+def estimate_levels(beliefs: Dict[int, np.ndarray], opponents: Sequence[int]) -> Dict[int, int]:
     """Maximum-likelihood level per opponent; one not tracked yet starts
-    with a uniform belief."""
-    return {j: estimate_level(beliefs.vec(j)) for j in opponents}
+    with a uniform belief, which joins beliefs."""
+    return {j: estimate_level(beliefs.setdefault(j, _UNIFORM)) for j in opponents}
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +144,7 @@ def predictor_rollout(
 def adaptive_plan(
     states: Sequence[Optional[VehicleState]],
     i: int,
-    beliefs: BeliefState,
+    beliefs: Dict[int, np.ndarray],
     network: RoadNetwork,
     cache: PlanCache,
     predictor: Optional[Predictor] = None,
@@ -207,12 +179,13 @@ class AdaptiveController(AVController):
     opponents out for planning (adaptive_plan) and supplies the per-level
     action predictions of the belief update, one call for all
     (opponent, level) rows of a tick. Without it the game-tree expert
-    does both. The beliefs are its only record of the opponents:
-    reset_belief drops a slot's vector when a new vehicle takes the slot.
+    does both. The beliefs, a probability vector over BEHAVIORAL_LEVELS
+    per opponent slot, are its only record of the opponents: reset_belief
+    drops a slot's vector when a new vehicle takes the slot.
     """
 
-    def __init__(self, beta: float = BETA, predictor: Optional[Predictor] = None):
-        self.beliefs = BeliefState(beta=beta)
+    def __init__(self, predictor: Optional[Predictor] = None):
+        self.beliefs: Dict[int, np.ndarray] = {}
         self.predictor = predictor
         self._ego: Optional[int] = None
 
@@ -248,12 +221,11 @@ class AdaptiveController(AVController):
                 act = DEFAULT_ACTIONS[pred_idx[(j, k)]]
                 preds[k] = (act.accel, act.omega)
             obs_act = DEFAULT_ACTIONS[actions[j]]
-            self.beliefs = update_beliefs(
-                self.beliefs, j, (obs_act.accel, obs_act.omega), preds
-            )
+            p = self.beliefs.get(j, _UNIFORM)
+            self.beliefs[j] = update_beliefs(p, (obs_act.accel, obs_act.omega), preds)
 
     def reset_belief(self, i: int) -> None:
-        self.beliefs.reset(i)
+        self.beliefs.pop(i, None)
 
 
 class FixedLevelController(AVController):

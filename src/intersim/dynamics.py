@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import LANE_WIDTH_M, Pose2, RoadNetwork, arc_reached, wrap_angle
-from .reward import C_LENGTH_M, C_WIDTH_M
+from .reward import c_zone
 
 DT_S = 0.25
 V_MIN = 0.0
@@ -177,14 +177,9 @@ def update_goal(state: VehicleState, network: RoadNetwork) -> None:
 def _zone_in_lane(state, lay, lane) -> bool:
     """Whether the collision zone lies in lane's arm strip, center in lane's half."""
     arm = lay.arms[lane.arm]
-    c, s = math.cos(state.pose.theta), math.sin(state.pose.theta)
-    hl, hw = 0.5 * C_LENGTH_M, 0.5 * C_WIDTH_M
-    x, y = state.pose.x, state.pose.y
-    for dx, dy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        px = x + dx * c * hl - dy * s * hw
-        py = y + dx * s * hl + dy * c * hw
+    for px, py in c_zone(state.pose).corners():
         u, w = lay.arm_frame(lane.arm, px, py)
         if u < arm.u_start or abs(w) > LANE_WIDTH_M:
             return False
-    _, wc = lay.arm_frame(lane.arm, x, y)
+    _, wc = lay.arm_frame(lane.arm, state.pose.x, state.pose.y)
     return lane.w_lo <= wc <= lane.w_hi

@@ -69,20 +69,18 @@ class OrientedRect:
     width: float
     theta: float
 
-    def corners(self) -> np.ndarray:
-        """Corner coordinates, shape (4, 2), counterclockwise."""
+    def corners(self) -> List[Tuple[float, float]]:
+        """The four (x, y) corners, counterclockwise from the front left."""
         c, s = math.cos(self.theta), math.sin(self.theta)
         hl, hw = 0.5 * self.length, 0.5 * self.width
         ux, uy = c * hl, s * hl
         wx, wy = -s * hw, c * hw
-        return np.array(
-            [
-                [self.cx + ux + wx, self.cy + uy + wy],
-                [self.cx - ux + wx, self.cy - uy + wy],
-                [self.cx - ux - wx, self.cy - uy - wy],
-                [self.cx + ux - wx, self.cy + uy - wy],
-            ]
-        )
+        return [
+            (self.cx + ux + wx, self.cy + uy + wy),
+            (self.cx - ux + wx, self.cy - uy + wy),
+            (self.cx - ux - wx, self.cy - uy - wy),
+            (self.cx + ux - wx, self.cy + uy - wy),
+        ]
 
 
 def rects_overlap(a: OrientedRect, b: OrientedRect) -> bool:
@@ -96,9 +94,9 @@ def rects_overlap(a: OrientedRect, b: OrientedRect) -> bool:
     for rect in (a, b):
         c, s = math.cos(rect.theta), math.sin(rect.theta)
         for ax, ay in ((c, s), (-s, c)):
-            pa = ca[:, 0] * ax + ca[:, 1] * ay
-            pb = cb[:, 0] * ax + cb[:, 1] * ay
-            if pa.max() < pb.min() or pb.max() < pa.min():
+            pa = [x * ax + y * ay for x, y in ca]
+            pb = [x * ax + y * ay for x, y in cb]
+            if max(pa) < min(pb) or max(pb) < min(pa):
                 return False
     return True
 

@@ -22,20 +22,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .controllers import (
-    BETA,
     AdaptiveController,
     FixedLevelController,
     RC_M,
     RuleBasedController,
 )
-from .geometry import BUILDERS, RoadNetwork, is_finite_number, make_city, single_network
+from .geometry import BUILDERS, Pose2, RoadNetwork, is_finite_number, make_city, single_network
 from .imitation import (
     DistilledTraffic,
     PolicyApproximator,
     load_policy,
     wilson_interval,
 )
-from .reward import C_LENGTH_M, C_WIDTH_M
+from .reward import C_LENGTH_M, c_zone
 from .scene import (
     KIND_COLLISION,
     KIND_DEADLOCK,
@@ -48,7 +47,7 @@ from .scene import (
     run_episode,
 )
 
-DEFAULT_WEIGHTS = {"w_c": 10.0, "w_d": 5.0, "w_v": 1.0, "eps": 0.1}
+J_WEIGHTS = {"w_c": 10.0, "w_d": 5.0, "w_v": 1.0, "eps": 0.1}  # of the performance index
 
 TRAFFIC_MODELS = ("l1", "l2", "mixed")
 AV_POLICIES = ("adaptive", "rule-based", "level1", "level2")
@@ -89,17 +88,13 @@ class EpisodeOutcome:
             raise ValueError("mean_speed must be nonnegative")
 
 
-def performance_index(
-    outcomes: Sequence[EpisodeOutcome], weights: Optional[Dict[str, float]] = None
-) -> float:
-    """Average per-episode penalty: w_c on a collision, w_d on a deadlock,
-    and the inverse-speed term w_v / (v_bar + eps) on a success, so slow
-    but safe driving still pays."""
+def performance_index(outcomes: Sequence[EpisodeOutcome]) -> float:
+    """Average per-episode penalty under J_WEIGHTS: w_c on a collision,
+    w_d on a deadlock, and the inverse-speed term w_v / (v_bar + eps) on a
+    success, so slow but safe driving still pays."""
     if not outcomes:
         raise ValueError("performance index over an empty outcome list")
-    w = dict(DEFAULT_WEIGHTS)
-    if weights:
-        w.update(weights)
+    w = J_WEIGHTS
     total = 0.0
     for o in outcomes:
         if o.kind == KIND_COLLISION:
@@ -158,7 +153,7 @@ class MetricsReport:
 
 
 def summarize(outcomes: Sequence[EpisodeOutcome], scene: str, traffic_model: str,
-              av_policy: str, weights: Optional[Dict[str, float]] = None) -> MetricsReport:
+              av_policy: str) -> MetricsReport:
     n = len(outcomes)
     succ = sum(1 for o in outcomes if o.kind == KIND_SUCCESS)
     coll = sum(1 for o in outcomes if o.kind == KIND_COLLISION)
@@ -172,7 +167,7 @@ def summarize(outcomes: Sequence[EpisodeOutcome], scene: str, traffic_model: str
         successes=succ,
         collisions=coll,
         deadlocks=dead,
-        j=performance_index(outcomes, weights),
+        j=performance_index(outcomes),
         ci_low=lo,
         ci_high=hi,
         outcomes=list(outcomes),
@@ -195,14 +190,16 @@ class EvalSpec:
     connectors (geometry's module doc gives the format). A recipe sets
     each arm's length; the built-in kinds have ARM_LENGTH_M arms.
 
+    rc_m, the rule-based AV's spacing radius, is the one AV parameter a
+    study tunes; the adaptive AV's belief step (controllers.BETA) and the
+    weights of J (J_WEIGHTS) are fixed parts of the model.
+
     Construction checks each field alone and raises ValueError unless
     traffic_model, av and engine are known names, n_vehicles is a
-    nonnegative integer, rc_m is finite and nonnegative, t_limit_s is
-    finite and positive, beta is in (0, 1], and weights
-    maps some DEFAULT_WEIGHTS keys to finite values. The scene and the
-    rule across fields (the distilled engine needs policy_file) are
-    checked when the cell is built to run, so EvalSpec(scene=...) can
-    name a network to render.
+    nonnegative integer, rc_m is finite and nonnegative, and t_limit_s is
+    finite and positive. The scene and the rule across fields (the
+    distilled engine needs policy_file) are checked when the cell is built
+    to run, so EvalSpec(scene=...) can name a network to render.
     """
 
     scene: str = "fourway"
@@ -212,9 +209,7 @@ class EvalSpec:
     engine: str = "distilled"
     policy_file: Optional[str] = None
     rc_m: float = RC_M
-    beta: float = BETA
     t_limit_s: float = T_LIMIT_S
-    weights: Optional[Dict[str, float]] = None
 
     def __post_init__(self):
         if self.traffic_model not in TRAFFIC_MODELS:
@@ -230,11 +225,6 @@ class EvalSpec:
             raise ValueError(f"rc_m must be finite and nonnegative, got {self.rc_m}")
         if not (is_finite_number(self.t_limit_s) and self.t_limit_s > 0):
             raise ValueError(f"t_limit_s must be finite and positive, got {self.t_limit_s}")
-        if not (is_finite_number(self.beta) and 0 < self.beta <= 1):
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        w = self.weights or {}
-        if not (isinstance(w, dict) and set(w) <= set(DEFAULT_WEIGHTS) and all(map(is_finite_number, w.values()))):
-            raise ValueError(f"weights must map some of {', '.join(DEFAULT_WEIGHTS)} to finite values, got {w}")
 
 
 def build_network(spec: EvalSpec) -> RoadNetwork:
@@ -282,7 +272,7 @@ def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
         return FixedLevelController(int(spec.av[-1]), predictor=predictor)
     if spec.av == "rule-based":
         return RuleBasedController(spec.rc_m)
-    return AdaptiveController(beta=spec.beta, predictor=predictor)
+    return AdaptiveController(predictor=predictor)
 
 
 def run_one(
@@ -343,9 +333,7 @@ def monte_carlo(
                 rows.extend(part)
     rows.sort(key=lambda r: r[0])
     outcomes = [r[1] for r in rows]
-    return summarize(
-        outcomes, spec.scene, spec.traffic_model, spec.av or "none", spec.weights
-    )
+    return summarize(outcomes, spec.scene, spec.traffic_model, spec.av or "none")
 
 
 def evaluate_models(
@@ -362,8 +350,7 @@ def evaluate_models(
         for tm in traffic_models
     }
     pooled = [o for tm in traffic_models for o in parts[tm].outcomes]
-    report = summarize(pooled, spec.scene, "+".join(traffic_models), spec.av or "none",
-                       spec.weights)
+    report = summarize(pooled, spec.scene, "+".join(traffic_models), spec.av or "none")
     report.breakdown = parts
     return report
 
@@ -617,20 +604,17 @@ def _road_group(network: RoadNetwork, m: _Mapper) -> List[str]:
 
 def _vehicle_group(records: Sequence[dict], m: _Mapper) -> List[str]:
     parts = []
-    # the box drawn is the vehicle's collision zone
-    hl, hw = 0.5 * C_LENGTH_M, 0.5 * C_WIDTH_M
+    hl = 0.5 * C_LENGTH_M
     for rec in records:
         x, y, th = rec["x"], rec["y"], rec["theta"]
-        c, s = math.cos(th), math.sin(th)
-        corners = [
-            (x + c * dx - s * dy, y + s * dx + c * dy)
-            for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))
-        ]
-        pts = " ".join(f"{m.x(cx):.1f},{m.y(cy):.1f}" for cx, cy in corners)
+        # the box drawn is the vehicle's collision zone, clockwise from its
+        # front-left corner
+        corners = c_zone(Pose2(x, y, th)).corners()
+        pts = " ".join(f"{m.x(corners[k][0]):.1f},{m.y(corners[k][1]):.1f}" for k in (0, 3, 2, 1))
         color = POLICY_COLORS.get(rec["policy"], _FALLBACK_COLOR)
         parts.append(f'<polygon points="{pts}" fill="{color}" stroke="#222" stroke-width="0.8"/>')
         # nose marker so the heading reads at a glance
-        nx, ny = x + c * hl, y + s * hl
+        nx, ny = x + math.cos(th) * hl, y + math.sin(th) * hl
         parts.append(f'<circle cx="{m.x(nx):.1f}" cy="{m.y(ny):.1f}" r="1.6" fill="#fff"/>')
         parts.append(
             f'<text x="{m.x(x) + 10:.1f}" y="{m.y(y) - 6:.1f}" font-size="10" '

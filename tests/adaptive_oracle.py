@@ -49,6 +49,11 @@ def rollout_per_row(states, opponents, estimates, network, predict_row):
     return trajs
 
 
+def _uniform():
+    """The belief of an opponent not tracked yet."""
+    return np.full(len(BEHAVIORAL_LEVELS), 1.0 / len(BEHAVIORAL_LEVELS))
+
+
 def observe_per_row(av, prev_states, actions, network, predict_row) -> None:
     """The belief update of AdaptiveController.observe, one query per
     (opponent, level); it also raises the PerRowAdaptive av's peak of each
@@ -65,8 +70,8 @@ def observe_per_row(av, prev_states, actions, network, predict_row) -> None:
             act = DEFAULT_ACTIONS[predict_row(snapshot, j, k, network)]
             preds[k] = (act.accel, act.omega)
         obs_act = DEFAULT_ACTIONS[a_idx]
-        av.beliefs = update_beliefs(av.beliefs, j, (obs_act.accel, obs_act.omega), preds)
-        p = av.beliefs.vec(j)
+        prior = av.beliefs.get(j, _uniform())
+        p = av.beliefs[j] = update_beliefs(prior, (obs_act.accel, obs_act.omega), preds)
         av.peak[j] = np.maximum(av.peak.get(j, p), p)
 
 
@@ -87,7 +92,7 @@ class PerRowAdaptive(AdaptiveController):
         near = near_indices(states, i, INTERACTION_RADIUS_M)
         if not near:
             return level0_plan(list(states), i, network, plans).action_sequence[0]
-        estimates = {j: estimate_level(self.beliefs.vec(j)) for j in near}
+        estimates = {j: estimate_level(self.beliefs.setdefault(j, _uniform())) for j in near}
         opp = rollout_per_row(states, near, estimates, network, self.predict_row)
         return best_response(states[i], opp, network, plans).action_sequence[0]
 

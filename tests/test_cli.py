@@ -9,7 +9,7 @@ import pytest
 
 from intersim import harness
 from intersim.cli import _build_parser, _spec_from_args, main
-from intersim.controllers import BETA, RC_M
+from intersim.controllers import RC_M
 from intersim.geometry import CITY
 from intersim.harness import REPORT_COLUMNS, EvalSpec, run_one
 from intersim.imitation import (
@@ -144,7 +144,7 @@ def test_zero_episodes_exits_one(tmp_path, monkeypatch, capsys):
 def test_default_flags_carry_the_library_defaults(command):
     args = _build_parser().parse_args([command, "--scene", "fourway"])
     spec = _spec_from_args(args, {})
-    assert (spec.rc_m, spec.beta, spec.t_limit_s) == (RC_M, BETA, T_LIMIT_S)
+    assert (spec.rc_m, spec.t_limit_s) == (RC_M, T_LIMIT_S)
     assert args.episodes == (1 if command == "simulate" else 200)
 
 
@@ -281,13 +281,18 @@ _BAD_OVERRIDES = {
     "arm_length_m-zero": ({"arm_length_m": 0}, "unknown spec keys in config: arm_length_m"),
     "arm_length_m-negative": ({"arm_length_m": -5}, "unknown spec keys in config: arm_length_m"),
     "arm_length_m-inf": ({"arm_length_m": float("inf")}, "unknown spec keys in config: arm_length_m"),
-    "beta-7": ({"beta": 7}, "beta must be in (0, 1]"),
-    "beta-0": ({"beta": 0.0}, "beta must be in (0, 1]"),
-    "beta-nan": ({"beta": float("nan")}, "beta must be in (0, 1]"),
-    "weights-unknown-key": ({"weights": {"foo": 1}}, "weights must map some of w_c, w_d, w_v, eps"),
-    "weights-nan": ({"weights": {"w_c": float("nan")}}, "to finite values, got {'w_c': nan}"),
-    "weights-str-value": ({"weights": {"w_c": "1"}}, "weights (expected"),
-    "weights-list": ({"weights": [1, 2]}, "weights (expected"),
+    # beta and weights are no spec keys: the adaptive AV's belief step and
+    # the weights of J are constants, so their former values, good or bad,
+    # are refused by name
+    "removed-beta": ({"beta": 0.6}, "unknown spec keys in config: beta"),
+    "removed-weights": ({"weights": {"w_c": 10}}, "unknown spec keys in config: weights"),
+    "beta-7": ({"beta": 7}, "unknown spec keys in config: beta"),
+    "beta-0": ({"beta": 0.0}, "unknown spec keys in config: beta"),
+    "beta-nan": ({"beta": float("nan")}, "unknown spec keys in config: beta"),
+    "weights-unknown-key": ({"weights": {"foo": 1}}, "unknown spec keys in config: weights"),
+    "weights-nan": ({"weights": {"w_c": float("nan")}}, "unknown spec keys in config: weights"),
+    "weights-str-value": ({"weights": {"w_c": "1"}}, "unknown spec keys in config: weights"),
+    "weights-list": ({"weights": [1, 2]}, "unknown spec keys in config: weights"),
     # the adaptive AV has one head, the online best response
     "removed-adaptive_policy_file": (
         {"adaptive_policy_file": FIXTURE}, "unknown spec keys in config: adaptive_policy_file"
@@ -352,7 +357,7 @@ def test_bad_spec_override_exits_one(tmp_path, policy_file, command, case, capsy
 
 def test_good_spec_overrides_are_accepted(tmp_path, policy_file, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t_limit_s": 2, "beta": 1, "weights": {"w_c": 20, "eps": 0.5}}))
+    cfg.write_text(json.dumps({"t_limit_s": 2, "rc_m": 9.5, "traffic_model": "l2"}))
     code = main(
         ["evaluate", "--scene", "fourway", "--vehicles", "2", "--episodes", "1", "--av", "rule-based",
          "--policy-file", policy_file, "--config", str(cfg), "--out", str(tmp_path / "out")]

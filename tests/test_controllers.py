@@ -21,7 +21,6 @@ from intersim.controllers import (
     ACCEL_SET,
     RC_M,
     AdaptiveController,
-    BeliefState,
     FixedLevelController,
     RuleBasedController,
     adaptive_plan,
@@ -59,80 +58,75 @@ def test_update_matches_hand_computed_example():
     # prior (0.5, 0.5), step 0.6, observation matches the level-2
     # prediction exactly: level-2 mass becomes 0.4*0.5 + 0.6 = 0.8, the
     # level-1 mass stays 0.5, and the normalizer is 1.3
-    b = BeliefState(beta=0.6)
+    assert controllers.BETA == 0.6
+    p = np.full(2, 0.5)
     preds = {1: (2.5, 0.0), 2: (0.0, 0.0)}
-    out = update_beliefs(b, 3, (0.0, 0.0), preds)
-    assert out.vec(3) == pytest.approx([0.5 / 1.3, 0.8 / 1.3])
-    assert out.vec(3)[0] == pytest.approx(0.38461538461538464)
-    # the input belief state is untouched
-    assert b.vec(3) == pytest.approx([0.5, 0.5])
-
-
-def test_zero_step_size_freezes_beliefs():
-    b = BeliefState(beta=0.0)
-    preds = {1: (2.5, 0.0), 2: (-5.0, 0.0)}
-    out = update_beliefs(b, 0, (-5.0, 0.0), preds)
-    assert out.vec(0) == pytest.approx([0.5, 0.5])
+    out = update_beliefs(p, (0.0, 0.0), preds)
+    assert out == pytest.approx([0.5 / 1.3, 0.8 / 1.3])
+    assert out[0] == pytest.approx(0.38461538461538464)
+    # the input belief is untouched
+    assert p == pytest.approx([0.5, 0.5])
 
 
 def test_identical_predictions_carry_no_information():
-    b = BeliefState(beta=0.6)
-    b.table[4] = np.array([0.2, 0.8])
+    p = np.array([0.2, 0.8])
     preds = {1: (2.5, 0.0), 2: (2.5, 0.0)}
-    out = update_beliefs(b, 4, (2.5, 0.0), preds)
-    assert out.vec(4) == pytest.approx([0.2, 0.8])
+    out = update_beliefs(p, (2.5, 0.0), preds)
+    assert out == pytest.approx([0.2, 0.8])
 
 
 def test_update_beliefs_returns_a_new_state_and_leaves_its_input_unchanged():
-    # copies share the vectors, so an update that wrote into one would
-    # change the state it was given
-    b = BeliefState(beta=0.6)
-    b.table[1] = np.array([0.3, 0.7])
-    b.table[2] = np.array([0.6, 0.4])
-    before = {j: p.copy() for j, p in b.table.items()}
+    # a table's vectors are shared, the uniform one by every opponent not
+    # yet observed, so an update that wrote into one would change beliefs
+    # it was not given; the uniform vector is read-only to make sure
     informative = {1: (2.5, 0.0), 2: (-5.0, 0.0)}
-    for j, preds in ((1, informative), (5, informative), (2, {1: (0.0, 0.0), 2: (0.0, 0.0)})):
-        out = update_beliefs(b, j, (-5.0, 0.0), preds)
-        assert out is not b and out.table is not b.table
-        assert b.table.keys() == before.keys()
-        for k, p in before.items():
-            assert np.array_equal(b.table[k], p)
+    cases = (
+        (np.array([0.3, 0.7]), informative),
+        (controllers._UNIFORM, informative),
+        (np.array([0.6, 0.4]), {1: (0.0, 0.0), 2: (0.0, 0.0)}),
+    )
+    for p, preds in cases:
+        before = p.copy()
+        out = update_beliefs(p, (-5.0, 0.0), preds)
+        assert np.array_equal(p, before)
         if preds is informative:
-            assert not np.array_equal(out.vec(j), b.table.get(j, np.full(2, 0.5)))
+            assert out is not p and not np.array_equal(out, p)
+        else:
+            assert np.array_equal(out, p)
+    assert not controllers._UNIFORM.flags.writeable
 
 
 def test_equidistant_predictions_credit_both_models():
-    b = BeliefState(beta=0.6)
-    b.table[1] = np.array([0.3, 0.7])
+    p = np.array([0.3, 0.7])
     # observation halfway between the two predictions
     preds = {1: (2.5, 0.0), 2: (-2.5, 0.0)}
-    out = update_beliefs(b, 1, (0.0, 0.0), preds)
+    out = update_beliefs(p, (0.0, 0.0), preds)
     expect = np.array([0.4 * 0.3 + 0.6, 0.4 * 0.7 + 0.6])
     expect /= expect.sum()
-    assert out.vec(1) == pytest.approx(list(expect))
+    assert out == pytest.approx(list(expect))
 
 
 def test_beliefs_stay_normalized_under_long_update_streams():
     rng = np.random.default_rng(0)
-    b = BeliefState(beta=0.6)
+    b = {}
     acts = [(a.accel, a.omega) for a in DEFAULT_ACTIONS]
     for _ in range(2000):
         j = int(rng.integers(3))
         preds = {1: acts[rng.integers(6)], 2: acts[rng.integers(6)]}
-        b = update_beliefs(b, j, acts[rng.integers(6)], preds)
+        b[j] = update_beliefs(b.get(j, np.full(2, 0.5)), acts[rng.integers(6)], preds)
     for j in range(3):
-        p = b.vec(j)
+        p = b[j]
         assert abs(p.sum() - 1.0) <= 1e-9
         assert np.all(p >= 0)
 
 
 def test_consistent_observations_converge_monotonically():
-    b = BeliefState(beta=0.6)
+    p = np.full(2, 0.5)
     preds = {1: (2.5, 0.0), 2: (-5.0, 0.0)}
-    prev = b.vec(2)[1]
+    prev = p[1]
     for _ in range(30):
-        b = update_beliefs(b, 2, (-5.0, 0.0), preds)
-        cur = b.vec(2)[1]
+        p = update_beliefs(p, (-5.0, 0.0), preds)
+        cur = p[1]
         assert cur > prev  # strictly climbs from the first consistent update
         prev = cur
     # the unmatched model keeps its raw mass, so convergence is harmonic
@@ -145,10 +139,11 @@ def test_estimate_level_thresholds_and_tie():
     assert estimate_level(np.array([0.62, 0.38])) == 1
     # exact tie goes to the higher level (undecided reads as aggressive)
     assert estimate_level(np.array([0.5, 0.5])) == 2
-    b = BeliefState()
-    b.table[7] = np.array([0.9, 0.1])
-    # an opponent not tracked yet starts uniform, so it reads as level 2
+    b = {7: np.array([0.9, 0.1])}
+    # an opponent not tracked yet starts uniform, so it reads as level 2,
+    # and its uniform vector joins the table
     assert estimate_levels(b, [7, 3]) == {7: 1, 3: 2}
+    assert b.keys() == {7, 3} and b[3] == pytest.approx([0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +161,14 @@ def _crossing_scene():
     return [ego, opp], net
 
 
-def _saturated(assignments) -> BeliefState:
-    b = BeliefState()
-    for j, level in assignments.items():
-        b.table[j] = np.array([1.0, 0.0]) if level == 1 else np.array([0.0, 1.0])
-    return b
+def _saturated(assignments):
+    return {j: np.array([1.0, 0.0]) if level == 1 else np.array([0.0, 1.0]) for j, level in assignments.items()}
 
 
 def test_adaptive_reduces_to_level0_without_opponents():
     net = single_network("fourway")
     ego = VehicleState(Pose2(-12.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
-    res = adaptive_plan([ego], 0, BeliefState(), net, PlanCache())
+    res = adaptive_plan([ego], 0, {}, net, PlanCache())
     assert res.action_sequence == level0_plan([ego], 0, net, PlanCache()).action_sequence
 
 
@@ -251,13 +243,14 @@ def test_adaptive_controller_updates_and_resets_beliefs():
     opp_l1 = levelk_plan(states, 1, 1, net, PlanCache()).action_sequence[0]
     opp_l2 = levelk_plan(states, 1, 2, net, PlanCache()).action_sequence[0]
     av.observe(states, {1: opp_l2}, net, PlanCache())
-    assert 1 in av.beliefs.table
+    assert 1 in av.beliefs
     if opp_l1 != opp_l2:
         # the observation matched the level-2 prediction
-        assert av.beliefs.vec(1)[1] > 0.5
+        assert av.beliefs[1][1] > 0.5
     av.reset_belief(1)
-    assert 1 not in av.beliefs.table
-    assert av.beliefs.vec(1) == pytest.approx([0.5, 0.5])
+    assert 1 not in av.beliefs
+    assert estimate_levels(av.beliefs, [1]) == {1: 2}
+    assert av.beliefs[1] == pytest.approx([0.5, 0.5])
 
 
 def test_fixed_level_controller_matches_expert_plan():
@@ -311,9 +304,9 @@ def _same_run(av, ref, seed):
         sim_step(got, _TOY_SCENE, _ToyTraffic(), av)
         sim_step(want, _TOY_SCENE, _ToyTraffic(), ref)
         if isinstance(ref, AdaptiveController):
-            assert av.beliefs.table.keys() == ref.beliefs.table.keys()
-            for j, p in ref.beliefs.table.items():
-                assert np.array_equal(av.beliefs.table[j], p)
+            assert av.beliefs.keys() == ref.beliefs.keys()
+            for j, p in ref.beliefs.items():
+                assert np.array_equal(av.beliefs[j], p)
     assert got.log == want.log
     assert (got.done, got.outcome, got.tick) == (want.done, want.outcome, want.tick)
 

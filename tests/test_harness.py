@@ -7,9 +7,9 @@ import pytest
 from intersim.harness import (
     AV_POLICIES,
     CALIBRATION_COLUMNS,
-    DEFAULT_WEIGHTS,
     EpisodeOutcome,
     EvalSpec,
+    J_WEIGHTS,
     KIND_COLLISION,
     KIND_DEADLOCK,
     KIND_SUCCESS,
@@ -89,10 +89,7 @@ def test_performance_index_hand_examples():
     assert performance_index(mixed) == pytest.approx((10.0 + 5.0 + 1.0 / 2.6) / 3.0)
 
 
-def test_performance_index_respects_weight_overrides():
-    out = [_outcome(KIND_COLLISION), _outcome(KIND_SUCCESS, v=0.9)]
-    j = performance_index(out, {"w_c": 2.0, "w_v": 3.0, "eps": 0.1})
-    assert j == pytest.approx((2.0 + 3.0 / 1.0) / 2.0)
+def test_performance_index_of_no_outcomes_raises():
     with pytest.raises(ValueError):
         performance_index([])
 
@@ -314,4 +311,4 @@ def test_parse_log_reports_line_numbers():
 def test_constants_cover_the_documented_surfaces():
     assert TRAFFIC_MODELS == ("l1", "l2", "mixed")
     assert AV_POLICIES == ("adaptive", "rule-based", "level1", "level2")
-    assert DEFAULT_WEIGHTS == {"w_c": 10.0, "w_d": 5.0, "w_v": 1.0, "eps": 0.1}
+    assert J_WEIGHTS == {"w_c": 10.0, "w_d": 5.0, "w_v": 1.0, "eps": 0.1}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from intersim import planner, reward
-from intersim.controllers import BeliefState, adaptive_plan
+from intersim.controllers import adaptive_plan
 from intersim.dynamics import (
     DEFAULT_ACTIONS,
     PHASE_APPROACH,
@@ -225,10 +225,10 @@ def test_shared_plan_cache_matches_a_fresh_search_each(shape):
         states, net = random_plan_scene(rng, n_vehicles=1 + trial % 2)
         src = int(rng.integers(len(states)))
         states.append(_twin(states[src], ("speed", "phase", "goal_ref")[trial % 3], net.layouts["I0"], rng))
-        beliefs = BeliefState()
+        beliefs = {}
         for j in range(len(states)):
             p = rng.choice([0.0, rng.uniform(), 1.0])
-            beliefs.table[j] = np.array([p, 1.0 - p])
+            beliefs[j] = np.array([p, 1.0 - p])
         queries = [
             (kind, i, k)
             for i in range(len(states))

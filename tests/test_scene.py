@@ -522,11 +522,11 @@ def test_shared_plan_table_matches_private_tables():
     private = run_episode(cfg, PrivateTableTraffic(), private_av, seed=(1, 0), collect_log=True)
     assert shared["ticks"] == 15
     assert shared == private
-    assert shared_av.beliefs.table.keys() == private_av.beliefs.table.keys()
-    for j, p in shared_av.beliefs.table.items():
-        assert np.array_equal(p, private_av.beliefs.table[j])
+    assert shared_av.beliefs.keys() == private_av.beliefs.keys()
+    for j, p in shared_av.beliefs.items():
+        assert np.array_equal(p, private_av.beliefs[j])
     # the observations moved some belief, so observe really planned
-    assert any(not np.array_equal(p, [0.5, 0.5]) for p in shared_av.beliefs.table.values())
+    assert any(not np.array_equal(p, [0.5, 0.5]) for p in shared_av.beliefs.values())
 
 
 def test_each_tick_searches_each_plan_once(monkeypatch):
