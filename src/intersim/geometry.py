@@ -249,18 +249,16 @@ def overlap_rects_group(x, y, cth, sth, counts, others: np.ndarray, sizes) -> np
     return out
 
 
-def segments_hit_rects(segs: np.ndarray, cx, cy, theta, length: float, width: float, owned) -> np.ndarray:
-    """Whether each of B rectangles touches any segment it owns.
+def segments_hit_rects(segs: np.ndarray, cx, cy, theta, length: float, width: float) -> np.ndarray:
+    """Whether each of B rectangles touches any of the segments.
 
-    segs has shape (S, 4) as (x0, y0, x1, y1), and owned is a (B, S) bool
-    mask: row b owns the segments its rectangle is checked against.
-    Returns (B,) bool. Closed-set clip of every (rectangle, segment) pair
-    in one segments_hit_rects_matrix call, whose pairs each see the same
-    float expressions, so a row's flags do not depend on the other rows
-    or segments of the call.
+    segs has shape (S, 4) as (x0, y0, x1, y1). Returns (B,) bool.
+    Closed-set clip of every (rectangle, segment) pair in one
+    segments_hit_rects_matrix call, whose pairs each see the same float
+    expressions, so a row's flag does not depend on the other rows of the
+    call.
     """
-    m = segments_hit_rects_matrix(segs, cx, cy, np.cos(theta), np.sin(theta), length, width)
-    return (m & owned).any(axis=1)
+    return segments_hit_rects_matrix(segs, cx, cy, np.cos(theta), np.sin(theta), length, width).any(axis=1)
 
 
 def segments_hit_rects_matrix(
@@ -744,8 +742,8 @@ class RoadNetwork:
 
     A connector declares that arm `arm_a` of intersection `a` is the same
     stretch of road as arm `arm_b` of intersection `b`. Ports must coincide
-    and lanes must line up, validate() checks both. edge_table() stacks
-    every layout's edge segments, so one kernel call checks a whole tick.
+    and lanes must line up, validate() checks both. edge_segments() is the
+    network's edge table, so one kernel call checks a whole tick.
     """
 
     def __init__(self, layouts: List[RoadLayout], connectors: Sequence[Sequence[str]]):
@@ -758,7 +756,7 @@ class RoadNetwork:
         self.connectors = [tuple(c) for c in connectors]
         self.validate()
         self._entry_lanes: Optional[List[Tuple[str, Lane]]] = None
-        self._edge_table: Optional[Tuple[np.ndarray, Dict[str, Tuple[int, int]]]] = None
+        self._edge_segments: Optional[np.ndarray] = None
 
     def validate(self) -> None:
         for a, arm_a, b, arm_b in self.connectors:
@@ -801,24 +799,12 @@ class RoadNetwork:
             self._entry_lanes = [(ref, self.resolve(ref)[1]) for ref in refs]
         return self._entry_lanes
 
-    def edge_table(self) -> Tuple[np.ndarray, Dict[str, Tuple[int, int]]]:
-        """Every layout's edge_segments() stacked in listing order, and each
-        layout's (start, stop) column range in it; computed on the first call."""
-        if self._edge_table is None:
-            segs = [self.layouts[name].edge_segments() for name in self.names]
-            stops = np.cumsum([len(s) for s in segs]).tolist()
-            cols = {name: (stop - len(s), stop) for name, s, stop in zip(self.names, segs, stops)}
-            self._edge_table = (np.vstack(segs), cols)
-        return self._edge_table
-
-    def nearest_layout(self, x: float, y: float) -> str:
-        """Nearest intersection center, ties broken by listing order."""
-        best, best_d = self.names[0], float("inf")
-        for name in self.names:
-            d = euclidean_dist((x, y), self.layouts[name].center)
-            if d < best_d - 1e-12:
-                best, best_d = name, d
-        return best
+    def edge_segments(self) -> np.ndarray:
+        """Every layout's edge_segments() stacked in listing order; computed
+        on the first call."""
+        if self._edge_segments is None:
+            self._edge_segments = np.vstack([self.layouts[name].edge_segments() for name in self.names])
+        return self._edge_segments
 
     @classmethod
     def from_recipe(cls, recipe: dict) -> "RoadNetwork":

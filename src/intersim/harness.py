@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -324,6 +323,9 @@ def monte_carlo(
     if workers <= 1:
         rows = _chunk_task((spec, master_seed, list(range(n_episodes))))
     else:
+        # imported here: a serial study never loads the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [
             (spec, master_seed, list(range(lo, n_episodes, workers)))
             for lo in range(min(workers, n_episodes))

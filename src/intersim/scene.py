@@ -19,8 +19,8 @@ belief update encode each vehicle once. The cache holds plans, trees and
 encodings of s_t only and is dropped when the tick ends; the rollout's
 later steps, whose states are not s_t, pass a fresh one.
 
-Road edges take one kernel call per tick: each active vehicle is a row
-owning its context and goal layouts' segments of the network's edge table.
+Road edges take one kernel call per tick: every active vehicle against
+every segment of the network's edge table.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import (
-    LANE_WIDTH_M,
     Pose2,
     RoadNetwork,
     rects_overlap,
@@ -147,18 +146,11 @@ def _hits_other_vehicle(states, i: int) -> bool:
 
 def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork) -> Dict[int, bool]:
     """Whether each vehicle in indices touches a road boundary or crosses
-    a marking of its context layout or, where that differs, of its goal
-    layout: one segments_hit_rects call over the network's edge table,
-    each row owning the columns of those layouts."""
-    segs, cols = network.edge_table()
-    owned = np.zeros((len(indices), len(segs)), dtype=bool)
-    poses = []
-    for r, i in enumerate(indices):
-        (c0, c1), (g0, g1) = cols[context_layout(states[i], network)], cols[states[i].goal_ref.split(":")[0]]
-        owned[r, c0:c1] = owned[r, g0:g1] = True
-        poses.append((states[i].pose.x, states[i].pose.y, states[i].pose.theta))
+    a marking anywhere in the network: one segments_hit_rects call over
+    the network's edge table."""
+    poses = [(states[i].pose.x, states[i].pose.y, states[i].pose.theta) for i in indices]
     x, y, th = np.array(poses, dtype=float).reshape(-1, 3).T.copy()
-    hits = segments_hit_rects(segs, x, y, th, C_LENGTH_M, C_WIDTH_M, owned)
+    hits = segments_hit_rects(network.edge_segments(), x, y, th, C_LENGTH_M, C_WIDTH_M)
     return dict(zip(indices, hits.tolist()))
 
 
@@ -167,8 +159,7 @@ def detect_fail(states, i: int, edge_hits: Dict[int, bool]) -> bool:
     a road boundary, or on crossing an opposing-traffic marking.
 
     The road-edge part depends on vehicle i alone: edge_hits is the
-    road_edge_hits of a batch holding i in its current state, where the
-    ownership mask keeps each row to its own layouts' segments. sim_step
+    road_edge_hits of a batch holding i in its current state. sim_step
     and the training loops take it for all vehicles on the post-move
     snapshot in one kernel call, then run the vehicle part in slot order
     between respawns (ROADMAP item 2(a) is pending)."""
@@ -186,28 +177,6 @@ def detect_success(state: VehicleState, network: RoadNetwork) -> bool:
     if lane.kind != "out":
         return False
     return _zone_in_lane(state, lay, lane)
-
-
-def context_layout(state: VehicleState, network: RoadNetwork) -> str:
-    """Name of the intersection vehicle state is in.
-
-    Nearest center by Euclidean distance, ties to listing order; a vehicle
-    in a shared arm corridor is assigned to the side its route heads for,
-    so handoff happens mid-connector rather than at the far mouth.
-    """
-    x, y = state.pose.x, state.pose.y
-    name = network.nearest_layout(x, y)
-    goal_name = state.goal_ref.split(":")[0]
-    if goal_name != name:
-        lay = network.layouts[name]
-        for arm in lay.arms.values():
-            nb = network.neighbor(name, arm.id)
-            if nb is None or nb[0] != goal_name:
-                continue
-            u, w = lay.arm_frame(arm.id, x, y)
-            if u >= arm.u_start and abs(w) <= LANE_WIDTH_M:
-                return goal_name
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +360,7 @@ def sim_step(
     of the states taken before the move.
 
     Road edges are checked for all active vehicles on the post-move
-    snapshot in one segments_hit_rects call, each vehicle owning the
-    segments of its context and goal layouts in the network's edge table;
+    snapshot in one segments_hit_rects call over the network's edge table;
     the vehicle-vehicle check then runs in slot order after the
     earlier slots have respawned, so the later partner of a collision can
     miss the wreck (ROADMAP item 2(a) is pending)."""

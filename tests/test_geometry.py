@@ -265,36 +265,25 @@ def test_overlap_group_empty_is_all_false():
 
 
 def test_segments_hit_rects_matches_scalar():
-    """Per row, the scalar any-hit over the segments the row owns: one row
-    owns nothing, one owns two separate ranges, the rest a random mask."""
+    """Per row, the scalar any-hit over every segment."""
     rng = np.random.default_rng(5)
     segs = rng.uniform(-10, 10, (12, 4))
     B = 300
     cx = rng.uniform(-10, 10, B)
     cy = rng.uniform(-10, 10, B)
     th = rng.uniform(-math.pi, math.pi, B)
-    owned = rng.random((B, 12)) < 0.5
-    owned[0] = False
-    owned[1] = False
-    owned[1, 2:5] = owned[1, 8:11] = True
     cx[:2], cy[:2] = 0.0, 0.0  # rectangles that segments near the origin cross
-    got = geo.segments_hit_rects(segs, cx, cy, th, 5.0, 2.0, owned)
+    got = geo.segments_hit_rects(segs, cx, cy, th, 5.0, 2.0)
     want = np.zeros(B, dtype=bool)
-    hit_any = np.zeros(B, dtype=bool)
     for i in range(B):
         rect = geo.OrientedRect(cx[i], cy[i], 5.0, 2.0, th[i])
-        hits = [geo.segment_intersects_rect((s[0], s[1]), (s[2], s[3]), rect) for s in segs]
-        want[i] = any(h for h, own in zip(hits, owned[i]) if own)
-        hit_any[i] = any(hits)
+        want[i] = any(geo.segment_intersects_rect((s[0], s[1]), (s[2], s[3]), rect) for s in segs)
     assert np.array_equal(got, want)
-    assert hit_any[0] and not got[0]
-    assert got[1] and (want != hit_any).any()
+    assert got[:2].all() and not got.all()
 
 
 def test_segments_hit_rects_empty():
-    out = geo.segments_hit_rects(
-        np.zeros((0, 4)), np.zeros(3), np.zeros(3), np.zeros(3), 5.0, 2.0, np.zeros((3, 0), dtype=bool)
-    )
+    out = geo.segments_hit_rects(np.zeros((0, 4)), np.zeros(3), np.zeros(3), np.zeros(3), 5.0, 2.0)
     assert out.shape == (3,) and not out.any()
 
 
@@ -527,30 +516,16 @@ def test_arm_point_inverts_arm_frame():
         assert lay.arm_frame("A", *geo.arm_point(lay.center, arm, u, w)) == pytest.approx((u, w), abs=1e-12)
 
 
-def test_nearest_layout_tie_prefers_listing_order():
-    net = geo.make_city()
-    # halfway between F (0,0) and T1 (68,0)
-    assert net.nearest_layout(34.0, 0.0) == "F"
-    assert net.nearest_layout(60.0, 0.0) == "T1"
-
-
 @pytest.mark.parametrize("kind", ["city", "fourway", "tshape", "roundabout"])
 def test_edge_table_stacks_every_layouts_edge_segments(kind):
-    """The table is the layouts' edge_segments() concatenated in listing
-    order, each layout's column range selects its own rows, and the
-    table is built once."""
+    """The network's edge_segments() is the layouts' edge_segments()
+    concatenated in listing order, and it is built once."""
     net = geo.make_city() if kind == "city" else geo.single_network(kind)
-    segs, cols = net.edge_table()
+    segs = net.edge_segments()
     parts = [net.layouts[name].edge_segments() for name in net.names]
     assert np.array_equal(segs.view(np.uint64), np.vstack(parts).view(np.uint64))
-    assert list(cols) == net.names
-    stop = 0
-    for name, part in zip(net.names, parts):
-        assert cols[name] == (stop, stop + len(part))
-        assert np.array_equal(segs[slice(*cols[name])], part)
-        stop += len(part)
-    assert stop == len(segs) and len(net.names) == (4 if kind == "city" else 1)
-    assert net.edge_table()[0] is segs
+    assert len(net.names) == (4 if kind == "city" else 1)
+    assert net.edge_segments() is segs
 
 
 def test_wrap_angle():

@@ -22,7 +22,6 @@ from intersim.scene import (
     KIND_SUCCESS,
     SceneConfig,
     TrafficPolicy,
-    context_layout,
     detect_fail,
     detect_success,
     draw_levels,
@@ -239,9 +238,8 @@ def _random_edge_states(net, rng, n):
     """Vehicles at random poses on and beside the roads, with random goal
     lanes. With connectors, every third one sits in or beside a shared
     connector, within 10 m of its mid-port, with its goal in the far
-    layout; returns the slots on the road with the layout they must be
-    assigned to."""
-    states, handoffs = [], {}
+    layout."""
+    states = []
     for k in range(n):
         if net.connectors and k % 3 == 0:
             a, arm_id, b, _ = net.connectors[rng.integers(len(net.connectors))]
@@ -254,23 +252,20 @@ def _random_edge_states(net, rng, n):
             x = lay.center[0] + u * ux + w * wx
             y = lay.center[1] + u * uy + w * wy
             goal = _random_lane_ref(net, rng, b)
-            if abs(w) <= lw:
-                handoffs[k] = b
         else:
             lay = net.layouts[net.names[rng.integers(len(net.names))]]
             x, y = np.asarray(lay.center) + rng.uniform(-40.0, 40.0, 2)
             goal = _random_lane_ref(net, rng, net.names[rng.integers(len(net.names))])
         pose = Pose2(float(x), float(y), float(rng.uniform(-math.pi, math.pi)))
         states.append(VehicleState(pose, 2.0, goal_ref=goal))
-    return states, handoffs
+    return states
 
 
 def _edge_oracle(st, net):
-    """Scalar road-edge check of one vehicle against its context and goal
-    layouts, one segment at a time."""
+    """Scalar road-edge check of one vehicle against every layout of the
+    network, one segment at a time."""
     cz = c_zone(st.pose)
-    for name in {context_layout(st, net), st.goal_ref.split(":")[0]}:
-        lay = net.layouts[name]
+    for lay in net.layouts.values():
         for seg in np.vstack([lay.boundary_segments(), lay.marking_segments()]):
             if segment_intersects_rect(seg[:2], seg[2:], cz):
                 return True
@@ -281,7 +276,7 @@ def _edge_oracle(st, net):
 def test_batched_road_edge_hits_match_scalar_oracle(kind):
     net = _network(kind)
     rng = np.random.default_rng(31)
-    states, handoffs = _random_edge_states(net, rng, 120)
+    states = _random_edge_states(net, rng, 120)
     states[5] = None
     active = [i for i, st in enumerate(states) if st is not None]
     hits = road_edge_hits(states, active, net)
@@ -290,22 +285,29 @@ def test_batched_road_edge_hits_match_scalar_oracle(kind):
     assert 10 < sum(expected.values()) < len(active) - 10
     for i in active:
         assert hits[i] == road_edge_hits(states, [i], net)[i]
-    if kind == "city":
-        moved = [i for i, b in handoffs.items() if states[i] is not None]
-        assert all(context_layout(states[i], net) == handoffs[i] for i in moved)
-        off_nearest = [i for i in moved if net.nearest_layout(states[i].pose.x, states[i].pose.y) != handoffs[i]]
-        assert len(off_nearest) >= 5
 
 
 def test_road_edge_hits_check_the_goal_layout_past_a_port():
     # make_city: F's north arm ends at y = 34, where R's south arm begins,
-    # and F stays the nearest center up to y = 38. Off the lane the vehicle
-    # keeps F as its context, but it straddles R's road edge at x = 4.
+    # and F stays the nearest center up to y = 38. The vehicle straddles
+    # R's road edge at x = 4, which counts whatever its goal.
     net = make_city()
     st = VehicleState(Pose2(4.5, 37.0, math.pi / 2), 2.0, goal_ref="R:S.in")
-    assert context_layout(st, net) == "F"
     assert road_edge_hits([st], [0], net) == {0: True}
     st.goal_ref = "F:N.out"
+    assert road_edge_hits([st], [0], net) == {0: True}
+
+
+@pytest.mark.parametrize("y", [-3.5, 0.0])
+def test_road_edge_hits_count_every_layouts_edges_on_a_connector(y):
+    """make_city: F's east arm and T1's west arm meet at x = 34 as one
+    connector. At x = 15, on F's half, heading east with its goal in T1,
+    a vehicle off its lane straddles F's road edge (y = -3.5) or centre
+    marking (y = 0.0) and fails; in its lane (y = -2.0) it does not."""
+    net = make_city()
+    st = VehicleState(Pose2(15.0, y, 0.0), 2.0, goal_ref="T1:W.in")
+    assert road_edge_hits([st], [0], net) == {0: True}
+    st.pose = Pose2(15.0, -2.0, 0.0)
     assert road_edge_hits([st], [0], net) == {0: False}
 
 
@@ -316,9 +318,9 @@ def test_sim_step_checks_road_edges_once_per_tick(monkeypatch, kind):
     kernel_shapes = []
     kernel = scene.segments_hit_rects
 
-    def counting_kernel(segs, cx, cy, theta, length, width, owned):
-        kernel_shapes.append((len(cx), len(segs), owned.shape))
-        return kernel(segs, cx, cy, theta, length, width, owned)
+    def counting_kernel(segs, cx, cy, theta, length, width):
+        kernel_shapes.append((len(cx), len(segs)))
+        return kernel(segs, cx, cy, theta, length, width)
 
     edge_calls = []
     edges = scene.road_edge_hits
@@ -330,7 +332,7 @@ def test_sim_step_checks_road_edges_once_per_tick(monkeypatch, kind):
     monkeypatch.setattr(scene, "segments_hit_rects", counting_kernel)
     monkeypatch.setattr(scene, "road_edge_hits", spying_edges)
     net = _network(kind)
-    n_segs = len(net.edge_table()[0])
+    n_segs = len(net.edge_segments())
     cfg = SceneConfig(network=net, n_vehicles=12, t_limit_s=40 * DT_S)
     ep = init_episode(cfg, seed=(8, 0), collect_log=True)
     while not ep.done:
@@ -340,7 +342,7 @@ def test_sim_step_checks_road_edges_once_per_tick(monkeypatch, kind):
         assert len(edge_calls) == 1
         n_rows, n_active = edge_calls[0]
         assert n_rows == n_active > 0
-        assert kernel_shapes == [(n_active, n_segs, (n_active, n_segs))]
+        assert kernel_shapes == [(n_active, n_segs)]
     assert ep.tick == 40
     # vehicles failed, and their slots respawned inside the vehicle loop
     assert any('"status":"failed"' in line for line in ep.log)
