@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, single_network
 from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy
-from .scene import TrafficPolicy, detect_fail, detect_success, road_edge_hits, spawn_vehicle
+from .scene import TrafficPolicy, detect_fail, detect_success, spawn_vehicle
 
 M_NEAR = 6  # opponent slots of the encoder; a policy file must say the same
 POS_SCALE_M = 40.0  # interaction radius; positions land roughly in [-1, 1]
@@ -544,22 +544,14 @@ def _episodes(cfg: DaggerConfig, rng: np.random.Generator, n_episodes: int):
         yield n, net, states
 
 
-def _respawn_terminal(states, net, rng) -> List[int]:
+def _respawn_terminal(states, net, rng) -> None:
     """Respawn every empty, failed or finished slot in place, at the
-    spawn gap scene.sim_step uses, and return the respawned slots.
-
-    Road edges are checked once for all vehicles before any respawn;
-    slot i's vehicle check runs after the earlier slots have respawned,
-    the same order as scene.sim_step, so the later partner of a collision
-    can miss the wreck; ROADMAP item 2(a) is the pending fix for both.
-    """
-    edges = road_edge_hits(states, [i for i, st in enumerate(states) if st is not None], net)
-    respawned = []
+    spawn gap scene.sim_step uses. As there, one detect_fail call flags
+    every vehicle before any slot respawns."""
+    failed = detect_fail(states, [i for i, st in enumerate(states) if st is not None], net)
     for i, st in enumerate(states):
-        if st is None or detect_fail(states, i, edges) or detect_success(st, net):
+        if st is None or failed[i] or detect_success(st, net):
             states[i] = spawn_vehicle(net, states, rng)
-            respawned.append(i)
-    return respawned
 
 
 def _advance(states, actions: Dict[int, int], net: RoadNetwork) -> None:

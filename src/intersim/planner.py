@@ -192,8 +192,8 @@ def expert_policy(states: List[VehicleState], i: int, k: int, network: RoadNetwo
 
 def near_indices(states: Sequence[Optional[VehicleState]], i: int, radius: float) -> List[int]:
     """Other live vehicles whose centers lie within radius of vehicle i's,
-    in slot order. The library's one neighbour query: the planner, the
-    AVs and the contact check all call it."""
+    in slot order. The library's one neighbour query: the planner and
+    the AVs call it."""
     ex, ey = states[i].pose.x, states[i].pose.y
     out = []
     for j, st in enumerate(states):

@@ -19,8 +19,10 @@ belief update encode each vehicle once. The cache holds plans, trees and
 encodings of s_t only and is dropped when the tick ends; the rollout's
 later steps, whose states are not s_t, pass a fresh one.
 
-Road edges take one kernel call per tick: every active vehicle against
-every segment of the network's edge table.
+Failures take one detect_fail call per tick, on the post-move snapshot
+before any slot respawns: every active vehicle against every segment of
+the network's edge table, and every pair of active vehicles once, so
+both vehicles in a collision fail.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .geometry import (
     segments_hit_rects,
     turn_targets,
 )
-from .planner import PlanCache, expert_policy, near_indices
+from .planner import PlanCache, expert_policy
 from .reward import C_LENGTH_M, C_WIDTH_M, c_zone
 
 MIN_SEPARATION_M = 10.0
@@ -135,37 +137,26 @@ def spawn_vehicle(
 # lifecycle predicates
 
 
-def _hits_other_vehicle(states, i: int) -> bool:
-    cz = c_zone(states[i].pose)
+def detect_fail(states, indices: Sequence[int], network: RoadNetwork) -> Dict[int, bool]:
+    """Whether each vehicle in indices has failed: its c-zone overlaps
+    another's, touches a road boundary, or crosses an opposing-traffic
+    marking anywhere in the network. Every flag comes from the states as
+    given, so sim_step and the training loops call it once per tick on
+    the post-move snapshot, before any slot respawns.
+
+    Road edges take one segments_hit_rects call over the network's edge
+    table. Contacts take one pairwise pass: each pair of the vehicles in
+    indices whose centers lie within reach is tested once, and a hit
+    fails both."""
+    poses = [states[i].pose for i in indices]
+    x, y, th = np.array([(p.x, p.y, p.theta) for p in poses], dtype=float).reshape(-1, 3).T.copy()
+    failed = segments_hit_rects(network.edge_segments(), x, y, th, C_LENGTH_M, C_WIDTH_M).tolist()
     # centers farther apart than a zone length and a margin cannot touch
-    for j in near_indices(states, i, C_LENGTH_M + 1.0):
-        if rects_overlap(cz, c_zone(states[j].pose)):
-            return True
-    return False
-
-
-def road_edge_hits(states, indices: Sequence[int], network: RoadNetwork) -> Dict[int, bool]:
-    """Whether each vehicle in indices touches a road boundary or crosses
-    a marking anywhere in the network: one segments_hit_rects call over
-    the network's edge table."""
-    poses = [(states[i].pose.x, states[i].pose.y, states[i].pose.theta) for i in indices]
-    x, y, th = np.array(poses, dtype=float).reshape(-1, 3).T.copy()
-    hits = segments_hit_rects(network.edge_segments(), x, y, th, C_LENGTH_M, C_WIDTH_M)
-    return dict(zip(indices, hits.tolist()))
-
-
-def detect_fail(states, i: int, edge_hits: Dict[int, bool]) -> bool:
-    """A vehicle fails on c-zone overlap with another vehicle, on touching
-    a road boundary, or on crossing an opposing-traffic marking.
-
-    The road-edge part depends on vehicle i alone: edge_hits is the
-    road_edge_hits of a batch holding i in its current state. sim_step
-    and the training loops take it for all vehicles on the post-move
-    snapshot in one kernel call, then run the vehicle part in slot order
-    between respawns (ROADMAP item 2(a) is pending)."""
-    if _hits_other_vehicle(states, i):
-        return True
-    return edge_hits[i]
+    near = np.hypot(x[:, None] - x, y[:, None] - y) <= C_LENGTH_M + 1.0
+    for a, b in zip(*np.nonzero(np.triu(near, 1))):
+        if rects_overlap(c_zone(poses[a]), c_zone(poses[b])):
+            failed[a] = failed[b] = True
+    return dict(zip(indices, failed))
 
 
 def detect_success(state: VehicleState, network: RoadNetwork) -> bool:
@@ -343,27 +334,24 @@ def sim_step(
     av: Optional[AVController] = None,
 ) -> EpisodeState:
     """One synchronous tick: deferred spawns, action selection from s_t,
-    simultaneous state advance, goal updates, fail/success handling,
-    belief observation.
+    simultaneous state advance, goal updates, belief observation,
+    fail/success handling.
 
-    Every empty slot tries a spawn first. A vehicle succeeds when it did
-    not fail and detect_success holds after its move and goal update. A
-    background vehicle that fails or succeeds is logged and respawned in
-    place; the slot stays empty when the spawn defers. The AV hears
-    reset_belief for each empty slot whose spawn lands and for each
-    background vehicle that ends. The AV failing or succeeding ends the
-    episode as KIND_COLLISION or KIND_SUCCESS, and so does the time cap,
+    Every empty slot tries a spawn first. After the move, one detect_fail
+    call flags every active vehicle on the post-move snapshot, and the AV
+    observes the actions, both before any slot respawns. A vehicle
+    succeeds when it did not fail and detect_success holds after its move
+    and goal update. A background vehicle that fails or succeeds is
+    logged and respawned in place; the slot stays empty when the spawn
+    defers. The AV hears reset_belief for each empty slot whose spawn
+    lands and for each background vehicle that ends, so a fresh vehicle
+    starts with no belief. The AV failing or succeeding ends the episode
+    as KIND_COLLISION or KIND_SUCCESS, and so does the time cap,
     t_limit_s, as KIND_DEADLOCK.
 
     The tick's plan cache is made after the spawns and passed to select,
     decide and observe, which all plan from s_t: observe gets the copy
-    of the states taken before the move.
-
-    Road edges are checked for all active vehicles on the post-move
-    snapshot in one segments_hit_rects call over the network's edge table;
-    the vehicle-vehicle check then runs in slot order after the
-    earlier slots have respawned, so the later partner of a collision can
-    miss the wreck (ROADMAP item 2(a) is pending)."""
+    of the states taken before the move."""
     if ep.done:
         return ep
     net = cfg.network
@@ -398,25 +386,24 @@ def sim_step(
         ep.av_speed_sum += ep.states[ep.av_index].speed
         ep.av_ticks += 1
 
-    edges = road_edge_hits(ep.states, active, net)
+    if av is not None:
+        av.observe(prev, actions, net, plans)
+
+    failed = detect_fail(ep.states, active, net)
     for i in active:
-        failed = detect_fail(ep.states, i, edges)
-        succeeded = not failed and detect_success(ep.states[i], net)
+        succeeded = not failed[i] and detect_success(ep.states[i], net)
         if i == ep.av_index:
-            if failed:
+            if failed[i]:
                 ep.done, ep.outcome = True, KIND_COLLISION
             elif succeeded:
                 ep.done, ep.outcome = True, KIND_SUCCESS
-        elif failed or succeeded:
-            status = STATUS_FAILED if failed else STATUS_SUCCEEDED
+        elif failed[i] or succeeded:
+            status = STATUS_FAILED if failed[i] else STATUS_SUCCEEDED
             if ep.collect_log:
                 ep.log.append(_log_record(ep, i, None, status))
             ep.states[i] = spawn_vehicle(net, ep.states, ep.rng)
             if av is not None:
                 av.reset_belief(i)
-
-    if av is not None:
-        av.observe(prev, actions, net, plans)
 
     ep.tick += 1
     if not ep.done and ep.tick * DT_S >= cfg.t_limit_s:

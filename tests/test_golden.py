@@ -44,13 +44,13 @@ EPISODES = {
     ),
     "city-fixture-rule-based": (
         EvalSpec(scene="city", n_vehicles=16, av="rule-based", policy_file=FIXTURE, t_limit_s=10.0),
-        "b7ffa7aa6cd5d762bbe2a8e09bcf895b7c16ae7545c5e1862d97914e65ea24c3",
+        "122eab41e3bd1b5791c60d01f3088f7b4f92ae7935e4e8513b88f20b93fafb6f",
     ),
 }
 
 
 # every frame of the city-fixture-rule-based log, joined by newlines
-FRAMES_PIN = "9640a8326e349bb7000bef6ee830eb8bd530e4e73655c4dc3ea7e88e8ae20f59"
+FRAMES_PIN = "91e14fa555d6ad1a32322de87b20bc5187dd27de381f6ccbda23de935c746668"
 DATASET_PIN = "7c7a811cae56aacb17ad539db0b958bf0de6e07e6a6ea43ec182c7549f55c1f4"
 GEOMETRY_PINS = {
     "fourway": "47ed56de33dc9f3e6c6604434f11ea00e47295e5f8177a1184c8d6f7e13c0dbc",

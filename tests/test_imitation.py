@@ -595,6 +595,23 @@ def test_probe_rollouts_move_all_vehicles_from_one_snapshot():
     assert all(len(indices) == 3 for _, indices in seen)
 
 
+def test_the_training_loops_respawn_both_partners_of_a_contact():
+    # two vehicles 3 m apart in one lane touch; a third, far away, is fine.
+    # Every flag comes from the snapshot before any respawn, so the later
+    # partner still sees the earlier one
+    net = single_network("fourway")
+    states = [
+        VehicleState(Pose2(x, -2.0, 0.0), 2.0, goal_ref="I0:W.in", target_lane_seq=["I0:E.out"])
+        for x in (-20.0, -17.0)
+    ]
+    far = VehicleState(Pose2(2.0, -25.0, math.pi / 2), 2.0, goal_ref="I0:S.in", target_lane_seq=["I0:N.out"])
+    states = [far, *states]
+    before = list(states)
+    im._respawn_terminal(states, net, np.random.default_rng(0))
+    assert states[0] is far
+    assert all(new is not None and new is not old for new, old in zip(states[1:], before[1:]))
+
+
 @pytest.mark.parametrize("k_max", [K_MAX + 1, 7])
 def test_dagger_config_refuses_levels_the_expert_does_not_search(k_max):
     # the loops keep the behavioral levels at or below k_max, so a higher

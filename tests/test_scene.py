@@ -10,7 +10,14 @@ from spawn_oracle import spawn_by_rejection
 from intersim import planner, scene
 from intersim.controllers import AdaptiveController
 from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, V_MAX, Pose2, VehicleState
-from intersim.geometry import LANE_WIDTH_M, euclidean_dist, make_city, segment_intersects_rect, single_network
+from intersim.geometry import (
+    LANE_WIDTH_M,
+    euclidean_dist,
+    make_city,
+    rects_overlap,
+    segment_intersects_rect,
+    single_network,
+)
 from intersim.planner import PlanCache
 from intersim.reward import C_LENGTH_M, c_zone
 from intersim.scene import (
@@ -26,7 +33,6 @@ from intersim.scene import (
     detect_success,
     draw_levels,
     init_episode,
-    road_edge_hits,
     route_from_entry,
     run_episode,
     sim_step,
@@ -161,19 +167,17 @@ def test_detect_fail_on_overlap_and_boundary():
     lay = net.layouts["I0"]
     a = VehicleState(Pose2(-12.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
     b = VehicleState(Pose2(-9.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
-    edges = road_edge_hits([a, b], [0, 1], net)
-    assert detect_fail([a, b], 0, edges)
-    assert detect_fail([a, b], 1, edges)
+    assert detect_fail([a, b], [0, 1], net) == {0: True, 1: True}
     # same vehicle alone in the lane center is fine
-    assert not detect_fail([a, None], 0, road_edge_hits([a, None], [0], net))
+    assert detect_fail([a, None], [0], net) == {0: False}
     # straddling the road edge trips the boundary check
     off = VehicleState(Pose2(-12.0, -4.2, 0.0), 2.0, goal_ref="I0:E.out")
-    assert detect_fail([off], 0, road_edge_hits([off], [0], net))
+    assert detect_fail([off], [0], net) == {0: True}
 
 
 def test_contact_check_tests_a_vehicle_exactly_at_its_reach(monkeypatch):
-    # c-zones cannot touch beyond C_LENGTH_M + 1 m between centers; a vehicle
-    # exactly that far away still gets the rectangle test
+    # c-zones cannot touch beyond C_LENGTH_M + 1 m between centers; a pair
+    # exactly that far apart still gets the rectangle test, once
     net = single_network("fourway")
     reach = C_LENGTH_M + 1.0
     ego = VehicleState(Pose2(0.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
@@ -183,7 +187,7 @@ def test_contact_check_tests_a_vehicle_exactly_at_its_reach(monkeypatch):
     for gap, tested in ((reach, 1), (math.nextafter(reach, math.inf), 0)):
         other = VehicleState(Pose2(gap, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
         pairs.clear()
-        assert not detect_fail([ego, other], 0, {0: False})
+        assert detect_fail([ego, other], [0, 1], net) == {0: False, 1: False}
         assert len(pairs) == tested
 
 
@@ -272,19 +276,80 @@ def _edge_oracle(st, net):
     return False
 
 
+def _fail_oracle(states, indices, net):
+    """Scalar fail check: each vehicle against every other with
+    rects_overlap, then against the road edges with _edge_oracle."""
+    out = {}
+    for i in indices:
+        cz = c_zone(states[i].pose)
+        contact = any(rects_overlap(cz, c_zone(states[j].pose)) for j in indices if j != i)
+        out[i] = contact or _edge_oracle(states[i], net)
+    return out
+
+
+def _apart(states):
+    """states with every vehicle that touches an earlier kept one
+    removed, so that no two c-zones touch."""
+    kept = []
+    for i, st in enumerate(states):
+        if st is None:
+            continue
+        if any(rects_overlap(c_zone(st.pose), c_zone(states[j].pose)) for j in kept):
+            states[i] = None
+        else:
+            kept.append(i)
+    return states
+
+
+def _cluster_states(net, rng, n_clusters, size):
+    """Dense clusters: size vehicles at random headings within 8 m of
+    each of n_clusters points near the layout centers."""
+    states = []
+    for _ in range(n_clusters):
+        lay = net.layouts[net.names[rng.integers(len(net.names))]]
+        cx, cy = np.asarray(lay.center) + rng.uniform(-30.0, 30.0, 2)
+        for _ in range(size):
+            x, y = cx + rng.uniform(-8.0, 8.0), cy + rng.uniform(-8.0, 8.0)
+            pose = Pose2(float(x), float(y), float(rng.uniform(-math.pi, math.pi)))
+            states.append(VehicleState(pose, 2.0, goal_ref=_random_lane_ref(net, rng, lay.name)))
+    return states
+
+
 @pytest.mark.parametrize("kind", ["city", "fourway", "roundabout", "tshape"])
 def test_batched_road_edge_hits_match_scalar_oracle(kind):
+    """The road-edge part of detect_fail, on vehicles that do not touch."""
     net = _network(kind)
     rng = np.random.default_rng(31)
     states = _random_edge_states(net, rng, 120)
     states[5] = None
+    states = _apart(states)
     active = [i for i, st in enumerate(states) if st is not None]
-    hits = road_edge_hits(states, active, net)
+    hits = detect_fail(states, active, net)
     expected = {i: _edge_oracle(states[i], net) for i in active}
     assert hits == expected
     assert 10 < sum(expected.values()) < len(active) - 10
     for i in active:
-        assert hits[i] == road_edge_hits(states, [i], net)[i]
+        assert hits[i] == detect_fail(states, [i], net)[i]
+
+
+@pytest.mark.parametrize("kind", ["city", "fourway"])
+@pytest.mark.parametrize("layout", ["corridor", "clusters"])
+def test_detect_fail_matches_the_scalar_pair_loop(kind, layout):
+    """One pairwise pass equals testing each vehicle against every other,
+    on the corridor states above and on dense clusters, both with
+    contacts; every contact fails both partners."""
+    net = _network(kind)
+    rng = np.random.default_rng(31)
+    if layout == "corridor":
+        states = _random_edge_states(net, rng, 120)
+    else:
+        states = _cluster_states(net, rng, 6, 8)
+    states[5] = None
+    active = [i for i, st in enumerate(states) if st is not None]
+    expected = _fail_oracle(states, active, net)
+    assert detect_fail(states, active, net) == expected
+    contact_only = [i for i in active if expected[i] and not _edge_oracle(states[i], net)]
+    assert len(contact_only) >= 2 and not all(expected.values())
 
 
 def test_road_edge_hits_check_the_goal_layout_past_a_port():
@@ -293,9 +358,9 @@ def test_road_edge_hits_check_the_goal_layout_past_a_port():
     # R's road edge at x = 4, which counts whatever its goal.
     net = make_city()
     st = VehicleState(Pose2(4.5, 37.0, math.pi / 2), 2.0, goal_ref="R:S.in")
-    assert road_edge_hits([st], [0], net) == {0: True}
+    assert detect_fail([st], [0], net) == {0: True}
     st.goal_ref = "F:N.out"
-    assert road_edge_hits([st], [0], net) == {0: True}
+    assert detect_fail([st], [0], net) == {0: True}
 
 
 @pytest.mark.parametrize("y", [-3.5, 0.0])
@@ -306,15 +371,16 @@ def test_road_edge_hits_count_every_layouts_edges_on_a_connector(y):
     marking (y = 0.0) and fails; in its lane (y = -2.0) it does not."""
     net = make_city()
     st = VehicleState(Pose2(15.0, y, 0.0), 2.0, goal_ref="T1:W.in")
-    assert road_edge_hits([st], [0], net) == {0: True}
+    assert detect_fail([st], [0], net) == {0: True}
     st.pose = Pose2(15.0, -2.0, 0.0)
-    assert road_edge_hits([st], [0], net) == {0: False}
+    assert detect_fail([st], [0], net) == {0: False}
 
 
 @pytest.mark.parametrize("kind", ["fourway", "city"])
 def test_sim_step_checks_road_edges_once_per_tick(monkeypatch, kind):
-    """One road_edge_hits and one kernel call per sim_step, with one row
-    per active vehicle over the network's whole edge table."""
+    """One detect_fail call per sim_step, over every active slot, and one
+    kernel call in it, with one row per active vehicle over the network's
+    whole edge table."""
     kernel_shapes = []
     kernel = scene.segments_hit_rects
 
@@ -322,30 +388,80 @@ def test_sim_step_checks_road_edges_once_per_tick(monkeypatch, kind):
         kernel_shapes.append((len(cx), len(segs)))
         return kernel(segs, cx, cy, theta, length, width)
 
-    edge_calls = []
-    edges = scene.road_edge_hits
+    fail_calls = []
+    fail = scene.detect_fail
 
-    def spying_edges(states, indices, network):
-        edge_calls.append((len(indices), sum(st is not None for st in states)))
-        return edges(states, indices, network)
+    def spying_fail(states, indices, network):
+        fail_calls.append((list(indices), [i for i, st in enumerate(states) if st is not None]))
+        return fail(states, indices, network)
 
     monkeypatch.setattr(scene, "segments_hit_rects", counting_kernel)
-    monkeypatch.setattr(scene, "road_edge_hits", spying_edges)
+    monkeypatch.setattr(scene, "detect_fail", spying_fail)
     net = _network(kind)
     n_segs = len(net.edge_segments())
     cfg = SceneConfig(network=net, n_vehicles=12, t_limit_s=40 * DT_S)
     ep = init_episode(cfg, seed=(8, 0), collect_log=True)
     while not ep.done:
         kernel_shapes.clear()
-        edge_calls.clear()
+        fail_calls.clear()
         sim_step(ep, cfg, HoldTraffic())
-        assert len(edge_calls) == 1
-        n_rows, n_active = edge_calls[0]
-        assert n_rows == n_active > 0
-        assert kernel_shapes == [(n_active, n_segs)]
+        assert len(fail_calls) == 1
+        indices, active = fail_calls[0]
+        assert indices == active and active
+        assert kernel_shapes == [(len(active), n_segs)]
     assert ep.tick == 40
     # vehicles failed, and their slots respawned inside the vehicle loop
     assert any('"status":"failed"' in line for line in ep.log)
+
+
+def _contact_pair():
+    """Two vehicles 3 m apart in the fourway's W.in lane, heading east and
+    coasting: their c-zones overlap after any tick, and neither touches a
+    road edge or has finished its route."""
+    return [
+        VehicleState(Pose2(x, -2.0, 0.0), 2.0, goal_ref="I0:W.in", target_lane_seq=["I0:E.out"])
+        for x in (-20.0, -17.0)
+    ]
+
+
+def test_sim_step_fails_both_partners_of_a_contact():
+    cfg = SceneConfig(network=single_network("fourway"), n_vehicles=2, av_policy="scripted", t_limit_s=10.0)
+    ep = init_episode(cfg, seed=(2, 0), collect_log=True)
+    av_state = VehicleState(Pose2(2.0, -25.0, math.pi / 2), 2.0, goal_ref="I0:S.in", target_lane_seq=["I0:N.out"])
+    ep.states = [av_state, *_contact_pair()]
+    wrecks = list(ep.states[1:])
+    sim_step(ep, cfg, HoldTraffic(), ScriptedAV())
+    ended = {r["id"]: r["status"] for r in map(json.loads, ep.log) if r["status"] != "active"}
+    assert ended == {1: "failed", 2: "failed"}
+    assert not ep.done and ep.states[0] is av_state
+    assert all(new is not old for new, old in zip(ep.states[1:], wrecks))
+
+
+def test_a_fresh_vehicle_starts_with_no_belief():
+    """The AV observes the tick's actions before any slot respawns, so the
+    vehicle that takes over an ended slot inherits no belief from it."""
+
+    def stub(states, indices, levels, network, plans):
+        # level 1 coasts and level 2 accelerates: coasting moves a belief
+        return np.array([0 if k == 1 else 1 for k in levels])
+
+    net = single_network("fourway")
+    cfg = SceneConfig(network=net, n_vehicles=2, av_policy="adaptive", t_limit_s=10.0)
+    ep = init_episode(cfg, seed=(2, 0), collect_log=True)
+    ep.states = [
+        VehicleState(Pose2(-20.0, -2.0, 0.0), 2.0, goal_ref="I0:W.in", target_lane_seq=["I0:E.out"]),
+        # 8 m ahead of the AV, straddling the road edge: it fails this tick
+        VehicleState(Pose2(-12.0, -4.2, 0.0), 2.0, goal_ref="I0:W.in", target_lane_seq=["I0:E.out"]),
+        VehicleState(Pose2(-2.0, 15.0, -math.pi / 2), 2.0, goal_ref="I0:N.in", target_lane_seq=["I0:S.out"]),
+    ]
+    ended = ep.states[1]
+    av = AdaptiveController(predictor=stub)
+    sim_step(ep, cfg, HoldTraffic(), av)
+    assert [json.loads(r)["id"] for r in ep.log if '"status":"failed"' in r] == [1]
+    assert ep.states[1] is not None and ep.states[1] is not ended
+    assert 1 not in av.beliefs
+    # the observation did move the belief of the vehicle that stayed
+    assert not np.array_equal(av.beliefs[2], [0.5, 0.5])
 
 
 def test_detect_success_requires_exhausted_route_and_exit_lane():
