@@ -756,6 +756,7 @@ class RoadNetwork:
         self.connectors = [tuple(c) for c in connectors]
         self.validate()
         self._entry_lanes: Optional[List[Tuple[str, Lane]]] = None
+        self._entry_frames: Optional[List[Tuple[float, ...]]] = None
         self._edge_segments: Optional[np.ndarray] = None
 
     def validate(self) -> None:
@@ -798,6 +799,19 @@ class RoadNetwork:
             refs = [f"{name}:{aid}.in" for name in self.names for aid in self.open_arms(name)]
             self._entry_lanes = [(ref, self.resolve(ref)[1]) for ref in refs]
         return self._entry_lanes
+
+    def entry_frames(self) -> List[Tuple[float, ...]]:
+        """(x0, y0, ux, uy, length, xmin, xmax, ymin, ymax) of each
+        entry_lanes() centerline: p0, the unit direction, the length and the
+        bounding box; computed on the first call."""
+        if self._entry_frames is None:
+            self._entry_frames = []
+            for _, lane in self.entry_lanes():
+                (x0, y0), (x1, y1) = lane.p0, lane.p1
+                length = math.hypot(x1 - x0, y1 - y0)
+                box = (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+                self._entry_frames.append((x0, y0, (x1 - x0) / length, (y1 - y0) / length, length, *box))
+        return self._entry_frames
 
     def edge_segments(self) -> np.ndarray:
         """Every layout's edge_segments() stacked in listing order; computed

@@ -23,6 +23,9 @@ Failures take one detect_fail call per tick, on the post-move snapshot
 before any slot respawns: every active vehicle against every segment of
 the network's edge table, and every pair of active vehicles once, so
 both vehicles in a collision fail.
+
+A spawn defers, with no draw, only when every entrance lane is blocked,
+and lands otherwise (spawn_vehicle), so a slot stays empty only then.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import (
+    Lane,
     Pose2,
     RoadNetwork,
     rects_overlap,
@@ -55,7 +59,8 @@ from .planner import PlanCache, expert_policy
 from .reward import C_LENGTH_M, C_WIDTH_M, c_zone
 
 MIN_SEPARATION_M = 10.0
-SPAWN_TRIES = 30  # random placements before a spawn defers to the next tick
+SPAWN_TRIES = 30  # tries before the spawn draws from the free intervals
+FREE_MARGIN_T = 1e-9  # a blocked window's narrowing at each end, in lane t
 MAX_ROUTE_HOPS = 8  # intersections a route crosses before it steers out
 T_LIMIT_S = 300.0
 
@@ -99,38 +104,95 @@ def route_from_entry(
     return refs
 
 
+def _free_intervals(network: RoadNetwork, live: Sequence[Tuple[float, float]]) -> List[Tuple[int, float, float]]:
+    """(k, t0, t1) of each stretch of t in [0.05, 0.95] along entrance lane k
+    that no live center blocks. A center at offset a from the lane's line
+    blocks the open window of half-length sqrt(R^2 - a^2), R = MIN_SEPARATION_M,
+    around its projection, narrowed by FREE_MARGIN_T at each end, so every
+    point that _clears accepts lies in some stretch, and none is empty."""
+    r = MIN_SEPARATION_M
+    out = []
+    for k, (x0, y0, ux, uy, length, xmin, xmax, ymin, ymax) in enumerate(network.entry_frames()):
+        # a center outside the lane's bounding box, grown by r, blocks none of it
+        xlo, xhi, ylo, yhi = xmin - r, xmax + r, ymin - r, ymax + r
+        windows = []
+        for px, py in live:
+            if xlo < px < xhi and ylo < py < yhi:
+                dx, dy = px - x0, py - y0
+                a = dx * uy - dy * ux
+                h = math.sqrt(max((r - a) * (r + a), 0.0)) / length - FREE_MARGIN_T
+                if h > 0.0:
+                    s = (dx * ux + dy * uy) / length
+                    windows.append((s - h, s + h))
+        lo = 0.05
+        for w0, w1 in sorted(windows):
+            if w0 > 0.95 or lo > 0.95:
+                break
+            if w0 > lo:
+                out.append((k, lo, w0))
+            lo = max(lo, w1)
+        if lo < 0.95:
+            out.append((k, lo, 0.95))
+    return out
+
+
+def _clears(lane: Lane, t: float, live: Sequence[Tuple[float, float]]) -> bool:
+    """Whether lane's point at t lies MIN_SEPARATION_M or more from every live center."""
+    x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
+    y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
+    for px, py in live:
+        if math.hypot(x - px, y - py) < MIN_SEPARATION_M:
+            return False
+    return True
+
+
 def spawn_vehicle(
     network: RoadNetwork,
     states: Sequence[Optional[VehicleState]],
     rng: np.random.Generator,
 ) -> Optional[VehicleState]:
-    """Place a vehicle at a random point of a random entrance lane, with
-    lane-aligned heading, a speed drawn from [0, V_MAX) and a random legal
-    route. Each of SPAWN_TRIES draws is kept when its center lies at least
-    MIN_SEPARATION_M from every live vehicle; None when no draw does (the spawn
-    defers to a later tick)."""
+    """Place a vehicle at a point t in [0.05, 0.95] of an entrance lane at
+    least MIN_SEPARATION_M from every live vehicle, with lane-aligned
+    heading, a speed drawn from [0, V_MAX) and a random legal route.
+
+    With no free stretch (_free_intervals) it returns None, drawing nothing.
+    Else up to SPAWN_TRIES tries draw a lane and t, and the first that
+    _clears is kept; if all miss, one draw picks a point uniformly over the
+    stretches by t-length, kept if it _clears (a free set of zero length
+    defers). The tries keep the draws of every spawn they place; per-slot
+    random streams, which change every draw, can drop them."""
     entries = network.entry_lanes()
     live = [(s.pose.x, s.pose.y) for s in states if s is not None]
+    free = _free_intervals(network, live)
+    if not free:
+        return None
     for _ in range(SPAWN_TRIES):
-        ref, lane = entries[rng.integers(len(entries))]
+        k = rng.integers(len(entries))
         t = 0.05 + (0.95 - 0.05) * rng.random()  # rng.uniform(0.05, 0.95), bit for bit
-        x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
-        y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
-        for px, py in live:
-            if math.hypot(x - px, y - py) < MIN_SEPARATION_M:
+        # a try outside every free stretch cannot clear; only the others take the hypot test
+        if any(j == k and t0 <= t <= t1 for j, t0, t1 in free) and _clears(entries[k][1], t, live):
+            break
+    else:
+        u = sum(t1 - t0 for _, t0, t1 in free) * rng.random()
+        for k, t0, t1 in free:
+            if u < t1 - t0:
                 break
-        else:
-            name, lane_id = ref.split(":")
-            arm_id = lane_id.split(".")[0]
-            refs = route_from_entry(network, name, arm_id, rng)
-            return VehicleState(
-                Pose2(x, y, lane.heading),
-                V_MAX * rng.random(),  # rng.uniform(0.0, V_MAX), bit for bit
-                goal_ref=refs[0],
-                target_lane_seq=refs[1:],
-                phase=PHASE_APPROACH,
-            )
-    return None
+            u -= t1 - t0
+        t = min(t0 + u, t1)
+        if not _clears(entries[k][1], t, live):
+            return None
+    ref, lane = entries[k]
+    x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
+    y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
+    name, lane_id = ref.split(":")
+    refs = route_from_entry(network, name, lane_id.split(".")[0], rng)
+    return VehicleState(
+        Pose2(x, y, lane.heading),
+        V_MAX * rng.random(),  # rng.uniform(0.0, V_MAX), bit for bit
+        goal_ref=refs[0],
+        target_lane_seq=refs[1:],
+        phase=PHASE_APPROACH,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +313,8 @@ class SceneConfig:
     traffic_model, plus the vehicle under test in slot 0 when av_policy is
     set. Ticks are DT_S long, and the episode ends as a deadlock after
     t_limit_s. Background vehicles that fail or succeed respawn at a
-    fresh entrance, so traffic density stays constant."""
+    fresh entrance, so traffic density stays constant while some entrance
+    lane has room."""
 
     network: RoadNetwork
     n_vehicles: int
@@ -337,17 +400,18 @@ def sim_step(
     simultaneous state advance, goal updates, belief observation,
     fail/success handling.
 
-    Every empty slot tries a spawn first. After the move, one detect_fail
-    call flags every active vehicle on the post-move snapshot, and the AV
-    observes the actions, both before any slot respawns. A vehicle
-    succeeds when it did not fail and detect_success holds after its move
-    and goal update. A background vehicle that fails or succeeds is
-    logged and respawned in place; the slot stays empty when the spawn
-    defers. The AV hears reset_belief for each empty slot whose spawn
-    lands and for each background vehicle that ends, so a fresh vehicle
-    starts with no belief. The AV failing or succeeding ends the episode
-    as KIND_COLLISION or KIND_SUCCESS, and so does the time cap,
-    t_limit_s, as KIND_DEADLOCK.
+    Empty slots spawn first, in slot order, until one defers. After the
+    move, one detect_fail call flags every active vehicle on the post-move
+    snapshot, and the AV observes the actions, both before any slot
+    respawns. A vehicle succeeds when it did not fail and detect_success
+    holds after its move and goal update. A background vehicle that fails
+    or succeeds is logged and respawned in place; the slot stays empty,
+    until a later tick, only when no entrance lane has room. The AV hears
+    reset_belief for each empty slot whose spawn lands and for each
+    background vehicle that ends, so a fresh vehicle starts with no
+    belief. The AV failing or succeeding ends the episode as
+    KIND_COLLISION or KIND_SUCCESS, and so does the time cap, t_limit_s,
+    as KIND_DEADLOCK.
 
     The tick's plan cache is made after the spawns and passed to select,
     decide and observe, which all plan from s_t: observe gets the copy
@@ -358,7 +422,9 @@ def sim_step(
     for i, s in enumerate(ep.states):
         if s is None:
             ep.states[i] = spawn_vehicle(net, ep.states, ep.rng)
-            if ep.states[i] is not None and av is not None:
+            if ep.states[i] is None:
+                break  # the lanes are as blocked for every later empty slot
+            if av is not None:
                 av.reset_belief(i)
 
     active = [i for i, s in enumerate(ep.states) if s is not None]

@@ -44,13 +44,13 @@ EPISODES = {
     ),
     "city-fixture-rule-based": (
         EvalSpec(scene="city", n_vehicles=16, av="rule-based", policy_file=FIXTURE, t_limit_s=10.0),
-        "122eab41e3bd1b5791c60d01f3088f7b4f92ae7935e4e8513b88f20b93fafb6f",
+        "d9ac9f0e633cfc61b8c8db5bccf1bb42cdbd47eef6833bba94282ad793c8e81c",
     ),
 }
 
 
 # every frame of the city-fixture-rule-based log, joined by newlines
-FRAMES_PIN = "91e14fa555d6ad1a32322de87b20bc5187dd27de381f6ccbda23de935c746668"
+FRAMES_PIN = "cec5899e3a1e10db12a650f320efe35c17351146277c824312c8a72193d332d1"
 DATASET_PIN = "7c7a811cae56aacb17ad539db0b958bf0de6e07e6a6ea43ec182c7549f55c1f4"
 GEOMETRY_PINS = {
     "fourway": "47ed56de33dc9f3e6c6604434f11ea00e47295e5f8177a1184c8d6f7e13c0dbc",

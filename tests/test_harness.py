@@ -1,9 +1,13 @@
 """Monte Carlo evaluation machinery: outcomes, reports, calibration, SVG."""
 
+import copy
 import json
+from collections import Counter
 
 import pytest
+from spawn_oracle import spawn_by_rejection
 
+from intersim import scene
 from intersim.harness import (
     AV_POLICIES,
     CALIBRATION_COLUMNS,
@@ -140,18 +144,36 @@ def test_run_one_classifies_and_logs(policy_file):
         assert key in rec
 
 
-def test_monte_carlo_is_deterministic_across_worker_counts(policy_file):
-    spec = _spec(policy_file)
-    serial = monte_carlo(spec, 5, master_seed=3, workers=1)
-    parallel = monte_carlo(spec, 5, master_seed=3, workers=3)
-    assert serial.row() == parallel.row()
-    for a, b in zip(serial.outcomes, parallel.outcomes):
-        assert (a.kind, a.mean_speed, a.duration_s, a.seed) == (
-            b.kind,
-            b.mean_speed,
-            b.duration_s,
-            b.seed,
-        )
+def test_monte_carlo_is_deterministic_across_worker_counts(policy_file, monkeypatch):
+    """Also in a crowded city, where spawns defer for want of room, with
+    no draw, and others land by the draw over the free space where every
+    try of the rejection oracle misses."""
+    spawns = Counter()
+    real_spawn = scene.spawn_vehicle
+
+    def spawn_vehicle(network, states, rng):
+        before = copy.deepcopy(rng)
+        out = real_spawn(network, states, rng)
+        if out is None and rng.bit_generator.state == before.bit_generator.state:
+            spawns["no room"] += 1
+        elif out is not None and spawn_by_rejection(network, states, before, scene.MIN_SEPARATION_M) is None:
+            spawns["drawn from the free space"] += 1
+        return out
+
+    for spec in (_spec(policy_file), _spec(policy_file, scene="city", n_vehicles=20, t_limit_s=3.0)):
+        with monkeypatch.context() as m:
+            m.setattr(scene, "spawn_vehicle", spawn_vehicle)
+            serial = monte_carlo(spec, 5, master_seed=3, workers=1)
+        parallel = monte_carlo(spec, 5, master_seed=3, workers=3)
+        assert serial.row() == parallel.row()
+        for a, b in zip(serial.outcomes, parallel.outcomes):
+            assert (a.kind, a.mean_speed, a.duration_s, a.seed) == (
+                b.kind,
+                b.mean_speed,
+                b.duration_s,
+                b.seed,
+            )
+    assert spawns["no room"] > 0 and spawns["drawn from the free space"] > 0
 
 
 def test_monte_carlo_seeds_episodes_by_index(policy_file):

@@ -96,11 +96,40 @@ def test_spawn_gives_up_when_everything_is_blocked():
     assert spawn_vehicle(net, _blanket(net), rng) is None
 
 
+def _live(states):
+    return [(s.pose.x, s.pose.y) for s in states if s is not None]
+
+
+def _entry_t(net, pose):
+    """t of pose along the entrance lane whose centerline and heading it
+    sits on."""
+    for _, lane in net.entry_lanes():
+        dx, dy = lane.p1[0] - lane.p0[0], lane.p1[1] - lane.p0[1]
+        ox, oy = pose.x - lane.p0[0], pose.y - lane.p0[1]
+        if pose.theta == lane.heading and abs(ox * dy - oy * dx) < 1e-9:
+            return (ox * dx + oy * dy) / (dx * dx + dy * dy)
+    raise AssertionError(f"{pose} is on no entrance lane")
+
+
+def _clears(lane, t, live, r):
+    """The spawn's test, done as spawn_vehicle does it: the lane point at t
+    lies at least r from every live center."""
+    x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
+    y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
+    return _point_clears(x, y, live, r)
+
+
+def _point_clears(x, y, live, r):
+    return all(not math.hypot(x - px, y - py) < r for px, py in live)
+
+
 @pytest.mark.parametrize("kind", ["fourway", "city"])
 def test_spawn_matches_the_rejection_oracle(kind, monkeypatch):
-    """Crowded scenes with empty slots, and blanketed ones where every try
-    defers: the same vehicle or None, and the generator left in the same
-    state."""
+    """Crowded scenes with empty slots, and blanketed ones. Where the
+    rejection oracle places a vehicle: the same vehicle, and the generator
+    left in the same state. Where no entrance lane has room: None, with no
+    draw. Where the oracle's tries all miss but room exists: a placement on
+    an entrance lane, at t in [0.05, 0.95], that clears every live vehicle."""
     net = make_city() if kind == "city" else single_network(kind)
     outcomes = set()
     for seed in range(40):
@@ -114,12 +143,159 @@ def test_spawn_matches_the_rejection_oracle(kind, monkeypatch):
         for min_sep in (MIN_SEPARATION_M, 6.0):
             monkeypatch.setattr(scene, "MIN_SEPARATION_M", min_sep)
             got_rng, want_rng = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
+            untouched = got_rng.bit_generator.state
             got = spawn_vehicle(net, states, got_rng)
             want = spawn_by_rejection(net, states, want_rng, min_sep)
-            assert got == want
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
-            outcomes.add(got is None)
-    assert outcomes == {True, False}
+            free = scene._free_intervals(net, _live(states))
+            if want is not None:
+                assert got == want
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                outcomes.add("placed")
+            elif not free:
+                assert got is None
+                assert got_rng.bit_generator.state == untouched
+                outcomes.add("no room")
+            else:
+                assert sum(t1 - t0 for _, t0, t1 in free) > 1e-6  # room, not a rounding sliver
+                assert got is not None
+                assert 0.05 <= _entry_t(net, got.pose) <= 0.95
+                assert _point_clears(got.pose.x, got.pose.y, _live(states), min_sep)
+                outcomes.add("drawn from the free space")
+    assert outcomes == {"placed", "no room", "drawn from the free space"}
+
+
+def _window_ends(lane, live, r):
+    """The ends, in lane t, of each window that a live center blocks: its
+    projection plus and minus sqrt(r^2 - a^2), a its offset from the line."""
+    (x0, y0), (x1, y1) = lane.p0, lane.p1
+    length = math.hypot(x1 - x0, y1 - y0)
+    ends = []
+    for px, py in live:
+        s = ((px - x0) * (x1 - x0) + (py - y0) * (y1 - y0)) / length**2
+        a = ((px - x0) * (y1 - y0) - (py - y0) * (x1 - x0)) / length
+        if abs(a) < r:
+            h = math.sqrt(r * r - a * a) / length
+            ends += [s - h, s + h]
+    return ends
+
+
+def _check_against_brute_force(net, live, r):
+    """The verdict of _free_intervals, checked by brute force. No room: no
+    point of a dense t-grid, nor any window end or a point 1e-7 either side
+    of one, clears r. Room: some point of some free stretch clears it.
+    Returns whether there was room."""
+    free = scene._free_intervals(net, live)
+    lanes = [lane for _, lane in net.entry_lanes()]
+    if not free:
+        grid = np.linspace(0.05, 0.95, 2001).tolist()
+        for lane in lanes:
+            ends = [e + d for e in _window_ends(lane, live, r) for d in (-1e-7, 0.0, 1e-7)]
+            for t in grid + [e for e in ends if 0.05 <= e <= 0.95]:
+                assert not _clears(lane, t, live, r), (lane.id, t)
+        return False
+    for k, t0, t1 in free:
+        assert 0.05 <= t0 < t1 <= 0.95
+    candidates = [
+        (lanes[k], t)
+        for k, t0, t1 in free
+        for t in np.linspace(t0, t1, 17).tolist() + [e for e in _window_ends(lanes[k], live, r) if t0 <= e <= t1]
+    ]
+    assert any(_clears(lane, t, live, r) for lane, t in candidates)
+    return True
+
+
+def _crowd(net, rng, n, r):
+    """n centers scattered around the entrance lanes: uniform in t over a
+    little more than the lane, up to 0.8 r either side of its centerline."""
+    out = []
+    for _ in range(n):
+        _, lane = net.entry_lanes()[rng.integers(len(net.entry_lanes()))]
+        (x0, y0), (x1, y1) = lane.p0, lane.p1
+        length = math.hypot(x1 - x0, y1 - y0)
+        t, off = rng.uniform(-0.2, 1.2), rng.uniform(-0.8 * r, 0.8 * r)
+        out.append((x0 + t * (x1 - x0) - off * (y1 - y0) / length, y0 + t * (y1 - y0) + off * (x1 - x0) / length))
+    return out
+
+
+@pytest.mark.parametrize("r", [4.0, 6.0, 10.0])
+@pytest.mark.parametrize("kind", ["fourway", "roundabout", "city"])
+def test_free_intervals_match_a_brute_force_scan(kind, r, monkeypatch):
+    """Random crowds around the entrance lanes, sparse to blanketing, at
+    three separations: every verdict of _free_intervals holds up against
+    _check_against_brute_force."""
+    net = make_city() if kind == "city" else single_network(kind)
+    monkeypatch.setattr(scene, "MIN_SEPARATION_M", r)
+    lanes = len(net.entry_lanes())
+    verdicts = set()
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4 * lanes * 30 / r))
+        verdicts.add(_check_against_brute_force(net, _crowd(net, rng, n, r), r))
+    assert verdicts == {True, False}
+
+
+def _along_every_entrance(net, distances):
+    """A center at each distance (m) from p0 along every entrance lane."""
+    out = []
+    for _, lane in net.entry_lanes():
+        (x0, y0), (x1, y1) = lane.p0, lane.p1
+        length = math.hypot(x1 - x0, y1 - y0)
+        out += [(x0 + d * (x1 - x0) / length, y0 + d * (y1 - y0) / length) for d in distances]
+    return out
+
+
+@pytest.mark.parametrize(
+    "distances, free_t, room",
+    [
+        ((5.0, 25.0), 0.5, "point"),  # 2R apart: the windows touch at t = 0.5
+        ((11.5, 30.0), 0.05, "point"),  # a window opens exactly at the span's start
+        ((5.0, 24.999999), None, "none"),  # windows overlap by 1e-6 m
+        ((5.0, 25.001), 0.5, "stretch"),  # a 1 mm gap between the windows
+    ],
+    ids=["touching-2R", "touching-span-start", "overlapping", "1mm-gap"],
+)
+def test_spawn_at_the_edges_of_the_free_space(distances, free_t, room):
+    """Fourway entrance lanes are 30 m long and axis-aligned, so these
+    points are exact. A single free point counts as room, but a free set of
+    zero length defers; a 1 mm gap that 30 tries miss gets the vehicle."""
+    net = single_network("fourway")
+    live = _along_every_entrance(net, distances)
+    assert _check_against_brute_force(net, live, MIN_SEPARATION_M) == (room != "none")
+    free = scene._free_intervals(net, live)
+    lanes = [lane for _, lane in net.entry_lanes()]
+    if room != "none":
+        assert len(free) == len(lanes)
+        assert all(t0 <= free_t <= t1 for _, t0, t1 in free)
+        assert all(_clears(lane, free_t, live, MIN_SEPARATION_M) for lane in lanes)
+    for seed in range(5):
+        got = spawn_vehicle(net, [VehicleState(Pose2(x, y, 0.0), 0.0) for x, y in live], np.random.default_rng(seed))
+        if room == "stretch":
+            assert got is not None
+            assert abs(_entry_t(net, got.pose) - free_t) < 1e-3 / 30
+            assert _point_clears(got.pose.x, got.pose.y, live, MIN_SEPARATION_M)
+        else:
+            assert got is None
+
+
+def test_the_free_space_draw_is_uniform_over_the_free_stretches(monkeypatch):
+    """With no tries, every spawn comes from the one draw over the free
+    stretches. On fourway, the other entrances are blocked, and one center
+    13.5 m along the E entrance leaves it 2 m free at its start and 5 m
+    free at its end: 2/7 of the vehicles land in the first stretch."""
+    monkeypatch.setattr(scene, "SPAWN_TRIES", 0)
+    net = single_network("fourway")
+    ref, _ = net.entry_lanes()[0]
+    assert ref == "I0:E.in"  # from x = 34 to x = 4 along y = 2
+    live = _along_every_entrance(net, (5.0, 24.0))[2:] + [(34.0 - 13.5, 2.0)]
+    free = scene._free_intervals(net, live)
+    assert [k for k, _, _ in free] == [0, 0]
+    (_, a0, a1), (_, b0, b1) = free
+    assert (a1 - a0) * 30 == pytest.approx(2.0) and (b1 - b0) * 30 == pytest.approx(5.0)
+    states = [VehicleState(Pose2(x, y, 0.0), 0.0) for x, y in live]
+    rng = np.random.default_rng(5)
+    landed = [_entry_t(net, spawn_vehicle(net, states, rng).pose) for _ in range(3000)]
+    assert all(a0 <= t <= a1 or b0 <= t <= b1 for t in landed)
+    assert sum(t <= a1 for t in landed) / len(landed) == pytest.approx(2 / 7, abs=0.03)
 
 
 @pytest.mark.parametrize(
@@ -227,6 +403,23 @@ def test_sim_step_resets_beliefs_exactly_for_the_slots_it_spawns():
         seen["deferred"] += len(empty) - len(landed)
         seen["ended"] += len(ended)
     assert min(seen.values()) > 0, seen
+
+
+def test_sim_step_stops_filling_empty_slots_at_the_first_deferral(monkeypatch):
+    """Parked vehicles blanket every fourway entrance, and three slots are
+    empty: the first spawn defers for want of room, so the other two are
+    not tried, and no draw is made."""
+    net = single_network("fourway")
+    parked = _blanket(net)
+    states = parked + [None, None, None]
+    ep = scene.EpisodeState(states, [1] * len(states), ["l1"] * len(states), np.random.default_rng(0), False)
+    untouched = ep.rng.bit_generator.state
+    calls = []
+    monkeypatch.setattr(scene, "spawn_vehicle", lambda *args: calls.append(args) or spawn_vehicle(*args))
+    sim_step(ep, SceneConfig(network=net, n_vehicles=len(states)), HoldTraffic())
+    assert len(calls) == 1
+    assert ep.states[len(parked):] == [None, None, None]
+    assert ep.rng.bit_generator.state == untouched
 
 
 def _network(kind):
