@@ -330,7 +330,7 @@ def monte_carlo(
             (spec, master_seed, list(range(lo, n_episodes, workers)))
             for lo in range(min(workers, n_episodes))
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(_chunk_task, chunks):
                 rows.extend(part)
     rows.sort(key=lambda r: r[0])

@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, single_network
 from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy
-from .scene import TrafficPolicy, detect_fail, detect_success, spawn_vehicle
+from .scene import TrafficPolicy, detect_fail, detect_success, fill_empty_slots, spawn_vehicle
 
 M_NEAR = 6  # opponent slots of the encoder; a policy file must say the same
 POS_SCALE_M = 40.0  # interaction radius; positions land roughly in [-1, 1]
@@ -373,7 +373,8 @@ class PolicyApproximator:
         cfg.lr_floor_frac of it. Returns the final minibatch loss; raises
         RuntimeError on divergence: a non-finite loss during the loop, or
         after it a parameter that is not finite or exceeds PARAM_LIMIT in
-        magnitude.
+        magnitude, or, where y holds two classes or more, a hidden layer with
+        no unit active on any row of X.
 
         Gradients and velocities are flat vectors laid out as theta(), so
         one momentum update moves every layer, and each step writes into
@@ -434,6 +435,13 @@ class PolicyApproximator:
         peak = float(np.max(np.abs(self._theta)))
         if not peak <= PARAM_LIMIT:
             raise RuntimeError(f"classifier training diverged (max |theta|={peak:.3g})")
+        H = X
+        for layer, (w, b) in enumerate(zip(self.ws[:-1], self.bs[:-1]), start=1):
+            H = H @ w
+            H += b
+            np.maximum(H, 0.0, out=H)
+            if not H.any() and y.min() < y.max():  # every row then gets one class
+                raise RuntimeError(f"classifier training diverged (hidden layer {layer} is dead on every row)")
         return loss
 
     # -- persistence ---------------------------------------------------------
@@ -545,13 +553,15 @@ def _episodes(cfg: DaggerConfig, rng: np.random.Generator, n_episodes: int):
 
 
 def _respawn_terminal(states, net, rng) -> None:
-    """Respawn every empty, failed or finished slot in place, at the
-    spawn gap scene.sim_step uses. As there, one detect_fail call flags
-    every vehicle before any slot respawns."""
+    """Empty every failed or finished slot, then fill the empty slots as
+    scene.sim_step does at a tick start (fill_empty_slots), so no ended
+    vehicle blocks a spawn. As there, one detect_fail call flags every
+    vehicle before any slot empties."""
     failed = detect_fail(states, [i for i, st in enumerate(states) if st is not None], net)
     for i, st in enumerate(states):
-        if st is None or failed[i] or detect_success(st, net):
-            states[i] = spawn_vehicle(net, states, rng)
+        if st is not None and (failed[i] or detect_success(st, net)):
+            states[i] = None
+    fill_empty_slots(states, net, rng)
 
 
 def _advance(states, actions: Dict[int, int], net: RoadNetwork) -> None:

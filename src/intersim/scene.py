@@ -2,10 +2,11 @@
 
 Every active vehicle picks an action from the common joint state s_t,
 then all states advance at once, so no vehicle reacts to another's
-same-tick decision. Background vehicles that fail or succeed are
-re-initialized at a fresh entrance (the training-loop semantics, kept
-during evaluation so traffic density stays constant); the vehicle under
-test terminates the episode instead.
+same-tick decision. A background vehicle that fails or succeeds leaves
+its slot empty, and a new vehicle enters it at a fresh entrance at the
+next tick start (the training-loop semantics, kept during evaluation so
+traffic density stays constant); the vehicle under test terminates the
+episode instead.
 
 Each tick owns one plan cache (planner.PlanCache). The traffic policy,
 the AV's decision and the AV's belief observation all plan from s_t, so
@@ -20,12 +21,14 @@ encodings of s_t only and is dropped when the tick ends; the rollout's
 later steps, whose states are not s_t, pass a fresh one.
 
 Failures take one detect_fail call per tick, on the post-move snapshot
-before any slot respawns: every active vehicle against every segment of
+before any slot empties: every active vehicle against every segment of
 the network's edge table, and every pair of active vehicles once, so
 both vehicles in a collision fail.
 
-A spawn defers, with no draw, only when every entrance lane is blocked,
-and lands otherwise (spawn_vehicle), so a slot stays empty only then.
+Empty slots fill only at the episode's and each tick's start
+(fill_empty_slots), so no ended vehicle blocks a spawn. A spawn defers,
+with no draw, only when every entrance lane is blocked, and lands
+otherwise by one draw over the free space (spawn_vehicle).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .dynamics import (
     update_goal,
 )
 from .geometry import (
-    Lane,
     Pose2,
     RoadNetwork,
     rects_overlap,
@@ -59,7 +61,6 @@ from .planner import PlanCache, expert_policy
 from .reward import C_LENGTH_M, C_WIDTH_M, c_zone
 
 MIN_SEPARATION_M = 10.0
-SPAWN_TRIES = 30  # tries before the spawn draws from the free intervals
 FREE_MARGIN_T = 1e-9  # a blocked window's narrowing at each end, in lane t
 MAX_ROUTE_HOPS = 8  # intersections a route crosses before it steers out
 T_LIMIT_S = 300.0
@@ -109,7 +110,8 @@ def _free_intervals(network: RoadNetwork, live: Sequence[Tuple[float, float]]) -
     that no live center blocks. A center at offset a from the lane's line
     blocks the open window of half-length sqrt(R^2 - a^2), R = MIN_SEPARATION_M,
     around its projection, narrowed by FREE_MARGIN_T at each end, so every
-    point that _clears accepts lies in some stretch, and none is empty."""
+    point that spawn_vehicle's hypot test accepts lies in some stretch, and
+    none is empty."""
     r = MIN_SEPARATION_M
     out = []
     for k, (x0, y0, ux, uy, length, xmin, xmax, ymin, ymax) in enumerate(network.entry_frames()):
@@ -136,16 +138,6 @@ def _free_intervals(network: RoadNetwork, live: Sequence[Tuple[float, float]]) -
     return out
 
 
-def _clears(lane: Lane, t: float, live: Sequence[Tuple[float, float]]) -> bool:
-    """Whether lane's point at t lies MIN_SEPARATION_M or more from every live center."""
-    x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
-    y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
-    for px, py in live:
-        if math.hypot(x - px, y - py) < MIN_SEPARATION_M:
-            return False
-    return True
-
-
 def spawn_vehicle(
     network: RoadNetwork,
     states: Sequence[Optional[VehicleState]],
@@ -156,34 +148,26 @@ def spawn_vehicle(
     heading, a speed drawn from [0, V_MAX) and a random legal route.
 
     With no free stretch (_free_intervals) it returns None, drawing nothing.
-    Else up to SPAWN_TRIES tries draw a lane and t, and the first that
-    _clears is kept; if all miss, one draw picks a point uniformly over the
-    stretches by t-length, kept if it _clears (a free set of zero length
-    defers). The tries keep the draws of every spawn they place; per-slot
-    random streams, which change every draw, can drop them."""
+    Else one draw picks the point uniformly over the stretches by t-length,
+    the law of rejection tries that draw a lane and t uniformly until one
+    clears, and the route and speed draws follow. The point is re-checked
+    against every live center, so a free set of zero length defers."""
     entries = network.entry_lanes()
     live = [(s.pose.x, s.pose.y) for s in states if s is not None]
     free = _free_intervals(network, live)
     if not free:
         return None
-    for _ in range(SPAWN_TRIES):
-        k = rng.integers(len(entries))
-        t = 0.05 + (0.95 - 0.05) * rng.random()  # rng.uniform(0.05, 0.95), bit for bit
-        # a try outside every free stretch cannot clear; only the others take the hypot test
-        if any(j == k and t0 <= t <= t1 for j, t0, t1 in free) and _clears(entries[k][1], t, live):
+    u = sum(t1 - t0 for _, t0, t1 in free) * rng.random()
+    for k, t0, t1 in free:
+        if u < t1 - t0:
             break
-    else:
-        u = sum(t1 - t0 for _, t0, t1 in free) * rng.random()
-        for k, t0, t1 in free:
-            if u < t1 - t0:
-                break
-            u -= t1 - t0
-        t = min(t0 + u, t1)
-        if not _clears(entries[k][1], t, live):
-            return None
+        u -= t1 - t0
+    t = min(t0 + u, t1)
     ref, lane = entries[k]
     x = lane.p0[0] + t * (lane.p1[0] - lane.p0[0])
     y = lane.p0[1] + t * (lane.p1[1] - lane.p0[1])
+    if any(math.hypot(x - px, y - py) < MIN_SEPARATION_M for px, py in live):
+        return None
     name, lane_id = ref.split(":")
     refs = route_from_entry(network, name, lane_id.split(".")[0], rng)
     return VehicleState(
@@ -195,6 +179,20 @@ def spawn_vehicle(
     )
 
 
+def fill_empty_slots(states: List[Optional[VehicleState]], network: RoadNetwork, rng: np.random.Generator) -> List[int]:
+    """Spawn into each empty slot of states, in place and in slot order,
+    until one spawn defers: the lanes are as blocked for every later empty
+    slot. Returns the slots it filled."""
+    filled = []
+    for i, s in enumerate(states):
+        if s is None:
+            states[i] = spawn_vehicle(network, states, rng)
+            if states[i] is None:
+                break
+            filled.append(i)
+    return filled
+
+
 # ---------------------------------------------------------------------------
 # lifecycle predicates
 
@@ -204,7 +202,7 @@ def detect_fail(states, indices: Sequence[int], network: RoadNetwork) -> Dict[in
     another's, touches a road boundary, or crosses an opposing-traffic
     marking anywhere in the network. Every flag comes from the states as
     given, so sim_step and the training loops call it once per tick on
-    the post-move snapshot, before any slot respawns.
+    the post-move snapshot, before any slot empties.
 
     Road edges take one segments_hit_rects call over the network's edge
     table. Contacts take one pairwise pass: each pair of the vehicles in
@@ -312,9 +310,10 @@ class SceneConfig:
     """One scene: n_vehicles background vehicles at levels drawn by
     traffic_model, plus the vehicle under test in slot 0 when av_policy is
     set. Ticks are DT_S long, and the episode ends as a deadlock after
-    t_limit_s. Background vehicles that fail or succeed respawn at a
-    fresh entrance, so traffic density stays constant while some entrance
-    lane has room."""
+    t_limit_s. A background vehicle that fails or succeeds empties its
+    slot, and a new vehicle enters it at a fresh entrance at the next tick
+    start, so traffic density stays constant while some entrance lane has
+    room."""
 
     network: RoadNetwork
     n_vehicles: int
@@ -351,19 +350,14 @@ def draw_levels(n: int, traffic_model: str, rng: np.random.Generator) -> List[in
 
 def init_episode(cfg: SceneConfig, seed, collect_log: bool) -> EpisodeState:
     rng = np.random.default_rng(seed)
-    n = cfg.n_vehicles
-    states: List[Optional[VehicleState]] = []
-    tags: List[str] = []
+    levels = draw_levels(cfg.n_vehicles, cfg.traffic_model, rng)
+    tags = [f"l{lv}" for lv in levels]
     av_index = None
     if cfg.av_policy is not None:
         av_index = 0
-        states.append(spawn_vehicle(cfg.network, states, rng))
-        tags.append(cfg.av_policy)
-    levels_bg = draw_levels(n, cfg.traffic_model, rng)
-    for lv in levels_bg:
-        states.append(spawn_vehicle(cfg.network, states, rng))
-        tags.append(f"l{lv}")
-    levels = ([0] if av_index is not None else []) + levels_bg
+        levels, tags = [0] + levels, [cfg.av_policy] + tags
+    states: List[Optional[VehicleState]] = [None] * len(levels)
+    fill_empty_slots(states, cfg.network, rng)
     return EpisodeState(
         states=states,
         levels=levels,
@@ -396,22 +390,20 @@ def sim_step(
     traffic: TrafficPolicy,
     av: Optional[AVController] = None,
 ) -> EpisodeState:
-    """One synchronous tick: deferred spawns, action selection from s_t,
-    simultaneous state advance, goal updates, belief observation,
-    fail/success handling.
+    """One synchronous tick: spawns into empty slots, action selection
+    from s_t, simultaneous state advance, goal updates, belief
+    observation, fail/success handling.
 
-    Empty slots spawn first, in slot order, until one defers. After the
-    move, one detect_fail call flags every active vehicle on the post-move
-    snapshot, and the AV observes the actions, both before any slot
-    respawns. A vehicle succeeds when it did not fail and detect_success
-    holds after its move and goal update. A background vehicle that fails
-    or succeeds is logged and respawned in place; the slot stays empty,
-    until a later tick, only when no entrance lane has room. The AV hears
-    reset_belief for each empty slot whose spawn lands and for each
-    background vehicle that ends, so a fresh vehicle starts with no
-    belief. The AV failing or succeeding ends the episode as
-    KIND_COLLISION or KIND_SUCCESS, and so does the time cap, t_limit_s,
-    as KIND_DEADLOCK.
+    Empty slots fill first (fill_empty_slots), and the AV hears
+    reset_belief for each slot filled, so a new vehicle starts with no
+    belief. After the move, one detect_fail call flags every active
+    vehicle on the post-move snapshot, and the AV observes the actions. A
+    vehicle succeeds when it did not fail and detect_success holds after
+    its move and goal update. A background vehicle that fails or succeeds
+    is logged and its slot emptied, to fill at the next tick start, or
+    later when no entrance lane has room then. The AV failing or
+    succeeding ends the episode as KIND_COLLISION or KIND_SUCCESS, and so
+    does the time cap, t_limit_s, as KIND_DEADLOCK.
 
     The tick's plan cache is made after the spawns and passed to select,
     decide and observe, which all plan from s_t: observe gets the copy
@@ -419,13 +411,9 @@ def sim_step(
     if ep.done:
         return ep
     net = cfg.network
-    for i, s in enumerate(ep.states):
-        if s is None:
-            ep.states[i] = spawn_vehicle(net, ep.states, ep.rng)
-            if ep.states[i] is None:
-                break  # the lanes are as blocked for every later empty slot
-            if av is not None:
-                av.reset_belief(i)
+    for i in fill_empty_slots(ep.states, net, ep.rng):
+        if av is not None:
+            av.reset_belief(i)
 
     active = [i for i, s in enumerate(ep.states) if s is not None]
     bg = [i for i in active if i != ep.av_index]
@@ -467,9 +455,7 @@ def sim_step(
             status = STATUS_FAILED if failed[i] else STATUS_SUCCEEDED
             if ep.collect_log:
                 ep.log.append(_log_record(ep, i, None, status))
-            ep.states[i] = spawn_vehicle(net, ep.states, ep.rng)
-            if av is not None:
-                av.reset_belief(i)
+            ep.states[i] = None
 
     ep.tick += 1
     if not ep.done and ep.tick * DT_S >= cfg.t_limit_s:

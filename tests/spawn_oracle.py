@@ -1,13 +1,18 @@
-"""spawn_vehicle as it was before it gathered the live positions once.
+"""spawn_vehicle as rejection tries: the reference law of the library's spawn.
 
-Each try resolves its entrance lane and scans every slot again through
-euclidean_dist. It is the bit-exact reference for the library's spawn: the
-same placement test, and the same random draws in the same order.
+Each try draws an entrance lane and a t in [0.05, 0.95] uniformly,
+resolves its lane and scans every slot again through euclidean_dist. A
+placement it makes is uniform over the points that clear, by t-length,
+which is the law of the library's one draw over the free stretches. It
+is not a bit-exact reference: the two use different draws, and the tries
+can all miss where room exists.
 """
 
 from intersim.dynamics import PHASE_APPROACH, V_MAX, VehicleState
 from intersim.geometry import Pose2, euclidean_dist
-from intersim.scene import SPAWN_TRIES, route_from_entry
+from intersim.scene import route_from_entry
+
+SPAWN_TRIES = 30
 
 
 def spawn_by_rejection(network, states, rng, min_sep):

@@ -311,10 +311,15 @@ def _same_run(av, ref, seed):
     assert (got.done, got.outcome, got.tick) == (want.done, want.outcome, want.tick)
 
 
+# the first six seeds s of (23, s) whose episodes lean every tracked
+# vehicle past 0.9; at s = 2 and 5 one vehicle peaks at 0.898
+_SHARP_SEEDS = (0, 1, 3, 4, 6, 7)
+
+
 def test_adaptive_with_a_predictor_matches_per_row_queries():
     predictor = batched(_toy_row)
     refs = []
-    for seed in range(6):
+    for seed in _SHARP_SEEDS:
         refs.append(PerRowAdaptive(_toy_row))
         _same_run(AdaptiveController(predictor=predictor), refs[-1], seed)
     # the comparison is only as sharp as the beliefs it compares: every

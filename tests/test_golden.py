@@ -28,30 +28,30 @@ def _sha(text: str) -> str:
 EPISODES = {
     "fourway-expert-adaptive": (
         EvalSpec(scene="fourway", n_vehicles=3, av="adaptive", engine="expert", t_limit_s=8.0),
-        "bc9657be402e017992aeb686dfcb478800634ced23bb749055091bd79130c584",
+        "d0f3cfbdfe27b2ef9b682d32299882338688c05b65c8907b7b8482d1c179a531",
     ),
     "tshape-expert-adaptive": (
         EvalSpec(scene="tshape", n_vehicles=3, av="adaptive", engine="expert", t_limit_s=8.0),
-        "fed7ba42d5d0632a4684cad8162d8919d9f6ae2887553905edd9655babaa8f28",
+        "1b9ae1a729fdc4a6078d768a58af7bdf5dfcfa1d5c4d4863ada1ecdbaab3e041",
     ),
     "roundabout-expert-adaptive": (
         EvalSpec(scene="roundabout", n_vehicles=3, av="adaptive", engine="expert", t_limit_s=8.0),
-        "35215f3e0826f32e9534ba110562682b4efee50a8520d67f93cf87c2048ed44a",
+        "9a5309d7d1c62abbc3403e2327b0f9e6e73523b15d64a0c8355a7caa7d01ba94",
     ),
     "fourway-fixture-adaptive": (
         EvalSpec(scene="fourway", n_vehicles=3, av="adaptive", policy_file=FIXTURE, t_limit_s=10.0),
-        "26ea0777cbaee14db9c585705b4b4588df207bb82f91a2c4348060fb35476507",
+        "d7c4265f3300b74028638bbe5da230e28475dc3b3274c5acf017d4cd3b2a68e7",
     ),
     "city-fixture-rule-based": (
         EvalSpec(scene="city", n_vehicles=16, av="rule-based", policy_file=FIXTURE, t_limit_s=10.0),
-        "d9ac9f0e633cfc61b8c8db5bccf1bb42cdbd47eef6833bba94282ad793c8e81c",
+        "c650899ece4b1a4b2b61707ecc62b5d28d85d0bae489d27228d12bb87051d526",
     ),
 }
 
 
 # every frame of the city-fixture-rule-based log, joined by newlines
-FRAMES_PIN = "cec5899e3a1e10db12a650f320efe35c17351146277c824312c8a72193d332d1"
-DATASET_PIN = "7c7a811cae56aacb17ad539db0b958bf0de6e07e6a6ea43ec182c7549f55c1f4"
+FRAMES_PIN = "e102bc10118a26b3202d8c9ca6a393e0db8dba91537f9d206ce5188dd08e434e"
+DATASET_PIN = "adae0d31d70951cbbcfe94ce17595816a471f558a4b8d178cd55ed65a55e9ce4"
 GEOMETRY_PINS = {
     "fourway": "47ed56de33dc9f3e6c6604434f11ea00e47295e5f8177a1184c8d6f7e13c0dbc",
     "tshape": "708df154cc5699c46e684651bac339ca48e1ca1a4db354a70ca533d3eb87546f",

@@ -5,7 +5,6 @@ import json
 from collections import Counter
 
 import pytest
-from spawn_oracle import spawn_by_rejection
 
 from intersim import scene
 from intersim.harness import (
@@ -146,8 +145,7 @@ def test_run_one_classifies_and_logs(policy_file):
 
 def test_monte_carlo_is_deterministic_across_worker_counts(policy_file, monkeypatch):
     """Also in a crowded city, where spawns defer for want of room, with
-    no draw, and others land by the draw over the free space where every
-    try of the rejection oracle misses."""
+    no draw."""
     spawns = Counter()
     real_spawn = scene.spawn_vehicle
 
@@ -156,8 +154,6 @@ def test_monte_carlo_is_deterministic_across_worker_counts(policy_file, monkeypa
         out = real_spawn(network, states, rng)
         if out is None and rng.bit_generator.state == before.bit_generator.state:
             spawns["no room"] += 1
-        elif out is not None and spawn_by_rejection(network, states, before, scene.MIN_SEPARATION_M) is None:
-            spawns["drawn from the free space"] += 1
         return out
 
     for spec in (_spec(policy_file), _spec(policy_file, scene="city", n_vehicles=20, t_limit_s=3.0)):
@@ -173,7 +169,35 @@ def test_monte_carlo_is_deterministic_across_worker_counts(policy_file, monkeypa
                 b.duration_s,
                 b.seed,
             )
-    assert spawns["no room"] > 0 and spawns["drawn from the free space"] > 0
+    assert spawns["no room"] > 0
+
+
+def test_monte_carlo_starts_one_worker_per_chunk(policy_file, monkeypatch):
+    """A process pool starts all its workers up front, so workers 64 with
+    2 episodes must ask for 2. The pool is replaced by one that maps in
+    this process, so no process starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    spec = _spec(policy_file)
+    pooled = monte_carlo(spec, 2, master_seed=3, workers=64)
+    assert sizes == [2]
+    assert pooled.row() == monte_carlo(spec, 2, master_seed=3, workers=1).row()
 
 
 def test_monte_carlo_seeds_episodes_by_index(policy_file):

@@ -513,6 +513,16 @@ def test_a_diverging_fit_raises():
             pol.fit(scale * X, y, TrainConfig(hidden=12, lr=50.0), np.random.default_rng(0), 300)
 
 
+def test_a_fit_whose_hidden_layer_dies_raises():
+    """At lr 50, one DAgger episode of 4 ticks with 2 vehicles and 4 hidden
+    units ends with every rectifier dead on every row of its dataset,
+    which holds two labels, so it would answer one class for every input.
+    The parameters stay under PARAM_LIMIT, so only the dead layer tells."""
+    cfg = DaggerConfig(n_max=1, t_max=4, n_vehicles=2, train=TrainConfig(hidden=4, lr=50.0, min_steps=300))
+    with pytest.raises(RuntimeError, match="diverged .hidden layer 1 is dead on every row"):
+        dagger_train(cfg)
+
+
 # ---------------------------------------------------------------------------
 # aggregation loop
 

@@ -1,5 +1,6 @@
 """Spawning, lifecycle predicates, and the synchronous episode loop."""
 
+import copy
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from spawn_oracle import spawn_by_rejection
 
-from intersim import planner, scene
+from intersim import imitation, planner, scene
 from intersim.controllers import AdaptiveController
 from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, V_MAX, Pose2, VehicleState
 from intersim.geometry import (
@@ -59,6 +60,19 @@ class ScriptedAV(AVController):
         self.observed += 1
 
 
+class JitterTraffic(TrafficPolicy):
+    """Random actions from its own generator, so the episode's is left to
+    the spawns. It keeps a copy of the states at every select."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.seen = []
+
+    def select(self, states, levels, indices, network, plans):
+        self.seen.append([s.copy() if s is not None else None for s in states])
+        return {i: int(self.rng.integers(len(DEFAULT_ACTIONS))) for i in indices}
+
+
 def test_spawn_respects_separation_and_lane_alignment():
     net = single_network("fourway")
     rng = np.random.default_rng(0)
@@ -100,15 +114,19 @@ def _live(states):
     return [(s.pose.x, s.pose.y) for s in states if s is not None]
 
 
-def _entry_t(net, pose):
-    """t of pose along the entrance lane whose centerline and heading it
-    sits on."""
-    for _, lane in net.entry_lanes():
+def _entry(net, pose):
+    """(k, t): the index in net.entry_lanes() of the entrance lane whose
+    centerline and heading pose sits on, and pose's t along it."""
+    for k, (_, lane) in enumerate(net.entry_lanes()):
         dx, dy = lane.p1[0] - lane.p0[0], lane.p1[1] - lane.p0[1]
         ox, oy = pose.x - lane.p0[0], pose.y - lane.p0[1]
         if pose.theta == lane.heading and abs(ox * dy - oy * dx) < 1e-9:
-            return (ox * dx + oy * dy) / (dx * dx + dy * dy)
+            return k, (ox * dx + oy * dy) / (dx * dx + dy * dy)
     raise AssertionError(f"{pose} is on no entrance lane")
+
+
+def _entry_t(net, pose):
+    return _entry(net, pose)[1]
 
 
 def _clears(lane, t, live, r):
@@ -124,13 +142,13 @@ def _point_clears(x, y, live, r):
 
 
 @pytest.mark.parametrize("kind", ["fourway", "city"])
-def test_spawn_matches_the_rejection_oracle(kind, monkeypatch):
-    """Crowded scenes with empty slots, and blanketed ones. Where the
-    rejection oracle places a vehicle: the same vehicle, and the generator
-    left in the same state. Where no entrance lane has room: None, with no
-    draw. Where the oracle's tries all miss but room exists: a placement on
-    an entrance lane, at t in [0.05, 0.95], that clears every live vehicle."""
-    net = make_city() if kind == "city" else single_network(kind)
+def test_spawn_defers_exactly_when_no_entrance_has_room(kind, monkeypatch):
+    """Crowded scenes with an empty slot, and blanketed ones. Where the
+    brute-force scan finds no room: None, with no draw. Elsewhere: a
+    vehicle on an entrance lane, at t in [0.05, 0.95], that clears every
+    live vehicle under the hypot test, from one position draw followed by
+    the route's draws and the speed's."""
+    net = _network(kind)
     outcomes = set()
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -142,26 +160,63 @@ def test_spawn_matches_the_rejection_oracle(kind, monkeypatch):
             states = _blanket(net) + [None]
         for min_sep in (MIN_SEPARATION_M, 6.0):
             monkeypatch.setattr(scene, "MIN_SEPARATION_M", min_sep)
-            got_rng, want_rng = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
+            got_rng = np.random.default_rng((seed, 1))
             untouched = got_rng.bit_generator.state
             got = spawn_vehicle(net, states, got_rng)
-            want = spawn_by_rejection(net, states, want_rng, min_sep)
-            free = scene._free_intervals(net, _live(states))
-            if want is not None:
-                assert got == want
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
-                outcomes.add("placed")
-            elif not free:
+            if not _check_against_brute_force(net, _live(states), min_sep):
                 assert got is None
                 assert got_rng.bit_generator.state == untouched
                 outcomes.add("no room")
-            else:
-                assert sum(t1 - t0 for _, t0, t1 in free) > 1e-6  # room, not a rounding sliver
-                assert got is not None
-                assert 0.05 <= _entry_t(net, got.pose) <= 0.95
-                assert _point_clears(got.pose.x, got.pose.y, _live(states), min_sep)
-                outcomes.add("drawn from the free space")
-    assert outcomes == {"placed", "no room", "drawn from the free space"}
+                continue
+            k, t = _entry(net, got.pose)
+            assert 0.05 <= t <= 0.95
+            assert _point_clears(got.pose.x, got.pose.y, _live(states), min_sep)
+            replay = np.random.default_rng((seed, 1))
+            replay.random()
+            name, lane_id = net.entry_lanes()[k][0].split(":")
+            assert [got.goal_ref, *got.target_lane_seq] == route_from_entry(net, name, lane_id.split(".")[0], replay)
+            assert got.speed == V_MAX * replay.random()
+            assert got_rng.bit_generator.state == replay.bit_generator.state
+            outcomes.add("placed")
+    assert outcomes == {"placed", "no room"}
+
+
+CHI2_9_P999 = 27.877  # the 0.999 quantile of chi-square with 9 degrees of freedom
+
+
+def _free_position(free, k, t):
+    """Where lane k's point t lies along the free stretches laid end to end."""
+    u = 0.0
+    for j, t0, t1 in free:
+        if j == k and t0 <= t <= t1:
+            return u + t - t0
+        u += t1 - t0
+    raise AssertionError(f"t = {t} of lane {k} is in no free stretch")
+
+
+@pytest.mark.parametrize("kind, crowd", [("fourway", 8), ("city", 30)])
+def test_the_one_draw_has_the_law_of_the_rejection_tries(kind, crowd):
+    """On a fixed crowd around the entrance lanes, 2,000 placements of
+    spawn_vehicle and 2,000 of the rejection oracle (its deferrals
+    dropped), each read as its position along the free stretches laid end
+    to end, lane by lane, fall into ten bins of equal free t-length alike:
+    a chi-square test of homogeneity must not reject at p = 0.001. Every
+    generator is seeded, so the verdict is fixed."""
+    net = _network(kind)
+    live = _crowd(net, np.random.default_rng(3), crowd, MIN_SEPARATION_M)
+    states = [VehicleState(Pose2(x, y, 0.0), 0.0) for x, y in live]
+    free = scene._free_intervals(net, live)
+    total = sum(t1 - t0 for _, t0, t1 in free)
+    assert len({k for k, _, _ in free}) > 2
+    counts = np.zeros((2, 10))
+    for row, spawn in enumerate((spawn_vehicle, lambda *a: spawn_by_rejection(*a, MIN_SEPARATION_M))):
+        rng = np.random.default_rng(row)
+        while counts[row].sum() < 2000:
+            st = spawn(net, states, rng)
+            if st is not None:
+                counts[row, min(int(10 * _free_position(free, *_entry(net, st.pose)) / total), 9)] += 1
+    expected = counts.sum(axis=0) * counts.sum(axis=1, keepdims=True) / counts.sum()
+    assert ((counts - expected) ** 2 / expected).sum() < CHI2_9_P999
 
 
 def _window_ends(lane, live, r):
@@ -257,7 +312,7 @@ def _along_every_entrance(net, distances):
 def test_spawn_at_the_edges_of_the_free_space(distances, free_t, room):
     """Fourway entrance lanes are 30 m long and axis-aligned, so these
     points are exact. A single free point counts as room, but a free set of
-    zero length defers; a 1 mm gap that 30 tries miss gets the vehicle."""
+    zero length defers; a 1 mm gap gets the vehicle."""
     net = single_network("fourway")
     live = _along_every_entrance(net, distances)
     assert _check_against_brute_force(net, live, MIN_SEPARATION_M) == (room != "none")
@@ -277,12 +332,11 @@ def test_spawn_at_the_edges_of_the_free_space(distances, free_t, room):
             assert got is None
 
 
-def test_the_free_space_draw_is_uniform_over_the_free_stretches(monkeypatch):
-    """With no tries, every spawn comes from the one draw over the free
-    stretches. On fourway, the other entrances are blocked, and one center
-    13.5 m along the E entrance leaves it 2 m free at its start and 5 m
-    free at its end: 2/7 of the vehicles land in the first stretch."""
-    monkeypatch.setattr(scene, "SPAWN_TRIES", 0)
+def test_the_free_space_draw_is_uniform_over_the_free_stretches():
+    """Every spawn comes from the one draw over the free stretches. On
+    fourway, the other entrances are blocked, and one center 13.5 m along
+    the E entrance leaves it 2 m free at its start and 5 m free at its
+    end: 2/7 of the vehicles land in the first stretch."""
     net = single_network("fourway")
     ref, _ = net.entry_lanes()[0]
     assert ref == "I0:E.in"  # from x = 34 to x = 4 along y = 2
@@ -368,9 +422,10 @@ def test_contact_check_tests_a_vehicle_exactly_at_its_reach(monkeypatch):
 
 
 def test_sim_step_resets_beliefs_exactly_for_the_slots_it_spawns():
-    """reset_belief goes to each empty slot whose spawn lands (deferred
-    spawns) and to each background slot whose vehicle ended, in that
-    order, and to no other slot."""
+    """reset_belief goes to each empty slot whose spawn lands at the tick
+    start, the slots of vehicles that ended in the tick before among
+    them, in slot order, and to no other slot. A vehicle that ends empties
+    its slot and gets none."""
 
     class Recorder(AVController):
         def __init__(self):
@@ -378,13 +433,6 @@ def test_sim_step_resets_beliefs_exactly_for_the_slots_it_spawns():
 
         def reset_belief(self, i):
             self.resets.append(i)
-
-    class Jitter(TrafficPolicy):
-        def __init__(self, seed):
-            self.rng = np.random.default_rng(seed)
-
-        def select(self, states, levels, indices, network, plans):
-            return {i: int(self.rng.integers(len(DEFAULT_ACTIONS))) for i in indices}
 
     cfg = SceneConfig(network=single_network("fourway"), n_vehicles=10, t_limit_s=60 * DT_S)
     ep = init_episode(cfg, seed=(4, 0), collect_log=True)
@@ -394,11 +442,12 @@ def test_sim_step_resets_beliefs_exactly_for_the_slots_it_spawns():
         empty = [i for i, s in enumerate(ep.states) if s is None]
         start = len(ep.log)
         av.resets.clear()
-        sim_step(ep, cfg, Jitter(ep.tick), av)
+        sim_step(ep, cfg, JitterTraffic(ep.tick), av)
         recs = [json.loads(line) for line in ep.log[start:]]
         landed = [r["id"] for r in recs if r["status"] == "active" and r["id"] in empty]
         ended = [r["id"] for r in recs if r["status"] != "active"]
-        assert av.resets == landed + ended
+        assert av.resets == landed
+        assert all(ep.states[i] is None for i in ended)
         seen["landed"] += len(landed)
         seen["deferred"] += len(empty) - len(landed)
         seen["ended"] += len(ended)
@@ -420,6 +469,80 @@ def test_sim_step_stops_filling_empty_slots_at_the_first_deferral(monkeypatch):
     assert len(calls) == 1
     assert ep.states[len(parked):] == [None, None, None]
     assert ep.rng.bit_generator.state == untouched
+
+
+def _last_gap_scene(net):
+    """Every fourway entrance but E is blanketed. On E (x from 34 to 4
+    along y = 2), two vehicles are parked 21 m apart, and between them,
+    in the last slot, a third straddles the road edge at y = 4.2: it
+    fails on the first tick, and its own body blocks the only gap, at
+    x in [18.5, 19.5]. Nobody moves."""
+    ref, _ = net.entry_lanes()[0]
+    assert ref == "I0:E.in"
+    parked = [s for s in _blanket(net) if s.goal_ref != ref]
+    parked += [VehicleState(Pose2(x, 2.0, math.pi), 0.0, goal_ref=ref) for x in (29.5, 8.5)]
+    return parked + [VehicleState(Pose2(19.0, 4.2, math.pi), 0.0, goal_ref=ref)]
+
+
+def _in_the_gap(st):
+    return st is not None and 18.5 <= st.pose.x <= 19.5 and st.pose.y == 2.0
+
+
+def test_an_ended_vehicle_does_not_block_its_own_respawn(monkeypatch):
+    """The ended vehicle's slot empties at the tick's end and fills at
+    the next tick start, in the gap that vehicle blocked, with no spawn
+    deferred on the way. The training loop fills it in the same call
+    that ends it."""
+    net = single_network("fourway")
+    states = _last_gap_scene(net)
+    last = len(states) - 1
+    assert not scene._free_intervals(net, _live(states))
+    assert len(scene._free_intervals(net, _live(states[:last]))) == 1
+    ep = scene.EpisodeState(list(states), [1] * len(states), ["l1"] * len(states), np.random.default_rng(0), True)
+    spawned = []
+    monkeypatch.setattr(scene, "spawn_vehicle", lambda *args: spawned.append(spawn_vehicle(*args)) or spawned[-1])
+    cfg = SceneConfig(network=net, n_vehicles=len(states))
+    sim_step(ep, cfg, HoldTraffic())
+    assert [json.loads(r)["id"] for r in ep.log if '"status":"failed"' in r] == [last]
+    assert ep.states[last] is None and spawned == []
+    traffic = JitterTraffic(0)
+    sim_step(ep, cfg, traffic)
+    assert len(spawned) == 1 and spawned[0] is ep.states[last]
+    assert _in_the_gap(traffic.seen[0][last])
+    imitation._respawn_terminal(states, net, np.random.default_rng(0))
+    assert _in_the_gap(states[last])
+
+
+@pytest.mark.parametrize("kind", ["fourway", "city"])
+def test_sim_step_and_the_training_loop_fill_the_same_slots(kind, monkeypatch):
+    """From a tick's post-move snapshot and the generator as the tick left
+    it, imitation._respawn_terminal ends the same vehicles as sim_step and
+    fills the same slots with the same vehicles as the next tick start, and
+    leaves the generator in the same state."""
+    snapshots = []
+    fail = scene.detect_fail
+
+    def spying_fail(states, indices, network):
+        snapshots.append([s.copy() if s is not None else None for s in states])
+        return fail(states, indices, network)
+
+    monkeypatch.setattr(scene, "detect_fail", spying_fail)
+    net = _network(kind)
+    cfg = SceneConfig(network=net, n_vehicles=8 if kind == "fourway" else 20, t_limit_s=30 * DT_S)
+    refilled = 0
+    for seed in range(3):
+        ep = init_episode(cfg, seed=(seed, 6), collect_log=False)
+        traffic = JitterTraffic(seed)
+        sim_step(ep, cfg, traffic)
+        while not ep.done:
+            post, rng = snapshots[-1], copy.deepcopy(ep.rng)
+            ended = [i for i, (a, b) in enumerate(zip(post, ep.states)) if a is not None and b is None]
+            sim_step(ep, cfg, traffic)
+            imitation._respawn_terminal(post, net, rng)
+            assert post == traffic.seen[-1]
+            assert rng.bit_generator.state == ep.rng.bit_generator.state
+            refilled += sum(post[i] is not None for i in ended)
+    assert refilled > 0
 
 
 def _network(kind):
@@ -631,8 +754,14 @@ def test_sim_step_fails_both_partners_of_a_contact():
 
 
 def test_a_fresh_vehicle_starts_with_no_belief():
-    """The AV observes the tick's actions before any slot respawns, so the
-    vehicle that takes over an ended slot inherits no belief from it."""
+    """The AV observes the tick's actions before the ended vehicle leaves
+    its slot, and the vehicle that takes the slot over at the next tick
+    start inherits no belief from it."""
+
+    class DecideSpy(AdaptiveController):
+        def decide(self, states, i, network, plans):
+            believed.append(1 in self.beliefs)
+            return super().decide(states, i, network, plans)
 
     def stub(states, indices, levels, network, plans):
         # level 1 coasts and level 2 accelerates: coasting moves a belief
@@ -648,13 +777,17 @@ def test_a_fresh_vehicle_starts_with_no_belief():
         VehicleState(Pose2(-2.0, 15.0, -math.pi / 2), 2.0, goal_ref="I0:N.in", target_lane_seq=["I0:S.out"]),
     ]
     ended = ep.states[1]
-    av = AdaptiveController(predictor=stub)
+    believed = []
+    av = DecideSpy(predictor=stub)
     sim_step(ep, cfg, HoldTraffic(), av)
     assert [json.loads(r)["id"] for r in ep.log if '"status":"failed"' in r] == [1]
-    assert ep.states[1] is not None and ep.states[1] is not ended
-    assert 1 not in av.beliefs
+    assert ep.states[1] is None and 1 in av.beliefs
     # the observation did move the belief of the vehicle that stayed
     assert not np.array_equal(av.beliefs[2], [0.5, 0.5])
+    believed.clear()
+    sim_step(ep, cfg, HoldTraffic(), av)
+    assert ep.states[1] is not None and ep.states[1] is not ended
+    assert believed == [False]
 
 
 def test_detect_success_requires_exhausted_route_and_exit_lane():
