@@ -377,7 +377,19 @@ CIRCLE_SEGMENTS = 64  # polyline segments of a full roundabout circle
 MARKING_SETBACK_M = 2.0  # roundabout arm markings start this far out
 
 
-class RoadLayout:
+class _Derived:
+    """derived(key, build) holds the values derived from an object that does
+    not change once built: build() on the first call with key, the stored
+    value after it. A build that raises stores nothing, so it raises again
+    on the next call. A subclass sets self._derived = {} when built."""
+
+    def derived(self, key, build: Callable[[], object]):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
+
+class RoadLayout(_Derived):
     """Geometry bundle for a single intersection. Its core is the square
     of half side LANE_WIDTH_M about the center, or for a roundabout the
     disc of radius RING_OUTER_R_M."""
@@ -403,37 +415,12 @@ class RoadLayout:
 
     # -- derived geometry, computed on first use ------------------------------
 
-    def derived(self, key, build: Callable[[], object]):
-        """build() on the first call with key, the stored value after it.
-
-        For values that depend on this layout alone, which does not change
-        once built. A build that raises stores nothing, so it raises again
-        on the next call."""
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
-
     def boundary_segments(self) -> np.ndarray:
         """All boundary polylines flattened to an (S, 4) segment array."""
         return self.derived("boundary_segments", lambda: _polylines_to_segments(self.boundaries))
 
     def marking_segments(self) -> np.ndarray:
         return self.derived("marking_segments", lambda: _polylines_to_segments(self.markings))
-
-    def edge_segments(self) -> np.ndarray:
-        """Boundary then marking segments in one (S, 4) array: every segment
-        a vehicle must not touch."""
-        return self.derived(
-            "edge_segments", lambda: np.vstack([self.boundary_segments(), self.marking_segments()])
-        )
-
-    def boundary_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-segment bounding boxes of boundary_segments() as (lo, hi),
-        each (S, 2)."""
-        return self.derived("boundary_bounds", lambda: _segment_bounds(self.boundary_segments()))
-
-    def edge_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.derived("edge_bounds", lambda: _segment_bounds(self.edge_segments()))
 
     def straight_lane_rects(self) -> List[Tuple[str, OrientedRect]]:
         return [(lid, ln.rect) for lid, ln in self.lanes.items() if ln.rect is not None]
@@ -486,14 +473,7 @@ def _segment_bounds(segs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _polylines_to_segments(polylines: List[np.ndarray]) -> np.ndarray:
-    segs = []
-    for poly in polylines:
-        p = np.asarray(poly, dtype=float)
-        for i in range(len(p) - 1):
-            segs.append([p[i, 0], p[i, 1], p[i + 1, 0], p[i + 1, 1]])
-    if not segs:
-        return np.zeros((0, 4))
-    return np.array(segs)
+    return np.vstack([np.zeros((0, 4))] + [polyline_segments(poly) for poly in polylines])
 
 
 # ---------------------------------------------------------------------------
@@ -737,13 +717,14 @@ def arc_reached(layout: RoadLayout, lane_id: str, x: float, y: float) -> bool:
 # networks
 
 
-class RoadNetwork:
+class RoadNetwork(_Derived):
     """One or more intersections with coincident arm ends.
 
     A connector declares that arm `arm_a` of intersection `a` is the same
     stretch of road as arm `arm_b` of intersection `b`. Ports must coincide
     and lanes must line up, validate() checks both. edge_segments() is the
-    network's edge table, so one kernel call checks a whole tick.
+    network's edge table, boundary rows first: one kernel call checks a
+    whole tick against it, and the planner scores every ego tree against it.
     """
 
     def __init__(self, layouts: List[RoadLayout], connectors: Sequence[Sequence[str]]):
@@ -755,9 +736,7 @@ class RoadNetwork:
         self.names: List[str] = [lay.name for lay in layouts]
         self.connectors = [tuple(c) for c in connectors]
         self.validate()
-        self._entry_lanes: Optional[List[Tuple[str, Lane]]] = None
-        self._entry_frames: Optional[List[Tuple[float, ...]]] = None
-        self._edge_segments: Optional[np.ndarray] = None
+        self._derived: Dict[object, object] = {}
 
     def validate(self) -> None:
         for a, arm_a, b, arm_b in self.connectors:
@@ -794,31 +773,38 @@ class RoadNetwork:
 
     def entry_lanes(self) -> List[Tuple[str, Lane]]:
         """(ref, lane) of every inbound lane of an open arm, in layout then
-        arm order; computed on the first call."""
-        if self._entry_lanes is None:
-            refs = [f"{name}:{aid}.in" for name in self.names for aid in self.open_arms(name)]
-            self._entry_lanes = [(ref, self.resolve(ref)[1]) for ref in refs]
-        return self._entry_lanes
+        arm order."""
+        return self.derived(
+            "entry_lanes",
+            lambda: [(f"{name}:{aid}.in", self.layouts[name].lanes[f"{aid}.in"])
+                     for name in self.names for aid in self.open_arms(name)],
+        )
 
     def entry_frames(self) -> List[Tuple[float, ...]]:
         """(x0, y0, ux, uy, length, xmin, xmax, ymin, ymax) of each
         entry_lanes() centerline: p0, the unit direction, the length and the
-        bounding box; computed on the first call."""
-        if self._entry_frames is None:
-            self._entry_frames = []
-            for _, lane in self.entry_lanes():
-                (x0, y0), (x1, y1) = lane.p0, lane.p1
-                length = math.hypot(x1 - x0, y1 - y0)
-                box = (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
-                self._entry_frames.append((x0, y0, (x1 - x0) / length, (y1 - y0) / length, length, *box))
-        return self._entry_frames
+        bounding box."""
+        return self.derived("entry_frames", lambda: [_lane_frame(lane) for _, lane in self.entry_lanes()])
 
     def edge_segments(self) -> np.ndarray:
-        """Every layout's edge_segments() stacked in listing order; computed
-        on the first call."""
-        if self._edge_segments is None:
-            self._edge_segments = np.vstack([self.layouts[name].edge_segments() for name in self.names])
-        return self._edge_segments
+        """Every layout's boundary_segments() in listing order, then every
+        layout's marking_segments(), as one (S, 4) array: every segment a
+        vehicle must not touch."""
+        lays = self.layouts.values()
+        return self.derived(
+            "edge_segments",
+            lambda: np.vstack([lay.boundary_segments() for lay in lays] + [lay.marking_segments() for lay in lays]),
+        )
+
+    @property
+    def n_boundary(self) -> int:
+        """The number of boundary rows at the head of edge_segments()."""
+        return self.derived("n_boundary", lambda: sum(len(lay.boundary_segments()) for lay in self.layouts.values()))
+
+    def edge_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-segment bounding boxes of edge_segments() as (lo, hi), each
+        (S, 2)."""
+        return self.derived("edge_bounds", lambda: _segment_bounds(self.edge_segments()))
 
     @classmethod
     def from_recipe(cls, recipe: dict) -> "RoadNetwork":
@@ -851,6 +837,13 @@ class RoadNetwork:
                 return cls.from_recipe(json.load(f))
             except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"network file {path} is malformed: {type(e).__name__}: {e}") from None
+
+
+def _lane_frame(lane: Lane) -> Tuple[float, ...]:
+    (x0, y0), (x1, y1) = lane.p0, lane.p1
+    length = math.hypot(x1 - x0, y1 - y0)
+    box = (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+    return (x0, y0, (x1 - x0) / length, (y1 - y0) / length, length, *box)
 
 
 def single_network(kind: str) -> RoadNetwork:

@@ -18,8 +18,6 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .controllers import (
     AdaptiveController,
     FixedLevelController,
@@ -580,8 +578,9 @@ class _Mapper:
 
 
 def _network_extent(network: RoadNetwork) -> Tuple[float, float, float, float]:
-    lo, hi = zip(*(lay.boundary_bounds() for lay in network.layouts.values()))
-    (x_lo, y_lo), (x_hi, y_hi) = np.vstack(lo).min(axis=0), np.vstack(hi).max(axis=0)
+    lo, hi = network.edge_bounds()
+    nb = network.n_boundary
+    (x_lo, y_lo), (x_hi, y_hi) = lo[:nb].min(axis=0), hi[:nb].max(axis=0)
     return x_lo, x_hi, y_lo, y_hi
 
 

@@ -52,10 +52,11 @@ opponent would have set no flag. A search is thus a function of the tree
 and of the poses of the opponents in reach, and searches that differ
 only in opponents beyond reach share one. Boundary and marking
 segments can only hit the c-zone, so a tree keeps a segment of the
-layout's edge array (boundary rows first) only if its bounding box meets
+network's edge table, boundary rows first, only if its bounding box meets
 the box of the pose rows grown by the c-zone's circumradius plus the
 margin: a segment the c-zone of a row touches has a point within that
-circumradius of the row.
+circumradius of the row. The table holds every layout's edges, those
+scene.detect_fail checks; the goal layout gives the lanes and the core.
 
 Leaf ordering is node major, so np.argmax (first maximum) selects the
 lexicographically smallest tied sequence, with "maintain" first in the
@@ -264,13 +265,13 @@ def _ego_tree(ego: VehicleState, network: RoadNetwork) -> _EgoTree:
     lo, hi = PXY.min(axis=1), PXY.max(axis=1)
     # Segments the c-zones can touch: a c-zone lies within its circumradius
     # of its row, so a segment it touches meets the rows' box grown by that.
-    seg_lo, seg_hi = lay.edge_bounds()
+    seg_lo, seg_hi = network.edge_bounds()
     keep = ((seg_lo <= hi + _C_ZONE_REACH_M) & (seg_hi >= lo - _C_ZONE_REACH_M)).all(axis=1)
-    nb = int(np.count_nonzero(keep[: len(lay.boundary_segments())]))
+    nb = int(np.count_nonzero(keep[: network.n_boundary]))
     PX, PY = PXY
     exiting = np.zeros(len(PX), dtype=bool) if ego.phase == PHASE_APPROACH else ~lay.in_core_many(PX, PY)
     F = features_many(
-        PX, PY, cth, sth, np.zeros(len(PX)), lay.edge_segments()[keep], nb, lay.wrong_lanes(lane.id),
+        PX, PY, cth, sth, np.zeros(len(PX)), network.edge_segments()[keep], nb, lay.wrong_lanes(lane.id),
         exiting, lane.p1,
     )
     box = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))

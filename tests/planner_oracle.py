@@ -29,7 +29,12 @@ from intersim.planner import HORIZON_N, INTERACTION_RADIUS_M, LAMBDA
 
 def exhaustive_plan(states, i, k, network, n=HORIZON_N, actions=DEFAULT_ACTIONS, cache=None):
     """Returns (action index sequence, value) for vehicle i planning at
-    level k, n steps deep over the action table actions."""
+    level k, n steps deep over the action table actions.
+
+    It scores with the goal layout's edges, through reward.features. So it
+    is exact on single-intersection networks, where those edges are the
+    whole network's; the planner scores against the network's edge
+    table."""
     if cache is None:
         cache = {}
     if (i, k) in cache:
@@ -196,18 +201,20 @@ def repeat_per_row_search(tree, ego, opp_trajectories, n=HORIZON_N, actions=DEFA
 def disk_cull_tree(ego, network, n=HORIZON_N, actions=DEFAULT_ACTIONS):
     """(poses, box, depth_rows, node_rows, node_speeds, features) of the
     planner's ego tree, n steps deep over the action table actions, as
-    built before the box cull and the shared tables: boundary and marking
-    segments within a disk of n * dt * max(speed, v_max) plus the c-zone
-    circumradius plus 1e-6 m around the ego, hit-tested with the rows
-    broadcast against the segments."""
+    built before the box cull and the shared tables: the boundary and
+    marking segments of every layout of the network within a disk of
+    n * dt * max(speed, v_max) plus the c-zone circumradius plus 1e-6 m
+    around the ego, hit-tested with the rows broadcast against the
+    segments. The goal layout gives the lanes, the core and the goal."""
     lay, lane = network.resolve(ego.goal_ref)
     dt = dyn.DT_S
     acc, _ = actions.arrays()
     om, om_group = actions.omega_groups
     n_act, n_om = len(acc), len(om)
     reach = n * dt * max(ego.speed, dyn.V_MAX) + 0.5 * math.hypot(rw.C_LENGTH_M, rw.C_WIDTH_M) + 1e-6
-    bsegs = segments_near_point(lay.boundary_segments(), ego.pose.x, ego.pose.y, reach)
-    msegs = segments_near_point(lay.marking_segments(), ego.pose.x, ego.pose.y, reach)
+    lays = network.layouts.values()
+    bsegs = segments_near_point(np.vstack([la.boundary_segments() for la in lays]), ego.pose.x, ego.pose.y, reach)
+    msegs = segments_near_point(np.vstack([la.marking_segments() for la in lays]), ego.pose.x, ego.pose.y, reach)
 
     X, Y = np.array([ego.pose.x]), np.array([ego.pose.y])
     TH, V = np.array([ego.pose.theta]), np.array([ego.speed])

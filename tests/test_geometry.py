@@ -518,14 +518,23 @@ def test_arm_point_inverts_arm_frame():
 
 @pytest.mark.parametrize("kind", ["city", "fourway", "tshape", "roundabout"])
 def test_edge_table_stacks_every_layouts_edge_segments(kind):
-    """The network's edge_segments() is the layouts' edge_segments()
-    concatenated in listing order, and it is built once."""
+    """The network's edge_segments() is every layout's boundary_segments()
+    in listing order, then every layout's marking_segments(), bit for bit;
+    n_boundary counts the boundary rows, and the table and its bounds are
+    built once."""
     net = geo.make_city() if kind == "city" else geo.single_network(kind)
     segs = net.edge_segments()
-    parts = [net.layouts[name].edge_segments() for name in net.names]
+    lays = [net.layouts[name] for name in net.names]
+    parts = [lay.boundary_segments() for lay in lays] + [lay.marking_segments() for lay in lays]
     assert np.array_equal(segs.view(np.uint64), np.vstack(parts).view(np.uint64))
+    assert net.n_boundary == sum(len(lay.boundary_segments()) for lay in lays) > 0
+    assert len(segs) > net.n_boundary
     assert len(net.names) == (4 if kind == "city" else 1)
     assert net.edge_segments() is segs
+    lo, hi = net.edge_bounds()
+    assert net.edge_bounds()[0] is lo
+    assert np.array_equal(lo, np.minimum(segs[:, :2], segs[:, 2:]))
+    assert np.array_equal(hi, np.maximum(segs[:, :2], segs[:, 2:]))
 
 
 def test_wrap_angle():

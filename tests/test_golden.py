@@ -46,6 +46,14 @@ EPISODES = {
         EvalSpec(scene="city", n_vehicles=16, av="rule-based", policy_file=FIXTURE, t_limit_s=10.0),
         "c650899ece4b1a4b2b61707ecc62b5d28d85d0bae489d27228d12bb87051d526",
     ),
+    # The planner on a multi-intersection network. Seed rule: the first
+    # of the seeds (11, s), s = 0, 1, ..., whose log differs between ego
+    # trees that score only their goal layout's edges and ego trees that
+    # score the network's edge table (s = 0), so the pin sees that table.
+    "city-expert": (
+        EvalSpec(scene="city", n_vehicles=6, av=None, engine="expert", t_limit_s=6.0),
+        "e5c6c7a949e1ec28033cc945f6f72830306b8630c78493cf0b2699d7ac116661",
+    ),
 }
 
 

@@ -20,7 +20,7 @@ from intersim.dynamics import (
     VehicleState,
     rollout,
 )
-from intersim.geometry import LANE_WIDTH_M, RING_OUTER_R_M, make_city, single_network
+from intersim.geometry import LANE_WIDTH_M, RING_OUTER_R_M, make_city, segments_hit_rects, single_network
 from intersim.planner import (
     HORIZON_N,
     PlanCache,
@@ -489,6 +489,34 @@ def test_box_culled_tree_matches_the_disk_culled_reference(shape, horizon, actio
             _same_tree(planner._ego_tree(ego, net), want)
     # boundary and lane terms both fire somewhere
     assert flags.all()
+
+
+def test_the_planner_prices_every_edge_the_referee_checks():
+    """phi2 of every pose row of an ego tree is the referee's boundary
+    flag: segments_hit_rects, as scene.detect_fail calls it, over the
+    boundary segments of every layout of the network. Every row that
+    touches a marking segment of any layout has phi3 = -1. Around the
+    city's connector ports, rows touch both kinds of edge, some of them
+    edges of a layout other than the ego's goal layout."""
+    rng = np.random.default_rng(80)
+    city = np.zeros(3, dtype=int)  # rows touching a boundary, a marking, another layout's boundary
+    for _ in range(3):
+        for net, ego in _tree_egos(rng):
+            tree = planner._ego_tree(ego, net)
+            PX, PY, PTH = tree.poses[:3]
+            lays = list(net.layouts.values())
+            boundary = np.vstack([lay.boundary_segments() for lay in lays])
+            marking = np.vstack([lay.marking_segments() for lay in lays])
+            hit_b = segments_hit_rects(boundary, PX, PY, PTH, C_LENGTH_M, C_WIDTH_M)
+            hit_m = segments_hit_rects(marking, PX, PY, PTH, C_LENGTH_M, C_WIDTH_M)
+            assert np.array_equal(tree.features[:, 1] == -1.0, hit_b)
+            assert (tree.features[hit_m, 2] == -1.0).all()
+            if len(lays) > 1:
+                goal = net.resolve(ego.goal_ref)[0]
+                others = np.vstack([lay.boundary_segments() for lay in lays if lay is not goal])
+                hit_o = segments_hit_rects(others, PX, PY, PTH, C_LENGTH_M, C_WIDTH_M)
+                city += [np.count_nonzero(hit_b), np.count_nonzero(hit_m), np.count_nonzero(hit_o)]
+    assert city.all()
 
 
 def _leaving_egos(rng, net, name, center, n):

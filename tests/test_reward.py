@@ -17,10 +17,11 @@ def fourway():
     return geo.make_fourway()
 
 
-def road(lay, target):
-    """The segment and lane arguments of features_many on lay, heading for
-    the lane target."""
-    return lay.edge_segments(), len(lay.boundary_segments()), lay.wrong_lanes(target)
+def road(kind, target):
+    """The segment and lane arguments of features_many on the built-in
+    intersection kind, heading for the lane target."""
+    net = geo.single_network(kind)
+    return net.edge_segments(), net.n_boundary, net.layouts["I0"].wrong_lanes(target)
 
 
 def test_weight_order():
@@ -112,7 +113,7 @@ def test_features_many_matches_scalar(fourway):
         exiting = rng.random(B) < 0.5
         opp = np.array([[3.0, -2.0, 2.0], [-6.0, 1.0, -0.5], [10.0, 10.0, 1.0]])
         got = rw.features_many(
-            x, y, np.cos(th), np.sin(th), v, *road(lay, target), exiting, ref,
+            x, y, np.cos(th), np.sin(th), v, *road(lay.kind, target), exiting, ref,
         )
         rw.opponent_features(got, x, y, np.cos(th), np.sin(th), opp[:, None], [B])
         for i in range(B):
@@ -135,7 +136,7 @@ def test_features_many_no_opponents(fourway):
         np.array([1.0]),
         np.array([0.0]),
         np.array([2.0]),
-        *road(fourway, "E.out"),
+        *road("fourway", "E.out"),
         np.array([False]),
         (34.0, -2.0),
     )
@@ -160,7 +161,7 @@ def test_features_many_one_call_equals_one_call_per_instant(fourway):
     ]
     def features(x, y, th, v, ex, opp, counts):
         c, s = np.cos(th), np.sin(th)
-        out = rw.features_many(x, y, c, s, v, *road(fourway, "E.out"), ex, ref)
+        out = rw.features_many(x, y, c, s, v, *road("fourway", "E.out"), ex, ref)
         rw.opponent_features(out, x, y, c, s, opp, counts)
         return out
 
