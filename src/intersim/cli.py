@@ -108,8 +108,8 @@ def _load_config(path: Optional[str]) -> dict:
     try:
         with open(path) as f:
             cfg = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"config file {path} cannot be read: {e.strerror}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
     if not isinstance(cfg, dict):
@@ -322,8 +322,11 @@ def _cmd_render(args) -> int:
     spec = EvalSpec(scene=args.scene)
     ticks = _parse_ticks(args.ticks)
     network = build_network(spec)
-    with open(args.log) as f:
-        lines = f.read().splitlines()
+    try:
+        with open(args.log) as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        raise ConfigError(f"log file {args.log} cannot be read: {e.strerror}")
     frames = render_svg(lines, network, ticks)
     os.makedirs(args.out, exist_ok=True)
     start = ticks[0] if ticks else 0

@@ -34,7 +34,6 @@ from .planner import (
     PlanCache,
     PlanResult,
     best_response,
-    level0_plan,
     levelk_plan,
     near_indices,
 )
@@ -163,8 +162,6 @@ def adaptive_plan(
     """
     near = near_indices(states, i, INTERACTION_RADIUS_M)
     estimates = estimate_levels(beliefs, near)
-    if not near:
-        return level0_plan(list(states), i, network, cache)
     if predictor is not None:
         opp = predictor_rollout(states, near, estimates, network, cache, predictor)
     else:
@@ -259,33 +256,27 @@ def _lane_dir(lane) -> Tuple[float, float]:
     return dx / n, dy / n
 
 
-def reference_path(
-    layout: RoadLayout, entrance: str, exit: str
-) -> np.ndarray:
-    """Polyline from the entrance centerline to the exit centerline.
+def reference_path(layout: RoadLayout, entrance: str, exit: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(pts, cum): the polyline from the entrance centerline to the exit
+    centerline, (M, 2) vertices, and its cumulative arc length per vertex,
+    (M,) (path_arclength).
 
     Box intersections join the two centerlines with a circular arc
     tangent to both (straight-through pairs collapse to one segment);
     U-turns there are illegal. Roundabouts run the entrance centerline to
     the circulating-lane circle, follow it counterclockwise to the exit
     radial, then leave along the exit centerline. Arcs get a vertex every
-    ARC_STEP_DEG or closer. Returns (M, 2) vertices, read-only: the path
-    is built once per layout and (entrance, exit) and shared by every call.
+    ARC_STEP_DEG or closer. Both arrays are read-only: they are built once
+    per layout and (entrance, exit) and shared by every call.
     """
-    return layout.derived(
-        ("reference_path", entrance, exit), lambda: _read_only(_build_reference_path(layout, entrance, exit))
-    )
 
+    def build():
+        pts = _build_reference_path(layout, entrance, exit)
+        cum = path_arclength(pts)
+        pts.flags.writeable = cum.flags.writeable = False
+        return pts, cum
 
-def _reference_arclength(layout: RoadLayout, entrance: str, exit: str, pts: np.ndarray) -> np.ndarray:
-    """path_arclength of pts = reference_path(layout, entrance, exit),
-    read-only and built once per path like it."""
-    return layout.derived(("reference_arclength", entrance, exit), lambda: _read_only(path_arclength(pts)))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    return layout.derived(("reference_path", entrance, exit), build)
 
 
 def _build_reference_path(layout: RoadLayout, entrance: str, exit: str) -> np.ndarray:
@@ -472,8 +463,7 @@ def _route_reference(
     if exit_ref is None:
         raise ValueError("rule-based vehicle has no exit lane in its route")
     exit_id = network.resolve(exit_ref)[1].id
-    pts = reference_path(lay, entrance, exit_id)
-    cum = _reference_arclength(lay, entrance, exit_id, pts)
+    pts, cum = reference_path(lay, entrance, exit_id)
     return pts, cum, project_arclength(pts, cum, st.pose.x, st.pose.y)
 
 
@@ -572,19 +562,14 @@ class RuleBasedController(AVController):
         self._s = 0.0
         self._accel = 0.0
 
-    def _bind(
-        self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork
-    ) -> None:
-        lay, _, exit_ref = _route_exit(states[i], network)
-        self._pts, self._cum, self._s = _route_reference(states[i], lay, exit_ref, network)
-
     def decide(
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
         """rule_based_action as an action index; only opponents within rc_m,
         the ones conflict_set reads, get an estimated path."""
         if self._pts is None:
-            self._bind(states, i, network)
+            lay, _, exit_ref = _route_exit(states[i], network)
+            self._pts, self._cum, self._s = _route_reference(states[i], lay, exit_ref, network)
         near = near_indices(states, i, self.rc_m)
         opp_paths = {j: estimate_path(states, j, network) for j in near}
         self._accel = rule_based_action(

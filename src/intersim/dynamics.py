@@ -3,13 +3,14 @@
 Discrete unicycle update with a fixed decision period. Position moves with
 the pre-update speed and heading, then speed and heading are updated; speed
 saturates to [0, V_MAX] afterwards and the heading is wrapped to (-pi, pi].
+Every vehicle picks its action from one fixed table, DEFAULT_ACTIONS, a
+plain tuple of (accel, omega) pairs that actions are indices into.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -31,54 +32,16 @@ class Action(NamedTuple):
     omega: float  # rad/s
 
 
-@dataclass(frozen=True)
-class ActionSet:
-    """Ordered action table. The order is load bearing: value ties during
-    planning resolve to the earliest entry, so keep maintain first."""
-
-    actions: Tuple[Action, ...]
-    labels: Tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __getitem__(self, i: int) -> Action:
-        return self.actions[i]
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        acc = np.array([a.accel for a in self.actions])
-        om = np.array([a.omega for a in self.actions])
-        return acc, om
-
-    @cached_property
-    def omega_groups(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The distinct turn rates in first-appearance order, and each
-        action's index into them. Actions that share a turn rate take one
-        state to one pose and differ only in speed. Rates are told apart by
-        bit pattern, so 0.0 and -0.0 stay apart."""
-        keys = [float(a.omega).hex() for a in self.actions]
-        firsts = list(dict.fromkeys(keys))
-        distinct = np.array([float.fromhex(k) for k in firsts])
-        group = np.array([firsts.index(k) for k in keys], dtype=np.intp)
-        distinct.flags.writeable = group.flags.writeable = False
-        return distinct, group
-
-
-def default_action_set() -> ActionSet:
-    return ActionSet(
-        actions=(
-            Action(0.0, 0.0),
-            Action(2.5, 0.0),
-            Action(-2.5, 0.0),
-            Action(-5.0, 0.0),
-            Action(0.0, math.pi / 4),
-            Action(0.0, -math.pi / 4),
-        ),
-        labels=("maintain", "accelerate", "decelerate", "hard_brake", "turn_left", "turn_right"),
-    )
-
-
-DEFAULT_ACTIONS = default_action_set()
+# The action table. Its order is load bearing: value ties during planning
+# resolve to the earliest entry, so maintain stays first.
+DEFAULT_ACTIONS: Tuple[Action, ...] = (
+    Action(0.0, 0.0),  # maintain
+    Action(2.5, 0.0),  # accelerate
+    Action(-2.5, 0.0),  # decelerate
+    Action(-5.0, 0.0),  # hard brake
+    Action(0.0, math.pi / 4),  # turn left
+    Action(0.0, -math.pi / 4),  # turn right
+)
 
 
 @dataclass

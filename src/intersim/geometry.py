@@ -318,22 +318,17 @@ class Arm:
     u_end: float
 
     def __post_init__(self):
-        # fixed by the angle, and read for every arm-frame query
-        self._unit_u = (_snap(math.cos(self.angle)), _snap(math.sin(self.angle)))
-        self._unit_w = (_snap(-math.sin(self.angle)), _snap(math.cos(self.angle)))
-
-    def unit_u(self) -> Tuple[float, float]:
-        return self._unit_u
-
-    def unit_w(self) -> Tuple[float, float]:
-        return self._unit_w
+        # the unit vectors of u and w: fixed by the angle, and read for
+        # every arm-frame query
+        self.unit_u = (_snap(math.cos(self.angle)), _snap(math.sin(self.angle)))
+        self.unit_w = (_snap(-math.sin(self.angle)), _snap(math.cos(self.angle)))
 
 
 def arm_point(center: Tuple[float, float], arm: Arm, u: float, w: float) -> Tuple[float, float]:
     """The world point at (u, w) in the frame of arm about center: the
     inverse of RoadLayout.arm_frame."""
-    ux, uy = arm.unit_u()
-    wx, wy = arm.unit_w()
+    ux, uy = arm.unit_u
+    wx, wy = arm.unit_w
     return (center[0] + ux * u + wx * w, center[1] + uy * u + wy * w)
 
 
@@ -458,8 +453,8 @@ class RoadLayout(_Derived):
         """(u, w) coordinates of a world point in an arm frame."""
         a = self.arms[arm_id]
         dx, dy = x - self.center[0], y - self.center[1]
-        ux, uy = a.unit_u()
-        wx, wy = a.unit_w()
+        ux, uy = a.unit_u
+        wx, wy = a.unit_w
         return (dx * ux + dy * uy, dx * wx + dy * wy)
 
     def position_angle_deg(self, x: float, y: float) -> float:
@@ -561,7 +556,7 @@ def _box_boundaries(center, arms: List[Arm]) -> List[np.ndarray]:
         if abs(gap - math.pi) < 1e-9:
             polys.append(np.array([pa, pb]))
         else:
-            (aux, auy), (bux, buy) = a.unit_u(), b.unit_u()
+            (aux, auy), (bux, buy) = a.unit_u, b.unit_u
             corner = (cx + (aux + bux) * lw, cy + (auy + buy) * lw)
             polys.append(np.array([pa, corner, pb]))
     return polys
@@ -831,12 +826,14 @@ class RoadNetwork(_Derived):
     @classmethod
     def load(cls, path: str) -> "RoadNetwork":
         """The network of a recipe file. Raises ValueError naming path
-        when the file is not a recipe."""
-        with open(path) as f:
-            try:
+        when the file cannot be read or is not a recipe."""
+        try:
+            with open(path) as f:
                 return cls.from_recipe(json.load(f))
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"network file {path} is malformed: {type(e).__name__}: {e}") from None
+        except OSError as e:
+            raise ValueError(f"network file {path} cannot be read: {e.strerror}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"network file {path} is malformed: {type(e).__name__}: {e}") from None
 
 
 def _lane_frame(lane: Lane) -> Tuple[float, ...]:

@@ -38,6 +38,7 @@ from .scene import (
     KIND_SUCCESS,
     T_LIMIT_S,
     AVController,
+    EpisodeOutcome,
     ExpertTraffic,
     SceneConfig,
     TrafficPolicy,
@@ -61,28 +62,6 @@ CHART_WIDTH, CHART_HEIGHT = 560, 360  # pixels
 
 # ---------------------------------------------------------------------------
 # outcomes and metrics
-
-
-@dataclass
-class EpisodeOutcome:
-    """Classification of one finished episode from the AV's point of view.
-
-    Deadlock means the vehicle under test neither collided nor cleared its
-    route inside the time cap; mean_speed averages its speed over the
-    ticks it was active.
-    """
-
-    kind: str  # Collision | Deadlock | Success
-    mean_speed: float
-    duration_s: float
-    seed: Tuple[int, int]
-    scene: str
-
-    def __post_init__(self):
-        if self.kind not in (KIND_COLLISION, KIND_DEADLOCK, KIND_SUCCESS):
-            raise ValueError(f"unknown outcome kind {self.kind!r}")
-        if self.mean_speed < 0.0:
-            raise ValueError("mean_speed must be nonnegative")
 
 
 def performance_index(outcomes: Sequence[EpisodeOutcome]) -> float:
@@ -282,15 +261,8 @@ def run_one(
     the classified outcome, the ndjson log lines (empty unless
     collect_log), and the controller for post-episode inspection."""
     av = _make_av(spec, built)
-    res = run_episode(built.scene_cfg, built.traffic, av, seed, collect_log)
-    outcome = EpisodeOutcome(
-        kind=res["outcome"],
-        mean_speed=res["mean_speed"],
-        duration_s=res["duration_s"],
-        seed=seed,
-        scene=spec.scene,
-    )
-    return outcome, res["log"], av
+    outcome, log = run_episode(built.scene_cfg, built.traffic, av, seed, collect_log)
+    return outcome, log, av
 
 
 def _chunk_task(args) -> List[Tuple[int, EpisodeOutcome]]:
@@ -312,8 +284,9 @@ def monte_carlo(
     """Independent seeded episodes aggregated into a MetricsReport.
 
     Episode i always runs under seed (master_seed, i); with workers > 1
-    the index range is split across processes and merged back in index
-    order, so the report matches the serial run bit for bit.
+    the index range is split into min(workers, n_episodes) chunks, run on
+    at most one process per CPU and merged back in index order, so the
+    report matches the serial run bit for bit.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
@@ -328,7 +301,7 @@ def monte_carlo(
             (spec, master_seed, list(range(lo, n_episodes, workers)))
             for lo in range(min(workers, n_episodes))
         ]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             for part in pool.map(_chunk_task, chunks):
                 rows.extend(part)
     rows.sort(key=lambda r: r[0])

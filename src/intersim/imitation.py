@@ -185,7 +185,8 @@ def encode_state(
 ) -> np.ndarray:
     """Fixed-width encoding of (ego, opponents, level) in the frame of the
     intersection the ego is currently negotiating, closed by the layout
-    kind one-hot and the commanded level one-hot: encode_many's one row."""
+    kind one-hot and the commanded level one-hot: encode_many's one row.
+    It stays a name of its own because the benchmark tracer patches it."""
     return encode_many(states, [i], [k], network, PlanCache())[0]
 
 
@@ -476,12 +477,15 @@ class PolicyApproximator:
 
     @classmethod
     def load(cls, path: str) -> "PolicyApproximator":
-        """Raises ValueError naming path when the file is not a policy."""
-        with open(path) as f:
-            try:
+        """Raises ValueError naming path when the file cannot be read or is
+        not a policy."""
+        try:
+            with open(path) as f:
                 return cls.from_json(json.load(f))
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"policy file {path} is malformed: {type(e).__name__}: {e}") from None
+        except OSError as e:
+            raise ValueError(f"policy file {path} cannot be read: {e.strerror}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"policy file {path} is malformed: {type(e).__name__}: {e}") from None
 
 
 def default_encoding() -> dict:

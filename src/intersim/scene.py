@@ -29,6 +29,9 @@ Empty slots fill only at the episode's and each tick's start
 (fill_empty_slots), so no ended vehicle blocks a spawn. A spawn defers,
 with no draw, only when every entrance lane is blocked, and lands
 otherwise by one draw over the free space (spawn_vehicle).
+
+An episode ends for the vehicle under test as one of the KIND_* names;
+run_episode returns it as an EpisodeOutcome, the record reports read.
 """
 
 from __future__ import annotations
@@ -73,6 +76,27 @@ STATUS_SUCCEEDED = "succeeded"
 KIND_COLLISION = "Collision"
 KIND_DEADLOCK = "Deadlock"
 KIND_SUCCESS = "Success"
+
+
+@dataclass
+class EpisodeOutcome:
+    """Classification of one finished episode from the AV's point of view.
+
+    Deadlock means the vehicle under test neither collided nor cleared its
+    route inside the time cap; mean_speed averages its speed over the
+    ticks it was active.
+    """
+
+    kind: str  # Collision | Deadlock | Success
+    mean_speed: float
+    duration_s: float
+    seed: Tuple[int, int]
+
+    def __post_init__(self):
+        if self.kind not in (KIND_COLLISION, KIND_DEADLOCK, KIND_SUCCESS):
+            raise ValueError(f"unknown outcome kind {self.kind!r}")
+        if self.mean_speed < 0.0:
+            raise ValueError("mean_speed must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +493,11 @@ def run_episode(
     av: Optional[AVController],
     seed,
     collect_log: bool,
-) -> dict:
-    """Runs one seeded episode to termination and classifies it."""
+) -> Tuple[EpisodeOutcome, List[str]]:
+    """Runs one seeded episode to termination. Returns its outcome and its
+    ndjson log lines (empty unless collect_log)."""
     ep = init_episode(cfg, seed, collect_log)
     while not ep.done:
         sim_step(ep, cfg, traffic, av)
     mean_v = ep.av_speed_sum / ep.av_ticks if ep.av_ticks else 0.0
-    return {
-        "outcome": ep.outcome,
-        "mean_speed": mean_v,
-        "duration_s": ep.tick * DT_S,
-        "ticks": ep.tick,
-        "log": ep.log,
-    }
+    return EpisodeOutcome(ep.outcome, mean_v, ep.tick * DT_S, seed), ep.log

@@ -17,7 +17,7 @@ from intersim.controllers import (
     update_beliefs,
 )
 from intersim.dynamics import DEFAULT_ACTIONS, step
-from intersim.planner import BEHAVIORAL_LEVELS, HORIZON_N, INTERACTION_RADIUS_M, best_response, level0_plan, near_indices
+from intersim.planner import BEHAVIORAL_LEVELS, HORIZON_N, INTERACTION_RADIUS_M, best_response, levelk_plan, near_indices
 
 
 def batched(predict_row):
@@ -91,7 +91,7 @@ class PerRowAdaptive(AdaptiveController):
         self._ego = i
         near = near_indices(states, i, INTERACTION_RADIUS_M)
         if not near:
-            return level0_plan(list(states), i, network, plans).action_sequence[0]
+            return levelk_plan(list(states), i, 0, network, plans).action_sequence[0]
         estimates = {j: estimate_level(self.beliefs.setdefault(j, _uniform())) for j in near}
         opp = rollout_per_row(states, near, estimates, network, self.predict_row)
         return best_response(states[i], opp, network, plans).action_sequence[0]

@@ -22,6 +22,7 @@ import numpy as np
 
 from intersim import dynamics as dyn
 from intersim import geometry as geo
+from intersim import planner
 from intersim import reward as rw
 from intersim.dynamics import DEFAULT_ACTIONS, Pose2, VehicleState
 from intersim.planner import HORIZON_N, INTERACTION_RADIUS_M, LAMBDA
@@ -123,8 +124,8 @@ def random_plan_scene(rng, n_vehicles=None):
         if rng.random() < 0.5:
             a = lay.arms[entry]
             u = rng.uniform(a.u_start + 2.0, a.u_end - 2.0)
-            ux, uy = a.unit_u()
-            wx, wy = a.unit_w()
+            ux, uy = a.unit_u
+            wx, wy = a.unit_w
             lw = geo.LANE_WIDTH_M
             x = lay.center[0] + ux * u + wx * 0.5 * lw
             y = lay.center[1] + uy * u + wy * 0.5 * lw
@@ -208,8 +209,7 @@ def disk_cull_tree(ego, network, n=HORIZON_N, actions=DEFAULT_ACTIONS):
     segments. The goal layout gives the lanes, the core and the goal."""
     lay, lane = network.resolve(ego.goal_ref)
     dt = dyn.DT_S
-    acc, _ = actions.arrays()
-    om, om_group = actions.omega_groups
+    acc, om, om_group = planner._action_columns(actions)
     n_act, n_om = len(acc), len(om)
     reach = n * dt * max(ego.speed, dyn.V_MAX) + 0.5 * math.hypot(rw.C_LENGTH_M, rw.C_WIDTH_M) + 1e-6
     lays = network.layouts.values()

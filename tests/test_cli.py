@@ -390,13 +390,31 @@ def test_render_writes_frames(tmp_path, policy_file, capsys):
     assert "<svg" in (out / "frame_00000.svg").read_text()
 
 
-def test_render_missing_log_exits_two(tmp_path, capsys):
-    code = main(
-        ["render", str(tmp_path / "ghost.ndjson"), "--scene", "fourway",
-         "--out", str(tmp_path)]
-    )
-    assert code == 2
-    assert "failed" in capsys.readouterr().err
+def _unreadable_path_argv(case, tmp_path, policy_file):
+    """(argv, path): a command whose input path case names a directory or
+    a missing file, and that path."""
+    folder = str(tmp_path / "folder")
+    os.makedirs(folder)
+    fast = ["--episodes", "1", "--config", _fast_cfg(tmp_path), "--out", str(tmp_path / "out")]
+    if case == "scene-dir":
+        return ["evaluate", "--scene", folder, "--policy-file", policy_file, *fast], folder
+    if case == "policy-dir":
+        return ["evaluate", "--scene", "fourway", "--policy-file", folder, *fast], folder
+    if case == "config-dir":
+        return ["evaluate", "--scene", "fourway", "--episodes", "1", "--config", folder], folder
+    log = folder if case == "log-dir" else str(tmp_path / "ghost.ndjson")
+    return ["render", log, "--scene", "fourway", "--out", str(tmp_path / "out")], log
+
+
+@pytest.mark.parametrize("case", ["scene-dir", "policy-dir", "config-dir", "log-missing", "log-dir"])
+def test_unreadable_input_path_exits_one_naming_it(tmp_path, policy_file, case, capsys):
+    """A bad input file is a configuration error (exit 1) whose message
+    names the path, whether it is missing or a directory."""
+    argv, path = _unreadable_path_argv(case, tmp_path, policy_file)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path} cannot be read" in err and "failed" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_render_bad_ticks_exit_one(tmp_path, policy_file, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,13 +38,13 @@ from intersim.controllers import (
 )
 from intersim.dynamics import DEFAULT_ACTIONS, PHASE_APPROACH, Pose2, VehicleState
 from intersim.geometry import ISLAND_RADIUS_M, LANE_WIDTH_M, make_city, single_network
+from intersim.imitation import load_policy
 from intersim.planner import (
     BEHAVIORAL_LEVELS,
     HORIZON_N,
     INTERACTION_RADIUS_M,
     LAMBDA,
     PlanCache,
-    level0_plan,
     levelk_plan,
     near_indices,
 )
@@ -165,11 +166,18 @@ def _saturated(assignments):
     return {j: np.array([1.0, 0.0]) if level == 1 else np.array([0.0, 1.0]) for j, level in assignments.items()}
 
 
+_FIXTURE = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json"
+
+
 def test_adaptive_reduces_to_level0_without_opponents():
+    """A lone ego's adaptive plan is its level-0 plan, with the expert's
+    searched predictions and with the distilled fixture policy's rollout,
+    which has no rows to predict."""
     net = single_network("fourway")
     ego = VehicleState(Pose2(-12.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
-    res = adaptive_plan([ego], 0, {}, net, PlanCache())
-    assert res.action_sequence == level0_plan([ego], 0, net, PlanCache()).action_sequence
+    want = levelk_plan([ego], 0, 0, net, PlanCache()).action_sequence
+    for predictor in (None, load_policy(str(_FIXTURE)).act):
+        assert adaptive_plan([ego], 0, {}, net, PlanCache(), predictor).action_sequence == want
 
 
 def test_adaptive_is_best_response_to_the_estimated_level():
@@ -399,14 +407,14 @@ def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
 
 def test_straight_through_is_a_straight_segment():
     lay = single_network("fourway").layouts["I0"]
-    pts = reference_path(lay, "W.in", "E.out")
+    pts, _ = reference_path(lay, "W.in", "E.out")
     assert pts.shape == (2, 2)
     assert pts[0][1] == pytest.approx(pts[1][1])  # constant y across the box
 
 
 def test_turn_arc_joins_centerlines_tangentially():
     lay = single_network("tshape").layouts["I0"]
-    pts = reference_path(lay, "W.in", "S.out")
+    pts, _ = reference_path(lay, "W.in", "S.out")
     d = np.diff(pts, axis=0)
     headings = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
     # entry matches the entrance direction, exit matches the exit direction
@@ -432,8 +440,9 @@ def _routes(lay):
 
 @pytest.mark.parametrize("kind", ["fourway", "tshape", "roundabout"])
 def test_reference_path_is_built_once_per_route_and_read_only(kind):
-    """The cached path equals one built on a fresh layout, every call
-    returns it, a write raises, and a U-turn raises on every call."""
+    """The cached path and arc lengths equal those built on a fresh
+    layout, every call returns the same pair, a write raises, and a U-turn
+    raises on every call."""
     lay = single_network(kind).layouts["I0"]
     fresh = single_network(kind).layouts["I0"]
     for e, x in _routes(lay):
@@ -442,14 +451,12 @@ def test_reference_path_is_built_once_per_route_and_read_only(kind):
                 with pytest.raises(ValueError):
                     reference_path(lay, e, x)
             continue
-        pts = reference_path(lay, e, x)
-        assert reference_path(lay, e, x) is pts
+        pts, cum = path = reference_path(lay, e, x)
+        assert reference_path(lay, e, x) is path
         want = controllers._build_reference_path(fresh, e, x)
         assert np.array_equal(pts.view(np.uint64), want.view(np.uint64))
         with pytest.raises(ValueError):
             pts[0, 0] = 0.0
-        cum = controllers._reference_arclength(lay, e, x, pts)
-        assert controllers._reference_arclength(lay, e, x, pts) is cum
         assert np.array_equal(cum.view(np.uint64), path_arclength(want).view(np.uint64))
         with pytest.raises(ValueError):
             cum[0] = 1.0
@@ -528,8 +535,7 @@ def _drivable(lay, x, y, tol=1e-6):
 def test_roundabout_path_stays_in_the_drivable_region():
     lay = single_network("roundabout").layouts["I0"]
     # entry to the third exit: most of a full circulation
-    pts = reference_path(lay, "N.in", "E.out")
-    cum = path_arclength(pts)
+    pts, cum = reference_path(lay, "N.in", "E.out")
     for s in np.linspace(0.0, cum[-1], 400):
         x, y, _ = point_along(pts, cum, s)
         assert _drivable(lay, x, y), f"({x:.2f},{y:.2f}) left the road"
@@ -538,8 +544,7 @@ def test_roundabout_path_stays_in_the_drivable_region():
 def test_box_turns_stay_in_the_drivable_region():
     for kind, pair in (("fourway", ("N.in", "W.out")), ("tshape", ("E.in", "S.out"))):
         lay = single_network(kind).layouts["I0"]
-        pts = reference_path(lay, *pair)
-        cum = path_arclength(pts)
+        pts, cum = reference_path(lay, *pair)
         for s in np.linspace(0.0, cum[-1], 300):
             x, y, _ = point_along(pts, cum, s)
             assert _drivable(lay, x, y), f"{kind} ({x:.2f},{y:.2f}) left the road"
@@ -547,8 +552,7 @@ def test_box_turns_stay_in_the_drivable_region():
 
 def test_roundabout_uturn_circulates_the_full_ring():
     lay = single_network("roundabout").layouts["I0"]
-    pts = reference_path(lay, "N.in", "N.out")
-    cum = path_arclength(pts)
+    pts, cum = reference_path(lay, "N.in", "N.out")
     ring_r = ISLAND_RADIUS_M + 0.5 * LANE_WIDTH_M
     # a U-turn must sweep essentially the whole circle
     assert cum[-1] > 2 * math.pi * ring_r * 0.8
@@ -556,8 +560,7 @@ def test_roundabout_uturn_circulates_the_full_ring():
 
 def test_arclength_projection_roundtrip():
     lay = single_network("fourway").layouts["I0"]
-    pts = reference_path(lay, "S.in", "W.out")
-    cum = path_arclength(pts)
+    pts, cum = reference_path(lay, "S.in", "W.out")
     for s in (0.0, 5.0, 0.5 * cum[-1], cum[-1]):
         x, y, _ = point_along(pts, cum, s)
         assert project_arclength(pts, cum, x, y) == pytest.approx(s, abs=1e-6)

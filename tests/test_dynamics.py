@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from intersim import geometry as geo
+from intersim import planner
 from intersim.dynamics import (
     DEFAULT_ACTIONS,
     PHASE_APPROACH,
     PHASE_EXIT,
     PHASE_INSIDE,
     Action,
-    ActionSet,
     Pose2,
     VehicleState,
     hold_trajectory,
@@ -24,21 +24,28 @@ from intersim.scene import detect_success
 
 
 def test_action_table_order():
-    acc, om = DEFAULT_ACTIONS.arrays()
-    assert np.allclose(acc, [0.0, 2.5, -2.5, -5.0, 0.0, 0.0])
-    assert np.allclose(om, [0.0, 0.0, 0.0, 0.0, math.pi / 4, -math.pi / 4])
-    assert DEFAULT_ACTIONS.labels[0] == "maintain"
-    assert DEFAULT_ACTIONS.labels[3] == "hard_brake"
+    # maintain first (ties resolve to it), hard brake fourth
+    assert DEFAULT_ACTIONS == (
+        Action(0.0, 0.0),
+        Action(2.5, 0.0),
+        Action(-2.5, 0.0),
+        Action(-5.0, 0.0),
+        Action(0.0, math.pi / 4),
+        Action(0.0, -math.pi / 4),
+    )
 
 
 def test_omega_groups_in_first_appearance_order():
-    distinct, group = DEFAULT_ACTIONS.omega_groups
+    """The planner's columns of the action table: its accelerations, its
+    distinct turn rates in first-appearance order and each action's group."""
+    acc, distinct, group = planner._action_columns(DEFAULT_ACTIONS)
+    assert acc.tolist() == [0.0, 2.5, -2.5, -5.0, 0.0, 0.0]
     assert distinct.tolist() == [0.0, math.pi / 4, -math.pi / 4]
     assert group.tolist() == [0, 0, 0, 0, 1, 2]
-    assert DEFAULT_ACTIONS.omega_groups is DEFAULT_ACTIONS.omega_groups
+    for derived, want in zip((planner._ACCELS, planner._OMEGAS, planner._OMEGA_GROUP), (acc, distinct, group)):
+        assert np.array_equal(derived, want) and not derived.flags.writeable
     # told apart by bit pattern: -0.0 is its own group
-    signed = ActionSet((Action(0.0, 0.0), Action(1.0, -0.0), Action(2.0, 0.0)), ("a", "b", "c"))
-    distinct, group = signed.omega_groups
+    _, distinct, group = planner._action_columns((Action(0.0, 0.0), Action(1.0, -0.0), Action(2.0, 0.0)))
     assert [math.copysign(1.0, w) for w in distinct] == [1.0, -1.0]
     assert group.tolist() == [0, 1, 0]
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -44,8 +45,8 @@ def _read_csv(path):
     return header, rows
 
 
-def _outcome(kind, v=2.0, scene="fourway"):
-    return EpisodeOutcome(kind, v, 10.0, (0, 0), scene)
+def _outcome(kind, v=2.0):
+    return EpisodeOutcome(kind, v, 10.0, (0, 0))
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +107,9 @@ def test_slower_success_pays_more():
 
 def test_outcome_validation():
     with pytest.raises(ValueError):
-        EpisodeOutcome("Stalled", 1.0, 1.0, (0, 0), "fourway")
+        EpisodeOutcome("Stalled", 1.0, 1.0, (0, 0))
     with pytest.raises(ValueError):
-        EpisodeOutcome(KIND_SUCCESS, -0.5, 1.0, (0, 0), "fourway")
+        EpisodeOutcome(KIND_SUCCESS, -0.5, 1.0, (0, 0))
 
 
 def test_summarize_counts_partition():
@@ -173,9 +174,10 @@ def test_monte_carlo_is_deterministic_across_worker_counts(policy_file, monkeypa
 
 
 def test_monte_carlo_starts_one_worker_per_chunk(policy_file, monkeypatch):
-    """A process pool starts all its workers up front, so workers 64 with
-    2 episodes must ask for 2. The pool is replaced by one that maps in
-    this process, so no process starts."""
+    """A process pool starts all its workers up front, so on 3 CPUs
+    workers 64 with 2 episodes must ask for 2, and workers 200 with 8
+    episodes for 3. The pool is replaced by one that maps in this process,
+    so no process starts."""
     import concurrent.futures
 
     sizes = []
@@ -194,10 +196,16 @@ def test_monte_carlo_starts_one_worker_per_chunk(policy_file, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     spec = _spec(policy_file)
     pooled = monte_carlo(spec, 2, master_seed=3, workers=64)
     assert sizes == [2]
     assert pooled.row() == monte_carlo(spec, 2, master_seed=3, workers=1).row()
+
+    spec = _spec(policy_file, t_limit_s=0.5)
+    pooled = monte_carlo(spec, 8, master_seed=3, workers=200)
+    assert sizes[1:] == [3]
+    assert pooled.outcomes == monte_carlo(spec, 8, master_seed=3, workers=1).outcomes
 
 
 def test_monte_carlo_seeds_episodes_by_index(policy_file):

@@ -15,7 +15,6 @@ from intersim.dynamics import (
     PHASE_INSIDE,
     V_MAX,
     Action,
-    ActionSet,
     Pose2,
     VehicleState,
     rollout,
@@ -26,7 +25,6 @@ from intersim.planner import (
     PlanCache,
     best_response,
     expert_policy,
-    level0_plan,
     levelk_plan,
 )
 from intersim.reward import C_LENGTH_M, C_WIDTH_M, S_LENGTH_M, S_WIDTH_M, WEIGHTS
@@ -58,12 +56,13 @@ def shape(monkeypatch):
     search code is generic over it, and these shapes probe its edges."""
 
     def set_shape(n, actions):
-        om, group = actions.omega_groups
+        acc, om, group = planner._action_columns(actions)
         derived = {
             "HORIZON_N": n,
             "DEFAULT_ACTIONS": actions,
-            "_ACCELS": actions.arrays()[0],
+            "_ACCELS": acc,
             "_OMEGAS": om,
+            "_OMEGA_GROUP": group,
             "_STRUCTURE": planner._structure_table(group, n),
         }
         for name, value in derived.items():
@@ -103,14 +102,10 @@ def test_matches_exhaustive_search_full_horizon():
 
 # every turn rate distinct (no two children share a pose), and every turn
 # rate zero (all children share one)
-_DISTINCT_OMEGAS = ActionSet(
-    (Action(0.0, 0.0), Action(2.5, 0.3), Action(-2.5, -0.3), Action(0.0, math.pi / 4), Action(0.0, -math.pi / 4)),
-    ("maintain", "a", "b", "c", "d"),
+_DISTINCT_OMEGAS = (
+    Action(0.0, 0.0), Action(2.5, 0.3), Action(-2.5, -0.3), Action(0.0, math.pi / 4), Action(0.0, -math.pi / 4),
 )
-_STRAIGHT_ONLY = ActionSet(
-    (Action(0.0, 0.0), Action(2.5, 0.0), Action(-2.5, 0.0), Action(-5.0, 0.0)),
-    ("maintain", "accelerate", "decelerate", "hard_brake"),
-)
+_STRAIGHT_ONLY = (Action(0.0, 0.0), Action(2.5, 0.0), Action(-2.5, 0.0), Action(-5.0, 0.0))
 
 
 @pytest.mark.parametrize("actions", [_DISTINCT_OMEGAS, _STRAIGHT_ONLY], ids=["distinct", "straight"])
@@ -715,7 +710,7 @@ def test_vehicle_exactly_at_the_interaction_radius_is_an_opponent(monkeypatch):
     seen = _spy_opponents(monkeypatch)
     for radius, opponents in ((5.0, [2]), (math.nextafter(5.0, 0.0), [])):
         monkeypatch.setattr(planner, "INTERACTION_RADIUS_M", radius)
-        level0_plan(states, 0, net, PlanCache())
+        levelk_plan(states, 0, 0, net, PlanCache())
         assert list(seen[-1]) == opponents
         levelk_plan(states, 0, 1, net, PlanCache())
         assert list(seen[-1]) == opponents  # the ego's search follows its opponents
@@ -743,7 +738,7 @@ def test_reported_trajectory_replays_the_sequence(monkeypatch):
 def test_level0_freezes_opponents(monkeypatch):
     states, net = _crossing_scene()
     seen = _spy_opponents(monkeypatch)
-    level0_plan(states, 0, net, PlanCache())
+    levelk_plan(states, 0, 0, net, PlanCache())
     assert len(seen) == 1
     tr = seen[0][1]
     assert np.all(tr[:, 0] == states[1].pose.x)

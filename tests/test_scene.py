@@ -568,7 +568,7 @@ def _random_edge_states(net, rng, n):
             lw = LANE_WIDTH_M
             u = rng.uniform(arm.u_end - 10.0, arm.u_end + 10.0)
             w = rng.uniform(-1.5 * lw, 1.5 * lw)
-            (ux, uy), (wx, wy) = arm.unit_u(), arm.unit_w()
+            (ux, uy), (wx, wy) = arm.unit_u, arm.unit_w
             x = lay.center[0] + u * ux + w * wx
             y = lay.center[1] + u * uy + w * wy
             goal = _random_lane_ref(net, rng, b)
@@ -964,7 +964,7 @@ def test_shared_plan_table_matches_private_tables():
     shared_av, private_av = AdaptiveController(), PrivateTableAV()
     shared = run_episode(cfg, ExpertTraffic(), shared_av, seed=(1, 0), collect_log=True)
     private = run_episode(cfg, PrivateTableTraffic(), private_av, seed=(1, 0), collect_log=True)
-    assert shared["ticks"] == 15
+    assert shared[0].duration_s == 15 * DT_S
     assert shared == private
     assert shared_av.beliefs.keys() == private_av.beliefs.keys()
     for j, p in shared_av.beliefs.items():
