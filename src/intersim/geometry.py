@@ -232,21 +232,28 @@ def overlap_rects_group(x, y, cth, sth, counts, others: np.ndarray, sizes) -> np
         np.repeat(a, counts, axis=1)
         for a in (others[..., 0], others[..., 1], np.cos(others[..., 2]), np.sin(others[..., 2]))
     )
-    dx = ox - np.asarray(x)
-    dy = oy - np.asarray(y)
-    C = np.abs(co * cth + so * sth)
-    S = np.abs(so * cth - co * sth)
-    pu, pw = np.abs(dx * cth + dy * sth), np.abs(dy * cth - dx * sth)
-    qu, qw = np.abs(dx * co + dy * so), np.abs(dy * co - dx * so)
-    for k, (length, width) in enumerate(sizes):
+    for k, sep in enumerate(sat_separations(ox - np.asarray(x), oy - np.asarray(y), cth, sth, co, so, sizes)):
+        out[k] = (~sep).any(axis=0)
+    return out
+
+
+def sat_separations(dx, dy, c, s, co, so, sizes):
+    """overlap_rects_group's separating axis test, on floats or arrays that
+    broadcast: pairs whose centers lie (dx, dy) apart, with heading cos and
+    sin c, s and co, so. Yields per (length, width) of sizes, shared by both
+    rectangles, whether an edge normal separates them; touching is overlap."""
+    C = abs(co * c + so * s)
+    S = abs(so * c - co * s)
+    pu, pw = abs(dx * c + dy * s), abs(dy * c - dx * s)
+    qu, qw = abs(dx * co + dy * so), abs(dy * co - dx * so)
+    for length, width in sizes:
         hl, hw = 0.5 * length, 0.5 * width
         along, across = hl + hl * C + hw * S, hw + hl * S + hw * C
         sep = pu > along
         sep |= pw > across
         sep |= qu > along
         sep |= qw > across
-        out[k] = (~sep).any(axis=0)
-    return out
+        yield sep
 
 
 def segments_hit_rects(segs: np.ndarray, cx, cy, theta, length: float, width: float) -> np.ndarray:

@@ -284,9 +284,9 @@ def monte_carlo(
     """Independent seeded episodes aggregated into a MetricsReport.
 
     Episode i always runs under seed (master_seed, i); with workers > 1
-    the index range is split into min(workers, n_episodes) chunks, run on
-    at most one process per CPU and merged back in index order, so the
-    report matches the serial run bit for bit.
+    the index range is split into min(workers, n_episodes, CPUs) chunks,
+    one process and one _Built each, and merged back in index order, so
+    the report matches the serial run bit for bit.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
@@ -297,11 +297,9 @@ def monte_carlo(
         # imported here: a serial study never loads the process-pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [
-            (spec, master_seed, list(range(lo, n_episodes, workers)))
-            for lo in range(min(workers, n_episodes))
-        ]
-        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+        n_chunks = min(workers, n_episodes, os.cpu_count() or 1)
+        chunks = [(spec, master_seed, list(range(lo, n_episodes, n_chunks))) for lo in range(n_chunks)]
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             for part in pool.map(_chunk_task, chunks):
                 rows.extend(part)
     rows.sort(key=lambda r: r[0])

@@ -59,6 +59,19 @@ margin: a segment the c-zone of a row touches has a point within that
 circumradius of the row. The table holds every layout's edges, those
 scene.detect_fail checks; the goal layout gives the lanes and the core.
 
+A certificate skips the opponent scoring where it cannot change the
+plan. A search with opponents in reach returns the tree's opponent-free
+search (made once per tree, under the empty key) when no kept opponent's
+safe zone touches that of the plan's pose row of any depth tau at instant
+tau + 1, by overlap_rects_group's test on the same floats. The full search
+would return that plan bit for bit: (1) opponent flags are 0 or -1 under
+positive weights, and IEEE rounding is monotone, so no leaf's value rises;
+(2) a leaf whose HORIZON_N path rows carry no flag keeps the same gemv row
+at the same shape and index, and so the same value bits, and np.argmax
+keeps the first maximum, so the free leaf stays the answer; (3) a safe
+zone holds its c-zone, and the support sums are monotone in the half
+sizes, so a safe-zone separation implies a c-zone separation.
+
 Leaf ordering is node major, so np.argmax (first maximum) selects the
 lexicographically smallest tied sequence, with "maintain" first in the
 action table. The exhaustive scalar reference in the test suite iterates
@@ -68,6 +81,7 @@ in the same order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,7 +90,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, Action, VehicleState, rollout
 from .dynamics import PHASE_APPROACH, hold_trajectory
-from .geometry import RoadNetwork, wrap_angle_many
+from .geometry import RoadNetwork, sat_separations, wrap_angle_many
 from .reward import C_LENGTH_M, C_WIDTH_M, S_LENGTH_M, S_WIDTH_M, WEIGHTS, features_many, opponent_features
 
 
@@ -103,10 +117,10 @@ class _EgoTree:
     y0, x1, y1), pose rows per depth, node rows and speeds, and the
     features with both overlap columns 0. searched holds the finished
     searches by the poses of the opponents in reach, the bytes of their
-    (m, N, 3) array (see the module doc). theta, cos theta and sin theta
-    come from the heading table, the node speeds from the speed table and
-    the rows from the structure table: read-only arrays that other trees
-    share."""
+    (m, N, 3) array, the opponent-free one under b"" (see the module doc).
+    theta, cos theta and sin theta come from the heading table, the node
+    speeds from the speed table and the rows from the structure table:
+    read-only arrays that other trees share."""
 
     poses: Tuple[np.ndarray, ...]
     box: Tuple[float, float, float, float]
@@ -213,27 +227,53 @@ def _best_response(
     opp = np.array(kept).reshape(-1, HORIZON_N, 3)
     key = opp.tobytes()
     if key not in tree.searched:
-        F = tree.features
-        if len(opp):
+        if b"" not in tree.searched:
+            tree.searched[b""] = _search(ego, tree, tree.features)
+        plan = tree.searched[b""]
+        if len(opp) and not _path_clear(tree, _path_rows(tree, plan.action_sequence), opp):
             x, y, _, cth, sth = tree.poses
-            F = F.copy()
+            F = tree.features.copy()
             opponent_features(F, x, y, cth, sth, opp, tree.depth_rows)
-        n_act = len(DEFAULT_ACTIONS)
-        value = np.zeros(1)
-        disc = 1.0
-        for rows, speeds in zip(tree.node_rows, tree.node_speeds):
-            fv = np.take(F, rows, axis=0)
-            fv[:, 5] = speeds
-            value = np.repeat(value, n_act) + disc * (fv @ WEIGHTS)
-            disc *= LAMBDA
-        leaf = int(np.argmax(value))
-        best, seq = float(value[leaf]), []
-        for _ in range(HORIZON_N):  # the leaf index is node major
-            leaf, a = divmod(leaf, n_act)
-            seq.insert(0, a)
-        actions = [DEFAULT_ACTIONS[i] for i in seq]
-        tree.searched[key] = PlanResult(seq, best, rollout(ego.pose, ego.speed, actions))
+            plan = _search(ego, tree, F)
+        tree.searched[key] = plan
     return tree.searched[key]
+
+
+def _search(ego: VehicleState, tree: _EgoTree, F: np.ndarray) -> PlanResult:
+    """The best leaf of the tree scored with the features F."""
+    n_act, value, disc = len(DEFAULT_ACTIONS), np.zeros(1), 1.0
+    for rows, speeds in zip(tree.node_rows, tree.node_speeds):
+        fv = np.take(F, rows, axis=0)
+        fv[:, 5] = speeds
+        value = np.repeat(value, n_act) + disc * (fv @ WEIGHTS)
+        disc *= LAMBDA
+    leaf = int(np.argmax(value))
+    best, seq = float(value[leaf]), []
+    for _ in range(HORIZON_N):  # the leaf index is node major
+        leaf, a = divmod(leaf, n_act)
+        seq.insert(0, a)
+    actions = [DEFAULT_ACTIONS[i] for i in seq]
+    return PlanResult(seq, best, rollout(ego.pose, ego.speed, actions))
+
+
+def _path_rows(tree: _EgoTree, seq: Sequence[int]) -> List[int]:
+    """The pose row of each depth on the path of the action sequence seq."""
+    nodes = itertools.accumulate(seq, lambda node, a: node * len(DEFAULT_ACTIONS) + a)
+    return [int(rows[k]) for rows, k in zip(tree.node_rows, nodes)]
+
+
+def _path_clear(tree: _EgoTree, rows: List[int], opp: np.ndarray) -> bool:
+    """Whether no safe zone of the opponents opp (m, N, 3) touches that of
+    pose row rows[tau] at instant tau + 1, for every depth tau, by
+    overlap_rects_group's test on the same floats, sat_separations."""
+    x, y, _, cth, sth = tree.poses
+    path = list(zip(x[rows].tolist(), y[rows].tolist(), cth[rows].tolist(), sth[rows].tolist()))
+    size = ((S_LENGTH_M, S_WIDTH_M),)
+    for poses, cos_o, sin_o in zip(opp.tolist(), np.cos(opp[..., 2]).tolist(), np.sin(opp[..., 2]).tolist()):
+        for (ox, oy, _), co, so, (px, py, c, s) in zip(poses, cos_o, sin_o, path):
+            if not next(sat_separations(ox - px, oy - py, c, s, co, so, size)):
+                return False
+    return True
 
 
 def _ego_tree(ego: VehicleState, network: RoadNetwork) -> _EgoTree:

@@ -182,6 +182,16 @@ def repeat_per_row_search(tree, ego, opp_trajectories, n=HORIZON_N, actions=DEFA
         for col, (length, width) in ((0, (rw.C_LENGTH_M, rw.C_WIDTH_M)), (3, (rw.S_LENGTH_M, rw.S_WIDTH_M))):
             hit = repeat_per_row_overlap(x, y, cth, sth, length, width, rows)
             F[:, col] = np.where(hit, -1.0, 0.0)
+    value = leaf_values(tree, F, actions)
+    best = int(np.argmax(value))
+    seq = [int(a) for a in np.unravel_index(best, (len(actions),) * n)]
+    traj = dyn.rollout(ego.pose, ego.speed, [actions[a] for a in seq])
+    return F[:, [0, 3]], (seq, float(value[best]), traj)
+
+
+def leaf_values(tree, F, actions=DEFAULT_ACTIONS):
+    """The discounted value of every leaf of a planner ego tree over the
+    action table actions, node major, scored with the feature rows F."""
     n_act, w = len(actions), rw.WEIGHTS
     value, disc = np.zeros(1), 1.0
     for rows, speeds in zip(tree.node_rows, tree.node_speeds):
@@ -189,10 +199,7 @@ def repeat_per_row_search(tree, ego, opp_trajectories, n=HORIZON_N, actions=DEFA
         fv[:, 5] = speeds
         value = np.repeat(value, n_act) + disc * (fv @ w)
         disc *= LAMBDA
-    best = int(np.argmax(value))
-    seq = [int(a) for a in np.unravel_index(best, (n_act,) * n)]
-    traj = dyn.rollout(ego.pose, ego.speed, [actions[a] for a in seq])
-    return F[:, [0, 3]], (seq, float(value[best]), traj)
+    return value
 
 
 # ---------------------------------------------------------------------------

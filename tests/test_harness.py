@@ -176,11 +176,19 @@ def test_monte_carlo_is_deterministic_across_worker_counts(policy_file, monkeypa
 def test_monte_carlo_starts_one_worker_per_chunk(policy_file, monkeypatch):
     """A process pool starts all its workers up front, so on 3 CPUs
     workers 64 with 2 episodes must ask for 2, and workers 200 with 8
-    episodes for 3. The pool is replaced by one that maps in this process,
-    so no process starts."""
+    episodes for 3. Each chunk builds its pieces once, so 40 episodes at
+    workers 40 build them 3 times. The pool is replaced by one that maps in
+    this process, so no process starts."""
     import concurrent.futures
 
-    sizes = []
+    from intersim import harness
+
+    sizes, builds = [], []
+
+    class CountedBuilt(harness._Built):
+        def __init__(self, spec):
+            builds.append(spec)
+            super().__init__(spec)
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -206,6 +214,12 @@ def test_monte_carlo_starts_one_worker_per_chunk(policy_file, monkeypatch):
     pooled = monte_carlo(spec, 8, master_seed=3, workers=200)
     assert sizes[1:] == [3]
     assert pooled.outcomes == monte_carlo(spec, 8, master_seed=3, workers=1).outcomes
+
+    spec = _spec(policy_file, t_limit_s=0.2)
+    monkeypatch.setattr(harness, "_Built", CountedBuilt)
+    pooled = monte_carlo(spec, 40, master_seed=3, workers=40)
+    assert sizes[2:] == [3] and len(builds) == 3
+    assert pooled.outcomes == monte_carlo(spec, 40, master_seed=3, workers=1).outcomes
 
 
 def test_monte_carlo_seeds_episodes_by_index(policy_file):

@@ -32,6 +32,7 @@ from intersim.reward import C_LENGTH_M, C_WIDTH_M, S_LENGTH_M, S_WIDTH_M, WEIGHT
 from planner_oracle import (
     disk_cull_tree,
     exhaustive_plan,
+    leaf_values,
     overlap_one_rect,
     random_plan_scene,
     repeat_per_row_search,
@@ -321,21 +322,18 @@ def _probe_opponents(tree, rng, n):
 def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, shape, horizon, actions):
     """Culling opponents beyond the overlap reach of the tree's box changes
     no overlap flag and no plan bit, at the edge of the reach and for zones
-    that meet corner to corner; the kernel sees only opponents in reach,
-    and a search fills overlap columns only when one is."""
-    tested, filled = [], []
-    real, real_fill = reward.overlap_rects_group, planner.opponent_features
+    that meet corner to corner: the overlap columns of the opponents a
+    search keeps, those of its key, equal the reference's over all of them,
+    whether or not the search scores them. The kernel sees only the kept
+    opponents, at most once per search."""
+    tested = []
+    real = reward.overlap_rects_group
 
     def kernel(*args):
         tested.append(len(args[5]))
         return real(*args)
 
-    def fill(out, *args):
-        real_fill(out, *args)
-        filled.append(out)
-
     monkeypatch.setattr(reward, "overlap_rects_group", kernel)
-    monkeypatch.setattr(planner, "opponent_features", fill)
     shape(horizon, actions)
     rng = np.random.default_rng(100 + horizon)
     flags, culled = np.zeros(2), 0
@@ -347,16 +345,20 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, shape, 
             ego.pose = Pose2(ego.pose.x, ego.pose.y, trial * math.pi / 2)  # axis-aligned travel
         cache = PlanCache()
         tree = cache.tree(ego, net)
+        x, y, _, cth, sth = tree.poses
         probes = _probe_opponents(tree, rng, horizon)
         for opp in [{j: t} for j, t in enumerate(probes)] + [dict(enumerate(probes))]:
             want_cols, (seq, value, traj) = repeat_per_row_search(tree, ego, opp, horizon, actions)
-            del tested[:], filled[:]
+            del tested[:]
             tree.searched.clear()  # search again, not read a shared search
             res = best_response(ego, opp, net, cache)
-            # with no opponent in reach, the search reads the tree's own features
-            got = filled[0] if filled else tree.features
-            assert len(filled) == len(tested) <= 1 and sum(tested) <= len(opp)
-            culled += len(opp) - sum(tested)
+            keys = set(tree.searched) - {b""}
+            assert len(keys) <= 1
+            kept = np.frombuffer(keys.pop() if keys else b"").reshape(-1, horizon, 3)
+            assert tested in ([], [len(kept)]) and len(kept) <= len(opp)
+            culled += len(opp) - len(kept)
+            got = tree.features.copy()
+            reward.opponent_features(got, x, y, cth, sth, kept, tree.depth_rows)
             assert np.array_equal(got[:, [0, 3]], want_cols)
             assert res.action_sequence == seq
             assert res.value.hex() == value.hex()
@@ -364,6 +366,14 @@ def test_culled_search_matches_the_repeat_per_row_reference(monkeypatch, shape, 
             flags += (want_cols == -1.0).any(axis=0)
     # both zones overlap somewhere, and some opponents were culled
     assert flags.all() and culled > 0
+
+
+def _on_path(ego, net, cache, rng, n):
+    """An opponent at the pose the opponent-free plan reaches at a random
+    instant, and far beyond the tree's box at every other instant."""
+    free = best_response(ego, {}, net, cache)
+    t = int(rng.integers(1, n + 1))
+    return _standing(cache.tree(ego, net), *free.trajectory[t, :3], t, n)
 
 
 def test_a_search_calls_the_overlap_kernel_only_with_opponents_in_reach(monkeypatch):
@@ -386,7 +396,7 @@ def test_a_search_calls_the_overlap_kernel_only_with_opponents_in_reach(monkeypa
         out = {j: _off_box(tree, reach + 1e-9, rng, n) for j in range(4)}
         best_response(ego, out, net, cache)
         assert calls == []
-        best_response(ego, {**out, 9: _off_box(tree, reach - 1e-9, rng, n)}, net, cache)
+        best_response(ego, {**out, 9: _on_path(ego, net, cache, rng, n)}, net, cache)
         assert calls == [1]
         calls.clear()
 
@@ -411,7 +421,7 @@ def test_searches_that_differ_only_beyond_reach_share_one(monkeypatch):
         ego = states[0]
         cache = PlanCache()
         tree = cache.tree(ego, net)
-        near = _off_box(tree, reach - 1e-9, rng, n)
+        near = _on_path(ego, net, cache, rng, n)
         one = {0: near, 1: _off_box(tree, reach + 1e-9, rng, n)}
         other = {2: _off_box(tree, reach + 1.0, rng, n), 5: near.copy(), 7: _off_box(tree, 2 * reach, rng, n)}
         calls.clear()
@@ -419,6 +429,114 @@ def test_searches_that_differ_only_beyond_reach_share_one(monkeypatch):
         assert calls == [1]
         assert got[0] is got[1]
         _same_plan(got[1], best_response(ego, other, net, PlanCache()))
+
+
+# ---------------------------------------------------------------------------
+# the certificate: a search returns the opponent-free plan when no kept
+# opponent's safe zone touches that plan's path
+
+
+def _path_probes(tree, ego, net, cache, rng, n):
+    """Opponents corner to corner with the pose rows on the opponent-free
+    plan's path, at either zone size and at gaps -1e-3, -1e-9 and 1e-9,
+    each at a random depth and corner."""
+    rows = planner._path_rows(tree, best_response(ego, {}, net, cache).action_sequence)
+    return [
+        _standing(tree, *_corner_to_corner(tree, *size, gap, rows[int(rng.integers(n))], int(rng.integers(4))), n)
+        for size in ((C_LENGTH_M, C_WIDTH_M), (S_LENGTH_M, S_WIDTH_M))
+        for gap in (-1e-3, -1e-9, 1e-9)
+    ]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+@pytest.mark.parametrize("actions", _ACTION_SETS, ids=["default", "distinct", "straight"])
+def test_certified_search_matches_the_repeat_per_row_reference(monkeypatch, shape, horizon, actions):
+    """A search returns the opponent-free plan without scoring opponents
+    when the certificate holds, and scores them otherwise; either way the
+    plan equals the reference's bit for bit, and each planner shape takes
+    both branches."""
+    filled = []
+    real = planner.opponent_features
+
+    def fill(out, *args):
+        filled.append(len(args[4]))
+        return real(out, *args)
+
+    monkeypatch.setattr(planner, "opponent_features", fill)
+    shape(horizon, actions)
+    rng = np.random.default_rng(200 + horizon)
+    branches = {"certified": 0, "scored": 0}
+    for trial in range(4):
+        states, net = random_plan_scene(rng, 1)
+        ego = states[0]
+        cache = PlanCache()
+        tree = cache.tree(ego, net)
+        probes = _probe_opponents(tree, rng, horizon) + _path_probes(tree, ego, net, cache, rng, horizon)
+        for opp in [{j: t} for j, t in enumerate(probes)] + [dict(enumerate(probes))]:
+            _, (seq, value, traj) = repeat_per_row_search(tree, ego, opp, horizon, actions)
+            del filled[:]
+            tree.searched.clear()
+            _same_plan(best_response(ego, opp, net, cache), planner.PlanResult(seq, value, traj))
+            if set(tree.searched) != {b""}:  # some opponent in reach
+                branches["scored" if filled else "certified"] += 1
+    assert branches["certified"] and branches["scored"]
+
+
+@pytest.mark.parametrize("horizon", [1, 4])
+def test_the_certificate_agrees_with_the_kernel_on_every_pair(shape, horizon):
+    """The certificate clears a pose row against an opponent exactly when
+    overlap_rects_group flags no safe-zone overlap for them, at the edge of
+    the reach and corner to corner at gaps -1e-3, -1e-9 and 1e-9. Each
+    probe stands far beyond the box at all but one instant, so a path
+    through a row of the depth that faces that instant clears just when
+    that one pair does."""
+    shape(horizon, DEFAULT_ACTIONS)
+    rng = np.random.default_rng(300 + horizon)
+    size = ((S_LENGTH_M, S_WIDTH_M),)
+    verdicts = set()
+    for trial in range(4):
+        states, net = random_plan_scene(rng, 1)
+        tree = PlanCache().tree(states[0], net)
+        x, y, _, cth, sth = tree.poses
+        starts = np.cumsum((0,) + tree.depth_rows).tolist()
+        for traj in _probe_opponents(tree, rng, horizon):
+            opp = traj[None, 1:, :3].copy()
+            d = int(np.flatnonzero(opp[0, :, 0] != tree.box[2] + 40.0)[0])  # the depth facing the probe
+            lo, hi = starts[d], starts[d + 1]
+            rows = slice(lo, hi)
+            flags = reward.overlap_rects_group(x[rows], y[rows], cth[rows], sth[rows], [hi - lo], opp[:, d:d + 1], size)
+            for r, flag in zip(range(lo, hi), flags[0].tolist()):
+                path = starts[:horizon]
+                path[d] = r
+                clear = planner._path_clear(tree, path, opp)
+                assert clear is not flag
+                verdicts.add(clear)
+    assert verdicts == {True, False}
+
+
+def test_opponents_never_raise_a_leaf_value():
+    """The certificate's proof: opponent flags lower no leaf's value, and a
+    leaf whose path carries no flag keeps its value bit for bit."""
+    rng = np.random.default_rng(400)
+    n_act = len(DEFAULT_ACTIONS)
+    lowered = 0
+    for trial in range(6):
+        states, net = random_plan_scene(rng, 1)
+        tree = PlanCache().tree(states[0], net)
+        x, y, _, cth, sth = tree.poses
+        free = leaf_values(tree, tree.features)
+        probes = [t[1:, :3] for t in _probe_opponents(tree, rng, HORIZON_N)]
+        for opp in [p[None] for p in probes] + [np.stack(probes)]:
+            F = tree.features.copy()
+            reward.opponent_features(F, x, y, cth, sth, opp, tree.depth_rows)
+            got = leaf_values(tree, F)
+            flagged = np.zeros(1, dtype=bool)
+            for rows in tree.node_rows:
+                flagged = np.repeat(flagged, n_act) | (F[rows][:, [0, 3]] != 0.0).any(axis=1)
+            assert (got <= free).all()
+            assert got[~flagged].tobytes() == free[~flagged].tobytes()
+            lowered += int(flagged.any())
+    assert lowered
 
 
 # headings at zero and on either side of the wrap at +-pi, and speeds at

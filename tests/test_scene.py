@@ -1,6 +1,7 @@
 """Spawning, lifecycle predicates, and the synchronous episode loop."""
 
 import copy
+import itertools
 import json
 import math
 
@@ -1047,3 +1048,60 @@ def test_each_tick_builds_one_ego_tree_per_distinct_ego_input(monkeypatch):
     assert runs[1][0].done and len(trees) == 30
     assert trees == [len(e) for e in egos]
     assert all(trees) and sum(searches) > sum(trees)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a permutation of the slots permutes the plans and the flags
+
+
+def _expert_snapshots(net, n_vehicles, ticks, seed, monkeypatch):
+    """Copies of the joint state of an expert-traffic episode before the
+    move of each tick in ticks, and the post-move snapshot and indices of
+    each detect_fail call of its first max(ticks) + 1 ticks."""
+    checked = []
+    real = scene.detect_fail
+
+    def spy(states, indices, network):
+        checked.append(([s.copy() if s is not None else None for s in states], list(indices)))
+        return real(states, indices, network)
+
+    cfg = SceneConfig(network=net, n_vehicles=n_vehicles, traffic_model="mixed", t_limit_s=60.0)
+    ep = init_episode(cfg, seed=seed, collect_log=False)
+    before = []
+    with monkeypatch.context() as mp:
+        mp.setattr(scene, "detect_fail", spy)
+        for t in range(max(ticks) + 1):
+            if t in ticks:
+                before.append([s.copy() if s is not None else None for s in ep.states])
+            sim_step(ep, cfg, ExpertTraffic())
+    return before, checked
+
+
+@pytest.mark.parametrize("kind, n_vehicles", [("fourway", 4), ("city", 8)])
+def test_reversing_the_slots_permutes_plans_and_fail_flags(kind, n_vehicles, monkeypatch):
+    """Reversing the slot order of recorded expert snapshots moves every
+    level-0, 1 and 2 plan, and every fail flag, with its vehicle: the
+    opponents a search keeps, and the certificate that may end it early,
+    see the same poses in another order."""
+    net = _network(kind)
+    before, checked = _expert_snapshots(net, n_vehicles, (4, 12, 20, 28), (5, 0), monkeypatch)
+    contested = 0
+    for states in before:
+        n = len(states)
+        rev = states[::-1]
+        live = [i for i, s in enumerate(states) if s is not None]
+        fwd_cache, rev_cache = PlanCache(), PlanCache()
+        for i, k in itertools.product(live, (0, 1, 2)):
+            want = planner.expert_policy(states, i, k, net, fwd_cache)
+            got = planner.expert_policy(rev, n - 1 - i, k, net, rev_cache)
+            assert got.action_sequence[0] == want.action_sequence[0]
+            assert got.action_sequence == want.action_sequence and got.value.hex() == want.value.hex()
+            contested += bool(planner.near_indices(states, i, planner.INTERACTION_RADIUS_M))
+    failed = 0
+    for states, indices in checked:
+        n = len(states)
+        flags = detect_fail(states, indices, net)
+        assert detect_fail(states[::-1], [n - 1 - i for i in indices], net) == {n - 1 - i: f for i, f in flags.items()}
+        failed += sum(flags.values())
+    # some searches had opponents to order, and some vehicle failed
+    assert contested and failed
