@@ -7,6 +7,16 @@ best explains the observed action, and best-responds to the committed
 maneuvers of the estimated levels. The rule-based one follows a fixed
 reference path through the junction and picks the acceleration that
 maximizes its worst-case one-step gap to conflicting traffic.
+
+Traffic and both search-based AVs act through one engine, picked once per
+evaluation cell (harness._Built). Its act(states, indices, levels,
+network, plans) gives one action index per row, vehicle indices[r] at
+level levels[r]; its predict(states, opponents, estimates, network,
+plans) gives each opponent's (HORIZON_N + 1, 4) trajectory at its
+estimated level. plans is the PlanCache of those states. ExpertEngine
+answers by the game-tree search. PolicyEngine wraps an explicit policy's
+act, such as the distilled PolicyApproximator.act (this module never
+imports the learner), and predicts by predictor_rollout under it.
 """
 
 from __future__ import annotations
@@ -38,18 +48,6 @@ from .planner import (
     near_indices,
 )
 from .scene import AVController
-
-# predictor(states, indices, levels, network, plans) -> one action index
-# per row, for vehicle indices[r] at level levels[r], all read from the
-# same states; supplied by the distilled policy (PolicyApproximator.act) so
-# this module never imports the learner. plans is the PlanCache of those
-# states, which holds plans, trees and encodings of them only: decide and
-# observe pass the tick's cache of s_t, and so does the rollout's step 1;
-# its steps 2..HORIZON_N, whose states are not s_t, pass a fresh one.
-Predictor = Callable[
-    [Sequence[Optional[VehicleState]], Sequence[int], Sequence[int], RoadNetwork, PlanCache], np.ndarray
-]
-
 
 # ---------------------------------------------------------------------------
 # level estimation
@@ -99,7 +97,7 @@ def estimate_levels(beliefs: Dict[int, np.ndarray], opponents: Sequence[int]) ->
 
 
 # ---------------------------------------------------------------------------
-# adaptive planning
+# engines and adaptive planning
 
 
 def predictor_rollout(
@@ -108,13 +106,13 @@ def predictor_rollout(
     estimates: Dict[int, int],
     network: RoadNetwork,
     plans: PlanCache,
-    predictor: Predictor,
+    act: Callable[..., Sequence[int]],
 ) -> Dict[int, np.ndarray]:
     """Joint HORIZON_N-step opponent prediction under an explicit policy.
 
-    Opponents advance together under predictor at their estimated levels,
-    one predictor call for all of them per horizon step, while the ego
-    stays frozen at its current pose, mirroring how the expert's committed
+    Opponents advance together under act at their estimated levels, one
+    act call for all of them per horizon step, while the ego stays frozen
+    at its current pose, mirroring how the expert's committed
     trajectories treat the planning vehicle. Goal refs are not advanced
     during the rollout, matching the search's frozen route assumption.
     Step 1 reads states through plans, their PlanCache; the later steps
@@ -130,14 +128,39 @@ def predictor_rollout(
     levels = [estimates[j] for j in opponents]
     for tau in range(1, HORIZON_N + 1):
         if tau == 1:
-            picked = predictor(states, opponents, levels, network, plans)
+            picked = act(states, opponents, levels, network, plans)
         else:
-            picked = predictor(cur, opponents, levels, network, PlanCache())
+            picked = act(cur, opponents, levels, network, PlanCache())
         for j, a_idx in zip(opponents, picked):
             st = cur[j]
             st.pose, st.speed = step(st.pose, st.speed, DEFAULT_ACTIONS[a_idx])
             trajs[j][tau] = (st.pose.x, st.pose.y, st.pose.theta, st.speed)
     return trajs
+
+
+class ExpertEngine:
+    """The game-tree expert: each row's level-k plan, its first action to
+    act and its trajectory to predict, searched into plans."""
+
+    def act(self, states, indices, levels, network, plans) -> List[int]:
+        return [levelk_plan(states, i, k, network, plans).action_sequence[0] for i, k in zip(indices, levels)]
+
+    def predict(self, states, opponents, estimates, network, plans) -> Dict[int, np.ndarray]:
+        return {j: levelk_plan(states, j, estimates[j], network, plans).trajectory for j in opponents}
+
+
+class PolicyEngine:
+    """An explicit policy: act is the policy's own, and predict rolls the
+    opponents out under it (predictor_rollout)."""
+
+    def __init__(self, act: Callable[..., Sequence[int]]):
+        self.act = act
+
+    def predict(self, states, opponents, estimates, network, plans) -> Dict[int, np.ndarray]:
+        return predictor_rollout(states, opponents, estimates, network, plans, self.act)
+
+
+Engine = ExpertEngine | PolicyEngine
 
 
 def adaptive_plan(
@@ -146,51 +169,43 @@ def adaptive_plan(
     beliefs: Dict[int, np.ndarray],
     network: RoadNetwork,
     cache: PlanCache,
-    predictor: Optional[Predictor] = None,
+    engine: Engine,
 ) -> PlanResult:
     """Best response to opponents committed at their estimated levels.
 
-    Each interacting opponent is predicted over the horizon as its
-    level-k-tilde plan, those trajectories are committed, and the ego
-    maximizes its own discounted return against them with the planner's
-    tie-break. Without a predictor the predictions come from the game-tree
-    search; with one, from a joint closed-loop rollout under that explicit
-    policy (predictor_rollout). The first action of the result is the
-    control to apply. cache is the PlanCache of these states; the searched
-    predictions and the ego's own search read and add plans and ego trees
-    there, and the rollout's first step encodings.
+    Each interacting opponent is predicted over the horizon at its
+    estimated level by engine.predict, those trajectories are committed,
+    and the ego maximizes its own discounted return against them with the
+    planner's tie-break. The first action of the result is the control to
+    apply. cache is the PlanCache of these states; the predictions and the
+    ego's own search read and add plans, ego trees and encodings there.
     """
     near = near_indices(states, i, INTERACTION_RADIUS_M)
-    estimates = estimate_levels(beliefs, near)
-    if predictor is not None:
-        opp = predictor_rollout(states, near, estimates, network, cache, predictor)
-    else:
-        opp = {j: levelk_plan(list(states), j, estimates[j], network, cache).trajectory for j in near}
+    opp = engine.predict(states, near, estimate_levels(beliefs, near), network, cache)
     return best_response(states[i], opp, network, cache)
 
 
 class AdaptiveController(AVController):
     """Level-estimating AV: observe, re-estimate, best-respond.
 
-    predictor, when given, is the distilled policy: it rolls the
-    opponents out for planning (adaptive_plan) and supplies the per-level
-    action predictions of the belief update, one call for all
-    (opponent, level) rows of a tick. Without it the game-tree expert
-    does both. The beliefs, a probability vector over BEHAVIORAL_LEVELS
-    per opponent slot, are its only record of the opponents: reset_belief
-    drops a slot's vector when a new vehicle takes the slot.
+    engine predicts the opponents for planning (adaptive_plan) and
+    supplies the per-level action predictions of the belief update, one
+    act call for all (opponent, level) rows of a tick. The beliefs, a
+    probability vector over BEHAVIORAL_LEVELS per opponent slot, are its
+    only record of the opponents: reset_belief drops a slot's vector when
+    a new vehicle takes the slot.
     """
 
-    def __init__(self, predictor: Optional[Predictor] = None):
+    def __init__(self, engine: Engine):
         self.beliefs: Dict[int, np.ndarray] = {}
-        self.predictor = predictor
+        self.engine = engine
         self._ego: Optional[int] = None
 
     def decide(
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
         self._ego = i
-        return adaptive_plan(states, i, self.beliefs, network, plans, self.predictor).action_sequence[0]
+        return adaptive_plan(states, i, self.beliefs, network, plans, self.engine).action_sequence[0]
 
     def observe(
         self,
@@ -202,15 +217,11 @@ class AdaptiveController(AVController):
         if self._ego is None or prev_states[self._ego] is None:
             return
         near = set(near_indices(prev_states, self._ego, INTERACTION_RADIUS_M))
-        snapshot = list(prev_states)
         opps = [j for j in actions if j != self._ego and j in near]
         if not opps:
             return
         rows = [(j, k) for j in opps for k in BEHAVIORAL_LEVELS]
-        if self.predictor is not None:
-            picked = self.predictor(snapshot, [j for j, _ in rows], [k for _, k in rows], network, plans)
-        else:
-            picked = [levelk_plan(snapshot, j, k, network, plans).action_sequence[0] for j, k in rows]
+        picked = self.engine.act(prev_states, [j for j, _ in rows], [k for _, k in rows], network, plans)
         pred_idx = dict(zip(rows, picked))
         for j in opps:
             preds: Dict[int, Tuple[float, float]] = {}
@@ -226,21 +237,19 @@ class AdaptiveController(AVController):
 
 
 class FixedLevelController(AVController):
-    """Ego that plays a fixed behavioral level, as the expert tree search
-    or through a distilled predictor queried with its one row."""
+    """Ego that plays a fixed behavioral level through engine.act, queried
+    with its one row."""
 
-    def __init__(self, level: int, predictor: Optional[Predictor] = None):
+    def __init__(self, level: int, engine: Engine):
         if level not in BEHAVIORAL_LEVELS:
             raise ValueError(f"fixed ego level must be one of {BEHAVIORAL_LEVELS}")
         self.level = level
-        self.predictor = predictor
+        self.engine = engine
 
     def decide(
         self, states: Sequence[Optional[VehicleState]], i: int, network: RoadNetwork, plans: PlanCache
     ) -> int:
-        if self.predictor is not None:
-            return int(self.predictor(states, [i], [self.level], network, plans)[0])
-        return levelk_plan(list(states), i, self.level, network, plans).action_sequence[0]
+        return int(self.engine.act(states, [i], [self.level], network, plans)[0])
 
 
 # ---------------------------------------------------------------------------

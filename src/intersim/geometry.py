@@ -181,24 +181,11 @@ def polylines_min_dist(a_segs: np.ndarray, b_segs: np.ndarray) -> float:
 def overlap_rects_one_many(x, y, c, s, length: float, width: float, others: np.ndarray) -> np.ndarray:
     """Closed-set overlap of B equally sized rectangles, at (x, y) with
     heading cos and sin c, s, against any of L rectangles, all pairs in
-    one pass. others holds the L as rect_rows.
-
-    Support-function separating axis test: along each of the four edge
-    normals, separated iff the center gap exceeds the summed support radii.
-    Strict inequality keeps touching as overlap. Returns (B,) bool, true
-    where the rectangle touches any of the L.
+    one pass by sat_separations. others holds the L as rect_rows. Returns
+    (B,) bool, true where the rectangle touches any of the L.
     """
-    hl, hw = 0.5 * length, 0.5 * width
     ocx, ocy, ohl, ohw, co, so = others.T[:, :, None]
-    dx = ocx - np.asarray(x)
-    dy = ocy - np.asarray(y)
-    # C = cos(theta_o - theta), S = sin(theta_o - theta)
-    C = np.abs(co * c + so * s)
-    S = np.abs(so * c - co * s)
-    sep = np.abs(dx * c + dy * s) > hl + ohl * C + ohw * S
-    sep |= np.abs(dy * c - dx * s) > hw + ohl * S + ohw * C
-    sep |= np.abs(dx * co + dy * so) > ohl + hl * C + hw * S
-    sep |= np.abs(dy * co - dx * so) > ohw + hl * S + hw * C
+    sep = sat_separations(ocx - np.asarray(x), ocy - np.asarray(y), c, s, co, so, 0.5 * length, 0.5 * width, ohl, ohw)
     return ~sep.all(axis=0)
 
 
@@ -221,9 +208,9 @@ def overlap_rects_group(x, y, cth, sth, counts, others: np.ndarray, sizes) -> np
     instant t. The members' cos and sin are taken once per instant, and
     the four projections and the relative angle once per pair. sizes holds
     (length, width) pairs; at each size, batch and member rectangles share
-    it, and the thresholds are the same support sums as in
-    overlap_rects_one_many. Returns (len(sizes), B) bool, true where the
-    batch rectangle touches any member.
+    it, and one sat_separations pass tests every size along a leading
+    axis. Returns (len(sizes), B) bool, true where the batch rectangle
+    touches any member.
     """
     out = np.zeros((len(sizes), np.shape(x)[0]), dtype=bool)
     if not len(others):
@@ -232,28 +219,27 @@ def overlap_rects_group(x, y, cth, sth, counts, others: np.ndarray, sizes) -> np
         np.repeat(a, counts, axis=1)
         for a in (others[..., 0], others[..., 1], np.cos(others[..., 2]), np.sin(others[..., 2]))
     )
-    for k, sep in enumerate(sat_separations(ox - np.asarray(x), oy - np.asarray(y), cth, sth, co, so, sizes)):
-        out[k] = (~sep).any(axis=0)
-    return out
+    hl, hw = 0.5 * np.array(sizes, dtype=float).T[:, :, None, None]
+    sep = sat_separations(ox - np.asarray(x), oy - np.asarray(y), cth, sth, co, so, hl, hw, hl, hw)
+    return (~sep).any(axis=1)
 
 
-def sat_separations(dx, dy, c, s, co, so, sizes):
-    """overlap_rects_group's separating axis test, on floats or arrays that
-    broadcast: pairs whose centers lie (dx, dy) apart, with heading cos and
-    sin c, s and co, so. Yields per (length, width) of sizes, shared by both
-    rectangles, whether an edge normal separates them; touching is overlap."""
+def sat_separations(dx, dy, c, s, co, so, hl, hw, ohl, ohw):
+    """The support-sum separating axis test of the batched kernels, on
+    floats or arrays that broadcast: whether an edge normal separates each
+    pair of rectangles whose centers lie (dx, dy) apart, the first with
+    heading cos and sin c, s and half length and width hl, hw, the second
+    with co, so and ohl, ohw. Along each of the four normals they are
+    separated iff the center gap exceeds the summed support radii; strict
+    inequality keeps touching as overlap."""
+    # C = |cos(theta_o - theta)|, S = |sin(theta_o - theta)|
     C = abs(co * c + so * s)
     S = abs(so * c - co * s)
-    pu, pw = abs(dx * c + dy * s), abs(dy * c - dx * s)
-    qu, qw = abs(dx * co + dy * so), abs(dy * co - dx * so)
-    for length, width in sizes:
-        hl, hw = 0.5 * length, 0.5 * width
-        along, across = hl + hl * C + hw * S, hw + hl * S + hw * C
-        sep = pu > along
-        sep |= pw > across
-        sep |= qu > along
-        sep |= qw > across
-        yield sep
+    sep = abs(dx * c + dy * s) > hl + ohl * C + ohw * S
+    sep |= abs(dy * c - dx * s) > hw + ohl * S + ohw * C
+    sep |= abs(dx * co + dy * so) > ohl + hl * C + hw * S
+    sep |= abs(dy * co - dx * so) > ohw + hl * S + hw * C
+    return sep
 
 
 def segments_hit_rects(segs: np.ndarray, cx, cy, theta, length: float, width: float) -> np.ndarray:

@@ -20,17 +20,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .controllers import (
     AdaptiveController,
+    ExpertEngine,
     FixedLevelController,
+    PolicyEngine,
     RC_M,
     RuleBasedController,
 )
 from .geometry import BUILDERS, Pose2, RoadNetwork, is_finite_number, make_city, single_network
-from .imitation import (
-    DistilledTraffic,
-    PolicyApproximator,
-    load_policy,
-    wilson_interval,
-)
+from .imitation import load_policy, wilson_interval
 from .reward import C_LENGTH_M, c_zone
 from .scene import (
     KIND_COLLISION,
@@ -38,10 +35,9 @@ from .scene import (
     KIND_SUCCESS,
     T_LIMIT_S,
     AVController,
+    EngineTraffic,
     EpisodeOutcome,
-    ExpertTraffic,
     SceneConfig,
-    TrafficPolicy,
     run_episode,
 )
 
@@ -158,9 +154,11 @@ def summarize(outcomes: Sequence[EpisodeOutcome], scene: str, traffic_model: str
 class EvalSpec:
     """One evaluation cell: the scene, traffic, and the AV stack.
 
-    engine selects how background vehicles (and search-based egos) act:
-    "expert" runs the game-tree search every tick, "distilled" batches the
-    trained classifier (needs policy_file).
+    engine selects how background vehicles and the search-based AVs
+    (adaptive, level1, level2) act: "expert" runs the game-tree search
+    every tick (controllers.ExpertEngine), "distilled" batches the trained
+    classifier of policy_file (controllers.PolicyEngine). The cell's one
+    engine, picked when it is built (_Built), serves traffic and AV alike.
     scene takes a built-in layout kind, "city", or the path of a network
     recipe file: the builders' arguments per intersection, plus the
     connectors (geometry's module doc gives the format). A recipe sets
@@ -217,7 +215,8 @@ def build_network(spec: EvalSpec) -> RoadNetwork:
 
 
 class _Built:
-    """Per-process immutable pieces shared across a chunk of episodes."""
+    """Per-process immutable pieces shared across a chunk of episodes: the
+    network, the scene, the engine and the traffic that acts through it."""
 
     def __init__(self, spec: EvalSpec):
         self.network = build_network(spec)
@@ -228,14 +227,13 @@ class _Built:
             av_policy=spec.av,
             t_limit_s=spec.t_limit_s,
         )
-        self.policy: Optional[PolicyApproximator] = None
         if spec.engine == "distilled":
             if spec.policy_file is None:
                 raise ValueError("distilled engine needs policy_file")
-            self.policy = load_policy(spec.policy_file)
-            self.traffic: TrafficPolicy = DistilledTraffic(self.policy)
+            self.engine = PolicyEngine(load_policy(spec.policy_file).act)
         else:
-            self.traffic = ExpertTraffic()
+            self.engine = ExpertEngine()
+        self.traffic = EngineTraffic(self.engine)
 
 
 def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
@@ -243,12 +241,11 @@ def _make_av(spec: EvalSpec, built: _Built) -> Optional[AVController]:
     episode-local state."""
     if spec.av is None:
         return None
-    predictor = built.policy.act if built.policy is not None else None
     if spec.av in ("level1", "level2"):
-        return FixedLevelController(int(spec.av[-1]), predictor=predictor)
+        return FixedLevelController(int(spec.av[-1]), built.engine)
     if spec.av == "rule-based":
         return RuleBasedController(spec.rc_m)
-    return AdaptiveController(predictor=predictor)
+    return AdaptiveController(built.engine)
 
 
 def run_one(

@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, single_network
 from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy
-from .scene import TrafficPolicy, detect_fail, detect_success, fill_empty_slots, spawn_vehicle
+from .scene import detect_fail, detect_success, fill_empty_slots, spawn_vehicle
 
 M_NEAR = 6  # opponent slots of the encoder; a policy file must say the same
 POS_SCALE_M = 40.0  # interaction radius; positions land roughly in [-1, 1]
@@ -471,8 +471,11 @@ class PolicyApproximator:
     def from_json(cls, data: dict) -> "PolicyApproximator":
         if data.get("format_version") != cls.FORMAT_VERSION:
             raise ValueError(f"unsupported policy format {data.get('format_version')}")
+        theta = np.array(data["theta"], dtype=float)
+        if not np.isfinite(theta).all():
+            raise ValueError("theta holds a value that is not finite")
         obj = cls(data["architecture"], data["encoding"])
-        obj.set_theta(np.array(data["theta"], dtype=float))
+        obj.set_theta(theta)
         return obj
 
     @classmethod
@@ -700,21 +703,3 @@ def evaluate_match(
             hits += int(guess) == expert
     lo, hi = wilson_interval(hits, len(probes))
     return {"match": hits / len(probes), "n": len(probes), "ci_low": lo, "ci_high": hi}
-
-
-# ---------------------------------------------------------------------------
-# simulation adapter
-
-
-class DistilledTraffic(TrafficPolicy):
-    """Background traffic driven by the distilled classifier: one act call
-    per tick for all background vehicles at their levels. It does not
-    search; it puts the encodings of s_t in the tick's plan cache, where
-    the AV's rollout and belief update find them."""
-
-    def __init__(self, policy: PolicyApproximator):
-        self.policy = policy
-
-    def select(self, states, levels, indices, network, plans):
-        out = self.policy.act(states, indices, [levels[i] for i in indices], network, plans)
-        return {i: int(a) for i, a in zip(indices, out)}

@@ -137,9 +137,10 @@ class PlanCache(dict):
     theta, speed, phase, goal_ref) rather than by slot; in heads the
     distilled encoder's head of each vehicle of s, by slot. It holds
     plans, trees and encodings of s only. A simulator tick makes one for
-    s_t (scene.sim_step); the callers whose states are not s_t pass a
-    fresh PlanCache(): the predictor rollout's steps 2..HORIZON_N,
-    imitation.encode_state and imitation.collect_probes."""
+    s_t (scene.sim_step), and the engine calls of its traffic and its AV
+    share it (controllers' module doc); the callers whose states are not
+    s_t pass a fresh PlanCache(): controllers.predictor_rollout's steps
+    2..HORIZON_N, imitation.encode_state and imitation.collect_probes."""
 
     def __init__(self):
         super().__init__()
@@ -268,10 +269,10 @@ def _path_clear(tree: _EgoTree, rows: List[int], opp: np.ndarray) -> bool:
     overlap_rects_group's test on the same floats, sat_separations."""
     x, y, _, cth, sth = tree.poses
     path = list(zip(x[rows].tolist(), y[rows].tolist(), cth[rows].tolist(), sth[rows].tolist()))
-    size = ((S_LENGTH_M, S_WIDTH_M),)
+    hl, hw = 0.5 * S_LENGTH_M, 0.5 * S_WIDTH_M
     for poses, cos_o, sin_o in zip(opp.tolist(), np.cos(opp[..., 2]).tolist(), np.sin(opp[..., 2]).tolist()):
         for (ox, oy, _), co, so, (px, py, c, s) in zip(poses, cos_o, sin_o, path):
-            if not next(sat_separations(ox - px, oy - py, c, s, co, so, size)):
+            if not sat_separations(ox - px, oy - py, c, s, co, so, hl, hw, hl, hw):
                 return False
     return True
 

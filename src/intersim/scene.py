@@ -8,6 +8,11 @@ next tick start (the training-loop semantics, kept during evaluation so
 traffic density stays constant); the vehicle under test terminates the
 episode instead.
 
+Background vehicles act through an engine (EngineTraffic): the
+game-tree expert or an explicit policy such as the distilled one
+(controllers' module doc). An evaluation cell picks one engine for the
+traffic and the search-based AVs alike (harness._Built).
+
 Each tick owns one plan cache (planner.PlanCache). The traffic policy,
 the AV's decision and the AV's belief observation all plan from s_t, so
 a level-k best response searched by one of them is reused by the others
@@ -60,7 +65,7 @@ from .geometry import (
     segments_hit_rects,
     turn_targets,
 )
-from .planner import PlanCache, expert_policy
+from .planner import PlanCache
 from .reward import C_LENGTH_M, C_WIDTH_M, c_zone
 
 MIN_SEPARATION_M = 10.0
@@ -275,13 +280,18 @@ class TrafficPolicy:
         raise NotImplementedError
 
 
-class ExpertTraffic(TrafficPolicy):
-    """Runs the full game-tree search every tick. Exact but slow; the
-    distilled approximators are the production path. Its plans go into
-    the tick's plan cache, where the AV finds them."""
+class EngineTraffic(TrafficPolicy):
+    """Background traffic driven by an engine (controllers.ExpertEngine or
+    controllers.PolicyEngine): one engine.act call per tick for all
+    background vehicles at their levels. The plans or encodings it makes
+    go into the tick's plan cache, where the AV finds them."""
+
+    def __init__(self, engine):
+        self.engine = engine
 
     def select(self, states, levels, indices, network, plans):
-        return {i: expert_policy(states, i, levels[i], network, plans).action_sequence[0] for i in indices}
+        out = self.engine.act(states, indices, [levels[i] for i in indices], network, plans)
+        return {i: int(a) for i, a in zip(indices, out)}
 
 
 class AVController:

@@ -1,9 +1,10 @@
-"""The distilled AV paths with one predictor query per (vehicle, level).
+"""The explicit-policy AV paths with one policy query per (vehicle, level).
 
-These are the loops the batched Predictor replaced, kept as the reference
-the library's controllers must match. A row predictor is
+These are the loops the batched engine replaced, kept as the reference
+the library's controllers must match. A row policy is
 predict_row(states, i, k, network) -> action index; `batched` turns it
-into the library's Predictor, which answers a list of rows at once.
+into the act of a controllers.PolicyEngine, which answers a list of rows
+at once.
 """
 
 from typing import Dict, List, Tuple
@@ -13,6 +14,7 @@ import numpy as np
 from intersim.controllers import (
     AdaptiveController,
     FixedLevelController,
+    PolicyEngine,
     estimate_level,
     update_beliefs,
 )
@@ -21,14 +23,14 @@ from intersim.planner import BEHAVIORAL_LEVELS, HORIZON_N, INTERACTION_RADIUS_M,
 
 
 def batched(predict_row):
-    """The Predictor that answers each row with predict_row."""
+    """The act that answers each row with predict_row."""
 
-    def predictor(states, indices, levels, network, plans):
+    def act(states, indices, levels, network, plans):
         return np.array(
             [predict_row(states, i, k, network) for i, k in zip(indices, levels)], dtype=int
         )
 
-    return predictor
+    return act
 
 
 def rollout_per_row(states, opponents, estimates, network, predict_row):
@@ -81,8 +83,8 @@ class PerRowAdaptive(AdaptiveController):
     archives the slot's peak into resolved, so a test can check that the
     beliefs it compares lean to a level."""
 
-    def __init__(self, predict_row, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, predict_row):
+        super().__init__(PolicyEngine(batched(predict_row)))
         self.predict_row = predict_row
         self.peak: Dict[int, np.ndarray] = {}
         self.resolved: List[Tuple[int, np.ndarray]] = []
@@ -115,7 +117,7 @@ class PerRowAdaptive(AdaptiveController):
 
 class PerRowFixedLevel(FixedLevelController):
     def __init__(self, level, predict_row):
-        super().__init__(level)
+        super().__init__(level, PolicyEngine(batched(predict_row)))
         self.predict_row = predict_row
 
     def decide(self, states, i, network, plans):

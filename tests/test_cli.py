@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -104,6 +105,21 @@ def test_missing_policy_file_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_policy_file_with_weights_that_are_not_finite_exits_one(tmp_path, capsys):
+    """The fixture with a NaN and an infinite weight is a configuration
+    error (exit 1) whose message names the path, not a policy to run."""
+    data = json.loads(Path(FIXTURE).read_text())
+    data["theta"][0], data["theta"][5] = math.nan, math.inf
+    path = tmp_path / "bad_policy.json"
+    path.write_text(json.dumps(data))
+    argv = ["evaluate", "--scene", "fourway", "--av", "adaptive", "--episodes", "2",
+            "--policy-file", str(path), "--config", _fast_cfg(tmp_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"policy file {path} is malformed" in err and "not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_exits_one(tmp_path, policy_file, capsys):

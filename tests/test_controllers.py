@@ -22,7 +22,9 @@ from intersim.controllers import (
     ACCEL_SET,
     RC_M,
     AdaptiveController,
+    ExpertEngine,
     FixedLevelController,
+    PolicyEngine,
     RuleBasedController,
     adaptive_plan,
     conflict_set,
@@ -176,8 +178,8 @@ def test_adaptive_reduces_to_level0_without_opponents():
     net = single_network("fourway")
     ego = VehicleState(Pose2(-12.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out")
     want = levelk_plan([ego], 0, 0, net, PlanCache()).action_sequence
-    for predictor in (None, load_policy(str(_FIXTURE)).act):
-        assert adaptive_plan([ego], 0, {}, net, PlanCache(), predictor).action_sequence == want
+    for engine in (ExpertEngine(), PolicyEngine(load_policy(str(_FIXTURE)).act)):
+        assert adaptive_plan([ego], 0, {}, net, PlanCache(), engine).action_sequence == want
 
 
 def test_adaptive_is_best_response_to_the_estimated_level():
@@ -186,7 +188,7 @@ def test_adaptive_is_best_response_to_the_estimated_level():
     # scalar exhaustive planner provides an independent oracle
     states, net = _crossing_scene()
     for level in (1, 2):
-        res = adaptive_plan(states, 0, _saturated({1: level}), net, PlanCache())
+        res = adaptive_plan(states, 0, _saturated({1: level}), net, PlanCache(), ExpertEngine())
         seq, val = exhaustive_plan(states, 0, level + 1, net)
         assert res.action_sequence == seq
         assert res.value == pytest.approx(val, rel=1e-9, abs=1e-9)
@@ -203,7 +205,7 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
         VehicleState(Pose2(-7.0, -2.0, 0.0), 2.0, goal_ref="I0:E.out"),
     ]
     beliefs = _saturated({1: 1, 2: 2})
-    res = adaptive_plan(states, 0, beliefs, net, PlanCache())
+    res = adaptive_plan(states, 0, beliefs, net, PlanCache(), ExpertEngine())
 
     opp_traj = {}
     for j, level in ((1, 1), (2, 2)):
@@ -236,8 +238,8 @@ def test_adaptive_with_mixed_estimates_matches_flat_enumeration():
 
 def test_adaptive_yields_to_aggressive_and_pushes_past_cautious():
     states, net = _crossing_scene()
-    vs_cautious = adaptive_plan(states, 0, _saturated({1: 1}), net, PlanCache())
-    vs_aggressive = adaptive_plan(states, 0, _saturated({1: 2}), net, PlanCache())
+    vs_cautious = adaptive_plan(states, 0, _saturated({1: 1}), net, PlanCache(), ExpertEngine())
+    vs_aggressive = adaptive_plan(states, 0, _saturated({1: 2}), net, PlanCache(), ExpertEngine())
     # a level-1 opponent is modeled as yielding, so the ego keeps rolling;
     # a level-2 opponent plows through, so the ego plans to slow down
     assert vs_cautious.trajectory[:, 3].min() > vs_aggressive.trajectory[:, 3].min()
@@ -245,7 +247,7 @@ def test_adaptive_yields_to_aggressive_and_pushes_past_cautious():
 
 def test_adaptive_controller_updates_and_resets_beliefs():
     states, net = _crossing_scene()
-    av = AdaptiveController()
+    av = AdaptiveController(ExpertEngine())
     a = av.decide(states, 0, net, PlanCache())
     assert 0 <= a < len(DEFAULT_ACTIONS)
     opp_l1 = levelk_plan(states, 1, 1, net, PlanCache()).action_sequence[0]
@@ -264,15 +266,15 @@ def test_adaptive_controller_updates_and_resets_beliefs():
 def test_fixed_level_controller_matches_expert_plan():
     states, net = _crossing_scene()
     for k in (1, 2):
-        av = FixedLevelController(k)
+        av = FixedLevelController(k, ExpertEngine())
         want = levelk_plan(states, 0, k, net, PlanCache()).action_sequence[0]
         assert av.decide(states, 0, net, PlanCache()) == want
     with pytest.raises(ValueError):
-        FixedLevelController(0)
+        FixedLevelController(0, ExpertEngine())
 
 
 # ---------------------------------------------------------------------------
-# distilled paths: the batched predictor against one query per row
+# explicit policies: the batched engine against one query per row
 
 
 def _toy_row(states, i, k, network):
@@ -325,11 +327,11 @@ _SHARP_SEEDS = (0, 1, 3, 4, 6, 7)
 
 
 def test_adaptive_with_a_predictor_matches_per_row_queries():
-    predictor = batched(_toy_row)
+    engine = PolicyEngine(batched(_toy_row))
     refs = []
     for seed in _SHARP_SEEDS:
         refs.append(PerRowAdaptive(_toy_row))
-        _same_run(AdaptiveController(predictor=predictor), refs[-1], seed)
+        _same_run(AdaptiveController(engine), refs[-1], seed)
     # the comparison is only as sharp as the beliefs it compares: every
     # tracked vehicle leans to a level, and respawns reset some of them
     peaks = [p for ref in refs for p in ref.peak_by_slot().values()]
@@ -338,10 +340,10 @@ def test_adaptive_with_a_predictor_matches_per_row_queries():
 
 
 def test_fixed_level_distilled_ego_matches_per_row_queries():
-    predictor = batched(_toy_row)
+    engine = PolicyEngine(batched(_toy_row))
     for k in (1, 2):
         for seed in range(3):
-            _same_run(FixedLevelController(k, predictor=predictor), PerRowFixedLevel(k, _toy_row), seed)
+            _same_run(FixedLevelController(k, engine), PerRowFixedLevel(k, _toy_row), seed)
 
 
 def test_predictor_rollout_matches_per_row_rollout():
@@ -397,7 +399,7 @@ def test_one_predictor_call_per_rollout_step_and_at_most_one_per_observe():
 
     stats = {"rollouts": 0, "observes": 0}
     for seed in range(2):
-        _toy_episode(Counted(predictor=counting), seed)
+        _toy_episode(Counted(PolicyEngine(counting)), seed)
     assert stats["rollouts"] >= 10 and stats["observes"] >= 10
 
 

@@ -109,7 +109,7 @@ def test_every_public_definition_is_referenced():
 # options in the package: every one is a value a caller may set, and each
 # needs a reason to exist. The count must equal this ceiling, so a change
 # that removes a knob lowers it too; it may only fall
-SETTABLE_VALUES_CEILING = 92
+SETTABLE_VALUES_CEILING = 89
 
 
 def _is_dataclass(node) -> bool:
@@ -249,7 +249,7 @@ def test_benchmark_hooks_read_the_right_arguments(monkeypatch):
     from tracer import Tracer
 
     from intersim import geometry, reward, scene
-    from intersim.controllers import AdaptiveController
+    from intersim.controllers import AdaptiveController, ExpertEngine
     from intersim.geometry import single_network
     from intersim.planner import HORIZON_N
 
@@ -266,13 +266,13 @@ def test_benchmark_hooks_read_the_right_arguments(monkeypatch):
         pairs.append((tracer.counts["geometry.pair_tests"] - before, len(a["x"]) * len(a["others"])))
         return res
 
-    av, ticks = AdaptiveController(), 0
+    av, ticks = AdaptiveController(ExpertEngine()), 0
     try:
         instrument(tracer, False)
         traced = reward.overlap_rects_group
         reward.overlap_rects_group = spy  # restore() puts the kernel back
         while not pairs:
-            scene.sim_step(ep, cfg, scene.ExpertTraffic(), av)
+            scene.sim_step(ep, cfg, scene.EngineTraffic(ExpertEngine()), av)
             ticks += 1
     finally:
         tracer.restore()

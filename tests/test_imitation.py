@@ -1,5 +1,6 @@
 """Encodings, datasets, the classifier, and the aggregation loop."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -16,7 +17,6 @@ from intersim.geometry import ISLAND_RADIUS_M, LANE_WIDTH_M, make_city, single_n
 from intersim.imitation import (
     DaggerConfig,
     DemoDataset,
-    DistilledTraffic,
     EGO_BLOCK,
     LEVELK_DIM,
     M_NEAR,
@@ -253,10 +253,10 @@ def _distilled_ticks(kind, n_ticks):
     """(s_t, levels, background slots) at select of the first n_ticks
     ticks of seeded episodes with distilled traffic and the adaptive AV,
     both on a random-weight classifier, and the network."""
-    policy = _random_levelk_policy()
+    engine = controllers.PolicyEngine(_random_levelk_policy().act)
     ticks = []
 
-    class Recording(DistilledTraffic):
+    class Recording(scene.EngineTraffic):
         def select(self, states, levels, indices, network, plans):
             ticks.append(([s.copy() if s is not None else None for s in states], list(levels), list(indices)))
             return super().select(states, levels, indices, network, plans)
@@ -265,9 +265,9 @@ def _distilled_ticks(kind, n_ticks):
     seed = 0
     while len(ticks) < n_ticks:
         ep = scene.init_episode(cfg, seed=(31, seed), collect_log=False)
-        av = controllers.AdaptiveController(predictor=policy.act)
+        av = controllers.AdaptiveController(engine)
         while not ep.done and len(ticks) < n_ticks:
-            scene.sim_step(ep, cfg, Recording(policy), av)
+            scene.sim_step(ep, cfg, Recording(engine), av)
         seed += 1
     return ticks, cfg.network
 
@@ -318,10 +318,10 @@ def test_a_distilled_tick_builds_each_head_of_s_t_once(monkeypatch):
 
     monkeypatch.setattr(im, "_read_live", spy_read)
     monkeypatch.setattr(im, "_common_block", spy_block)
-    policy = _random_levelk_policy()
+    engine = controllers.PolicyEngine(_random_levelk_policy().act)
     s_t = []
 
-    class Recording(DistilledTraffic):
+    class Recording(scene.EngineTraffic):
         def select(self, states, levels, indices, network, plans):
             near = near_indices(states, 0, INTERACTION_RADIUS_M) if states[0] is not None else []
             s_t.append((states, list(indices), near))
@@ -331,10 +331,10 @@ def test_a_distilled_tick_builds_each_head_of_s_t_once(monkeypatch):
     rolled = 0
     for seed in range(4):
         ep = scene.init_episode(cfg, seed=(1, seed), collect_log=False)
-        av = controllers.AdaptiveController(predictor=policy.act)
+        av = controllers.AdaptiveController(engine)
         while not ep.done:
             built.clear()
-            scene.sim_step(ep, cfg, Recording(policy), av)
+            scene.sim_step(ep, cfg, Recording(engine), av)
             states, bg, near = s_t[-1]
             assert sorted(i for src, i in built if src is states) == sorted(bg)
             later = sorted(i for src, i in built if src is not states)
@@ -428,6 +428,20 @@ def test_policy_rejects_foreign_formats(tmp_path):
         PolicyApproximator([4, 3], default_encoding())
     with pytest.raises(ValueError):
         pol.set_theta(np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_policy_with_a_weight_that_is_not_finite_is_refused(tmp_path, bad):
+    """A NaN or an infinite weight, which json writes as NaN or Infinity
+    and reads back, makes the file malformed rather than a policy."""
+    data = PolicyApproximator([4, 3, 6], default_encoding(), seed=1).to_json()
+    data["theta"][2] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        PolicyApproximator.from_json(data)
+    path = tmp_path / "pol.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"policy file {path} is malformed"):
+        PolicyApproximator.load(str(path))
 
 
 def test_argmax_ties_resolve_to_the_lowest_action():
@@ -652,7 +666,7 @@ def test_probe_match_pipeline_on_a_tiny_policy():
 def test_distilled_traffic_matches_per_vehicle_queries():
     states, net = _scene()
     pol = PolicyApproximator([LEVELK_DIM, 8, 6], default_encoding(), seed=2)
-    traffic = DistilledTraffic(pol)
+    traffic = scene.EngineTraffic(controllers.PolicyEngine(pol.act))
     levels = {0: 1, 1: 2, 2: 1}
     out = traffic.select(states, levels, [0, 1, 2], net, PlanCache())
     assert out == {i: int(pol.predict(encode_state(states, i, levels[i], net))[0]) for i in range(3)}

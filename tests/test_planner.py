@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from intersim import planner, reward
-from intersim.controllers import adaptive_plan
+from intersim.controllers import ExpertEngine, adaptive_plan
 from intersim.dynamics import (
     DEFAULT_ACTIONS,
     PHASE_APPROACH,
@@ -202,7 +202,7 @@ def _plan(states, net, query, beliefs, cache):
     kind, i, k = query
     if kind == "levelk":
         return levelk_plan(states, i, k, net, cache)
-    return adaptive_plan(states, i, beliefs, net, cache)
+    return adaptive_plan(states, i, beliefs, net, cache, ExpertEngine())
 
 
 _ACTION_SETS = (DEFAULT_ACTIONS, _DISTINCT_OMEGAS, _STRAIGHT_ONLY)

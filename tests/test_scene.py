@@ -4,13 +4,14 @@ import copy
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from spawn_oracle import spawn_by_rejection
 
 from intersim import imitation, planner, scene
-from intersim.controllers import AdaptiveController
+from intersim.controllers import AdaptiveController, ExpertEngine, PolicyEngine
 from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, V_MAX, Pose2, VehicleState
 from intersim.geometry import (
     LANE_WIDTH_M,
@@ -19,12 +20,13 @@ from intersim.geometry import (
     rects_overlap,
     segment_intersects_rect,
     single_network,
+    wrap_angle,
 )
 from intersim.planner import PlanCache
 from intersim.reward import C_LENGTH_M, c_zone
 from intersim.scene import (
     AVController,
-    ExpertTraffic,
+    EngineTraffic,
     MIN_SEPARATION_M,
     KIND_COLLISION,
     KIND_DEADLOCK,
@@ -40,6 +42,8 @@ from intersim.scene import (
     sim_step,
     spawn_vehicle,
 )
+
+FIXTURE = str(Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / "levelk_policy.json")
 
 
 class HoldTraffic(TrafficPolicy):
@@ -779,7 +783,7 @@ def test_a_fresh_vehicle_starts_with_no_belief():
     ]
     ended = ep.states[1]
     believed = []
-    av = DecideSpy(predictor=stub)
+    av = DecideSpy(PolicyEngine(stub))
     sim_step(ep, cfg, HoldTraffic(), av)
     assert [json.loads(r)["id"] for r in ep.log if '"status":"failed"' in r] == [1]
     assert ep.states[1] is None and 1 in av.beliefs
@@ -923,7 +927,7 @@ def test_expert_traffic_drives_toward_goals():
         net.resolve(ep.states[0].goal_ref)[1].p1,
     )
     for _ in range(16):
-        sim_step(ep, cfg, ExpertTraffic())
+        sim_step(ep, cfg, EngineTraffic(ExpertEngine()))
         if ep.states[0] is None:
             break
     if ep.states[0] is not None:
@@ -938,7 +942,7 @@ def test_expert_traffic_drives_toward_goals():
 # the tick's shared plan cache
 
 
-class PrivateTableTraffic(ExpertTraffic):
+class PrivateTableTraffic(EngineTraffic):
     """Expert traffic that searches into a fresh cache on every call."""
 
     def select(self, states, levels, indices, network, plans):
@@ -962,9 +966,9 @@ def _adaptive_expert_scene(ticks=15):
 
 def test_shared_plan_table_matches_private_tables():
     cfg = _adaptive_expert_scene()
-    shared_av, private_av = AdaptiveController(), PrivateTableAV()
-    shared = run_episode(cfg, ExpertTraffic(), shared_av, seed=(1, 0), collect_log=True)
-    private = run_episode(cfg, PrivateTableTraffic(), private_av, seed=(1, 0), collect_log=True)
+    shared_av, private_av = AdaptiveController(ExpertEngine()), PrivateTableAV(ExpertEngine())
+    shared = run_episode(cfg, EngineTraffic(ExpertEngine()), shared_av, seed=(1, 0), collect_log=True)
+    private = run_episode(cfg, PrivateTableTraffic(ExpertEngine()), private_av, seed=(1, 0), collect_log=True)
     assert shared[0].duration_s == 15 * DT_S
     assert shared == private
     assert shared_av.beliefs.keys() == private_av.beliefs.keys()
@@ -986,7 +990,7 @@ def test_each_tick_searches_each_plan_once(monkeypatch):
 
     seen = []  # per tick: the cache each phase got
 
-    class CacheSpy(ExpertTraffic):
+    class CacheSpy(EngineTraffic):
         def select(self, states, levels, indices, network, plans):
             seen.append([plans])
             return super().select(states, levels, indices, network, plans)
@@ -1003,10 +1007,10 @@ def test_each_tick_searches_each_plan_once(monkeypatch):
     monkeypatch.setattr(planner, "_best_response", counting)
     cfg = _adaptive_expert_scene()
     ep = init_episode(cfg, seed=(1, 0), collect_log=True)
-    av = CacheSpyAV()
+    av = CacheSpyAV(ExpertEngine())
     while not ep.done:
         calls.append(0)
-        sim_step(ep, cfg, CacheSpy(), av)
+        sim_step(ep, cfg, CacheSpy(ExpertEngine()), av)
     assert len(calls) == len(seen) == 15
     assert all(len(phases) == 3 and all(c is phases[0] for c in phases) for phases in seen)
     assert len({id(phases[0]) for phases in seen}) == 15
@@ -1038,13 +1042,13 @@ def test_each_tick_builds_one_ego_tree_per_distinct_ego_input(monkeypatch):
     monkeypatch.setattr(planner, "_best_response", counting)
     monkeypatch.setattr(planner, "features_many", counting_features)
     cfg = _adaptive_expert_scene()
-    runs = [(init_episode(cfg, seed=(1, 0), collect_log=True), AdaptiveController()) for _ in range(2)]
+    runs = [(init_episode(cfg, seed=(1, 0), collect_log=True), AdaptiveController(ExpertEngine())) for _ in range(2)]
     while not runs[0][0].done:
         for ep, av in runs:
             egos.append(set())
             searches.append(0)
             trees.append(0)
-            sim_step(ep, cfg, ExpertTraffic(), av)
+            sim_step(ep, cfg, EngineTraffic(ExpertEngine()), av)
     assert runs[1][0].done and len(trees) == 30
     assert trees == [len(e) for e in egos]
     assert all(trees) and sum(searches) > sum(trees)
@@ -1054,10 +1058,11 @@ def test_each_tick_builds_one_ego_tree_per_distinct_ego_input(monkeypatch):
 # metamorphic: a permutation of the slots permutes the plans and the flags
 
 
-def _expert_snapshots(net, n_vehicles, ticks, seed, monkeypatch):
-    """Copies of the joint state of an expert-traffic episode before the
-    move of each tick in ticks, and the post-move snapshot and indices of
-    each detect_fail call of its first max(ticks) + 1 ticks."""
+def _snapshots(net, n_vehicles, ticks, seed, engine, monkeypatch):
+    """Copies of the joint state of an episode whose traffic acts through
+    engine before the move of each tick in ticks, and the post-move
+    snapshot and indices of each detect_fail call of its first
+    max(ticks) + 1 ticks."""
     checked = []
     real = scene.detect_fail
 
@@ -1073,7 +1078,7 @@ def _expert_snapshots(net, n_vehicles, ticks, seed, monkeypatch):
         for t in range(max(ticks) + 1):
             if t in ticks:
                 before.append([s.copy() if s is not None else None for s in ep.states])
-            sim_step(ep, cfg, ExpertTraffic())
+            sim_step(ep, cfg, EngineTraffic(engine))
     return before, checked
 
 
@@ -1084,7 +1089,7 @@ def test_reversing_the_slots_permutes_plans_and_fail_flags(kind, n_vehicles, mon
     opponents a search keeps, and the certificate that may end it early,
     see the same poses in another order."""
     net = _network(kind)
-    before, checked = _expert_snapshots(net, n_vehicles, (4, 12, 20, 28), (5, 0), monkeypatch)
+    before, checked = _snapshots(net, n_vehicles, (4, 12, 20, 28), (5, 0), ExpertEngine(), monkeypatch)
     contested = 0
     for states in before:
         n = len(states)
@@ -1105,3 +1110,78 @@ def test_reversing_the_slots_permutes_plans_and_fail_flags(kind, n_vehicles, mon
         failed += sum(flags.values())
     # some searches had opponents to order, and some vehicle failed
     assert contested and failed
+
+
+@pytest.mark.parametrize("kind, n_vehicles", [("fourway", 4), ("city", 8)])
+def test_reversing_the_slots_permutes_distilled_actions_and_fail_flags(kind, n_vehicles, monkeypatch):
+    """Reversing the slot order of recorded snapshots of distilled traffic
+    (the fixture policy through EngineTraffic) moves every level-1 and
+    level-2 action, and every fail flag, with its vehicle: the encoder
+    orders each vehicle's opponents by where they are, not by slot."""
+    net = _network(kind)
+    traffic = EngineTraffic(PolicyEngine(imitation.load_policy(FIXTURE).act))
+    rows = failed = 0
+    for seed in range(6):
+        before, checked = _snapshots(net, n_vehicles, range(40), (5, seed), traffic.engine, monkeypatch)
+        for states in before:
+            n = len(states)
+            live = [i for i, s in enumerate(states) if s is not None]
+            for k in (1, 2):
+                want = traffic.select(states, [k] * n, live, net, PlanCache())
+                got = traffic.select(states[::-1], [k] * n, [n - 1 - i for i in reversed(live)], net, PlanCache())
+                assert got == {n - 1 - i: a for i, a in want.items()}
+                rows += len(live)
+        for states, indices in checked:
+            n = len(states)
+            flags = detect_fail(states, indices, net)
+            reversed_flags = detect_fail(states[::-1], [n - 1 - i for i in indices], net)
+            assert reversed_flags == {n - 1 - i: f for i, f in flags.items()}
+            failed += sum(flags.values())
+    # most slots were live at most ticks, and some vehicle failed
+    assert rows >= 6 * 40 * 2 * (n_vehicles - 1) and failed
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a symmetry of the layout keeps every expert first action
+
+_QUARTER_TURN = {"E": "N", "N": "W", "W": "S", "S": "E"}
+
+
+def _turned(st):
+    """st turned a quarter counterclockwise about the fourway's center, the
+    origin: (x, y) to (-y, x), the heading by pi / 2, and each lane ref to
+    the same lane of the next arm."""
+
+    def ref(r):
+        name, lane = r.split(":")
+        arm, kind = lane.split(".")
+        return f"{name}:{_QUARTER_TURN[arm]}.{kind}"
+
+    p = st.pose
+    return VehicleState(
+        Pose2(-p.y, p.x, wrap_angle(p.theta + math.pi / 2)),
+        st.speed,
+        goal_ref=ref(st.goal_ref),
+        target_lane_seq=[ref(r) for r in st.target_lane_seq],
+        phase=st.phase,
+    )
+
+
+def test_a_quarter_turn_of_the_fourway_keeps_every_first_action(monkeypatch):
+    """The fourway maps onto itself under a quarter turn, so turning
+    recorded expert snapshots, positions, headings and lane refs together,
+    leaves the first action of every level-0, 1 and 2 plan as it was."""
+    net = single_network("fourway")
+    rows = contested = 0
+    for seed in range(100, 106):
+        before, _ = _snapshots(net, 4, range(40), (seed, 0), ExpertEngine(), monkeypatch)
+        for states in before:
+            turned = [_turned(s) if s is not None else None for s in states]
+            cache, turned_cache = PlanCache(), PlanCache()
+            for i, k in itertools.product([i for i, s in enumerate(states) if s is not None], (0, 1, 2)):
+                want = planner.levelk_plan(states, i, k, net, cache).action_sequence[0]
+                assert planner.levelk_plan(turned, i, k, net, turned_cache).action_sequence[0] == want
+                rows += 1
+                contested += bool(planner.near_indices(states, i, planner.INTERACTION_RADIUS_M))
+    # most rows had opponents to turn with the vehicle
+    assert rows >= 2000 and contested >= rows // 2
