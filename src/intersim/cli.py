@@ -224,7 +224,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     summary = []
     for idx in range(args.episodes):
-        outcome, log, _ = run_one(spec, (args.seed, idx), built, collect_log=True)
+        outcome, log = run_one(spec, (args.seed, idx), built, collect_log=True)
         log_path = os.path.join(args.out, f"episode_{idx:04d}.ndjson")
         with open(log_path, "w") as f:
             for line in log:

@@ -5,6 +5,8 @@ the pre-update speed and heading, then speed and heading are updated; speed
 saturates to [0, V_MAX] afterwards and the heading is wrapped to (-pi, pi].
 Every vehicle picks its action from one fixed table, DEFAULT_ACTIONS, a
 plain tuple of (accel, omega) pairs that actions are indices into.
+step moves the vehicles; a plan's path comes from the planner's ego tree,
+which evaluates step's float expressions node by node.
 """
 
 from __future__ import annotations
@@ -78,21 +80,6 @@ def step(pose: Pose2, speed: float, action: Action) -> Tuple[Pose2, float]:
     v = V_MIN if v < V_MIN else (V_MAX if v > V_MAX else v)
     theta = wrap_angle(pose.theta + action.omega * DT_S)
     return Pose2(x, y, theta), v
-
-
-def rollout(pose: Pose2, speed: float, actions) -> np.ndarray:
-    """States visited when applying an action sequence.
-
-    Returns shape (len(actions) + 1, 4) rows of (x, y, theta, v), first row
-    the initial state.
-    """
-    out = np.empty((len(actions) + 1, 4))
-    out[0] = (pose.x, pose.y, pose.theta, speed)
-    p, v = pose, speed
-    for i, act in enumerate(actions):
-        p, v = step(p, v, act)
-        out[i + 1] = (p.x, p.y, p.theta, v)
-    return out
 
 
 def hold_trajectory(pose: Pose2, n: int) -> np.ndarray:

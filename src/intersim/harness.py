@@ -253,13 +253,11 @@ def run_one(
     seed: Tuple[int, int],
     built: _Built,
     collect_log: bool = False,
-) -> Tuple[EpisodeOutcome, List[str], Optional[AVController]]:
+) -> Tuple[EpisodeOutcome, List[str]]:
     """One seeded episode under a spec, on the spec's built pieces. Returns
-    the classified outcome, the ndjson log lines (empty unless
-    collect_log), and the controller for post-episode inspection."""
-    av = _make_av(spec, built)
-    outcome, log = run_episode(built.scene_cfg, built.traffic, av, seed, collect_log)
-    return outcome, log, av
+    the classified outcome and the ndjson log lines (empty unless
+    collect_log)."""
+    return run_episode(built.scene_cfg, built.traffic, _make_av(spec, built), seed, collect_log)
 
 
 def _chunk_task(args) -> List[Tuple[int, EpisodeOutcome]]:
@@ -267,7 +265,7 @@ def _chunk_task(args) -> List[Tuple[int, EpisodeOutcome]]:
     built = _Built(spec)
     out = []
     for idx in indices:
-        outcome, _, _ = run_one(spec, (master_seed, idx), built)
+        outcome, _ = run_one(spec, (master_seed, idx), built)
         out.append((idx, outcome))
     return out
 

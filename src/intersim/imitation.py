@@ -30,7 +30,7 @@ from .dynamics import (
     step,
     update_goal,
 )
-from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, single_network
+from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, is_finite_number, single_network
 from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy
 from .scene import detect_fail, detect_success, fill_empty_slots, spawn_vehicle
 
@@ -266,32 +266,34 @@ def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+# the learner's fixed parts
+MOMENTUM = 0.9  # of the SGD step
+LR_FLOOR_FRAC = 0.1  # each fit anneals lr down to this fraction
+EPOCHS_PER_FIT = 2.0  # of the fit after every episode but the last
+
+
 @dataclass
 class TrainConfig:
     hidden: Union[int, Sequence[int]] = 64  # one int per hidden layer
-    lr: float = 0.02  # effective step is lr / (1 - momentum); 0.05 already diverges
-    momentum: float = 0.9
-    lr_floor_frac: float = 0.1  # each fit anneals lr down to this fraction
+    lr: float = 0.02  # effective step is lr / (1 - MOMENTUM); 0.05 already diverges
     batch_size: int = 64
-    epochs_per_fit: float = 2.0
     min_steps: int = 300
     max_steps: int = 6000
     final_epochs: float = 300.0  # the last aggregate fit gets a deeper pass
     final_max_steps: int = 400000
 
     def __post_init__(self):
+        for name in ("lr", "batch_size", "min_steps", "max_steps", "final_epochs", "final_max_steps"):
+            if not is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         hs = [self.hidden] if isinstance(self.hidden, int) else list(self.hidden)
-        if not hs or any(h <= 0 for h in hs):
+        if not hs or not all(is_finite_number(h) and h > 0 for h in hs):
             raise ValueError(f"hidden layer widths must be positive, got {self.hidden!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0 < self.lr_floor_frac <= 1:
-            raise ValueError(f"lr_floor_frac must be in (0, 1], got {self.lr_floor_frac}")
-        for name in ("epochs_per_fit", "min_steps", "max_steps", "final_epochs", "final_max_steps"):
+        for name in ("min_steps", "max_steps", "final_epochs", "final_max_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
@@ -369,9 +371,9 @@ class PolicyApproximator:
     # -- training -----------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray, cfg: TrainConfig, rng: np.random.Generator, steps: int) -> float:
-        """Minibatch momentum SGD on softmax cross-entropy for steps steps,
-        the learning rate annealed exponentially from cfg.lr down to
-        cfg.lr_floor_frac of it. Returns the final minibatch loss; raises
+        """Minibatch SGD with momentum MOMENTUM on softmax cross-entropy
+        for steps steps, the learning rate annealed exponentially from
+        cfg.lr down to LR_FLOOR_FRAC of it. Returns the final minibatch loss; raises
         RuntimeError on divergence: a non-finite loss during the loop, or
         after it a parameter that is not finite or exceeds PARAM_LIMIT in
         magnitude, or, where y holds two classes or more, a hidden layer with
@@ -398,7 +400,7 @@ class PolicyApproximator:
         loss = 0.0
         order = rng.permutation(n)
         pos = 0
-        decay = cfg.lr_floor_frac ** (1.0 / max(steps - 1, 1))
+        decay = LR_FLOOR_FRAC ** (1.0 / max(steps - 1, 1))
         lr = cfg.lr
         for _ in range(steps):
             if pos + cfg.batch_size > n:
@@ -429,7 +431,7 @@ class PolicyApproximator:
                 if layer > 0:
                     G = np.matmul(G, self.ws[layer].T, out=backs[layer - 1])
                     G *= pres[layer - 1] > 0.0
-            vel *= cfg.momentum
+            vel *= MOMENTUM
             vel += grad
             self._theta -= lr * vel
             lr *= decay
@@ -527,7 +529,6 @@ class DaggerConfig:
     scenes: Tuple[str, ...] = ("fourway", "tshape", "roundabout")
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
-    warm_start: bool = False  # literal reading retrains from scratch
 
     def __post_init__(self):
         for name in ("n_max", "t_max", "n_vehicles", "k_max"):
@@ -581,7 +582,7 @@ def _advance(states, actions: Dict[int, int], net: RoadNetwork) -> None:
 
 def _fit_steps(train: TrainConfig, n_rows: int) -> int:
     """Step count of the fit after every episode but the last."""
-    steps = int(train.epochs_per_fit * n_rows / train.batch_size)
+    steps = int(EPOCHS_PER_FIT * n_rows / train.batch_size)
     return max(train.min_steps, min(train.max_steps, steps))
 
 
@@ -592,15 +593,14 @@ def _final_steps(train: TrainConfig, n_rows: int) -> int:
 
 
 def _refit(policy, dataset, cfg, n) -> Tuple[PolicyApproximator, float]:
-    """Fit on the full dataset after episode n: from fresh weights unless
-    cfg.warm_start, seeded by (cfg.seed, 2, n), deeper on the last."""
+    """Fit on the full dataset after episode n: from fresh weights, seeded
+    by (cfg.seed, 2, n), deeper on the last."""
     if not len(dataset):
         return policy, float("nan")
     X, y = dataset.arrays()
     fit_seed = np.random.SeedSequence((cfg.seed, 2, n))
-    if not cfg.warm_start:
-        seed = int(fit_seed.generate_state(1)[0])
-        policy = PolicyApproximator(policy.sizes, policy.encoding, seed=seed)
+    seed = int(fit_seed.generate_state(1)[0])
+    policy = PolicyApproximator(policy.sizes, policy.encoding, seed=seed)
     steps = (_final_steps if n == cfg.n_max else _fit_steps)(cfg.train, len(dataset))
     return policy, policy.fit(X, y, cfg.train, np.random.default_rng(fit_seed), steps)
 

@@ -6,6 +6,8 @@ level-(k-1) planner would choose for them, then picks its own best
 N-step sequence by full enumeration of the 6^N tree. Only the first
 action of the winner is executed, the rest is replanned next tick.
 levelk_plan is the one search entry and serves every level, 0 included.
+A plan's trajectory is the path through the ego tree that its search
+scored, read off the tree, and opponents commit to that path.
 
 The whole tree is expanded before any node is scored. A child's pose
 depends only on its parent's state and its own turn rate, so each depth
@@ -88,7 +90,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, Action, VehicleState, rollout
+from .dynamics import DEFAULT_ACTIONS, DT_S, V_MAX, Action, VehicleState
 from .dynamics import PHASE_APPROACH, hold_trajectory
 from .geometry import RoadNetwork, sat_separations, wrap_angle_many
 from .reward import C_LENGTH_M, C_WIDTH_M, S_LENGTH_M, S_WIDTH_M, WEIGHTS, features_many, opponent_features
@@ -103,7 +105,9 @@ INTERACTION_RADIUS_M = 40.0  # vehicles farther from the ego are not opponents
 
 @dataclass
 class PlanResult:
-    """A finished search, shared by every search that matches it: never mutate one."""
+    """A finished search, shared by every search that matches it: never
+    mutate one. trajectory is the path the search scored, the one
+    opponents commit to."""
 
     action_sequence: List[int]
     value: float
@@ -241,7 +245,11 @@ def _best_response(
 
 
 def _search(ego: VehicleState, tree: _EgoTree, F: np.ndarray) -> PlanResult:
-    """The best leaf of the tree scored with the features F."""
+    """The best leaf of the tree scored with the features F, with the
+    path the search scored as the trajectory: row 0 the ego's pose and
+    speed, row d + 1 the pose row and speed of the path's node of depth d.
+    The tree evaluates dynamics.step's float expressions, so this is the
+    path the scalar kinematics step out, bit for bit."""
     n_act, value, disc = len(DEFAULT_ACTIONS), np.zeros(1), 1.0
     for rows, speeds in zip(tree.node_rows, tree.node_speeds):
         fv = np.take(F, rows, axis=0)
@@ -249,12 +257,16 @@ def _search(ego: VehicleState, tree: _EgoTree, F: np.ndarray) -> PlanResult:
         value = np.repeat(value, n_act) + disc * (fv @ WEIGHTS)
         disc *= LAMBDA
     leaf = int(np.argmax(value))
-    best, seq = float(value[leaf]), []
+    best, nodes = float(value[leaf]), []
     for _ in range(HORIZON_N):  # the leaf index is node major
-        leaf, a = divmod(leaf, n_act)
-        seq.insert(0, a)
-    actions = [DEFAULT_ACTIONS[i] for i in seq]
-    return PlanResult(seq, best, rollout(ego.pose, ego.speed, actions))
+        nodes.insert(0, leaf)
+        leaf //= n_act
+    x, y, th = tree.poses[:3]
+    traj = [(ego.pose.x, ego.pose.y, ego.pose.theta, ego.speed)]
+    for rows, speeds, k in zip(tree.node_rows, tree.node_speeds, nodes):
+        r = rows[k]
+        traj.append((x[r], y[r], th[r], speeds[k]))
+    return PlanResult([k % n_act for k in nodes], best, np.array(traj))
 
 
 def _path_rows(tree: _EgoTree, seq: Sequence[int]) -> List[int]:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from intersim.imitation import LR_FLOOR_FRAC, MOMENTUM
+
 
 def reference_fit(policy, X, y, cfg, rng, steps):
     """(theta, final minibatch loss) of steps of minibatch momentum SGD
@@ -19,7 +21,7 @@ def reference_fit(policy, X, y, cfg, rng, steps):
     pos = 0
     vws = [np.zeros_like(w) for w in ws]
     vbs = [np.zeros_like(b) for b in bs]
-    decay = cfg.lr_floor_frac ** (1.0 / max(steps - 1, 1))
+    decay = LR_FLOOR_FRAC ** (1.0 / max(steps - 1, 1))
     lr = cfg.lr
     n_layers = len(ws)
     for _ in range(steps):
@@ -53,7 +55,7 @@ def reference_fit(policy, X, y, cfg, rng, steps):
             gbs[layer] = G.sum(axis=0)
             if layer > 0:
                 G = (G @ ws[layer].T) * (pres[layer - 1] > 0.0)
-        mu = cfg.momentum
+        mu = MOMENTUM
         for layer in range(n_layers):
             vws[layer] = mu * vws[layer] + gws[layer]
             vbs[layer] = mu * vbs[layer] + gbs[layer]

@@ -6,9 +6,9 @@ code with the planner's batched expansion, so agreement between the two is
 a real check. Iteration order is lexicographic and ties keep the first
 maximum, mirroring the planner's argmax convention.
 
-The scalar stage reward and discounted return, and the scalar segment
-predicates at the end, are the references for the batched paths of the
-library. repeat_per_row_search is the batched search as it was before the
+rollout, the scalar stage reward and discounted return, and the scalar
+segment predicates at the end, are the references for the batched paths
+of the library. repeat_per_row_search is the batched search as it was before the
 planner culled opponents, the bit-exact reference for the culled one, and
 disk_cull_tree the ego tree as it was before the box cull of segments,
 with the lane term of overlap_one_rect, the lane kernel as it was before
@@ -80,6 +80,20 @@ def exhaustive_plan(states, i, k, network, n=HORIZON_N, actions=DEFAULT_ACTIONS,
             best_seq, best_val = list(seq), total
     cache[(i, k)] = (best_seq, best_val)
     return best_seq, best_val
+
+
+def rollout(pose, speed, actions) -> np.ndarray:
+    """States visited when applying an action sequence with the scalar
+    kinematics: (len(actions) + 1, 4) rows of (x, y, theta, v), first row
+    the initial state. The reference for a plan's trajectory, which the
+    planner reads off its ego tree."""
+    out = np.empty((len(actions) + 1, 4))
+    out[0] = (pose.x, pose.y, pose.theta, speed)
+    p, v = pose, speed
+    for i, act in enumerate(actions):
+        p, v = dyn.step(p, v, act)
+        out[i + 1] = (p.x, p.y, p.theta, v)
+    return out
 
 
 def reward(fv) -> float:
@@ -185,7 +199,7 @@ def repeat_per_row_search(tree, ego, opp_trajectories, n=HORIZON_N, actions=DEFA
     value = leaf_values(tree, F, actions)
     best = int(np.argmax(value))
     seq = [int(a) for a in np.unravel_index(best, (len(actions),) * n)]
-    traj = dyn.rollout(ego.pose, ego.speed, [actions[a] for a in seq])
+    traj = rollout(ego.pose, ego.speed, [actions[a] for a in seq])
     return F[:, [0, 3]], (seq, float(value[best]), traj)
 
 

@@ -199,7 +199,7 @@ def test_simulate_builds_once_and_logs_as_fresh_episodes(tmp_path, policy_file, 
     assert loads == [policy_file] and len(builds) == 1
     # sharing the built network and policy leaves every episode as a fresh one
     spec = EvalSpec(scene="fourway", n_vehicles=2, av=None, policy_file=policy_file, t_limit_s=5.0)
-    _, log, _ = run_one(spec, (5, episodes - 1), harness._Built(spec), collect_log=True)
+    _, log = run_one(spec, (5, episodes - 1), harness._Built(spec), collect_log=True)
     assert (tmp_path / f"episode_{episodes - 1:04d}.ndjson").read_text() == "".join(line + "\n" for line in log)
 
 
@@ -528,12 +528,17 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
         ({"train": {"hidden": 0}}, [], "hidden"),
         ({"variant": "adaptive"}, [], "unknown training keys in config: variant"),
         ({"variant": "levelk"}, [], "unknown training keys in config: variant"),
+        ({"train": {"lr": math.nan}}, [], "lr must be a finite number"),
+        ({"train": {"lr": math.inf}}, [], "lr must be a finite number"),
+        ({"train": {"final_epochs": math.nan}}, [], "final_epochs must be a finite number"),
+        ({"train": {"final_epochs": math.inf}}, [], "final_epochs must be a finite number"),
     ],
     ids=["unknown-key", "unknown-train-key", "train-not-object", "unknown-scene",
          "scenes-not-list", "k_max-0", "k_max-7", "episodes-0", "vehicles-0", "n_max-str",
          "removed-m_near", "removed-min_sep_m", "removed-stop_disagreement_below",
          "removed-stop_patience", "warm_start-int", "scenes-item-not-str", "train-lr-str",
-         "train-batch_size-0", "train-hidden-0", "removed-variant-adaptive", "removed-variant-levelk"],
+         "train-batch_size-0", "train-hidden-0", "removed-variant-adaptive", "removed-variant-levelk",
+         "train-lr-nan", "train-lr-inf", "train-final_epochs-nan", "train-final_epochs-inf"],
 )
 def test_train_policy_rejects_unknown_keys(tmp_path, capsys, config, extra, needle):
     cfg = tmp_path / "bad2.json"

@@ -16,11 +16,12 @@ from intersim.dynamics import (
     Pose2,
     VehicleState,
     hold_trajectory,
-    rollout,
     step,
     update_goal,
 )
 from intersim.scene import detect_success
+
+from planner_oracle import rollout
 
 
 def test_action_table_order():

@@ -71,13 +71,13 @@ GEOMETRY_PINS = {
 @pytest.mark.parametrize("name", list(EPISODES))
 def test_episode_log_digest(name):
     spec, pin = EPISODES[name]
-    _, log, _ = run_one(spec, (11, 0), _Built(spec), collect_log=True)
+    _, log = run_one(spec, (11, 0), _Built(spec), collect_log=True)
     assert _sha("\n".join(log) + "\n") == pin
 
 
 def test_rendered_frames_digest():
     spec, _ = EPISODES["city-fixture-rule-based"]
-    _, log, _ = run_one(spec, (11, 0), _Built(spec), collect_log=True)
+    _, log = run_one(spec, (11, 0), _Built(spec), collect_log=True)
     frames = render_svg(log, build_network(spec))
     assert len(frames) == 40
     assert _sha("\n".join(frames)) == FRAMES_PIN

@@ -134,7 +134,7 @@ def test_summarize_counts_partition():
 
 def test_run_one_classifies_and_logs(policy_file):
     spec = _spec(policy_file)
-    outcome, log, av = run_one(spec, (0, 0), _Built(spec), collect_log=True)
+    outcome, log = run_one(spec, (0, 0), _Built(spec), collect_log=True)
     assert outcome.kind in (KIND_COLLISION, KIND_DEADLOCK, KIND_SUCCESS)
     assert outcome.seed == (0, 0)
     assert outcome.duration_s <= spec.t_limit_s + 1e-9
@@ -321,7 +321,7 @@ def test_line_chart_contains_axes_and_data():
 
 def _logged_episode(policy_file):
     spec = _spec(policy_file)
-    _, log, _ = run_one(spec, (2, 0), _Built(spec), collect_log=True)
+    _, log = run_one(spec, (2, 0), _Built(spec), collect_log=True)
     return spec, log
 
 

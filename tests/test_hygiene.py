@@ -20,8 +20,8 @@ CALLERS = [ROOT / "src", ROOT / "benchmarks"]
 # ROADMAP item that gives it one; this list may only shrink
 PENDING_CALLERS = {
     "harness.py:evaluate_models",  # item 11
-    "imitation.py:collect_probes",  # item 6
-    "imitation.py:evaluate_match",  # item 6
+    "imitation.py:collect_probes",  # item 16
+    "imitation.py:evaluate_match",  # item 16
 }
 
 
@@ -109,7 +109,7 @@ def test_every_public_definition_is_referenced():
 # options in the package: every one is a value a caller may set, and each
 # needs a reason to exist. The count must equal this ceiling, so a change
 # that removes a knob lowers it too; it may only fall
-SETTABLE_VALUES_CEILING = 89
+SETTABLE_VALUES_CEILING = 85
 
 
 def _is_dataclass(node) -> bool:

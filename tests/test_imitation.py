@@ -636,6 +636,17 @@ def test_the_training_loops_respawn_both_partners_of_a_contact():
     assert all(new is not None and new is not old for new, old in zip(states[1:], before[1:]))
 
 
+@pytest.mark.parametrize("name", ["lr", "batch_size", "min_steps", "max_steps", "final_epochs", "final_max_steps"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_train_config_refuses_a_number_that_is_not_finite(name, bad):
+    # NaN passes every range comparison, and an infinite step count
+    # fails only when a fit converts it
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        TrainConfig(**{name: bad})
+    with pytest.raises(ValueError, match="hidden layer widths"):
+        TrainConfig(hidden=[8, bad])
+
+
 @pytest.mark.parametrize("k_max", [K_MAX + 1, 7])
 def test_dagger_config_refuses_levels_the_expert_does_not_search(k_max):
     # the loops keep the behavioral levels at or below k_max, so a higher

@@ -17,9 +17,9 @@ from intersim.dynamics import (
     Action,
     Pose2,
     VehicleState,
-    rollout,
 )
 from intersim.geometry import LANE_WIDTH_M, RING_OUTER_R_M, make_city, segments_hit_rects, single_network
+from intersim.harness import EvalSpec, _Built, run_one
 from intersim.planner import (
     HORIZON_N,
     PlanCache,
@@ -36,6 +36,7 @@ from planner_oracle import (
     overlap_one_rect,
     random_plan_scene,
     repeat_per_row_search,
+    rollout,
 )
 
 
@@ -848,9 +849,33 @@ def test_reported_trajectory_replays_the_sequence(monkeypatch):
     res = levelk_plan(states, 0, 2, net, PlanCache())
     acts = [DEFAULT_ACTIONS[a] for a in res.action_sequence]
     expect = rollout(states[0].pose, states[0].speed, acts)
-    assert np.allclose(res.trajectory, expect)
+    assert res.trajectory.tobytes() == expect.tobytes()
     assert set(seen[-1]) == {1}
     assert seen[-1][1].shape == (5, 4)
+
+
+@pytest.mark.parametrize("scene, n_vehicles", [("fourway", 4), ("tshape", 4), ("roundabout", 4), ("city", 8)])
+def test_every_plan_trajectory_is_the_scalar_rollout_bit_for_bit(monkeypatch, scene, n_vehicles):
+    """A plan's trajectory is the tree path its search scored, and it is
+    the path the scalar kinematics step out: in expert traffic with the
+    adaptive AV, every search's trajectory has the bytes of the oracle's
+    rollout of its sequence."""
+    search, checked, wrong = planner._search, [], []
+
+    def spy(ego, tree, F):
+        res = search(ego, tree, F)
+        want = rollout(ego.pose, ego.speed, [DEFAULT_ACTIONS[a] for a in res.action_sequence])
+        checked.append(res.action_sequence)
+        if res.trajectory.tobytes() != want.tobytes():
+            wrong.append((ego, res.action_sequence))
+        return res
+
+    monkeypatch.setattr(planner, "_search", spy)
+    spec = EvalSpec(scene=scene, n_vehicles=n_vehicles, av="adaptive", engine="expert", t_limit_s=5.0)
+    built = _Built(spec)
+    for seed in ((100, 0), (101, 0)):
+        run_one(spec, seed, built)
+    assert len(checked) > 100 and wrong == []
 
 
 def test_level0_freezes_opponents(monkeypatch):
