@@ -476,6 +476,11 @@ def is_finite_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def is_integer(v) -> bool:
+    """Whether v is an integer; booleans are not numbers."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _checked_recipe(name, center, arm_lengths, arm_ids) -> Tuple[Tuple[float, float], Dict[str, float]]:
     """center as two floats and the length of each arm in arm_ids. Raises
     ValueError unless name can head a lane reference (nonempty, no ':'),

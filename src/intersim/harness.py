@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,7 +25,7 @@ from .controllers import (
     RC_M,
     RuleBasedController,
 )
-from .geometry import BUILDERS, Pose2, RoadNetwork, is_finite_number, make_city, single_network
+from .geometry import BUILDERS, Pose2, RoadNetwork, is_finite_number, is_integer, make_city, single_network
 from .imitation import load_policy, wilson_interval
 from .reward import C_LENGTH_M, c_zone
 from .scene import (
@@ -169,11 +168,12 @@ class EvalSpec:
     weights of J (J_WEIGHTS) are fixed parts of the model.
 
     Construction checks each field alone and raises ValueError unless
-    traffic_model, av and engine are known names, n_vehicles is a
-    nonnegative integer, rc_m is finite and nonnegative, and t_limit_s is
-    finite and positive. The scene and the rule across fields (the
-    distilled engine needs policy_file) are checked when the cell is built
-    to run, so EvalSpec(scene=...) can name a network to render.
+    scene is a string, policy_file is None or a string, traffic_model, av
+    and engine are known names, n_vehicles is a nonnegative integer, rc_m
+    is finite and nonnegative, and t_limit_s is finite and positive. What
+    the scene names and the rule across fields (the distilled engine needs
+    policy_file) are checked when the cell is built to run, so
+    EvalSpec(scene=...) can name a network to render.
     """
 
     scene: str = "fourway"
@@ -186,15 +186,18 @@ class EvalSpec:
     t_limit_s: float = T_LIMIT_S
 
     def __post_init__(self):
+        if not isinstance(self.scene, str):
+            raise ValueError(f"scene must be a string, got {self.scene!r}")
+        if not (self.policy_file is None or isinstance(self.policy_file, str)):
+            raise ValueError(f"policy_file must be None or a string, got {self.policy_file!r}")
         if self.traffic_model not in TRAFFIC_MODELS:
-            raise ValueError(f"unknown traffic model {self.traffic_model!r}")
+            raise ValueError(f"traffic_model must be one of {', '.join(TRAFFIC_MODELS)}, got {self.traffic_model!r}")
         if self.av is not None and self.av not in AV_POLICIES:
-            raise ValueError(f"unknown av policy {self.av!r}")
+            raise ValueError(f"av must be None or one of {', '.join(AV_POLICIES)}, got {self.av!r}")
         if self.engine not in ("expert", "distilled"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        n = self.n_vehicles
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
-            raise ValueError(f"n_vehicles must be a nonnegative integer, got {n!r}")
+            raise ValueError(f"engine must be expert or distilled, got {self.engine!r}")
+        if not (is_integer(self.n_vehicles) and self.n_vehicles >= 0):
+            raise ValueError(f"n_vehicles must be a nonnegative integer, got {self.n_vehicles!r}")
         if not (is_finite_number(self.rc_m) and self.rc_m >= 0):
             raise ValueError(f"rc_m must be finite and nonnegative, got {self.rc_m}")
         if not (is_finite_number(self.t_limit_s) and self.t_limit_s > 0):
@@ -507,9 +510,18 @@ POLICY_COLORS = {
 _FALLBACK_COLOR = "#777777"
 
 
+# each field a frame reads, the test its value must pass, and that test in words
+_LOG_FIELDS = {
+    "tick": (is_integer, "an integer"), "id": (is_integer, "an integer"),
+    **{key: (is_finite_number, "a finite number") for key in ("x", "y", "v", "theta")},
+    "policy": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def parse_log(lines: Sequence[str]) -> List[dict]:
-    """ndjson episode log to records; the reported line number is
-    1-based to match what an editor shows."""
+    """ndjson episode log to records. Raises ValueError naming the line,
+    1-based to match what an editor shows, unless each record is a JSON
+    object whose fields pass _LOG_FIELDS, naming a field that does not."""
     records = []
     for ln, line in enumerate(lines, start=1):
         if not line.strip():
@@ -518,9 +530,13 @@ def parse_log(lines: Sequence[str]) -> List[dict]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ValueError(f"log parse error at line {ln}: {e}") from None
-        for key in ("tick", "id", "x", "y", "v", "theta", "policy"):
+        if not isinstance(rec, dict):
+            raise ValueError(f"log parse error at line {ln}: expected a JSON object")
+        for key, (fits, what) in _LOG_FIELDS.items():
             if key not in rec:
                 raise ValueError(f"log parse error at line {ln}: missing field {key!r}")
+            if not fits(rec[key]):
+                raise ValueError(f"log parse error at line {ln}: field {key!r} must be {what}, got {rec[key]!r}")
         records.append(rec)
     return records
 
@@ -604,7 +620,7 @@ def render_svg(
     records = parse_log(log_lines)
     by_tick: Dict[int, List[dict]] = {}
     for rec in records:
-        by_tick.setdefault(int(rec["tick"]), []).append(rec)
+        by_tick.setdefault(rec["tick"], []).append(rec)
     x_lo, x_hi, y_lo, y_hi = _network_extent(network)
     m = _Mapper(x_lo, x_hi, y_lo, y_hi)
     head = (

@@ -30,7 +30,7 @@ from .dynamics import (
     step,
     update_goal,
 )
-from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, is_finite_number, single_network
+from .geometry import BUILDERS, KIND_LABELS, RoadNetwork, is_finite_number, is_integer, single_network
 from .planner import BEHAVIORAL_LEVELS, K_MAX, PlanCache, expert_policy
 from .scene import detect_fail, detect_success, fill_empty_slots, spawn_vehicle
 
@@ -286,9 +286,12 @@ class TrainConfig:
         for name in ("lr", "batch_size", "min_steps", "max_steps", "final_epochs", "final_max_steps"):
             if not is_finite_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        hs = [self.hidden] if isinstance(self.hidden, int) else list(self.hidden)
-        if not hs or not all(is_finite_number(h) and h > 0 for h in hs):
-            raise ValueError(f"hidden layer widths must be positive, got {self.hidden!r}")
+        for name in ("batch_size", "min_steps", "max_steps", "final_max_steps"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        hs = [self.hidden] if is_integer(self.hidden) else self.hidden
+        if not (isinstance(hs, (list, tuple)) and hs and all(is_integer(h) and h > 0 for h in hs)):
+            raise ValueError(f"hidden layer widths must be positive integers, got {self.hidden!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.lr <= 0:
@@ -305,7 +308,7 @@ PARAM_LIMIT = 1e6
 
 def _layer_sizes(n_features: int, hidden: Union[int, Sequence[int]]) -> List[int]:
     """Full width list [input, hidden..., n_actions] from a TrainConfig.hidden."""
-    hs = [hidden] if isinstance(hidden, int) else [int(h) for h in hidden]
+    hs = [hidden] if is_integer(hidden) else hidden
     return [n_features, *hs, len(DEFAULT_ACTIONS)]
 
 
@@ -520,7 +523,9 @@ def load_policy(path: str) -> PolicyApproximator:
 
 @dataclass
 class DaggerConfig:
-    """Settings of the trainer; encoder width and spawn gap are library constants."""
+    """Settings of the trainer; encoder width and spawn gap are library
+    constants. Construction raises ValueError naming a field of the wrong
+    type or range, and stores scenes, a list or tuple, as a tuple."""
 
     n_max: int = 200
     t_max: int = 100
@@ -532,12 +537,18 @@ class DaggerConfig:
 
     def __post_init__(self):
         for name in ("n_max", "t_max", "n_vehicles", "k_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            if not (is_integer(getattr(self, name)) and getattr(self, name) >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {getattr(self, name)!r}")
         if self.k_max > K_MAX:
             raise ValueError(f"k_max must be at most {K_MAX}, the highest level the expert searches, got {self.k_max}")
-        if not self.scenes or not set(self.scenes) <= set(BUILDERS):
-            raise ValueError(f"scenes must be among {sorted(BUILDERS)}, got {list(self.scenes)}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
+        s = self.scenes
+        if not (isinstance(s, (list, tuple)) and s and all(isinstance(k, str) and k in BUILDERS for k in s)):
+            raise ValueError(f"scenes must be a list of names among {sorted(BUILDERS)}, got {s!r}")
+        self.scenes = tuple(s)
 
 
 @dataclass

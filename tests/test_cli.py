@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from intersim import harness
-from intersim.cli import _build_parser, _spec_from_args, main
+from intersim.cli import MAX_GRID_POINTS, ConfigError, _build_parser, _parse_grid, _spec_from_args, main
 from intersim.controllers import RC_M
 from intersim.geometry import CITY
 from intersim.harness import REPORT_COLUMNS, EvalSpec, run_one
@@ -262,7 +262,10 @@ def test_calibrate_grid_and_outputs(tmp_path, policy_file, capsys):
 
 @pytest.mark.parametrize(
     "grid",
-    ["5", "5:10:0", "10:5:1", "a:b:c", "-4:0:2", "0:inf:1", "-inf:5:1", "nan:5:1", "0:5:nan", "0:5:inf"],
+    ["5", "5:10:0", "10:5:1", "a:b:c", "-4:0:2", "0:inf:1", "-inf:5:1", "nan:5:1", "0:5:nan", "0:5:inf",
+     # over the point bound: at 1e17 a step of 1 no longer moves the value,
+     # and 0:1e9:0.001 asks for 10^12 Monte-Carlo cells per traffic model
+     "1e17:2e17:1", "0:1e9:0.001"],
 )
 def test_bad_rc_grid_exits_one(tmp_path, policy_file, grid, capsys):
     out = tmp_path / "out"
@@ -273,6 +276,14 @@ def test_bad_rc_grid_exits_one(tmp_path, policy_file, grid, capsys):
     assert code == 1
     assert "error: --rc-grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rc_grid_holds_up_to_the_point_bound():
+    """The grid is counted before a point is built, and the count is
+    refused above MAX_GRID_POINTS."""
+    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="--rc-grid"):
+        _parse_grid(f"0:{MAX_GRID_POINTS}:1")
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "calibrate"])
@@ -289,7 +300,7 @@ def test_bad_rc_exits_one(tmp_path, policy_file, command, rc, capsys):
 
 
 _BAD_OVERRIDES = {
-    "n_vehicles-str": ({"n_vehicles": "3"}, "n_vehicles (expected int, got str)"),
+    "n_vehicles-str": ({"n_vehicles": "3"}, "n_vehicles must be a nonnegative integer"),
     "t_limit_s-negative": ({"t_limit_s": -1}, "t_limit_s must be finite and positive"),
     "t_limit_s-zero": ({"t_limit_s": 0}, "t_limit_s must be finite and positive"),
     "t_limit_s-inf": ({"t_limit_s": float("inf")}, "t_limit_s must be finite and positive"),
@@ -443,6 +454,31 @@ def test_render_bad_ticks_exit_one(tmp_path, policy_file, capsys):
     capsys.readouterr()
 
 
+_GOOD_RECORD = {"tick": 0, "id": 0, "x": 1.0, "y": -2.0, "v": 3.0, "theta": 0.5, "policy": "l1"}
+
+
+@pytest.mark.parametrize(
+    "line2, needle",
+    [
+        ({**_GOOD_RECORD, "x": "a"}, "line 2: field 'x' must be a finite number"),
+        ({**_GOOD_RECORD, "v": None}, "line 2: field 'v' must be a finite number"),
+        ({**_GOOD_RECORD, "tick": "zero"}, "line 2: field 'tick' must be an integer"),
+        ({**_GOOD_RECORD, "tick": 1.5}, "line 2: field 'tick' must be an integer"),
+        ({**_GOOD_RECORD, "policy": 1}, "line 2: field 'policy' must be a string"),
+        ([1, 2], "line 2: expected a JSON object"),
+    ],
+    ids=["x-str", "v-null", "tick-str", "tick-float", "policy-int", "not-object"],
+)
+def test_render_log_with_a_mistyped_field_exits_one_naming_line_and_field(tmp_path, line2, needle, capsys):
+    log = tmp_path / "episode.ndjson"
+    log.write_text(json.dumps(_GOOD_RECORD) + "\n" + json.dumps(line2) + "\n")
+    out = tmp_path / "out"
+    assert main(["render", str(log), "--scene", "fourway", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: log parse error at {needle}" in err and "failed" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train-policy
 
@@ -532,13 +568,14 @@ def test_train_policy_rejects_unknown_variant(tmp_path, capsys):
         ({"train": {"lr": math.inf}}, [], "lr must be a finite number"),
         ({"train": {"final_epochs": math.nan}}, [], "final_epochs must be a finite number"),
         ({"train": {"final_epochs": math.inf}}, [], "final_epochs must be a finite number"),
+        ({"seed": -1}, [], "seed must be a nonnegative integer"),
     ],
     ids=["unknown-key", "unknown-train-key", "train-not-object", "unknown-scene",
          "scenes-not-list", "k_max-0", "k_max-7", "episodes-0", "vehicles-0", "n_max-str",
          "removed-m_near", "removed-min_sep_m", "removed-stop_disagreement_below",
          "removed-stop_patience", "warm_start-int", "scenes-item-not-str", "train-lr-str",
          "train-batch_size-0", "train-hidden-0", "removed-variant-adaptive", "removed-variant-levelk",
-         "train-lr-nan", "train-lr-inf", "train-final_epochs-nan", "train-final_epochs-inf"],
+         "train-lr-nan", "train-lr-inf", "train-final_epochs-nan", "train-final_epochs-inf", "seed-negative"],
 )
 def test_train_policy_rejects_unknown_keys(tmp_path, capsys, config, extra, needle):
     cfg = tmp_path / "bad2.json"

@@ -4,6 +4,7 @@ import ast
 import functools
 import importlib
 import inspect
+import math
 import re
 import sys
 import types
@@ -338,3 +339,55 @@ def test_the_evaluation_reads_every_eval_spec_field():
     for spec in cells:
         assert monte_carlo(spec, 1, 0, workers=1).n_episodes == 1
     assert reads == fields
+
+
+def _config_classes():
+    from intersim.harness import EvalSpec
+    from intersim.imitation import DaggerConfig, TrainConfig
+
+    return EvalSpec, DaggerConfig, TrainConfig
+
+
+def test_every_config_field_refuses_a_value_of_no_type_it_takes():
+    """Each config checks its own fields, whoever builds it: a field set to
+    a bare object() raises ValueError naming the field, not a TypeError
+    from a later comparison, and not silently."""
+    import dataclasses
+
+    cases = [(cls, f.name) for cls in _config_classes() for f in dataclasses.fields(cls)]
+    assert len(cases) == 22
+    for cls, name in cases:
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: object()})
+
+
+@pytest.mark.parametrize(
+    "cls_name, override, name",
+    [
+        ("EvalSpec", {"scene": 0}, "scene"),
+        ("EvalSpec", {"policy_file": 3}, "policy_file"),
+        ("TrainConfig", {"hidden": [4, 2.5]}, "hidden"),
+        ("TrainConfig", {"batch_size": 64.0}, "batch_size"),
+        ("DaggerConfig", {"seed": -1}, "seed"),
+        ("DaggerConfig", {"n_max": 1.5}, "n_max"),
+        ("DaggerConfig", {"n_max": math.nan}, "n_max"),
+        ("DaggerConfig", {"t_max": math.inf}, "t_max"),
+        ("DaggerConfig", {"train": {"lr": 1}}, "train"),
+        ("DaggerConfig", {"scenes": [["fourway"]]}, "scenes"),
+    ],
+    ids=["scene-int", "policy_file-int", "hidden-float-width", "batch_size-float", "seed-negative",
+         "n_max-float", "n_max-nan", "t_max-inf", "train-dict", "scenes-nested"],
+)
+def test_a_library_caller_gets_the_check_the_cli_gets(cls_name, override, name, monkeypatch):
+    """A bad value built in Python fails at construction, naming the field,
+    before anything reads or opens a file: EvalSpec(scene=0) used to reach
+    monte_carlo, which opened file descriptor 0 as a network file."""
+    import builtins
+
+    cls = {c.__name__: c for c in _config_classes()}[cls_name]
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a) or real_open(*a, **k))
+    with pytest.raises(ValueError, match=name):
+        cls(**override)
+    assert opened == []

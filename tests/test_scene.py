@@ -15,6 +15,8 @@ from intersim.controllers import AdaptiveController, ExpertEngine, PolicyEngine
 from intersim.dynamics import DEFAULT_ACTIONS, DT_S, PHASE_APPROACH, V_MAX, Pose2, VehicleState
 from intersim.geometry import (
     LANE_WIDTH_M,
+    NETWORK_FORMAT,
+    RoadNetwork,
     euclidean_dist,
     make_city,
     rects_overlap,
@@ -1148,13 +1150,15 @@ _QUARTER_TURN = {"E": "N", "N": "W", "W": "S", "S": "E"}
 
 
 def _turned(st):
-    """st turned a quarter counterclockwise about the fourway's center, the
+    """st turned a quarter counterclockwise about the layout's center, the
     origin: (x, y) to (-y, x), the heading by pi / 2, and each lane ref to
-    the same lane of the next arm."""
+    the same lane of the next arm, or of the next ring quarter."""
 
     def ref(r):
         name, lane = r.split(":")
         arm, kind = lane.split(".")
+        if arm == "ring":
+            return f"{name}:ring.q{(int(kind[1:]) + 1) % 4}"
         return f"{name}:{_QUARTER_TURN[arm]}.{kind}"
 
     p = st.pose
@@ -1167,21 +1171,62 @@ def _turned(st):
     )
 
 
+def _moved_first_actions_hold(net, moved_net, move, seeds, monkeypatch):
+    """Rows and contested rows of the check that moving recorded expert
+    snapshots of net (4 vehicles, 40 ticks per seed) with move, onto
+    moved_net, keeps the first action of every level-0, 1 and 2 plan."""
+    rows = contested = 0
+    for seed in seeds:
+        before, _ = _snapshots(net, 4, range(40), (seed, 0), ExpertEngine(), monkeypatch)
+        for states in before:
+            moved = [move(s) if s is not None else None for s in states]
+            cache, moved_cache = PlanCache(), PlanCache()
+            for i, k in itertools.product([i for i, s in enumerate(states) if s is not None], (0, 1, 2)):
+                want = planner.levelk_plan(states, i, k, net, cache).action_sequence[0]
+                assert planner.levelk_plan(moved, i, k, moved_net, moved_cache).action_sequence[0] == want
+                rows += 1
+                contested += bool(planner.near_indices(states, i, planner.INTERACTION_RADIUS_M))
+    return rows, contested
+
+
 def test_a_quarter_turn_of_the_fourway_keeps_every_first_action(monkeypatch):
     """The fourway maps onto itself under a quarter turn, so turning
     recorded expert snapshots, positions, headings and lane refs together,
     leaves the first action of every level-0, 1 and 2 plan as it was."""
     net = single_network("fourway")
-    rows = contested = 0
-    for seed in range(100, 106):
-        before, _ = _snapshots(net, 4, range(40), (seed, 0), ExpertEngine(), monkeypatch)
-        for states in before:
-            turned = [_turned(s) if s is not None else None for s in states]
-            cache, turned_cache = PlanCache(), PlanCache()
-            for i, k in itertools.product([i for i, s in enumerate(states) if s is not None], (0, 1, 2)):
-                want = planner.levelk_plan(states, i, k, net, cache).action_sequence[0]
-                assert planner.levelk_plan(turned, i, k, net, turned_cache).action_sequence[0] == want
-                rows += 1
-                contested += bool(planner.near_indices(states, i, planner.INTERACTION_RADIUS_M))
+    rows, contested = _moved_first_actions_hold(net, net, _turned, range(100, 106), monkeypatch)
     # most rows had opponents to turn with the vehicle
     assert rows >= 2000 and contested >= rows // 2
+
+
+def test_a_quarter_turn_of_the_roundabout_keeps_every_first_action(monkeypatch):
+    """The roundabout maps onto itself under a quarter turn too: its arms
+    E to N to W to S to E, and each ring quarter q_i to q_(i+1 mod 4)."""
+    net = single_network("roundabout")
+    rows, contested = _moved_first_actions_hold(net, net, _turned, range(100, 103), monkeypatch)
+    assert rows >= 1000 and contested >= rows // 2
+
+
+_OFFSET = (37.3, 11.9)
+
+
+@pytest.mark.parametrize("kind", ["fourway", "tshape", "roundabout"])
+def test_a_translated_layout_keeps_every_first_action(kind, monkeypatch):
+    """A layout built from its recipe with the center moved by _OFFSET,
+    and the snapshots' positions moved with it, gives every level-0, 1
+    and 2 plan the same first action: the planner reads positions only
+    relative to the layout. Rounding could flip an argmax at an exact
+    value tie; none does on these snapshots."""
+    net = single_network(kind)
+    moved_net = RoadNetwork.from_recipe(
+        {"format_version": NETWORK_FORMAT, "intersections": [{"kind": kind, "name": "I0", "center": list(_OFFSET)}]}
+    )
+
+    def shifted(st):
+        p = st.pose
+        moved = st.copy()
+        moved.pose = Pose2(p.x + _OFFSET[0], p.y + _OFFSET[1], p.theta)
+        return moved
+
+    rows, contested = _moved_first_actions_hold(net, moved_net, shifted, range(100, 103), monkeypatch)
+    assert rows >= 1000 and contested >= rows // 2
